@@ -3,8 +3,6 @@
 //
 //   themis_cli fuzz   <hdfs|ceph|gluster|leo|geo> [options]
 //   themis_cli replay <hdfs|ceph|gluster|leo|geo> <logfile> [--repeat N] [--bugs]
-//   themis_cli fleet  run|worker|status ...   (multi-process campaign service,
-//                     DESIGN.md §17; see `themis_cli fleet` for usage)
 //
 // Options for `fuzz` (runs a CampaignMatrix through the parallel runner):
 //   --hours H       virtual campaign budget (default 24)
@@ -37,7 +35,6 @@
 
 #include "src/common/log.h"
 #include "src/core/replay.h"
-#include "src/fleet/fleet_cli.h"
 #include "src/faults/fault_registry.h"
 #include "src/faults/injector.h"
 #include "src/core/strategy_registry.h"
@@ -331,9 +328,6 @@ int main(int argc, char** argv) {
   }
   if (std::strcmp(argv[1], "replay") == 0) {
     return RunReplay(argc - 2, argv + 2);
-  }
-  if (std::strcmp(argv[1], "fleet") == 0) {
-    return FleetMain(argc - 2, argv + 2);
   }
   return Usage();
 }

@@ -9,8 +9,8 @@ Only the raw-execution ops_per_sec series are gated: they time a 30k-op
 deterministic loop and are stable on shared runners. The campaign_* series
 measure a full campaign whose wall time is milliseconds, so they are
 reported for trend-watching but far too noisy to gate on. The same applies
-to the `fleet.*`, `monitor_cadence.*`, and `scale.*` prefixes: matched by
-name across the two documents and printed for trend, never delta-gated.
+to the `monitor_cadence.*` and `scale.*` prefixes: matched by name across
+the two documents and printed for trend, never delta-gated.
 
 Two structural checks ARE hard failures, because they catch a broken bench
 document rather than slow code:
@@ -22,22 +22,14 @@ document rather than slow code:
     campaign_ops_per_sec nor an explicit campaign_skipped marker exits 2 —
     a silently dropped campaign leg must not read as an intentional skip.
 
-One conditional perf gate rides on the fleet sweep: when the CURRENT
-document carries fleet.w1/fleet.w4 and was measured on >= 4 cores
-(fleet.cores), the 4-worker fleet must reach --min-fleet-speedup x the
-single-worker throughput (default 3.0). On smaller machines the check
-prints a skip note — a 1-core container cannot scale no matter what the
-code does.
-
-Usage: check_perf_regression.py BASELINE.json CURRENT.json
-           [--max-drop 0.20] [--min-fleet-speedup 3.0]
+Usage: check_perf_regression.py BASELINE.json CURRENT.json [--max-drop 0.20]
 """
 
 import argparse
 import json
 import sys
 
-INFORMATIONAL_PREFIXES = ("fleet.", "monitor_cadence.", "scale.")
+INFORMATIONAL_PREFIXES = ("monitor_cadence.", "scale.")
 
 
 def load_gauges(path):
@@ -87,41 +79,12 @@ def check_scale_rows(path, gauges):
         sys.exit(2)
 
 
-def check_fleet_scaling(gauges, min_speedup):
-    """Returns an error string, or None if the check passed or was skipped."""
-    w1 = gauges.get("fleet.w1.ops_per_sec")
-    w4 = gauges.get("fleet.w4.ops_per_sec")
-    cores = gauges.get("fleet.cores")
-    if w1 is None or w4 is None:
-        print("fleet scaling check: skipped (no fleet.w1/w4 sweep in the "
-              "current document)")
-        return None
-    if cores is None or cores < 4:
-        print(f"fleet scaling check: skipped (fleet.cores={cores}; need >= 4 "
-              f"cores to expect multi-worker scaling)")
-        return None
-    if w1 <= 0:
-        return f"fleet.w1.ops_per_sec is {w1}; cannot compute fleet speedup"
-    speedup = float(w4) / float(w1)
-    print(f"fleet scaling check: w4/w1 = {speedup:.2f}x on {cores:.0f} cores "
-          f"(required >= {min_speedup:.1f}x)")
-    if speedup < min_speedup:
-        return (f"4-worker fleet reached only {speedup:.2f}x single-worker "
-                f"throughput (required {min_speedup:.1f}x on "
-                f"{cores:.0f} cores)")
-    return None
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("baseline")
     parser.add_argument("current")
     parser.add_argument("--max-drop", type=float, default=0.20,
                         help="maximum allowed fractional drop (default 0.20)")
-    parser.add_argument("--min-fleet-speedup", type=float, default=3.0,
-                        help="required fleet.w4/w1 speedup when the current "
-                             "document has the sweep and >= 4 cores "
-                             "(default 3.0)")
     args = parser.parse_args()
 
     baseline = load_gauges(args.baseline)
@@ -177,11 +140,6 @@ def main():
             cur = (f"{float(current[key]):.0f}" if key in current
                    else "(absent)")
             print(f"{key:<40} {base:>12} {cur:>12}")
-
-    print()
-    fleet_error = check_fleet_scaling(current, args.min_fleet_speedup)
-    if fleet_error:
-        failures.append(fleet_error)
 
     if failures:
         print("\nperf regression gate FAILED:")

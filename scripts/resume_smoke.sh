@@ -52,26 +52,3 @@ echo "resume-smoke: resuming"
 
 diff "$WORK/reference.json" "$WORK/resumed.json"
 echo "resume-smoke: PASS — summaries byte-identical after SIGKILL + resume"
-
-# Fleet phase: a single-worker single-job fleet must stay on the
-# deterministic path — its merged fleet_summary.json byte-identical to the
-# plain runner's --summary-json on the same matrix, even when the worker
-# crashes after its first checkpoint and the supervisor restarts it mid-job.
-# One job, because with more a later job would import the earlier jobs'
-# corpus seeds and legitimately diverge (that cross-pollination is fleet
-# mode's point; fleet_smoke.sh validates it by invariants). The reference
-# run needs --telemetry-out because fleet workers always collect telemetry
-# and telemetry events are part of the per-job digest.
-FLEET_COMMON=(gluster --hours 2 --seed 20260806 --seeds 1)
-
-echo "resume-smoke: fleet reference run (telemetry on)"
-"$CLI" fuzz "${FLEET_COMMON[@]}" --telemetry-out="$WORK/ref_events.jsonl" \
-    --summary-json="$WORK/fleet_reference.json" >/dev/null
-
-echo "resume-smoke: 1-worker fleet with crash-after-first-checkpoint hook"
-"$CLI" fleet run "${FLEET_COMMON[@]}" --dir="$WORK/fleet" --workers 1 \
-    --checkpoint-every-ops 500 --crash-worker0-after-checkpoints 1 \
-    >/dev/null
-
-diff "$WORK/fleet_reference.json" "$WORK/fleet/fleet_summary.json"
-echo "resume-smoke: PASS — single-worker fleet summary byte-identical to the plain runner after crash + restart"

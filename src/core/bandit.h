@@ -53,13 +53,13 @@ class BanditStrategy : public Strategy {
   void OnOutcome(const OpSeq& seq, const ExecOutcome& outcome) override;
   void SaveState(SnapshotWriter& writer) const override;
   Status RestoreState(SnapshotReader& reader) override;
-  // Fleet corpus exchange: offer the seed to every arm so whichever
-  // strategies retain pools all learn it; dedup inside each pool keeps the
-  // repeat offers cheap. True if any arm accepted.
+  // Offer the seed to every arm so whichever strategies retain pools all
+  // learn it; dedup inside each pool keeps the repeat offers cheap. True if
+  // any arm accepted.
   bool ImportSeed(const OpSeq& seq, double score,
                   uint64_t fingerprint) override;
-  // Publishing walks the first pool-backed arm (the Themis arm in the stock
-  // lineup); arms constructed pool-less report through it as nullptr.
+  // The first pool-backed arm's pool (the Themis arm in the stock lineup),
+  // or nullptr when no arm keeps one.
   const SeedPool* seed_pool() const override;
 
   const std::vector<Arm>& arms() const { return arms_; }

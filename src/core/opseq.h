@@ -36,9 +36,9 @@ void RestoreOpSeq(SnapshotReader& reader, OpSeq* seq);
 
 // Order-stable content fingerprint: FNV-1a 64 over the checkpoint encoding
 // of the sequence. Two sequences collide exactly when their serialized ops
-// are byte-identical, which makes the fingerprint the cross-worker dedup
-// key for corpus exchange (DESIGN.md §17). Drawing no randomness, it is
-// safe to compute on the hot seed-accept path without disturbing digests.
+// are byte-identical, which makes the fingerprint the seed pool's dedup
+// key. Drawing no randomness, it is safe to compute on the hot
+// seed-accept path without disturbing digests.
 uint64_t OpSeqFingerprint(const OpSeq& seq);
 
 }  // namespace themis

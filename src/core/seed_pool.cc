@@ -38,8 +38,8 @@ bool SeedPool::Insert(OpSeq seq, double score, uint64_t fingerprint,
 void SeedPool::Add(OpSeq seq, double score) {
   uint64_t fingerprint = OpSeqFingerprint(seq);
   seen_.insert(fingerprint);
-  // A dropped insert still counts the attempt, matching the pre-fleet
-  // accounting: adds = attempts that passed the eviction gate.
+  // The fingerprint is remembered even when the insert is dropped;
+  // adds counts only the inserts that passed the eviction gate.
   if (Insert(std::move(seq), score, fingerprint, /*imported=*/false)) {
     THEMIS_COUNTER_INC("seed_pool.adds", 1);
   }

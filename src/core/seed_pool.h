@@ -19,8 +19,8 @@ struct Seed {
   double score = 0.0;  // priority (variance gain + bonuses)
   uint64_t id = 0;
   int selections = 0;
-  uint64_t fingerprint = 0;  // OpSeqFingerprint(seq), the corpus dedup key
-  bool imported = false;     // arrived via fleet corpus exchange, not Add()
+  uint64_t fingerprint = 0;  // OpSeqFingerprint(seq), the pool dedup key
+  bool imported = false;     // arrived via ImportSeed(), not Add()
 };
 
 class SeedPool {
@@ -29,17 +29,14 @@ class SeedPool {
 
   void Add(OpSeq seq, double score);
 
-  // Fleet corpus-exchange entry point (DESIGN.md §17). Inserts a seed that
-  // another worker published, deduplicated by fingerprint against every
-  // sequence this pool has ever held (including evicted ones — a seed the
-  // pool already judged is not news). A duplicate import is a no-op except
-  // for an energy merge: the resident seed's score becomes
+  // Inserts a seed from outside the pool's own Add() path (what
+  // Strategy::ImportSeed forwards to), deduplicated by fingerprint against
+  // every sequence this pool has ever held, including evicted ones. A duplicate import is a no-op except for
+  // an energy merge: the resident seed's score becomes
   // max(resident, imported), which is commutative and idempotent, so the
   // pool converges to the same energies regardless of import order.
   // Returns true when a new seed entered the pool. Empty sequences are
-  // rejected. The import path never allocates seed ids ahead of Add(), so
-  // a run that imports only its own published seeds (the single-worker
-  // fleet) stays bit-identical to a run with no corpus at all.
+  // rejected.
   bool ImportSeed(OpSeq seq, double score, uint64_t fingerprint);
 
   // Score-weighted selection with a mild freshness bonus (rarely selected

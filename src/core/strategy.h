@@ -40,12 +40,12 @@ class Strategy {
     return Status::Ok();
   }
 
-  // Fleet corpus exchange (DESIGN.md §17): offer a seed published by another
-  // worker, with the energy it carried. Pool-backed strategies forward to
-  // SeedPool::ImportSeed (dedup + commutative energy merge); strategies
-  // without retained state — the stateless baselines, Themis⁻ — inherit the
-  // refusing default and the exchange simply finds no taker. Returns true
-  // when the seed entered a pool.
+  // Offer an externally produced seed with its energy. Pool-backed
+  // strategies forward to SeedPool::ImportSeed (dedup + commutative energy
+  // merge); strategies without retained state — the stateless baselines,
+  // Themis⁻ — inherit the refusing default. Returns true when the seed
+  // entered a pool. Campaigns never call it; it is a seam for decorators
+  // and tests that seed a strategy directly.
   virtual bool ImportSeed(const OpSeq& seq, double score,
                           uint64_t fingerprint) {
     (void)seq;
@@ -55,7 +55,6 @@ class Strategy {
   }
 
   // The pool backing this strategy, or nullptr for pool-less strategies.
-  // The corpus exchange walks it to publish newly accepted seeds.
   virtual const SeedPool* seed_pool() const { return nullptr; }
 };
 

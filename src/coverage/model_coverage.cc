@@ -168,24 +168,6 @@ ModelCoverage::CoveredPairs() const {
   return pairs;
 }
 
-Status ModelCoverage::MergeFrom(const ModelCoverage& other) {
-  if (other.flavor_ != flavor_) {
-    return Status::InvalidArgument("model coverage merge: flavor mismatch");
-  }
-  for (size_t i = 0; i < pair_counts_.size(); ++i) {
-    if (other.pair_counts_[i] == 0) {
-      continue;
-    }
-    if (pair_counts_[i] == 0) {
-      ++covered_;
-    }
-    pair_counts_[i] += other.pair_counts_[i];
-  }
-  total_ += other.total_;
-  illegal_ += other.illegal_;
-  return Status::Ok();
-}
-
 void ModelCoverage::Reset() {
   current_ = BalancerState::kIdle;
   std::fill(pair_counts_.begin(), pair_counts_.end(), 0);

@@ -114,16 +114,9 @@ class ModelCoverage {
 
   uint64_t PairCount(BalancerState from, BalancerState to) const;
 
-  // The covered (from, to) pairs in ascending (from, to) order — the
-  // mergeable representation fleet workers ship in their job results.
+  // The covered (from, to) pairs in ascending (from, to) order (the form
+  // CampaignResult::transition_pairs carries).
   std::vector<std::pair<BalancerState, BalancerState>> CoveredPairs() const;
-
-  // Folds another recorder of the same flavor into this one: pair counts
-  // and event totals add, covered pairs union, the cursor state is left
-  // alone. This is how the fleet supervisor computes fleet-wide transition
-  // coverage from per-worker results (DESIGN.md §17). Fails on a flavor
-  // mismatch.
-  Status MergeFrom(const ModelCoverage& other);
 
   void Reset();
 

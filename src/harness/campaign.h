@@ -121,13 +121,13 @@ struct CampaignTick {
   SimTime now{};                   // virtual clock
 };
 
-// Fleet hook (DESIGN.md §17): called once per completed test case, after the
+// Per-test-case loop hook: called once per completed test case, after the
 // strategy saw its outcome and before any checkpoint for that boundary is
-// written — so a checkpoint always captures whatever the observer did (e.g.
-// imported seeds) and a resumed run does not replay it. Observers must not
-// touch the campaign RNG or cluster; the corpus exchange only reads the
-// strategy's pool and calls Strategy::ImportSeed. A null observer (the
-// default) leaves the loop byte-for-byte on its pre-fleet path.
+// written, so a checkpoint captures whatever the observer did and a resumed
+// run does not replay it. Observers may time or count the loop (the campaign
+// benchmark does); they must not touch the campaign RNG or cluster, so an
+// observed campaign produces the same result and digest as an unobserved
+// one. A null observer (the default) skips the call entirely.
 class CampaignLoopObserver {
  public:
   virtual ~CampaignLoopObserver() = default;
@@ -148,9 +148,8 @@ struct CampaignResult {
   // §16). Reported in summaries/benches; deliberately OUTSIDE Digest() so
   // attaching the recorder cannot perturb pinned digests.
   size_t transition_coverage = 0;
-  // The covered pairs themselves, ascending (from, to) — the mergeable form
-  // the fleet supervisor unions across workers for fleet-wide coverage.
-  // Like transition_coverage, outside Digest().
+  // The covered pairs themselves, ascending (from, to), so callers can union
+  // coverage across jobs. Like transition_coverage, outside Digest().
   std::vector<std::pair<uint8_t, uint8_t>> transition_pairs;
   // (virtual time, branches hit) sampled once per coverage_sample_period.
   std::vector<std::pair<SimTime, size_t>> coverage_timeline;
@@ -185,8 +184,8 @@ class Campaign {
   // Compatibility shim for enum-based callers.
   Result<CampaignResult> Run(StrategyKind kind) { return Run(StrategyKindName(kind)); }
 
-  // Attach a per-test-case observer (fleet corpus exchange / heartbeats).
-  // Not owned; must outlive Run(). Null restores the default no-op.
+  // Attach a per-test-case observer (see CampaignLoopObserver). Not owned;
+  // must outlive Run(). Null restores the default no-op.
   void set_loop_observer(CampaignLoopObserver* observer) {
     loop_observer_ = observer;
   }

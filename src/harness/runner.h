@@ -118,11 +118,10 @@ struct RunnerOptions {
   // result counters, no wall-clock fields — see RenderCampaignSummaryJson)
   // is written here after the matrix completes.
   std::string summary_json;
-  // Fleet hook (DESIGN.md §17): attached to every campaign via
-  // Campaign::set_loop_observer. Not owned; must outlive the runner call.
-  // With jobs > 1 the same observer is invoked from several pool threads
-  // concurrently, so it must be thread-safe in that configuration (the
-  // fleet worker always runs jobs = 1).
+  // Attached to every campaign via Campaign::set_loop_observer. Not owned;
+  // must outlive the runner call. With jobs > 1 the same observer is invoked
+  // from several pool threads concurrently, so it must then be thread-safe.
+  // Observing never changes a job's result or digest.
   CampaignLoopObserver* loop_observer = nullptr;
 };
 

@@ -13,10 +13,10 @@
 //                 GeoFS flavor state; v6 added the balancer state-machine
 //                 coverage record, the transition_weight identity field,
 //                 the result's transition_coverage and bandit arm tables
-//                 inside the strategy record, DESIGN.md §16; v7 added the
-//                 fleet corpus-exchange state: seed fingerprints + the
-//                 seen-fingerprint dedup set in the pool record and the
-//                 result's covered transition-pair list, DESIGN.md §17)
+//                 inside the strategy record, DESIGN.md §16; v7 added
+//                 seed fingerprints + import flags and the sorted
+//                 seen-fingerprint dedup set to the pool record, and the
+//                 result's covered transition-pair list)
 //   12      1     kind (0 = mid-campaign, 1 = final)
 //   13      8     payload size in bytes (u64 LE)
 //   21      8     FNV-1a 64 checksum of the payload (u64 LE)

@@ -1,5 +1,4 @@
-// Reproduction-log format round-trips and replay behavior, plus the dynamic
-// threshold adjuster.
+// Reproduction-log format round-trips and replay behavior.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +8,6 @@
 #include "src/core/replay.h"
 #include "src/dfs/flavors/factory.h"
 #include "src/faults/injector.h"
-#include "src/monitor/dynamic_threshold.h"
 
 namespace themis {
 namespace {
@@ -125,43 +123,6 @@ TEST(Replay, FaultyReplayReproducesPersistentImbalance) {
   ReplayOutcome outcome = ReplayLog(*dfs, seq, /*repetitions=*/60);
   EXPECT_GE(outcome.residual_imbalance, 0.25)
       << "the injected fault must survive the post-replay rebalance";
-}
-
-// ---- dynamic threshold (§7 extension) ----
-
-TEST(DynamicThreshold, StartsAtInitial) {
-  DynamicThresholdAdjuster adjuster;
-  EXPECT_DOUBLE_EQ(adjuster.current(), 0.20);
-  EXPECT_DOUBLE_EQ(adjuster.MakeDetectorConfig().threshold, 0.20);
-}
-
-TEST(DynamicThreshold, RaisesOnFalsePositives) {
-  DynamicThresholdAdjuster adjuster;
-  adjuster.ReportFalsePositive();
-  adjuster.ReportFalsePositive();
-  EXPECT_DOUBLE_EQ(adjuster.current(), 0.25);
-  EXPECT_EQ(adjuster.adjustments(), 2);
-}
-
-TEST(DynamicThreshold, TruePositivesDoNotAdjust) {
-  DynamicThresholdAdjuster adjuster;
-  adjuster.ReportTruePositive();
-  adjuster.ReportTruePositive();
-  EXPECT_DOUBLE_EQ(adjuster.current(), 0.20);
-  EXPECT_EQ(adjuster.adjustments(), 0);
-}
-
-TEST(DynamicThreshold, CapsAtMaximum) {
-  DynamicThresholdConfig config;
-  config.initial = 0.25;    // binary-exact doubles: 0.25 + 0.125 == 0.375
-  config.step = 0.125;
-  config.maximum = 0.375;
-  DynamicThresholdAdjuster adjuster(config);
-  for (int i = 0; i < 10; ++i) {
-    adjuster.ReportFalsePositive();
-  }
-  EXPECT_DOUBLE_EQ(adjuster.current(), 0.375);
-  EXPECT_EQ(adjuster.adjustments(), 1);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Parallel campaign engine tests: matrix expansion, thread-count and
-// job-order invariance of results, per-job error isolation, thread-pool
-// drain semantics, and thread-safe stats aggregation. This test is the
-// ThreadSanitizer target of the THEMIS_SANITIZE=thread configuration.
+// job-order invariance of results, loop observers that leave digests
+// untouched, per-job error isolation, thread-pool drain semantics, and
+// thread-safe stats aggregation. This test is the ThreadSanitizer target of
+// the THEMIS_SANITIZE=thread configuration.
 
 #include <gtest/gtest.h>
 
@@ -98,6 +99,51 @@ TEST(Runner, ResultsIdenticalUnderJobPermutation) {
                              "job " + std::to_string(expected.job.index));
   }
   EXPECT_EQ(straight.overall.distinct_failures, shuffled.overall.distinct_failures);
+}
+
+// Shared by every pool thread, so it counts atomically.
+class CountingObserver : public CampaignLoopObserver {
+ public:
+  void OnTestcase(Strategy& strategy, const ExecOutcome& outcome,
+                  const CampaignTick& tick) override {
+    (void)strategy;
+    (void)outcome;
+    (void)tick;
+    calls_.fetch_add(1, std::memory_order_relaxed);
+  }
+  uint64_t calls() const { return calls_.load(); }
+
+ private:
+  std::atomic<uint64_t> calls_{0};
+};
+
+TEST(Runner, LoopObserverSeesEveryTestcaseWithoutChangingDigests) {
+  CampaignMatrix matrix;
+  matrix.flavors = {Flavor::kGluster, Flavor::kHdfs};
+  matrix.strategies = {"Themis"};
+  matrix.seeds = 2;
+  matrix.matrix_seed = 91;
+  matrix.base.budget = Minutes(30);
+  MatrixResult plain = CampaignRunner({.jobs = 1}).Run(matrix);
+  ASSERT_EQ(plain.jobs.size(), 4u);
+
+  for (int jobs : {1, 4}) {
+    CountingObserver observer;
+    RunnerOptions options;
+    options.jobs = jobs;
+    options.loop_observer = &observer;
+    MatrixResult observed = CampaignRunner(options).Run(matrix);
+    ASSERT_EQ(observed.jobs.size(), plain.jobs.size());
+    uint64_t testcases = 0;
+    for (size_t i = 0; i < plain.jobs.size(); ++i) {
+      ASSERT_TRUE(observed.jobs[i].status.ok()) << observed.jobs[i].status.ToString();
+      EXPECT_EQ(observed.jobs[i].result.Digest(), plain.jobs[i].result.Digest())
+          << "jobs " << jobs << ", job " << i;
+      testcases += static_cast<uint64_t>(observed.jobs[i].result.testcases);
+    }
+    EXPECT_GT(testcases, 0u);
+    EXPECT_EQ(observer.calls(), testcases) << "jobs " << jobs;
+  }
 }
 
 TEST(Runner, InvalidJobIsReportedWithoutAbortingTheMatrix) {

@@ -1,7 +1,6 @@
-// Satellite coverage for the fleet corpus-exchange entry point on SeedPool
-// (DESIGN.md §17): fingerprint dedup, commutative energy merge, eviction
-// counter consistency under interleaved Add/ImportSeed, and the seen-set
-// snapshot validation added in format v7.
+// SeedPool::ImportSeed: fingerprint dedup, commutative energy merge,
+// eviction counter consistency under interleaved Add/ImportSeed, and the
+// seen-set snapshot validation added in format v7.
 
 #include "src/core/seed_pool.h"
 
