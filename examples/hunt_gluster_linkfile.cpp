@@ -8,14 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/common/log.h"
-#include "src/core/executor.h"
-#include "src/core/fuzzer.h"
-#include "src/dfs/flavors/factory.h"
-#include "src/faults/fault_registry.h"
-#include "src/faults/injector.h"
-#include "src/harness/report.h"
-#include "src/monitor/states_monitor.h"
+#include "src/harness/campaign.h"
 
 int main(int argc, char** argv) {
   using namespace themis;
@@ -26,32 +19,26 @@ int main(int argc, char** argv) {
   std::printf("budget: up to %d virtual hours per attempt, several attempts\n\n", hours);
 
   for (int attempt = 0; attempt < 10; ++attempt) {
-    uint64_t seed = base_seed + static_cast<uint64_t>(attempt) * 101;
-    std::unique_ptr<DfsCluster> dfs = MakeCluster(Flavor::kGluster, seed);
-    CoverageRecorder coverage(FlavorBranchSpace(Flavor::kGluster), seed);
-    dfs->set_coverage(&coverage);
-    FaultInjector injector(NewBugsFor(Flavor::kGluster), seed);
-    dfs->set_fault_hooks(&injector);
-
-    Rng rng(seed ^ 0x7e5715ULL);
-    InputModel model;
-    StatesMonitor monitor(LoadVarianceWeights{});
-    ImbalanceDetector detector(DetectorConfig{});
-    TestCaseExecutor executor(*dfs, model, monitor, detector, &injector, &coverage, rng);
-    ThemisFuzzer fuzzer(model, rng);
-    OpSeqGenerator init(model);
-    executor.SeedInitialData(init, 60);
+    CampaignConfig config;
+    config.flavor = Flavor::kGluster;
+    config.seed = base_seed + static_cast<uint64_t>(attempt) * 101;
+    config.budget = Hours(hours);
+    Result<std::unique_ptr<CampaignSession>> session =
+        CampaignSession::Open(config, "Themis");
+    if (!session.ok()) {
+      std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
+      return 2;
+    }
+    const DfsCluster& dfs = (*session)->cluster();
 
     // Per-minute storage trace for the eventual figure.
     std::vector<std::pair<double, double>> spread_series;
     SimTime next_sample = 0;
 
-    while (dfs->Now() < Hours(hours)) {
-      OpSeq testcase = fuzzer.Next();
-      ExecOutcome outcome = executor.Run(testcase);
-      fuzzer.OnOutcome(testcase, outcome);
-      while (dfs->Now() >= next_sample) {
-        spread_series.emplace_back(ToMinutes(next_sample), dfs->StorageImbalance());
+    while (!(*session)->Done()) {
+      ExecOutcome outcome = (*session)->Step();
+      while (dfs.Now() >= next_sample) {
+        spread_series.emplace_back(ToMinutes(next_sample), dfs.StorageImbalance());
         next_sample += Minutes(1);
       }
       for (const FailureReport& report : outcome.failures) {

@@ -1,6 +1,7 @@
-// Campaign harness: wires a flavor cluster, a fault registry, the coverage
-// recorder, the monitor/detector stack, the executor and one generation
-// strategy, then runs the testing loop for a virtual time budget (the
+// Campaign harness: a CampaignSession wires a flavor cluster, a fault
+// registry, the coverage recorders, the monitor/detector stack, the executor
+// and one generation strategy, and steps the testing loop one test case at a
+// time; Campaign::Run drives a session for a virtual time budget (the
 // paper's 24-hour experiments). Produces everything the evaluation tables
 // need: confirmed failures (labeled TP/FP against ground truth), distinct
 // root causes, trigger times and the coverage timeline.
@@ -15,6 +16,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "src/core/strategy.h"
 #include "src/core/strategy_registry.h"
 #include "src/dfs/flavors/factory.h"
+#include "src/faults/env_fault.h"
 #include "src/faults/fault_registry.h"
 #include "src/faults/historical_corpus.h"
 #include "src/harness/ground_truth.h"
@@ -86,8 +89,9 @@ struct CampaignConfig {
   // entirely. With a directory set, a final snapshot is written when the
   // campaign completes; checkpoint_every_ops > 0 additionally writes a
   // mid-campaign snapshot at the first test-case boundary after each
-  // multiple of that op count. Snapshot writing never draws from the RNG
-  // and mutates no campaign state, so checkpointing cannot change results.
+  // multiple of that op count (the newest kMidSnapshotsKept are retained).
+  // Snapshot writing never draws from the RNG and mutates no campaign
+  // state, so checkpointing cannot change results.
   std::string checkpoint_dir;
   uint64_t checkpoint_every_ops = 0;
   // Before running, load the newest valid snapshot for this job from
@@ -95,20 +99,15 @@ struct CampaignConfig {
   // warning). A final snapshot short-circuits to its stored result; a
   // mid-campaign snapshot continues the interrupted run bit-identically.
   bool resume = false;
-  // Mid-campaign snapshots retained per job (older ones are pruned).
-  int checkpoint_keep = 3;
   // Which runner job this campaign is, for snapshot file naming.
   size_t job_index = 0;
-  // Crash-test hook: abort with FailedPrecondition right after this many
-  // mid-campaign snapshots have been written by THIS process (counts reset
-  // on resume) — the in-process stand-in for SIGKILL-at-a-checkpoint.
-  int halt_after_checkpoints = 0;
 
   // Rejects configurations no campaign can meaningfully run: non-positive
-  // budget or sample period, zero nodes, threshold <= 0, negative initial
-  // population, degenerate variance weights, or checkpoint options without
-  // a checkpoint directory. FaultSet::kNone is valid — it is the designated
-  // false-positive study mode.
+  // budget or sample period, zero nodes, a threshold that is not a finite
+  // value > 0, negative initial population, non-finite or degenerate
+  // variance weights, or checkpoint options without a checkpoint directory.
+  // FaultSet::kNone is valid — it is the designated false-positive study
+  // mode.
   Status Validate() const;
 };
 
@@ -173,12 +172,97 @@ struct CampaignResult {
   uint64_t Digest() const;
 };
 
+// One campaign's parts, wired once and stepped one test case at a time
+// through the paper's workflow (Fig. 6: generate → execute → monitor →
+// double-check → reset). Every campaign loop — Campaign::Run, the Fig. 2
+// trace, the hunt example, the tests — drives a session, so the wiring
+// (seed salts, fault set, injectors, strategy options) exists only here.
+// Neither copyable nor movable: the parts hold references to each other.
+class CampaignSession {
+ public:
+  // A fresh session, or with config.resume the newest valid snapshot of
+  // config.job_index in config.checkpoint_dir: the final snapshot, then mid
+  // snapshots newest first. Each candidate restores into a freshly built
+  // session, and one that fails anywhere is discarded whole, so neither the
+  // next candidate nor the fresh fallback runs on half-restored parts.
+  // Fails on an invalid config or unknown strategy.
+  static Result<std::unique_ptr<CampaignSession>> Open(const CampaignConfig& config,
+                                                       std::string_view strategy_name);
+
+  CampaignSession(const CampaignSession&) = delete;
+  CampaignSession& operator=(const CampaignSession&) = delete;
+
+  // True once the virtual budget is spent, or when Open restored the
+  // final snapshot.
+  bool Done() const;
+  // Runs one test case, then records its confirmed failures, the
+  // ground-truth tally and any due coverage-timeline samples. Call only
+  // while !Done().
+  ExecOutcome Step();
+  // At a step boundary: writes a mid snapshot when the op cadence is due
+  // and reports whether it wrote one.
+  Result<bool> Save();
+  // Builds the result and writes the final snapshot. Call once, when Done().
+  Result<CampaignResult> Finish();
+
+  // Progress as a CampaignLoopObserver sees it.
+  CampaignTick Tick() const;
+  Strategy& strategy() { return *strategy_; }
+  const DfsCluster& cluster() const { return *cluster_; }
+  const ModelCoverage& model_coverage() const { return model_coverage_; }
+
+ private:
+  // Loop progress and the partial result: the first part of the payload.
+  struct Progress {
+    uint64_t checkpoints_written = 0;  // mid snapshot ordinal, kept across resumes
+    int testcases = 0;
+    SimTime next_coverage_sample = 0;
+    std::vector<FailureReport> reports;
+    std::vector<std::pair<SimTime, size_t>> coverage_timeline;
+    GroundTruthTally tally;
+
+    void SaveState(SnapshotWriter& writer) const;
+    Status RestoreState(SnapshotReader& reader);
+  };
+
+  CampaignSession(const CampaignConfig& config, std::string_view strategy_name);
+  static Result<std::unique_ptr<CampaignSession>> Build(const CampaignConfig& config,
+                                                        std::string_view strategy_name);
+  // Calls `fn` on each part of the mid-snapshot payload, in the format's one
+  // fixed order; saving and restoring both walk it.
+  template <typename Self, typename Fn>
+  static void ForEachPart(Self& self, Fn&& fn);
+  // Loads the snapshot at `path` into this freshly built session.
+  Status Restore(const std::string& path);
+  void ScheduleNextCheckpoint();
+
+  const CampaignConfig config_;
+  const std::string strategy_name_;
+  std::unique_ptr<DfsCluster> cluster_;
+  CoverageRecorder coverage_;
+  ModelCoverage model_coverage_;
+  EventLog event_log_;
+  FaultInjector injector_;
+  EnvFaultInjector env_injector_;
+  Rng rng_;
+  InputModel model_;
+  StatesMonitor monitor_;
+  ImbalanceDetector detector_;
+  std::optional<TestCaseExecutor> executor_;  // built once the cluster is wired
+  std::unique_ptr<Strategy> strategy_;
+  Progress progress_;
+  uint64_t next_checkpoint_ops_ = 0;
+  // Set when Open restored the final snapshot: the stored result, as-is.
+  std::optional<CampaignResult> final_result_;
+};
+
 class Campaign {
  public:
   explicit Campaign(CampaignConfig config);
 
-  // Runs one campaign with the named strategy from the StrategyRegistry.
-  // Fails (without crashing) on an invalid config or unknown strategy.
+  // Runs one campaign with the named strategy from the StrategyRegistry by
+  // stepping a CampaignSession to the end of its budget. Fails (without
+  // crashing) on an invalid config or unknown strategy.
   Result<CampaignResult> Run(std::string_view strategy_name);
 
   // Compatibility shim for enum-based callers.
@@ -191,8 +275,6 @@ class Campaign {
   }
 
  private:
-  std::vector<FaultSpec> FaultsForConfig() const;
-
   CampaignConfig config_;
   CampaignLoopObserver* loop_observer_ = nullptr;
 };

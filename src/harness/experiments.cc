@@ -2,11 +2,7 @@
 
 #include <algorithm>
 
-#include "src/core/executor.h"
-#include "src/core/fuzzer.h"
-#include "src/core/generator.h"
 #include "src/faults/fault_registry.h"
-#include "src/monitor/states_monitor.h"
 
 namespace themis {
 
@@ -267,48 +263,26 @@ AccumulationTrace RunAccumulationTrace(uint64_t seed, SimDuration budget) {
   config.seed = seed;
   config.budget = budget;
   config.fault_set = FaultSet::kHistorical;
-
-  std::unique_ptr<DfsCluster> cluster =
-      MakeCluster(config.flavor, config.seed, config.storage_nodes, config.meta_nodes);
-  CoverageRecorder coverage(FlavorBranchSpace(config.flavor), config.seed);
-  cluster->set_coverage(&coverage);
-  FaultInjector injector(HistoricalFaultsFor(config.flavor), config.seed ^ 0xfa0175ULL);
-  cluster->set_fault_hooks(&injector);
-
-  Rng rng(config.seed ^ 0x7e5715ULL);
-  InputModel model;
-  StatesMonitor monitor(config.weights);
-  DetectorConfig detector_config;
-  detector_config.threshold = config.threshold_t;
-  ImbalanceDetector detector(detector_config);
-  TestCaseExecutor executor(*cluster, model, monitor, detector, &injector, &coverage,
-                            rng);
-  FuzzerConfig fuzzer_config;
-  ThemisFuzzer fuzzer(model, rng, fuzzer_config);
-  OpSeqGenerator init_generator(model);
-  executor.SeedInitialData(init_generator, 60);
+  Result<std::unique_ptr<CampaignSession>> session =
+      CampaignSession::Open(config, "Themis");
+  if (!session.ok()) {
+    return trace;  // a non-positive budget: nothing to trace
+  }
+  const DfsCluster& cluster = (*session)->cluster();
 
   SimTime next_sample = 0;
-  auto sample = [&]() {
-    double minute = ToMinutes(cluster->Now());
-    double max_spread = cluster->StorageImbalance();
-    trace.max_variance_series.emplace_back(minute, max_spread);
-    for (const LoadSample& s : cluster->SampleLoad()) {
-      if (s.is_storage && s.online && !s.crashed && s.capacity_bytes > 0) {
-        trace.node_series[s.node].emplace_back(
-            minute, static_cast<double>(s.used_bytes) /
-                        static_cast<double>(s.capacity_bytes));
+  while (!(*session)->Done()) {
+    ExecOutcome outcome = (*session)->Step();
+    for (; cluster.Now() >= next_sample; next_sample += Minutes(1)) {
+      double minute = ToMinutes(cluster.Now());
+      trace.max_variance_series.emplace_back(minute, cluster.StorageImbalance());
+      for (const LoadSample& s : cluster.SampleLoad()) {
+        if (s.is_storage && s.online && !s.crashed && s.capacity_bytes > 0) {
+          trace.node_series[s.node].emplace_back(
+              minute, static_cast<double>(s.used_bytes) /
+                          static_cast<double>(s.capacity_bytes));
+        }
       }
-    }
-  };
-
-  while (cluster->Now() < config.budget) {
-    OpSeq testcase = fuzzer.Next();
-    ExecOutcome outcome = executor.Run(testcase);
-    fuzzer.OnOutcome(testcase, outcome);
-    while (cluster->Now() >= next_sample) {
-      sample();
-      next_sample += Minutes(1);
     }
     for (const FailureReport& report : outcome.failures) {
       if (report.IsTruePositive() &&

@@ -177,23 +177,15 @@ std::vector<std::string> ListJobSnapshotPaths(const std::string& dir,
   return paths;
 }
 
-void PruneMidSnapshots(const std::string& dir, size_t job_index, int keep) {
-  if (keep < 0) keep = 0;
+void PruneMidSnapshots(const std::string& dir, size_t job_index) {
+  const std::string final_name = FinalSnapshotFileName(job_index);
+  size_t mids = 0;
   std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec) return;
-  std::vector<std::pair<uint64_t, std::string>> mids;
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file(ec)) continue;
-    uint64_t ordinal = 0;
-    if (ParseMidOrdinal(entry.path().filename().string(), job_index, &ordinal)) {
-      mids.emplace_back(ordinal, entry.path().string());
+  for (const std::string& path : ListJobSnapshotPaths(dir, job_index)) {
+    if (std::filesystem::path(path).filename() != final_name &&
+        ++mids > kMidSnapshotsKept) {
+      std::filesystem::remove(path, ec);
     }
-  }
-  std::sort(mids.begin(), mids.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (size_t i = static_cast<size_t>(keep); i < mids.size(); ++i) {
-    std::filesystem::remove(mids[i].second, ec);
   }
 }
 
@@ -322,6 +314,8 @@ Status CheckSnapshotIdentity(SnapshotReader& reader, std::string_view strategy,
   return Status::Ok();
 }
 
+namespace {
+
 void SaveFailureReport(SnapshotWriter& writer, const FailureReport& report) {
   writer.U8(static_cast<uint8_t>(report.dimension));
   writer.F64(report.ratio);
@@ -354,6 +348,44 @@ void RestoreFailureReport(SnapshotReader& reader, FailureReport* report) {
   report->detail = reader.Str();
 }
 
+}  // namespace
+
+void SaveFailureReports(SnapshotWriter& writer, const std::vector<FailureReport>& reports) {
+  writer.U64(reports.size());
+  for (const FailureReport& report : reports) {
+    SaveFailureReport(writer, report);
+  }
+}
+
+void RestoreFailureReports(SnapshotReader& reader, std::vector<FailureReport>* reports) {
+  reports->clear();
+  reports->resize(reader.Count(32));
+  for (size_t i = 0; i < reports->size() && reader.ok(); ++i) {
+    RestoreFailureReport(reader, &(*reports)[i]);
+  }
+}
+
+void SaveCoverageTimeline(SnapshotWriter& writer,
+                          const std::vector<std::pair<SimTime, size_t>>& timeline) {
+  writer.U64(timeline.size());
+  for (const auto& [at, hits] : timeline) {
+    writer.I64(at);
+    writer.U64(hits);
+  }
+}
+
+void RestoreCoverageTimeline(SnapshotReader& reader,
+                             std::vector<std::pair<SimTime, size_t>>* timeline) {
+  uint64_t count = reader.Count(16);
+  timeline->clear();
+  timeline->reserve(count);
+  for (uint64_t i = 0; i < count && reader.ok(); ++i) {
+    SimTime at = reader.I64();
+    size_t hits = reader.U64();
+    timeline->emplace_back(at, hits);
+  }
+}
+
 void SaveGroundTruthTally(SnapshotWriter& writer, const GroundTruthTally& tally) {
   writer.U64(tally.distinct_failures.size());
   for (const auto& [id, at] : tally.distinct_failures) {
@@ -379,10 +411,7 @@ void RestoreGroundTruthTally(SnapshotReader& reader, GroundTruthTally* tally) {
 void SaveCampaignResult(SnapshotWriter& writer, const CampaignResult& result) {
   writer.Str(result.strategy_name);
   writer.U8(static_cast<uint8_t>(result.flavor));
-  writer.U64(result.reports.size());
-  for (const FailureReport& report : result.reports) {
-    SaveFailureReport(writer, report);
-  }
+  SaveFailureReports(writer, result.reports);
   writer.U64(result.distinct_failures.size());
   for (const auto& [id, at] : result.distinct_failures) {
     writer.Str(id);
@@ -396,11 +425,7 @@ void SaveCampaignResult(SnapshotWriter& writer, const CampaignResult& result) {
     writer.U8(from);
     writer.U8(to);
   }
-  writer.U64(result.coverage_timeline.size());
-  for (const auto& [at, hits] : result.coverage_timeline) {
-    writer.I64(at);
-    writer.U64(hits);
-  }
+  SaveCoverageTimeline(writer, result.coverage_timeline);
   writer.U64(result.total_ops);
   writer.I64(result.testcases);
   writer.I64(result.candidates);
@@ -424,12 +449,7 @@ Status RestoreCampaignResult(SnapshotReader& reader, CampaignResult* result) {
     return reader.status();
   }
   result->flavor = static_cast<Flavor>(flavor);
-  uint64_t report_count = reader.Count(32);
-  result->reports.clear();
-  result->reports.resize(report_count);
-  for (uint64_t i = 0; i < report_count && reader.ok(); ++i) {
-    RestoreFailureReport(reader, &result->reports[i]);
-  }
+  RestoreFailureReports(reader, &result->reports);
   uint64_t distinct_count = reader.Count(16);
   result->distinct_failures.clear();
   for (uint64_t i = 0; i < distinct_count && reader.ok(); ++i) {
@@ -452,14 +472,7 @@ Status RestoreCampaignResult(SnapshotReader& reader, CampaignResult* result) {
     uint8_t to = reader.U8();
     result->transition_pairs.emplace_back(from, to);
   }
-  uint64_t timeline_count = reader.Count(16);
-  result->coverage_timeline.clear();
-  result->coverage_timeline.reserve(timeline_count);
-  for (uint64_t i = 0; i < timeline_count && reader.ok(); ++i) {
-    SimTime at = reader.I64();
-    size_t hits = reader.U64();
-    result->coverage_timeline.emplace_back(at, hits);
-  }
+  RestoreCoverageTimeline(reader, &result->coverage_timeline);
   result->total_ops = reader.U64();
   result->testcases = static_cast<int>(reader.I64());
   result->candidates = static_cast<int>(reader.I64());

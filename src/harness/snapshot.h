@@ -77,8 +77,12 @@ std::string FinalSnapshotFileName(size_t job_index);
 std::vector<std::string> ListJobSnapshotPaths(const std::string& dir,
                                               size_t job_index);
 
-// Removes mid-campaign snapshots of `job_index` beyond the newest `keep`.
-void PruneMidSnapshots(const std::string& dir, size_t job_index, int keep);
+// Mid-campaign snapshots retained per job; older ones are pruned.
+inline constexpr size_t kMidSnapshotsKept = 3;
+
+// Removes mid-campaign snapshots of `job_index` beyond the newest
+// kMidSnapshotsKept.
+void PruneMidSnapshots(const std::string& dir, size_t job_index);
 
 // Identity fingerprint at the head of every payload: the strategy name and
 // each behavior-affecting CampaignConfig field. Check fails with a
@@ -88,9 +92,13 @@ void WriteSnapshotIdentity(SnapshotWriter& writer, std::string_view strategy,
 Status CheckSnapshotIdentity(SnapshotReader& reader, std::string_view strategy,
                              const CampaignConfig& config);
 
-// Value-type serializers used by both snapshot kinds and by tests.
-void SaveFailureReport(SnapshotWriter& writer, const FailureReport& report);
-void RestoreFailureReport(SnapshotReader& reader, FailureReport* report);
+// Value-type serializers shared by both snapshot kinds.
+void SaveFailureReports(SnapshotWriter& writer, const std::vector<FailureReport>& reports);
+void RestoreFailureReports(SnapshotReader& reader, std::vector<FailureReport>* reports);
+void SaveCoverageTimeline(SnapshotWriter& writer,
+                          const std::vector<std::pair<SimTime, size_t>>& timeline);
+void RestoreCoverageTimeline(SnapshotReader& reader,
+                             std::vector<std::pair<SimTime, size_t>>* timeline);
 void SaveGroundTruthTally(SnapshotWriter& writer, const GroundTruthTally& tally);
 void RestoreGroundTruthTally(SnapshotReader& reader, GroundTruthTally* tally);
 void SaveCampaignResult(SnapshotWriter& writer, const CampaignResult& result);

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,19 +21,11 @@
 #include "src/core/strategy_registry.h"
 #include "src/harness/campaign.h"
 #include "src/harness/runner.h"
-#include "src/harness/snapshot.h"
 #include "src/harness/telemetry_export.h"
+#include "tests/checkpoint_helpers.h"
 
 namespace themis {
 namespace {
-
-std::string FreshDir(const std::string& name) {
-  std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("bandit_det_" + name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 CampaignConfig BaseConfig(Flavor flavor) {
   CampaignConfig config;
@@ -100,33 +91,20 @@ TEST(BanditDeterminismTest, SummaryByteIdenticalAcrossJobsCounts) {
 TEST(BanditDeterminismTest, KillResumeConvergesToUninterruptedDigest) {
   for (Flavor flavor : {Flavor::kGluster, Flavor::kHdfs}) {
     const std::string flavor_name(FlavorName(flavor));
-    Result<CampaignResult> uninterrupted =
-        Campaign(BaseConfig(flavor)).Run("Bandit");
-    ASSERT_TRUE(uninterrupted.ok()) << flavor_name;
-
-    const std::string dir = FreshDir("crash_" + flavor_name);
-    CampaignConfig crash = BaseConfig(flavor);
-    crash.checkpoint_dir = dir;
+    SCOPED_TRACE(flavor_name);
+    CampaignConfig checkpointed = BaseConfig(flavor);
+    checkpointed.checkpoint_dir = FreshDir("crash_" + flavor_name);
     // A cadence that is not a multiple of the bandit round length, so
     // checkpoints land mid-round and round_position_ must be restored.
-    crash.checkpoint_every_ops = 350;
-    crash.halt_after_checkpoints = 1;
-    ASSERT_FALSE(Campaign(crash).Run("Bandit").ok()) << flavor_name;
+    checkpointed.checkpoint_every_ops = 350;
+    Result<CampaignTick> first = CrashAfterCheckpoints(checkpointed, "Bandit", 1);
+    ASSERT_TRUE(first.ok());
 
-    crash.resume = true;  // die once more, one checkpoint further in
-    ASSERT_FALSE(Campaign(crash).Run("Bandit").ok()) << flavor_name;
-
-    CampaignConfig finish = BaseConfig(flavor);
-    finish.checkpoint_dir = dir;
-    finish.checkpoint_every_ops = 350;
-    finish.resume = true;
-    Result<CampaignResult> resumed = Campaign(finish).Run("Bandit");
-    ASSERT_TRUE(resumed.ok())
-        << flavor_name << ": " << resumed.status().ToString();
-    EXPECT_EQ(resumed->Digest(), uninterrupted->Digest()) << flavor_name;
-    EXPECT_EQ(resumed->total_ops, uninterrupted->total_ops) << flavor_name;
-    EXPECT_EQ(resumed->transition_coverage, uninterrupted->transition_coverage)
-        << flavor_name;
+    checkpointed.resume = true;  // die once more, one checkpoint further in
+    Result<CampaignTick> second = CrashAfterCheckpoints(checkpointed, "Bandit", 1);
+    ASSERT_TRUE(second.ok());
+    EXPECT_GT(second->total_ops, first->total_ops);  // continued, not restarted
+    ExpectResumeMatchesUninterrupted(checkpointed, "Bandit");
   }
 }
 

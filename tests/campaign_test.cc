@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "src/core/strategy_registry.h"
 #include "src/harness/campaign.h"
@@ -105,15 +106,25 @@ TEST(Campaign, ValidateRejectsBadConfigs) {
   bad_nodes.storage_nodes = 0;
   EXPECT_EQ(bad_nodes.Validate().code(), StatusCode::kInvalidArgument);
 
-  CampaignConfig bad_threshold = ok;
-  bad_threshold.threshold_t = 0.0;
-  EXPECT_EQ(bad_threshold.Validate().code(), StatusCode::kInvalidArgument);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (double threshold : {0.0, kNaN, -kNaN, kInf}) {
+    CampaignConfig bad_threshold = ok;
+    bad_threshold.threshold_t = threshold;
+    EXPECT_EQ(bad_threshold.Validate().code(), StatusCode::kInvalidArgument)
+        << threshold;
+  }
 
   CampaignConfig bad_weights = ok;
   bad_weights.weights.computation = 0.0;
   bad_weights.weights.network = 0.0;
   bad_weights.weights.storage = 0.0;
   EXPECT_EQ(bad_weights.Validate().code(), StatusCode::kInvalidArgument);
+  for (double weight : {kNaN, kInf}) {
+    CampaignConfig non_finite = ok;
+    non_finite.weights.network = weight;
+    EXPECT_EQ(non_finite.Validate().code(), StatusCode::kInvalidArgument) << weight;
+  }
 
   CampaignConfig healthy = ok;
   healthy.fault_set = FaultSet::kNone;

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "src/harness/campaign.h"
+#include "src/telemetry/metrics.h"
 
 namespace themis {
 namespace {
@@ -21,14 +22,23 @@ struct GoldenEntry {
   uint64_t digest;
   int testcases;
   uint64_t total_ops;
+  const char* strategy = "Themis";
+  bool env_faults_and_telemetry = false;
+  double transition_weight = 0.0;
 };
 
-// seed=1234, budget=2 virtual hours, strategy "Themis", default config.
+// seed=1234, budget=2 virtual hours, otherwise the default config; the rows
+// tools/digest_probe prints.
 constexpr GoldenEntry kGolden[] = {
     {Flavor::kGluster, 0xd7f0af71ded96a27ULL, 143, 3575},
     {Flavor::kHdfs, 0x6f0dca68c74aa2f0ULL, 150, 5886},
     {Flavor::kCeph, 0x197d2b721543e2c5ULL, 133, 6081},
     {Flavor::kLeo, 0xb073289e30566ec7ULL, 130, 5754},
+    {Flavor::kGeo, 0xa3b034b061cf81a8ULL, 192, 5151},
+    // Recorded events enter the digest, and builds without telemetry record none.
+    {Flavor::kGluster, kTelemetryEnabled ? 0x3609d4d5198d9eb5ULL : 0x4afe9fde2410ed0aULL,
+     17, 781, "Themis", true},
+    {Flavor::kHdfs, 0x57a1e50bb27b427bULL, 192, 5755, "Bandit", false, 0.5},
 };
 
 TEST(GoldenDigestTest, PerFlavorDigestsArePinned) {
@@ -37,9 +47,12 @@ TEST(GoldenDigestTest, PerFlavorDigestsArePinned) {
     config.flavor = golden.flavor;
     config.seed = 1234;
     config.budget = Hours(2);
-    Result<CampaignResult> result = Campaign(config).Run("Themis");
+    config.env_faults = golden.env_faults_and_telemetry;
+    config.collect_telemetry = golden.env_faults_and_telemetry;
+    config.transition_weight = golden.transition_weight;
+    Result<CampaignResult> result = Campaign(config).Run(golden.strategy);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const std::string flavor(FlavorName(golden.flavor));
+    const std::string flavor = std::string(FlavorName(golden.flavor)) + " " + golden.strategy;
     EXPECT_EQ(result->Digest(), golden.digest) << flavor;
     EXPECT_EQ(result->testcases, golden.testcases) << flavor;
     EXPECT_EQ(result->total_ops, golden.total_ops) << flavor;

@@ -18,16 +18,9 @@
 #include "src/common/snapshot_io.h"
 #include "src/core/executor.h"
 #include "src/core/fuzzer.h"
-#include "src/core/generator.h"
 #include "src/core/input_model.h"
-#include "src/coverage/coverage.h"
 #include "src/coverage/model_coverage.h"
-#include "src/dfs/flavors/factory.h"
-#include "src/faults/env_fault.h"
-#include "src/faults/fault_registry.h"
-#include "src/faults/injector.h"
-#include "src/monitor/detector.h"
-#include "src/monitor/states_monitor.h"
+#include "src/harness/campaign.h"
 
 namespace themis {
 namespace {
@@ -46,50 +39,27 @@ const char* ModeName(CampaignMode mode) {
   return "?";
 }
 
-// Runs a short hand-built campaign (the experiments.cc loop) with a
-// ModelCoverage recorder attached and checks the oracle properties inline.
+// Steps a short Themis campaign session and checks the oracle properties
+// inline, one test case at a time.
 ModelCoverage RunOracleCampaign(Flavor flavor, CampaignMode mode,
                                 uint64_t seed) {
-  ModelCoverage model_coverage(flavor);
-  std::unique_ptr<DfsCluster> cluster = MakeCluster(flavor, seed);
-  CoverageRecorder coverage(FlavorBranchSpace(flavor), seed);
-  cluster->set_coverage(&coverage);
-  cluster->set_model_coverage(&model_coverage);
-
-  std::vector<FaultSpec> faults;
-  if (mode != CampaignMode::kHealthy) {
-    faults = NewBugsFor(flavor);
+  CampaignConfig config;
+  config.flavor = flavor;
+  config.seed = seed;
+  config.budget = Hours(2);
+  config.fault_set =
+      mode == CampaignMode::kHealthy ? FaultSet::kNone : FaultSet::kNewBugs;
+  config.env_faults = mode == CampaignMode::kEnvFault;
+  Result<std::unique_ptr<CampaignSession>> session =
+      CampaignSession::Open(config, "Themis");
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  if (!session.ok()) {
+    return ModelCoverage(flavor);
   }
-  FaultInjector injector(faults, seed ^ 0xfa0175ULL);
-  cluster->set_fault_hooks(&injector);
-
-  EnvFaultInjector env_injector(seed ^ 0xe4fa17ULL);
-  if (mode == CampaignMode::kEnvFault) {
-    cluster->set_env_faults(&env_injector);
-  }
-
-  Rng rng(seed ^ 0x7e5715ULL);
-  InputModel model;
-  StatesMonitor monitor(LoadVarianceWeights{});
-  DetectorConfig detector_config;
-  ImbalanceDetector detector(detector_config);
-  TestCaseExecutor executor(*cluster, model, monitor, detector, &injector,
-                            &coverage, rng);
-  executor.set_model_coverage(&model_coverage);
-
-  FuzzerConfig fuzzer_config;
-  if (mode == CampaignMode::kEnvFault) {
-    fuzzer_config.env_fault_share = 0.2;
-  }
-  ThemisFuzzer fuzzer(model, rng, fuzzer_config);
-  OpSeqGenerator init_generator(model);
-  executor.SeedInitialData(init_generator, 60);
-
+  const ModelCoverage& model_coverage = (*session)->model_coverage();
   size_t last_covered = model_coverage.TransitionsCovered();
-  while (cluster->Now() < Hours(2)) {
-    OpSeq testcase = fuzzer.Next();
-    ExecOutcome outcome = executor.Run(testcase);
-    fuzzer.OnOutcome(testcase, outcome);
+  while (!(*session)->Done()) {
+    ExecOutcome outcome = (*session)->Step();
     // Monotone coverage: distinct pairs never disappear, and the outcome's
     // delta accounts exactly for the growth across this test case.
     size_t covered = model_coverage.TransitionsCovered();

@@ -2,12 +2,12 @@
 // a campaign killed at ANY checkpoint and resumed — possibly crashed and
 // resumed repeatedly — produces byte-identical per-flavor digests and
 // telemetry summaries versus a campaign that never stopped, at any --jobs
-// count. Crashes are modeled in-process with the halt_after_checkpoints
-// hook (the CI resume-smoke job does the same with a real SIGKILL).
+// count. Crashes are modeled in-process by dropping a campaign session right
+// after a checkpoint (the CI resume-smoke job does the same with a real
+// SIGKILL).
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -15,17 +15,10 @@
 #include "src/harness/runner.h"
 #include "src/harness/snapshot.h"
 #include "src/harness/telemetry_export.h"
+#include "tests/checkpoint_helpers.h"
 
 namespace themis {
 namespace {
-
-std::string FreshDir(const std::string& name) {
-  std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("resume_det_" + name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 constexpr Flavor kFlavors[] = {Flavor::kGluster, Flavor::kHdfs, Flavor::kCeph,
                                Flavor::kLeo};
@@ -44,34 +37,18 @@ CampaignConfig BaseConfig(Flavor flavor) {
 TEST(ResumeDeterminismTest, RepeatedCrashesConvergeToUninterruptedDigest) {
   for (Flavor flavor : kFlavors) {
     const std::string flavor_name(FlavorName(flavor));
-    Result<CampaignResult> uninterrupted =
-        Campaign(BaseConfig(flavor)).Run("Themis");
-    ASSERT_TRUE(uninterrupted.ok()) << flavor_name;
-
-    const std::string dir = FreshDir("crash_" + flavor_name);
+    SCOPED_TRACE(flavor_name);
     CampaignConfig checkpointed = BaseConfig(flavor);
-    checkpointed.checkpoint_dir = dir;
+    checkpointed.checkpoint_dir = FreshDir("crash_" + flavor_name);
     checkpointed.checkpoint_every_ops = 400;
+    Result<CampaignTick> first = CrashAfterCheckpoints(checkpointed, "Themis", 1);
+    ASSERT_TRUE(first.ok());
 
-    CampaignConfig crash = checkpointed;
-    crash.halt_after_checkpoints = 1;
-    Result<CampaignResult> first = Campaign(crash).Run("Themis");
-    ASSERT_FALSE(first.ok()) << flavor_name;  // died at checkpoint 1
-
-    crash.resume = true;  // crash again, one checkpoint further in
-    Result<CampaignResult> second = Campaign(crash).Run("Themis");
-    ASSERT_FALSE(second.ok()) << flavor_name;
-
-    CampaignConfig finish = checkpointed;
-    finish.resume = true;
-    Result<CampaignResult> resumed = Campaign(finish).Run("Themis");
-    ASSERT_TRUE(resumed.ok()) << flavor_name << ": "
-                              << resumed.status().ToString();
-    EXPECT_EQ(resumed->Digest(), uninterrupted->Digest()) << flavor_name;
-    EXPECT_EQ(resumed->testcases, uninterrupted->testcases) << flavor_name;
-    EXPECT_EQ(resumed->total_ops, uninterrupted->total_ops) << flavor_name;
-    EXPECT_EQ(resumed->final_coverage, uninterrupted->final_coverage)
-        << flavor_name;
+    checkpointed.resume = true;  // crash again, one checkpoint further in
+    Result<CampaignTick> second = CrashAfterCheckpoints(checkpointed, "Themis", 1);
+    ASSERT_TRUE(second.ok());
+    EXPECT_GT(second->total_ops, first->total_ops);  // continued, not restarted
+    ExpectResumeMatchesUninterrupted(checkpointed, "Themis");
   }
 }
 
@@ -114,18 +91,13 @@ TEST(ResumeDeterminismTest, MatrixResumeIsByteIdenticalAtAnyJobsCount) {
   for (CampaignJob& job : jobs) {
     job.config.checkpoint_dir = dir;
     job.config.checkpoint_every_ops = 400;
-    job.config.halt_after_checkpoints = 1;
-  }
-  RunnerOptions crash_options;
-  crash_options.jobs = 8;
-  MatrixResult crashed = CampaignRunner(crash_options).RunJobs(jobs);
-  ASSERT_EQ(crashed.FailedJobs(), 8);  // every job died at its checkpoint
-
-  for (CampaignJob& job : jobs) {
-    job.config.halt_after_checkpoints = 0;
+    job.config.job_index = job.index;  // the snapshot names the runner uses
+    ASSERT_TRUE(CrashAfterCheckpoints(job.config, job.strategy, 1).ok()) << job.index;
     job.config.resume = true;
   }
-  MatrixResult resumed8 = CampaignRunner(crash_options).RunJobs(jobs);
+  RunnerOptions resume_options;
+  resume_options.jobs = 8;
+  MatrixResult resumed8 = CampaignRunner(resume_options).RunJobs(jobs);
   ASSERT_EQ(resumed8.FailedJobs(), 0);
   EXPECT_EQ(RenderCampaignSummaryJson(resumed8), expected);
 
@@ -138,19 +110,15 @@ TEST(ResumeDeterminismTest, MatrixResumeIsByteIdenticalAtAnyJobsCount) {
   EXPECT_EQ(RenderCampaignSummaryJson(resumed1), expected);
 }
 
-// The crash hook stops the process right after the snapshot lands on disk,
-// with the snapshot naming scheme the resume scan expects.
-TEST(ResumeDeterminismTest, HaltHookLeavesAResumableSnapshot) {
-  const std::string dir = FreshDir("halt");
+// Save lands each snapshot on disk before it returns, with the naming scheme
+// the resume scan expects, so a crash right after it leaves them resumable.
+TEST(ResumeDeterminismTest, SavedSnapshotsSurviveACrash) {
   CampaignConfig config = BaseConfig(Flavor::kGluster);
-  config.checkpoint_dir = dir;
+  config.checkpoint_dir = FreshDir("saved");
   config.checkpoint_every_ops = 400;
-  config.halt_after_checkpoints = 2;
-  Result<CampaignResult> crash = Campaign(config).Run("Themis");
-  ASSERT_FALSE(crash.ok());
-  EXPECT_EQ(crash.status().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(CrashAfterCheckpoints(config, "Themis", 2).ok());
 
-  std::vector<std::string> snapshots = ListJobSnapshotPaths(dir, 0);
+  std::vector<std::string> snapshots = ListJobSnapshotPaths(config.checkpoint_dir, 0);
   ASSERT_EQ(snapshots.size(), 2u);  // ordinals 2 and 1, newest first
   EXPECT_NE(snapshots[0].find("job-0-2.ckpt"), std::string::npos);
   EXPECT_NE(snapshots[1].find("job-0-1.ckpt"), std::string::npos);
@@ -166,56 +134,28 @@ TEST(ResumeDeterminismTest, HaltHookLeavesAResumableSnapshot) {
 TEST(ResumeDeterminismTest, EnvFaultedCampaignResumesToUninterruptedDigest) {
   for (Flavor flavor : {Flavor::kGluster, Flavor::kHdfs}) {
     const std::string flavor_name(FlavorName(flavor));
-    CampaignConfig config = BaseConfig(flavor);
-    config.env_faults = true;
-    Result<CampaignResult> uninterrupted = Campaign(config).Run("Themis");
-    ASSERT_TRUE(uninterrupted.ok()) << flavor_name;
-
-    const std::string dir = FreshDir("env_" + flavor_name);
-    CampaignConfig crash = config;
-    crash.checkpoint_dir = dir;
+    SCOPED_TRACE(flavor_name);
+    CampaignConfig checkpointed = BaseConfig(flavor);
+    checkpointed.env_faults = true;
+    checkpointed.checkpoint_dir = FreshDir("env_" + flavor_name);
     // A tight cadence: many checkpoints land inside armed fault schedules
     // (including between a crash and its restart) rather than between them.
-    crash.checkpoint_every_ops = 200;
-    crash.halt_after_checkpoints = 2;
-    ASSERT_FALSE(Campaign(crash).Run("Themis").ok()) << flavor_name;
-
-    CampaignConfig finish = config;
-    finish.checkpoint_dir = dir;
-    finish.checkpoint_every_ops = 200;
-    finish.resume = true;
-    Result<CampaignResult> resumed = Campaign(finish).Run("Themis");
-    ASSERT_TRUE(resumed.ok()) << flavor_name << ": "
-                              << resumed.status().ToString();
-    EXPECT_EQ(resumed->Digest(), uninterrupted->Digest()) << flavor_name;
-    EXPECT_EQ(resumed->total_ops, uninterrupted->total_ops) << flavor_name;
+    checkpointed.checkpoint_every_ops = 200;
+    ASSERT_TRUE(CrashAfterCheckpoints(checkpointed, "Themis", 2).ok());
+    ExpectResumeMatchesUninterrupted(checkpointed, "Themis");
   }
 }
 
 // Telemetry collection rides through kill/resume: an interrupted+resumed
 // telemetry campaign reproduces the uninterrupted event stream exactly
-// (events are part of the digest, but compare the count explicitly too).
+// (every event enters the digest).
 TEST(ResumeDeterminismTest, TelemetryStreamSurvivesResume) {
-  CampaignConfig config = BaseConfig(Flavor::kLeo);
-  config.collect_telemetry = true;
-  Result<CampaignResult> uninterrupted = Campaign(config).Run("Themis");
-  ASSERT_TRUE(uninterrupted.ok());
-
-  const std::string dir = FreshDir("telemetry");
-  CampaignConfig crash = config;
-  crash.checkpoint_dir = dir;
-  crash.checkpoint_every_ops = 500;
-  crash.halt_after_checkpoints = 2;
-  ASSERT_FALSE(Campaign(crash).Run("Themis").ok());
-
-  CampaignConfig finish = config;
-  finish.checkpoint_dir = dir;
-  finish.checkpoint_every_ops = 500;
-  finish.resume = true;
-  Result<CampaignResult> resumed = Campaign(finish).Run("Themis");
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->telemetry.size(), uninterrupted->telemetry.size());
-  EXPECT_EQ(resumed->Digest(), uninterrupted->Digest());
+  CampaignConfig checkpointed = BaseConfig(Flavor::kLeo);
+  checkpointed.collect_telemetry = true;
+  checkpointed.checkpoint_dir = FreshDir("telemetry");
+  checkpointed.checkpoint_every_ops = 500;
+  ASSERT_TRUE(CrashAfterCheckpoints(checkpointed, "Themis", 2).ok());
+  ExpectResumeMatchesUninterrupted(checkpointed, "Themis");
 }
 
 }  // namespace

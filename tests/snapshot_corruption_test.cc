@@ -26,17 +26,10 @@
 #include "src/harness/campaign.h"
 #include "src/harness/snapshot.h"
 #include "src/monitor/load_model.h"
+#include "tests/checkpoint_helpers.h"
 
 namespace themis {
 namespace {
-
-std::string FreshDir(const std::string& name) {
-  std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("snap_corrupt_" + name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -132,67 +125,63 @@ TEST(SnapshotCorruptionTest, WrongMagicAndVersionAreRejected) {
 // A resuming campaign must skip a corrupt newest snapshot and continue from
 // the newest VALID one, still reaching the uninterrupted digest.
 TEST(SnapshotCorruptionTest, ResumeFallsBackToNewestValidSnapshot) {
-  CampaignConfig config;
-  config.flavor = Flavor::kGluster;
-  config.seed = 31415;
-  config.budget = Hours(2);
-  Result<CampaignResult> uninterrupted = Campaign(config).Run("Themis");
-  ASSERT_TRUE(uninterrupted.ok());
-
-  const std::string dir = FreshDir("fallback");
-  CampaignConfig crash = config;
-  crash.checkpoint_dir = dir;
-  crash.checkpoint_every_ops = 300;
-  crash.checkpoint_keep = 10;  // retain every mid snapshot for this test
-  crash.halt_after_checkpoints = 3;
-  ASSERT_FALSE(Campaign(crash).Run("Themis").ok());
+  CampaignConfig checkpointed;
+  checkpointed.flavor = Flavor::kGluster;
+  checkpointed.seed = 31415;
+  checkpointed.budget = Hours(2);
+  checkpointed.checkpoint_dir = FreshDir("fallback");
+  checkpointed.checkpoint_every_ops = 300;
+  ASSERT_TRUE(CrashAfterCheckpoints(checkpointed, "Themis", 3).ok());
 
   // Corrupt the newest snapshot (ordinal 3) with a payload bit flip.
-  const std::string newest = dir + "/job-0-3.ckpt";
+  const std::string newest = checkpointed.checkpoint_dir + "/job-0-3.ckpt";
   std::string bytes = ReadFileBytes(newest);
   ASSERT_FALSE(bytes.empty());
   bytes[bytes.size() - 5] = static_cast<char>(bytes[bytes.size() - 5] ^ 0x01);
   WriteFileBytes(newest, bytes);
+  ExpectResumeMatchesUninterrupted(checkpointed, "Themis");
+}
 
-  CampaignConfig finish = config;
-  finish.checkpoint_dir = dir;
-  finish.checkpoint_every_ops = 300;
-  finish.checkpoint_keep = 10;
-  finish.resume = true;
-  Result<CampaignResult> resumed = Campaign(finish).Run("Themis");
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->Digest(), uninterrupted->Digest());
+// A candidate that passes its checksum and identity check but fails late in
+// the restore (here: one trailing payload byte) must not leave half-restored
+// parts behind: the fresh run it falls back to matches an uninterrupted one.
+TEST(SnapshotCorruptionTest, LateRestoreFailureFallsBackToCleanFreshRun) {
+  for (Flavor flavor : {Flavor::kGluster, Flavor::kHdfs}) {
+    const std::string flavor_name(FlavorName(flavor));
+    SCOPED_TRACE(flavor_name);
+    CampaignConfig checkpointed;
+    checkpointed.flavor = flavor;
+    checkpointed.seed = 31415;
+    checkpointed.budget = Hours(2);
+    checkpointed.checkpoint_dir = FreshDir("late_" + flavor_name);
+    checkpointed.checkpoint_every_ops = 300;
+    ASSERT_TRUE(CrashAfterCheckpoints(checkpointed, "Themis", 1).ok());
+
+    const std::string path = checkpointed.checkpoint_dir + "/job-0-1.ckpt";
+    Result<LoadedSnapshot> loaded = ReadSnapshotFile(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_TRUE(WriteSnapshotFile(path, loaded->kind, loaded->payload + '\0').ok());
+    ExpectResumeMatchesUninterrupted(checkpointed, "Themis");
+  }
 }
 
 // With every snapshot corrupt, resume degrades to a fresh run — correct,
 // just slower — and still produces the uninterrupted digest.
 TEST(SnapshotCorruptionTest, AllSnapshotsCorruptMeansFreshRun) {
-  CampaignConfig config;
-  config.flavor = Flavor::kHdfs;
-  config.seed = 27182;
-  config.budget = Hours(1);
-  Result<CampaignResult> uninterrupted = Campaign(config).Run("Themis");
-  ASSERT_TRUE(uninterrupted.ok());
-
-  const std::string dir = FreshDir("all_corrupt");
-  CampaignConfig crash = config;
-  crash.checkpoint_dir = dir;
-  crash.checkpoint_every_ops = 300;
-  crash.halt_after_checkpoints = 2;
-  ASSERT_FALSE(Campaign(crash).Run("Themis").ok());
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+  CampaignConfig checkpointed;
+  checkpointed.flavor = Flavor::kHdfs;
+  checkpointed.seed = 27182;
+  checkpointed.budget = Hours(1);
+  checkpointed.checkpoint_dir = FreshDir("all_corrupt");
+  checkpointed.checkpoint_every_ops = 300;
+  ASSERT_TRUE(CrashAfterCheckpoints(checkpointed, "Themis", 2).ok());
+  for (const auto& entry :
+       std::filesystem::directory_iterator(checkpointed.checkpoint_dir)) {
     std::string bytes = ReadFileBytes(entry.path().string());
     bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0xff);
     WriteFileBytes(entry.path().string(), bytes);
   }
-
-  CampaignConfig finish = config;
-  finish.checkpoint_dir = dir;
-  finish.checkpoint_every_ops = 300;
-  finish.resume = true;
-  Result<CampaignResult> resumed = Campaign(finish).Run("Themis");
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->Digest(), uninterrupted->Digest());
+  ExpectResumeMatchesUninterrupted(checkpointed, "Themis");
 }
 
 // A snapshot from a different configuration is refused with a message that
@@ -254,30 +243,17 @@ TEST(SnapshotCorruptionTest, IdentityMismatchNamesTheField) {
 // End to end through the campaign: a checkpoint directory holding another
 // campaign's snapshot is not silently adopted.
 TEST(SnapshotCorruptionTest, CampaignRefusesForeignSnapshotAndRunsFresh) {
-  const std::string dir = FreshDir("foreign");
   CampaignConfig other;
   other.flavor = Flavor::kLeo;
   other.seed = 555;
   other.budget = Hours(1);
-  other.checkpoint_dir = dir;
+  other.checkpoint_dir = FreshDir("foreign");
   other.checkpoint_every_ops = 300;
-  other.halt_after_checkpoints = 1;
-  ASSERT_FALSE(Campaign(other).Run("Themis").ok());
+  ASSERT_TRUE(CrashAfterCheckpoints(other, "Themis", 1).ok());
 
   CampaignConfig mine = other;
   mine.seed = 556;  // different campaign
-  mine.halt_after_checkpoints = 0;
-  mine.resume = true;
-  Result<CampaignResult> resumed = Campaign(mine).Run("Themis");
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-
-  CampaignConfig plain = mine;
-  plain.checkpoint_dir.clear();
-  plain.checkpoint_every_ops = 0;
-  plain.resume = false;
-  Result<CampaignResult> fresh = Campaign(plain).Run("Themis");
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(resumed->Digest(), fresh->Digest());
+  ExpectResumeMatchesUninterrupted(mine, "Themis");
 }
 
 // Format v3 field-level validation: the cluster's rate-window section and

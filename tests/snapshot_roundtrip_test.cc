@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,17 +22,10 @@
 #include "src/dfs/operation.h"
 #include "src/harness/campaign.h"
 #include "src/harness/snapshot.h"
+#include "tests/checkpoint_helpers.h"
 
 namespace themis {
 namespace {
-
-std::string FreshDir(const std::string& name) {
-  std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("snap_roundtrip_" + name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 Operation RandomOperation(Rng& rng) {
   Operation op;
@@ -274,30 +266,14 @@ TEST(SnapshotRoundTripTest, ClusterRateWindowsSurviveExactly) {
 // its first checkpoint (~1k ops in), resume it, and require the digest of
 // the continued run to equal an uninterrupted run's digest bit for bit.
 TEST(SnapshotRoundTripTest, ContinuedRunMatchesUninterruptedDigest) {
-  CampaignConfig config;
-  config.flavor = Flavor::kGluster;
-  config.seed = 4321;
-  config.budget = Hours(2);
-  Result<CampaignResult> uninterrupted = Campaign(config).Run("Themis");
-  ASSERT_TRUE(uninterrupted.ok());
-
-  const std::string dir = FreshDir("continued");
-  CampaignConfig halted = config;
-  halted.checkpoint_dir = dir;
-  halted.checkpoint_every_ops = 1000;
-  halted.halt_after_checkpoints = 1;
-  Result<CampaignResult> crash = Campaign(halted).Run("Themis");
-  ASSERT_FALSE(crash.ok());  // the crash-test hook aborts the run
-
-  CampaignConfig resumed = config;
-  resumed.checkpoint_dir = dir;
-  resumed.checkpoint_every_ops = 1000;
-  resumed.resume = true;
-  Result<CampaignResult> continued = Campaign(resumed).Run("Themis");
-  ASSERT_TRUE(continued.ok()) << continued.status().ToString();
-  EXPECT_EQ(continued->Digest(), uninterrupted->Digest());
-  EXPECT_EQ(continued->testcases, uninterrupted->testcases);
-  EXPECT_EQ(continued->total_ops, uninterrupted->total_ops);
+  CampaignConfig checkpointed;
+  checkpointed.flavor = Flavor::kGluster;
+  checkpointed.seed = 4321;
+  checkpointed.budget = Hours(2);
+  checkpointed.checkpoint_dir = FreshDir("continued");
+  checkpointed.checkpoint_every_ops = 1000;
+  ASSERT_TRUE(CrashAfterCheckpoints(checkpointed, "Themis", 1).ok());
+  ExpectResumeMatchesUninterrupted(checkpointed, "Themis");
 }
 
 // Same headline property for the v5 state: a GeoFS campaign's checkpoint
@@ -305,29 +281,14 @@ TEST(SnapshotRoundTripTest, ContinuedRunMatchesUninterruptedDigest) {
 // history-dependent, so a resumed run only matches the uninterrupted digest
 // if they round-trip exactly.
 TEST(SnapshotRoundTripTest, GeoContinuedRunMatchesUninterruptedDigest) {
-  CampaignConfig config;
-  config.flavor = Flavor::kGeo;
-  config.seed = 8765;
-  config.budget = Hours(2);
-  Result<CampaignResult> uninterrupted = Campaign(config).Run("Themis");
-  ASSERT_TRUE(uninterrupted.ok());
-
-  const std::string dir = FreshDir("geo_continued");
-  CampaignConfig halted = config;
-  halted.checkpoint_dir = dir;
-  halted.checkpoint_every_ops = 1000;
-  halted.halt_after_checkpoints = 1;
-  Result<CampaignResult> crash = Campaign(halted).Run("Themis");
-  ASSERT_FALSE(crash.ok());
-
-  CampaignConfig resumed = config;
-  resumed.checkpoint_dir = dir;
-  resumed.checkpoint_every_ops = 1000;
-  resumed.resume = true;
-  Result<CampaignResult> continued = Campaign(resumed).Run("Themis");
-  ASSERT_TRUE(continued.ok()) << continued.status().ToString();
-  EXPECT_EQ(continued->Digest(), uninterrupted->Digest());
-  EXPECT_EQ(continued->total_ops, uninterrupted->total_ops);
+  CampaignConfig checkpointed;
+  checkpointed.flavor = Flavor::kGeo;
+  checkpointed.seed = 8765;
+  checkpointed.budget = Hours(2);
+  checkpointed.checkpoint_dir = FreshDir("geo_continued");
+  checkpointed.checkpoint_every_ops = 1000;
+  ASSERT_TRUE(CrashAfterCheckpoints(checkpointed, "Themis", 1).ok());
+  ExpectResumeMatchesUninterrupted(checkpointed, "Themis");
 }
 
 }  // namespace
