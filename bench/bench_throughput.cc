@@ -14,13 +14,7 @@
 // (throughput.<flavor>.ops_per_sec, .testcases_per_sec, .campaign_ops_per_sec)
 // so CI can track the perf trajectory across PRs.
 //
-// A third axis measures monitor cadence (DESIGN.md §13): the hot loop with a
-// StatesMonitor checking every 1 / 10 / 100 ops through the O(1) streaming
-// path, plus the full-scan oracle at per-op cadence for contrast. Gauges land
-// under monitor_cadence.<flavor>.n<N>.* — informational, outside the CI perf
-// gate, with the topology size baked into the key.
-//
-// A fourth axis sweeps GeoFS across node counts (10/100/1k/10k) to show the
+// A third axis sweeps GeoFS across node counts (10/100/1k/10k) to show the
 // sparse hierarchical aggregates keep the per-op cost flat at production
 // scale; see RunScaleSweepExperiment below and DESIGN.md §15.
 
@@ -35,7 +29,6 @@
 #include "src/coverage/coverage.h"
 #include "src/dfs/flavors/factory.h"
 #include "src/harness/campaign.h"
-#include "src/monitor/states_monitor.h"
 
 namespace themis {
 namespace {
@@ -97,39 +90,6 @@ void BM_SampleLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleLoad)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
 
-void BM_MonitorSampleStream(benchmark::State& state) {
-  Flavor flavor = kFlavors[state.range(0)];
-  std::unique_ptr<DfsCluster> dfs = MakeCluster(flavor, /*seed=*/42);
-  OpSource source(*dfs, /*seed=*/42);
-  StatesMonitor monitor{LoadVarianceWeights{}};
-  for (int i = 0; i < 512; ++i) {
-    (void)dfs->Execute(source.Next());
-  }
-  for (auto _ : state) {
-    LoadVarianceSnapshot snapshot = monitor.Sample(*dfs);
-    benchmark::DoNotOptimize(snapshot.storage_ratio);
-  }
-  state.SetLabel(std::string(FlavorName(flavor)));
-}
-BENCHMARK(BM_MonitorSampleStream)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
-
-void BM_MonitorSampleScan(benchmark::State& state) {
-  Flavor flavor = kFlavors[state.range(0)];
-  std::unique_ptr<DfsCluster> dfs = MakeCluster(flavor, /*seed=*/42);
-  OpSource source(*dfs, /*seed=*/42);
-  StatesMonitor monitor{LoadVarianceWeights{}};
-  monitor.set_force_scan(true);
-  for (int i = 0; i < 512; ++i) {
-    (void)dfs->Execute(source.Next());
-  }
-  for (auto _ : state) {
-    LoadVarianceSnapshot snapshot = monitor.Sample(*dfs);
-    benchmark::DoNotOptimize(snapshot.storage_ratio);
-  }
-  state.SetLabel(std::string(FlavorName(flavor)));
-}
-BENCHMARK(BM_MonitorSampleScan)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
-
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
@@ -139,59 +99,6 @@ void RecordSeries(const char* flavor_name, const char* series, double value) {
   MetricsRegistry::Global()
       .GetGauge(Sprintf("throughput.%s.%s", flavor_name, series))
       .Add(static_cast<int64_t>(value));
-}
-
-// Monitor-cadence axis: the hot loop again, now with a StatesMonitor checking
-// the load state every `cadence` ops. The streaming path makes per-op cadence
-// viable (each check is an O(1) aggregate read + window close); the full-scan
-// oracle at the same cadence shows what that feedback used to cost.
-void RunMonitorCadenceExperiment() {
-  PrintHeader("Monitor cadence (ops/sec with a load check every N ops)");
-  std::printf("%-12s %14s %14s %14s %16s\n", "flavor", "every 1", "every 10",
-              "every 100", "every 1 (scan)");
-
-  const int kCadenceOps = 30000;
-  for (Flavor flavor : kFlavors) {
-    std::string flavor_name(FlavorName(flavor));
-    double per_series[4] = {0.0, 0.0, 0.0, 0.0};
-    const struct {
-      int cadence;
-      bool force_scan;
-      const char* series;
-    } kSeries[] = {{1, false, "every1"},
-                   {10, false, "every10"},
-                   {100, false, "every100"},
-                   {1, true, "every1_scan"}};
-    size_t node_count = 0;
-    for (int s = 0; s < 4; ++s) {
-      std::unique_ptr<DfsCluster> dfs = MakeCluster(flavor, /*seed=*/7);
-      node_count = dfs->ListStorageNodes().size() + dfs->ListMetaNodes().size();
-      CoverageRecorder coverage(FlavorBranchSpace(flavor), /*seed=*/7);
-      dfs->set_coverage(&coverage);
-      OpSource source(*dfs, /*seed=*/7);
-      StatesMonitor monitor{LoadVarianceWeights{}};
-      monitor.set_force_scan(kSeries[s].force_scan);
-      auto start = std::chrono::steady_clock::now();
-      for (int i = 0; i < kCadenceOps; ++i) {
-        (void)dfs->Execute(source.Next());
-        if (i % kSeries[s].cadence == 0) {
-          LoadVarianceSnapshot snapshot = monitor.Sample(*dfs);
-          benchmark::DoNotOptimize(snapshot.storage_ratio);
-        }
-      }
-      double seconds = SecondsSince(start);
-      per_series[s] = static_cast<double>(kCadenceOps) / seconds;
-      // Distinct prefix from throughput.*: informational, not CI-gated. The
-      // n<N> component records the topology size the series was measured on,
-      // so a default-size change reads as a new series, not a regression.
-      MetricsRegistry::Global()
-          .GetGauge(Sprintf("monitor_cadence.%s.n%zu.%s", flavor_name.c_str(),
-                            node_count, kSeries[s].series))
-          .Add(static_cast<int64_t>(per_series[s]));
-    }
-    std::printf("%-12s %14.0f %14.0f %14.0f %16.0f\n", flavor_name.c_str(),
-                per_series[0], per_series[1], per_series[2], per_series[3]);
-  }
 }
 
 // Production-scale sweep (DESIGN.md §15): GeoFS at 10 / 100 / 1k / 10k
@@ -309,7 +216,6 @@ void RunThroughputExperiment() {
                 testcases_per_sec, campaign_ops_per_sec);
   }
 
-  RunMonitorCadenceExperiment();
   RunScaleSweepExperiment();
 }
 

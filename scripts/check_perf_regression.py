@@ -9,8 +9,8 @@ Only the raw-execution ops_per_sec series are gated: they time a 30k-op
 deterministic loop and are stable on shared runners. The campaign_* series
 measure a full campaign whose wall time is milliseconds, so they are
 reported for trend-watching but far too noisy to gate on. The same applies
-to the `monitor_cadence.*` and `scale.*` prefixes: matched by name across
-the two documents and printed for trend, never delta-gated.
+to the `scale.*` prefix: matched by name across the two documents and
+printed for trend, never delta-gated.
 
 Two structural checks ARE hard failures, because they catch a broken bench
 document rather than slow code:
@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 
-INFORMATIONAL_PREFIXES = ("monitor_cadence.", "scale.")
+INFORMATIONAL_PREFIXES = ("scale.",)
 
 
 def load_gauges(path):

@@ -54,33 +54,11 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-uint64_t QuantizeLoadDelta(double delta, double quantum) {
-  if (delta <= 0.0) {
-    return 0;
-  }
-  return static_cast<uint64_t>(std::llround(delta * quantum));
-}
-
 double LoadDimAggregate::Mean() const {
   if (count == 0) {
     return 0.0;
   }
   return static_cast<double>(sum) / static_cast<double>(count);
-}
-
-double LoadDimAggregate::VarianceNumerator() const {
-  if (count == 0) {
-    return 0.0;
-  }
-  double s = static_cast<double>(sum);
-  return static_cast<double>(sum_sq) - s * s / static_cast<double>(count);
-}
-
-double LoadDimAggregate::Variance() const {
-  if (count == 0) {
-    return 0.0;
-  }
-  return VarianceNumerator() / static_cast<double>(count);
 }
 
 double LoadDimAggregate::MaxOverMeanWithFloor(double min_mean_ticks) const {

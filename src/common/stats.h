@@ -1,9 +1,9 @@
-// Streaming and one-shot statistics helpers used by the load models and by
-// the imbalance detector.
+// Statistics helpers used by the load models and by the imbalance detector.
 
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -14,57 +14,33 @@
 namespace themis {
 
 // ---------------------------------------------------------------------------
-// Streaming load-stats aggregates (DESIGN.md §13).
-//
-// The push-based observation path maintains these incrementally at every
-// load mutation; the pull-based full scan (the debug oracle) rebuilds them
-// from samples. Both must produce bit-identical values, so every aggregate
-// is an integer: network deltas are integer counters already, and CPU
-// deltas / utilization fractions are quantized to fixed point first. Integer
-// sums are order-independent, which is what makes incremental maintenance
-// exactly equal to a sequential scan — a running sum of raw doubles never
-// would be.
+// Load-stats aggregates: what one differencing scan of per-node load samples
+// reduces to (LoadVarianceModel::Update). CPU deltas are quantized to fixed
+// point before they are summed; the pinned campaign digests depend on the
+// exact ratios this quantization produces.
 
 // CPU-seconds fixed-point scale: 2^-20 s resolution (~1 µs of virtual CPU).
 inline constexpr double kCpuLoadQuantum = 1048576.0;  // 2^20 ticks / second
-// Utilization-fraction fixed-point scale for the variance numerator.
-inline constexpr double kUtilizationQuantum = 4294967296.0;  // 2^32 ticks
-
-// Widened accumulator for sums of squared ticks.
-using Uint128 = unsigned __int128;
 
 // Rounds a non-negative rate delta to fixed-point ticks.
-uint64_t QuantizeLoadDelta(double delta, double quantum);
+inline uint64_t QuantizeLoadDelta(double delta, double quantum) {
+  return delta <= 0.0 ? 0 : static_cast<uint64_t>(std::llround(delta * quantum));
+}
 
-// Per-dimension, per-node-group window aggregate in fixed-point ticks:
-// running sum, sum of squares (the Welford-style variance numerator is
-// sum_sq - sum^2/n) and the instant max. Because per-node deltas only grow
-// within a window (the underlying counters are cumulative) the max needs no
-// ordered index — a plain monotone high-water mark, re-scanned only on the
-// rare group-membership removal, replaces the YDB-style multiset without
-// any hot-path allocation.
+// Per-dimension, per-node-group window aggregate in fixed-point ticks.
 struct LoadDimAggregate {
   uint64_t sum = 0;        // Σ delta, ticks
-  Uint128 sum_sq = 0;      // Σ delta², ticks²
-  uint64_t max_delta = 0;  // max over current group members, ticks
+  uint64_t max_delta = 0;  // max over the group's members, ticks
   uint32_t count = 0;      // group size (serving nodes, zero deltas included)
 
   double Mean() const;  // ticks; 0 for an empty group
-  // Welford variance numerator Σ(x - mean)² = Σx² - (Σx)²/n, ticks².
-  double VarianceNumerator() const;
-  double Variance() const;  // population variance, ticks²
   // max/mean with the no-signal floor (both in ticks): groups smaller than
   // two or with a sub-floor mean read as perfectly even (ratio 1).
   double MaxOverMeanWithFloor(double min_mean_ticks) const;
-
-  bool operator==(const LoadDimAggregate&) const = default;
 };
 
-// One O(1) reading of the streaming load aggregates — everything the load
-// variance model needs to produce a LoadVarianceSnapshot without touching a
-// single node. Produced either incrementally (DfsCluster) or by the
-// full-scan oracle (LoadVarianceModel::OracleStats); the two must match
-// exactly (tests/streaming_stats_test.cc).
+// One window's aggregate reading — everything the load variance model needs
+// to produce a LoadVarianceSnapshot.
 struct LoadStatsSnapshot {
   SimTime taken_at = 0;
 
@@ -75,19 +51,14 @@ struct LoadStatsSnapshot {
   LoadDimAggregate net_meta;
 
   // Storage dimension: utilization fractions over serving storage nodes
-  // with online capacity. max/fleet are the ratio inputs; the quantized
-  // sums expose the spread's variance numerator to feedback consumers.
+  // with online capacity; max/fleet are the ratio inputs.
   uint32_t fraction_nodes = 0;
   double max_fraction = 0.0;
   uint64_t storage_used = 0;  // Σ used_bytes over fraction_nodes
   uint64_t storage_cap = 0;   // Σ capacity_bytes over fraction_nodes
-  uint64_t frac_sum = 0;      // Σ quantized fraction, ticks
-  Uint128 frac_sum_sq = 0;    // Σ quantized fraction², ticks²
 
   uint32_t serving_storage_nodes = 0;
   bool any_crashed = false;
-
-  bool operator==(const LoadStatsSnapshot&) const = default;
 };
 
 // Welford streaming mean/variance with min/max tracking.

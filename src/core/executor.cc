@@ -39,7 +39,7 @@ void TestCaseExecutor::SeedInitialData(OpSeqGenerator& generator, int files) {
   // Settle: close the seeding window so the first test case sees its own
   // deltas, not lifetime counters. Kept deliberately: besides re-basing, the
   // discarded sample folds one reading into the model's EMA (part of the
-  // pinned campaign trajectory), and since the push API it costs O(1).
+  // pinned campaign trajectory).
   (void)monitor_.Sample(dfs_);
   detector_.ResetStreak();
 }
@@ -89,9 +89,9 @@ ExecOutcome TestCaseExecutor::Run(const OpSeq& seq) {
   if (candidate.has_value() && !dfs_.RebalanceDone()) {
     // The balancer is mid-flight: the system is *converging*, not failed.
     // Give it its chance, then re-check on a settled window; a timeout keeps
-    // the candidate (that is what a hang looks like). The discarded O(1)
-    // sample closes the window over the migration traffic so the probe is
-    // measured alone (and advances the EMA, as the pinned digests expect).
+    // the candidate (that is what a hang looks like). The discarded sample
+    // closes the window over the migration traffic so the probe is measured
+    // alone (and advances the EMA, as the pinned digests expect).
     if (WaitForRebalanceDone()) {
       (void)monitor_.Sample(dfs_);
       RunProbeWorkload();
@@ -256,8 +256,8 @@ bool TestCaseExecutor::DoubleCheck(const OpSeq& seq, const ImbalanceCandidate& c
   // transient load), probe, and re-check the load state. If background
   // migration restarted underneath the probe, its transfer load would be
   // mistaken for request skew — wait it out and probe again. Both discarded
-  // samples are kept: each is an O(1) window close whose EMA fold is part of
-  // the pinned campaign trajectory.
+  // samples are kept: each closes a window, and its EMA fold is part of the
+  // pinned campaign trajectory.
   (void)monitor_.Sample(dfs_);
   RunProbeWorkload();
   if (!dfs_.RebalanceDone()) {

@@ -5,7 +5,6 @@
 #include <cassert>
 
 #include "src/common/log.h"
-#include "src/common/stats.h"
 #include "src/common/strings.h"
 #include "src/telemetry/metrics.h"
 
@@ -61,13 +60,7 @@ void DfsCluster::BuildInitialTopology() {
   offline_bricks_ = 0;
   offline_brick_list_.clear();
   serving_meta_nodes_.clear();
-  rate_windows_.clear();
-  window_epoch_ = 1;
-  cpu_storage_agg_ = RateDimAgg{};
-  cpu_meta_agg_ = RateDimAgg{};
-  net_storage_agg_ = RateDimAgg{};
-  net_meta_agg_ = RateDimAgg{};
-  crashed_nodes_ = 0;
+  crashed_node_ids_.clear();
   node_load_group_.clear();
   load_group_count_ = 0;
   group_serving_.clear();
@@ -77,7 +70,6 @@ void DfsCluster::BuildInitialTopology() {
   group_hot_.clear();
   group_hot_dirty_.clear();
   hot_dirty_groups_.clear();
-  group_rate_max_.clear();
   InvalidateLoadIndex();
   OnTopologyCleared();
 
@@ -145,7 +137,6 @@ void DfsCluster::RebuildLoadIndex() const {
   group_frac_dirty_.assign(load_group_count_, 1);
   group_hot_.assign(load_group_count_, GroupHotBrick{});
   group_hot_dirty_.assign(load_group_count_, 1);
-  group_rate_max_.assign(load_group_count_, GroupRateMax{});
   dirty_groups_.clear();
   hot_dirty_groups_.clear();
   for (uint32_t g = 0; g < load_group_count_; ++g) {
@@ -193,52 +184,7 @@ void DfsCluster::RebuildLoadIndex() const {
       }
     }
   }
-  // The rate aggregates were frozen while the index was dirty (the per-node
-  // windows kept tracking unconditionally); reconstitute them from the
-  // windows of the now-current serving sets.
-  RebuildRateAggs();
   load_index_dirty_ = false;
-}
-
-uint64_t DfsCluster::WindowDelta(NodeId id, bool cpu_dim) const {
-  if (id >= rate_windows_.size() || rate_windows_[id].epoch != window_epoch_) {
-    return 0;  // not charged this window: the base is the current counters
-  }
-  return cpu_dim ? rate_windows_[id].cpu_ticks : rate_windows_[id].net_delta;
-}
-
-void DfsCluster::RebuildRateAggs() const {
-  cpu_storage_agg_ = RateDimAgg{};
-  cpu_meta_agg_ = RateDimAgg{};
-  net_storage_agg_ = RateDimAgg{};
-  net_meta_agg_ = RateDimAgg{};
-  auto accumulate = [this](const std::vector<NodeId>& members, RateDimAgg& cpu_agg,
-                           RateDimAgg& net_agg) {
-    for (NodeId id : members) {
-      uint64_t cpu = WindowDelta(id, /*cpu_dim=*/true);
-      uint64_t net = WindowDelta(id, /*cpu_dim=*/false);
-      cpu_agg.sum += cpu;
-      cpu_agg.sum_sq += static_cast<Uint128>(cpu) * cpu;
-      cpu_agg.max_delta = std::max(cpu_agg.max_delta, cpu);
-      net_agg.sum += net;
-      net_agg.sum_sq += static_cast<Uint128>(net) * net;
-      net_agg.max_delta = std::max(net_agg.max_delta, net);
-    }
-  };
-  accumulate(serving_storage_nodes_, cpu_storage_agg_, net_storage_agg_);
-  accumulate(serving_meta_nodes_, cpu_meta_agg_, net_meta_agg_);
-  // Re-seed the per-group high-water marks from the same windows so the
-  // departure rescan path stays group-local after a rebuild.
-  for (NodeId id : serving_storage_nodes_) {
-    uint32_t group = LoadGroupOf(id);
-    if (group == kInvalidLoadGroup) {
-      continue;
-    }
-    GroupRateMax& gm = group_rate_max_[group];
-    gm.epoch = window_epoch_;
-    gm.cpu = std::max(gm.cpu, WindowDelta(id, /*cpu_dim=*/true));
-    gm.net = std::max(gm.net, WindowDelta(id, /*cpu_dim=*/false));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -247,10 +193,8 @@ void DfsCluster::RebuildRateAggs() const {
 // Storage nodes are partitioned into load groups (id-range spans by default;
 // GeoFS aligns them with scheduling groups via PickLoadGroup). Fraction
 // stats keep one sub-aggregate per group, refreshed only when a member
-// mutated (dirty-group queue) and rolled up over O(#groups); rate windows
-// keep one epoch-stamped high-water mark per group so a departing maximum
-// rescans one group plus the group marks instead of the whole fleet. All
-// sums are integers, so the rollup is bit-identical to the flat scan.
+// mutated (dirty-group queue) and rolled up over O(#groups). All sums are
+// integers, so the rollup is bit-identical to the flat scan.
 
 void DfsCluster::AssignLoadGroup(NodeId id) {
   uint32_t group = PickLoadGroup(id);
@@ -282,9 +226,6 @@ void DfsCluster::EnsureGroupSlots(uint32_t group) const {
   }
   if (group_hot_dirty_.size() < need) {
     group_hot_dirty_.resize(need, 0);
-  }
-  if (group_rate_max_.size() < need) {
-    group_rate_max_.resize(need);
   }
 }
 
@@ -319,9 +260,6 @@ void DfsCluster::RefreshGroupFrac(uint32_t group) const {
     }
     agg.used += node.used_online;
     agg.cap += node.cap_online;
-    uint64_t ticks = QuantizeLoadDelta(fraction, kUtilizationQuantum);
-    agg.frac_sum += ticks;
-    agg.frac_sum_sq += static_cast<Uint128>(ticks) * ticks;
   }
   group_frac_[group] = agg;
 }
@@ -398,169 +336,6 @@ const std::vector<NodeId>& DfsCluster::LoadGroupServingNodes(uint32_t group) con
     return kEmpty;
   }
   return group_serving_[group];
-}
-
-DfsCluster::GroupRateMax& DfsCluster::GroupRateMaxSlot(NodeId id) const {
-  uint32_t group = LoadGroupOf(id);
-  if (group == kInvalidLoadGroup) {
-    group = 0;
-  }
-  EnsureGroupSlots(group);
-  GroupRateMax& gm = group_rate_max_[group];
-  if (gm.epoch != window_epoch_) {
-    gm = GroupRateMax{};
-    gm.epoch = window_epoch_;
-  }
-  return gm;
-}
-
-uint64_t DfsCluster::GroupRateMaxValue(uint32_t group, bool cpu_dim) const {
-  if (group >= group_rate_max_.size() ||
-      group_rate_max_[group].epoch != window_epoch_) {
-    return 0;
-  }
-  return cpu_dim ? group_rate_max_[group].cpu : group_rate_max_[group].net;
-}
-
-void DfsCluster::RecomputeGroupRateMax(uint32_t group) const {
-  EnsureGroupSlots(group);
-  GroupRateMax& gm = group_rate_max_[group];
-  gm.epoch = window_epoch_;
-  gm.cpu = 0;
-  gm.net = 0;
-  if (group >= group_serving_.size()) {
-    return;
-  }
-  for (NodeId id : group_serving_[group]) {
-    gm.cpu = std::max(gm.cpu, WindowDelta(id, /*cpu_dim=*/true));
-    gm.net = std::max(gm.net, WindowDelta(id, /*cpu_dim=*/false));
-  }
-}
-
-uint64_t DfsCluster::MaxOverGroupRateMax(bool cpu_dim) const {
-  uint64_t max_delta = 0;
-  for (const GroupRateMax& gm : group_rate_max_) {
-    if (gm.epoch != window_epoch_) {
-      continue;
-    }
-    max_delta = std::max(max_delta, cpu_dim ? gm.cpu : gm.net);
-  }
-  return max_delta;
-}
-
-void DfsCluster::BeginNodeChargeWindow(NodeId id, const NodeLoadCounters& load) {
-  if (rate_windows_.size() <= id) {
-    rate_windows_.resize(id + 1);
-  }
-  NodeRateWindow& window = rate_windows_[id];
-  if (window.epoch != window_epoch_) {
-    window.epoch = window_epoch_;
-    window.base_cpu = load.cpu_seconds;
-    window.last_cpu = load.cpu_seconds;
-    window.base_net = load.requests + load.read_ios + load.write_ios;
-    window.cpu_ticks = 0;
-    window.net_delta = 0;
-  }
-}
-
-void DfsCluster::CommitNodeCharge(NodeId id, const NodeLoadCounters& load,
-                                  bool is_storage, bool serving) {
-  NodeRateWindow& window = rate_windows_[id];
-  // A clean group aggregate already reflects this window's current deltas
-  // (folded by an earlier commit or by RebuildRateAggs), so an unchanged
-  // dimension needs no work at all — not even the max fold. That lets the
-  // common partial charges (net-only injections, sub-quantum CPU nudges)
-  // skip the quantization and the 128-bit square updates entirely.
-  const bool live = serving && !load_index_dirty_;
-  uint64_t net_delta =
-      load.requests + load.read_ios + load.write_ios - window.base_net;
-  if (net_delta != window.net_delta) {
-    if (live) {
-      RateDimAgg& net_agg = is_storage ? net_storage_agg_ : net_meta_agg_;
-      net_agg.sum += net_delta - window.net_delta;
-      net_agg.sum_sq += static_cast<Uint128>(net_delta) * net_delta -
-                        static_cast<Uint128>(window.net_delta) * window.net_delta;
-      net_agg.max_delta = std::max(net_agg.max_delta, net_delta);
-      if (is_storage) {
-        GroupRateMax& gm = GroupRateMaxSlot(id);
-        gm.net = std::max(gm.net, net_delta);
-      }
-    }
-    window.net_delta = net_delta;
-  }
-  if (load.cpu_seconds != window.last_cpu) {
-    window.last_cpu = load.cpu_seconds;
-    uint64_t cpu_ticks =
-        QuantizeLoadDelta(load.cpu_seconds - window.base_cpu, kCpuLoadQuantum);
-    if (cpu_ticks != window.cpu_ticks) {
-      if (live) {
-        RateDimAgg& cpu_agg = is_storage ? cpu_storage_agg_ : cpu_meta_agg_;
-        cpu_agg.sum += cpu_ticks - window.cpu_ticks;
-        cpu_agg.sum_sq += static_cast<Uint128>(cpu_ticks) * cpu_ticks -
-                          static_cast<Uint128>(window.cpu_ticks) * window.cpu_ticks;
-        cpu_agg.max_delta = std::max(cpu_agg.max_delta, cpu_ticks);
-        if (is_storage) {
-          GroupRateMax& gm = GroupRateMaxSlot(id);
-          gm.cpu = std::max(gm.cpu, cpu_ticks);
-        }
-      }
-      window.cpu_ticks = cpu_ticks;
-    }
-  }
-}
-
-void DfsCluster::RecomputeRateMax(RateDimAgg& agg, bool is_storage,
-                                  bool cpu_dim) const {
-  const std::vector<NodeId>& members =
-      is_storage ? serving_storage_nodes_ : serving_meta_nodes_;
-  uint64_t max_delta = 0;
-  for (NodeId id : members) {
-    max_delta = std::max(max_delta, WindowDelta(id, cpu_dim));
-  }
-  agg.max_delta = max_delta;
-}
-
-void DfsCluster::RemoveNodeFromRateAggs(NodeId id, bool is_storage) {
-  if (load_index_dirty_) {
-    return;  // the pending rebuild reads the updated serving sets
-  }
-  uint64_t cpu = WindowDelta(id, /*cpu_dim=*/true);
-  uint64_t net = WindowDelta(id, /*cpu_dim=*/false);
-  RateDimAgg& cpu_agg = is_storage ? cpu_storage_agg_ : cpu_meta_agg_;
-  RateDimAgg& net_agg = is_storage ? net_storage_agg_ : net_meta_agg_;
-  cpu_agg.sum -= cpu;
-  cpu_agg.sum_sq -= static_cast<Uint128>(cpu) * cpu;
-  net_agg.sum -= net;
-  net_agg.sum_sq -= static_cast<Uint128>(net) * net;
-  // Only a departing maximum can lower the high-water mark; rescan the
-  // remaining members (the caller has already removed `id` from the lists).
-  // Storage departures rescan only the departed node's load group and then
-  // take the max over the per-group marks — O(group + #groups), not O(fleet).
-  if (is_storage) {
-    uint32_t group = LoadGroupOf(id);
-    if (group != kInvalidLoadGroup &&
-        ((cpu != 0 && cpu == GroupRateMaxValue(group, /*cpu_dim=*/true)) ||
-         (net != 0 && net == GroupRateMaxValue(group, /*cpu_dim=*/false)))) {
-      RecomputeGroupRateMax(group);
-    }
-    if (cpu != 0 && cpu == cpu_agg.max_delta) {
-      cpu_agg.max_delta = MaxOverGroupRateMax(/*cpu_dim=*/true);
-    }
-    if (net != 0 && net == net_agg.max_delta) {
-      net_agg.max_delta = MaxOverGroupRateMax(/*cpu_dim=*/false);
-    }
-    return;
-  }
-  if (cpu != 0 && cpu == cpu_agg.max_delta) {
-    RecomputeRateMax(cpu_agg, is_storage, /*cpu_dim=*/true);
-  }
-  if (net != 0 && net == net_agg.max_delta) {
-    RecomputeRateMax(net_agg, is_storage, /*cpu_dim=*/false);
-  }
-}
-
-void DfsCluster::OnMetaNodeUnserving(NodeId id) {
-  RemoveNodeFromRateAggs(id, /*is_storage=*/false);
 }
 
 void DfsCluster::ApplyUsedBytesDelta(const Brick& brick, uint64_t old_used) {
@@ -695,9 +470,6 @@ void DfsCluster::OnStorageNodeUnserving(NodeId id) {
     }
   }
   MarkGroupDirty(id);
-  // The departing node's rate-window deltas leave the storage-group
-  // streaming aggregates too (the monitor only compares serving nodes).
-  RemoveNodeFromRateAggs(id, /*is_storage=*/true);
   // The node's online bricks leave the fleet (they are no longer serving)
   // but stay in the per-node sums: SampleLoad still reports a crashed
   // node's mounted bricks.
@@ -829,9 +601,6 @@ std::vector<double> DfsCluster::PerNodeUsedFraction() const {
 }
 
 const DfsCluster::FractionStats& DfsCluster::EnsureFractionStats() const {
-  // One memoized scan feeds both the balancer-threshold spread and the
-  // storage dimension of the streaming LoadStatsSnapshot: per-op balance
-  // checks keep the memo warm, so the monitor's storage numbers are O(1).
   EnsureLoadIndex();
   if (imbalance_epoch_ == load_epoch_) {
     return fraction_memo_;
@@ -840,8 +609,7 @@ const DfsCluster::FractionStats& DfsCluster::EnsureFractionStats() const {
   // the per-group sub-aggregates up. Integer sums, the per-group first-wins
   // max, and the left-to-right group order (groups are visited in index
   // order, members in node-id order) make the rollup bit-identical to the
-  // flat fleet scan it replaced — the streaming-variance contract of
-  // DESIGN.md §13 holds unchanged at 10k nodes.
+  // flat fleet scan it replaced (tests/cluster_cache_test.cc).
   for (uint32_t group : dirty_groups_) {
     RefreshGroupFrac(group);
     group_frac_dirty_[group] = 0;
@@ -856,10 +624,6 @@ const DfsCluster::FractionStats& DfsCluster::EnsureFractionStats() const {
       stats.max_fraction = agg.max_fraction;
     }
     stats.nodes += agg.nodes;
-    stats.used += agg.used;
-    stats.cap += agg.cap;
-    stats.frac_sum += agg.frac_sum;
-    stats.frac_sum_sq += agg.frac_sum_sq;
   }
   if (stats.nodes >= 2 && fleet_cap_ > 0) {
     double fleet =
@@ -1009,12 +773,7 @@ std::vector<NodeId> DfsCluster::ListStorageNodes() const { return ServingStorage
 std::vector<BrickId> DfsCluster::ListBricks() const { return ServingBricks(); }
 
 // ---------------------------------------------------------------------------
-// Load accounting
-
-// Every counter mutation is bracketed by BeginNodeChargeWindow (captures the
-// rate-window base on the node's first charge of the window) and
-// CommitNodeCharge (pushes the new window delta into the streaming group
-// aggregates) — the push-based equivalent of the old scan-and-difference.
+// Load accounting: the cumulative per-node counters the monitor samples.
 
 void DfsCluster::ChargeStorage(NodeId node, uint64_t reads, uint64_t writes,
                                double cpu_seconds) {
@@ -1022,11 +781,9 @@ void DfsCluster::ChargeStorage(NodeId node, uint64_t reads, uint64_t writes,
   if (sn == nullptr) {
     return;
   }
-  BeginNodeChargeWindow(node, sn->load);
   sn->load.read_ios += reads;
   sn->load.write_ios += writes;
   sn->load.cpu_seconds += cpu_seconds;
-  CommitNodeCharge(node, sn->load, /*is_storage=*/true, sn->Serving());
 }
 
 void DfsCluster::ChargeMeta(NodeId node, uint64_t requests, double cpu_seconds) {
@@ -1034,57 +791,42 @@ void DfsCluster::ChargeMeta(NodeId node, uint64_t requests, double cpu_seconds) 
   if (it == meta_nodes_.end()) {
     return;
   }
-  BeginNodeChargeWindow(node, it->second.load);
   it->second.load.requests += requests;
   it->second.load.cpu_seconds += cpu_seconds;
-  CommitNodeCharge(node, it->second.load, /*is_storage=*/false,
-                   it->second.Serving());
 }
 
 void DfsCluster::InjectCpuLoad(NodeId node, double cpu_seconds) {
   if (StorageNode* sn = FindStorageNode(node)) {
-    BeginNodeChargeWindow(node, sn->load);
     sn->load.cpu_seconds += cpu_seconds;
-    CommitNodeCharge(node, sn->load, /*is_storage=*/true, sn->Serving());
     return;
   }
   auto it = meta_nodes_.find(node);
   if (it != meta_nodes_.end()) {
-    BeginNodeChargeWindow(node, it->second.load);
     it->second.load.cpu_seconds += cpu_seconds;
-    CommitNodeCharge(node, it->second.load, /*is_storage=*/false,
-                     it->second.Serving());
   }
 }
 
 void DfsCluster::InjectNetLoad(NodeId node, uint64_t reads, uint64_t writes,
                                uint64_t requests) {
   if (StorageNode* sn = FindStorageNode(node)) {
-    BeginNodeChargeWindow(node, sn->load);
     sn->load.read_ios += reads;
     sn->load.write_ios += writes;
     sn->load.requests += requests;
-    CommitNodeCharge(node, sn->load, /*is_storage=*/true, sn->Serving());
     return;
   }
   auto it = meta_nodes_.find(node);
   if (it != meta_nodes_.end()) {
-    BeginNodeChargeWindow(node, it->second.load);
     it->second.load.read_ios += reads;
     it->second.load.write_ios += writes;
     it->second.load.requests += requests;
-    CommitNodeCharge(node, it->second.load, /*is_storage=*/false,
-                     it->second.Serving());
   }
 }
 
 void DfsCluster::CrashNode(NodeId node) {
   if (StorageNode* sn = FindStorageNode(node)) {
     bool was_serving = sn->Serving();
-    if (!sn->crashed) {
-      ++crashed_nodes_;
-    }
     sn->crashed = true;
+    TrackCrash(node, true);
     if (was_serving) {
       OnStorageNodeUnserving(node);
     }
@@ -1093,10 +835,8 @@ void DfsCluster::CrashNode(NodeId node) {
   auto it = meta_nodes_.find(node);
   if (it != meta_nodes_.end()) {
     bool was_serving = it->second.Serving();
-    if (!it->second.crashed) {
-      ++crashed_nodes_;
-    }
     it->second.crashed = true;
+    TrackCrash(node, true);
     if (was_serving) {
       auto pos = std::lower_bound(serving_meta_nodes_.begin(),
                                   serving_meta_nodes_.end(), node);
@@ -1104,7 +844,6 @@ void DfsCluster::CrashNode(NodeId node) {
         serving_meta_nodes_.erase(pos);
       }
       ++membership_epoch_;
-      OnMetaNodeUnserving(node);
     }
   }
 }
@@ -1146,7 +885,7 @@ void DfsCluster::RestartNode(NodeId node) {
     if (sn->crashed) {
       COV_BRANCH(cov_, CovModule::kRecovery, 32);
       sn->crashed = false;
-      --crashed_nodes_;
+      TrackCrash(node, false);
       // Rejoining the serving set re-admits the node's bricks to the fleet
       // aggregates; the full rebuild is the only path that re-adds members.
       InvalidateLoadIndex();
@@ -1159,16 +898,14 @@ void DfsCluster::RestartNode(NodeId node) {
   }
   COV_BRANCH(cov_, CovModule::kRecovery, 33);
   it->second.crashed = false;
-  --crashed_nodes_;
+  TrackCrash(node, false);
   if (it->second.Serving()) {
     auto pos = std::lower_bound(serving_meta_nodes_.begin(),
                                 serving_meta_nodes_.end(), node);
     if (pos == serving_meta_nodes_.end() || *pos != node) {
       serving_meta_nodes_.insert(pos, node);
     }
-    // The node's still-current rate-window deltas must rejoin the meta
-    // streaming aggregates; the full rebuild is the only re-adding path.
-    InvalidateLoadIndex();
+    ++membership_epoch_;
   }
   if (balancer_crashed_) {
     // First recovered meta node brings the balancer process back up; it
@@ -1184,6 +921,16 @@ void DfsCluster::RestartNode(NodeId node) {
       balancer_resume_pending_ = false;
       (void)TriggerRebalance();
     }
+  }
+}
+
+void DfsCluster::TrackCrash(NodeId id, bool crashed) {
+  auto pos = std::lower_bound(crashed_node_ids_.begin(), crashed_node_ids_.end(), id);
+  bool listed = pos != crashed_node_ids_.end() && *pos == id;
+  if (crashed && !listed) {
+    crashed_node_ids_.insert(pos, id);
+  } else if (!crashed && listed) {
+    crashed_node_ids_.erase(pos);
   }
 }
 
@@ -1967,7 +1714,6 @@ OpResult DfsCluster::DoRemoveMetaNode(const Operation& op) {
     serving_meta_nodes_.erase(pos);
   }
   ++membership_epoch_;
-  OnMetaNodeUnserving(target);
   result.cost = Seconds(3);
   NotifyTopologyChanged();
   result.status = Status::Ok();
@@ -2699,13 +2445,38 @@ void DfsCluster::FinishRebalanceIfDrained() {
 void DfsCluster::SampleLoadInto(std::vector<LoadSample>& out) const {
   EnsureLoadIndex();
   out.clear();
-  out.reserve(storage_nodes_.size() + meta_nodes_.size());
-  for (const auto& [id, node] : storage_nodes_) {
-    LoadSample sample;
-    sample.node = id;
+  // Serving and crashed nodes: storage nodes, then meta nodes, each in id
+  // order. Decommissioned nodes never return, so the scan skips their
+  // tombstones instead of walking them.
+  auto append = [&](const std::vector<NodeId>& serving, bool storage) {
+    size_t first = out.size();
+    for (NodeId id : serving) {
+      out.push_back(NodeLoadSample(id));
+    }
+    size_t crashed = out.size();
+    for (NodeId id : crashed_node_ids_) {
+      if ((FindStorageNode(id) != nullptr) == storage) {
+        out.push_back(NodeLoadSample(id));
+      }
+    }
+    std::inplace_merge(out.begin() + first, out.begin() + crashed, out.end(),
+                       [](const LoadSample& a, const LoadSample& b) {
+                         return a.node < b.node;
+                       });
+  };
+  append(serving_storage_nodes_, /*storage=*/true);
+  append(serving_meta_nodes_, /*storage=*/false);
+}
+
+LoadSample DfsCluster::NodeLoadSample(NodeId id) const {
+  LoadSample sample;
+  sample.node = id;
+  sample.taken_at = clock_.now();
+  const NodeLoadCounters* load = nullptr;
+  if (const StorageNode* node = FindStorageNode(id)) {
     sample.is_storage = true;
-    sample.online = node.online;
-    sample.crashed = node.crashed;
+    sample.online = node->online;
+    sample.crashed = node->crashed;
     // Draining (offline) bricks are unmounted from the balancer's point of
     // view; the load index's per-node aggregates already exclude them, so
     // the monitor's fleet utilization matches what the balancer can level.
@@ -2713,63 +2484,18 @@ void DfsCluster::SampleLoadInto(std::vector<LoadSample>& out) const {
       sample.used_bytes = node_agg_[id].used_online;
       sample.capacity_bytes = node_agg_[id].cap_online;
     }
-    sample.requests = node.load.requests;
-    sample.read_ios = node.load.read_ios;
-    sample.write_ios = node.load.write_ios;
-    sample.cpu_seconds = node.load.cpu_seconds;
-    sample.taken_at = clock_.now();
-    out.push_back(sample);
+    load = &node->load;
+  } else {
+    const MetaNode& meta = meta_nodes_.at(id);
+    sample.online = meta.online;
+    sample.crashed = meta.crashed;
+    load = &meta.load;
   }
-  for (const auto& [id, node] : meta_nodes_) {
-    LoadSample sample;
-    sample.node = id;
-    sample.is_storage = false;
-    sample.online = node.online;
-    sample.crashed = node.crashed;
-    sample.requests = node.load.requests;
-    sample.read_ios = node.load.read_ios;
-    sample.write_ios = node.load.write_ios;
-    sample.cpu_seconds = node.load.cpu_seconds;
-    sample.taken_at = clock_.now();
-    out.push_back(sample);
-  }
-}
-
-bool DfsCluster::SnapshotLoadStats(LoadStatsSnapshot& out) const {
-  EnsureLoadIndex();
-  const FractionStats& frac = EnsureFractionStats();
-  out = LoadStatsSnapshot{};
-  out.taken_at = clock_.now();
-  uint32_t storage_count = static_cast<uint32_t>(serving_storage_nodes_.size());
-  uint32_t meta_count = static_cast<uint32_t>(serving_meta_nodes_.size());
-  out.cpu_storage = {cpu_storage_agg_.sum, cpu_storage_agg_.sum_sq,
-                     cpu_storage_agg_.max_delta, storage_count};
-  out.cpu_meta = {cpu_meta_agg_.sum, cpu_meta_agg_.sum_sq,
-                  cpu_meta_agg_.max_delta, meta_count};
-  out.net_storage = {net_storage_agg_.sum, net_storage_agg_.sum_sq,
-                     net_storage_agg_.max_delta, storage_count};
-  out.net_meta = {net_meta_agg_.sum, net_meta_agg_.sum_sq,
-                  net_meta_agg_.max_delta, meta_count};
-  out.fraction_nodes = frac.nodes;
-  out.max_fraction = frac.max_fraction;
-  out.storage_used = frac.used;
-  out.storage_cap = frac.cap;
-  out.frac_sum = frac.frac_sum;
-  out.frac_sum_sq = frac.frac_sum_sq;
-  out.serving_storage_nodes = storage_count;
-  out.any_crashed = crashed_nodes_ > 0;
-  return true;
-}
-
-void DfsCluster::AdvanceLoadWindow() {
-  // O(1) close of the rate window: bumping the epoch invalidates every
-  // per-node base lazily (the next charge rebases), and the group aggregates
-  // of the now-empty window are all zero.
-  ++window_epoch_;
-  cpu_storage_agg_ = RateDimAgg{};
-  cpu_meta_agg_ = RateDimAgg{};
-  net_storage_agg_ = RateDimAgg{};
-  net_meta_agg_ = RateDimAgg{};
+  sample.requests = load->requests;
+  sample.read_ios = load->read_ios;
+  sample.write_ios = load->write_ios;
+  sample.cpu_seconds = load->cpu_seconds;
+  return sample;
 }
 
 std::string DfsCluster::DescribeState() const {
@@ -2935,28 +2661,6 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
   writer.U64(namespace_epoch_);
   writer.U64(serving_meta_nodes_.size());
   for (NodeId id : serving_meta_nodes_) writer.U32(id);
-
-  // v3: streaming rate-window bases (DESIGN.md §13). Only nodes active in
-  // the current window carry state — a node with a stale epoch behaves
-  // exactly like a default-constructed window (rebased at its next charge),
-  // so saving it would be redundant. The quantized deltas and the group
-  // aggregates are derived (recomputed from base + counters on restore).
-  uint64_t active_windows = 0;
-  for (const NodeRateWindow& window : rate_windows_) {
-    if (window.epoch == window_epoch_) {
-      ++active_windows;
-    }
-  }
-  writer.U64(active_windows);
-  for (NodeId id = 0; id < rate_windows_.size(); ++id) {
-    const NodeRateWindow& window = rate_windows_[id];
-    if (window.epoch != window_epoch_) {
-      continue;
-    }
-    writer.U32(id);
-    writer.F64(window.base_cpu);
-    writer.U64(window.base_net);
-  }
 
   // v5: load-group assignment table (DESIGN.md §15). Real state, not derived:
   // GeoFS assigns nodes to the scheduling group with the fewest members at
@@ -3127,47 +2831,6 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   }
   if (!reader.ok()) return reader.status();
 
-  // v3: streaming rate-window bases. Deltas are recomputed from the restored
-  // cumulative counters, and the group aggregates are rebuilt lazily with
-  // the rest of the load index — so the streaming state resumes bit-exactly
-  // (fixed-point sums are order-independent).
-  rate_windows_.clear();
-  window_epoch_ = 1;
-  uint64_t window_count = reader.Count(4 + 8 + 8);
-  for (uint64_t i = 0; i < window_count && reader.ok(); ++i) {
-    NodeId id = reader.U32();
-    double base_cpu = reader.F64();
-    uint64_t base_net = reader.U64();
-    if (!reader.ok()) break;
-    const NodeLoadCounters* load = nullptr;
-    if (const StorageNode* sn = FindStorageNode(id)) {
-      load = &sn->load;
-    } else if (auto node_it = meta_nodes_.find(id); node_it != meta_nodes_.end()) {
-      load = &node_it->second.load;
-    }
-    if (load == nullptr) {
-      reader.Fail(Sprintf("rate window references unknown node %u", id));
-      break;
-    }
-    uint64_t net_total = load->requests + load->read_ios + load->write_ios;
-    if (base_net > net_total) {
-      reader.Fail(Sprintf("rate window base exceeds counters for node %u", id));
-      break;
-    }
-    if (rate_windows_.size() <= id) {
-      rate_windows_.resize(id + 1);
-    }
-    NodeRateWindow& window = rate_windows_[id];
-    window.epoch = window_epoch_;
-    window.base_cpu = base_cpu;
-    window.last_cpu = load->cpu_seconds;
-    window.base_net = base_net;
-    window.cpu_ticks =
-        QuantizeLoadDelta(load->cpu_seconds - base_cpu, kCpuLoadQuantum);
-    window.net_delta = net_total - base_net;
-  }
-  if (!reader.ok()) return reader.status();
-
   // v5: load-group assignment table. Validated strictly — every storage node
   // must carry exactly one assignment, and group indices are bounded (a
   // corrupt group id would silently mis-route nodes and skew the rollup).
@@ -3206,15 +2869,14 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
     }
   }
   if (!reader.ok()) return reader.status();
-  crashed_nodes_ = 0;
+  crashed_node_ids_.clear();
   for (const auto& [id, node] : storage_nodes_) {
-    (void)id;
-    if (node.crashed) ++crashed_nodes_;
+    if (node.crashed) crashed_node_ids_.push_back(id);
   }
   for (const auto& [id, node] : meta_nodes_) {
-    (void)id;
-    if (node.crashed) ++crashed_nodes_;
+    if (node.crashed) crashed_node_ids_.push_back(id);
   }
+  std::sort(crashed_node_ids_.begin(), crashed_node_ids_.end());
 
   clock_.Reset();
   clock_.Advance(now);

@@ -172,25 +172,12 @@ class DfsInterface {
 
   virtual OpResult Execute(const Operation& op) = 0;
 
-  // ---- load observation (DESIGN.md §13) ----
-  // The primary observation surface is push/streaming: the cluster maintains
-  // windowed per-dimension aggregates incrementally at every load mutation,
-  // and SnapshotLoadStats reads them in O(1) — no per-node scan, no
-  // allocation. AdvanceLoadWindow closes the current rate window (the states
-  // monitor calls it after folding a snapshot into the variance model, the
-  // push-era equivalent of remembering the previous cumulative sample).
-  // Adapters that do not stream keep the defaults; consumers then fall back
-  // to the SampleLoadInto scan path.
-  virtual bool SnapshotLoadStats(LoadStatsSnapshot& out) const {
-    (void)out;
-    return false;
-  }
-  virtual void AdvanceLoadWindow() {}
-
-  // Debug/oracle pull path: a full per-node scan of cumulative counters.
-  // The streaming aggregates must match what the variance model derives
-  // from this scan bit-for-bit (tests/streaming_stats_test.cc); failure
-  // reports and ground-truth checks also read it for per-node detail.
+  // ---- load observation ----
+  // One scan of the nodes' cumulative load counters. The states monitor
+  // takes one per executed test case and differences it against the
+  // previous one (LoadVarianceModel); failure reports and ground-truth
+  // checks read it for per-node detail. Consumers ignore offline nodes that
+  // have not crashed, so an adapter may leave decommissioned nodes out.
   virtual void SampleLoadInto(std::vector<LoadSample>& out) const = 0;
   // Copying convenience wrapper over SampleLoadInto for cold callers
   // (reports, tests); deliberately non-virtual.
@@ -199,6 +186,13 @@ class DfsInterface {
     SampleLoadInto(out);
     return out;
   }
+  // No-op defaults that nothing in src/ calls. They stay only because the
+  // benchmark decorator in campaign_bench/traced_campaign.cc overrides both.
+  virtual bool SnapshotLoadStats(LoadStatsSnapshot& out) const {
+    (void)out;
+    return false;
+  }
+  virtual void AdvanceLoadWindow() {}
 
   // Admin APIs (paper §4.3: most DFSes provide rebalance / rebalance-state).
   virtual Status TriggerRebalance() = 0;
@@ -285,8 +279,6 @@ class DfsCluster : public DfsInterface {
 
   // ---- DfsInterface ----
   OpResult Execute(const Operation& op) override;
-  bool SnapshotLoadStats(LoadStatsSnapshot& out) const override;
-  void AdvanceLoadWindow() override;
   void SampleLoadInto(std::vector<LoadSample>& out) const override;
   Status TriggerRebalance() override;
   // A crashed balancer (env fault) is "not done": the round it was running
@@ -680,9 +672,6 @@ class DfsCluster : public DfsInterface {
   // the fleet aggregates but stay in the per-node ones (SampleLoad reports
   // crashed nodes' still-online bricks).
   void OnStorageNodeUnserving(NodeId id);
-  // The metadata node stopped serving (crashed or removed); its current
-  // window deltas leave the meta-group rate aggregates.
-  void OnMetaNodeUnserving(NodeId id);
   // Called after a brick's online flag flipped to false.
   void OnBrickOffline(const Brick& brick);
   // Called after a brick's capacity changed while online.
@@ -777,18 +766,12 @@ class DfsCluster : public DfsInterface {
   mutable uint64_t fleet_overflow_ = 0;  // sum of max(0, used-cap), serving
   mutable uint64_t total_used_all_ = 0;  // over every brick
   // Storage-dimension statistics over serving nodes with online capacity,
-  // memoized per load_epoch_: the imbalance spread (the balancer threshold
-  // quantity) plus everything the streaming LoadStatsSnapshot reports for
-  // the storage dimension. One scan feeds both, so the per-op balancer
-  // check and the monitor read the same numbers for free.
+  // memoized per load_epoch_: the imbalance spread is the balancer
+  // threshold quantity the per-op balance check and the coverage hash read.
   struct FractionStats {
     uint32_t nodes = 0;
     double max_fraction = 0.0;
-    uint64_t used = 0;         // Σ used_online over `nodes`
-    uint64_t cap = 0;          // Σ cap_online over `nodes`
-    uint64_t frac_sum = 0;     // Σ quantized fraction, ticks
-    Uint128 frac_sum_sq = 0;   // Σ quantized fraction², ticks²
-    double spread = 0.0;       // max(0, max_fraction - fleet utilization)
+    double spread = 0.0;  // max(0, max_fraction - fleet utilization)
   };
   const FractionStats& EnsureFractionStats() const;
   mutable uint64_t imbalance_epoch_ = UINT64_MAX;  // load_epoch_ of the memo
@@ -802,11 +785,9 @@ class DfsCluster : public DfsInterface {
   // into the cluster memo (O(group count)). Integer sums and a plain double
   // max make the rollup bit-identical to the flat fleet scan it replaced.
   struct GroupFracAgg {
-    uint32_t nodes = 0;        // serving nodes with online capacity
-    uint64_t used = 0;         // Σ used_online
-    uint64_t cap = 0;          // Σ cap_online
-    uint64_t frac_sum = 0;     // Σ quantized fraction, ticks
-    Uint128 frac_sum_sq = 0;   // Σ quantized fraction², ticks²
+    uint32_t nodes = 0;  // serving nodes with online capacity
+    uint64_t used = 0;   // Σ used_online
+    uint64_t cap = 0;    // Σ cap_online
     double max_fraction = 0.0;
   };
   // Group assignment: real state, written once per node by PickLoadGroup and
@@ -839,6 +820,13 @@ class DfsCluster : public DfsInterface {
   // per-op request routing / anti-entropy need not scan the ever-growing
   // meta_nodes_ map (removed nodes stay in it as tombstones).
   std::vector<NodeId> serving_meta_nodes_;
+  // Crashed nodes, storage and meta, sorted by id. With the serving lists
+  // they are the nodes SampleLoadInto reports, so the monitor's scan never
+  // walks the tombstones of decommissioned nodes.
+  std::vector<NodeId> crashed_node_ids_;
+  void TrackCrash(NodeId id, bool crashed);
+  // One node's LoadSample (storage or meta).
+  LoadSample NodeLoadSample(NodeId id) const;
   // Online-flag bookkeeping so the per-op drained-brick GC can skip its
   // whole-map scan when nothing is offline (the common case).
   int offline_bricks_ = 0;
@@ -872,80 +860,6 @@ class DfsCluster : public DfsInterface {
   // per OpClass (file, node, volume, env_fault).
   uint32_t class_counts_[4] = {0, 0, 0, 0};
   uint8_t recent_class_mask_ = 0;
-
-  // ---- streaming load-stats state (DESIGN.md §13) ----
-  // Windowed rate tracking for the cumulative compute/network counters: per
-  // node, the counter values at the start of the current rate window and the
-  // quantized deltas accumulated since. Bases are captured lazily — bumping
-  // window_epoch_ invalidates every base in O(1), and the first charge of a
-  // node in the new window rebases it — so closing a window never scans the
-  // fleet. Deltas are fixed-point integers (src/common/stats.h) so the
-  // incrementally maintained group sums below are bit-identical to the
-  // full-scan oracle's.
-  struct NodeRateWindow {
-    uint64_t epoch = 0;      // window_epoch_ the base belongs to
-    double base_cpu = 0.0;   // cumulative cpu_seconds at window start
-    double last_cpu = 0.0;   // cumulative cpu_seconds at last commit
-    uint64_t base_net = 0;   // cumulative requests+read_ios+write_ios
-    uint64_t cpu_ticks = 0;  // current window delta, quantized
-    uint64_t net_delta = 0;  // current window delta
-  };
-  // Per (node group × dimension) window aggregate. Within a window a node's
-  // delta only grows (the counters are cumulative), so the instant max is a
-  // plain monotone high-water mark — no ordered index, no allocation; only
-  // the rare removal of a group member (crash / decommission) can lower it
-  // and triggers a rescan of the group's serving list.
-  struct RateDimAgg {
-    uint64_t sum = 0;        // Σ delta, ticks
-    Uint128 sum_sq = 0;      // Σ delta², ticks²
-    uint64_t max_delta = 0;  // max over current group members, ticks
-  };
-  // Captures the window base for `id` if this is its first charge in the
-  // current window; call before mutating the node's counters.
-  void BeginNodeChargeWindow(NodeId id, const NodeLoadCounters& load);
-  // Recomputes the node's window deltas from the (just mutated) counters and
-  // applies the change to its group aggregates. Base capture above is
-  // unconditional; the aggregate update is skipped for non-serving nodes and
-  // while the load index is dirty (the rebuild recomputes from the windows).
-  void CommitNodeCharge(NodeId id, const NodeLoadCounters& load, bool is_storage,
-                        bool serving);
-  // Removes an unserving node's current window deltas from its group.
-  void RemoveNodeFromRateAggs(NodeId id, bool is_storage);
-  uint64_t WindowDelta(NodeId id, bool cpu_dim) const;
-  void RecomputeRateMax(RateDimAgg& agg, bool is_storage, bool cpu_dim) const;
-  // From-scratch reconstruction out of the per-node windows + serving lists
-  // (tail of RebuildLoadIndex).
-  void RebuildRateAggs() const;
-
-  // Per-load-group high-water marks for the storage rate dimensions, stamped
-  // with the window epoch so AdvanceLoadWindow stays O(1) (a stale stamp
-  // reads as zero). They exist so the departure of the fleet maximum rescans
-  // one group and then maxes over the group marks — O(group size + group
-  // count) instead of a full fleet scan. Commits fold into them in O(1); the
-  // cluster-level aggregates stay the single source for SnapshotLoadStats.
-  struct GroupRateMax {
-    uint64_t epoch = 0;
-    uint64_t cpu = 0;
-    uint64_t net = 0;
-  };
-  mutable std::vector<GroupRateMax> group_rate_max_;
-  // Current-window mark slot for a storage node's group (epoch-reset lazily).
-  GroupRateMax& GroupRateMaxSlot(NodeId id) const;
-  uint64_t GroupRateMaxValue(uint32_t group, bool cpu_dim) const;
-  // Rescans one group's serving members into its high-water mark.
-  void RecomputeGroupRateMax(uint32_t group) const;
-  uint64_t MaxOverGroupRateMax(bool cpu_dim) const;
-
-  std::vector<NodeRateWindow> rate_windows_;  // dense by NodeId
-  uint64_t window_epoch_ = 1;
-  mutable RateDimAgg cpu_storage_agg_;
-  mutable RateDimAgg cpu_meta_agg_;
-  mutable RateDimAgg net_storage_agg_;
-  mutable RateDimAgg net_meta_agg_;
-  // Count of nodes with crashed=true: the O(1) source of the snapshot's
-  // any_crashed flag. Decremented only by RestartNode (env faults) and the
-  // topology reset; fault-effect crashes (CrashNode) are permanent.
-  int crashed_nodes_ = 0;
 };
 
 }  // namespace themis

@@ -32,6 +32,8 @@ struct LoadSample {
   double cpu_seconds = 0.0;
 
   SimTime taken_at = 0;
+
+  bool operator==(const LoadSample&) const = default;
 };
 
 }  // namespace themis

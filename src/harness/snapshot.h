@@ -4,7 +4,7 @@
 //
 //   offset  size  field
 //   0       8     magic "THMSNP01"
-//   8       4     format version (u32 LE, currently 7 — see DESIGN.md §12;
+//   8       4     format version (u32 LE, currently 8 — see DESIGN.md §12;
 //                 v3 added the cluster's rate-window bases and the model's
 //                 dense previous-window counters (DESIGN.md §13); v4 added
 //                 the environment-fault dimension: the env_faults identity
@@ -16,7 +16,10 @@
 //                 inside the strategy record, DESIGN.md §16; v7 added
 //                 seed fingerprints + import flags and the sorted
 //                 seen-fingerprint dedup set to the pool record, and the
-//                 result's covered transition-pair list)
+//                 result's covered transition-pair list; v8 dropped the
+//                 cluster's rate-window bases and the monitor's unread
+//                 latest snapshot — the sampling window lives only in the
+//                 model's previous-window counters)
 //   12      1     kind (0 = mid-campaign, 1 = final)
 //   13      8     payload size in bytes (u64 LE)
 //   21      8     FNV-1a 64 checksum of the payload (u64 LE)
@@ -46,7 +49,7 @@
 
 namespace themis {
 
-inline constexpr uint32_t kSnapshotFormatVersion = 7;
+inline constexpr uint32_t kSnapshotFormatVersion = 8;
 
 enum class SnapshotKind : uint8_t {
   kMidCampaign = 0,  // loop state; resuming continues the campaign

@@ -13,32 +13,9 @@ namespace {
 // comparisons scale by the matching quantum.
 constexpr double kMinCpuMean = 0.5;   // virtual seconds per window
 constexpr double kMinNetMean = 16.0;  // requests+ios per window
-}  // namespace
 
-double LoadVarianceSnapshot::Score(const LoadVarianceWeights& weights) const {
-  double score = 0.0;
-  score += weights.computation * std::max(0.0, computation_ratio - 1.0);
-  score += weights.network * std::max(0.0, network_ratio - 1.0);
-  score += weights.storage * std::max(0.0, storage_ratio - 1.0);
-  return score;
-}
-
-double LoadVarianceSnapshot::MaxRatio() const {
-  return std::max({storage_ratio, computation_ratio, network_ratio});
-}
-
-double RatioWithFloor(const std::vector<double>& values, double min_mean) {
-  if (values.size() < 2) {
-    return 1.0;
-  }
-  double mean = Mean(values);
-  if (mean < min_mean) {
-    return 1.0;
-  }
-  double ratio = MaxOverMean(values);
-  return ratio < 1.0 ? 1.0 : ratio;
-}
-
+// Derives the per-component instant ratios from one window's aggregates.
+// EMA fields are left at their defaults; Update folds those in.
 LoadVarianceSnapshot FinalizeLoadStats(const LoadStatsSnapshot& stats) {
   LoadVarianceSnapshot snapshot;
   snapshot.taken_at = stats.taken_at;
@@ -65,32 +42,40 @@ LoadVarianceSnapshot FinalizeLoadStats(const LoadStatsSnapshot& stats) {
                stats.net_storage.MaxOverMeanWithFloor(kMinNetMean));
   return snapshot;
 }
+}  // namespace
 
-LoadVarianceSnapshot LoadVarianceModel::UpdateFromStats(const LoadStatsSnapshot& stats) {
-  LoadVarianceSnapshot snapshot = FinalizeLoadStats(stats);
-  constexpr double kAlpha = 0.3;
-  ema_computation_ = (1.0 - kAlpha) * ema_computation_ +
-                     kAlpha * snapshot.instant_computation_ratio;
-  ema_network_ = (1.0 - kAlpha) * ema_network_ + kAlpha * snapshot.instant_network_ratio;
-  snapshot.computation_ratio = ema_computation_;
-  snapshot.network_ratio = ema_network_;
-  return snapshot;
+double LoadVarianceSnapshot::Score(const LoadVarianceWeights& weights) const {
+  double score = 0.0;
+  score += weights.computation * std::max(0.0, computation_ratio - 1.0);
+  score += weights.network * std::max(0.0, network_ratio - 1.0);
+  score += weights.storage * std::max(0.0, storage_ratio - 1.0);
+  return score;
 }
 
-LoadVarianceSnapshot LoadVarianceModel::PreviewFromStats(
-    const LoadStatsSnapshot& stats) const {
-  LoadVarianceSnapshot snapshot = FinalizeLoadStats(stats);
-  constexpr double kAlpha = 0.3;
-  snapshot.computation_ratio = (1.0 - kAlpha) * ema_computation_ +
-                               kAlpha * snapshot.instant_computation_ratio;
-  snapshot.network_ratio =
-      (1.0 - kAlpha) * ema_network_ + kAlpha * snapshot.instant_network_ratio;
-  return snapshot;
+double LoadVarianceSnapshot::MaxRatio() const {
+  return std::max({storage_ratio, computation_ratio, network_ratio});
 }
 
-LoadStatsSnapshot LoadVarianceModel::OracleStats(const std::vector<LoadSample>& samples) {
+LoadStatsSnapshot LoadVarianceModel::ScanWindow(const std::vector<LoadSample>& samples) {
   LoadStatsSnapshot stats;
   for (const LoadSample& sample : samples) {
+    // Difference against the node's previous sample, then rebase it — for
+    // crashed and offline nodes too. Node ids are monotonic and never
+    // reused, so entries for nodes absent from `samples` can only belong to
+    // erased tombstones.
+    if (previous_.size() <= sample.node) {
+      previous_.resize(sample.node + 1);
+    }
+    PrevCounters& prev = previous_[sample.node];
+    uint64_t net_total = sample.requests + sample.read_ios + sample.write_ios;
+    double cpu_delta = sample.cpu_seconds;
+    uint64_t net_delta = net_total;
+    if (prev.valid) {
+      cpu_delta = sample.cpu_seconds - prev.cpu_seconds;
+      net_delta = net_total >= prev.net ? net_total - prev.net : 0;
+    }
+    prev = PrevCounters{sample.cpu_seconds, net_total, true};
+
     stats.taken_at = sample.taken_at;
     if (sample.crashed) {
       stats.any_crashed = true;
@@ -109,80 +94,36 @@ LoadStatsSnapshot LoadVarianceModel::OracleStats(const std::vector<LoadSample>& 
         }
         stats.storage_used += sample.used_bytes;
         stats.storage_cap += sample.capacity_bytes;
-        uint64_t ticks = QuantizeLoadDelta(fraction, kUtilizationQuantum);
-        stats.frac_sum += ticks;
-        stats.frac_sum_sq += static_cast<Uint128>(ticks) * ticks;
       }
-    }
-    uint64_t net_total = sample.requests + sample.read_ios + sample.write_ios;
-    double cpu_delta = sample.cpu_seconds;
-    uint64_t net_delta = net_total;
-    if (sample.node < previous_.size() && previous_[sample.node].valid) {
-      const PrevCounters& prev = previous_[sample.node];
-      cpu_delta = sample.cpu_seconds - prev.cpu_seconds;
-      net_delta = net_total >= prev.net ? net_total - prev.net : 0;
     }
     uint64_t cpu_ticks = QuantizeLoadDelta(cpu_delta, kCpuLoadQuantum);
     LoadDimAggregate& cpu_agg = sample.is_storage ? stats.cpu_storage : stats.cpu_meta;
     LoadDimAggregate& net_agg = sample.is_storage ? stats.net_storage : stats.net_meta;
     cpu_agg.sum += cpu_ticks;
-    cpu_agg.sum_sq += static_cast<Uint128>(cpu_ticks) * cpu_ticks;
     cpu_agg.max_delta = std::max(cpu_agg.max_delta, cpu_ticks);
     ++cpu_agg.count;
     net_agg.sum += net_delta;
-    net_agg.sum_sq += static_cast<Uint128>(net_delta) * net_delta;
     net_agg.max_delta = std::max(net_agg.max_delta, net_delta);
     ++net_agg.count;
-  }
-
-  // Rebase the remembered window for every sampled node (crashed and offline
-  // ones included): this mirrors the streaming side's AdvanceLoadWindow.
-  // Node ids are monotonic and never reused, so entries for nodes absent
-  // from `samples` can only belong to erased tombstones — harmless.
-  for (const LoadSample& sample : samples) {
-    if (previous_.size() <= sample.node) {
-      previous_.resize(sample.node + 1);
-    }
-    PrevCounters& prev = previous_[sample.node];
-    prev.cpu_seconds = sample.cpu_seconds;
-    prev.net = sample.requests + sample.read_ios + sample.write_ios;
-    prev.valid = true;
   }
   return stats;
 }
 
 LoadVarianceSnapshot LoadVarianceModel::Update(const std::vector<LoadSample>& samples) {
-  return UpdateFromStats(OracleStats(samples));
+  LoadVarianceSnapshot snapshot = FinalizeLoadStats(ScanWindow(samples));
+  constexpr double kAlpha = 0.3;
+  ema_computation_ = (1.0 - kAlpha) * ema_computation_ +
+                     kAlpha * snapshot.instant_computation_ratio;
+  ema_network_ = (1.0 - kAlpha) * ema_network_ + kAlpha * snapshot.instant_network_ratio;
+  snapshot.computation_ratio = ema_computation_;
+  snapshot.network_ratio = ema_network_;
+  return snapshot;
 }
 
 void LoadVarianceModel::Reset() {
   previous_.clear();
   ema_computation_ = 1.0;
   ema_network_ = 1.0;
-}
-
-void SaveLoadVarianceSnapshot(SnapshotWriter& writer,
-                              const LoadVarianceSnapshot& snapshot) {
-  writer.I64(snapshot.taken_at);
-  writer.F64(snapshot.storage_ratio);
-  writer.F64(snapshot.computation_ratio);
-  writer.F64(snapshot.network_ratio);
-  writer.F64(snapshot.instant_computation_ratio);
-  writer.F64(snapshot.instant_network_ratio);
-  writer.Bool(snapshot.any_crashed);
-  writer.I64(snapshot.serving_storage_nodes);
-}
-
-void RestoreLoadVarianceSnapshot(SnapshotReader& reader,
-                                 LoadVarianceSnapshot* snapshot) {
-  snapshot->taken_at = reader.I64();
-  snapshot->storage_ratio = reader.F64();
-  snapshot->computation_ratio = reader.F64();
-  snapshot->network_ratio = reader.F64();
-  snapshot->instant_computation_ratio = reader.F64();
-  snapshot->instant_network_ratio = reader.F64();
-  snapshot->any_crashed = reader.Bool();
-  snapshot->serving_storage_nodes = static_cast<int>(reader.I64());
 }
 
 void LoadVarianceModel::SaveState(SnapshotWriter& writer) const {

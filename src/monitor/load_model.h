@@ -6,13 +6,6 @@
 // is summarized as max/mean across the relevant node group (the LBS quantity
 // of §2.2), and the weighted combination is the variance score that guides
 // the fuzzer.
-//
-// Since the push-based streaming API (DESIGN.md §13) the model consumes a
-// LoadStatsSnapshot — an O(1) aggregate reading the cluster maintains
-// incrementally. The full-scan path (OracleStats over LoadSample vectors)
-// survives as the differential oracle: it must produce bit-identical
-// aggregates, which is why both paths share FinalizeLoadStats and all sums
-// are fixed-point integers.
 
 #ifndef SRC_MONITOR_LOAD_MODEL_H_
 #define SRC_MONITOR_LOAD_MODEL_H_
@@ -60,33 +53,18 @@ struct LoadVarianceSnapshot {
   double Score(const LoadVarianceWeights& weights) const;
   // The largest component ratio (what the anomaly detectors test against t).
   double MaxRatio() const;
-};
 
-// Derives the per-component instant ratios from one aggregate reading. The
-// single place ratio math lives: the streaming path and the scan oracle both
-// feed it, so their LoadVarianceSnapshots can only differ if the aggregates
-// differ. EMA fields are left at their defaults — the model folds those in.
-LoadVarianceSnapshot FinalizeLoadStats(const LoadStatsSnapshot& stats);
+  bool operator==(const LoadVarianceSnapshot&) const = default;
+};
 
 class LoadVarianceModel {
  public:
   LoadVarianceModel() = default;
 
-  // Streaming path: folds one O(1) aggregate reading into the EMA state and
-  // produces the current snapshot.
-  LoadVarianceSnapshot UpdateFromStats(const LoadStatsSnapshot& stats);
-
-  // Read-only variant for mid-window peeks (per-op feedback): returns what
-  // UpdateFromStats would, without committing the EMA fold or the window.
-  LoadVarianceSnapshot PreviewFromStats(const LoadStatsSnapshot& stats) const;
-
-  // Debug/oracle scan path: rebuilds the aggregate reading from cumulative
-  // samples, differencing against the previous call (and rebasing the
-  // remembered window, mirroring DfsCluster::AdvanceLoadWindow).
-  LoadStatsSnapshot OracleStats(const std::vector<LoadSample>& samples);
-
-  // Scan-path convenience: OracleStats + UpdateFromStats. Adapters that do
-  // not stream (SnapshotLoadStats returns false) land here.
+  // Folds one scan of cumulative per-node samples into the model: each
+  // node's counters are differenced against its previous sample (a node
+  // without one counts from zero), the window's ratios are folded into the
+  // EMA state, and `samples` become the next window's base.
   LoadVarianceSnapshot Update(const std::vector<LoadSample>& samples);
 
   // Forgets the previous window (after a cluster reset).
@@ -98,6 +76,9 @@ class LoadVarianceModel {
   Status RestoreState(SnapshotReader& reader);
 
  private:
+  // Aggregates `samples` into this window's deltas and rebases previous_.
+  LoadStatsSnapshot ScanWindow(const std::vector<LoadSample>& samples);
+
   // Previous-window cumulative counters, dense by NodeId (ids are small and
   // monotonic — the same flat-index idiom as the cluster's node indexes).
   struct PrevCounters {
@@ -109,15 +90,6 @@ class LoadVarianceModel {
   double ema_computation_ = 1.0;
   double ema_network_ = 1.0;
 };
-
-// max/mean helper treating tiny means as "no signal" (ratio 1).
-double RatioWithFloor(const std::vector<double>& values, double min_mean);
-
-// Checkpoint serializers for the snapshot value type.
-void SaveLoadVarianceSnapshot(SnapshotWriter& writer,
-                              const LoadVarianceSnapshot& snapshot);
-void RestoreLoadVarianceSnapshot(SnapshotReader& reader,
-                                 LoadVarianceSnapshot* snapshot);
 
 }  // namespace themis
 

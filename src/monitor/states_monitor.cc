@@ -1,65 +1,20 @@
 #include "src/monitor/states_monitor.h"
 
-#include "src/telemetry/metrics.h"
-
 namespace themis {
 
-StatesMonitor::StatesMonitor(LoadVarianceWeights weights, size_t history_limit)
-    : weights_(weights), history_limit_(history_limit) {}
+StatesMonitor::StatesMonitor(LoadVarianceWeights weights) : weights_(weights) {}
 
-LoadVarianceSnapshot StatesMonitor::Sample(DfsInterface& dfs) {
-  if (!force_scan_ && dfs.SnapshotLoadStats(latest_stats_)) {
-    last_sample_streamed_ = true;
-    THEMIS_COUNTER_INC("monitor.stream_samples", 1);
-    latest_ = model_.UpdateFromStats(latest_stats_);
-    dfs.AdvanceLoadWindow();
-  } else {
-    last_sample_streamed_ = false;
-    THEMIS_COUNTER_INC("monitor.scan_samples", 1);
-    dfs.SampleLoadInto(sample_scratch_);
-    latest_stats_ = model_.OracleStats(sample_scratch_);
-    latest_ = model_.UpdateFromStats(latest_stats_);
-  }
-  PushHistory(latest_);
-  return latest_;
-}
-
-LoadVarianceSnapshot StatesMonitor::Peek(const DfsInterface& dfs) const {
-  LoadStatsSnapshot stats;
-  if (!force_scan_ && dfs.SnapshotLoadStats(stats)) {
-    return model_.PreviewFromStats(stats);
-  }
-  // Non-streaming adapter: a scan here would consume the model's window
-  // (OracleStats rebases previous_), so the best side-effect-free answer is
-  // the last committed snapshot.
-  return latest_;
-}
-
-void StatesMonitor::PushHistory(const LoadVarianceSnapshot& snapshot) {
-  if (history_.size() >= history_limit_) {
-    // Decimate: drop every other entry to keep long campaigns bounded.
-    std::vector<LoadVarianceSnapshot> kept;
-    kept.reserve(history_.size() / 2 + 1);
-    for (size_t i = 0; i < history_.size(); i += 2) {
-      kept.push_back(history_[i]);
-    }
-    history_ = std::move(kept);
-  }
-  history_.push_back(snapshot);
+LoadVarianceSnapshot StatesMonitor::Sample(const DfsInterface& dfs) {
+  dfs.SampleLoadInto(sample_scratch_);
+  return model_.Update(sample_scratch_);
 }
 
 void StatesMonitor::ResetWindow() { model_.Reset(); }
 
-void StatesMonitor::SaveState(SnapshotWriter& writer) const {
-  model_.SaveState(writer);
-  SaveLoadVarianceSnapshot(writer, latest_);
-}
+void StatesMonitor::SaveState(SnapshotWriter& writer) const { model_.SaveState(writer); }
 
 Status StatesMonitor::RestoreState(SnapshotReader& reader) {
-  Status status = model_.RestoreState(reader);
-  if (!status.ok()) return status;
-  RestoreLoadVarianceSnapshot(reader, &latest_);
-  return reader.status();
+  return model_.RestoreState(reader);
 }
 
 }  // namespace themis

@@ -5,7 +5,9 @@
 // approximately. All the aggregates are integer running sums, so even the
 // derived doubles (fractions, imbalance spread) must be bit-identical; any
 // EXPECT_EQ tolerance here would also be a hole in the --jobs determinism
-// guarantee (tests/determinism_test.cc).
+// guarantee (tests/determinism_test.cc). The GeoFS and 1000-node rows drive
+// the per-load-group sub-aggregates and their lazy rollup (DESIGN.md §15)
+// through dirty groups of very different shapes.
 
 #include <gtest/gtest.h>
 
@@ -158,6 +160,21 @@ double BruteStorageImbalance(const DfsCluster& dfs) {
   return std::max(0.0, max_fraction - fleet);
 }
 
+// Strict max over the serving bricks in brick-id order, so the smallest id
+// wins fraction ties.
+BrickId BruteHottestServingBrick(const DfsCluster& dfs) {
+  BrickId best = kInvalidBrick;
+  double best_fraction = -1.0;
+  for (BrickId id : BruteServingBricks(dfs)) {
+    double fraction = dfs.FindBrick(id)->UsedFraction();
+    if (fraction > best_fraction) {
+      best_fraction = fraction;
+      best = id;
+    }
+  }
+  return best;
+}
+
 void CheckAggregates(const DfsCluster& dfs, int step, const char* context) {
   // Exact equality throughout: every cached quantity is derived from integer
   // sums, so bit-identity with the brute-force recomputation is required.
@@ -181,6 +198,26 @@ void CheckAggregates(const DfsCluster& dfs, int step, const char* context) {
       << context << " step " << step;
   EXPECT_EQ(dfs.StorageImbalance(), BruteStorageImbalance(dfs))
       << context << " step " << step;
+  EXPECT_EQ(dfs.HottestServingBrick(), BruteHottestServingBrick(dfs))
+      << context << " step " << step;
+  // The monitor's scan lists every storage node, then every meta node, that
+  // is online or crashed, each in id order; decommissioned nodes drop out.
+  std::vector<NodeId> listed;
+  for (const LoadSample& sample : dfs.SampleLoad()) {
+    listed.push_back(sample.node);
+  }
+  std::vector<NodeId> members;
+  for (const auto& [id, node] : dfs.storage_nodes()) {
+    if (node.online || node.crashed) {
+      members.push_back(id);
+    }
+  }
+  for (const auto& [id, node] : dfs.meta_nodes()) {
+    if (node.online || node.crashed) {
+      members.push_back(id);
+    }
+  }
+  EXPECT_EQ(listed, members) << context << " step " << step;
   // The monitor's per-node samples ride on the same aggregates.
   for (const LoadSample& sample : dfs.SampleLoad()) {
     if (!sample.is_storage) {
@@ -209,13 +246,15 @@ struct CacheCase {
   bool with_faults;
   uint64_t seed;
   int steps;
+  int storage_nodes = 0;  // 0 = the flavor's default
 };
 
 class ClusterCacheTest : public ::testing::TestWithParam<CacheCase> {};
 
 TEST_P(ClusterCacheTest, CachedAggregatesMatchBruteForce) {
   const CacheCase& param = GetParam();
-  std::unique_ptr<DfsCluster> dfs = MakeCluster(param.flavor, param.seed);
+  std::unique_ptr<DfsCluster> dfs =
+      MakeCluster(param.flavor, param.seed, param.storage_nodes);
   std::vector<FaultSpec> faults;
   if (param.with_faults) {
     faults = NewBugsFor(param.flavor);
@@ -230,6 +269,7 @@ TEST_P(ClusterCacheTest, CachedAggregatesMatchBruteForce) {
   model.SyncFromDfs(*dfs);
   OpSeqGenerator generator(model);
   CheckAggregates(*dfs, -1, "initial");
+  NodeId env_crashed = kInvalidNode;
   for (int step = 0; step < param.steps; ++step) {
     Operation op = generator.GenerateOp(rng);
     OpResult result = dfs->Execute(op);
@@ -245,6 +285,20 @@ TEST_P(ClusterCacheTest, CachedAggregatesMatchBruteForce) {
     if (step % 13 == 12) {
       dfs->AdvanceTime(Seconds(30));
     }
+    // Crash a serving node the way an env fault does and restart it 75
+    // steps later, alternating storage and meta nodes, so the restart paths
+    // rejoin the serving lists too.
+    if (step % 150 == 40) {
+      std::vector<NodeId> pool =
+          step % 300 == 40 ? dfs->ListStorageNodes() : dfs->ListMetaNodes();
+      if (!pool.empty()) {
+        env_crashed = pool[static_cast<size_t>(step) % pool.size()];
+        dfs->CrashNodeForEnvFault(env_crashed);
+      }
+    } else if (step % 150 == 115 && env_crashed != kInvalidNode) {
+      dfs->RestartNode(env_crashed);
+      env_crashed = kInvalidNode;
+    }
     CheckAggregates(*dfs, step, "mid-stream");
     if (HasFailure()) {
       ADD_FAILURE() << "diverged at step " << step << " op " << op.ToString();
@@ -259,8 +313,10 @@ TEST_P(ClusterCacheTest, CachedAggregatesMatchBruteForce) {
   CheckAggregates(*dfs, param.steps, "drained");
 }
 
-// 4 flavors x {healthy, faulty} x 1500 steps = 12000 randomized mutation
-// steps, each followed by a full differential check.
+// 5 flavors x {healthy, faulty} x 1500 steps = 15000 randomized mutation
+// steps, each followed by a full differential check, plus two 1000-node
+// fleets: GeoFS (load groups = scheduling groups) and HDFS (the default
+// contiguous id-span groups).
 INSTANTIATE_TEST_SUITE_P(
     AllFlavors, ClusterCacheTest,
     ::testing::Values(CacheCase{Flavor::kGluster, false, 51, 1500},
@@ -270,11 +326,18 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheCase{Flavor::kCeph, false, 71, 1500},
                       CacheCase{Flavor::kCeph, true, 72, 1500},
                       CacheCase{Flavor::kLeo, false, 81, 1500},
-                      CacheCase{Flavor::kLeo, true, 82, 1500}),
+                      CacheCase{Flavor::kLeo, true, 82, 1500},
+                      CacheCase{Flavor::kGeo, false, 91, 1500},
+                      CacheCase{Flavor::kGeo, true, 92, 1500},
+                      CacheCase{Flavor::kGeo, true, 101, 600, 1000},
+                      CacheCase{Flavor::kHdfs, true, 102, 400, 1000}),
     [](const ::testing::TestParamInfo<CacheCase>& info) {
       std::string name(FlavorName(info.param.flavor));
       name += info.param.with_faults ? "_faulty" : "_healthy";
       name += "_s" + std::to_string(info.param.seed);
+      if (info.param.storage_nodes > 0) {
+        name += "_n" + std::to_string(info.param.storage_nodes);
+      }
       return name;
     });
 

@@ -20,8 +20,11 @@
 #include "src/core/strategy_registry.h"
 #include "src/coverage/coverage.h"
 #include "src/dfs/operation.h"
+#include "src/faults/fault_registry.h"
+#include "src/faults/injector.h"
 #include "src/harness/campaign.h"
 #include "src/harness/snapshot.h"
+#include "src/monitor/states_monitor.h"
 #include "tests/checkpoint_helpers.h"
 
 namespace themis {
@@ -212,11 +215,10 @@ TEST(SnapshotRoundTripTest, SnapshotFilePreservesKindAndPayload) {
   }
 }
 
-// Format v3: the cluster's streaming rate-window bases (DESIGN.md §13) are
-// part of the snapshot. Save mid-window -> restore -> save must be byte
-// stable, and the restored cluster's O(1) load aggregates must track the
-// original exactly through further mid-window mutations.
-TEST(SnapshotRoundTripTest, ClusterRateWindowsSurviveExactly) {
+// Save -> restore -> save is byte-stable for every flavor, and the restored
+// cluster keeps reporting exactly the original's load through further
+// mutations.
+TEST(SnapshotRoundTripTest, ClusterSaveRestoreSaveIsByteStable) {
   for (Flavor flavor : {Flavor::kGluster, Flavor::kHdfs, Flavor::kCeph, Flavor::kLeo,
                         Flavor::kGeo}) {
     std::unique_ptr<DfsCluster> dfs = MakeCluster(flavor, 2027);
@@ -224,15 +226,10 @@ TEST(SnapshotRoundTripTest, ClusterRateWindowsSurviveExactly) {
     InputModel model;
     model.SyncFromDfs(*dfs);
     OpSeqGenerator generator(model);
-    for (int i = 0; i < 200; ++i) {
+    for (int i = 0; i < 300; ++i) {
       Operation op = generator.GenerateOp(rng);
       model.Observe(op, dfs->Execute(op));
     }
-    dfs->AdvanceLoadWindow();  // leave stale windows behind...
-    for (int i = 0; i < 100; ++i) {
-      Operation op = generator.GenerateOp(rng);
-      model.Observe(op, dfs->Execute(op));
-    }  // ...and a half-open window on the nodes these ops touched
 
     SnapshotWriter first;
     dfs->SaveState(first);
@@ -243,22 +240,68 @@ TEST(SnapshotRoundTripTest, ClusterRateWindowsSurviveExactly) {
     restored->SaveState(second);
     EXPECT_EQ(first.buffer(), second.buffer()) << FlavorName(flavor);
 
-    LoadStatsSnapshot a, b;
-    ASSERT_TRUE(dfs->SnapshotLoadStats(a));
-    ASSERT_TRUE(restored->SnapshotLoadStats(b));
-    EXPECT_TRUE(a == b) << FlavorName(flavor) << " diverged at restore";
-
-    // Continue the same mid-window mutations on both sides: deltas keep
-    // differencing against the restored bases, so aggregates must stay equal.
+    // Continue the same mutations on both sides.
+    for (int i = 0; i < 50; ++i) {
+      Operation op = generator.GenerateOp(rng);
+      OpResult result = dfs->Execute(op);
+      (void)restored->Execute(op);
+      model.Observe(op, result);
+    }
     for (NodeId node : dfs->ServingStorageNodeIds()) {
       dfs->InjectCpuLoad(node, 0.25 + 0.125 * static_cast<double>(node));
       restored->InjectCpuLoad(node, 0.25 + 0.125 * static_cast<double>(node));
       dfs->InjectNetLoad(node, 3, 1, 7);
       restored->InjectNetLoad(node, 3, 1, 7);
     }
-    ASSERT_TRUE(dfs->SnapshotLoadStats(a));
-    ASSERT_TRUE(restored->SnapshotLoadStats(b));
-    EXPECT_TRUE(a == b) << FlavorName(flavor) << " diverged mid-window";
+    EXPECT_TRUE(dfs->SampleLoad() == restored->SampleLoad()) << FlavorName(flavor);
+    EXPECT_EQ(dfs->StorageImbalance(), restored->StorageImbalance())
+        << FlavorName(flavor);
+  }
+}
+
+// The monitor's sampling window lives in the variance model's
+// previous-window counters: a monitor saved mid-campaign and restored must
+// return the bit-identical next sample.
+TEST(SnapshotRoundTripTest, MonitorContinuesTheExactSampleStream) {
+  for (Flavor flavor : {Flavor::kGluster, Flavor::kHdfs, Flavor::kCeph, Flavor::kLeo,
+                        Flavor::kGeo}) {
+    std::unique_ptr<DfsCluster> dfs = MakeCluster(flavor, 2028);
+    FaultInjector injector(NewBugsFor(flavor), 2028);
+    dfs->set_fault_hooks(&injector);
+    Rng rng(2028);
+    InputModel model;
+    model.SyncFromDfs(*dfs);
+    OpSeqGenerator generator(model);
+    StatesMonitor monitor{LoadVarianceWeights{}};
+    for (int i = 0; i < 300; ++i) {
+      Operation op = generator.GenerateOp(rng);
+      model.Observe(op, dfs->Execute(op));
+      if (i % 7 == 6) {
+        (void)monitor.Sample(*dfs);
+      }
+    }
+
+    SnapshotWriter first;
+    monitor.SaveState(first);
+    StatesMonitor restored{LoadVarianceWeights{}};
+    SnapshotReader reader(first.buffer());
+    ASSERT_TRUE(restored.RestoreState(reader).ok()) << FlavorName(flavor);
+    ASSERT_TRUE(reader.AtEnd()) << FlavorName(flavor);
+    SnapshotWriter second;
+    restored.SaveState(second);
+    EXPECT_EQ(first.buffer(), second.buffer()) << FlavorName(flavor);
+
+    // Mid-window: the next sample differences against the restored window.
+    for (int i = 0; i < 40; ++i) {
+      Operation op = generator.GenerateOp(rng);
+      model.Observe(op, dfs->Execute(op));
+    }
+    LoadVarianceSnapshot original = monitor.Sample(*dfs);
+    LoadVarianceSnapshot resumed = restored.Sample(*dfs);
+    EXPECT_TRUE(original == resumed) << FlavorName(flavor);
+    // A monitor without the window would count lifetime counters instead.
+    StatesMonitor fresh{LoadVarianceWeights{}};
+    EXPECT_FALSE(fresh.Sample(*dfs) == original) << FlavorName(flavor);
   }
 }
 
