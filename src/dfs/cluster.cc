@@ -996,6 +996,7 @@ uint64_t DfsCluster::SkewBytes(BrickId from, BrickId to, uint64_t bytes) {
     }
     if (swapped) {
       it = from_set.erase(it);
+      ++load_epoch_;
     } else {
       ++it;
     }
@@ -1046,6 +1047,7 @@ uint64_t DfsCluster::DestroyBytes(BrickId brick, uint64_t bytes) {
     chunk.replicas.erase(replica_it);
     ReleaseBrickBytes(target, chunk.bytes);
     it = brick_set.erase(it);
+    ++load_epoch_;
     destroyed += chunk.bytes;
     if (chunk.replicas.empty()) {
       lost_bytes_ += chunk.bytes;  // last replica gone: user data lost
@@ -1065,11 +1067,13 @@ void DfsCluster::AddReplicaIndex(BrickId brick, FileId file, uint32_t chunk) {
   const std::pair<FileId, uint32_t> key{file, chunk};
   if (vec.empty() || vec.back() < key) {
     vec.push_back(key);  // monotonic file ids make append the common case
+    ++load_epoch_;
     return;
   }
   auto pos = std::lower_bound(vec.begin(), vec.end(), key);
   if (pos == vec.end() || *pos != key) {
     vec.insert(pos, key);
+    ++load_epoch_;
   }
 }
 
@@ -1083,6 +1087,7 @@ void DfsCluster::RemoveReplicaIndex(BrickId brick, FileId file, uint32_t chunk) 
   auto pos = std::lower_bound(vec.begin(), vec.end(), key);
   if (pos != vec.end() && *pos == key) {
     vec.erase(pos);
+    ++load_epoch_;
   }
   if (vec.empty()) {
     brick_chunks_.erase(it);
@@ -1388,11 +1393,33 @@ Result<FileLayout> DfsCluster::PlaceFile(const std::string& path, uint64_t size)
 }
 
 void DfsCluster::ReleaseLayout(FileId file, const FileLayout& layout) {
-  for (uint32_t i = 0; i < layout.chunks.size(); ++i) {
-    const ChunkPlacement& chunk = layout.chunks[i];
+  std::vector<BrickId> touched;
+  for (const ChunkPlacement& chunk : layout.chunks) {
     for (BrickId b : chunk.replicas) {
       ReleaseBrickBytes(FindBrick(b), chunk.bytes);
-      RemoveReplicaIndex(b, file, i);
+      if (std::find(touched.begin(), touched.end(), b) == touched.end()) {
+        touched.push_back(b);
+      }
+    }
+  }
+  // The index holds exactly the layout's (file, chunk) pairs on each of its
+  // bricks, and they sit contiguously in each brick's sorted vector, so one
+  // range erase per brick drops them all.
+  for (BrickId b : touched) {
+    auto it = brick_chunks_.find(b);
+    if (it == brick_chunks_.end()) {
+      continue;
+    }
+    auto& vec = it->second;
+    auto [first, last] = std::ranges::equal_range(vec, file, {},
+                                                  &std::pair<FileId, uint32_t>::first);
+    if (first == last) {
+      continue;
+    }
+    vec.erase(first, last);
+    ++load_epoch_;
+    if (vec.empty()) {
+      brick_chunks_.erase(it);
     }
   }
 }

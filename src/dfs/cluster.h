@@ -383,6 +383,10 @@ class DfsCluster : public DfsInterface {
   // Authoritative namespace mutation count; metadata replicas (MetaNode::
   // synced_epoch) trail it by at most the anti-entropy lag when healthy.
   uint64_t namespace_epoch() const { return namespace_epoch_; }
+  // Moves on every change to a brick's bytes, capacity or online state, to
+  // node serving membership, and to the replica index. Anything computed
+  // from those alone is still valid while it reads the same value.
+  uint64_t load_epoch() const { return load_epoch_; }
   uint64_t total_ops_executed() const { return total_ops_executed_; }
   uint64_t lost_bytes() const { return lost_bytes_; }
 
@@ -753,7 +757,8 @@ class DfsCluster : public DfsInterface {
     bool serving = false;      // node online && !crashed
   };
   mutable bool load_index_dirty_ = true;
-  // Bumped on every load-affecting mutation; memoized reads key off it.
+  // Bumped on every load-affecting mutation and replica-index change;
+  // memoized reads key off it (see load_epoch()).
   mutable uint64_t load_epoch_ = 0;
   mutable std::vector<BrickId> serving_bricks_;        // bricks_ map order
   mutable std::vector<NodeId> serving_storage_nodes_;  // storage_nodes_ order

@@ -1,23 +1,33 @@
 #include "src/dfs/placement/crush_map.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/rng.h"
 
 namespace themis {
 
-CrushMap::CrushMap(uint32_t pg_count) : pg_count_(pg_count > 0 ? pg_count : 1) {}
+CrushMap::CrushMap(uint32_t pg_count)
+    : pg_count_(pg_count > 0 ? pg_count : 1), raw_maps_(pg_count_) {}
 
 void CrushMap::SetTargetWeight(BrickId target, double weight) {
   if (weight <= 0.0) {
-    weights_.erase(target);
+    if (weights_.erase(target) != 0) {
+      InvalidateRawMaps();
+    }
     return;
   }
-  weights_[target] = weight;
+  auto [it, inserted] = weights_.try_emplace(target, weight);
+  if (inserted || it->second != weight) {
+    it->second = weight;
+    InvalidateRawMaps();
+  }
 }
 
 void CrushMap::RemoveTarget(BrickId target) {
-  weights_.erase(target);
+  if (weights_.erase(target) != 0) {
+    InvalidateRawMaps();
+  }
   // Upmaps pointing at a vanished target are stale; drop them.
   for (auto it = upmaps_.begin(); it != upmaps_.end();) {
     if (it->second == target) {
@@ -35,12 +45,35 @@ double CrushMap::TargetWeight(BrickId target) const {
   return it == weights_.end() ? 0.0 : it->second;
 }
 
+void CrushMap::InvalidateRawMaps() {
+  for (CachedMapping& cached : raw_maps_) {
+    cached.want = 0;
+  }
+}
+
 std::vector<BrickId> CrushMap::RawMap(uint32_t pg, int replicas) const {
-  std::vector<BrickId> out;
   if (weights_.empty() || replicas <= 0) {
-    return out;
+    return {};
   }
   size_t want = std::min(static_cast<size_t>(replicas), weights_.size());
+  if (pg >= raw_maps_.size()) {
+    return ComputeRawMap(pg, want);
+  }
+  // Each round either adds one target or ends the mapping, and its pick
+  // depends only on the picks before it. So the mapping onto fewer targets
+  // is a prefix of the mapping onto more, and one entry serves them all.
+  CachedMapping& cached = raw_maps_[pg];
+  if (cached.want < want) {
+    cached.targets = ComputeRawMap(pg, want);
+    cached.want = want;
+  }
+  return std::vector<BrickId>(
+      cached.targets.begin(),
+      cached.targets.begin() + std::min(want, cached.targets.size()));
+}
+
+std::vector<BrickId> CrushMap::ComputeRawMap(uint32_t pg, size_t want) const {
+  std::vector<BrickId> out;
   for (uint32_t round = 0; out.size() < want && round < 8 * want; ++round) {
     // straw2: draw = ln(u) / weight, u in (0,1]; argmax wins.
     BrickId best = kInvalidBrick;

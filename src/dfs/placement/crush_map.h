@@ -7,6 +7,10 @@
 // proportional share of PGs — CRUSH's signature property. An "upmap" overlay
 // lets the balancer pin individual PGs elsewhere, mirroring Ceph's upmap
 // balancer.
+//
+// Raw mappings depend only on the weights, so each PG's is computed once and
+// kept until a weight really changes; upmaps stay an overlay applied in Map.
+// Real Ceph likewise recomputes its PG mappings once per OSDMap epoch.
 
 #ifndef SRC_DFS_PLACEMENT_CRUSH_MAP_H_
 #define SRC_DFS_PLACEMENT_CRUSH_MAP_H_
@@ -48,9 +52,18 @@ class CrushMap {
   std::vector<BrickId> Targets() const;
 
  private:
+  std::vector<BrickId> ComputeRawMap(uint32_t pg, size_t want) const;
+  void InvalidateRawMaps();
+
   uint32_t pg_count_;
   std::map<BrickId, double> weights_;
   std::map<uint32_t, BrickId> upmaps_;  // pg -> pinned primary
+  // Per PG: the raw mapping onto `want` targets (0 = not computed yet).
+  struct CachedMapping {
+    size_t want = 0;
+    std::vector<BrickId> targets;
+  };
+  mutable std::vector<CachedMapping> raw_maps_;
 };
 
 }  // namespace themis

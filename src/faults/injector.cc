@@ -145,6 +145,21 @@ void FaultInjector::UpdateVarianceStreaks(const DfsCluster& dfs) {
   }
 }
 
+void FaultInjector::SummarizeWindows() {
+  static_assert(std::tuple_size_v<decltype(windows_)> == kHistoryLimit + 1,
+                "one summary per window length, the empty window included");
+  WindowSummary summary;
+  windows_[0] = summary;
+  const size_t ops = recent_ops_.size();
+  for (size_t w = 1; w <= ops; ++w) {
+    OpKind kind = recent_ops_[ops - w];
+    summary.kinds |= 1u << static_cast<unsigned>(kind);
+    summary.classes |= 1u << static_cast<unsigned>(ClassOf(kind));
+    summary.hot_touches += hot_touch_at_op_[ops - w] ? 1 : 0;
+    windows_[w] = summary;
+  }
+}
+
 bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
                                      const DfsCluster& dfs) const {
   const TriggerRequirement& trigger = fault.spec.trigger;
@@ -153,51 +168,30 @@ bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
     return false;
   }
   size_t start = recent_ops_.size() - window;
-  // One bit per OpKind (kTotalOpKindCount = 24 < 32) — the window scan runs
-  // for every inactive fault on every op, so it must not allocate.
-  bool has_request = false;
-  bool has_node = false;
-  bool has_volume = false;
-  bool has_env = false;
-  uint32_t seen_mask = 0;
-  for (size_t i = start; i < recent_ops_.size(); ++i) {
-    OpKind kind = recent_ops_[i];
-    switch (ClassOf(kind)) {
-      case OpClass::kFile:
-        has_request = true;
-        break;
-      case OpClass::kNode:
-        has_node = true;
-        break;
-      case OpClass::kVolume:
-        has_volume = true;
-        break;
-      case OpClass::kEnvFault:
-        has_env = true;
-        break;
-    }
-    seen_mask |= 1u << static_cast<unsigned>(kind);
-  }
-  if (trigger.needs_requests && !has_request) {
+  const WindowSummary& seen = windows_[window];
+  auto saw_class = [&](OpClass cls) {
+    return (seen.classes & (1u << static_cast<unsigned>(cls))) != 0;
+  };
+  if (trigger.needs_requests && !saw_class(OpClass::kFile)) {
     return false;
   }
-  if (trigger.needs_node_ops && !has_node) {
+  if (trigger.needs_node_ops && !saw_class(OpClass::kNode)) {
     return false;
   }
-  if (trigger.needs_volume_ops && !has_volume) {
+  if (trigger.needs_volume_ops && !saw_class(OpClass::kVolume)) {
     return false;
   }
   // Env-gated bugs (DESIGN.md §14): a fault-free campaign can never satisfy
   // this — kEnvFault ops are only ever generated when the campaign enables
   // environment faults — so these specs provably cannot trigger without them.
-  if (trigger.needs_env_faults && !has_env) {
+  if (trigger.needs_env_faults && !saw_class(OpClass::kEnvFault)) {
     return false;
   }
-  if (std::popcount(seen_mask) < trigger.min_distinct_kinds) {
+  if (std::popcount(seen.kinds) < trigger.min_distinct_kinds) {
     return false;
   }
   for (OpKind required : trigger.required_kinds) {
-    if ((seen_mask & (1u << static_cast<unsigned>(required))) == 0) {
+    if ((seen.kinds & (1u << static_cast<unsigned>(required))) == 0) {
       return false;
     }
   }
@@ -225,19 +219,8 @@ bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
       return false;
     }
   }
-  if (trigger.min_hotspot_touches > 0) {
-    int touches = 0;
-    size_t touch_window = std::min(static_cast<size_t>(trigger.window),
-                                   hot_touch_at_op_.size());
-    for (size_t i = hot_touch_at_op_.size() - touch_window; i < hot_touch_at_op_.size();
-         ++i) {
-      if (hot_touch_at_op_[i]) {
-        ++touches;
-      }
-    }
-    if (touches < trigger.min_hotspot_touches) {
-      return false;
-    }
+  if (trigger.min_hotspot_touches > 0 && seen.hot_touches < trigger.min_hotspot_touches) {
+    return false;
   }
   if (trigger.min_variance_streak > 0 &&
       fault.variance_streak < trigger.min_variance_streak) {
@@ -247,12 +230,17 @@ bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
 }
 
 void FaultInjector::EvaluateTriggers(DfsCluster& dfs) {
+  bool summarized = false;
   for (FaultRuntime& fault : faults_) {
     if (fault.active || fault.spec.environment_gated) {
       continue;
     }
     if (fault.spec.platform != dfs.flavor()) {
       continue;
+    }
+    if (!summarized) {
+      SummarizeWindows();
+      summarized = true;
     }
     if (!TriggerSatisfied(fault, dfs)) {
       continue;
@@ -334,44 +322,58 @@ void FaultInjector::ApplyContinuousEffects(DfsCluster& dfs) {
         // One-shot / hook-driven; nothing continuous.
         break;
       default: {
-        // Storage effects: the bug keeps steering data onto the victim until
-        // the imbalance reaches the fault's characteristic magnitude
-        // (Finding 6: imbalance accumulates through many small variances).
-        if (dfs.StorageImbalance() >= fault.spec.severity) {
+        // Storage effects. A pass reads only the victim and cluster state
+        // that moves load_epoch(), so one that left the epoch unchanged moved
+        // nothing, and would move nothing again until either changes.
+        const uint64_t epoch = dfs.load_epoch();
+        if (fault.futile_epoch == epoch && fault.futile_victim == fault.victim_brick) {
           break;
         }
-        Brick* victim = dfs.FindBrick(fault.victim_brick);
-        if (victim == nullptr || !victim->online) {
-          PickVictim(fault, dfs);
-          victim = dfs.FindBrick(fault.victim_brick);
-          if (victim == nullptr) {
-            break;
-          }
-        }
-        // Move a slice toward the victim, draining the lightest bricks first.
-        // A single donor can run out of movable chunks (its data may already
-        // have replicas on the victim), so spread the step across several.
-        std::vector<std::pair<double, BrickId>> donors;
-        for (BrickId id : dfs.ServingBricks()) {
-          const Brick* brick = dfs.FindBrick(id);
-          if (brick->node == victim->node || brick->used_bytes == 0) {
-            continue;
-          }
-          donors.emplace_back(brick->UsedFraction(), id);
-        }
-        std::sort(donors.begin(), donors.end());
-        uint64_t remaining = std::max<uint64_t>(victim->capacity_bytes / 64, kGiB);
-        for (const auto& [fraction, donor] : donors) {
-          (void)fraction;
-          if (remaining == 0) {
-            break;
-          }
-          remaining -= std::min(remaining,
-                                dfs.SkewBytes(donor, fault.victim_brick, remaining));
+        SkewTowardVictim(fault, dfs);
+        if (dfs.load_epoch() == epoch) {
+          fault.futile_epoch = epoch;
+          fault.futile_victim = fault.victim_brick;
         }
         break;
       }
     }
+  }
+}
+
+void FaultInjector::SkewTowardVictim(FaultRuntime& fault, DfsCluster& dfs) {
+  // The bug keeps steering data onto the victim until the imbalance reaches
+  // the fault's characteristic magnitude (Finding 6: imbalance accumulates
+  // through many small variances).
+  if (dfs.StorageImbalance() >= fault.spec.severity) {
+    return;
+  }
+  Brick* victim = dfs.FindBrick(fault.victim_brick);
+  if (victim == nullptr || !victim->online) {
+    PickVictim(fault, dfs);
+    victim = dfs.FindBrick(fault.victim_brick);
+    if (victim == nullptr) {
+      return;
+    }
+  }
+  // Move a slice toward the victim, draining the lightest bricks first.
+  // A single donor can run out of movable chunks (its data may already
+  // have replicas on the victim), so spread the step across several.
+  std::vector<std::pair<double, BrickId>> donors;
+  for (BrickId id : dfs.ServingBricks()) {
+    const Brick* brick = dfs.FindBrick(id);
+    if (brick->node == victim->node || brick->used_bytes == 0) {
+      continue;
+    }
+    donors.emplace_back(brick->UsedFraction(), id);
+  }
+  std::sort(donors.begin(), donors.end());
+  uint64_t remaining = std::max<uint64_t>(victim->capacity_bytes / 64, kGiB);
+  for (const auto& [fraction, donor] : donors) {
+    (void)fraction;
+    if (remaining == 0) {
+      break;
+    }
+    remaining -= std::min(remaining, dfs.SkewBytes(donor, fault.victim_brick, remaining));
   }
 }
 
@@ -462,6 +464,7 @@ void FaultInjector::OnClusterReset(DfsCluster& dfs) {
     fault.victim_node = kInvalidNode;
     fault.variance_streak = 0;
     fault.rounds_at_streak_start = 0;
+    fault.futile_epoch = FaultRuntime::kNoEpoch;
   }
   recent_ops_.clear();
   rounds_at_op_.clear();
@@ -547,6 +550,7 @@ Status FaultInjector::RestoreState(SnapshotReader& reader) {
     fault.variance_streak = static_cast<int>(reader.I64());
     fault.rounds_at_streak_start = static_cast<int>(reader.I64());
     fault.satisfied_evals = reader.U64();
+    fault.futile_epoch = FaultRuntime::kNoEpoch;
   }
   uint64_t ops = reader.Count(1);
   recent_ops_.clear();
@@ -572,6 +576,13 @@ Status FaultInjector::RestoreState(SnapshotReader& reader) {
   hot_touch_at_op_.clear();
   for (uint64_t i = 0; i < hots && reader.ok(); ++i) {
     hot_touch_at_op_.push_back(reader.Bool());
+  }
+  // The window summaries index all four histories by one position.
+  if (reader.ok() && (recent_ops_.size() > kHistoryLimit ||
+                      rounds_at_op_.size() != recent_ops_.size() ||
+                      imbalance_at_op_.size() != recent_ops_.size() ||
+                      hot_touch_at_op_.size() != recent_ops_.size())) {
+    reader.Fail("fault history windows disagree in length");
   }
   Status status = rng_.RestoreState(reader);
   if (!status.ok()) return status;

@@ -16,6 +16,8 @@
 #ifndef SRC_FAULTS_INJECTOR_H_
 #define SRC_FAULTS_INJECTOR_H_
 
+#include <array>
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
@@ -41,6 +43,13 @@ struct FaultRuntime {
   // Number of operations at which the full predicate (minus the probability
   // gate) held — calibration telemetry.
   uint64_t satisfied_evals = 0;
+  // The cluster's load_epoch() after the last storage-skew pass that left it
+  // unchanged, and the victim that pass ended with. The pass is a pure
+  // function of both, so while they still match it would move nothing again.
+  // Derived state: never serialized, cleared on reset and restore.
+  static constexpr uint64_t kNoEpoch = UINT64_MAX;
+  uint64_t futile_epoch = kNoEpoch;
+  BrickId futile_victim = kInvalidBrick;
 };
 
 class FaultInjector : public FaultHooks {
@@ -77,10 +86,14 @@ class FaultInjector : public FaultHooks {
   double Steadiness() const;
   // Whether a file operation touched data resident on the hottest brick.
   bool TouchesHottestBrick(const DfsCluster& dfs, const Operation& op) const;
+  // Fills windows_ from the current history.
+  void SummarizeWindows();
   bool TriggerSatisfied(const FaultRuntime& fault, const DfsCluster& dfs) const;
   void Activate(FaultRuntime& fault, DfsCluster& dfs);
   void PickVictim(FaultRuntime& fault, DfsCluster& dfs);
   void ApplyContinuousEffects(DfsCluster& dfs);
+  // One step of a storage fault: moves a slice of data onto the victim.
+  void SkewTowardVictim(FaultRuntime& fault, DfsCluster& dfs);
   bool EffectTargetsStorage(EffectKind effect) const;
 
   std::vector<FaultRuntime> faults_;
@@ -89,6 +102,16 @@ class FaultInjector : public FaultHooks {
   std::deque<int> rounds_at_op_;      // completed rounds when each op ran
   std::deque<double> imbalance_at_op_;  // storage imbalance after each op
   std::deque<bool> hot_touch_at_op_;  // op touched data on the hottest brick
+  // What the last w history ops hold, for every window length w (the
+  // history limit + 1 entries; [0] is the empty window). Built once per op,
+  // so each inactive fault's trigger check reads its window instead of
+  // rescanning it.
+  struct WindowSummary {
+    uint32_t kinds = 0;    // one bit per OpKind
+    uint32_t classes = 0;  // one bit per OpClass
+    int hot_touches = 0;   // ops that touched the hottest brick
+  };
+  std::array<WindowSummary, 17> windows_;
   Rng rng_;
 };
 

@@ -209,6 +209,7 @@ class CampaignSession {
   CampaignTick Tick() const;
   Strategy& strategy() { return *strategy_; }
   const DfsCluster& cluster() const { return *cluster_; }
+  const FaultInjector& injector() const { return injector_; }
   const ModelCoverage& model_coverage() const { return model_coverage_; }
 
  private:

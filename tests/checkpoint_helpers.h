@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -30,10 +31,11 @@ inline std::string FreshDir(const std::string& name) {
 // `checkpoints` mid snapshots, then drops it unfinished: nothing after the
 // last snapshot reaches the disk, which is what a SIGKILL right after that
 // checkpoint leaves behind. Returns the progress at the crash; fails if the
-// campaign ends first.
-inline Result<CampaignTick> CrashAfterCheckpoints(const CampaignConfig& config,
-                                                  std::string_view strategy,
-                                                  int checkpoints) {
+// campaign ends first. `at_crash`, when set, sees the session just before
+// it is dropped.
+inline Result<CampaignTick> CrashAfterCheckpoints(
+    const CampaignConfig& config, std::string_view strategy, int checkpoints,
+    const std::function<void(const CampaignSession&)>& at_crash = {}) {
   Result<std::unique_ptr<CampaignSession>> session =
       CampaignSession::Open(config, strategy);
   if (!session.ok()) {
@@ -47,6 +49,9 @@ inline Result<CampaignTick> CrashAfterCheckpoints(const CampaignConfig& config,
       return saved.status();
     }
     if (*saved && ++written == checkpoints) {
+      if (at_crash) {
+        at_crash(**session);
+      }
       return (*session)->Tick();
     }
   }

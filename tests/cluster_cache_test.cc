@@ -8,13 +8,23 @@
 // guarantee (tests/determinism_test.cc). The GeoFS and 1000-node rows drive
 // the per-load-group sub-aggregates and their lazy rollup (DESIGN.md §15)
 // through dirty groups of very different shapes.
+//
+// The 10-node rows also check the replica index against the layouts and the
+// load epoch's contract: any change to what the epoch promises to track
+// (DfsCluster::load_epoch()) must move it, or an epoch-keyed memo such as
+// the fault injector's futile-skew memo would replay a stale answer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/core/generator.h"
 #include "src/core/input_model.h"
 #include "src/dfs/flavors/factory.h"
@@ -241,6 +251,75 @@ void CheckAggregates(const DfsCluster& dfs, int step, const char* context) {
   }
 }
 
+using ChunkKeys = std::vector<std::pair<FileId, uint32_t>>;
+
+// The replica index rebuilt from the layouts. Layouts iterate in file order
+// and chunks in index order, so every list comes out sorted.
+std::map<BrickId, ChunkKeys> BruteReplicaIndex(const DfsCluster& dfs) {
+  std::map<BrickId, ChunkKeys> out;
+  for (const auto& [file, layout] : dfs.file_layouts()) {
+    for (uint32_t c = 0; c < layout.chunks.size(); ++c) {
+      for (BrickId b : layout.chunks[c].replicas) {
+        out[b].emplace_back(file, c);
+      }
+    }
+  }
+  return out;
+}
+
+// What the load epoch promises to track, captured at one step.
+struct EpochTracked {
+  uint64_t epoch = 0;
+  std::map<BrickId, std::tuple<uint64_t, uint64_t, bool>> bricks;  // used, cap, online
+  std::map<NodeId, bool> serving;
+  std::map<BrickId, ChunkKeys> index;  // non-empty lists only
+};
+
+EpochTracked CaptureEpochTracked(const DfsCluster& dfs) {
+  EpochTracked state;
+  state.epoch = dfs.load_epoch();
+  for (const auto& [id, brick] : dfs.bricks()) {
+    state.bricks[id] = {brick.used_bytes, brick.capacity_bytes, brick.online};
+    if (!dfs.ChunksOnBrickRef(id).empty()) {
+      state.index[id] = dfs.ChunksOnBrickRef(id);
+    }
+  }
+  for (const auto& [id, node] : dfs.storage_nodes()) {
+    state.serving[id] = node.Serving();
+  }
+  return state;
+}
+
+// Whether some entry of `after` is new or differs from `before`. Entries
+// that vanished do not count: garbage collection drops only drained offline
+// bricks, which no serving-set or index read can reach.
+template <typename Map>
+bool AnyEntryChanged(const Map& before, const Map& after) {
+  for (const auto& [key, value] : after) {
+    auto it = before.find(key);
+    if (it == before.end() || it->second != value) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The replica index must equal the one rebuilt from the layouts, and the
+// epoch must have moved if anything it tracks changed since `previous`.
+void CheckReplicaIndexAndEpoch(const DfsCluster& dfs, EpochTracked& previous,
+                               int step, const char* context) {
+  EpochTracked now = CaptureEpochTracked(dfs);
+  EXPECT_EQ(now.index, BruteReplicaIndex(dfs)) << context << " step " << step;
+  bool changed = now.index != previous.index ||
+                 AnyEntryChanged(previous.bricks, now.bricks) ||
+                 AnyEntryChanged(previous.serving, now.serving);
+  if (changed) {
+    EXPECT_NE(now.epoch, previous.epoch)
+        << context << " step " << step << ": tracked state changed, epoch did not";
+  }
+  previous = std::move(now);
+}
+
 struct CacheCase {
   Flavor flavor;
   bool with_faults;
@@ -269,6 +348,12 @@ TEST_P(ClusterCacheTest, CachedAggregatesMatchBruteForce) {
   model.SyncFromDfs(*dfs);
   OpSeqGenerator generator(model);
   CheckAggregates(*dfs, -1, "initial");
+  // The index oracle rebuilds every layout per step: 10-node rows only.
+  const bool check_index = param.storage_nodes == 0;
+  EpochTracked tracked = CaptureEpochTracked(*dfs);
+  if (check_index) {
+    CheckReplicaIndexAndEpoch(*dfs, tracked, -1, "initial");
+  }
   NodeId env_crashed = kInvalidNode;
   for (int step = 0; step < param.steps; ++step) {
     Operation op = generator.GenerateOp(rng);
@@ -300,6 +385,9 @@ TEST_P(ClusterCacheTest, CachedAggregatesMatchBruteForce) {
       env_crashed = kInvalidNode;
     }
     CheckAggregates(*dfs, step, "mid-stream");
+    if (check_index) {
+      CheckReplicaIndexAndEpoch(*dfs, tracked, step, "mid-stream");
+    }
     if (HasFailure()) {
       ADD_FAILURE() << "diverged at step " << step << " op " << op.ToString();
       return;
@@ -311,6 +399,9 @@ TEST_P(ClusterCacheTest, CachedAggregatesMatchBruteForce) {
     dfs->AdvanceTime(Seconds(10));
   }
   CheckAggregates(*dfs, param.steps, "drained");
+  if (check_index) {
+    CheckReplicaIndexAndEpoch(*dfs, tracked, param.steps, "drained");
+  }
 }
 
 // 5 flavors x {healthy, faulty} x 1500 steps = 15000 randomized mutation
@@ -331,15 +422,52 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheCase{Flavor::kGeo, true, 92, 1500},
                       CacheCase{Flavor::kGeo, true, 101, 600, 1000},
                       CacheCase{Flavor::kHdfs, true, 102, 400, 1000}),
-    [](const ::testing::TestParamInfo<CacheCase>& info) {
-      std::string name(FlavorName(info.param.flavor));
-      name += info.param.with_faults ? "_faulty" : "_healthy";
-      name += "_s" + std::to_string(info.param.seed);
-      if (info.param.storage_nodes > 0) {
-        name += "_n" + std::to_string(info.param.storage_nodes);
+    [](const ::testing::TestParamInfo<CacheCase>& row) {
+      std::string name(FlavorName(row.param.flavor));
+      name += row.param.with_faults ? "_faulty" : "_healthy";
+      name += "_s" + std::to_string(row.param.seed);
+      if (row.param.storage_nodes > 0) {
+        name += "_n" + std::to_string(row.param.storage_nodes);
       }
       return name;
     });
+
+// A zero-byte chunk changes the index without moving a byte, so only the
+// index's own epoch bumps can report it: swap one such replica, then
+// destroy it.
+TEST(ReplicaIndexEpochTest, ZeroByteReplicaChangesMoveTheEpoch) {
+  for (Flavor flavor : {Flavor::kGluster, Flavor::kHdfs, Flavor::kCeph, Flavor::kLeo,
+                        Flavor::kGeo}) {
+    SCOPED_TRACE(std::string(FlavorName(flavor)));
+    std::unique_ptr<DfsCluster> dfs = MakeCluster(flavor, 7);
+    Operation create;
+    create.kind = OpKind::kCreate;
+    create.path = "/empty";
+    ASSERT_TRUE(dfs->Execute(create).status.ok());
+    ASSERT_EQ(dfs->file_layouts().size(), 1u);
+    const FileLayout& layout = dfs->file_layouts().begin()->second;
+    ASSERT_EQ(layout.chunks.size(), 1u);
+    ASSERT_EQ(layout.chunks[0].bytes, 0u);
+    const BrickId from = layout.chunks[0].replicas.front();
+    BrickId to = kInvalidBrick;
+    for (BrickId id : dfs->ServingBricks()) {
+      if (!layout.chunks[0].HasReplicaOn(id)) {
+        to = id;
+        break;
+      }
+    }
+    ASSERT_NE(to, kInvalidBrick);
+    EpochTracked tracked = CaptureEpochTracked(*dfs);
+
+    EXPECT_EQ(dfs->SkewBytes(from, to, kGiB), 0u);
+    ASSERT_EQ(dfs->ChunksOnBrickRef(to).size(), 1u);  // the swap happened
+    CheckReplicaIndexAndEpoch(*dfs, tracked, 0, "zero-byte skew");
+
+    EXPECT_EQ(dfs->DestroyBytes(to, kGiB), 0u);
+    ASSERT_TRUE(dfs->ChunksOnBrickRef(to).empty());  // the replica is gone
+    CheckReplicaIndexAndEpoch(*dfs, tracked, 1, "zero-byte destroy");
+  }
+}
 
 }  // namespace
 }  // namespace themis

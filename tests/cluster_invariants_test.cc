@@ -117,10 +117,10 @@ INSTANTIATE_TEST_SUITE_P(
                       InvariantCase{Flavor::kLeo, true, 42},
                       InvariantCase{Flavor::kGluster, true, 33},
                       InvariantCase{Flavor::kGluster, true, 34}),
-    [](const ::testing::TestParamInfo<InvariantCase>& info) {
-      std::string name(FlavorName(info.param.flavor));
-      name += info.param.with_faults ? "_faulty" : "_healthy";
-      name += "_s" + std::to_string(info.param.seed);
+    [](const ::testing::TestParamInfo<InvariantCase>& row) {
+      std::string name(FlavorName(row.param.flavor));
+      name += row.param.with_faults ? "_faulty" : "_healthy";
+      name += "_s" + std::to_string(row.param.seed);
       return name;
     });
 

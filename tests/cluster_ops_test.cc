@@ -291,8 +291,8 @@ TEST_P(ClusterOpsTest, FreeSpaceShrinksWithWrites) {
 INSTANTIATE_TEST_SUITE_P(AllFlavors, ClusterOpsTest,
                          ::testing::Values(Flavor::kHdfs, Flavor::kCeph,
                                            Flavor::kGluster, Flavor::kLeo),
-                         [](const ::testing::TestParamInfo<Flavor>& info) {
-                           return std::string(FlavorName(info.param));
+                         [](const ::testing::TestParamInfo<Flavor>& row) {
+                           return std::string(FlavorName(row.param));
                          });
 
 // ---- flavor-specific behavior ----

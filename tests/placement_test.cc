@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/dfs/placement/crush_map.h"
@@ -201,6 +202,55 @@ TEST(CrushMap, RemovingWeightRemovesTarget) {
   crush.SetTargetWeight(1, 0.0);
   EXPECT_FALSE(crush.HasTarget(1));
   EXPECT_TRUE(crush.RawMap(3, 1).empty());
+}
+
+// The raw-mapping cache must never change an answer. After every step of a
+// random walk over weights (re-sets to an unchanged weight included), target
+// removals and upmap edits, the cached map answers exactly like one built
+// fresh from the same weights and upmaps.
+TEST(CrushMap, CachedMappingsMatchAFreshMap) {
+  constexpr uint32_t kPgs = 64;
+  constexpr double kWeights[] = {0.0, 0.5, 1.0, 2.0};
+  CrushMap crush(kPgs);
+  Rng rng(2024);
+  for (int step = 0; step < 400; ++step) {
+    BrickId target = static_cast<BrickId>(1 + rng.NextBelow(8));
+    uint32_t pg = static_cast<uint32_t>(rng.NextBelow(kPgs));
+    switch (rng.NextBelow(6)) {
+      case 0:
+      case 1:
+      case 2:
+        crush.SetTargetWeight(target, kWeights[rng.NextBelow(4)]);
+        break;
+      case 3:
+        crush.RemoveTarget(target);
+        break;
+      case 4:
+        crush.Upmap(pg, target);
+        break;
+      default:
+        crush.ClearUpmap(pg);
+        break;
+    }
+    CrushMap fresh(kPgs);
+    for (BrickId b : crush.Targets()) {
+      fresh.SetTargetWeight(b, crush.TargetWeight(b));
+    }
+    for (const auto& [pinned_pg, pinned] : crush.upmaps()) {
+      fresh.Upmap(pinned_pg, pinned);
+    }
+    for (uint32_t p = 0; p < kPgs; ++p) {
+      for (int i = 0; i < 3; ++i) {
+        // Alternate the query order, so a mapping cached for fewer replicas
+        // is later asked for more, and the other way round.
+        int replicas = step % 2 == 0 ? 1 + i : 3 - i;
+        ASSERT_EQ(crush.RawMap(p, replicas), fresh.RawMap(p, replicas))
+            << "step " << step << " pg " << p << " replicas " << replicas;
+        ASSERT_EQ(crush.Map(p, replicas), fresh.Map(p, replicas))
+            << "step " << step << " pg " << p << " replicas " << replicas;
+      }
+    }
+  }
 }
 
 // ---- DhtLayout ----

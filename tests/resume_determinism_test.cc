@@ -158,5 +158,62 @@ TEST(ResumeDeterminismTest, TelemetryStreamSurvivesResume) {
   ExpectResumeMatchesUninterrupted(checkpointed, "Themis");
 }
 
+// Warm vs. cold memos. A resumed session starts with an empty futile-skew
+// memo in the fault injector and a cold CRUSH mapping cache, while the
+// uninterrupted run carries both warm, so "resume equals uninterrupted" is
+// the differential check for them. The historical corpus plus env faults
+// keeps storage faults (whose skew passes the memo skips) active most of the
+// time; each row's seed and cadence were found by scanning seeds until a
+// storage-effect fault was active at both crashes, and the at_crash check
+// asserts that, so a change that moves the crash points fails here instead
+// of comparing two cold starts.
+bool StorageFaultActive(const CampaignSession& session) {
+  for (const FaultRuntime& fault : session.injector().faults()) {
+    if (!fault.active) {
+      continue;
+    }
+    switch (fault.spec.effect) {
+      case EffectKind::kCpuSkew:
+      case EffectKind::kNetworkSkew:
+      case EffectKind::kCrashNode:
+      case EffectKind::kMetadataDesync:
+        break;
+      default:
+        return true;  // ApplyContinuousEffects' storage branch
+    }
+  }
+  return false;
+}
+
+TEST(ResumeDeterminismTest, HistoricalCorpusResumesWithColdMemos) {
+  struct Row {
+    Flavor flavor;
+    uint64_t seed;
+    uint64_t every_ops;
+  };
+  for (const Row& row : {Row{Flavor::kGluster, 3, 200}, Row{Flavor::kHdfs, 20, 200},
+                         Row{Flavor::kCeph, 3, 400}, Row{Flavor::kLeo, 1, 200},
+                         Row{Flavor::kGeo, 3, 200}}) {
+    const std::string flavor_name(FlavorName(row.flavor));
+    SCOPED_TRACE(flavor_name);
+    CampaignConfig checkpointed = BaseConfig(row.flavor);
+    checkpointed.seed = row.seed;
+    checkpointed.fault_set = FaultSet::kHistorical;
+    checkpointed.env_faults = true;
+    checkpointed.checkpoint_dir = FreshDir("historical_" + flavor_name);
+    checkpointed.checkpoint_every_ops = row.every_ops;
+    auto expect_storage_fault = [](const CampaignSession& session) {
+      EXPECT_TRUE(StorageFaultActive(session))
+          << "no storage-effect fault is active at the crash; pick another seed";
+    };
+    ASSERT_TRUE(
+        CrashAfterCheckpoints(checkpointed, "Themis", 1, expect_storage_fault).ok());
+    checkpointed.resume = true;  // crash the resumed session too
+    ASSERT_TRUE(
+        CrashAfterCheckpoints(checkpointed, "Themis", 1, expect_storage_fault).ok());
+    ExpectResumeMatchesUninterrupted(checkpointed, "Themis");
+  }
+}
+
 }  // namespace
 }  // namespace themis

@@ -30,6 +30,12 @@ CampaignMatrix SmallMatrix() {
   return matrix;
 }
 
+RunnerOptions WithJobs(int jobs) {
+  RunnerOptions options;
+  options.jobs = jobs;
+  return options;
+}
+
 void ExpectSameCampaignResult(const CampaignResult& a, const CampaignResult& b,
                               const std::string& context) {
   EXPECT_EQ(a.strategy_name, b.strategy_name) << context;
@@ -60,8 +66,8 @@ TEST(Runner, ExpandAssignsCanonicalIndicesAndDistinctSeeds) {
 
 TEST(Runner, ResultsIdenticalAcrossThreadCounts) {
   CampaignMatrix matrix = SmallMatrix();
-  MatrixResult serial = CampaignRunner({.jobs = 1}).Run(matrix);
-  MatrixResult parallel = CampaignRunner({.jobs = 8}).Run(matrix);
+  MatrixResult serial = CampaignRunner(WithJobs(1)).Run(matrix);
+  MatrixResult parallel = CampaignRunner(WithJobs(8)).Run(matrix);
   EXPECT_EQ(parallel.threads, 8);
   ASSERT_EQ(serial.jobs.size(), parallel.jobs.size());
   for (size_t i = 0; i < serial.jobs.size(); ++i) {
@@ -83,8 +89,8 @@ TEST(Runner, ResultsIdenticalUnderJobPermutation) {
   std::reverse(permuted.begin(), permuted.end());
   std::swap(permuted[1], permuted[permuted.size() - 2]);
 
-  MatrixResult straight = CampaignRunner({.jobs = 2}).RunJobs(jobs);
-  MatrixResult shuffled = CampaignRunner({.jobs = 2}).RunJobs(permuted);
+  MatrixResult straight = CampaignRunner(WithJobs(2)).RunJobs(jobs);
+  MatrixResult shuffled = CampaignRunner(WithJobs(2)).RunJobs(permuted);
 
   ASSERT_EQ(straight.jobs.size(), shuffled.jobs.size());
   for (const JobResult& expected : straight.jobs) {
@@ -124,7 +130,7 @@ TEST(Runner, LoopObserverSeesEveryTestcaseWithoutChangingDigests) {
   matrix.seeds = 2;
   matrix.matrix_seed = 91;
   matrix.base.budget = Minutes(30);
-  MatrixResult plain = CampaignRunner({.jobs = 1}).Run(matrix);
+  MatrixResult plain = CampaignRunner(WithJobs(1)).Run(matrix);
   ASSERT_EQ(plain.jobs.size(), 4u);
 
   for (int jobs : {1, 4}) {
@@ -164,7 +170,7 @@ TEST(Runner, InvalidJobIsReportedWithoutAbortingTheMatrix) {
   jobs.push_back(bad);
   jobs.push_back(unknown);
 
-  MatrixResult result = CampaignRunner({.jobs = 4}).RunJobs(jobs);
+  MatrixResult result = CampaignRunner(WithJobs(4)).RunJobs(jobs);
   ASSERT_EQ(result.jobs.size(), 3u);
   EXPECT_TRUE(result.jobs[0].status.ok());
   EXPECT_GT(result.jobs[0].result.total_ops, 0u);
@@ -253,7 +259,7 @@ TEST(Runner, RollupUnionsFailuresAndTimesJobs) {
   matrix.seeds = 2;
   matrix.matrix_seed = 5;
   matrix.base.budget = Hours(1);
-  MatrixResult result = CampaignRunner({.jobs = 2}).Run(matrix);
+  MatrixResult result = CampaignRunner(WithJobs(2)).Run(matrix);
   ASSERT_EQ(result.jobs.size(), 2u);
   const MatrixRollup& rollup = result.by_strategy.at("Themis");
   EXPECT_EQ(rollup.jobs, 2);
