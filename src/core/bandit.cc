@@ -72,24 +72,6 @@ void BanditStrategy::OnOutcome(const OpSeq& seq, const ExecOutcome& outcome) {
   }
 }
 
-bool BanditStrategy::ImportSeed(const OpSeq& seq, double score,
-                                uint64_t fingerprint) {
-  bool accepted = false;
-  for (Arm& arm : arms_) {
-    accepted |= arm.strategy->ImportSeed(seq, score, fingerprint);
-  }
-  return accepted;
-}
-
-const SeedPool* BanditStrategy::seed_pool() const {
-  for (const Arm& arm : arms_) {
-    if (const SeedPool* pool = arm.strategy->seed_pool()) {
-      return pool;
-    }
-  }
-  return nullptr;
-}
-
 void BanditStrategy::SaveState(SnapshotWriter& writer) const {
   writer.I64(static_cast<int64_t>(active_));
   writer.I64(round_position_);

@@ -45,11 +45,6 @@ class ThemisFuzzer : public Strategy {
   void OnOutcome(const OpSeq& seq, const ExecOutcome& outcome) override;
   void SaveState(SnapshotWriter& writer) const override;
   Status RestoreState(SnapshotReader& reader) override;
-  bool ImportSeed(const OpSeq& seq, double score,
-                  uint64_t fingerprint) override {
-    return pool_.ImportSeed(seq, score, fingerprint);
-  }
-  const SeedPool* seed_pool() const override { return &pool_; }
 
   const SeedPool& pool() const { return pool_; }
   OpSeqGenerator& generator() { return generator_; }

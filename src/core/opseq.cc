@@ -70,12 +70,6 @@ void RestoreOpSeq(SnapshotReader& reader, OpSeq* seq) {
   }
 }
 
-uint64_t OpSeqFingerprint(const OpSeq& seq) {
-  SnapshotWriter writer;
-  SaveOpSeq(writer, seq);
-  return Fnv1a64(writer.buffer());
-}
-
 std::string OpSeq::ToString() const {
   std::string out;
   for (const Operation& op : ops) {

@@ -34,13 +34,6 @@ void RestoreOperation(SnapshotReader& reader, Operation* op);
 void SaveOpSeq(SnapshotWriter& writer, const OpSeq& seq);
 void RestoreOpSeq(SnapshotReader& reader, OpSeq* seq);
 
-// Order-stable content fingerprint: FNV-1a 64 over the checkpoint encoding
-// of the sequence. Two sequences collide exactly when their serialized ops
-// are byte-identical, which makes the fingerprint the seed pool's dedup
-// key. Drawing no randomness, it is safe to compute on the hot
-// seed-accept path without disturbing digests.
-uint64_t OpSeqFingerprint(const OpSeq& seq);
-
 }  // namespace themis
 
 #endif  // SRC_CORE_OPSEQ_H_

@@ -40,12 +40,10 @@ class Strategy {
     return Status::Ok();
   }
 
-  // Offer an externally produced seed with its energy. Pool-backed
-  // strategies forward to SeedPool::ImportSeed (dedup + commutative energy
-  // merge); strategies without retained state — the stateless baselines,
-  // Themis⁻ — inherit the refusing default. Returns true when the seed
-  // entered a pool. Campaigns never call it; it is a seam for decorators
-  // and tests that seed a strategy directly.
+  // Inert seams: no strategy overrides these and nothing in src/ calls
+  // them. They stay only because the benchmark decorator in
+  // campaign_bench/traced_campaign.cc overrides both; drop them together
+  // with that override.
   virtual bool ImportSeed(const OpSeq& seq, double score,
                           uint64_t fingerprint) {
     (void)seq;
@@ -53,8 +51,6 @@ class Strategy {
     (void)fingerprint;
     return false;
   }
-
-  // The pool backing this strategy, or nullptr for pool-less strategies.
   virtual const SeedPool* seed_pool() const { return nullptr; }
 };
 

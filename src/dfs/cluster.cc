@@ -61,15 +61,6 @@ void DfsCluster::BuildInitialTopology() {
   offline_brick_list_.clear();
   serving_meta_nodes_.clear();
   crashed_node_ids_.clear();
-  node_load_group_.clear();
-  load_group_count_ = 0;
-  group_serving_.clear();
-  group_frac_.clear();
-  group_frac_dirty_.clear();
-  dirty_groups_.clear();
-  group_hot_.clear();
-  group_hot_dirty_.clear();
-  hot_dirty_groups_.clear();
   InvalidateLoadIndex();
   OnTopologyCleared();
 
@@ -132,17 +123,6 @@ void DfsCluster::RebuildLoadIndex() const {
   serving_bricks_.clear();
   serving_storage_nodes_.clear();
   node_agg_.assign(next_node_id_, NodeLoadAgg{});
-  group_serving_.assign(load_group_count_, {});
-  group_frac_.assign(load_group_count_, GroupFracAgg{});
-  group_frac_dirty_.assign(load_group_count_, 1);
-  group_hot_.assign(load_group_count_, GroupHotBrick{});
-  group_hot_dirty_.assign(load_group_count_, 1);
-  dirty_groups_.clear();
-  hot_dirty_groups_.clear();
-  for (uint32_t g = 0; g < load_group_count_; ++g) {
-    dirty_groups_.push_back(g);
-    hot_dirty_groups_.push_back(g);
-  }
   fleet_used_ = 0;
   fleet_cap_ = 0;
   fleet_overflow_ = 0;
@@ -152,10 +132,6 @@ void DfsCluster::RebuildLoadIndex() const {
     agg.serving = node.Serving();
     if (agg.serving) {
       serving_storage_nodes_.push_back(id);
-      uint32_t group = LoadGroupOf(id);
-      if (group != kInvalidLoadGroup) {
-        group_serving_[group].push_back(id);
-      }
     }
     for (BrickId b : node.bricks) {
       const Brick* brick = FindBrick(b);
@@ -187,157 +163,6 @@ void DfsCluster::RebuildLoadIndex() const {
   load_index_dirty_ = false;
 }
 
-// ---------------------------------------------------------------------------
-// Hierarchical load groups (DESIGN.md §15)
-//
-// Storage nodes are partitioned into load groups (id-range spans by default;
-// GeoFS aligns them with scheduling groups via PickLoadGroup). Fraction
-// stats keep one sub-aggregate per group, refreshed only when a member
-// mutated (dirty-group queue) and rolled up over O(#groups). All sums are
-// integers, so the rollup is bit-identical to the flat scan.
-
-void DfsCluster::AssignLoadGroup(NodeId id) {
-  uint32_t group = PickLoadGroup(id);
-  if (group == kInvalidLoadGroup) {
-    group = 0;
-  }
-  if (node_load_group_.size() <= id) {
-    node_load_group_.resize(id + 1, kInvalidLoadGroup);
-  }
-  node_load_group_[id] = group;
-  if (group >= load_group_count_) {
-    load_group_count_ = group + 1;
-  }
-}
-
-void DfsCluster::EnsureGroupSlots(uint32_t group) const {
-  size_t need = std::max<size_t>(load_group_count_, group + 1);
-  if (group_serving_.size() < need) {
-    group_serving_.resize(need);
-  }
-  if (group_frac_.size() < need) {
-    group_frac_.resize(need);
-  }
-  if (group_frac_dirty_.size() < need) {
-    group_frac_dirty_.resize(need, 0);
-  }
-  if (group_hot_.size() < need) {
-    group_hot_.resize(need);
-  }
-  if (group_hot_dirty_.size() < need) {
-    group_hot_dirty_.resize(need, 0);
-  }
-}
-
-void DfsCluster::MarkGroupDirty(NodeId node) const {
-  uint32_t group = LoadGroupOf(node);
-  if (group == kInvalidLoadGroup) {
-    return;
-  }
-  EnsureGroupSlots(group);
-  if (!group_frac_dirty_[group]) {
-    group_frac_dirty_[group] = 1;
-    dirty_groups_.push_back(group);
-  }
-  if (!group_hot_dirty_[group]) {
-    group_hot_dirty_[group] = 1;
-    hot_dirty_groups_.push_back(group);
-  }
-}
-
-void DfsCluster::RefreshGroupFrac(uint32_t group) const {
-  GroupFracAgg agg;
-  for (NodeId id : group_serving_[group]) {
-    const NodeLoadAgg& node = node_agg_[id];
-    if (node.cap_online == 0) {
-      continue;
-    }
-    ++agg.nodes;
-    double fraction = static_cast<double>(node.used_online) /
-                      static_cast<double>(node.cap_online);
-    if (agg.nodes == 1 || fraction > agg.max_fraction) {
-      agg.max_fraction = fraction;
-    }
-    agg.used += node.used_online;
-    agg.cap += node.cap_online;
-  }
-  group_frac_[group] = agg;
-}
-
-void DfsCluster::RefreshGroupHotBrick(uint32_t group) const {
-  GroupHotBrick hot;
-  for (NodeId id : group_serving_[group]) {
-    const StorageNode* node = FindStorageNode(id);
-    if (node == nullptr) {
-      continue;
-    }
-    for (BrickId b : node->bricks) {
-      const Brick* brick = FindBrick(b);
-      if (brick == nullptr || !brick->online) {
-        continue;
-      }
-      double fraction = brick_fraction_[b];
-      if (fraction > hot.fraction ||
-          (fraction == hot.fraction && b < hot.id)) {
-        hot.fraction = fraction;
-        hot.id = b;
-      }
-    }
-  }
-  group_hot_[group] = hot;
-}
-
-BrickId DfsCluster::HottestServingBrick() const {
-  EnsureLoadIndex();
-  for (uint32_t group : hot_dirty_groups_) {
-    if (group_hot_dirty_[group]) {
-      RefreshGroupHotBrick(group);
-      group_hot_dirty_[group] = 0;
-    }
-  }
-  hot_dirty_groups_.clear();
-  // Every serving storage node carries a valid load group (AssignLoadGroup
-  // maps kInvalidLoadGroup to 0 and restore re-validates coverage), so the
-  // group maxima partition ServingBricks() exactly. Smallest brick id wins
-  // fraction ties, matching a strict-max scan in brick-id order.
-  BrickId best = kInvalidBrick;
-  double best_fraction = -1.0;
-  for (const GroupHotBrick& hot : group_hot_) {
-    if (hot.id == kInvalidBrick) {
-      continue;
-    }
-    if (hot.fraction > best_fraction ||
-        (hot.fraction == best_fraction && hot.id < best)) {
-      best_fraction = hot.fraction;
-      best = hot.id;
-    }
-  }
-  return best;
-}
-
-std::pair<uint64_t, uint64_t> DfsCluster::LoadGroupUsedCap(uint32_t group) const {
-  EnsureLoadIndex();
-  if (group >= load_group_count_) {
-    return {0, 0};
-  }
-  EnsureGroupSlots(group);
-  if (group_frac_dirty_[group]) {
-    RefreshGroupFrac(group);
-    // Leave the queue entry in place; the rollup re-refresh is idempotent.
-    group_frac_dirty_[group] = 0;
-  }
-  return {group_frac_[group].used, group_frac_[group].cap};
-}
-
-const std::vector<NodeId>& DfsCluster::LoadGroupServingNodes(uint32_t group) const {
-  EnsureLoadIndex();
-  static const std::vector<NodeId> kEmpty;
-  if (group >= group_serving_.size()) {
-    return kEmpty;
-  }
-  return group_serving_[group];
-}
-
 void DfsCluster::ApplyUsedBytesDelta(const Brick& brick, uint64_t old_used) {
   ++load_epoch_;
   if (load_index_dirty_) {
@@ -355,7 +180,6 @@ void DfsCluster::ApplyUsedBytesDelta(const Brick& brick, uint64_t old_used) {
   }
   agg.used_online += delta;
   if (agg.serving) {
-    MarkGroupDirty(brick.node);
     fleet_used_ += delta;
     uint64_t old_over =
         old_used > brick.capacity_bytes ? old_used - brick.capacity_bytes : 0;
@@ -407,15 +231,8 @@ void DfsCluster::OnStorageNodeAdded(NodeId id) {
   NodeLoadAgg agg;
   agg.serving = true;
   node_agg_[id] = agg;
-  // Node ids are monotonic, so appending preserves storage_nodes_ map order
-  // (and the per-group serving lists inherit the same sortedness).
+  // Node ids are monotonic, so appending preserves storage_nodes_ map order.
   serving_storage_nodes_.push_back(id);
-  uint32_t group = LoadGroupOf(id);
-  if (group != kInvalidLoadGroup) {
-    EnsureGroupSlots(group);
-    group_serving_[group].push_back(id);
-  }
-  MarkGroupDirty(id);
 }
 
 void DfsCluster::OnBrickAdded(const Brick& brick) {
@@ -435,7 +252,6 @@ void DfsCluster::OnBrickAdded(const Brick& brick) {
   agg.used_online += brick.used_bytes;
   agg.cap_online += brick.capacity_bytes;
   if (agg.serving) {
-    MarkGroupDirty(brick.node);
     // Brick ids are monotonic, so appending preserves bricks_ map order.
     serving_bricks_.push_back(brick.id);
     fleet_used_ += brick.used_bytes;
@@ -461,15 +277,6 @@ void DfsCluster::OnStorageNodeUnserving(NodeId id) {
   if (pos != serving_storage_nodes_.end() && *pos == id) {
     serving_storage_nodes_.erase(pos);
   }
-  uint32_t group = LoadGroupOf(id);
-  if (group != kInvalidLoadGroup && group < group_serving_.size()) {
-    auto gpos = std::lower_bound(group_serving_[group].begin(),
-                                 group_serving_[group].end(), id);
-    if (gpos != group_serving_[group].end() && *gpos == id) {
-      group_serving_[group].erase(gpos);
-    }
-  }
-  MarkGroupDirty(id);
   // The node's online bricks leave the fleet (they are no longer serving)
   // but stay in the per-node sums: SampleLoad still reports a crashed
   // node's mounted bricks.
@@ -507,7 +314,6 @@ void DfsCluster::OnBrickOffline(const Brick& brick) {
   agg.used_online -= brick.used_bytes;
   agg.cap_online -= brick.capacity_bytes;
   if (agg.serving) {
-    MarkGroupDirty(brick.node);
     fleet_used_ -= brick.used_bytes;
     fleet_cap_ -= brick.capacity_bytes;
     if (brick.used_bytes > brick.capacity_bytes) {
@@ -533,7 +339,6 @@ void DfsCluster::OnBrickCapacityChanged(const Brick& brick, uint64_t old_capacit
   NodeLoadAgg& agg = node_agg_[brick.node];
   agg.cap_online += delta;
   if (agg.serving) {
-    MarkGroupDirty(brick.node);
     fleet_cap_ += delta;
     uint64_t old_over =
         brick.used_bytes > old_capacity ? brick.used_bytes - old_capacity : 0;
@@ -552,6 +357,21 @@ const std::vector<BrickId>& DfsCluster::ServingBricks() const {
 const std::vector<NodeId>& DfsCluster::ServingStorageNodeIds() const {
   EnsureLoadIndex();
   return serving_storage_nodes_;
+}
+
+BrickId DfsCluster::HottestServingBrick() const {
+  EnsureLoadIndex();
+  // serving_bricks_ is in brick-id order, so the strict max keeps the
+  // smallest id on fraction ties.
+  BrickId best = kInvalidBrick;
+  double best_fraction = -1.0;
+  for (BrickId id : serving_bricks_) {
+    if (brick_fraction_[id] > best_fraction) {
+      best_fraction = brick_fraction_[id];
+      best = id;
+    }
+  }
+  return best;
 }
 
 uint64_t DfsCluster::TotalCapacityBytes() const {
@@ -605,25 +425,18 @@ const DfsCluster::FractionStats& DfsCluster::EnsureFractionStats() const {
   if (imbalance_epoch_ == load_epoch_) {
     return fraction_memo_;
   }
-  // Refresh only the groups ops have dirtied since the last read, then roll
-  // the per-group sub-aggregates up. Integer sums, the per-group first-wins
-  // max, and the left-to-right group order (groups are visited in index
-  // order, members in node-id order) make the rollup bit-identical to the
-  // flat fleet scan it replaced (tests/cluster_cache_test.cc).
-  for (uint32_t group : dirty_groups_) {
-    RefreshGroupFrac(group);
-    group_frac_dirty_[group] = 0;
-  }
-  dirty_groups_.clear();
   FractionStats stats;
-  for (const GroupFracAgg& agg : group_frac_) {
-    if (agg.nodes == 0) {
+  for (NodeId id : serving_storage_nodes_) {
+    const NodeLoadAgg& node = node_agg_[id];
+    if (node.cap_online == 0) {
       continue;
     }
-    if (stats.nodes == 0 || agg.max_fraction > stats.max_fraction) {
-      stats.max_fraction = agg.max_fraction;
+    double fraction = static_cast<double>(node.used_online) /
+                      static_cast<double>(node.cap_online);
+    if (stats.nodes == 0 || fraction > stats.max_fraction) {
+      stats.max_fraction = fraction;
     }
-    stats.nodes += agg.nodes;
+    ++stats.nodes;
   }
   if (stats.nodes >= 2 && fleet_cap_ > 0) {
     double fleet =
@@ -1134,10 +947,7 @@ NodeId DfsCluster::AddStorageNodeInternal(uint64_t brick_capacity) {
   StorageNode& stored = storage_nodes_[id];
   stored = node;
   IndexStorageNodePtr(id, &stored);
-  // Group membership is fixed at admission (GeoFS's fewest-members policy is
-  // add-order-dependent, so the assignment is real state — snapshot v5
-  // persists it) and must exist before the serving-list hooks run.
-  AssignLoadGroup(id);
+  OnStorageNodeAdmitted(id);
   OnStorageNodeAdded(id);
   NewBrickOnNode(id, brick_capacity);
   return id;
@@ -2689,25 +2499,6 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
   writer.U64(serving_meta_nodes_.size());
   for (NodeId id : serving_meta_nodes_) writer.U32(id);
 
-  // v5: load-group assignment table (DESIGN.md §15). Real state, not derived:
-  // GeoFS assigns nodes to the scheduling group with the fewest members at
-  // admission time, so the mapping depends on add/remove history and cannot
-  // be recomputed from the restored topology.
-  uint64_t assigned = 0;
-  for (NodeId id = 0; id < node_load_group_.size(); ++id) {
-    if (node_load_group_[id] != kInvalidLoadGroup) {
-      ++assigned;
-    }
-  }
-  writer.U64(assigned);
-  for (NodeId id = 0; id < node_load_group_.size(); ++id) {
-    if (node_load_group_[id] == kInvalidLoadGroup) {
-      continue;
-    }
-    writer.U32(id);
-    writer.U32(node_load_group_[id]);
-  }
-
   SaveFlavorState(writer);
 }
 
@@ -2858,44 +2649,6 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   }
   if (!reader.ok()) return reader.status();
 
-  // v5: load-group assignment table. Validated strictly — every storage node
-  // must carry exactly one assignment, and group indices are bounded (a
-  // corrupt group id would silently mis-route nodes and skew the rollup).
-  node_load_group_.clear();
-  load_group_count_ = 0;
-  uint64_t group_entries = reader.Count(4 + 4);
-  for (uint64_t i = 0; i < group_entries && reader.ok(); ++i) {
-    NodeId id = reader.U32();
-    uint32_t group = reader.U32();
-    if (!reader.ok()) break;
-    if (FindStorageNode(id) == nullptr) {
-      reader.Fail(Sprintf("load group assigns unknown storage node %u", id));
-      break;
-    }
-    if (group >= (1u << 20)) {
-      reader.Fail(Sprintf("load group %u for node %u out of range", group, id));
-      break;
-    }
-    if (node_load_group_.size() <= id) {
-      node_load_group_.resize(id + 1, kInvalidLoadGroup);
-    }
-    if (node_load_group_[id] != kInvalidLoadGroup) {
-      reader.Fail(Sprintf("duplicate load group assignment for node %u", id));
-      break;
-    }
-    node_load_group_[id] = group;
-    load_group_count_ = std::max(load_group_count_, group + 1);
-  }
-  if (reader.ok()) {
-    for (const auto& [id, node] : storage_nodes_) {
-      (void)node;
-      if (LoadGroupOf(id) == kInvalidLoadGroup) {
-        reader.Fail(Sprintf("storage node %u missing load group assignment", id));
-        break;
-      }
-    }
-  }
-  if (!reader.ok()) return reader.status();
   crashed_node_ids_.clear();
   for (const auto& [id, node] : storage_nodes_) {
     if (node.crashed) crashed_node_ids_.push_back(id);

@@ -254,15 +254,6 @@ struct ClusterConfig {
   int min_meta_nodes = 1;
   int max_meta_nodes = 5;
   uint64_t rng_seed = 1;
-  // ---- hierarchical load aggregates (DESIGN.md §15) ----
-  // Storage nodes are partitioned into load groups; the cluster maintains
-  // per-group sub-aggregates and rolls them up lazily, so per-op imbalance
-  // reads touch only the groups an op charged instead of the whole fleet.
-  // Flavors whose placement already has a grouping (GeoFS scheduling groups)
-  // align the partition with it via PickLoadGroup; everyone else gets
-  // contiguous id-range groups of this span. The partition never changes any
-  // reported value (integer sums are order-independent), only its cost.
-  int load_group_span = 64;
   // ---- GeoFS geotag topology (0 everywhere else) ----
   int geo_sites = 0;           // sites in the geotag tree
   int geo_racks_per_site = 0;  // racks under each site
@@ -348,9 +339,8 @@ class DfsCluster : public DfsInterface {
   const std::vector<NodeId>& ServingStorageNodeIds() const;
 
   // The hottest serving brick (max UsedFraction, smallest brick id on ties)
-  // — the fault injector's hotspot probe. Answered from per-group maxima
-  // (O(dirty groups + group count)), exact against the flat ServingBricks()
-  // scan. kInvalidBrick when nothing serves.
+  // — the fault injector's hotspot probe. One scan of ServingBricks() over
+  // the brick-fraction memo. kInvalidBrick when nothing serves.
   BrickId HottestServingBrick() const;
 
   uint64_t TotalCapacityBytes() const override;
@@ -476,6 +466,10 @@ class DfsCluster : public DfsInterface {
   // offline. Flavors that key state by node id can release it here in O(1)
   // instead of re-scanning the fleet on every topology change.
   virtual void OnStorageNodeDecommissioned(NodeId id) { (void)id; }
+  // A storage node was admitted: called exactly once per node, from
+  // AddStorageNodeInternal, before its brick exists. GeoFS places the node
+  // in its geotag tree and scheduling groups here.
+  virtual void OnStorageNodeAdmitted(NodeId id) { (void)id; }
 
   // The topology is about to be rebuilt from scratch (construction or
   // ResetToInitial): flavors drop state keyed by node ids here, before the
@@ -516,16 +510,6 @@ class DfsCluster : public DfsInterface {
     return false;
   }
 
-  // Load-group assignment for a storage node being added (DESIGN.md §15).
-  // The default packs monotonically assigned node ids into contiguous spans;
-  // GeoFS overrides it so the load groups coincide with its scheduling
-  // groups. Called exactly once per node, from AddStorageNodeInternal; the
-  // assignment is real state (persisted, snapshot v5), never recomputed.
-  virtual uint32_t PickLoadGroup(NodeId id) {
-    int span = config_.load_group_span > 0 ? config_.load_group_span : 64;
-    return id / static_cast<uint32_t>(span);
-  }
-
   // Brick capacity for a storage node being added. The default is the
   // homogeneous configured capacity; GeoFS overrides it to model a
   // heterogeneous-capacity fleet. Deterministic in the node id.
@@ -561,22 +545,6 @@ class DfsCluster : public DfsInterface {
   // (or O(bricks-of-one-node)), because dead node entries accumulate in the
   // node maps and a full rebuild is O(all nodes ever created).
   void InvalidateLoadIndex();
-
-  // ---- per-group load views (DESIGN.md §15) ----
-  // Load group of a storage node (kInvalidLoadGroup before assignment).
-  static constexpr uint32_t kInvalidLoadGroup = 0xffffffffu;
-  uint32_t LoadGroupOf(NodeId id) const {
-    return id < node_load_group_.size() ? node_load_group_[id] : kInvalidLoadGroup;
-  }
-  uint32_t load_group_count() const { return load_group_count_; }
-  // Fresh (used, capacity) bytes over one load group's serving nodes.
-  // Refreshes only that group's sub-aggregate if it is dirty — O(group
-  // size), independent of the fleet size. This is the per-group index
-  // GeoFS's two-level placement picks scheduling groups with.
-  std::pair<uint64_t, uint64_t> LoadGroupUsedCap(uint32_t group) const;
-  // Serving storage nodes of one load group (sorted by id). The reference
-  // stays valid until the next membership mutation.
-  const std::vector<NodeId>& LoadGroupServingNodes(uint32_t group) const;
 
   ClusterConfig config_;
 
@@ -773,6 +741,7 @@ class DfsCluster : public DfsInterface {
   // Storage-dimension statistics over serving nodes with online capacity,
   // memoized per load_epoch_: the imbalance spread is the balancer
   // threshold quantity the per-op balance check and the coverage hash read.
+  // A miss is one scan of serving_storage_nodes_ over node_agg_.
   struct FractionStats {
     uint32_t nodes = 0;
     double max_fraction = 0.0;
@@ -782,45 +751,6 @@ class DfsCluster : public DfsInterface {
   mutable uint64_t imbalance_epoch_ = UINT64_MAX;  // load_epoch_ of the memo
   mutable FractionStats fraction_memo_;
 
-  // ---- hierarchical (per-load-group) sub-aggregates (DESIGN.md §15) ----
-  // The storage-dimension statistics above are not rescanned fleet-wide any
-  // more: each load group keeps its own sub-aggregate, a mutation marks only
-  // the charged node's group dirty, and EnsureFractionStats re-scans the
-  // dirty groups (O(group size) each) before rolling the clean group sums
-  // into the cluster memo (O(group count)). Integer sums and a plain double
-  // max make the rollup bit-identical to the flat fleet scan it replaced.
-  struct GroupFracAgg {
-    uint32_t nodes = 0;  // serving nodes with online capacity
-    uint64_t used = 0;   // Σ used_online
-    uint64_t cap = 0;    // Σ cap_online
-    double max_fraction = 0.0;
-  };
-  // Group assignment: real state, written once per node by PickLoadGroup and
-  // persisted (snapshot v5) — GeoFS's assignment is history-dependent.
-  std::vector<uint32_t> node_load_group_;  // dense by NodeId
-  uint32_t load_group_count_ = 0;          // max assigned group + 1
-  void AssignLoadGroup(NodeId id);         // records PickLoadGroup(id)
-  // Derived per-group state (rebuilt by RebuildLoadIndex, never persisted).
-  mutable std::vector<std::vector<NodeId>> group_serving_;  // sorted by id
-  mutable std::vector<GroupFracAgg> group_frac_;
-  mutable std::vector<uint8_t> group_frac_dirty_;
-  mutable std::vector<uint32_t> dirty_groups_;  // queue of dirty group ids
-  void MarkGroupDirty(NodeId node) const;
-  void EnsureGroupSlots(uint32_t group) const;
-  // Rescans one group's serving members into its sub-aggregate.
-  void RefreshGroupFrac(uint32_t group) const;
-  // Per-group hottest serving brick, with its own dirty bits so refreshing
-  // it never taxes the placement-path group refreshes. Backs
-  // HottestServingBrick(); maintained by the same MarkGroupDirty funnel.
-  struct GroupHotBrick {
-    double fraction = -1.0;
-    BrickId id = kInvalidBrick;
-  };
-  mutable std::vector<GroupHotBrick> group_hot_;
-  mutable std::vector<uint8_t> group_hot_dirty_;
-  mutable std::vector<uint32_t> hot_dirty_groups_;  // queue of dirty ids
-  // Rescans one group's online bricks into its hot-brick slot.
-  void RefreshGroupHotBrick(uint32_t group) const;
   // Serving metadata nodes, maintained at the (rare) membership changes so
   // per-op request routing / anti-entropy need not scan the ever-growing
   // meta_nodes_ map (removed nodes stay in it as tombstones).
@@ -855,8 +785,8 @@ class DfsCluster : public DfsInterface {
   void BuildRecoveryPassNow() const;
   // UsedFraction() memo, dense by BrickId and written wherever a brick's
   // bytes or capacity change (the same pure division, so bit-identical to
-  // recomputing). Lets the recovery snapshot and the per-group hot-brick
-  // refresh read a flat array instead of chasing map nodes and dividing.
+  // recomputing). Lets the recovery snapshot and HottestServingBrick read a
+  // flat array instead of chasing map nodes and dividing.
   std::vector<double> brick_fraction_;
   void UpdateBrickFraction(const Brick& brick);
   // Scratch for PickRecoveryTarget's per-chunk replica-node set.

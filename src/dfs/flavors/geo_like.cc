@@ -19,6 +19,10 @@ constexpr uint64_t kCapacityMultipliers[4] = {1, 1, 2, 4};
 // 10k-node hot site could otherwise enqueue an unbounded rebalance-list.
 constexpr size_t kMaxSiteMovesPerRound = 256;
 
+// Bound on persisted scheduling-group indices and counts: a corrupt count
+// must not size the engine's group table.
+constexpr uint32_t kMaxSchedulingGroups = 1u << 20;
+
 uint64_t GeoObjectHash(const std::string& path, uint32_t chunk_index) {
   uint64_t h = Mix64(chunk_index * 0x9e3779b97f4a7c15ULL + 0x6e05ULL);
   for (char c : path) {
@@ -60,7 +64,7 @@ GeoLikeCluster::GeoLikeCluster(ClusterConfig config)
   BuildInitialTopology();
 }
 
-uint32_t GeoLikeCluster::PickLoadGroup(NodeId id) { return engine_.AssignNode(id); }
+void GeoLikeCluster::OnStorageNodeAdmitted(NodeId id) { engine_.AssignNode(id); }
 
 uint64_t GeoLikeCluster::BrickCapacityFor(NodeId id) const {
   return config_.brick_capacity * kCapacityMultipliers[Mix64(id) & 3];
@@ -103,9 +107,35 @@ BrickId GeoLikeCluster::BrickWithRoom(NodeId node, uint64_t bytes) const {
   return kInvalidBrick;
 }
 
+const std::vector<NodeId>& GeoLikeCluster::ServingMembers(uint32_t group) {
+  serving_members_.clear();
+  for (NodeId id : engine_.GroupMembers(group)) {
+    const StorageNode* node = FindStorageNode(id);
+    if (node != nullptr && node->Serving()) {
+      serving_members_.push_back(id);
+    }
+  }
+  return serving_members_;
+}
+
+double GeoLikeCluster::GroupFillFraction(uint32_t group) {
+  uint64_t used = 0;
+  uint64_t cap = 0;
+  for (NodeId id : ServingMembers(group)) {
+    for (BrickId b : FindStorageNode(id)->bricks) {
+      const Brick* brick = FindBrick(b);
+      if (brick != nullptr && brick->online) {
+        used += brick->used_bytes;
+        cap += brick->capacity_bytes;
+      }
+    }
+  }
+  return cap == 0 ? 1.0 : static_cast<double>(used) / static_cast<double>(cap);
+}
+
 void GeoLikeCluster::PickWithinGroup(uint32_t group, uint64_t hash, uint64_t bytes,
-                                     std::vector<BrickId>& chosen) const {
-  const std::vector<NodeId>& members = LoadGroupServingNodes(group);
+                                     std::vector<BrickId>& chosen) {
+  const std::vector<NodeId>& members = ServingMembers(group);
   if (members.empty()) {
     return;
   }
@@ -152,17 +182,12 @@ std::vector<BrickId> GeoLikeCluster::PlaceChunk(const std::string& path,
   }
   uint64_t h = GeoObjectHash(path, chunk_index);
   // Two-level placement: power-of-two-choices between two hash-derived
-  // scheduling groups on free-space fraction (the per-group aggregate is a
-  // dirty-refresh read — O(group size) worst case, O(1) amortized), then
-  // replica spread within the winner.
+  // scheduling groups on fill fraction (one scan of each group's members),
+  // then replica spread within the winner.
   uint32_t g1 = static_cast<uint32_t>(h % groups);
   uint32_t g2 = static_cast<uint32_t>((h >> 32) % groups);
-  auto fill_fraction = [this](uint32_t g) {
-    auto [used, cap] = LoadGroupUsedCap(g);
-    return cap == 0 ? 1.0 : static_cast<double>(used) / static_cast<double>(cap);
-  };
   uint32_t group = g1;
-  if (g2 != g1 && fill_fraction(g2) < fill_fraction(g1)) {
+  if (g2 != g1 && GroupFillFraction(g2) < GroupFillFraction(g1)) {
     group = g2;
   }
   PickWithinGroup(group, h, bytes, chosen);
@@ -338,14 +363,10 @@ void GeoLikeCluster::OnBalancerRestarted() {
 }
 
 void GeoLikeCluster::SaveFlavorState(SnapshotWriter& writer) const {
-  uint64_t count = 0;
-  for (const auto& [id, node] : storage_nodes()) {
-    (void)node;
-    if (engine_.Contains(id)) {
-      ++count;
-    }
-  }
-  writer.U64(count);
+  // The group count is saved on its own: a decommission can empty the last
+  // scheduling group, and admission still counts it.
+  writer.U32(engine_.group_count());
+  writer.U64(engine_.node_count());
   for (const auto& [id, node] : storage_nodes()) {
     (void)node;
     if (!engine_.Contains(id)) {
@@ -355,22 +376,34 @@ void GeoLikeCluster::SaveFlavorState(SnapshotWriter& writer) const {
     writer.U32(id);
     writer.U32(tag.site);
     writer.U32(tag.rack);
+    writer.U32(engine_.GroupOf(id));
   }
   writer.U32(balancer_crashes_);
 }
 
 Status GeoLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
   engine_.Clear();
-  uint64_t count = reader.Count(4 + 4 + 4);
+  uint32_t group_count = reader.U32();
+  if (reader.ok() && group_count > kMaxSchedulingGroups) {
+    reader.Fail(Sprintf("scheduling group count %u out of range", group_count));
+    return reader.status();
+  }
+  engine_.RestoreGroups(group_count);
+  uint64_t count = reader.Count(4 + 4 + 4 + 4);
   for (uint64_t i = 0; i < count && reader.ok(); ++i) {
     NodeId id = reader.U32();
     uint32_t site = reader.U32();
     uint32_t rack = reader.U32();
+    uint32_t group = reader.U32();
     if (!reader.ok()) {
       break;
     }
     if (FindStorageNode(id) == nullptr) {
       reader.Fail(Sprintf("geotag references unknown storage node %u", id));
+      break;
+    }
+    if (engine_.Contains(id)) {
+      reader.Fail(Sprintf("duplicate geotag for storage node %u", id));
       break;
     }
     if (site >= static_cast<uint32_t>(engine_.sites()) ||
@@ -379,15 +412,29 @@ Status GeoLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
                           site, rack, id));
       break;
     }
-    uint32_t group = LoadGroupOf(id);
-    if (group == kInvalidLoadGroup) {
-      reader.Fail(Sprintf("geotagged node %u missing load group", id));
+    if (group >= kMaxSchedulingGroups) {
+      reader.Fail(Sprintf("scheduling group %u for node %u out of range", group, id));
+      break;
+    }
+    if (group >= group_count) {
+      reader.Fail(Sprintf("scheduling group count %u does not cover group %u of node %u",
+                          group_count, group, id));
       break;
     }
     engine_.RestoreNode(id, GeoTag{static_cast<uint16_t>(site),
                                    static_cast<uint16_t>(rack)}, group);
   }
   balancer_crashes_ = reader.U32();
+  if (reader.ok()) {
+    // Placement only sees engine members, so an online node missing here
+    // would silently never receive a replica.
+    for (const auto& [id, node] : storage_nodes()) {
+      if (node.online && !engine_.Contains(id)) {
+        reader.Fail(Sprintf("online storage node %u missing from the geotag record", id));
+        break;
+      }
+    }
+  }
   return reader.status();
 }
 

@@ -2,11 +2,12 @@
 // (DESIGN.md §15). Storage nodes carry geotags (site, rack) in a geotag
 // tree and are packed into scheduling groups that span sites; placement is
 // two-level — pick a scheduling group by free-space (power-of-two-choices
-// over the per-group load aggregates), then pick replica nodes within the
-// group spreading across distinct sites. Rebalancing runs a site-failover
-// stage (hottest site drains toward the coldest) before generic leveling.
-// Built to run at 1k-10k heterogeneous-capacity nodes: every per-op path
-// goes through the cluster's per-group indexes, never a fleet scan.
+// between two hash-derived groups, summing each one's serving members),
+// then pick replica nodes within the group spreading across distinct sites.
+// Rebalancing runs a site-failover stage (hottest site drains toward the
+// coldest) before generic leveling. The geotag tree owns group membership;
+// placement reads a group's members from it, so a chunk placement touches
+// two groups, not the fleet.
 
 #ifndef SRC_DFS_FLAVORS_GEO_LIKE_H_
 #define SRC_DFS_FLAVORS_GEO_LIKE_H_
@@ -35,21 +36,21 @@ class GeoLikeCluster : public DfsCluster {
   std::vector<BrickId> PlaceChunk(const std::string& path, uint32_t chunk_index,
                                   uint64_t bytes) override;
   MigrationPlan BuildRebalancePlan() override;
+  // Admission places the node in the geotag tree and a scheduling group.
+  void OnStorageNodeAdmitted(NodeId id) override;
   // Decommission releases the node's geotag/group slot in O(1); the full
   // fleet reconcile runs only on balancer takeover, not per topology change.
   void OnStorageNodeDecommissioned(NodeId id) override;
   void OnTopologyCleared() override;
   void OnBalancerCrashed() override;
   void OnBalancerRestarted() override;
-  // Load groups coincide with scheduling groups: the geotag tree admits the
-  // node and the cluster's per-group aggregates follow its grouping.
-  uint32_t PickLoadGroup(NodeId id) override;
   // Heterogeneous fleet: capacity class derived deterministically from the
   // node id (1x / 2x / 4x the configured brick capacity).
   uint64_t BrickCapacityFor(NodeId id) const override;
-  // Checkpointing: geotags and group membership are admission-history state
-  // (fewest-first placement), persisted alongside the cluster's v5 group
-  // table and re-validated against it on restore.
+  // Checkpointing: geotags, group membership and the group count are
+  // admission-history state (fewest-first placement), so the record
+  // persists them (snapshot v9) and restore validates them against the
+  // restored topology.
   void SaveFlavorState(SnapshotWriter& writer) const override;
   Status RestoreFlavorState(SnapshotReader& reader) override;
 
@@ -59,13 +60,21 @@ class GeoLikeCluster : public DfsCluster {
   void ReconcileEngine();
   // First online brick of `node` with room for `bytes`, else kInvalidBrick.
   BrickId BrickWithRoom(NodeId node, uint64_t bytes) const;
+  // One scheduling group's serving members, in node-id order (the engine
+  // keeps members in admission order, which is id order). The reference is
+  // to a scratch vector, valid until the next call.
+  const std::vector<NodeId>& ServingMembers(uint32_t group);
+  // Fill fraction (used / capacity of the online bricks) over one scheduling
+  // group's serving members; 1.0 when the group has no online capacity.
+  double GroupFillFraction(uint32_t group);
   // Replica pick within one scheduling group: distinct-site first pass from
   // a hash-derived start offset, then a fill pass without the constraint.
   void PickWithinGroup(uint32_t group, uint64_t hash, uint64_t bytes,
-                       std::vector<BrickId>& chosen) const;
+                       std::vector<BrickId>& chosen);
 
   GeoTreeEngine engine_;
   uint32_t balancer_crashes_ = 0;  // env-fault crash census (persisted)
+  std::vector<NodeId> serving_members_;  // ServingMembers scratch
 };
 
 }  // namespace themis

@@ -73,14 +73,10 @@ void GeoTreeEngine::RemoveNode(NodeId id) {
   --node_count_;
 }
 
+void GeoTreeEngine::RestoreGroups(uint32_t count) { group_members_.resize(count); }
+
 void GeoTreeEngine::RestoreNode(NodeId id, GeoTag tag, uint32_t group) {
   EnsureNodeSlots(id);
-  if (assigned_[id]) {
-    RemoveNode(id);
-  }
-  if (group_members_.size() <= group) {
-    group_members_.resize(group + 1);
-  }
   assigned_[id] = 1;
   node_tag_[id] = tag;
   node_group_[id] = group;

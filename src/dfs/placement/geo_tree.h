@@ -7,8 +7,9 @@
 // site with the fewest nodes, the least-populated rack within that site, and
 // the non-full scheduling group with the fewest members (a fresh group if
 // all are full). Because the outcome depends on the add/remove history, the
-// assignment is real state — the cluster persists it (snapshot v5) and the
-// flavor persists the tags; nothing here is ever recomputed from topology.
+// assignment is real state — the GeoFS flavor persists every node's tag and
+// group and the group count (snapshot v9); nothing here is ever recomputed
+// from topology.
 
 #ifndef SRC_DFS_PLACEMENT_GEO_TREE_H_
 #define SRC_DFS_PLACEMENT_GEO_TREE_H_
@@ -38,7 +39,15 @@ class GeoTreeEngine {
   // admissions. Unknown ids are ignored.
   void RemoveNode(NodeId id);
 
-  // Re-admits a node at its persisted coordinates (snapshot restore).
+  // Snapshot restore, right after Clear(): recreates `count` empty
+  // scheduling groups. Groups emptied by decommissions keep their index and
+  // still take admissions, so the count is restored, not derived from the
+  // restored members.
+  void RestoreGroups(uint32_t count);
+
+  // Re-admits a node at its persisted coordinates (snapshot restore). The
+  // caller has checked that `id` is not yet admitted, that `tag` lies in
+  // the tree, and that `group` < group_count().
   void RestoreNode(NodeId id, GeoTag tag, uint32_t group);
 
   void Clear();

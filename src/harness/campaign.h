@@ -147,8 +147,10 @@ struct CampaignResult {
   // §16). Reported in summaries/benches; deliberately OUTSIDE Digest() so
   // attaching the recorder cannot perturb pinned digests.
   size_t transition_coverage = 0;
-  // The covered pairs themselves, ascending (from, to), so callers can union
-  // coverage across jobs. Like transition_coverage, outside Digest().
+  // The covered pairs themselves, ascending (from, to); like
+  // transition_coverage, outside Digest(). No campaign reads it back: it
+  // stays because campaign_bench/traced_campaign.cc fills it, and the
+  // resume tests compare it.
   std::vector<std::pair<uint8_t, uint8_t>> transition_pairs;
   // (virtual time, branches hit) sampled once per coverage_sample_period.
   std::vector<std::pair<SimTime, size_t>> coverage_timeline;

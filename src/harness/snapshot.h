@@ -4,7 +4,7 @@
 //
 //   offset  size  field
 //   0       8     magic "THMSNP01"
-//   8       4     format version (u32 LE, currently 8 — see DESIGN.md §12;
+//   8       4     format version (u32 LE, currently 9 — see DESIGN.md §12;
 //                 v3 added the cluster's rate-window bases and the model's
 //                 dense previous-window counters (DESIGN.md §13); v4 added
 //                 the environment-fault dimension: the env_faults identity
@@ -19,7 +19,11 @@
 //                 result's covered transition-pair list; v8 dropped the
 //                 cluster's rate-window bases and the monitor's unread
 //                 latest snapshot — the sampling window lives only in the
-//                 model's previous-window counters)
+//                 model's previous-window counters; v9 dropped the
+//                 cluster's load-group table, moved each node's scheduling
+//                 group plus the group count into the GeoFS record, and
+//                 dropped the pool's fingerprints, import flags and seen
+//                 set)
 //   12      1     kind (0 = mid-campaign, 1 = final)
 //   13      8     payload size in bytes (u64 LE)
 //   21      8     FNV-1a 64 checksum of the payload (u64 LE)
@@ -49,7 +53,7 @@
 
 namespace themis {
 
-inline constexpr uint32_t kSnapshotFormatVersion = 8;
+inline constexpr uint32_t kSnapshotFormatVersion = 9;
 
 enum class SnapshotKind : uint8_t {
   kMidCampaign = 0,  // loop state; resuming continues the campaign

@@ -5,9 +5,8 @@
 // approximately. All the aggregates are integer running sums, so even the
 // derived doubles (fractions, imbalance spread) must be bit-identical; any
 // EXPECT_EQ tolerance here would also be a hole in the --jobs determinism
-// guarantee (tests/determinism_test.cc). The GeoFS and 1000-node rows drive
-// the per-load-group sub-aggregates and their lazy rollup (DESIGN.md §15)
-// through dirty groups of very different shapes.
+// guarantee (tests/determinism_test.cc). The 1000-node GeoFS and HDFS rows
+// check the flat index at fleet sizes far past the paper's 10 nodes.
 //
 // The 10-node rows also check the replica index against the layouts and the
 // load epoch's contract: any change to what the epoch promises to track
@@ -406,8 +405,7 @@ TEST_P(ClusterCacheTest, CachedAggregatesMatchBruteForce) {
 
 // 5 flavors x {healthy, faulty} x 1500 steps = 15000 randomized mutation
 // steps, each followed by a full differential check, plus two 1000-node
-// fleets: GeoFS (load groups = scheduling groups) and HDFS (the default
-// contiguous id-span groups).
+// fleets (GeoFS and HDFS) that keep the flat index exact at scale.
 INSTANTIATE_TEST_SUITE_P(
     AllFlavors, ClusterCacheTest,
     ::testing::Values(CacheCase{Flavor::kGluster, false, 51, 1500},

@@ -25,10 +25,13 @@ struct GoldenEntry {
   const char* strategy = "Themis";
   bool env_faults_and_telemetry = false;
   double transition_weight = 0.0;
+  int storage_nodes = 8;
+  int hours = 2;
 };
 
 // seed=1234, budget=2 virtual hours, otherwise the default config; the rows
-// tools/digest_probe prints.
+// tools/digest_probe prints. The last row is the one campaign that runs a
+// 1000-node fleet (63 GeoFS scheduling groups) for a full 24 hours.
 constexpr GoldenEntry kGolden[] = {
     {Flavor::kGluster, 0xd7f0af71ded96a27ULL, 143, 3575},
     {Flavor::kHdfs, 0x6f0dca68c74aa2f0ULL, 150, 5886},
@@ -39,6 +42,7 @@ constexpr GoldenEntry kGolden[] = {
     {Flavor::kGluster, kTelemetryEnabled ? 0x3609d4d5198d9eb5ULL : 0x4afe9fde2410ed0aULL,
      17, 781, "Themis", true},
     {Flavor::kHdfs, 0x57a1e50bb27b427bULL, 192, 5755, "Bandit", false, 0.5},
+    {Flavor::kGeo, 0xaafac23ca1d93f57ULL, 2705, 17772, "Themis", false, 0.0, 1000, 24},
 };
 
 TEST(GoldenDigestTest, PerFlavorDigestsArePinned) {
@@ -46,13 +50,15 @@ TEST(GoldenDigestTest, PerFlavorDigestsArePinned) {
     CampaignConfig config;
     config.flavor = golden.flavor;
     config.seed = 1234;
-    config.budget = Hours(2);
+    config.budget = Hours(golden.hours);
+    config.storage_nodes = golden.storage_nodes;
     config.env_faults = golden.env_faults_and_telemetry;
     config.collect_telemetry = golden.env_faults_and_telemetry;
     config.transition_weight = golden.transition_weight;
     Result<CampaignResult> result = Campaign(config).Run(golden.strategy);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const std::string flavor = std::string(FlavorName(golden.flavor)) + " " + golden.strategy;
+    const std::string flavor = std::string(FlavorName(golden.flavor)) + " " + golden.strategy +
+                               " n" + std::to_string(golden.storage_nodes);
     EXPECT_EQ(result->Digest(), golden.digest) << flavor;
     EXPECT_EQ(result->testcases, golden.testcases) << flavor;
     EXPECT_EQ(result->total_ops, golden.total_ops) << flavor;

@@ -430,6 +430,7 @@ TEST(GeoTree, RestoreReproducesAssignmentAndFutureHistory) {
   original.RemoveNode(19);
 
   GeoTreeEngine restored(3, 4, 8);
+  restored.RestoreGroups(original.group_count());
   for (NodeId id = 0; id < 30; ++id) {
     if (original.Contains(id)) {
       restored.RestoreNode(id, original.TagOf(id), original.GroupOf(id));

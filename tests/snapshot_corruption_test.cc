@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/common/snapshot_io.h"
+#include "src/common/strings.h"
 #include "src/core/bandit.h"
 #include "src/core/input_model.h"
 #include "src/core/strategy_registry.h"
@@ -104,8 +105,9 @@ TEST(SnapshotCorruptionTest, WrongMagicAndVersionAreRejected) {
 
   // Stale files must be refused outright rather than parsed into misaligned
   // fields: a pre-v6 file has no model-coverage record or bandit arm
-  // tables, and a v7 file still carries the cluster's rate-window record.
-  for (char stale : {5, 7}) {
+  // tables, a v7 file still carries the cluster's rate-window record, and
+  // a v8 file the cluster's load-group table and the pool's seen set.
+  for (char stale : {5, 7, 8}) {
     std::string stale_version = original;
     stale_version[8] = stale;
     WriteFileBytes(path, stale_version);
@@ -333,102 +335,45 @@ TEST(SnapshotCorruptionTest, MalformedEnvFaultRecordsAreRejected) {
   }
 }
 
-// Format v5 field-level validation (DESIGN.md §15): the load-group
-// assignment table routes every per-op charge into a per-group aggregate,
-// so a corrupt entry would silently skew the rollup forever after — it must
-// fail the restore with a message naming the node.
-TEST(SnapshotCorruptionTest, LoadGroupTableCorruptionIsRejected) {
-  GeoLikeCluster dfs;
-  SnapshotWriter writer;
-  dfs.SaveState(writer);
-
-  // Locate the table by reconstructing its first entries from the engine's
-  // own (public) view: U64 entry count, then (U32 id, U32 group) pairs in
-  // node-id order.
-  std::vector<NodeId> ids = dfs.ListStorageNodes();
-  ASSERT_GE(ids.size(), 3u);
-  SnapshotWriter needle;
-  needle.U64(ids.size());
-  for (int i = 0; i < 3; ++i) {
-    needle.U32(ids[static_cast<size_t>(i)]);
-    needle.U32(dfs.engine().GroupOf(ids[static_cast<size_t>(i)]));
-  }
-  size_t pos = writer.buffer().find(needle.buffer());
-  ASSERT_NE(pos, std::string::npos) << "group table not found in payload";
-  ASSERT_EQ(writer.buffer().find(needle.buffer(), pos + 1), std::string::npos)
-      << "group table bytes must be unique for targeted corruption";
-
-  auto patch_u32 = [](std::string& bytes, size_t at, uint32_t value) {
-    for (int i = 0; i < 4; ++i) {
-      bytes[at + static_cast<size_t>(i)] =
-          static_cast<char>((value >> (8 * i)) & 0xff);
-    }
-  };
-  auto expect_rejected = [](const std::string& payload, const char* message) {
-    GeoLikeCluster fresh;
-    SnapshotReader reader(payload);
-    Status status = fresh.RestoreState(reader);
-    ASSERT_FALSE(status.ok()) << message;
-    EXPECT_NE(status.message().find(message), std::string::npos)
-        << status.ToString();
-  };
-
-  const size_t first_id = pos + 8;      // after the U64 count
-  const size_t first_group = pos + 12;  // its group
-  const size_t second_id = pos + 16;
-
-  std::string unknown = writer.buffer();
-  patch_u32(unknown, first_id, 999999);
-  expect_rejected(unknown, "load group assigns unknown storage node");
-
-  std::string out_of_range = writer.buffer();
-  patch_u32(out_of_range, first_group, 1u << 20);
-  expect_rejected(out_of_range, "out of range");
-
-  std::string duplicate = writer.buffer();
-  patch_u32(duplicate, second_id, ids[0]);  // first node assigned twice
-  expect_rejected(duplicate, "duplicate load group assignment");
-
-  // The unmodified payload restores cleanly.
-  GeoLikeCluster fresh;
-  SnapshotReader ok_reader(writer.buffer());
-  EXPECT_TRUE(fresh.RestoreState(ok_reader).ok());
-}
-
-// The GeoFS flavor section persists each node's geotag; a tag outside the
-// configured tree or naming an unknown node must be rejected — a silently
-// adopted bad tag would mis-route every later placement decision.
+// The GeoFS flavor record (format v9, DESIGN.md §15) is the payload's
+// tail: U32 group count, U64 node count, per node (U32 id, U32 site,
+// U32 rack, U32 group) in id order, then the U32 balancer-crash census.
+// Placement reads group membership from it alone, so every corrupt shape
+// must fail the restore with a message naming the node or the count.
 TEST(SnapshotCorruptionTest, GeoFlavorStateCorruptionIsRejected) {
   GeoLikeCluster dfs;
   SnapshotWriter writer;
   dfs.SaveState(writer);
+  const std::string& bytes = writer.buffer();
 
-  // The flavor section is the payload's tail: a U64 count then per node
-  // (U32 id, U32 site, U32 rack), reconstructed here from the engine's own
-  // view. Two full entries disambiguate it from the group table, whose
-  // entries are 8 bytes, not 12.
+  // Locate the record from the tail, and cross-check it against the
+  // engine's own (public) view.
   std::vector<NodeId> ids = dfs.ListStorageNodes();
   ASSERT_GE(ids.size(), 2u);
-  SnapshotWriter needle;
-  needle.U64(ids.size());
-  for (int i = 0; i < 2; ++i) {
-    GeoTag tag = dfs.engine().TagOf(ids[static_cast<size_t>(i)]);
-    needle.U32(ids[static_cast<size_t>(i)]);
-    needle.U32(tag.site);
-    needle.U32(tag.rack);
+  ASSERT_GE(dfs.engine().group_count(), 2u);
+  constexpr size_t kEntryBytes = 16;
+  const size_t record = bytes.size() - (4 + 8 + kEntryBytes * ids.size() + 4);
+  SnapshotWriter expected;
+  expected.U32(dfs.engine().group_count());
+  expected.U64(ids.size());
+  for (NodeId id : ids) {
+    GeoTag tag = dfs.engine().TagOf(id);
+    expected.U32(id);
+    expected.U32(tag.site);
+    expected.U32(tag.rack);
+    expected.U32(dfs.engine().GroupOf(id));
   }
-  size_t pos = writer.buffer().find(needle.buffer());
-  ASSERT_NE(pos, std::string::npos) << "geotag section not found in payload";
-  ASSERT_EQ(writer.buffer().find(needle.buffer(), pos + 1), std::string::npos)
-      << "geotag section bytes must be unique for targeted corruption";
+  expected.U32(dfs.balancer_crashes());
+  ASSERT_EQ(bytes.substr(record), expected.buffer());
+  auto entry = [&](size_t i) { return record + 4 + 8 + kEntryBytes * i; };
 
-  auto patch_u32 = [](std::string& bytes, size_t at, uint32_t value) {
+  auto patch_u32 = [](std::string& payload, size_t at, uint32_t value) {
     for (int i = 0; i < 4; ++i) {
-      bytes[at + static_cast<size_t>(i)] =
+      payload[at + static_cast<size_t>(i)] =
           static_cast<char>((value >> (8 * i)) & 0xff);
     }
   };
-  auto expect_rejected = [](const std::string& payload, const char* message) {
+  auto expect_rejected = [](const std::string& payload, const std::string& message) {
     GeoLikeCluster fresh;
     SnapshotReader reader(payload);
     Status status = fresh.RestoreState(reader);
@@ -437,16 +382,44 @@ TEST(SnapshotCorruptionTest, GeoFlavorStateCorruptionIsRejected) {
         << status.ToString();
   };
 
-  std::string unknown = writer.buffer();
-  patch_u32(unknown, pos + 8, 999999);
-  expect_rejected(unknown, "geotag references unknown storage node");
+  std::string unknown = bytes;
+  patch_u32(unknown, entry(0), 999999);
+  expect_rejected(unknown, "geotag references unknown storage node 999999");
 
-  std::string bad_site = writer.buffer();
-  patch_u32(bad_site, pos + 12, 99);  // site beyond the 3-site tree
+  std::string duplicate = bytes;
+  patch_u32(duplicate, entry(1), ids[0]);  // the first node listed twice
+  expect_rejected(duplicate, Sprintf("duplicate geotag for storage node %u", ids[0]));
+
+  std::string bad_site = bytes;
+  patch_u32(bad_site, entry(0) + 4, 99);  // site beyond the 3-site tree
   expect_rejected(bad_site, "out of tree bounds");
 
+  std::string bad_group = bytes;
+  patch_u32(bad_group, entry(0) + 12, 1u << 20);
+  expect_rejected(bad_group,
+                  Sprintf("scheduling group 1048576 for node %u out of range", ids[0]));
+
+  // A count that leaves some node's group out, and one no group table
+  // should ever be sized to.
+  std::string short_count = bytes;
+  patch_u32(short_count, record, 1);
+  expect_rejected(short_count, "scheduling group count 1 does not cover group");
+  std::string huge_count = bytes;
+  patch_u32(huge_count, record, 0xffffffffu);
+  expect_rejected(huge_count, "scheduling group count 4294967295 out of range");
+
+  // An online node left out of the record would never receive a replica.
+  SnapshotWriter missing_tail;
+  missing_tail.U32(dfs.engine().group_count());
+  missing_tail.U64(ids.size() - 1);
+  std::string missing = bytes.substr(0, record) + missing_tail.buffer() +
+                        bytes.substr(entry(0), kEntryBytes * (ids.size() - 1)) +
+                        bytes.substr(bytes.size() - 4);
+  expect_rejected(missing, Sprintf("online storage node %u missing from the geotag record",
+                                   ids.back()));
+
   GeoLikeCluster fresh;
-  SnapshotReader ok_reader(writer.buffer());
+  SnapshotReader ok_reader(bytes);
   EXPECT_TRUE(fresh.RestoreState(ok_reader).ok());
 }
 

@@ -11,11 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/rng.h"
 #include "src/common/snapshot_io.h"
 #include "src/core/generator.h"
 #include "src/core/input_model.h"
 #include "src/dfs/flavors/factory.h"
+#include "src/dfs/flavors/geo_like.h"
 #include "src/core/seed_pool.h"
 #include "src/core/strategy_registry.h"
 #include "src/coverage/coverage.h"
@@ -259,6 +261,61 @@ TEST(SnapshotRoundTripTest, ClusterSaveRestoreSaveIsByteStable) {
   }
 }
 
+// A decommission can empty GeoFS's last scheduling group. Admission still
+// counts the empty group (fewest members wins), and placement hashes
+// modulo the group count, so a restore must bring the empty group back:
+// otherwise the restored cluster admits and places differently.
+TEST(SnapshotRoundTripTest, GeoRestoreKeepsAnEmptiedLastGroup) {
+  ClusterConfig config = GeoLikeCluster::DefaultConfig();
+  config.geo_group_size = 4;
+  config.initial_storage_nodes = 8;
+  config.min_storage_nodes = 4;
+  GeoLikeCluster original(config);
+  ASSERT_EQ(original.engine().group_count(), 2u);
+
+  Operation add;
+  add.kind = OpKind::kAddStorageNode;
+  ASSERT_TRUE(original.Execute(add).status.ok());
+  NodeId added = original.ListStorageNodes().back();
+  ASSERT_EQ(original.engine().GroupOf(added), 2u);
+  Operation remove;
+  remove.kind = OpKind::kRemoveStorageNode;
+  for (NodeId node : {added, original.engine().GroupMembers(0).front()}) {
+    remove.node = node;
+    ASSERT_TRUE(original.Execute(remove).status.ok()) << node;
+  }
+  ASSERT_EQ(original.engine().group_count(), 3u);
+  ASSERT_TRUE(original.engine().GroupMembers(2).empty());
+
+  SnapshotWriter saved;
+  original.SaveState(saved);
+  GeoLikeCluster restored(config);
+  SnapshotReader reader(saved.buffer());
+  ASSERT_TRUE(restored.RestoreState(reader).ok());
+  EXPECT_EQ(restored.engine().group_count(), 3u);
+
+  // The next node refills the empty group on both sides...
+  ASSERT_TRUE(original.Execute(add).status.ok());
+  ASSERT_TRUE(restored.Execute(add).status.ok());
+  NodeId next = original.ListStorageNodes().back();
+  EXPECT_EQ(original.engine().GroupOf(next), 2u);
+  EXPECT_EQ(restored.engine().GroupOf(next), 2u);
+  // ...and placement stays in lockstep.
+  for (int i = 0; i < 20; ++i) {
+    Operation create;
+    create.kind = OpKind::kCreate;
+    create.path = "/f" + std::to_string(i);
+    create.size = 5 * kGiB;
+    ASSERT_EQ(original.Execute(create).status.ok(), restored.Execute(create).status.ok()) << i;
+  }
+  SnapshotWriter original_bytes;
+  SnapshotWriter restored_bytes;
+  original.SaveState(original_bytes);
+  restored.SaveState(restored_bytes);
+  EXPECT_TRUE(original_bytes.buffer() == restored_bytes.buffer())
+      << "saved states diverged after the restore";
+}
+
 // The monitor's sampling window lives in the variance model's
 // previous-window counters: a monitor saved mid-campaign and restored must
 // return the bit-identical next sample.
@@ -319,10 +376,10 @@ TEST(SnapshotRoundTripTest, ContinuedRunMatchesUninterruptedDigest) {
   ExpectResumeMatchesUninterrupted(checkpointed, "Themis");
 }
 
-// Same headline property for the v5 state: a GeoFS campaign's checkpoint
-// carries the load-group assignment table and the geotag tree, both
-// history-dependent, so a resumed run only matches the uninterrupted digest
-// if they round-trip exactly.
+// Same headline property for GeoFS: its checkpoint carries the geotag
+// tree, the scheduling groups and the group count, all history-dependent,
+// so a resumed run only matches the uninterrupted digest if they
+// round-trip exactly.
 TEST(SnapshotRoundTripTest, GeoContinuedRunMatchesUninterruptedDigest) {
   CampaignConfig checkpointed;
   checkpointed.flavor = Flavor::kGeo;
