@@ -1,31 +1,24 @@
-// Shared scaffolding for the experiment benches. Each bench binary:
-//   1. registers google-benchmark microbenchmarks that exercise the
-//      experiment machinery at a reduced virtual budget (so `--benchmark_*`
-//      flags work as usual), and
-//   2. after RunSpecifiedBenchmarks(), executes the full experiment through
-//      the parallel CampaignRunner and prints the paper-style table / series
-//      plus the experiment's wall-clock (and, on request, the speedup over a
-//      serial run — per-campaign results are bit-identical either way).
+// Shared scaffolding for the experiment benches. Each bench binary runs one
+// paper experiment through the parallel CampaignRunner and prints the
+// paper-style table / series plus the experiment's wall-clock (and, on
+// request, the speedup over a serial run — per-campaign results are
+// bit-identical either way).
 //
-// Flags / environment knobs (full experiment only):
-//   --jobs N              CampaignRunner worker threads (flag wins over env)
-//   THEMIS_BENCH_JOBS     same as --jobs (default 1)
+// Flags:
+//   --jobs N              CampaignRunner worker threads (default 1)
+//   --telemetry-out=PATH  write the campaign event stream (JSONL) to PATH
+//   --metrics-summary     print the merged metrics registry after the run
+//   --summary-json[=PATH] write the machine-readable metrics summary; the
+//                         default path is BENCH_<bench name>.json
+// Environment knobs:
 //   THEMIS_BENCH_HOURS    virtual hours per campaign (default 24)
 //   THEMIS_BENCH_SEEDS    repeated campaigns per (tool, flavor) (default 3)
 //   THEMIS_BENCH_COMPARE_SERIAL=1  rerun with 1 job and report the speedup
-//   --telemetry-out=PATH / THEMIS_BENCH_TELEMETRY_OUT
-//                         write the campaign event stream (JSONL) to PATH
-//   --metrics-summary / THEMIS_BENCH_METRICS_SUMMARY=1
-//                         print the merged metrics registry after the run
-//   --summary-json[=PATH] / THEMIS_BENCH_SUMMARY_JSON
-//                         write the machine-readable metrics summary; the
-//                         default path is BENCH_<bench name>.json
 
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -40,31 +33,16 @@
 
 namespace themis {
 
-// Worker-thread count for the full experiment (set by --jobs / env).
-inline int& BenchJobs() {
-  static int jobs = 1;
-  return jobs;
-}
-
-// Bench name derived from argv[0] ("bench_table3_methods" -> "table3_methods").
-inline std::string& BenchName() {
-  static std::string name = "bench";
-  return name;
-}
-
-// Telemetry knobs (set by flags / env in InitBenchJobs).
-inline std::string& BenchTelemetryOut() {
-  static std::string path;
-  return path;
-}
-inline bool& BenchMetricsSummary() {
-  static bool enabled = false;
-  return enabled;
-}
-inline std::string& BenchSummaryJsonPath() {
-  static std::string path;
-  return path;
-}
+// The flags above, set by InitBenchJobs.
+struct BenchFlags {
+  int jobs = 1;
+  // argv[0] without its directory and "bench_" prefix ("table3_methods").
+  std::string name = "bench";
+  std::string telemetry_out;
+  bool metrics_summary = false;
+  std::string summary_json;
+};
+inline BenchFlags bench_flags;
 
 inline ExperimentBudget BenchBudget() {
   ExperimentBudget budget;
@@ -74,15 +52,13 @@ inline ExperimentBudget BenchBudget() {
   if (const char* seeds = std::getenv("THEMIS_BENCH_SEEDS")) {
     budget.seeds = std::max(1, std::atoi(seeds));
   }
-  budget.jobs = BenchJobs();
-  budget.telemetry_out = BenchTelemetryOut();
+  budget.jobs = bench_flags.jobs;
+  budget.telemetry_out = bench_flags.telemetry_out;
   return budget;
 }
 
-// Consumes the flags google-benchmark does not know (--jobs, --telemetry-out,
-// --metrics-summary, --summary-json) from argv, with the THEMIS_BENCH_* env
-// vars as defaults.
-inline void InitBenchJobs(int& argc, char** argv) {
+// Parses the flags above; any other argument exits 2 with a usage line.
+inline void InitBenchJobs(int argc, char** argv) {
   if (argc > 0) {
     std::string name = argv[0];
     size_t slash = name.find_last_of('/');
@@ -93,42 +69,32 @@ inline void InitBenchJobs(int& argc, char** argv) {
       name = name.substr(6);
     }
     if (!name.empty()) {
-      BenchName() = name;
+      bench_flags.name = name;
     }
   }
-  if (const char* jobs = std::getenv("THEMIS_BENCH_JOBS")) {
-    BenchJobs() = std::max(1, std::atoi(jobs));
-  }
-  if (const char* out = std::getenv("THEMIS_BENCH_TELEMETRY_OUT")) {
-    BenchTelemetryOut() = out;
-  }
-  if (const char* summary = std::getenv("THEMIS_BENCH_METRICS_SUMMARY")) {
-    BenchMetricsSummary() = std::atoi(summary) != 0;
-  }
-  if (const char* json = std::getenv("THEMIS_BENCH_SUMMARY_JSON")) {
-    BenchSummaryJsonPath() = json;
-  }
-  int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      BenchJobs() = std::max(1, std::atoi(argv[++i]));
+      bench_flags.jobs = std::max(1, std::atoi(argv[++i]));
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      BenchJobs() = std::max(1, std::atoi(argv[i] + 7));
+      bench_flags.jobs = std::max(1, std::atoi(argv[i] + 7));
     } else if (std::strncmp(argv[i], "--telemetry-out=", 16) == 0) {
-      BenchTelemetryOut() = argv[i] + 16;
+      bench_flags.telemetry_out = argv[i] + 16;
     } else if (std::strcmp(argv[i], "--telemetry-out") == 0 && i + 1 < argc) {
-      BenchTelemetryOut() = argv[++i];
+      bench_flags.telemetry_out = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-summary") == 0) {
-      BenchMetricsSummary() = true;
+      bench_flags.metrics_summary = true;
     } else if (std::strncmp(argv[i], "--summary-json=", 15) == 0) {
-      BenchSummaryJsonPath() = argv[i] + 15;
+      bench_flags.summary_json = argv[i] + 15;
     } else if (std::strcmp(argv[i], "--summary-json") == 0) {
-      BenchSummaryJsonPath() = "BENCH_" + BenchName() + ".json";
+      bench_flags.summary_json = "BENCH_" + bench_flags.name + ".json";
     } else {
-      argv[out++] = argv[i];
+      std::fprintf(stderr,
+                   "unknown argument %s; usage: %s [--jobs N] [--telemetry-out=PATH] "
+                   "[--metrics-summary] [--summary-json[=PATH]]\n",
+                   argv[i], argv[0]);
+      std::exit(2);
     }
   }
-  argc = out;
 }
 
 inline void PrintHeader(const char* title) {
@@ -147,28 +113,28 @@ void RunTimedExperiment(RunExperimentFn&& run) {
   run();
   double seconds = std::chrono::duration<double>(Clock::now() - start).count();
   std::printf("\n[experiment wall-clock: %.2fs with --jobs %d]\n", seconds,
-              BenchJobs());
+              bench_flags.jobs);
 
-  if (BenchMetricsSummary()) {
+  if (bench_flags.metrics_summary) {
     std::printf("\n%s", MetricsRegistry::Global().RenderSummary().c_str());
   }
-  if (!BenchSummaryJsonPath().empty()) {
+  if (!bench_flags.summary_json.empty()) {
     Status write =
-        WriteMetricsSummaryJson(BenchName(), seconds, BenchSummaryJsonPath());
+        WriteMetricsSummaryJson(bench_flags.name, seconds, bench_flags.summary_json);
     std::printf("[metrics summary: %s]\n",
-                write.ok() ? BenchSummaryJsonPath().c_str()
+                write.ok() ? bench_flags.summary_json.c_str()
                            : write.ToString().c_str());
   }
 
   const char* compare = std::getenv("THEMIS_BENCH_COMPARE_SERIAL");
-  if (compare != nullptr && std::atoi(compare) != 0 && BenchJobs() > 1) {
-    int parallel_jobs = BenchJobs();
-    BenchJobs() = 1;
+  if (compare != nullptr && std::atoi(compare) != 0 && bench_flags.jobs > 1) {
+    int parallel_jobs = bench_flags.jobs;
+    bench_flags.jobs = 1;
     Clock::time_point serial_start = Clock::now();
     run();
     double serial_seconds =
         std::chrono::duration<double>(Clock::now() - serial_start).count();
-    BenchJobs() = parallel_jobs;
+    bench_flags.jobs = parallel_jobs;
     std::printf("\n[serial wall-clock: %.2fs; speedup with --jobs %d: %.2fx]\n",
                 serial_seconds, parallel_jobs,
                 seconds > 0.0 ? serial_seconds / seconds : 0.0);
@@ -177,18 +143,12 @@ void RunTimedExperiment(RunExperimentFn&& run) {
 
 }  // namespace themis
 
-// Standard main: benchmarks first, then the timed full experiment table.
-#define THEMIS_BENCH_MAIN(RunExperimentFn)                       \
-  int main(int argc, char** argv) {                              \
-    ::themis::InitBenchJobs(argc, argv);                         \
-    ::benchmark::Initialize(&argc, argv);                        \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) {  \
-      return 1;                                                  \
-    }                                                            \
-    ::benchmark::RunSpecifiedBenchmarks();                       \
-    ::benchmark::Shutdown();                                     \
-    ::themis::RunTimedExperiment([] { RunExperimentFn(); });     \
-    return 0;                                                    \
+// Standard main: the flags, then the timed experiment table.
+#define THEMIS_BENCH_MAIN(RunExperimentFn)                   \
+  int main(int argc, char** argv) {                          \
+    ::themis::InitBenchJobs(argc, argv);                     \
+    ::themis::RunTimedExperiment([] { RunExperimentFn(); }); \
+    return 0;                                                \
   }
 
 #endif  // BENCH_BENCH_COMMON_H_

@@ -7,16 +7,6 @@
 namespace themis {
 namespace {
 
-void BM_TimelineSampling(benchmark::State& state) {
-  uint64_t seed = 1;
-  for (auto _ : state) {
-    CampaignResult result = RunCampaign(StrategyKind::kConcurrent, Flavor::kLeo, seed++,
-                                        Hours(1), FaultSet::kNewBugs).take();
-    state.counters["samples"] = static_cast<double>(result.coverage_timeline.size());
-  }
-}
-BENCHMARK(BM_TimelineSampling)->Unit(benchmark::kMillisecond);
-
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
   budget.seeds = 1;  // the figure shows one representative campaign per tool

@@ -9,15 +9,6 @@
 namespace themis {
 namespace {
 
-void BM_AccumulationTraceShort(benchmark::State& state) {
-  uint64_t seed = 1;
-  for (auto _ : state) {
-    AccumulationTrace trace = RunAccumulationTrace(seed++, Hours(1));
-    benchmark::DoNotOptimize(trace.max_variance_series.size());
-  }
-}
-BENCHMARK(BM_AccumulationTraceShort)->Unit(benchmark::kMillisecond);
-
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
   AccumulationTrace trace;

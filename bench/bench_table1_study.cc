@@ -7,15 +7,6 @@
 namespace themis {
 namespace {
 
-void BM_SummarizeCorpus(benchmark::State& state) {
-  const std::vector<StudyRecord>& corpus = StudyCorpus();
-  for (auto _ : state) {
-    StudySummary summary = Summarize(corpus);
-    benchmark::DoNotOptimize(summary);
-  }
-}
-BENCHMARK(BM_SummarizeCorpus);
-
 void RunExperiment() {
   const std::vector<StudyRecord>& corpus = StudyCorpus();
   StudySummary s = Summarize(corpus);

@@ -7,18 +7,6 @@
 namespace themis {
 namespace {
 
-void BM_ThemisCampaignShort(benchmark::State& state) {
-  uint64_t seed = 1;
-  for (auto _ : state) {
-    CampaignResult result = RunCampaign(StrategyKind::kThemis, Flavor::kGluster, seed++,
-                                        Hours(state.range(0)), FaultSet::kNewBugs).take();
-    benchmark::DoNotOptimize(result.testcases);
-    state.counters["failures"] = result.DistinctTruePositives();
-    state.counters["ops"] = static_cast<double>(result.total_ops);
-  }
-}
-BENCHMARK(BM_ThemisCampaignShort)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
   NewBugFindings findings = RunNewBugExperiment({StrategyKind::kThemis}, budget);

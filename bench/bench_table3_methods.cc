@@ -8,22 +8,6 @@
 namespace themis {
 namespace {
 
-void BM_BaselineCampaignShort(benchmark::State& state) {
-  StrategyKind kind = static_cast<StrategyKind>(state.range(0));
-  uint64_t seed = 1;
-  for (auto _ : state) {
-    CampaignResult result = RunCampaign(kind, Flavor::kGluster, seed++, Hours(1),
-                                        FaultSet::kNewBugs).take();
-    benchmark::DoNotOptimize(result.testcases);
-  }
-}
-BENCHMARK(BM_BaselineCampaignShort)
-    ->Arg(static_cast<int>(StrategyKind::kFixReq))
-    ->Arg(static_cast<int>(StrategyKind::kFixConf))
-    ->Arg(static_cast<int>(StrategyKind::kAlternate))
-    ->Arg(static_cast<int>(StrategyKind::kConcurrent))
-    ->Unit(benchmark::kMillisecond);
-
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
   std::vector<StrategyKind> strategies(kComparedStrategies.begin(),

@@ -8,16 +8,6 @@
 namespace themis {
 namespace {
 
-void BM_HistoricalCampaignShort(benchmark::State& state) {
-  uint64_t seed = 1;
-  for (auto _ : state) {
-    CampaignResult result = RunCampaign(StrategyKind::kThemis, Flavor::kHdfs, seed++,
-                                        Hours(1), FaultSet::kHistorical).take();
-    benchmark::DoNotOptimize(result.testcases);
-  }
-}
-BENCHMARK(BM_HistoricalCampaignShort)->Unit(benchmark::kMillisecond);
-
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
   std::vector<StrategyKind> strategies(kComparedStrategies.begin(),

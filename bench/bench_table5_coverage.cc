@@ -8,16 +8,6 @@
 namespace themis {
 namespace {
 
-void BM_CoverageCampaignShort(benchmark::State& state) {
-  uint64_t seed = 1;
-  for (auto _ : state) {
-    CampaignResult result = RunCampaign(StrategyKind::kThemis, Flavor::kCeph, seed++,
-                                        Hours(state.range(0)), FaultSet::kNewBugs).take();
-    state.counters["branches"] = static_cast<double>(result.final_coverage);
-  }
-}
-BENCHMARK(BM_CoverageCampaignShort)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
   std::vector<StrategyKind> strategies = {StrategyKind::kFixReq, StrategyKind::kFixConf,

@@ -6,16 +6,6 @@
 namespace themis {
 namespace {
 
-void BM_ThemisMinusCampaignShort(benchmark::State& state) {
-  uint64_t seed = 1;
-  for (auto _ : state) {
-    CampaignResult result = RunCampaign(StrategyKind::kThemisMinus, Flavor::kGluster,
-                                        seed++, Hours(1), FaultSet::kNewBugs).take();
-    benchmark::DoNotOptimize(result.testcases);
-  }
-}
-BENCHMARK(BM_ThemisMinusCampaignShort)->Unit(benchmark::kMillisecond);
-
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
   AblationResults results = RunAblationExperiment(budget);

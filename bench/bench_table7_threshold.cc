@@ -6,20 +6,6 @@
 namespace themis {
 namespace {
 
-void BM_ThresholdCampaignShort(benchmark::State& state) {
-  uint64_t seed = 1;
-  for (auto _ : state) {
-    CampaignConfig config;
-    config.flavor = Flavor::kGluster;
-    config.seed = seed++;
-    config.budget = Hours(1);
-    config.threshold_t = static_cast<double>(state.range(0)) / 100.0;
-    CampaignResult result = Campaign(config).Run(StrategyKind::kThemis).take();
-    state.counters["fp"] = result.false_positives;
-  }
-}
-BENCHMARK(BM_ThresholdCampaignShort)->Arg(5)->Arg(25)->Unit(benchmark::kMillisecond);
-
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
   std::vector<double> thresholds = {0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35};

@@ -6,22 +6,6 @@
 namespace themis {
 namespace {
 
-void BM_WeightedCampaignShort(benchmark::State& state) {
-  uint64_t seed = 1;
-  for (auto _ : state) {
-    CampaignConfig config;
-    config.flavor = Flavor::kLeo;
-    config.seed = seed++;
-    config.budget = Hours(1);
-    config.weights.storage = static_cast<double>(state.range(0)) / 6.0;
-    config.weights.computation = (1.0 - config.weights.storage) / 2.0;
-    config.weights.network = (1.0 - config.weights.storage) / 2.0;
-    CampaignResult result = Campaign(config).Run(StrategyKind::kThemis).take();
-    benchmark::DoNotOptimize(result.testcases);
-  }
-}
-BENCHMARK(BM_WeightedCampaignShort)->Arg(1)->Arg(2)->Arg(6)->Unit(benchmark::kMillisecond);
-
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
   std::vector<double> weights = {1.0 / 6.0, 1.0 / 3.0, 1.0 / 2.0, 2.0 / 3.0, 1.0};

@@ -8,9 +8,13 @@
 
 #include <cstdint>
 
+#include "src/common/bytes.h"
 #include "src/dfs/types.h"
 
 namespace themis {
+
+// Bytes one GlusterFS DHT linkfile occupies on its brick.
+constexpr uint64_t kLinkfileBytes = 4 * kKiB;
 
 struct Brick {
   BrickId id = kInvalidBrick;
@@ -18,7 +22,8 @@ struct Brick {
   uint64_t capacity_bytes = 0;
   uint64_t used_bytes = 0;
   bool online = true;
-  // Number of small DHT "linkfiles" parked on this brick (GlusterFS flavor).
+  // Number of small DHT "linkfiles" parked on this brick (GlusterFS flavor),
+  // each holding kLinkfileBytes of used_bytes.
   uint32_t linkfiles = 0;
 
   uint64_t FreeBytes() const {

@@ -6,6 +6,7 @@
 
 #include "src/common/log.h"
 #include "src/common/strings.h"
+#include "src/dfs/cluster_audit.h"
 #include "src/telemetry/metrics.h"
 
 namespace themis {
@@ -61,7 +62,8 @@ void DfsCluster::BuildInitialTopology() {
   offline_brick_list_.clear();
   serving_meta_nodes_.clear();
   crashed_node_ids_.clear();
-  InvalidateLoadIndex();
+  load_.Clear();
+  ++membership_epoch_;
   OnTopologyCleared();
 
   for (int i = 0; i < config_.initial_meta_nodes; ++i) {
@@ -101,373 +103,69 @@ void DfsCluster::ResetToInitial() {
 // brick_index_ / storage_node_index_ pointer vectors maintained below.
 
 // ---------------------------------------------------------------------------
-// Incremental load index
+// Load index (DESIGN.md §10)
 //
-// Aggregates over bricks/nodes are maintained, not recomputed: the per-op
-// read points (StorageImbalance in the balancer check and the coverage hash,
-// SampleLoad in the monitor) run off integer running sums, while mutation
-// points pay an O(1) delta (byte writes) or an O(bricks-of-one-node) update
-// (membership changes). The full rebuild only runs after a topology reset —
-// removed nodes stay in the node maps as tombstones, so anything that walks
-// a whole node map is O(all nodes ever created) and must stay off the per-op
-// path. All sums are integers, so every cached double is bit-identical to a
-// from-scratch walk (tests/cluster_cache_test.cc).
+// The per-op read points (StorageImbalance in the balancer check and the
+// coverage hash, SampleLoad in the monitor) run off the LoadIndex's integer
+// sums, while mutation points pay an O(1) delta (byte writes) or an
+// O(bricks-of-one-node) update (membership changes). There is one update
+// path: a reset or a restore clears the index and re-adds every node and
+// brick through the same calls. Removed nodes stay in the node maps as
+// tombstones, so nothing on the per-op path walks a whole node map.
 
-void DfsCluster::InvalidateLoadIndex() {
-  load_index_dirty_ = true;
-  ++load_epoch_;
-  ++membership_epoch_;
-}
-
-void DfsCluster::RebuildLoadIndex() const {
-  serving_bricks_.clear();
-  serving_storage_nodes_.clear();
-  node_agg_.assign(next_node_id_, NodeLoadAgg{});
-  fleet_used_ = 0;
-  fleet_cap_ = 0;
-  fleet_overflow_ = 0;
-  total_used_all_ = 0;
-  for (const auto& [id, node] : storage_nodes_) {
-    NodeLoadAgg agg;
-    agg.serving = node.Serving();
-    if (agg.serving) {
-      serving_storage_nodes_.push_back(id);
-    }
-    for (BrickId b : node.bricks) {
-      const Brick* brick = FindBrick(b);
-      if (brick == nullptr) {
-        continue;
-      }
-      agg.used_all += brick->used_bytes;
-      if (brick->online) {
-        agg.used_online += brick->used_bytes;
-        agg.cap_online += brick->capacity_bytes;
-      }
-    }
-    node_agg_[id] = agg;
-  }
-  for (const auto& [id, brick] : bricks_) {
-    total_used_all_ += brick.used_bytes;
-    if (!brick.online) {
-      continue;
-    }
-    if (brick.node < node_agg_.size() && node_agg_[brick.node].serving) {
-      serving_bricks_.push_back(id);
-      fleet_used_ += brick.used_bytes;
-      fleet_cap_ += brick.capacity_bytes;
-      if (brick.used_bytes > brick.capacity_bytes) {
-        fleet_overflow_ += brick.used_bytes - brick.capacity_bytes;
-      }
-    }
-  }
-  load_index_dirty_ = false;
-}
-
-void DfsCluster::ApplyUsedBytesDelta(const Brick& brick, uint64_t old_used) {
-  ++load_epoch_;
-  if (load_index_dirty_) {
-    return;  // the pending rebuild recomputes everything from ground truth
-  }
-  uint64_t delta = brick.used_bytes - old_used;  // two's complement: may wrap
-  total_used_all_ += delta;
-  if (brick.node >= node_agg_.size()) {
-    return;
-  }
-  NodeLoadAgg& agg = node_agg_[brick.node];
-  agg.used_all += delta;
-  if (!brick.online) {
-    return;
-  }
-  agg.used_online += delta;
-  if (agg.serving) {
-    fleet_used_ += delta;
-    uint64_t old_over =
-        old_used > brick.capacity_bytes ? old_used - brick.capacity_bytes : 0;
-    uint64_t new_over = brick.used_bytes > brick.capacity_bytes
-                            ? brick.used_bytes - brick.capacity_bytes
-                            : 0;
-    fleet_overflow_ += new_over - old_over;
-  }
-}
-
-void DfsCluster::UpdateBrickFraction(const Brick& brick) {
-  if (brick_fraction_.size() <= brick.id) {
-    brick_fraction_.resize(brick.id + 1, 0.0);
-  }
-  brick_fraction_[brick.id] = brick.UsedFraction();
-}
-
-void DfsCluster::AccreteBrickBytes(Brick* brick, uint64_t bytes) {
-  if (brick == nullptr || bytes == 0) {
-    return;
-  }
-  uint64_t old_used = brick->used_bytes;
-  brick->used_bytes += bytes;
-  UpdateBrickFraction(*brick);
-  ApplyUsedBytesDelta(*brick, old_used);
-}
-
-void DfsCluster::ReleaseBrickBytes(Brick* brick, uint64_t bytes) {
-  if (brick == nullptr || bytes == 0) {
-    return;
-  }
-  uint64_t old_used = brick->used_bytes;
-  brick->used_bytes -= std::min(old_used, bytes);
-  if (brick->used_bytes != old_used) {
-    UpdateBrickFraction(*brick);
-    ApplyUsedBytesDelta(*brick, old_used);
-  }
-}
-
-void DfsCluster::OnStorageNodeAdded(NodeId id) {
-  ++load_epoch_;
-  ++membership_epoch_;
-  if (load_index_dirty_) {
-    return;
-  }
-  if (node_agg_.size() <= id) {
-    node_agg_.resize(id + 1);
-  }
-  NodeLoadAgg agg;
-  agg.serving = true;
-  node_agg_[id] = agg;
-  // Node ids are monotonic, so appending preserves storage_nodes_ map order.
-  serving_storage_nodes_.push_back(id);
-}
-
-void DfsCluster::OnBrickAdded(const Brick& brick) {
-  ++load_epoch_;
-  ++membership_epoch_;
-  if (load_index_dirty_) {
-    return;
-  }
-  if (brick.node >= node_agg_.size()) {
-    return;
-  }
-  NodeLoadAgg& agg = node_agg_[brick.node];
-  agg.used_all += brick.used_bytes;
-  if (!brick.online) {
-    return;
-  }
-  agg.used_online += brick.used_bytes;
-  agg.cap_online += brick.capacity_bytes;
-  if (agg.serving) {
-    // Brick ids are monotonic, so appending preserves bricks_ map order.
-    serving_bricks_.push_back(brick.id);
-    fleet_used_ += brick.used_bytes;
-    fleet_cap_ += brick.capacity_bytes;
-    if (brick.used_bytes > brick.capacity_bytes) {
-      fleet_overflow_ += brick.used_bytes - brick.capacity_bytes;
-    }
-  }
-}
-
-void DfsCluster::OnStorageNodeUnserving(NodeId id) {
-  ++load_epoch_;
-  ++membership_epoch_;
-  if (load_index_dirty_) {
-    return;
-  }
-  if (id >= node_agg_.size() || !node_agg_[id].serving) {
-    return;
-  }
-  node_agg_[id].serving = false;
-  auto pos = std::lower_bound(serving_storage_nodes_.begin(),
-                              serving_storage_nodes_.end(), id);
-  if (pos != serving_storage_nodes_.end() && *pos == id) {
-    serving_storage_nodes_.erase(pos);
-  }
-  // The node's online bricks leave the fleet (they are no longer serving)
-  // but stay in the per-node sums: SampleLoad still reports a crashed
-  // node's mounted bricks.
-  const StorageNode* node = FindStorageNode(id);
-  if (node == nullptr) {
-    return;
-  }
-  for (BrickId b : node->bricks) {
+void DfsCluster::SetStorageNodeServing(const StorageNode& node, bool serving) {
+  std::vector<BrickId> online;
+  for (BrickId b : node.bricks) {
     const Brick* brick = FindBrick(b);
-    if (brick == nullptr || !brick->online) {
-      continue;
-    }
-    fleet_used_ -= brick->used_bytes;
-    fleet_cap_ -= brick->capacity_bytes;
-    if (brick->used_bytes > brick->capacity_bytes) {
-      fleet_overflow_ -= brick->used_bytes - brick->capacity_bytes;
-    }
-    auto bpos = std::lower_bound(serving_bricks_.begin(), serving_bricks_.end(), b);
-    if (bpos != serving_bricks_.end() && *bpos == b) {
-      serving_bricks_.erase(bpos);
+    if (brick != nullptr && brick->online) {
+      online.push_back(b);
     }
   }
-}
-
-void DfsCluster::OnBrickOffline(const Brick& brick) {
-  ++load_epoch_;
+  load_.SetNodeServing(node.id, serving, online);
   ++membership_epoch_;
-  if (load_index_dirty_) {
-    return;
-  }
-  if (brick.node >= node_agg_.size()) {
-    return;
-  }
-  NodeLoadAgg& agg = node_agg_[brick.node];
-  agg.used_online -= brick.used_bytes;
-  agg.cap_online -= brick.capacity_bytes;
-  if (agg.serving) {
-    fleet_used_ -= brick.used_bytes;
-    fleet_cap_ -= brick.capacity_bytes;
-    if (brick.used_bytes > brick.capacity_bytes) {
-      fleet_overflow_ -= brick.used_bytes - brick.capacity_bytes;
-    }
-    auto pos = std::lower_bound(serving_bricks_.begin(), serving_bricks_.end(),
-                                brick.id);
-    if (pos != serving_bricks_.end() && *pos == brick.id) {
-      serving_bricks_.erase(pos);
-    }
-  }
 }
 
-void DfsCluster::OnBrickCapacityChanged(const Brick& brick, uint64_t old_capacity) {
-  ++load_epoch_;
-  if (load_index_dirty_ || !brick.online) {
-    return;
-  }
-  uint64_t delta = brick.capacity_bytes - old_capacity;  // may wrap; sums re-wrap
-  if (brick.node >= node_agg_.size()) {
-    return;
-  }
-  NodeLoadAgg& agg = node_agg_[brick.node];
-  agg.cap_online += delta;
-  if (agg.serving) {
-    fleet_cap_ += delta;
-    uint64_t old_over =
-        brick.used_bytes > old_capacity ? brick.used_bytes - old_capacity : 0;
-    uint64_t new_over = brick.used_bytes > brick.capacity_bytes
-                            ? brick.used_bytes - brick.capacity_bytes
-                            : 0;
-    fleet_overflow_ += new_over - old_over;
-  }
+void DfsCluster::TakeBrickOffline(Brick& brick) {
+  brick.online = false;
+  ++offline_bricks_;
+  offline_brick_list_.push_back(brick.id);
+  load_.OnBrickOffline(brick);
+  ++membership_epoch_;
 }
 
-const std::vector<BrickId>& DfsCluster::ServingBricks() const {
-  EnsureLoadIndex();
-  return serving_bricks_;
-}
-
-const std::vector<NodeId>& DfsCluster::ServingStorageNodeIds() const {
-  EnsureLoadIndex();
-  return serving_storage_nodes_;
-}
-
-BrickId DfsCluster::HottestServingBrick() const {
-  EnsureLoadIndex();
-  // serving_bricks_ is in brick-id order, so the strict max keeps the
-  // smallest id on fraction ties.
-  BrickId best = kInvalidBrick;
-  double best_fraction = -1.0;
-  for (BrickId id : serving_bricks_) {
-    if (brick_fraction_[id] > best_fraction) {
-      best_fraction = brick_fraction_[id];
-      best = id;
-    }
-  }
-  return best;
-}
-
-uint64_t DfsCluster::TotalCapacityBytes() const {
-  EnsureLoadIndex();
-  return fleet_cap_;
+void DfsCluster::SetBrickCapacity(Brick& brick, uint64_t capacity) {
+  uint64_t old_capacity = brick.capacity_bytes;
+  brick.capacity_bytes = capacity;
+  load_.OnCapacityChanged(brick, old_capacity);
 }
 
 uint64_t DfsCluster::TotalUsedBytes() const {
-  EnsureLoadIndex();
-  return total_used_all_;
-}
-
-uint64_t DfsCluster::TotalServingUsedBytes() const {
-  EnsureLoadIndex();
-  return fleet_used_;
-}
-
-uint64_t DfsCluster::FreeSpaceBytes() const {
-  // capacity - sum(min(used, capacity)) over serving bricks; min(used, cap)
-  // = used - max(0, used - cap), so the clamped sum falls out of the
-  // maintained overflow aggregate.
-  EnsureLoadIndex();
-  return fleet_cap_ - (fleet_used_ - fleet_overflow_);
-}
-
-std::vector<double> DfsCluster::PerNodeUsedBytes() const {
-  EnsureLoadIndex();
-  std::vector<double> out;
-  out.reserve(serving_storage_nodes_.size());
-  for (NodeId id : serving_storage_nodes_) {
-    out.push_back(static_cast<double>(node_agg_[id].used_all));
+  uint64_t total = 0;
+  for (const auto& [id, brick] : bricks_) {
+    total += brick.used_bytes;
   }
-  return out;
+  return total;
 }
 
-std::vector<double> DfsCluster::PerNodeUsedFraction() const {
-  EnsureLoadIndex();
-  std::vector<double> out;
-  out.reserve(serving_storage_nodes_.size());
-  for (NodeId id : serving_storage_nodes_) {
-    if (node_agg_[id].cap_online > 0) {
-      out.push_back(static_cast<double>(node_agg_[id].used_online) /
-                    static_cast<double>(node_agg_[id].cap_online));
+uint64_t DfsCluster::FreeSpaceBytesExcept(BrickId skip) const {
+  uint64_t free = 0;
+  for (BrickId id : ServingBricks()) {
+    if (id != skip) {
+      free += FindBrick(id)->FreeBytes();
     }
   }
-  return out;
-}
-
-const DfsCluster::FractionStats& DfsCluster::EnsureFractionStats() const {
-  EnsureLoadIndex();
-  if (imbalance_epoch_ == load_epoch_) {
-    return fraction_memo_;
-  }
-  FractionStats stats;
-  for (NodeId id : serving_storage_nodes_) {
-    const NodeLoadAgg& node = node_agg_[id];
-    if (node.cap_online == 0) {
-      continue;
-    }
-    double fraction = static_cast<double>(node.used_online) /
-                      static_cast<double>(node.cap_online);
-    if (stats.nodes == 0 || fraction > stats.max_fraction) {
-      stats.max_fraction = fraction;
-    }
-    ++stats.nodes;
-  }
-  if (stats.nodes >= 2 && fleet_cap_ > 0) {
-    double fleet =
-        static_cast<double>(fleet_used_) / static_cast<double>(fleet_cap_);
-    stats.spread = std::max(0.0, stats.max_fraction - fleet);
-  }
-  imbalance_epoch_ = load_epoch_;
-  fraction_memo_ = stats;
-  return fraction_memo_;
-}
-
-double DfsCluster::StorageImbalance() const {
-  // Utilization *spread* in fraction points: hottest node vs the
-  // capacity-weighted fleet utilization — the exact quantity real balancers
-  // threshold on (the HDFS Balancer's "utilization differs from the cluster
-  // average utilization by more than N%"). An unweighted node mean would
-  // diverge from what the balancer can actually guarantee on
-  // heterogeneous-capacity clusters.
-  return EnsureFractionStats().spread;
+  return free;
 }
 
 MigrationPlan DfsCluster::PlanLevelingByUsage(
     double tolerance, const std::map<BrickId, uint64_t>* extra_inflow) const {
   MigrationPlan plan;
-  EnsureLoadIndex();
-  const std::vector<BrickId>& serving = serving_bricks_;
+  const std::vector<BrickId>& serving = ServingBricks();
   if (serving.size() < 2) {
     return plan;
   }
-  uint64_t total_used = fleet_used_;
-  uint64_t total_capacity = fleet_cap_;
+  uint64_t total_used = TotalServingUsedBytes();
+  uint64_t total_capacity = TotalCapacityBytes();
   if (total_capacity == 0 || total_used == 0) {
     return plan;
   }
@@ -639,9 +337,9 @@ void DfsCluster::CrashNode(NodeId node) {
   if (StorageNode* sn = FindStorageNode(node)) {
     bool was_serving = sn->Serving();
     sn->crashed = true;
-    TrackCrash(node, true);
+    SetSortedMember(crashed_node_ids_, node, true);
     if (was_serving) {
-      OnStorageNodeUnserving(node);
+      SetStorageNodeServing(*sn, false);
     }
     return;
   }
@@ -649,13 +347,9 @@ void DfsCluster::CrashNode(NodeId node) {
   if (it != meta_nodes_.end()) {
     bool was_serving = it->second.Serving();
     it->second.crashed = true;
-    TrackCrash(node, true);
+    SetSortedMember(crashed_node_ids_, node, true);
     if (was_serving) {
-      auto pos = std::lower_bound(serving_meta_nodes_.begin(),
-                                  serving_meta_nodes_.end(), node);
-      if (pos != serving_meta_nodes_.end() && *pos == node) {
-        serving_meta_nodes_.erase(pos);
-      }
+      SetSortedMember(serving_meta_nodes_, node, false);
       ++membership_epoch_;
     }
   }
@@ -698,10 +392,12 @@ void DfsCluster::RestartNode(NodeId node) {
     if (sn->crashed) {
       COV_BRANCH(cov_, CovModule::kRecovery, 32);
       sn->crashed = false;
-      TrackCrash(node, false);
-      // Rejoining the serving set re-admits the node's bricks to the fleet
-      // aggregates; the full rebuild is the only path that re-adds members.
-      InvalidateLoadIndex();
+      SetSortedMember(crashed_node_ids_, node, false);
+      // The mirror of CrashNode: the node's online bricks rejoin the
+      // serving list (a node removed while crashed stays out).
+      if (sn->Serving()) {
+        SetStorageNodeServing(*sn, true);
+      }
     }
     return;
   }
@@ -711,13 +407,9 @@ void DfsCluster::RestartNode(NodeId node) {
   }
   COV_BRANCH(cov_, CovModule::kRecovery, 33);
   it->second.crashed = false;
-  TrackCrash(node, false);
+  SetSortedMember(crashed_node_ids_, node, false);
   if (it->second.Serving()) {
-    auto pos = std::lower_bound(serving_meta_nodes_.begin(),
-                                serving_meta_nodes_.end(), node);
-    if (pos == serving_meta_nodes_.end() || *pos != node) {
-      serving_meta_nodes_.insert(pos, node);
-    }
+    SetSortedMember(serving_meta_nodes_, node, true);
     ++membership_epoch_;
   }
   if (balancer_crashed_) {
@@ -734,16 +426,6 @@ void DfsCluster::RestartNode(NodeId node) {
       balancer_resume_pending_ = false;
       (void)TriggerRebalance();
     }
-  }
-}
-
-void DfsCluster::TrackCrash(NodeId id, bool crashed) {
-  auto pos = std::lower_bound(crashed_node_ids_.begin(), crashed_node_ids_.end(), id);
-  bool listed = pos != crashed_node_ids_.end() && *pos == id;
-  if (crashed && !listed) {
-    crashed_node_ids_.insert(pos, id);
-  } else if (!crashed && listed) {
-    crashed_node_ids_.erase(pos);
   }
 }
 
@@ -809,7 +491,7 @@ uint64_t DfsCluster::SkewBytes(BrickId from, BrickId to, uint64_t bytes) {
     }
     if (swapped) {
       it = from_set.erase(it);
-      ++load_epoch_;
+      load_.Touch();
     } else {
       ++it;
     }
@@ -860,7 +542,7 @@ uint64_t DfsCluster::DestroyBytes(BrickId brick, uint64_t bytes) {
     chunk.replicas.erase(replica_it);
     ReleaseBrickBytes(target, chunk.bytes);
     it = brick_set.erase(it);
-    ++load_epoch_;
+    load_.Touch();
     destroyed += chunk.bytes;
     if (chunk.replicas.empty()) {
       lost_bytes_ += chunk.bytes;  // last replica gone: user data lost
@@ -880,13 +562,13 @@ void DfsCluster::AddReplicaIndex(BrickId brick, FileId file, uint32_t chunk) {
   const std::pair<FileId, uint32_t> key{file, chunk};
   if (vec.empty() || vec.back() < key) {
     vec.push_back(key);  // monotonic file ids make append the common case
-    ++load_epoch_;
+    load_.Touch();
     return;
   }
   auto pos = std::lower_bound(vec.begin(), vec.end(), key);
   if (pos == vec.end() || *pos != key) {
     vec.insert(pos, key);
-    ++load_epoch_;
+    load_.Touch();
   }
 }
 
@@ -900,19 +582,11 @@ void DfsCluster::RemoveReplicaIndex(BrickId brick, FileId file, uint32_t chunk) 
   auto pos = std::lower_bound(vec.begin(), vec.end(), key);
   if (pos != vec.end() && *pos == key) {
     vec.erase(pos);
-    ++load_epoch_;
+    load_.Touch();
   }
   if (vec.empty()) {
     brick_chunks_.erase(it);
   }
-}
-
-std::vector<std::pair<FileId, uint32_t>> DfsCluster::ChunksOnBrick(BrickId brick) const {
-  auto it = brick_chunks_.find(brick);
-  if (it == brick_chunks_.end()) {
-    return {};
-  }
-  return it->second;
 }
 
 const std::vector<std::pair<FileId, uint32_t>>& DfsCluster::ChunksOnBrickRef(
@@ -933,10 +607,10 @@ BrickId DfsCluster::NewBrickOnNode(NodeId node, uint64_t capacity) {
   BrickId id = next_brick_id_++;
   Brick& brick = bricks_[id];
   brick = Brick{.id = id, .node = node, .capacity_bytes = capacity};
-  UpdateBrickFraction(brick);
   IndexBrickPtr(id, &brick);
   sn->bricks.push_back(id);
-  OnBrickAdded(brick);
+  load_.AddBrick(brick);
+  ++membership_epoch_;
   return id;
 }
 
@@ -948,7 +622,8 @@ NodeId DfsCluster::AddStorageNodeInternal(uint64_t brick_capacity) {
   stored = node;
   IndexStorageNodePtr(id, &stored);
   OnStorageNodeAdmitted(id);
-  OnStorageNodeAdded(id);
+  load_.AddNode(id, /*serving=*/true);
+  ++membership_epoch_;
   NewBrickOnNode(id, brick_capacity);
   return id;
 }
@@ -1227,7 +902,7 @@ void DfsCluster::ReleaseLayout(FileId file, const FileLayout& layout) {
       continue;
     }
     vec.erase(first, last);
-    ++load_epoch_;
+    load_.Touch();
     if (vec.empty()) {
       brick_chunks_.erase(it);
     }
@@ -1545,11 +1220,7 @@ OpResult DfsCluster::DoRemoveMetaNode(const Operation& op) {
     return result;
   }
   it->second.online = false;
-  auto pos = std::lower_bound(serving_meta_nodes_.begin(),
-                              serving_meta_nodes_.end(), target);
-  if (pos != serving_meta_nodes_.end() && *pos == target) {
-    serving_meta_nodes_.erase(pos);
-  }
+  SetSortedMember(serving_meta_nodes_, target, false);
   ++membership_epoch_;
   result.cost = Seconds(3);
   NotifyTopologyChanged();
@@ -1599,20 +1270,12 @@ OpResult DfsCluster::DoRemoveStorageNode(const Operation& op) {
     result.status = Status::FailedPrecondition("too few bricks would remain");
     return result;
   }
-  bool was_serving = node->Serving();
   node->online = false;
-  if (was_serving) {
-    OnStorageNodeUnserving(op.node);
-  }
+  SetStorageNodeServing(*node, false);
   for (BrickId b : node->bricks) {
     Brick* brick = FindBrick(b);
-    if (brick != nullptr) {
-      if (brick->online) {
-        ++offline_bricks_;
-        offline_brick_list_.push_back(b);
-        brick->online = false;
-        OnBrickOffline(*brick);
-      }
+    if (brick != nullptr && brick->online) {
+      TakeBrickOffline(*brick);
     }
   }
   OnStorageNodeDecommissioned(op.node);
@@ -1673,23 +1336,13 @@ OpResult DfsCluster::DoRemoveVolume(const Operation& op) {
     result.status = Status::NotFound(Sprintf("brick %u", op.brick));
     return result;
   }
-  // Refuse if the remaining bricks cannot absorb the data. The fleet free
-  // aggregate is exactly the sum of per-brick clamped FreeBytes over serving
-  // bricks, so subtracting this brick's share gives the same value as the
-  // old fleet walk, in O(1).
-  const StorageNode* owner = FindStorageNode(brick->node);
-  uint64_t remaining_free = FreeSpaceBytes();
-  if (owner != nullptr && owner->Serving()) {
-    remaining_free -= brick->FreeBytes();
-  }
-  if (ServingBricks().size() <= kMinServingBricks || remaining_free < brick->used_bytes) {
+  // Refuse if the remaining bricks cannot absorb the data.
+  if (ServingBricks().size() <= kMinServingBricks ||
+      FreeSpaceBytesExcept(op.brick) < brick->used_bytes) {
     result.status = Status::FailedPrecondition("insufficient space to evacuate brick");
     return result;
   }
-  brick->online = false;  // draining: no new placements
-  ++offline_bricks_;
-  offline_brick_list_.push_back(op.brick);
-  OnBrickOffline(*brick);
+  TakeBrickOffline(*brick);
   ScheduleEvacuation(op.brick);
   result.cost = Seconds(10);
   NotifyTopologyChanged();
@@ -1713,10 +1366,7 @@ OpResult DfsCluster::DoExpandVolume(const Operation& op) {
     result.status = Status::FailedPrecondition("volume already at maximum size");
     return result;
   }
-  uint64_t old_capacity = brick->capacity_bytes;
-  brick->capacity_bytes = std::min(brick->capacity_bytes + delta, cap_limit);
-  UpdateBrickFraction(*brick);
-  OnBrickCapacityChanged(*brick, old_capacity);
+  SetBrickCapacity(*brick, std::min(brick->capacity_bytes + delta, cap_limit));
   result.cost = Seconds(8);
   NotifyTopologyChanged();
   result.status = Status::Ok();
@@ -1737,33 +1387,18 @@ OpResult DfsCluster::DoReduceVolume(const Operation& op) {
   delta = std::min(delta, brick->capacity_bytes * 2 / 5);
   uint64_t new_capacity =
       std::max(brick->capacity_bytes - delta, kMinBrickCapacity);
-  if (brick->used_bytes > new_capacity) {
-    // Shrinking below the stored data strands it; refuse unless the rest of
-    // the cluster can absorb the overflow (what lvreduce/remove-brick
-    // preflights enforce).
-    uint64_t overflow = brick->used_bytes - new_capacity;
-    // Same O(1) subtraction as DoRemoveVolume: fleet free minus this
-    // brick's clamped share equals the old per-brick walk exactly.
-    const StorageNode* owner = FindStorageNode(brick->node);
-    uint64_t remaining_free = FreeSpaceBytes();
-    if (owner != nullptr && owner->Serving()) {
-      remaining_free -= brick->FreeBytes();
-    }
-    if (remaining_free < overflow) {
-      COV_BRANCH(cov_, CovModule::kVolume, 19);
-      result.status = Status::FailedPrecondition("reduction would strand data");
-      return result;
-    }
-    uint64_t old_capacity = brick->capacity_bytes;
-    brick->capacity_bytes = new_capacity;
-    UpdateBrickFraction(*brick);
-    OnBrickCapacityChanged(*brick, old_capacity);
+  // Shrinking below the stored data strands it; refuse unless the rest of
+  // the cluster can absorb the overflow (what lvreduce/remove-brick
+  // preflights enforce).
+  uint64_t overflow = brick->used_bytes > new_capacity ? brick->used_bytes - new_capacity : 0;
+  if (overflow > 0 && FreeSpaceBytesExcept(op.brick) < overflow) {
+    COV_BRANCH(cov_, CovModule::kVolume, 19);
+    result.status = Status::FailedPrecondition("reduction would strand data");
+    return result;
+  }
+  SetBrickCapacity(*brick, new_capacity);
+  if (overflow > 0) {
     ScheduleOverflowEvacuation(op.brick, overflow);
-  } else {
-    uint64_t old_capacity = brick->capacity_bytes;
-    brick->capacity_bytes = new_capacity;
-    UpdateBrickFraction(*brick);
-    OnBrickCapacityChanged(*brick, old_capacity);
   }
   result.cost = Seconds(8);
   NotifyTopologyChanged();
@@ -1786,53 +1421,20 @@ void DfsCluster::NotifyTopologyChanged() {
 // ---------------------------------------------------------------------------
 // Recovery / evacuation / migration
 
-// Snapshots the serving bricks once per scheduling pass as a min-heap keyed
-// by (utilization, serving order). Nothing in a scheduling pass mutates
-// brick bytes or membership, so one snapshot serves every chunk of the pass.
-// Each pick consumes only an ascending prefix (it stops once no later
-// candidate can win), so candidates are popped lazily instead of paying a
-// full O(B log B) sort for a handful of inspected entries.
-bool DfsCluster::RecoveryCandidateAfter(const RecoveryCandidate& a,
-                                        const RecoveryCandidate& b) {
-  return a.used_fraction != b.used_fraction
-             ? b.used_fraction < a.used_fraction
-             : b.order < a.order;
-}
-
-void DfsCluster::BeginRecoveryPass() const {
-  recovery_heap_.clear();
+// Snapshots the serving bricks once per scheduling pass, sorted by
+// (utilization, serving order). The key is a unique total order, so the
+// picks match the historical full scan in serving order exactly.
+void DfsCluster::BeginRecoveryPass() {
   recovery_sorted_.clear();
-  recovery_pass_built_ = false;
-}
-
-void DfsCluster::BuildRecoveryPassNow() const {
-  recovery_pass_built_ = true;
   uint32_t order = 0;
   for (BrickId id : ServingBricks()) {
-    recovery_heap_.push_back(
-        RecoveryCandidate{brick_fraction_[id], order++, id});
+    recovery_sorted_.push_back(RecoveryCandidate{load_.BrickFraction(id), order++, id});
   }
-  std::make_heap(recovery_heap_.begin(), recovery_heap_.end(),
-                 RecoveryCandidateAfter);
-}
-
-// The (fraction, order) key is a unique total order, so the pop sequence is
-// exactly the fully sorted order the historical sort produced.
-const DfsCluster::RecoveryCandidate* DfsCluster::RecoveryCandidateAt(
-    size_t rank) const {
-  if (!recovery_pass_built_) {
-    BuildRecoveryPassNow();
-  }
-  while (recovery_sorted_.size() <= rank) {
-    if (recovery_heap_.empty()) {
-      return nullptr;
-    }
-    std::pop_heap(recovery_heap_.begin(), recovery_heap_.end(),
-                  RecoveryCandidateAfter);
-    recovery_sorted_.push_back(recovery_heap_.back());
-    recovery_heap_.pop_back();
-  }
-  return &recovery_sorted_[rank];
+  std::sort(recovery_sorted_.begin(), recovery_sorted_.end(),
+            [](const RecoveryCandidate& a, const RecoveryCandidate& b) {
+              return a.used_fraction != b.used_fraction ? a.used_fraction < b.used_fraction
+                                                        : a.order < b.order;
+            });
 }
 
 // Equivalent to the historical full scan (least-used serving brick, +0.5
@@ -1853,13 +1455,12 @@ BrickId DfsCluster::PickRecoveryTarget(const ChunkPlacement& chunk,
       replica_nodes_scratch_.push_back(other_brick->node);
     }
   }
-  for (size_t rank = 0;; ++rank) {
-    const RecoveryCandidate* cand = RecoveryCandidateAt(rank);
-    if (cand == nullptr || cand->used_fraction > best_used) {
+  for (const RecoveryCandidate& cand : recovery_sorted_) {
+    if (cand.used_fraction > best_used) {
       break;
     }
-    const Brick* cand_brick = FindBrick(cand->id);
-    if (cand_brick->FreeBytes() < bytes || chunk.HasReplicaOn(cand->id)) {
+    const Brick* cand_brick = FindBrick(cand.id);
+    if (cand_brick->FreeBytes() < bytes || chunk.HasReplicaOn(cand.id)) {
       continue;
     }
     // Keep replicas on distinct nodes when possible.
@@ -1870,11 +1471,11 @@ BrickId DfsCluster::PickRecoveryTarget(const ChunkPlacement& chunk,
         break;
       }
     }
-    double used = cand->used_fraction + (same_node ? 0.5 : 0.0);
-    if (used < best_used || (used == best_used && cand->order < best_order)) {
+    double used = cand.used_fraction + (same_node ? 0.5 : 0.0);
+    if (used < best_used || (used == best_used && cand.order < best_order)) {
       best_used = used;
-      best_order = cand->order;
-      best = cand->id;
+      best_order = cand.order;
+      best = cand.id;
     }
   }
   return best;
@@ -2280,7 +1881,6 @@ void DfsCluster::FinishRebalanceIfDrained() {
 // Load sampling / coverage
 
 void DfsCluster::SampleLoadInto(std::vector<LoadSample>& out) const {
-  EnsureLoadIndex();
   out.clear();
   // Serving and crashed nodes: storage nodes, then meta nodes, each in id
   // order. Decommissioned nodes never return, so the scan skips their
@@ -2301,7 +1901,7 @@ void DfsCluster::SampleLoadInto(std::vector<LoadSample>& out) const {
                          return a.node < b.node;
                        });
   };
-  append(serving_storage_nodes_, /*storage=*/true);
+  append(ServingStorageNodeIds(), /*storage=*/true);
   append(serving_meta_nodes_, /*storage=*/false);
 }
 
@@ -2315,12 +1915,10 @@ LoadSample DfsCluster::NodeLoadSample(NodeId id) const {
     sample.online = node->online;
     sample.crashed = node->crashed;
     // Draining (offline) bricks are unmounted from the balancer's point of
-    // view; the load index's per-node aggregates already exclude them, so
-    // the monitor's fleet utilization matches what the balancer can level.
-    if (id < node_agg_.size()) {
-      sample.used_bytes = node_agg_[id].used_online;
-      sample.capacity_bytes = node_agg_[id].cap_online;
-    }
+    // view; the load index's per-node sums already exclude them, so the
+    // monitor's fleet utilization matches what the balancer can level.
+    sample.used_bytes = load_.NodeUsed(id);
+    sample.capacity_bytes = load_.NodeCapacity(id);
     load = &node->load;
   } else {
     const MetaNode& meta = meta_nodes_.at(id);
@@ -2433,6 +2031,46 @@ void RestoreChunkMove(SnapshotReader& reader, ChunkMove* move) {
 
 }  // namespace
 
+// Ids come from monotonic counters starting at 1, and a 24-hour campaign
+// allocates a few thousand at most, so a counter above 2^24 or an id the
+// counters could not have issued can only come from a corrupt record —
+// refused before any id sizes a vector.
+Status DfsCluster::CheckRestoredIds() const {
+  constexpr uint32_t kMaxIdCounter = 1u << 24;
+  if (next_node_id_ > kMaxIdCounter) {
+    return Status::DataLoss(Sprintf("node id counter %u out of range", next_node_id_));
+  }
+  if (next_brick_id_ > kMaxIdCounter) {
+    return Status::DataLoss(Sprintf("brick id counter %u out of range", next_brick_id_));
+  }
+  for (const auto& [id, node] : meta_nodes_) {
+    if (id >= next_node_id_) {
+      return Status::DataLoss(
+          Sprintf("meta node id %u at or above the node id counter %u", id, next_node_id_));
+    }
+  }
+  for (const auto& [id, node] : storage_nodes_) {
+    if (id >= next_node_id_) {
+      return Status::DataLoss(Sprintf("storage node id %u at or above the node id counter %u",
+                                      id, next_node_id_));
+    }
+    if (meta_nodes_.count(id) != 0) {
+      return Status::DataLoss(Sprintf("node id %u is both a meta and a storage node", id));
+    }
+  }
+  for (const auto& [id, brick] : bricks_) {
+    if (id >= next_brick_id_) {
+      return Status::DataLoss(
+          Sprintf("brick id %u at or above the brick id counter %u", id, next_brick_id_));
+    }
+    if (brick.node >= next_node_id_) {
+      return Status::DataLoss(Sprintf("brick %u names node %u, at or above the node id counter %u",
+                                      id, brick.node, next_node_id_));
+    }
+  }
+  return Status::Ok();
+}
+
 void DfsCluster::SaveState(SnapshotWriter& writer) const {
   writer.I64(clock_.now());
   rng_.SaveState(writer);
@@ -2540,9 +2178,7 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
       node.bricks.push_back(reader.U32());
     }
     RestoreLoadCounters(reader, &node.load);
-    StorageNode& stored = storage_nodes_[node.id];
-    stored = node;
-    IndexStorageNodePtr(node.id, &stored);
+    storage_nodes_[node.id] = std::move(node);
   }
   bricks_.clear();
   brick_index_.clear();
@@ -2561,10 +2197,7 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
       ++offline_bricks_;
       offline_brick_list_.push_back(brick.id);
     }
-    Brick& stored = bricks_[brick.id];
-    stored = brick;
-    UpdateBrickFraction(stored);
-    IndexBrickPtr(brick.id, &stored);
+    bricks_[brick.id] = brick;
   }
   layouts_.clear();
   brick_chunks_.clear();
@@ -2613,6 +2246,12 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   }
   next_node_id_ = reader.U32();
   next_brick_id_ = reader.U32();
+  if (reader.ok()) {
+    if (Status ids = CheckRestoredIds(); !ids.ok()) {
+      reader.Fail(ids.message());
+      return reader.status();
+    }
+  }
 
   move_queue_.clear();
   uint64_t move_count = reader.Count(8 + 4 + 4 + 4 + 8 + 1 + 2);
@@ -2660,7 +2299,21 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
 
   clock_.Reset();
   clock_.Advance(now);
-  InvalidateLoadIndex();
+  // The id-indexed side indexes and the load index, through the same calls
+  // the live cluster makes: every node, then every brick, in id order.
+  load_.Clear();
+  for (auto& [id, node] : storage_nodes_) {
+    IndexStorageNodePtr(id, &node);
+    load_.AddNode(id, node.Serving());
+  }
+  for (auto& [id, brick] : bricks_) {
+    IndexBrickPtr(id, &brick);
+    load_.AddBrick(brick);
+  }
+  ++membership_epoch_;
+  if (Status audit = AuditCluster(*this); !audit.ok()) {
+    return Status::DataLoss("restored cluster fails the audit: " + audit.message());
+  }
   // Recompute derived flavor structures against the restored topology, then
   // let the flavor restore its persistent extras. This is deliberately
   // OnTopologyChangedInternal() and not NotifyTopologyChanged(): the public

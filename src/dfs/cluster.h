@@ -11,6 +11,7 @@
 #ifndef SRC_DFS_CLUSTER_H_
 #define SRC_DFS_CLUSTER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -29,6 +30,7 @@
 #include "src/coverage/coverage.h"
 #include "src/coverage/model_coverage.h"
 #include "src/dfs/brick.h"
+#include "src/dfs/load_index.h"
 #include "src/dfs/load_sample.h"
 #include "src/dfs/migration.h"
 #include "src/dfs/namespace_tree.h"
@@ -281,7 +283,7 @@ class DfsCluster : public DfsInterface {
   std::vector<NodeId> ListMetaNodes() const override;
   std::vector<NodeId> ListStorageNodes() const override;
   std::vector<BrickId> ListBricks() const override;
-  uint64_t FreeSpaceBytes() const override;
+  uint64_t FreeSpaceBytes() const override { return FreeSpaceBytesExcept(kInvalidBrick); }
   uint64_t MembershipEpoch() const override { return membership_epoch_; }
   SimTime Now() const override { return clock_.now(); }
   void AdvanceTime(SimDuration delta) override;
@@ -331,31 +333,35 @@ class DfsCluster : public DfsInterface {
     return id < storage_node_index_.size() ? storage_node_index_[id] : nullptr;
   }
 
-  // Serving (online, not crashed, not draining) bricks. The returned
-  // reference points at the maintained load index and stays valid until the
-  // next topology mutation (brick/node add/remove/online/offline/capacity
-  // change); copy it before mutating topology mid-iteration.
-  const std::vector<BrickId>& ServingBricks() const;
-  const std::vector<NodeId>& ServingStorageNodeIds() const;
+  // Serving (online, not crashed, not draining) bricks and storage nodes,
+  // in id order. The returned reference points into the load index and stays
+  // valid until the next topology mutation (brick/node add/remove/online/
+  // offline); copy it before mutating topology mid-iteration.
+  const std::vector<BrickId>& ServingBricks() const { return load_.serving_bricks(); }
+  const std::vector<NodeId>& ServingStorageNodeIds() const { return load_.serving_nodes(); }
 
   // The hottest serving brick (max UsedFraction, smallest brick id on ties)
-  // — the fault injector's hotspot probe. One scan of ServingBricks() over
-  // the brick-fraction memo. kInvalidBrick when nothing serves.
-  BrickId HottestServingBrick() const;
+  // — the fault injector's hotspot probe. kInvalidBrick when nothing serves.
+  BrickId HottestServingBrick() const { return load_.HottestServingBrick(); }
 
-  uint64_t TotalCapacityBytes() const override;
+  uint64_t TotalCapacityBytes() const override { return load_.stats().fleet_cap; }
+  // Free bytes on the serving bricks other than `brick` (one scan).
+  uint64_t FreeSpaceBytesExcept(BrickId brick) const;
+  // Used bytes over every brick, draining and offline ones included (one
+  // scan; tests only).
   uint64_t TotalUsedBytes() const;
   // Used bytes summed over serving bricks only (the balancers' view of fleet
-  // utilization); TotalUsedBytes also counts draining/offline bricks.
-  uint64_t TotalServingUsedBytes() const;
-  // Used bytes aggregated per serving storage node.
-  std::vector<double> PerNodeUsedBytes() const;
-  // Disk utilization (used/capacity) per serving storage node — the metric
-  // real balancers level and `df` reports.
-  std::vector<double> PerNodeUsedFraction() const;
-  // Utilization spread (max - mean, in fraction points) over serving
-  // storage nodes — the quantity balancers threshold on.
-  double StorageImbalance() const;
+  // utilization).
+  uint64_t TotalServingUsedBytes() const { return load_.stats().fleet_used; }
+  // Utilization *spread* in fraction points over the serving storage nodes:
+  // the hottest node vs the capacity-weighted fleet utilization — the
+  // quantity real balancers threshold on (the HDFS Balancer's "utilization
+  // differs from the cluster average utilization by more than N%"). An
+  // unweighted node mean would diverge from what the balancer can guarantee
+  // on heterogeneous-capacity clusters.
+  double StorageImbalance() const { return load_.stats().spread; }
+  // The state behind the reads above (DESIGN.md §10), for AuditCluster.
+  const LoadIndex& load_index() const { return load_; }
 
   // Generic capacity-proportional leveling plan: moves chunks from bricks
   // above the fleet utilization (by more than `tolerance`) to bricks below
@@ -376,14 +382,12 @@ class DfsCluster : public DfsInterface {
   // Moves on every change to a brick's bytes, capacity or online state, to
   // node serving membership, and to the replica index. Anything computed
   // from those alone is still valid while it reads the same value.
-  uint64_t load_epoch() const { return load_epoch_; }
+  uint64_t load_epoch() const { return load_.epoch(); }
   uint64_t total_ops_executed() const { return total_ops_executed_; }
   uint64_t lost_bytes() const { return lost_bytes_; }
 
-  // Replica index: chunks with a replica on `brick`.
-  std::vector<std::pair<FileId, uint32_t>> ChunksOnBrick(BrickId brick) const;
-  // Allocation-free view of the same index; the reference stays valid until
-  // a replica is added to or removed from `brick`.
+  // Replica index: chunks with a replica on `brick`, sorted. The reference
+  // stays valid until a replica is added to or removed from `brick`.
   const std::vector<std::pair<FileId, uint32_t>>& ChunksOnBrickRef(BrickId brick) const;
 
   // ---- fault-effect mutators (used only by src/faults) ----
@@ -419,9 +423,10 @@ class DfsCluster : public DfsInterface {
   // Serializes the full mutable simulator state: clock, RNG, namespace,
   // topology maps, layouts, migration queue, balancer/rebalance counters and
   // the flavor's own state (via SaveFlavorState). Derived indexes (replica
-  // index, load aggregates, class-window counters) are rebuilt on restore,
-  // never serialized. Restore must be called on a freshly constructed
-  // cluster with the same ClusterConfig and flavor.
+  // index, load index, class-window counters) are rebuilt on restore, never
+  // serialized. Restore refuses ids the id counters could not have issued
+  // and runs AuditCluster before the flavor state; it must be called on a
+  // freshly constructed cluster with the same ClusterConfig and flavor.
   void SaveState(SnapshotWriter& writer) const;
   Status RestoreState(SnapshotReader& reader);
 
@@ -532,19 +537,25 @@ class DfsCluster : public DfsInterface {
   // Runs OnTopologyChangedInternal + coverage + fault hooks.
   void NotifyTopologyChanged();
 
-  // ---- incremental load accounting (DESIGN.md §10) ----
-  // Every byte-level mutation of a brick goes through these two so the
-  // running aggregates (per-node used/capacity, fleet totals, imbalance)
-  // stay exact without per-op rescans. Release clamps at zero, matching the
-  // `used -= min(used, bytes)` idiom the scattered call sites used.
-  void AccreteBrickBytes(Brick* brick, uint64_t bytes);
-  void ReleaseBrickBytes(Brick* brick, uint64_t bytes);
-  // Drops the whole index; the next read rebuilds it from the ground-truth
-  // maps. Only the topology reset uses this — steady-state structural
-  // mutations go through the targeted On*() updates below, which are O(1)
-  // (or O(bricks-of-one-node)), because dead node entries accumulate in the
-  // node maps and a full rebuild is O(all nodes ever created).
-  void InvalidateLoadIndex();
+  // ---- load accounting (DESIGN.md §10) ----
+  // Every byte-level mutation of a brick goes through these two so the load
+  // index stays exact without per-op rescans. Release clamps at zero,
+  // matching the `used -= min(used, bytes)` idiom the scattered call sites
+  // used.
+  void AccreteBrickBytes(Brick* brick, uint64_t bytes) {
+    if (brick != nullptr && bytes != 0) {
+      uint64_t old_used = brick->used_bytes;
+      brick->used_bytes += bytes;
+      load_.OnBytesChanged(*brick, old_used);
+    }
+  }
+  void ReleaseBrickBytes(Brick* brick, uint64_t bytes) {
+    if (brick != nullptr && bytes != 0 && brick->used_bytes != 0) {
+      uint64_t old_used = brick->used_bytes;
+      brick->used_bytes -= std::min(old_used, bytes);
+      load_.OnBytesChanged(*brick, old_used);
+    }
+  }
 
   ClusterConfig config_;
 
@@ -594,24 +605,15 @@ class DfsCluster : public DfsInterface {
   void RemoveReplicaIndex(BrickId brick, FileId file, uint32_t chunk);
 
   // Candidate snapshot for recovery/evacuation target picking: the serving
-  // bricks keyed by (utilization, serving order), built once per Schedule*
-  // call. Each per-chunk pick consumes only an ascending prefix, so the
-  // snapshot is a min-heap popped lazily — O(bricks) to build plus
-  // O(log bricks) per candidate actually inspected, never a full sort.
+  // bricks sorted by (utilization, serving order), built once per Schedule*
+  // call. Nothing in a scheduling pass changes brick bytes or membership, so
+  // one snapshot serves every chunk of the pass.
   struct RecoveryCandidate {
     double used_fraction;
     uint32_t order;  // index in ServingBricks() — the first-wins tie-break
-    BrickId id;      // brick resolved lazily, only for inspected candidates
+    BrickId id;
   };
-  // Heap comparator: true when `a` sorts after `b`. The (fraction, order)
-  // key is a unique total order, so lazy heap pops replay exactly the fully
-  // sorted sequence.
-  static bool RecoveryCandidateAfter(const RecoveryCandidate& a,
-                                     const RecoveryCandidate& b);
-  void BeginRecoveryPass() const;
-  // The rank-th least-used candidate of the current pass (pops lazily);
-  // nullptr past the end.
-  const RecoveryCandidate* RecoveryCandidateAt(size_t rank) const;
+  void BeginRecoveryPass();
   // Picks a serving replacement brick for a chunk replica (placement-neutral
   // recovery used by evacuation / re-replication). Selects exactly the brick
   // the serving-order scan over UsedFraction() + same-node penalty would.
@@ -627,27 +629,18 @@ class DfsCluster : public DfsInterface {
   // 1..10: how many branches a state tuple unlocks at the current imbalance.
   int ImbalanceMultiplicity() const;
 
-  // ---- load-index internals ----
-  // Rebuilds every aggregate from the ground-truth brick/node maps. Called
-  // lazily (EnsureLoadIndex) after a topology reset; all steady-state
-  // mutations update the aggregates in place and never trigger a rebuild.
-  void RebuildLoadIndex() const;
-  void EnsureLoadIndex() const { if (load_index_dirty_) RebuildLoadIndex(); }
-  // Applies the used-bytes delta of one brick (old value -> current value)
-  // to the aggregates; no-op while the index is dirty (the rebuild wins).
-  void ApplyUsedBytesDelta(const Brick& brick, uint64_t old_used);
-  // Targeted structural updates. Each is a no-op (beyond the epoch bump)
-  // while the index is dirty; the eventual rebuild reads ground truth.
-  void OnStorageNodeAdded(NodeId id);
-  void OnBrickAdded(const Brick& brick);
-  // The node stopped serving (crashed or removed); its online bricks leave
-  // the fleet aggregates but stay in the per-node ones (SampleLoad reports
-  // crashed nodes' still-online bricks).
-  void OnStorageNodeUnserving(NodeId id);
-  // Called after a brick's online flag flipped to false.
-  void OnBrickOffline(const Brick& brick);
-  // Called after a brick's capacity changed while online.
-  void OnBrickCapacityChanged(const Brick& brick, uint64_t old_capacity);
+  // Refuses restored node and brick ids the counters could not have issued
+  // (DESIGN.md §11); runs before any id-indexed vector is sized.
+  Status CheckRestoredIds() const;
+
+  // ---- structural load-index updates ----
+  // A storage node starts or stops serving (crash, restart, removal): its
+  // online bricks join or leave the serving list.
+  void SetStorageNodeServing(const StorageNode& node, bool serving);
+  // Takes an online brick offline (draining: no new placements) and queues
+  // it for the drained-brick GC.
+  void TakeBrickOffline(Brick& brick);
+  void SetBrickCapacity(Brick& brick, uint64_t capacity);
   // Anti-entropy: serving metadata replicas catch up to the namespace epoch
   // (unless a fault stalls them).
   void SyncMetadataReplicas();
@@ -662,13 +655,13 @@ class DfsCluster : public DfsInterface {
   // Flat id -> map-node side indexes behind the inline Find* accessors.
   void IndexBrickPtr(BrickId id, Brick* brick) {
     if (brick_index_.size() <= id) {
-      brick_index_.resize(id + 1, nullptr);
+      brick_index_.resize(static_cast<size_t>(id) + 1, nullptr);
     }
     brick_index_[id] = brick;
   }
   void IndexStorageNodePtr(NodeId id, StorageNode* node) {
     if (storage_node_index_.size() <= id) {
-      storage_node_index_.resize(id + 1, nullptr);
+      storage_node_index_.resize(static_cast<size_t>(id) + 1, nullptr);
     }
     storage_node_index_[id] = node;
   }
@@ -714,42 +707,9 @@ class DfsCluster : public DfsInterface {
   bool balancer_crashed_ = false;
   bool balancer_resume_pending_ = false;
 
-  // ---- incremental load accounting state ----
-  // Integer running sums; every derived double (utilization fractions, the
-  // imbalance spread) divides the same integers a from-scratch walk would
-  // sum, so cached reads are bit-identical to recomputation.
-  struct NodeLoadAgg {
-    uint64_t used_online = 0;  // bytes on this node's online bricks
-    uint64_t cap_online = 0;   // capacity of this node's online bricks
-    uint64_t used_all = 0;     // bytes on all of this node's bricks
-    bool serving = false;      // node online && !crashed
-  };
-  mutable bool load_index_dirty_ = true;
-  // Bumped on every load-affecting mutation and replica-index change;
-  // memoized reads key off it (see load_epoch()).
-  mutable uint64_t load_epoch_ = 0;
-  mutable std::vector<BrickId> serving_bricks_;        // bricks_ map order
-  mutable std::vector<NodeId> serving_storage_nodes_;  // storage_nodes_ order
-  // Dense by NodeId (ids are monotonic and shared with meta nodes; slots
-  // that never belonged to a storage node stay default and are never read —
-  // every lookup comes from a brick's owner or a serving list).
-  mutable std::vector<NodeLoadAgg> node_agg_;
-  mutable uint64_t fleet_used_ = 0;      // over serving bricks
-  mutable uint64_t fleet_cap_ = 0;       // over serving bricks
-  mutable uint64_t fleet_overflow_ = 0;  // sum of max(0, used-cap), serving
-  mutable uint64_t total_used_all_ = 0;  // over every brick
-  // Storage-dimension statistics over serving nodes with online capacity,
-  // memoized per load_epoch_: the imbalance spread is the balancer
-  // threshold quantity the per-op balance check and the coverage hash read.
-  // A miss is one scan of serving_storage_nodes_ over node_agg_.
-  struct FractionStats {
-    uint32_t nodes = 0;
-    double max_fraction = 0.0;
-    double spread = 0.0;  // max(0, max_fraction - fleet utilization)
-  };
-  const FractionStats& EnsureFractionStats() const;
-  mutable uint64_t imbalance_epoch_ = UINT64_MAX;  // load_epoch_ of the memo
-  mutable FractionStats fraction_memo_;
+  // Serving lists, per-node online sums, brick fractions and the load epoch
+  // (DESIGN.md §10). It moves on replica-index changes too (Touch()).
+  LoadIndex load_;
 
   // Serving metadata nodes, maintained at the (rare) membership changes so
   // per-op request routing / anti-entropy need not scan the ever-growing
@@ -759,7 +719,6 @@ class DfsCluster : public DfsInterface {
   // they are the nodes SampleLoadInto reports, so the monitor's scan never
   // walks the tombstones of decommissioned nodes.
   std::vector<NodeId> crashed_node_ids_;
-  void TrackCrash(NodeId id, bool crashed);
   // One node's LoadSample (storage or meta).
   LoadSample NodeLoadSample(NodeId id) const;
   // Online-flag bookkeeping so the per-op drained-brick GC can skip its
@@ -775,20 +734,8 @@ class DfsCluster : public DfsInterface {
   uint64_t membership_epoch_ = 1;
   // Scratch for NormalizedOpPath (valid until the next call).
   std::string norm_scratch_;
-  // Recovery-pass candidate stream: `recovery_sorted_` is the ascending
-  // prefix popped so far, `recovery_heap_` a min-heap of the rest. The
-  // snapshot itself is deferred to the first candidate request, so a pass
-  // that schedules nothing (no chunks on the drained bricks) costs nothing.
-  mutable std::vector<RecoveryCandidate> recovery_sorted_;
-  mutable std::vector<RecoveryCandidate> recovery_heap_;
-  mutable bool recovery_pass_built_ = true;
-  void BuildRecoveryPassNow() const;
-  // UsedFraction() memo, dense by BrickId and written wherever a brick's
-  // bytes or capacity change (the same pure division, so bit-identical to
-  // recomputing). Lets the recovery snapshot and HottestServingBrick read a
-  // flat array instead of chasing map nodes and dividing.
-  std::vector<double> brick_fraction_;
-  void UpdateBrickFraction(const Brick& brick);
+  // The current recovery pass's candidates, ascending (BeginRecoveryPass).
+  std::vector<RecoveryCandidate> recovery_sorted_;
   // Scratch for PickRecoveryTarget's per-chunk replica-node set.
   mutable std::vector<NodeId> replica_nodes_scratch_;
   // Running view of the last-8-op class window (coverage feature); one slot

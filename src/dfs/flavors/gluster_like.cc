@@ -7,10 +7,6 @@
 
 namespace themis {
 
-namespace {
-constexpr uint64_t kLinkfileBytes = 4 * kKiB;
-}  // namespace
-
 ClusterConfig GlusterLikeCluster::DefaultConfig() {
   ClusterConfig config;
   config.native_threshold = 0.20;  // GlusterFS balancer default

@@ -609,5 +609,87 @@ TEST(SnapshotCorruptionTest, ModelRejectsOutOfRangePreviousWindowNode) {
       << status.ToString();
 }
 
+// A cluster record that passes the checksum can still carry ids the id
+// counters could not have issued, or a topology the audit refuses. Each must
+// fail the restore with a status naming the id or brick, never crash it,
+// size a vector by a hostile id, or pass it.
+TEST(SnapshotCorruptionTest, ClusterRecordCorruptionIsRejected) {
+  // Ten nodes: meta nodes 1-2, storage nodes 3-10 with bricks 1-8.
+  std::unique_ptr<DfsCluster> dfs = MakeCluster(Flavor::kHdfs, 1);
+  ASSERT_EQ(dfs->bricks().size(), 8u);
+  ASSERT_EQ(dfs->FindBrick(1)->node, 3u);
+  ASSERT_EQ(dfs->FindBrick(2)->node, 4u);
+  SnapshotWriter writer;
+  dfs->SaveState(writer);
+  const std::string& bytes = writer.buffer();
+
+  // The brick table, the empty layout and op-class lists, and the id
+  // counters (next node id 11, next brick id 9).
+  SnapshotWriter brick_table;
+  brick_table.U64(dfs->bricks().size());
+  for (const auto& [id, brick] : dfs->bricks()) {
+    brick_table.U32(id);
+    brick_table.U32(brick.node);
+    brick_table.U64(brick.capacity_bytes);
+    brick_table.U64(brick.used_bytes);
+    brick_table.Bool(brick.online);
+    brick_table.U32(brick.linkfiles);
+  }
+  brick_table.U64(0);
+  brick_table.U64(0);
+  brick_table.U32(11);
+  brick_table.U32(9);
+  const size_t bricks_at = bytes.find(brick_table.buffer());
+  ASSERT_NE(bricks_at, std::string::npos);
+  ASSERT_EQ(bytes.rfind(brick_table.buffer()), bricks_at);
+  const size_t brick1_id = bricks_at + 8;
+  const size_t brick1_used = brick1_id + 4 + 4 + 8;
+  const size_t next_node_id = bricks_at + brick_table.buffer().size() - 8;
+  // Storage node 4's entry, up to its one listed brick.
+  SnapshotWriter node4;
+  node4.U32(4);
+  node4.Bool(true);
+  node4.Bool(false);
+  node4.U64(1);
+  node4.U32(2);
+  const size_t node4_at = bytes.find(node4.buffer());
+  ASSERT_NE(node4_at, std::string::npos);
+  const size_t node4_brick = node4_at + node4.buffer().size() - 4;
+
+  auto patched = [&](size_t at, uint64_t value, int width) {
+    std::string payload = bytes;
+    for (int i = 0; i < width; ++i) {
+      payload[at + static_cast<size_t>(i)] = static_cast<char>((value >> (8 * i)) & 0xff);
+    }
+    return payload;
+  };
+  auto expect_rejected = [](const std::string& payload, const std::string& message) {
+    std::unique_ptr<DfsCluster> fresh = MakeCluster(Flavor::kHdfs, 1);
+    SnapshotReader reader(payload);
+    Status status = fresh->RestoreState(reader);
+    ASSERT_FALSE(status.ok()) << message;
+    EXPECT_NE(status.message().find(message), std::string::npos) << status.ToString();
+  };
+
+  expect_rejected(patched(brick1_id, 0xffffffffu, 4),
+                  "brick id 4294967295 at or above the brick id counter 9");
+  expect_rejected(patched(brick1_id, 0x7fffffffu, 4),
+                  "brick id 2147483647 at or above the brick id counter 9");
+  expect_rejected(patched(brick1_id, 0x100000u, 4),
+                  "brick id 1048576 at or above the brick id counter 9");
+  expect_rejected(patched(brick1_id + 4, 0xffffffffu, 4),
+                  "brick 1 names node 4294967295, at or above the node id counter 11");
+  expect_rejected(patched(next_node_id, 0x7fffffffu, 4),
+                  "node id counter 2147483647 out of range");
+  expect_rejected(patched(next_node_id, 2, 4), "meta node id 2 at or above the node id counter 2");
+  expect_rejected(patched(brick1_used, 1, 8),
+                  "brick 1 holds 1 bytes, but its replicas and linkfiles sum to 0");
+  expect_rejected(patched(node4_brick, 1, 4), "brick 2 is not listed by its node 4");
+
+  std::unique_ptr<DfsCluster> fresh = MakeCluster(Flavor::kHdfs, 1);
+  SnapshotReader reader(bytes);
+  EXPECT_TRUE(fresh->RestoreState(reader).ok());
+}
+
 }  // namespace
 }  // namespace themis
