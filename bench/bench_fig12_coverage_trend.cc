@@ -10,10 +10,8 @@ namespace {
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
   budget.seeds = 1;  // the figure shows one representative campaign per tool
-  std::vector<StrategyKind> strategies = {StrategyKind::kFixReq, StrategyKind::kFixConf,
-                                          StrategyKind::kAlternate,
-                                          StrategyKind::kConcurrent,
-                                          StrategyKind::kThemis};
+  std::vector<std::string> strategies = {"Fix_req", "Fix_conf", "Alternate", "Concurrent",
+                                         "Themis"};
   CoverageResults results = RunCoverageExperiment(strategies, budget);
 
   PrintHeader("Figure 12: coverage trends (branches vs virtual hours)");
@@ -25,9 +23,9 @@ void RunExperiment() {
       std::printf("%8d", h);
     }
     std::printf("\n");
-    for (StrategyKind kind : strategies) {
-      const auto& timeline = results.timelines[kind][flavor];
-      std::printf("%-12s", StrategyKindName(kind));
+    for (const std::string& strategy : strategies) {
+      const auto& timeline = results.timelines[strategy][flavor];
+      std::printf("%-12s", strategy.c_str());
       for (int h : hours) {
         SimTime at = Hours(h);
         size_t value = 0;

@@ -9,8 +9,8 @@ namespace {
 
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
-  NewBugFindings findings = RunNewBugExperiment({StrategyKind::kThemis}, budget);
-  const auto& found = findings.found[StrategyKind::kThemis];
+  NewBugFindings findings = RunNewBugExperiment({"Themis"}, budget);
+  const auto& found = findings.found["Themis"];
 
   PrintHeader("Table 2: new imbalance failures detected by Themis (24h campaigns)");
   TextTable table({"#", "Platform", "Failure Type", "Identifier", "Found",
@@ -31,7 +31,7 @@ void RunExperiment() {
               "false positives across all campaigns: %d\n",
               total_found, budget.seeds,
               static_cast<long long>(budget.campaign / Hours(1)),
-              findings.false_positives[StrategyKind::kThemis]);
+              findings.false_positives["Themis"]);
 
   PrintHeader("Root cause notes (from the registry)");
   for (const FaultSpec& spec : NewBugRegistry()) {

@@ -10,14 +10,14 @@ namespace {
 
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
-  std::vector<StrategyKind> strategies(kComparedStrategies.begin(),
-                                       kComparedStrategies.end());
+  std::vector<std::string> strategies(kComparedStrategies.begin(),
+                                      kComparedStrategies.end());
   NewBugFindings findings = RunNewBugExperiment(strategies, budget);
 
   PrintHeader("Table 3: new imbalance failures found per method");
   TextTable table({"Method", "Number", "Bug IDs"});
-  for (StrategyKind kind : strategies) {
-    const auto& found = findings.found[kind];
+  for (const std::string& strategy : strategies) {
+    const auto& found = findings.found[strategy];
     std::string ids;
     int index = 1;
     for (const FaultSpec& spec : NewBugRegistry()) {
@@ -29,8 +29,7 @@ void RunExperiment() {
       }
       ++index;
     }
-    table.AddRow({StrategyKindName(kind), std::to_string(found.size()),
-                  ids.empty() ? "-" : ids});
+    table.AddRow({strategy, std::to_string(found.size()), ids.empty() ? "-" : ids});
   }
   table.Print();
   std::printf("\n(bug numbering follows Table 2; %d repeated %lld-hour campaigns per "

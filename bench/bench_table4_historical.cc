@@ -10,8 +10,8 @@ namespace {
 
 void RunExperiment() {
   ExperimentBudget budget = BenchBudget();
-  std::vector<StrategyKind> strategies(kComparedStrategies.begin(),
-                                       kComparedStrategies.end());
+  std::vector<std::string> strategies(kComparedStrategies.begin(),
+                                      kComparedStrategies.end());
   HistoricalFindings findings = RunHistoricalExperiment(strategies, budget);
 
   std::map<Flavor, int> corpus_sizes;
@@ -21,11 +21,11 @@ void RunExperiment() {
 
   PrintHeader("Table 4: historical imbalance failures reproduced");
   TextTable table({"Tools", "HDFS", "CephFS", "GlusterFS", "LeoFS", "Total"});
-  for (StrategyKind kind : strategies) {
+  for (const std::string& strategy : strategies) {
     int total = 0;
-    std::vector<std::string> row{StrategyKindName(kind)};
+    std::vector<std::string> row{strategy};
     for (Flavor flavor : kAllFlavors) {
-      int found = static_cast<int>(findings.found[kind][flavor].size());
+      int found = static_cast<int>(findings.found[strategy][flavor].size());
       total += found;
       row.push_back(Sprintf("%d/%d", found, corpus_sizes[flavor]));
     }

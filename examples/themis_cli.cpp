@@ -18,7 +18,6 @@
 //   --logs          write each confirmed failure's reproduction log to stdout
 //   --telemetry-out=PATH  write the campaign event stream (JSONL) to PATH;
 //                   event lines are byte-identical for every --jobs value
-//   --metrics-summary     print the merged metrics registry table at the end
 //   --checkpoint-dir=DIR  snapshot campaign state into DIR (DESIGN.md §11)
 //   --checkpoint-every-ops N  mid-campaign snapshot cadence in executed ops
 //                   (0 = only the final snapshot); requires --checkpoint-dir
@@ -40,7 +39,6 @@
 #include "src/core/strategy_registry.h"
 #include "src/harness/report.h"
 #include "src/harness/runner.h"
-#include "src/telemetry/metrics.h"
 
 namespace {
 
@@ -54,9 +52,9 @@ int Usage() {
                "             [--strategy themis|themis-|fixreq|fixconf|alternate|\n"
                "              concurrent|bandit] [--threshold T] [--historical]\n"
                "             [--healthy] [--transition-weight W] [--logs]\n"
-               "             [--telemetry-out=PATH] [--metrics-summary]\n"
-               "             [--checkpoint-dir=DIR] [--checkpoint-every-ops N]\n"
-               "             [--resume] [--summary-json=PATH]\n"
+               "             [--telemetry-out=PATH] [--checkpoint-dir=DIR]\n"
+               "             [--checkpoint-every-ops N] [--resume]\n"
+               "             [--summary-json=PATH]\n"
                "          (--transition-weight blends balancer state-machine\n"
                "           coverage into seed energy; bandit schedules budget\n"
                "           across the registered strategies)\n"
@@ -121,7 +119,6 @@ int RunFuzz(int argc, char** argv) {
   std::string strategy = "Themis";
   int jobs = 1;
   bool print_logs = false;
-  bool metrics_summary = false;
   std::string telemetry_out;
   std::string checkpoint_dir;
   uint64_t checkpoint_every_ops = 0;
@@ -156,8 +153,6 @@ int RunFuzz(int argc, char** argv) {
       telemetry_out = argv[i] + 16;
     } else if (std::strcmp(argv[i], "--telemetry-out") == 0 && i + 1 < argc) {
       telemetry_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-summary") == 0) {
-      metrics_summary = true;
     } else if (std::strncmp(argv[i], "--checkpoint-dir=", 17) == 0) {
       checkpoint_dir = argv[i] + 17;
     } else if (std::strcmp(argv[i], "--checkpoint-dir") == 0 && i + 1 < argc) {
@@ -254,9 +249,6 @@ int RunFuzz(int argc, char** argv) {
         }
       }
     }
-  }
-  if (metrics_summary) {
-    std::printf("\n%s", MetricsRegistry::Global().RenderSummary().c_str());
   }
   return 0;
 }

@@ -73,21 +73,6 @@ double LoadDimAggregate::MaxOverMeanWithFloor(double min_mean_ticks) const {
   return ratio < 1.0 ? 1.0 : ratio;
 }
 
-void ConcurrentRunningStat::Add(double x) {
-  std::lock_guard<std::mutex> lock(mu_);
-  stat_.Add(x);
-}
-
-void ConcurrentRunningStat::Merge(const RunningStat& partial) {
-  std::lock_guard<std::mutex> lock(mu_);
-  stat_.Merge(partial);
-}
-
-RunningStat ConcurrentRunningStat::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stat_;
-}
-
 double MaxOverMean(const std::vector<double>& values) {
   if (values.empty()) {
     return 0.0;

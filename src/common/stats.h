@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -84,20 +83,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-// Mutex-guarded RunningStat for aggregation across campaign-runner worker
-// threads. Writers call Add/Merge concurrently; readers take a Snapshot once
-// the jobs they care about have completed.
-class ConcurrentRunningStat {
- public:
-  void Add(double x);
-  void Merge(const RunningStat& partial);
-  RunningStat Snapshot() const;
-
- private:
-  mutable std::mutex mu_;
-  RunningStat stat_;
 };
 
 // max(values) / mean(values); 0 if the series is empty or the mean is 0.

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/core/strategy_registry.h"
-#include "src/telemetry/metrics.h"
 
 namespace themis {
 
@@ -56,7 +55,6 @@ size_t BanditStrategy::ChooseArm() {
 OpSeq BanditStrategy::Next() {
   if (round_position_ == 0) {
     active_ = ChooseArm();
-    THEMIS_COUNTER_INC("bandit.rounds", 1);
   }
   return arms_[active_].strategy->Next();
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "src/common/log.h"
-#include "src/telemetry/metrics.h"
-#include "src/telemetry/trace.h"
 
 namespace themis {
 
@@ -60,7 +58,6 @@ void TestCaseExecutor::ExecuteOps(const OpSeq& seq, ExecOutcome* outcome) {
 }
 
 ExecOutcome TestCaseExecutor::Run(const OpSeq& seq) {
-  THEMIS_SPAN(testcase_span, "executor.testcase");
   ExecOutcome outcome;
   size_t coverage_before = coverage_ != nullptr ? coverage_->TotalHits() : 0;
   size_t transitions_before =
@@ -77,8 +74,6 @@ ExecOutcome TestCaseExecutor::Run(const OpSeq& seq) {
   if (coverage_ != nullptr) {
     outcome.new_coverage = coverage_->TotalHits() - coverage_before;
   }
-  THEMIS_COUNTER_INC("executor.testcases", 1);
-  THEMIS_COUNTER_INC("executor.ops", static_cast<uint64_t>(outcome.ops_executed));
   if (telemetry_ != nullptr) {
     telemetry_->Record(CampaignEventKind::kVariance, {}, score_before,
                        outcome.variance_score,
@@ -102,7 +97,6 @@ ExecOutcome TestCaseExecutor::Run(const OpSeq& seq) {
   }
   if (candidate.has_value()) {
     ++candidates_raised_;
-    THEMIS_COUNTER_INC("detector.candidates", 1);
     FailureReport report;
     report.dimension = candidate->dimension;
     report.ratio = candidate->ratio;
@@ -113,11 +107,6 @@ ExecOutcome TestCaseExecutor::Run(const OpSeq& seq) {
                                                             : "confirmed")
                                    : "refuted",
                          report.ratio);
-    }
-    if (confirmed) {
-      THEMIS_COUNTER_INC("double_check.confirmed", 1);
-    } else {
-      THEMIS_COUNTER_INC("double_check.refuted", 1);
     }
     if (confirmed) {
       // The refuted path never reads the opseq, so the copy (reports outlive

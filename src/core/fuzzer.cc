@@ -4,8 +4,6 @@
 
 #include <algorithm>
 
-#include "src/telemetry/metrics.h"
-
 namespace themis {
 
 ThemisFuzzer::ThemisFuzzer(InputModel& model, Rng& rng, FuzzerConfig config)
@@ -84,13 +82,11 @@ void ThemisFuzzer::OnOutcome(const OpSeq& seq, const ExecOutcome& outcome) {
   }
   if (interesting) {
     pool_.Add(seq, score);
-    THEMIS_COUNTER_INC("fuzzer.seeds_accepted", 1);
     if (config_.telemetry != nullptr) {
       config_.telemetry->Record(CampaignEventKind::kSeedAccepted, reasons, score,
                                 outcome.variance_gain);
     }
   } else {
-    THEMIS_COUNTER_INC("fuzzer.seeds_rejected", 1);
     if (config_.telemetry != nullptr) {
       config_.telemetry->Record(CampaignEventKind::kSeedRejected, {}, 0.0,
                                 outcome.variance_gain);

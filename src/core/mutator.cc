@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/telemetry/metrics.h"
-
 namespace themis {
 
 namespace {
@@ -70,7 +68,6 @@ OpSeq OpSeqMutator::MutateK(const OpSeq& seed, int k, Rng& rng) {
     }
   }
   Repair(out, rng);
-  THEMIS_COUNTER_INC("mutator.mutations", static_cast<uint64_t>(k));
   if (telemetry_ != nullptr) {
     for (int kind = 0; kind < 3; ++kind) {
       if (applied[kind] > 0) {

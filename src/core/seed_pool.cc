@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/telemetry/metrics.h"
-
 namespace themis {
 
 SeedPool::SeedPool(size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {}
@@ -16,18 +14,15 @@ void SeedPool::Add(OpSeq seq, double score) {
                                     return a.score < b.score;
                                   });
     if (worst->score >= score) {
-      THEMIS_COUNTER_INC("seed_pool.add_dropped", 1);
       return;  // the pool is full of better seeds
     }
     seeds_.erase(worst);
-    THEMIS_COUNTER_INC("seed_pool.evictions", 1);
   }
   Seed seed;
   seed.seq = std::move(seq);
   seed.score = score;
   seed.id = next_id_++;
   seeds_.push_back(std::move(seed));
-  THEMIS_COUNTER_INC("seed_pool.adds", 1);
 }
 
 const OpSeq& SeedPool::Select(Rng& rng) {
@@ -43,7 +38,6 @@ const OpSeq& SeedPool::Select(Rng& rng) {
   }
   size_t index = rng.PickWeighted(weights);
   ++seeds_[index].selections;
-  THEMIS_COUNTER_INC("seed_pool.selects", 1);
   return seeds_[index].seq;
 }
 

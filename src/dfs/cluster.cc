@@ -7,7 +7,6 @@
 #include "src/common/log.h"
 #include "src/common/strings.h"
 #include "src/dfs/cluster_audit.h"
-#include "src/telemetry/metrics.h"
 
 namespace themis {
 
@@ -1595,7 +1594,6 @@ Status DfsCluster::TriggerRebalance() {
   }
   if (plan.empty()) {
     ++completed_rebalance_rounds_;
-    THEMIS_COUNTER_INC("cluster.rebalance_rounds", 1);
     if (telemetry_ != nullptr) {
       telemetry_->Record(CampaignEventKind::kRebalanceRound, "empty",
                          StorageImbalance());
@@ -1828,7 +1826,6 @@ void DfsCluster::FinishRebalanceIfDrained() {
     COV_BRANCH(cov_, CovModule::kBalancer, 29);
     EmitBalancerState(BalancerSettleState(flavor_));
     EmitBalancerState(BalancerState::kIdle);
-    THEMIS_COUNTER_INC("cluster.rebalance_rounds", 1);
     if (telemetry_ != nullptr) {
       telemetry_->Record(CampaignEventKind::kRebalanceRound, "drained",
                          StorageImbalance(), 0.0, current_round_moves_);

@@ -8,8 +8,6 @@
 #include "src/common/strings.h"
 #include "src/core/generator.h"
 #include "src/harness/snapshot.h"
-#include "src/telemetry/metrics.h"
-#include "src/telemetry/trace.h"
 
 namespace themis {
 
@@ -101,24 +99,6 @@ uint64_t CampaignResult::Digest() const {
   return h;
 }
 
-const char* StrategyKindName(StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::kThemis:
-      return "Themis";
-    case StrategyKind::kThemisMinus:
-      return "Themis-";
-    case StrategyKind::kFixReq:
-      return "Fix_req";
-    case StrategyKind::kFixConf:
-      return "Fix_conf";
-    case StrategyKind::kAlternate:
-      return "Alternate";
-    case StrategyKind::kConcurrent:
-      return "Concurrent";
-  }
-  return "?";
-}
-
 Status CampaignConfig::Validate() const {
   if (budget <= 0) {
     return Status::InvalidArgument("campaign budget must be positive");
@@ -176,7 +156,7 @@ CampaignSession::CampaignSession(const CampaignConfig& config,
   // transition_weight lets the counters feed back into seed energy.
   cluster_->set_model_coverage(&model_coverage_);
   // One event log per campaign, stamped with the campaign's virtual clock so
-  // every event is deterministic; metrics are global and thread-striped.
+  // every event is deterministic.
   EventLog* telemetry = config.collect_telemetry ? &event_log_ : nullptr;
   if (telemetry != nullptr) {
     event_log_.BindClock(&cluster_->clock());
@@ -258,9 +238,8 @@ Result<std::unique_ptr<CampaignSession>> CampaignSession::Open(
 
 // The complete mid-campaign state after the identity fingerprint. Anything
 // else that exists during a run is either derived (rebuilt inside the parts'
-// RestoreState) or deliberately not snapshotted (DESIGN.md §11): global
-// metrics, trace spans, and the log stream carry wall-clock values and never
-// feed back into the campaign.
+// RestoreState) or deliberately not snapshotted (DESIGN.md §11): the log
+// stream carries wall-clock values and never feeds back into the campaign.
 template <typename Self, typename Fn>
 void CampaignSession::ForEachPart(Self& self, Fn&& fn) {
   fn(self.progress_);
@@ -372,7 +351,6 @@ Result<bool> CampaignSession::Save() {
     return status;
   }
   PruneMidSnapshots(config_.checkpoint_dir, config_.job_index);
-  THEMIS_COUNTER_INC("campaign.checkpoints", 1);
   ScheduleNextCheckpoint();
   return true;
 }
@@ -406,12 +384,6 @@ Result<CampaignResult> CampaignSession::Finish() {
     result.transition_pairs.emplace_back(static_cast<uint8_t>(from),
                                          static_cast<uint8_t>(to));
   }
-  // Per-flavor transition gauge: lands in BENCH_*.json / --summary-json via
-  // the registry dump. Summed across a matrix's jobs like every counter.
-  MetricsRegistry::Global()
-      .GetGauge(Sprintf("model_coverage.%s.transitions",
-                        std::string(FlavorName(config_.flavor)).c_str()))
-      .Add(static_cast<int64_t>(model_coverage_.TransitionsCovered()));
   if (model_coverage_.illegal_transitions() > 0) {
     THEMIS_LOG(kWarn, "campaign saw %llu illegal balancer transitions",
                static_cast<unsigned long long>(model_coverage_.illegal_transitions()));
@@ -419,11 +391,6 @@ Result<CampaignResult> CampaignSession::Finish() {
   result.total_ops = executor_->total_ops();
   result.candidates = executor_->candidates_raised();
   result.telemetry = event_log_.TakeEvents();
-  THEMIS_COUNTER_INC("campaign.runs", 1);
-  THEMIS_COUNTER_INC("campaign.testcases", static_cast<uint64_t>(result.testcases));
-  THEMIS_COUNTER_INC("campaign.ops", result.total_ops);
-  THEMIS_COUNTER_INC("campaign.confirmed_failures",
-                     static_cast<uint64_t>(result.reports.size()));
   THEMIS_LOG(kInfo,
              "campaign %s/%s: %d testcases, %llu ops, %d distinct failures, %d FPs, "
              "%zu branches",
@@ -450,7 +417,6 @@ Result<CampaignResult> CampaignSession::Finish() {
 Campaign::Campaign(CampaignConfig config) : config_(config) {}
 
 Result<CampaignResult> Campaign::Run(std::string_view strategy_name) {
-  THEMIS_SPAN(campaign_span, "campaign.run");
   Result<std::unique_ptr<CampaignSession>> opened =
       CampaignSession::Open(config_, strategy_name);
   if (!opened.ok()) {
@@ -481,11 +447,6 @@ Result<CampaignResult> RunCampaign(std::string_view strategy_name, Flavor flavor
   config.budget = budget;
   config.fault_set = fault_set;
   return Campaign(config).Run(strategy_name);
-}
-
-Result<CampaignResult> RunCampaign(StrategyKind kind, Flavor flavor, uint64_t seed,
-                                   SimDuration budget, FaultSet fault_set) {
-  return RunCampaign(StrategyKindName(kind), flavor, seed, budget, fault_set);
 }
 
 }  // namespace themis

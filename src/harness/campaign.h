@@ -6,8 +6,7 @@
 // need: confirmed failures (labeled TP/FP against ground truth), distinct
 // root causes, trigger times and the coverage timeline.
 //
-// Strategies are resolved by name through the StrategyRegistry; the
-// StrategyKind enum survives only as a compatibility shim over the names.
+// Strategies are resolved by name through the StrategyRegistry.
 // Construction is validated: Run() returns a Result and never crashes on a
 // bad config, so the parallel runner can report per-job errors.
 
@@ -34,21 +33,6 @@
 #include "src/telemetry/event_log.h"
 
 namespace themis {
-
-// Compatibility shim over the registry's strategy names. New strategies
-// should be addressed by name; nothing below the harness dispatches on the
-// enum any more.
-enum class StrategyKind : uint8_t {
-  kThemis = 0,
-  kThemisMinus,
-  kFixReq,
-  kFixConf,
-  kAlternate,
-  kConcurrent,
-};
-
-// The registry name the kind maps to ("Themis", "Fix_req", ...).
-const char* StrategyKindName(StrategyKind kind);
 
 enum class FaultSet : uint8_t {
   kNewBugs = 0,   // the 10 Table 2 failures for the flavor
@@ -268,9 +252,6 @@ class Campaign {
   // crashing) on an invalid config or unknown strategy.
   Result<CampaignResult> Run(std::string_view strategy_name);
 
-  // Compatibility shim for enum-based callers.
-  Result<CampaignResult> Run(StrategyKind kind) { return Run(StrategyKindName(kind)); }
-
   // Attach a per-test-case observer (see CampaignLoopObserver). Not owned;
   // must outlive Run(). Null restores the default no-op.
   void set_loop_observer(CampaignLoopObserver* observer) {
@@ -285,9 +266,6 @@ class Campaign {
 // Convenience: run one (strategy, flavor) campaign with defaults.
 Result<CampaignResult> RunCampaign(std::string_view strategy_name, Flavor flavor,
                                    uint64_t seed, SimDuration budget = Hours(24),
-                                   FaultSet fault_set = FaultSet::kNewBugs);
-Result<CampaignResult> RunCampaign(StrategyKind kind, Flavor flavor, uint64_t seed,
-                                   SimDuration budget = Hours(24),
                                    FaultSet fault_set = FaultSet::kNewBugs);
 
 }  // namespace themis

@@ -25,26 +25,15 @@ uint64_t DriverSeed(const ExperimentBudget& budget, DriverSalt salt) {
 }
 
 CampaignMatrix BaseMatrix(const ExperimentBudget& budget, DriverSalt salt,
-                          const std::vector<StrategyKind>& strategies) {
+                          const std::vector<std::string>& strategies) {
   CampaignMatrix matrix;
   matrix.flavors.assign(kAllFlavors.begin(), kAllFlavors.end());
-  matrix.strategies = StrategyNames(strategies);
+  matrix.strategies = strategies;
   matrix.seeds = budget.seeds;
   matrix.matrix_seed = DriverSeed(budget, salt);
   matrix.base.budget = budget.campaign;
   matrix.base.fault_set = FaultSet::kNewBugs;
   return matrix;
-}
-
-StrategyKind KindFromName(const std::string& name) {
-  for (StrategyKind kind :
-       {StrategyKind::kThemis, StrategyKind::kThemisMinus, StrategyKind::kFixReq,
-        StrategyKind::kFixConf, StrategyKind::kAlternate, StrategyKind::kConcurrent}) {
-    if (name == StrategyKindName(kind)) {
-      return kind;
-    }
-  }
-  return StrategyKind::kThemis;
 }
 
 MatrixResult RunMatrix(const CampaignMatrix& matrix, const ExperimentBudget& budget) {
@@ -56,30 +45,21 @@ MatrixResult RunMatrix(const CampaignMatrix& matrix, const ExperimentBudget& bud
 
 }  // namespace
 
-std::vector<std::string> StrategyNames(const std::vector<StrategyKind>& kinds) {
-  std::vector<std::string> names;
-  names.reserve(kinds.size());
-  for (StrategyKind kind : kinds) {
-    names.emplace_back(StrategyKindName(kind));
-  }
-  return names;
-}
-
-NewBugFindings RunNewBugExperiment(const std::vector<StrategyKind>& strategies,
+NewBugFindings RunNewBugExperiment(const std::vector<std::string>& strategies,
                                    const ExperimentBudget& budget) {
   CampaignMatrix matrix = BaseMatrix(budget, DriverSalt::kNewBugs, strategies);
   MatrixResult result = RunMatrix(matrix, budget);
 
   NewBugFindings findings;
-  for (StrategyKind kind : strategies) {
-    const MatrixRollup& rollup = result.by_strategy[StrategyKindName(kind)];
-    findings.found[kind] = rollup.distinct_failures;
-    findings.false_positives[kind] = rollup.false_positives;
+  for (const std::string& strategy : strategies) {
+    const MatrixRollup& rollup = result.by_strategy[strategy];
+    findings.found[strategy] = rollup.distinct_failures;
+    findings.false_positives[strategy] = rollup.false_positives;
   }
   return findings;
 }
 
-HistoricalFindings RunHistoricalExperiment(const std::vector<StrategyKind>& strategies,
+HistoricalFindings RunHistoricalExperiment(const std::vector<std::string>& strategies,
                                            const ExperimentBudget& budget) {
   CampaignMatrix matrix = BaseMatrix(budget, DriverSalt::kHistorical, strategies);
   matrix.base.fault_set = FaultSet::kHistorical;
@@ -88,21 +68,21 @@ HistoricalFindings RunHistoricalExperiment(const std::vector<StrategyKind>& stra
   HistoricalFindings findings;
   // Union per (strategy, flavor); the ids come out sorted because they are
   // accumulated through an ordered map.
-  std::map<StrategyKind, std::map<Flavor, std::map<std::string, bool>>> found;
+  std::map<std::string, std::map<Flavor, std::map<std::string, bool>>> found;
   for (const JobResult& job : result.jobs) {
     if (!job.status.ok()) {
       continue;
     }
-    StrategyKind kind = KindFromName(job.job.strategy);
+    const std::string& strategy = job.job.strategy;
     for (const auto& [id, at] : job.result.distinct_failures) {
       (void)at;
-      found[kind][job.job.config.flavor][id] = true;
+      found[strategy][job.job.config.flavor][id] = true;
     }
   }
-  for (StrategyKind kind : strategies) {
+  for (const std::string& strategy : strategies) {
     for (Flavor flavor : kAllFlavors) {
-      std::vector<std::string>& ids = findings.found[kind][flavor];
-      for (const auto& [id, seen] : found[kind][flavor]) {
+      std::vector<std::string>& ids = findings.found[strategy][flavor];
+      for (const auto& [id, seen] : found[strategy][flavor]) {
         (void)seen;
         ids.push_back(id);
       }
@@ -111,76 +91,69 @@ HistoricalFindings RunHistoricalExperiment(const std::vector<StrategyKind>& stra
   return findings;
 }
 
-CoverageResults RunCoverageExperiment(const std::vector<StrategyKind>& strategies,
+CoverageResults RunCoverageExperiment(const std::vector<std::string>& strategies,
                                       const ExperimentBudget& budget) {
   CampaignMatrix matrix = BaseMatrix(budget, DriverSalt::kCoverage, strategies);
   MatrixResult result = RunMatrix(matrix, budget);
 
   CoverageResults results;
-  std::map<StrategyKind, std::map<Flavor, size_t>> totals;
-  std::map<StrategyKind, std::map<Flavor, size_t>> transition_totals;
+  std::map<std::string, std::map<Flavor, size_t>> totals;
+  std::map<std::string, std::map<Flavor, size_t>> transition_totals;
   for (const JobResult& job : result.jobs) {
     if (!job.status.ok()) {
       continue;
     }
-    StrategyKind kind = KindFromName(job.job.strategy);
+    const std::string& strategy = job.job.strategy;
     Flavor flavor = job.job.config.flavor;
-    totals[kind][flavor] += job.result.final_coverage;
-    transition_totals[kind][flavor] += job.result.transition_coverage;
+    totals[strategy][flavor] += job.result.final_coverage;
+    transition_totals[strategy][flavor] += job.result.transition_coverage;
     if (job.job.repetition == 0) {
-      results.timelines[kind][flavor] = job.result.coverage_timeline;
+      results.timelines[strategy][flavor] = job.result.coverage_timeline;
     }
   }
-  for (StrategyKind kind : strategies) {
+  for (const std::string& strategy : strategies) {
     for (Flavor flavor : kAllFlavors) {
       size_t seeds = static_cast<size_t>(std::max(budget.seeds, 1));
-      results.final_coverage[kind][flavor] = totals[kind][flavor] / seeds;
-      results.transition_coverage[kind][flavor] =
-          transition_totals[kind][flavor] / seeds;
+      results.final_coverage[strategy][flavor] = totals[strategy][flavor] / seeds;
+      results.transition_coverage[strategy][flavor] =
+          transition_totals[strategy][flavor] / seeds;
     }
   }
   return results;
 }
 
 AblationResults RunAblationExperiment(const ExperimentBudget& budget) {
-  CampaignMatrix matrix =
-      BaseMatrix(budget, DriverSalt::kAblation,
-                 {StrategyKind::kThemisMinus, StrategyKind::kThemis});
+  CampaignMatrix matrix = BaseMatrix(budget, DriverSalt::kAblation, {"Themis-", "Themis"});
   MatrixResult result = RunMatrix(matrix, budget);
 
   AblationResults results;
-  std::map<StrategyKind, std::map<Flavor, std::map<std::string, bool>>> found;
-  std::map<StrategyKind, std::map<Flavor, size_t>> coverage_totals;
+  std::map<std::string, std::map<Flavor, std::map<std::string, bool>>> found;
+  std::map<std::string, std::map<Flavor, size_t>> coverage_totals;
   for (const JobResult& job : result.jobs) {
     if (!job.status.ok()) {
       continue;
     }
-    StrategyKind kind = KindFromName(job.job.strategy);
+    const std::string& strategy = job.job.strategy;
     Flavor flavor = job.job.config.flavor;
-    coverage_totals[kind][flavor] += job.result.final_coverage;
+    coverage_totals[strategy][flavor] += job.result.final_coverage;
     for (const auto& [id, at] : job.result.distinct_failures) {
       (void)at;
-      found[kind][flavor][id] = true;
+      found[strategy][flavor][id] = true;
     }
   }
   for (Flavor flavor : kAllFlavors) {
     size_t denom = static_cast<size_t>(std::max(budget.seeds, 1));
-    results.failures_minus[flavor] =
-        static_cast<int>(found[StrategyKind::kThemisMinus][flavor].size());
-    results.failures_full[flavor] =
-        static_cast<int>(found[StrategyKind::kThemis][flavor].size());
-    results.coverage_minus[flavor] =
-        coverage_totals[StrategyKind::kThemisMinus][flavor] / denom;
-    results.coverage_full[flavor] =
-        coverage_totals[StrategyKind::kThemis][flavor] / denom;
+    results.failures_minus[flavor] = static_cast<int>(found["Themis-"][flavor].size());
+    results.failures_full[flavor] = static_cast<int>(found["Themis"][flavor].size());
+    results.coverage_minus[flavor] = coverage_totals["Themis-"][flavor] / denom;
+    results.coverage_full[flavor] = coverage_totals["Themis"][flavor] / denom;
   }
   return results;
 }
 
 std::vector<ThresholdSweepRow> RunThresholdSweep(const std::vector<double>& thresholds,
                                                  const ExperimentBudget& budget) {
-  CampaignMatrix matrix =
-      BaseMatrix(budget, DriverSalt::kThreshold, {StrategyKind::kThemis});
+  CampaignMatrix matrix = BaseMatrix(budget, DriverSalt::kThreshold, {"Themis"});
   matrix.thresholds = thresholds;
   MatrixResult result = RunMatrix(matrix, budget);
 
@@ -215,8 +188,7 @@ std::vector<WeightSweepRow> RunWeightSweep(const std::vector<double>& storage_we
     }
   }
 
-  CampaignMatrix matrix =
-      BaseMatrix(budget, DriverSalt::kWeights, {StrategyKind::kThemis});
+  CampaignMatrix matrix = BaseMatrix(budget, DriverSalt::kWeights, {"Themis"});
   for (double w : storage_weights) {
     // Remaining weight splits evenly between computation and network.
     LoadVarianceWeights weights;

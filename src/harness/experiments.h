@@ -29,9 +29,8 @@ namespace themis {
 inline constexpr std::array<Flavor, 4> kAllFlavors = {
     Flavor::kHdfs, Flavor::kCeph, Flavor::kGluster, Flavor::kLeo};
 
-inline constexpr std::array<StrategyKind, 5> kComparedStrategies = {
-    StrategyKind::kThemis, StrategyKind::kFixReq, StrategyKind::kFixConf,
-    StrategyKind::kAlternate, StrategyKind::kConcurrent};
+inline constexpr std::array<const char*, 5> kComparedStrategies = {
+    "Themis", "Fix_req", "Fix_conf", "Alternate", "Concurrent"};
 
 struct ExperimentBudget {
   SimDuration campaign = Hours(24);
@@ -43,42 +42,41 @@ struct ExperimentBudget {
   std::string telemetry_out;
 };
 
-// The registry names of the shim enum's strategies, for building matrices.
-std::vector<std::string> StrategyNames(const std::vector<StrategyKind>& kinds);
-
 // ---- Table 2 / Table 3: new imbalance failures ----
+// Strategies are registry names ("Themis", "Fix_req", ...), and every
+// result map is keyed by them.
 struct NewBugFindings {
   // strategy -> set of new-bug ids found (union over repetitions).
-  std::map<StrategyKind, std::map<std::string, SimTime>> found;
+  std::map<std::string, std::map<std::string, SimTime>> found;
   // strategy -> total false positives across all campaigns.
-  std::map<StrategyKind, int> false_positives;
+  std::map<std::string, int> false_positives;
 };
 
-NewBugFindings RunNewBugExperiment(const std::vector<StrategyKind>& strategies,
+NewBugFindings RunNewBugExperiment(const std::vector<std::string>& strategies,
                                    const ExperimentBudget& budget);
 
 // ---- Table 4: historical failures reproduced ----
 struct HistoricalFindings {
   // strategy -> flavor -> ids found.
-  std::map<StrategyKind, std::map<Flavor, std::vector<std::string>>> found;
+  std::map<std::string, std::map<Flavor, std::vector<std::string>>> found;
 };
 
-HistoricalFindings RunHistoricalExperiment(const std::vector<StrategyKind>& strategies,
+HistoricalFindings RunHistoricalExperiment(const std::vector<std::string>& strategies,
                                            const ExperimentBudget& budget);
 
 // ---- Table 5 / Figure 12: branch coverage ----
 struct CoverageResults {
   // strategy -> flavor -> final branch count (averaged over seeds).
-  std::map<StrategyKind, std::map<Flavor, size_t>> final_coverage;
+  std::map<std::string, std::map<Flavor, size_t>> final_coverage;
   // strategy -> flavor -> balancer transition pairs covered (DESIGN.md §16,
   // averaged over seeds).
-  std::map<StrategyKind, std::map<Flavor, size_t>> transition_coverage;
+  std::map<std::string, std::map<Flavor, size_t>> transition_coverage;
   // strategy -> flavor -> (minute, branches) timeline from the first seed.
-  std::map<StrategyKind, std::map<Flavor, std::vector<std::pair<SimTime, size_t>>>>
+  std::map<std::string, std::map<Flavor, std::vector<std::pair<SimTime, size_t>>>>
       timelines;
 };
 
-CoverageResults RunCoverageExperiment(const std::vector<StrategyKind>& strategies,
+CoverageResults RunCoverageExperiment(const std::vector<std::string>& strategies,
                                       const ExperimentBudget& budget);
 
 // ---- Table 6: Themis vs Themis⁻ ablation ----

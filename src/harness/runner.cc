@@ -6,8 +6,6 @@
 #include "src/common/log.h"
 #include "src/harness/telemetry_export.h"
 #include "src/harness/thread_pool.h"
-#include "src/telemetry/metrics.h"
-#include "src/telemetry/trace.h"
 
 namespace themis {
 
@@ -112,14 +110,12 @@ MatrixResult CampaignRunner::Run(const CampaignMatrix& matrix) {
 }
 
 MatrixResult CampaignRunner::RunJobs(const std::vector<CampaignJob>& jobs) {
-  THEMIS_SPAN(matrix_span, "runner.matrix");
   auto matrix_start = std::chrono::steady_clock::now();
 
   MatrixResult matrix_result;
   matrix_result.jobs.resize(jobs.size());
 
   const bool want_telemetry = !options_.telemetry_out.empty();
-  ConcurrentRunningStat job_seconds;
   {
     ThreadPool pool(options_.jobs);
     matrix_result.threads = pool.thread_count();
@@ -128,7 +124,7 @@ MatrixResult CampaignRunner::RunJobs(const std::vector<CampaignJob>& jobs) {
       // vector needs no lock; the pool join is the synchronization point.
       JobResult* slot = &matrix_result.jobs[i];
       const CampaignJob* job = &jobs[i];
-      pool.Submit([this, slot, job, want_telemetry, &job_seconds] {
+      pool.Submit([this, slot, job, want_telemetry] {
         auto job_start = std::chrono::steady_clock::now();
         double cpu_start = ThreadCpuSeconds();
         slot->job = *job;
@@ -158,10 +154,6 @@ MatrixResult CampaignRunner::RunJobs(const std::vector<CampaignJob>& jobs) {
         }
         slot->cpu_seconds = ThreadCpuSeconds() - cpu_start;
         slot->wall_seconds = SecondsSince(job_start);
-        THEMIS_COUNTER_INC("runner.jobs", 1);
-        THEMIS_HISTOGRAM_RECORD("runner.job_wall_us", slot->wall_seconds * 1e6);
-        THEMIS_HISTOGRAM_RECORD("runner.job_cpu_us", slot->cpu_seconds * 1e6);
-        job_seconds.Add(slot->wall_seconds);
       });
     }
     pool.Shutdown();  // drains every queued job
@@ -180,7 +172,6 @@ MatrixResult CampaignRunner::RunJobs(const std::vector<CampaignJob>& jobs) {
     FoldInto(matrix_result.overall, job_result, job_result.job.index,
              overall_timeline_index);
   }
-  matrix_result.overall.job_seconds = job_seconds.Snapshot();
   matrix_result.wall_seconds = SecondsSince(matrix_start);
   if (want_telemetry) {
     Status write = WriteTelemetryJsonl(matrix_result, options_.telemetry_out);

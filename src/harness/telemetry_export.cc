@@ -7,7 +7,6 @@
 #include "src/common/strings.h"
 #include "src/dfs/types.h"
 #include "src/telemetry/event_log.h"
-#include "src/telemetry/metrics.h"
 
 namespace themis {
 
@@ -65,21 +64,6 @@ Status WriteWholeFile(const std::string& path, const std::string& content) {
   return Status::Ok();
 }
 
-std::string HistogramJson(const HistogramSnapshot& snapshot) {
-  std::string out = Sprintf(
-      "{\"count\":%llu,\"sum\":%.17g,\"mean\":%.6g,\"p50\":%.6g,\"p90\":%.6g,"
-      "\"p99\":%.6g,\"buckets\":[",
-      static_cast<unsigned long long>(snapshot.count), snapshot.sum,
-      snapshot.mean(), snapshot.Quantile(0.5), snapshot.Quantile(0.9),
-      snapshot.Quantile(0.99));
-  for (size_t i = 0; i < kHistogramBuckets; ++i) {
-    out += Sprintf("%s%llu", i == 0 ? "" : ",",
-                   static_cast<unsigned long long>(snapshot.buckets[i]));
-  }
-  out += "]}";
-  return out;
-}
-
 }  // namespace
 
 std::string RenderTelemetryJsonl(const MatrixResult& result) {
@@ -102,62 +86,6 @@ std::string RenderTelemetryJsonl(const MatrixResult& result) {
 
 Status WriteTelemetryJsonl(const MatrixResult& result, const std::string& path) {
   return WriteWholeFile(path, RenderTelemetryJsonl(result));
-}
-
-namespace {
-
-// The counters/gauges/histograms tail shared by both summary variants;
-// `head` must already open the object and end with ",\n".
-Status WriteSummaryWithHead(std::string out, const std::string& path) {
-  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  out += "  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : snapshot.counters) {
-    out += Sprintf("%s\n    \"%s\": %llu", first ? "" : ",",
-                   JsonEscape(name).c_str(), static_cast<unsigned long long>(value));
-    first = false;
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : snapshot.gauges) {
-    out += Sprintf("%s\n    \"%s\": %lld", first ? "" : ",",
-                   JsonEscape(name).c_str(), static_cast<long long>(value));
-    first = false;
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    out += Sprintf("%s\n    \"%s\": %s", first ? "" : ",",
-                   JsonEscape(name).c_str(), HistogramJson(histogram).c_str());
-    first = false;
-  }
-  out += first ? "}\n}\n" : "\n  }\n}\n";
-  return WriteWholeFile(path, out);
-}
-
-}  // namespace
-
-Status WriteMetricsSummaryJson(const std::string& bench_name,
-                               const MatrixResult& result,
-                               const std::string& path) {
-  std::string head = Sprintf(
-      "{\n  \"bench\": \"%s\",\n  \"jobs\": %zu,\n  \"failed_jobs\": %d,\n"
-      "  \"threads\": %d,\n  \"wall_seconds\": %.6f,\n  \"total_ops\": %llu,\n"
-      "  \"distinct_failures\": %d,\n  \"false_positives\": %d,\n",
-      JsonEscape(bench_name).c_str(), result.jobs.size(), result.FailedJobs(),
-      result.threads, result.wall_seconds,
-      static_cast<unsigned long long>(result.overall.total_ops),
-      result.overall.DistinctTruePositives(), result.overall.false_positives);
-  return WriteSummaryWithHead(std::move(head), path);
-}
-
-Status WriteMetricsSummaryJson(const std::string& bench_name, double wall_seconds,
-                               const std::string& path) {
-  std::string head = Sprintf("{\n  \"bench\": \"%s\",\n  \"wall_seconds\": %.6f,\n",
-                             JsonEscape(bench_name).c_str(), wall_seconds);
-  return WriteSummaryWithHead(std::move(head), path);
 }
 
 std::string RenderCampaignSummaryJson(const MatrixResult& result) {

@@ -1,7 +1,5 @@
 #include "src/monitor/detector.h"
 
-#include "src/telemetry/metrics.h"
-
 namespace themis {
 
 const char* ImbalanceDimensionName(ImbalanceDimension dimension) {
@@ -65,7 +63,6 @@ std::optional<ImbalanceCandidate> ImbalanceDetector::Check(
     const LoadVarianceSnapshot& snapshot) {
   if (snapshot.any_crashed) {
     streak_ = 0;
-    THEMIS_COUNTER_INC("detector.crash_candidates", 1);
     if (telemetry_ != nullptr) {
       telemetry_->Record(CampaignEventKind::kDetectorVerdict,
                          ImbalanceDimensionName(ImbalanceDimension::kNodeHealth),

@@ -83,7 +83,6 @@ std::string CampaignEvent::ToJson(int64_t job) const {
 
 void EventLog::Record(CampaignEventKind kind, std::string label, double value,
                       double value2, uint64_t count) {
-#if !defined(THEMIS_TELEMETRY_DISABLED)
   CampaignEvent event;
   event.kind = kind;
   event.at = clock_ != nullptr ? clock_->now() : 0;
@@ -92,13 +91,6 @@ void EventLog::Record(CampaignEventKind kind, std::string label, double value,
   event.value2 = value2;
   event.count = count;
   events_.push_back(std::move(event));
-#else
-  (void)kind;
-  (void)label;
-  (void)value;
-  (void)value2;
-  (void)count;
-#endif
 }
 
 void SaveCampaignEvent(SnapshotWriter& writer, const CampaignEvent& event) {
@@ -125,15 +117,13 @@ void RestoreCampaignEvent(SnapshotReader& reader, CampaignEvent* event) {
 }
 
 void EventLog::SaveState(SnapshotWriter& writer) const {
-  const std::vector<CampaignEvent>& current = events();
-  writer.U64(current.size());
-  for (const CampaignEvent& event : current) {
+  writer.U64(events_.size());
+  for (const CampaignEvent& event : events_) {
     SaveCampaignEvent(writer, event);
   }
 }
 
 Status EventLog::RestoreState(SnapshotReader& reader) {
-#if !defined(THEMIS_TELEMETRY_DISABLED)
   uint64_t count = reader.Count(1 + 8 + 8 + 8 + 8 + 8);
   events_.clear();
   events_.resize(static_cast<size_t>(count));
@@ -141,13 +131,6 @@ Status EventLog::RestoreState(SnapshotReader& reader) {
     RestoreCampaignEvent(reader, &event);
     if (!reader.ok()) break;
   }
-#else
-  uint64_t count = reader.U64();
-  if (reader.ok() && count != 0) {
-    reader.Fail("snapshot carries telemetry events but this binary was built "
-                "with THEMIS_TELEMETRY=OFF");
-  }
-#endif
   return reader.status();
 }
 

@@ -12,11 +12,8 @@
 // comparisons). Recording never draws from any Rng.
 //
 // An EventLog belongs to exactly one campaign (one runner job) and is only
-// touched from that job's thread, so recording is a plain vector push —
-// cross-thread aggregation happens at the metrics layer, not here.
-//
-// Under THEMIS_TELEMETRY_DISABLED every method is an empty inline and the
-// event vector stays empty.
+// touched from that job's thread, so recording is a plain vector push. A
+// campaign records into it only when CampaignConfig::collect_telemetry is on.
 
 #ifndef SRC_TELEMETRY_EVENT_LOG_H_
 #define SRC_TELEMETRY_EVENT_LOG_H_
@@ -62,52 +59,31 @@ struct CampaignEvent {
 class EventLog {
  public:
   // Binds the virtual clock used to stamp events; unstamped logs record at 0.
-  void BindClock(const VirtualClock* clock) {
-#if !defined(THEMIS_TELEMETRY_DISABLED)
-    clock_ = clock;
-#else
-    (void)clock;
-#endif
-  }
+  void BindClock(const VirtualClock* clock) { clock_ = clock; }
 
   void Record(CampaignEventKind kind, std::string label = {}, double value = 0.0,
               double value2 = 0.0, uint64_t count = 0);
 
-  const std::vector<CampaignEvent>& events() const {
-#if !defined(THEMIS_TELEMETRY_DISABLED)
-    return events_;
-#else
-    static const std::vector<CampaignEvent> kEmpty;
-    return kEmpty;
-#endif
-  }
+  const std::vector<CampaignEvent>& events() const { return events_; }
 
   std::vector<CampaignEvent> TakeEvents() {
-#if !defined(THEMIS_TELEMETRY_DISABLED)
     std::vector<CampaignEvent> out = std::move(events_);
     events_.clear();
     return out;
-#else
-    return {};
-#endif
   }
 
   // Checkpointing (DESIGN.md §11): the recorded events. The clock binding is
-  // re-established by the campaign on restore. In telemetry-disabled builds
-  // the log is always empty, so Save writes a zero count and Restore accepts
-  // only that — a snapshot is never shared across telemetry build modes.
+  // re-established by the campaign on restore.
   void SaveState(SnapshotWriter& writer) const;
   Status RestoreState(SnapshotReader& reader);
 
  private:
-#if !defined(THEMIS_TELEMETRY_DISABLED)
   const VirtualClock* clock_ = nullptr;
   std::vector<CampaignEvent> events_;
-#endif
 };
 
-// Checkpoint serializers for the event value type (always available, even in
-// telemetry-disabled builds — CampaignResult::telemetry uses them too).
+// Checkpoint serializers for the event value type (CampaignResult::telemetry
+// uses them too).
 void SaveCampaignEvent(SnapshotWriter& writer, const CampaignEvent& event);
 void RestoreCampaignEvent(SnapshotReader& reader, CampaignEvent* event);
 

@@ -13,7 +13,6 @@
 #include "src/core/opseq.h"
 #include "src/core/seed_pool.h"
 #include "src/dfs/flavors/factory.h"
-#include "src/telemetry/metrics.h"
 
 namespace themis {
 namespace {
@@ -451,35 +450,6 @@ TEST(SeedPool, EvictsLowestWhenFull) {
     }
   }
   EXPECT_FALSE(found_worse);
-}
-
-// Every Add either enters the pool or is dropped, and every entry still
-// pooled or evicted was added.
-TEST(SeedPool, CountersAccountForEveryAdd) {
-  if (!kTelemetryEnabled) {
-    GTEST_SKIP() << "counters compile away under THEMIS_TELEMETRY=OFF";
-  }
-  auto counter = [](const char* name) {
-    return MetricsRegistry::Global().GetCounter(name).Value();
-  };
-  uint64_t adds_before = counter("seed_pool.adds");
-  uint64_t dropped_before = counter("seed_pool.add_dropped");
-  uint64_t evictions_before = counter("seed_pool.evictions");
-  SeedPool pool(16);
-  Rng rng(5);
-  const int kCalls = 200;
-  for (int i = 0; i < kCalls; ++i) {
-    OpSeq seq;
-    seq.ops.resize(1 + rng.NextBelow(4));
-    pool.Add(seq, rng.NextDouble());
-  }
-  uint64_t adds = counter("seed_pool.adds") - adds_before;
-  uint64_t dropped = counter("seed_pool.add_dropped") - dropped_before;
-  uint64_t evictions = counter("seed_pool.evictions") - evictions_before;
-  EXPECT_GT(dropped, 0u);
-  EXPECT_GT(evictions, 0u);
-  EXPECT_EQ(adds + dropped, static_cast<uint64_t>(kCalls));
-  EXPECT_EQ(adds - evictions, pool.size());
 }
 
 }  // namespace

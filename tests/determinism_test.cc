@@ -12,7 +12,6 @@
 
 #include "src/harness/runner.h"
 #include "src/harness/telemetry_export.h"
-#include "src/telemetry/metrics.h"
 
 namespace themis {
 namespace {
@@ -85,9 +84,7 @@ TEST(Determinism, TelemetryEventMultisetsIdentical) {
   MatrixResult eight = RunWithJobs(8);
   std::vector<std::string> serial_events = EventMultiset(serial);
   std::vector<std::string> parallel_events = EventMultiset(eight);
-  if (kTelemetryEnabled) {
-    ASSERT_FALSE(serial_events.empty());
-  }
+  ASSERT_FALSE(serial_events.empty());
   EXPECT_EQ(serial_events, parallel_events);
   // Stronger than the multiset: the per-job streams are ordered identically
   // too, since each campaign records from a single thread in virtual time.

@@ -225,33 +225,6 @@ TEST(Stats, RunningStatMergeMatchesSequentialFeed) {
   EXPECT_EQ(left.max(), all.max());
 }
 
-TEST(Stats, ConcurrentRunningStatAggregatesAcrossThreads) {
-  ConcurrentRunningStat stat;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 1000;
-  {
-    ThreadPool pool(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      pool.Submit([&stat, t] {
-        RunningStat partial;
-        for (int i = 0; i < kPerThread; ++i) {
-          if (i % 2 == 0) {
-            stat.Add(static_cast<double>(t));
-          } else {
-            partial.Add(static_cast<double>(t));
-          }
-        }
-        stat.Merge(partial);
-      });
-    }
-    pool.Shutdown();
-  }
-  RunningStat snapshot = stat.Snapshot();
-  EXPECT_EQ(snapshot.count(), static_cast<size_t>(kThreads * kPerThread));
-  EXPECT_EQ(snapshot.min(), 0.0);
-  EXPECT_EQ(snapshot.max(), kThreads - 1.0);
-}
-
 TEST(Runner, RollupUnionsFailuresAndTimesJobs) {
   CampaignMatrix matrix;
   matrix.flavors = {Flavor::kGluster};
@@ -267,6 +240,7 @@ TEST(Runner, RollupUnionsFailuresAndTimesJobs) {
   EXPECT_EQ(rollup.total_ops,
             result.jobs[0].result.total_ops + result.jobs[1].result.total_ops);
   EXPECT_EQ(rollup.job_seconds.count(), 2u);
+  EXPECT_EQ(result.overall.job_seconds.count(), 2u);
   // The rollup timeline is the first (lowest-index) job's timeline.
   EXPECT_EQ(rollup.coverage_timeline, result.jobs[0].result.coverage_timeline);
   for (const auto& [id, at] : result.jobs[0].result.distinct_failures) {

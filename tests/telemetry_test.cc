@@ -1,140 +1,19 @@
-// Unit tests for the telemetry subsystem: sharded metrics, histograms, the
-// campaign event log and its JSON rendering.
+// Unit tests for the telemetry subsystem: the campaign event log, its JSON
+// rendering, and the per-job job_summary records of the JSONL export.
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
+#include "src/common/strings.h"
+#include "src/harness/runner.h"
+#include "src/harness/telemetry_export.h"
 #include "src/telemetry/event_log.h"
-#include "src/telemetry/metrics.h"
-#include "src/telemetry/trace.h"
 
 namespace themis {
 namespace {
-
-// Recording is compiled out under -DTHEMIS_TELEMETRY=OFF, so tests that
-// assert on recorded values only make sense in enabled builds.
-#define THEMIS_SKIP_IF_TELEMETRY_DISABLED()             \
-  do {                                                  \
-    if (!kTelemetryEnabled) {                           \
-      GTEST_SKIP() << "telemetry compiled out";         \
-    }                                                   \
-  } while (0)
-
-TEST(Metrics, CounterMergesShards) {
-  THEMIS_SKIP_IF_TELEMETRY_DISABLED();
-  Counter counter;
-  counter.Inc();
-  counter.Inc(41);
-  EXPECT_EQ(counter.Value(), 42u);
-}
-
-TEST(Metrics, CounterSumsAcrossThreads) {
-  THEMIS_SKIP_IF_TELEMETRY_DISABLED();
-  Counter counter;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter] {
-      for (int i = 0; i < kPerThread; ++i) {
-        counter.Inc();
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(counter.Value(), static_cast<uint64_t>(kThreads) * kPerThread);
-}
-
-TEST(Metrics, GaugeGoesUpAndDown) {
-  THEMIS_SKIP_IF_TELEMETRY_DISABLED();
-  Gauge gauge;
-  gauge.Inc();
-  gauge.Inc();
-  gauge.Dec();
-  EXPECT_EQ(gauge.Value(), 1);
-  gauge.Add(-5);
-  EXPECT_EQ(gauge.Value(), -4);
-}
-
-TEST(Metrics, HistogramCountsAndBuckets) {
-  THEMIS_SKIP_IF_TELEMETRY_DISABLED();
-  Histogram histogram;
-  histogram.Record(0.5);   // bucket 0 (<= 1)
-  histogram.Record(3.0);   // bucket 1 (<= 4)
-  histogram.Record(100.0); // bucket 4 (<= 256)
-  HistogramSnapshot snapshot = histogram.Snapshot();
-  EXPECT_EQ(snapshot.count, 3u);
-  EXPECT_DOUBLE_EQ(snapshot.sum, 103.5);
-  EXPECT_EQ(snapshot.buckets[0], 1u);
-  EXPECT_EQ(snapshot.buckets[1], 1u);
-  EXPECT_EQ(snapshot.buckets[4], 1u);
-}
-
-TEST(Metrics, HistogramOverflowLandsInLastBucket) {
-  THEMIS_SKIP_IF_TELEMETRY_DISABLED();
-  Histogram histogram;
-  histogram.Record(1e30);
-  HistogramSnapshot snapshot = histogram.Snapshot();
-  EXPECT_EQ(snapshot.buckets[kHistogramBuckets - 1], 1u);
-}
-
-TEST(Metrics, HistogramQuantilesAreOrdered) {
-  THEMIS_SKIP_IF_TELEMETRY_DISABLED();
-  Histogram histogram;
-  for (int i = 1; i <= 1000; ++i) {
-    histogram.Record(static_cast<double>(i));
-  }
-  HistogramSnapshot snapshot = histogram.Snapshot();
-  double p50 = snapshot.Quantile(0.5);
-  double p99 = snapshot.Quantile(0.99);
-  EXPECT_GT(p50, 0.0);
-  EXPECT_LE(p50, p99);
-  EXPECT_NEAR(snapshot.mean(), 500.5, 1e-9);
-}
-
-TEST(Metrics, RegistryHandlesAreStable) {
-  THEMIS_SKIP_IF_TELEMETRY_DISABLED();
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  Counter& a = registry.GetCounter("telemetry_test.stable");
-  // Force more inserts, then re-resolve: same address (hot loops cache it).
-  for (int i = 0; i < 64; ++i) {
-    registry.GetCounter("telemetry_test.filler." + std::to_string(i));
-  }
-  EXPECT_EQ(&a, &registry.GetCounter("telemetry_test.stable"));
-  a.Inc(7);
-  MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.counters.at("telemetry_test.stable"), 7u);
-}
-
-TEST(Metrics, MacroIncrementsNamedCounter) {
-  uint64_t before =
-      MetricsRegistry::Global().GetCounter("telemetry_test.macro").Value();
-  THEMIS_COUNTER_INC("telemetry_test.macro", 3);
-  uint64_t after =
-      MetricsRegistry::Global().GetCounter("telemetry_test.macro").Value();
-  EXPECT_EQ(after - before, kTelemetryEnabled ? 3u : 0u);
-}
-
-TEST(Trace, SpanRecordsDurationAndCall) {
-  SpanMetrics metrics = MakeSpanMetrics("telemetry_test.span");
-  uint64_t calls_before = MetricsRegistry::Global()
-                              .GetCounter("span.telemetry_test.span.calls")
-                              .Value();
-  {
-    TraceSpan span(*metrics.histogram, *metrics.calls);
-    (void)span;
-  }
-  uint64_t calls_after = MetricsRegistry::Global()
-                             .GetCounter("span.telemetry_test.span.calls")
-                             .Value();
-  EXPECT_EQ(calls_after - calls_before, kTelemetryEnabled ? 1u : 0u);
-}
 
 TEST(EventLog, RecordsWithVirtualTimestamps) {
   VirtualClock clock;
@@ -144,10 +23,6 @@ TEST(EventLog, RecordsWithVirtualTimestamps) {
   log.Record(CampaignEventKind::kSeedAccepted, "variance", 1.5, 0.25);
   clock.Advance(Seconds(30));
   log.Record(CampaignEventKind::kMutation, "replace", 0.0, 0.0, 3);
-  if (!kTelemetryEnabled) {
-    EXPECT_TRUE(log.events().empty());
-    return;
-  }
   ASSERT_EQ(log.events().size(), 2u);
   EXPECT_EQ(log.events()[0].kind, CampaignEventKind::kSeedAccepted);
   EXPECT_EQ(log.events()[0].at, Minutes(2));
@@ -161,7 +36,7 @@ TEST(EventLog, TakeEventsDrainsTheLog) {
   EventLog log;
   log.Record(CampaignEventKind::kClusterReset);
   std::vector<CampaignEvent> taken = log.TakeEvents();
-  EXPECT_EQ(taken.size(), kTelemetryEnabled ? 1u : 0u);
+  EXPECT_EQ(taken.size(), 1u);
   EXPECT_TRUE(log.events().empty());
 }
 
@@ -195,6 +70,48 @@ TEST(EventLog, EventEqualityIsFieldwise) {
   EXPECT_EQ(a, b);
   b.value2 = 0.1;
   EXPECT_FALSE(a == b);
+}
+
+// Every job gets one job_summary line carrying its own counters and timings;
+// it is the only machine-readable record of a job's wall and CPU time.
+TEST(TelemetryExport, JobSummaryLinesCarryEachJobsCounters) {
+  CampaignMatrix matrix;
+  matrix.seeds = 2;
+  matrix.base.budget = Hours(1);
+  matrix.base.collect_telemetry = true;
+  RunnerOptions options;
+  options.jobs = 2;
+  MatrixResult result = CampaignRunner(options).Run(matrix);
+  ASSERT_EQ(result.jobs.size(), 2u);
+  // Distinct jobs, so a line carrying the other job's values is caught.
+  ASSERT_NE(result.jobs[0].result.total_ops, result.jobs[1].result.total_ops);
+
+  const std::string jsonl = RenderTelemetryJsonl(result);
+  std::vector<std::string> summaries;
+  for (std::string_view line : Split(jsonl, '\n')) {
+    if (line.find("\"event\":\"job_summary\"") != std::string_view::npos) {
+      summaries.emplace_back(line);
+    }
+  }
+  ASSERT_EQ(summaries.size(), 2u);
+  for (size_t i = 0; i < summaries.size(); ++i) {
+    const JobResult& job = result.jobs[i];
+    ASSERT_TRUE(job.status.ok()) << job.status.ToString();
+    const CampaignResult& r = job.result;
+    EXPECT_GT(r.testcases, 0);
+    EXPECT_FALSE(r.telemetry.empty());
+    const std::string& line = summaries[i];
+    EXPECT_EQ(line.rfind(Sprintf("{\"job\":%zu,", i), 0), 0u) << line;
+    for (const std::string& field :
+         {Sprintf("\"testcases\":%d,", r.testcases),
+          Sprintf("\"total_ops\":%llu,", static_cast<unsigned long long>(r.total_ops)),
+          Sprintf("\"candidates\":%d,", r.candidates),
+          Sprintf("\"events\":%zu,", r.telemetry.size()),
+          Sprintf("\"wall_seconds\":%.6f,", job.wall_seconds),
+          Sprintf("\"cpu_seconds\":%.6f}", job.cpu_seconds)}) {
+      EXPECT_NE(line.find(field), std::string::npos) << field << " not in " << line;
+    }
+  }
 }
 
 }  // namespace
