@@ -41,7 +41,7 @@ class RoundRobinFs : public DfsCluster {
     // Strictly cyclic placement, blind to load — the simplest possible DFS.
     std::vector<BrickId> serving = ServingBricks();
     std::vector<BrickId> chosen;
-    for (size_t probe = 0; probe < serving.size() && chosen.size() < 2; ++probe) {
+    for (size_t probe = 0; probe < serving.size() && chosen.size() < kReplication; ++probe) {
       BrickId candidate = serving[(cursor_ + probe) % serving.size()];
       if (FindBrick(candidate)->FreeBytes() >= bytes) {
         chosen.push_back(candidate);

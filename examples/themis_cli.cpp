@@ -11,10 +11,14 @@
 //   --seeds N       repeated campaigns (default 1)
 //   --jobs N        worker threads; results are identical for every N
 //   --strategy X    a registered strategy: themis | themis- | fixreq |
-//                   fixconf | alternate | concurrent, or any registry name
+//                   fixconf | alternate | concurrent | bandit (schedules the
+//                   budget across the registered strategies), or any
+//                   registry name
 //   --threshold T   detector threshold t, e.g. 0.25
 //   --historical    inject the 53-bug historical corpus instead of the 10 new bugs
 //   --healthy       inject nothing (false-positive soak test)
+//   --transition-weight W  seed energy per newly covered balancer
+//                   state-machine transition pair (default 0)
 //   --logs          write each confirmed failure's reproduction log to stdout
 //   --telemetry-out=PATH  write the campaign event stream (JSONL) to PATH;
 //                   event lines are byte-identical for every --jobs value

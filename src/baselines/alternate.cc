@@ -83,9 +83,9 @@ Status AlternateStrategy::RestoreState(SnapshotReader& reader) {
 }
 
 THEMIS_REGISTER_STRATEGY("Alternate", [](InputModel& model, Rng& rng,
-                                         const StrategyOptions& options)
+                                         const StrategyOptions&)
                                           -> std::unique_ptr<Strategy> {
-  return std::make_unique<AlternateStrategy>(model, rng, options.max_len);
+  return std::make_unique<AlternateStrategy>(model, rng);
 });
 
 }  // namespace themis

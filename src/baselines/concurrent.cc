@@ -42,9 +42,9 @@ void ConcurrentStrategy::OnOutcome(const OpSeq& seq, const ExecOutcome& outcome)
 
 
 THEMIS_REGISTER_STRATEGY("Concurrent", [](InputModel& model, Rng& rng,
-                                          const StrategyOptions& options)
+                                          const StrategyOptions&)
                                            -> std::unique_ptr<Strategy> {
-  return std::make_unique<ConcurrentStrategy>(model, rng, options.max_len);
+  return std::make_unique<ConcurrentStrategy>(model, rng);
 });
 
 }  // namespace themis

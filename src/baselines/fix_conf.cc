@@ -67,9 +67,9 @@ Status FixConfStrategy::RestoreState(SnapshotReader& reader) {
 }
 
 THEMIS_REGISTER_STRATEGY("Fix_conf", [](InputModel& model, Rng& rng,
-                                        const StrategyOptions& options)
+                                        const StrategyOptions&)
                                          -> std::unique_ptr<Strategy> {
-  return std::make_unique<FixConfStrategy>(model, rng, options.max_len);
+  return std::make_unique<FixConfStrategy>(model, rng);
 });
 
 }  // namespace themis

@@ -92,9 +92,9 @@ Status FixReqStrategy::RestoreState(SnapshotReader& reader) {
 }
 
 THEMIS_REGISTER_STRATEGY("Fix_req", [](InputModel& model, Rng& rng,
-                                       const StrategyOptions& options)
+                                       const StrategyOptions&)
                                         -> std::unique_ptr<Strategy> {
-  return std::make_unique<FixReqStrategy>(model, rng, options.max_len);
+  return std::make_unique<FixReqStrategy>(model, rng);
 });
 
 }  // namespace themis

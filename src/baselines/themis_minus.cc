@@ -16,9 +16,9 @@ void ThemisMinusStrategy::OnOutcome(const OpSeq& seq, const ExecOutcome& outcome
 
 
 THEMIS_REGISTER_STRATEGY("Themis-", [](InputModel& model, Rng& rng,
-                                       const StrategyOptions& options)
+                                       const StrategyOptions&)
                                         -> std::unique_ptr<Strategy> {
-  return std::make_unique<ThemisMinusStrategy>(model, rng, options.max_len);
+  return std::make_unique<ThemisMinusStrategy>(model, rng);
 });
 
 }  // namespace themis

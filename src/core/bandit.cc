@@ -121,22 +121,14 @@ Status BanditStrategy::RestoreState(SnapshotReader& reader) {
   return reader.status();
 }
 
-// Default arm set: the full Themis fuzzer plus the §6 baselines. The bandit
-// itself is excluded (no recursion); unknown names are skipped so a build
-// that drops a baseline still schedules over the rest.
+// Arm set: the full Themis fuzzer plus the §6 baselines. Unknown names are
+// skipped so a build that drops a baseline still schedules over the rest.
 namespace {
 
 std::unique_ptr<Strategy> MakeBandit(InputModel& model, Rng& rng,
                                      const StrategyOptions& options) {
-  std::vector<std::string> names = options.bandit_arms;
-  if (names.empty()) {
-    names = {"Themis", "Fix_req", "Fix_conf", "Alternate", "Concurrent"};
-  }
   std::vector<BanditStrategy::Arm> arms;
-  for (const std::string& name : names) {
-    if (name == "Bandit") {
-      continue;
-    }
+  for (const char* name : {"Themis", "Fix_req", "Fix_conf", "Alternate", "Concurrent"}) {
     auto made = StrategyRegistry::Instance().Make(name, model, rng, options);
     if (!made.ok()) {
       continue;
@@ -144,15 +136,6 @@ std::unique_ptr<Strategy> MakeBandit(InputModel& model, Rng& rng,
     BanditStrategy::Arm arm;
     arm.name = name;
     arm.strategy = made.take();
-    arms.push_back(std::move(arm));
-  }
-  if (arms.empty()) {
-    // Degenerate configuration: fall back to a single Themis arm.
-    auto themis =
-        StrategyRegistry::Instance().Make("Themis", model, rng, options);
-    BanditStrategy::Arm arm;
-    arm.name = "Themis";
-    arm.strategy = themis.take();
     arms.push_back(std::move(arm));
   }
   return std::make_unique<BanditStrategy>(std::move(arms), rng);

@@ -21,7 +21,7 @@ OpSeq ThemisFuzzer::Next() {
     }
     return generator_.Generate(rng_);
   }
-  if (config_.variance_guidance && climbing_) {
+  if (climbing_) {
     // Exploit: keep re-running the productive sequence with gradual
     // variation while the load variance keeps growing (Finding 5's
     // "repeatedly executing short sequences ... with gradual variation").
@@ -41,9 +41,6 @@ OpSeq ThemisFuzzer::Next() {
 }
 
 void ThemisFuzzer::OnOutcome(const OpSeq& seq, const ExecOutcome& outcome) {
-  if (!config_.variance_guidance) {
-    return;
-  }
   bool interesting = false;
   double score = 0.0;
   std::string reasons;
@@ -142,14 +139,12 @@ Status ThemisFuzzer::RestoreState(SnapshotReader& reader) {
   return reader.status();
 }
 
-// "Themis" is the full variance-guided fuzzer; the options control the
-// ablation knobs so registry clients can build Themis variants too.
+// "Themis" is the full variance-guided fuzzer (its ablation without the
+// feedback is "Themis-", src/baselines/themis_minus.cc).
 THEMIS_REGISTER_STRATEGY("Themis", [](InputModel& model, Rng& rng,
                                       const StrategyOptions& options)
                                        -> std::unique_ptr<Strategy> {
   FuzzerConfig config;
-  config.max_len = options.max_len;
-  config.variance_guidance = options.variance_guidance;
   config.env_fault_share = options.env_fault_share;
   config.transition_weight = options.transition_weight;
   config.telemetry = options.telemetry;

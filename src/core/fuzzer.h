@@ -22,9 +22,6 @@ struct FuzzerConfig {
   int max_len = 8;           // max_n, from Finding 5
   int initial_seeds = 16;    // initial opSeq population
   size_t pool_capacity = 256;
-  // Whether variance feedback guides seed retention. Disabled for the
-  // Themis⁻ ablation (§6.3).
-  bool variance_guidance = true;
   // Per-op probability of drawing an environment-fault operator; 0.0 (the
   // default) leaves the fault-free grammar untouched.
   double env_fault_share = 0.0;

@@ -31,8 +31,6 @@ namespace themis {
 
 // Knobs every strategy understands; factories may ignore what they don't use.
 struct StrategyOptions {
-  int max_len = 8;               // max_n of Finding 5
-  bool variance_guidance = true; // load-variance feedback (Themis only)
   // Probability of drawing an environment-fault operator per generated op
   // (DESIGN.md §14). 0.0 keeps the fault-free grammar and its RNG draw
   // sequence untouched; campaigns with env faults enabled pass a nonzero
@@ -42,9 +40,6 @@ struct StrategyOptions {
   // (DESIGN.md §16). 0.0 keeps energy assignment bit-identical to the pure
   // load-variance signal.
   double transition_weight = 0.0;
-  // Arm names for the bandit scheduler ("Bandit"); empty selects the
-  // default arm set (src/core/bandit.cc). Other strategies ignore this.
-  std::vector<std::string> bandit_arms;
   // Campaign event sink (owned by the campaign); strategies that record
   // telemetry write here. Null = no event collection.
   EventLog* telemetry = nullptr;

@@ -27,6 +27,13 @@ constexpr uint64_t kMinBrickCapacity = 128 * kGiB;
 // that already holds its pair — leveling needs enough bricks that a second
 // receiver always exists.
 constexpr size_t kMinServingBricks = 5;
+// The metadata membership ops keep the serving count within these bounds.
+constexpr int kMinMetaNodes = 1;
+constexpr int kMaxMetaNodes = 5;
+// Fixed per-op latency, on top of each op's transfer cost.
+constexpr SimDuration kBaseOpLatency = Millis(500);
+constexpr uint64_t kClientBandwidthPerS = 2 * kGiB;
+constexpr uint64_t kMigrationBandwidthPerS = 1536 * kMiB;
 
 uint64_t IoCount(uint64_t bytes) { return 1 + bytes / kBytesPerIo; }
 
@@ -66,11 +73,7 @@ void DfsCluster::BuildInitialTopology() {
   OnTopologyCleared();
 
   for (int i = 0; i < config_.initial_meta_nodes; ++i) {
-    NodeId id = next_node_id_++;
-    MetaNode node;
-    node.id = id;
-    meta_nodes_[id] = node;
-    serving_meta_nodes_.push_back(id);
+    AddMetaNodeInternal();
   }
   for (int i = 0; i < config_.initial_storage_nodes; ++i) {
     AddStorageNodeInternal(BrickCapacityFor(next_node_id_));
@@ -285,50 +288,14 @@ std::vector<BrickId> DfsCluster::ListBricks() const { return ServingBricks(); }
 // ---------------------------------------------------------------------------
 // Load accounting: the cumulative per-node counters the monitor samples.
 
-void DfsCluster::ChargeStorage(NodeId node, uint64_t reads, uint64_t writes,
-                               double cpu_seconds) {
-  StorageNode* sn = FindStorageNode(node);
-  if (sn == nullptr) {
-    return;
-  }
-  sn->load.read_ios += reads;
-  sn->load.write_ios += writes;
-  sn->load.cpu_seconds += cpu_seconds;
-}
-
-void DfsCluster::ChargeMeta(NodeId node, uint64_t requests, double cpu_seconds) {
-  auto it = meta_nodes_.find(node);
-  if (it == meta_nodes_.end()) {
-    return;
-  }
-  it->second.load.requests += requests;
-  it->second.load.cpu_seconds += cpu_seconds;
-}
-
-void DfsCluster::InjectCpuLoad(NodeId node, double cpu_seconds) {
+void DfsCluster::AddLoad(NodeId node, const NodeLoadCounters& delta) {
   if (StorageNode* sn = FindStorageNode(node)) {
-    sn->load.cpu_seconds += cpu_seconds;
+    sn->load += delta;
     return;
   }
   auto it = meta_nodes_.find(node);
   if (it != meta_nodes_.end()) {
-    it->second.load.cpu_seconds += cpu_seconds;
-  }
-}
-
-void DfsCluster::InjectNetLoad(NodeId node, uint64_t reads, uint64_t writes,
-                               uint64_t requests) {
-  if (StorageNode* sn = FindStorageNode(node)) {
-    sn->load.read_ios += reads;
-    sn->load.write_ios += writes;
-    sn->load.requests += requests;
-    return;
-  }
-  auto it = meta_nodes_.find(node);
-  if (it != meta_nodes_.end()) {
-    it->second.load.read_ios += reads;
-    it->second.load.write_ios += writes;
-    it->second.load.requests += requests;
+    it->second.load += delta;
   }
 }
 
@@ -382,8 +349,8 @@ void DfsCluster::CrashNodeForEnvFault(NodeId node) {
     current_move_done_bytes_ = 0;  // the partial transfer died with the round
   }
   current_round_moves_ = 0;
+  ++balancer_crashes_;
   EmitBalancerState(BalancerState::kCrashed);
-  OnBalancerCrashed();
 }
 
 void DfsCluster::RestartNode(NodeId node) {
@@ -501,58 +468,6 @@ uint64_t DfsCluster::SkewBytes(BrickId from, BrickId to, uint64_t bytes) {
   return moved;
 }
 
-uint64_t DfsCluster::DestroyBytes(BrickId brick, uint64_t bytes) {
-  Brick* target = FindBrick(brick);
-  if (target == nullptr) {
-    return 0;
-  }
-  uint64_t destroyed = 0;
-  auto idx_it = brick_chunks_.find(brick);
-  if (idx_it == brick_chunks_.end()) {
-    return 0;
-  }
-  // Same live iteration as SkewBytes: only the current element is ever
-  // erased, so this visits exactly what a snapshot copy would.
-  std::vector<std::pair<FileId, uint32_t>>& brick_set = idx_it->second;
-  auto layout_it = layouts_.end();
-  FileId layout_file = 0;
-  bool layout_cached = false;
-  auto it = brick_set.begin();
-  while (it != brick_set.end()) {
-    if (destroyed >= bytes) {
-      break;
-    }
-    const auto [file, chunk_index] = *it;
-    if (!layout_cached || layout_file != file) {
-      layout_it = layouts_.find(file);
-      layout_file = file;
-      layout_cached = true;
-    }
-    if (layout_it == layouts_.end() || chunk_index >= layout_it->second.chunks.size()) {
-      ++it;
-      continue;
-    }
-    ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
-    auto replica_it = std::find(chunk.replicas.begin(), chunk.replicas.end(), brick);
-    if (replica_it == chunk.replicas.end()) {
-      ++it;
-      continue;
-    }
-    chunk.replicas.erase(replica_it);
-    ReleaseBrickBytes(target, chunk.bytes);
-    it = brick_set.erase(it);
-    load_.Touch();
-    destroyed += chunk.bytes;
-    if (chunk.replicas.empty()) {
-      lost_bytes_ += chunk.bytes;  // last replica gone: user data lost
-    }
-  }
-  if (brick_set.empty()) {
-    brick_chunks_.erase(idx_it);
-  }
-  return destroyed;
-}
-
 // ---------------------------------------------------------------------------
 // Replica index
 
@@ -613,6 +528,14 @@ BrickId DfsCluster::NewBrickOnNode(NodeId node, uint64_t capacity) {
   return id;
 }
 
+NodeId DfsCluster::AddMetaNodeInternal() {
+  NodeId id = next_node_id_++;
+  meta_nodes_[id].id = id;
+  serving_meta_nodes_.push_back(id);  // node ids are monotonic: stays sorted
+  ++membership_epoch_;
+  return id;
+}
+
 NodeId DfsCluster::AddStorageNodeInternal(uint64_t brick_capacity) {
   NodeId id = next_node_id_++;
   StorageNode node;
@@ -630,22 +553,19 @@ NodeId DfsCluster::AddStorageNodeInternal(uint64_t brick_capacity) {
 // ---------------------------------------------------------------------------
 // Operation execution
 
-SimDuration DfsCluster::TransferCost(uint64_t bytes) const {
-  if (config_.client_bandwidth_per_s == 0) {
-    return 0;
-  }
+SimDuration DfsCluster::TransferCost(uint64_t bytes) {
   return static_cast<SimDuration>(
-      static_cast<double>(bytes) / static_cast<double>(config_.client_bandwidth_per_s) * 1e6);
+      static_cast<double>(bytes) / static_cast<double>(kClientBandwidthPerS) * 1e6);
 }
 
-SimDuration DfsCluster::ParallelTransferCost(const FileLayout& layout) const {
+SimDuration DfsCluster::ParallelTransferCost(const FileLayout& layout) {
   // Chunks stream to their bricks in parallel; the client's wall time is the
   // largest stripe times the replication factor.
   uint64_t max_chunk = 0;
   for (const ChunkPlacement& chunk : layout.chunks) {
     max_chunk = std::max(max_chunk, chunk.bytes);
   }
-  return TransferCost(max_chunk * static_cast<uint64_t>(config_.replication));
+  return TransferCost(max_chunk * static_cast<uint64_t>(kReplication));
 }
 
 NodeId DfsCluster::RouteToMetaNode(const Operation& op) {
@@ -657,7 +577,7 @@ NodeId DfsCluster::RouteToMetaNode(const Operation& op) {
   // cluster spreads requests evenly, so network imbalance is a *signal*,
   // not sampling noise.
   NodeId chosen = serving_meta_nodes_[total_ops_executed_ % serving_meta_nodes_.size()];
-  ChargeMeta(chosen, 1, kMetaCpuPerOp);
+  AddLoad(chosen, {.requests = 1, .cpu_seconds = kMetaCpuPerOp});
   return chosen;
 }
 
@@ -669,43 +589,13 @@ OpResult DfsCluster::Execute(const Operation& op) {
     // even while every metadata node is down. Without an attached runtime
     // they are rejected — the fault-free grammar never generates them, so
     // this arm stays cold in every fault-free campaign.
-    if (env_ == nullptr) {
-      result.status =
-          Status::Unavailable("no environment-fault runtime attached");
-      result.cost = config_.base_op_latency;
-    } else {
-      result = env_->ExecuteEnvOp(*this, op);
-      result.cost += config_.base_op_latency;
-    }
-    ++total_ops_executed_;
-    SyncMetadataReplicas();
-    uint8_t env_class = static_cast<uint8_t>(OpClass::kEnvFault);
-    recent_classes_.push_back(env_class);
-    ++class_counts_[env_class];
-    recent_class_mask_ |= static_cast<uint8_t>(1u << env_class);
-    if (recent_classes_.size() > 8) {
-      uint8_t dropped = recent_classes_.front();
-      recent_classes_.pop_front();
-      if (--class_counts_[dropped] == 0) {
-        recent_class_mask_ &= static_cast<uint8_t>(~(1u << dropped));
-      }
-    }
-    clock_.Advance(result.cost);
     if (env_ != nullptr) {
-      env_->OnClockAdvanced(*this, clock_.now());
+      result = env_->ExecuteEnvOp(*this, op);
+    } else {
+      result.status = Status::Unavailable("no environment-fault runtime attached");
     }
-    AdvanceBackground(result.cost);
-    MaybeTriggerBalancer();
-    RecordOpCoverage(op, result);
-    if (hooks_ != nullptr) {
-      hooks_->OnOperationExecuted(*this, op, result);
-    }
-    return result;
-  }
-  NodeId mn = RouteToMetaNode(op);
-  if (mn == kInvalidNode) {
+  } else if (RouteToMetaNode(op) == kInvalidNode) {
     result.status = Status::Unavailable("no metadata node is serving");
-    result.cost = config_.base_op_latency;
   } else {
     switch (op.kind) {
       case OpKind::kCreate:
@@ -759,19 +649,11 @@ OpResult DfsCluster::Execute(const Operation& op) {
       case OpKind::kReduceVolume:
         result = DoReduceVolume(op);
         break;
-      case OpKind::kEnvMsgLoss:
-      case OpKind::kEnvMsgReorder:
-      case OpKind::kEnvMsgDuplicate:
-      case OpKind::kEnvMsgCorrupt:
-      case OpKind::kEnvSlowDisk:
-      case OpKind::kEnvCrashNode:
-      case OpKind::kEnvClearFaults:
-        // Unreachable: env ops are dispatched before metadata routing.
-        result.status = Status::Internal("env op reached the request switch");
+      default:  // env ops take the first branch
         break;
     }
-    result.cost += config_.base_op_latency;
   }
+  result.cost += kBaseOpLatency;
 
   ++total_ops_executed_;
   if (ClassOf(op.kind) == OpClass::kFile && op.kind != OpKind::kOpen &&
@@ -791,12 +673,7 @@ OpResult DfsCluster::Execute(const Operation& op) {
     }
   }
 
-  clock_.Advance(result.cost);
-  if (env_ != nullptr) {
-    env_->OnClockAdvanced(*this, clock_.now());
-  }
-  AdvanceBackground(result.cost);
-  MaybeTriggerBalancer();
+  RunFor(result.cost);
   RecordOpCoverage(op, result);
   if (hooks_ != nullptr) {
     hooks_->OnOperationExecuted(*this, op, result);
@@ -824,18 +701,22 @@ void DfsCluster::SyncMetadataReplicas() {
   }
 }
 
+void DfsCluster::RunFor(SimDuration dt) {
+  clock_.Advance(dt);
+  if (env_ != nullptr) {
+    env_->OnClockAdvanced(*this, clock_.now());
+  }
+  AdvanceBackground(dt);
+  MaybeTriggerBalancer();
+}
+
 void DfsCluster::AdvanceTime(SimDuration delta) {
   // Idle time still runs the periodic balancer and its migrations: advance
   // in period-sized steps so a trigger fired early in the window gets its
   // background work done within the same call.
   while (delta > 0) {
     SimDuration step = std::min(delta, config_.balancer_period);
-    clock_.Advance(step);
-    if (env_ != nullptr) {
-      env_->OnClockAdvanced(*this, clock_.now());
-    }
-    AdvanceBackground(step);
-    MaybeTriggerBalancer();
+    RunFor(step);
     delta -= step;
   }
 }
@@ -849,8 +730,7 @@ Result<FileLayout> DfsCluster::PlaceFile(const std::string& path, uint64_t size)
   // Every chunk stays within the stripe unit so the balancer can migrate at
   // chunk granularity.
   uint32_t chunk_count =
-      size == 0 ? 1
-                : static_cast<uint32_t>((size + config_.chunk_size - 1) / config_.chunk_size);
+      size == 0 ? 1 : static_cast<uint32_t>((size + kChunkSize - 1) / kChunkSize);
   uint64_t per_chunk = size / chunk_count;
   for (uint32_t i = 0; i < chunk_count; ++i) {
     uint64_t bytes = (i + 1 == chunk_count) ? remaining : per_chunk;
@@ -931,9 +811,9 @@ void DfsCluster::ChargeLayoutIo(const FileLayout& layout, bool is_write) {
         continue;
       }
       if (is_write) {
-        ChargeStorage(brick->node, 0, ios, cpu);
+        AddLoad(brick->node, {.write_ios = ios, .cpu_seconds = cpu});
       } else {
-        ChargeStorage(brick->node, ios, 0, cpu * 0.5);
+        AddLoad(brick->node, {.read_ios = ios, .cpu_seconds = cpu * 0.5});
       }
     }
   }
@@ -950,6 +830,16 @@ const std::string& DfsCluster::NormalizedOpPath(const Operation& op) {
   return norm_scratch_;
 }
 
+Status DfsCluster::AdmitFileSize(uint64_t new_size) {
+  if (config_.max_file_size == 0 || new_size <= config_.max_file_size) {
+    return Status::Ok();
+  }
+  COV_BRANCH(cov_, CovModule::kRequest, 35);
+  return Status::InvalidArgument(Sprintf("file size %llu exceeds max_file_size %llu",
+                                         static_cast<unsigned long long>(new_size),
+                                         static_cast<unsigned long long>(config_.max_file_size)));
+}
+
 OpResult DfsCluster::DoCreate(const Operation& op) {
   OpResult result;
   COV_BRANCH(cov_, CovModule::kRequest, 0);
@@ -958,13 +848,9 @@ OpResult DfsCluster::DoCreate(const Operation& op) {
     result.status = Status::AlreadyExists(op.path);
     return result;
   }
-  if (config_.max_file_size != 0 && op.size > config_.max_file_size) {
-    // EFBIG: rejected at admission, before any placement work.
-    COV_BRANCH(cov_, CovModule::kRequest, 35);
-    result.status = Status::InvalidArgument(
-        Sprintf("file size exceeds max_file_size (%llu > %llu)",
-                static_cast<unsigned long long>(op.size),
-                static_cast<unsigned long long>(config_.max_file_size)));
+  // EFBIG: rejected at admission, before any placement work.
+  result.status = AdmitFileSize(op.size);
+  if (!result.status.ok()) {
     return result;
   }
   Result<FileLayout> placed = PlaceFile(NormalizedOpPath(op), op.size);
@@ -982,7 +868,7 @@ OpResult DfsCluster::DoCreate(const Operation& op) {
   layouts_[*created] = placed.take();
   IndexLayout(*created, layouts_[*created]);
   ChargeLayoutIo(layouts_[*created], /*is_write=*/true);
-  result.bytes_moved = op.size * static_cast<uint64_t>(config_.replication);
+  result.bytes_moved = op.size * static_cast<uint64_t>(kReplication);
   result.cost = ParallelTransferCost(layouts_[*created]);
   result.status = Status::Ok();
   return result;
@@ -1017,18 +903,13 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
   }
   FileLayout& layout = layouts_[*id];
   uint64_t bytes = op.size;
-  if (config_.max_file_size != 0 && layout.size + bytes > config_.max_file_size) {
-    COV_BRANCH(cov_, CovModule::kRequest, 35);
-    result.status = Status::InvalidArgument(
-        Sprintf("append would exceed max_file_size (%llu + %llu > %llu)",
-                static_cast<unsigned long long>(layout.size),
-                static_cast<unsigned long long>(bytes),
-                static_cast<unsigned long long>(config_.max_file_size)));
+  result.status = AdmitFileSize(layout.size + bytes);
+  if (!result.status.ok()) {
     return result;
   }
   // Extend the last chunk while it stays within the stripe unit (chunks must
   // remain individually migratable); otherwise place a new chunk.
-  if (!layout.chunks.empty() && layout.chunks.back().bytes + bytes <= config_.chunk_size) {
+  if (!layout.chunks.empty() && layout.chunks.back().bytes + bytes <= kChunkSize) {
     ChunkPlacement& last = layout.chunks.back();
     bool fits = true;
     for (BrickId b : last.replicas) {
@@ -1043,12 +924,13 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
       for (BrickId b : last.replicas) {
         Brick* brick = FindBrick(b);
         AccreteBrickBytes(brick, bytes);
-        ChargeStorage(brick->node, 0, IoCount(bytes),
-                      kStorageCpuPerGiB * static_cast<double>(bytes) / kGiB);
+        AddLoad(brick->node,
+                {.write_ios = IoCount(bytes),
+                 .cpu_seconds = kStorageCpuPerGiB * static_cast<double>(bytes) / kGiB});
       }
       layout.size += bytes;
       result.status = tree_.SetFileSize(rid, layout.size);
-      result.bytes_moved = bytes * config_.replication;
+      result.bytes_moved = bytes * kReplication;
       result.cost = TransferCost(result.bytes_moved);
       return result;
     }
@@ -1057,7 +939,7 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
   uint64_t remaining = bytes;
   uint64_t appended = 0;
   while (remaining > 0) {
-    uint64_t piece = std::min(remaining, config_.chunk_size);
+    uint64_t piece = std::min(remaining, kChunkSize);
     std::vector<BrickId> replicas = PlaceChunk(
         NormalizedOpPath(op), static_cast<uint32_t>(layout.chunks.size()), piece);
     if (replicas.empty()) {
@@ -1072,8 +954,9 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
       Brick* brick = FindBrick(b);
       AccreteBrickBytes(brick, piece);
       AddReplicaIndex(b, *id, index);
-      ChargeStorage(brick->node, 0, IoCount(piece),
-                    kStorageCpuPerGiB * static_cast<double>(piece) / kGiB);
+      AddLoad(brick->node,
+              {.write_ios = IoCount(piece),
+               .cpu_seconds = kStorageCpuPerGiB * static_cast<double>(piece) / kGiB});
     }
     layout.chunks.push_back(std::move(chunk));
     layout.size += piece;
@@ -1086,9 +969,8 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
   if (appended > 0 && !result.status.ok()) {
     (void)tree_.SetFileSize(rid, layout.size);
   }
-  result.bytes_moved = appended * config_.replication;
-  result.cost = TransferCost(std::min<uint64_t>(appended, config_.chunk_size) *
-                             config_.replication);
+  result.bytes_moved = appended * kReplication;
+  result.cost = TransferCost(std::min<uint64_t>(appended, kChunkSize) * kReplication);
   return result;
 }
 
@@ -1101,13 +983,9 @@ OpResult DfsCluster::DoOverwrite(const Operation& op, bool truncate_first) {
     result.status = Status::NotFound(op.path);  // raw operand, as clients see
     return result;
   }
-  if (config_.max_file_size != 0 && op.size > config_.max_file_size) {
-    // EFBIG before the truncate: the existing data stays untouched.
-    COV_BRANCH(cov_, CovModule::kRequest, 35);
-    result.status = Status::InvalidArgument(
-        Sprintf("overwrite size exceeds max_file_size (%llu > %llu)",
-                static_cast<unsigned long long>(op.size),
-                static_cast<unsigned long long>(config_.max_file_size)));
+  // EFBIG before the truncate: the existing data stays untouched.
+  result.status = AdmitFileSize(op.size);
+  if (!result.status.ok()) {
     return result;
   }
   auto layout_it = layouts_.find(*id);
@@ -1129,7 +1007,7 @@ OpResult DfsCluster::DoOverwrite(const Operation& op, bool truncate_first) {
   IndexLayout(*id, layouts_[*id]);
   ChargeLayoutIo(layouts_[*id], /*is_write=*/true);
   result.status = tree_.SetFileSize(rid, new_size);
-  result.bytes_moved = new_size * config_.replication;
+  result.bytes_moved = new_size * kReplication;
   result.cost = ParallelTransferCost(layouts_[*id]);
   return result;
 }
@@ -1188,17 +1066,11 @@ OpResult DfsCluster::DoAddMetaNode(const Operation& op) {
   (void)op;
   OpResult result;
   COV_BRANCH(cov_, CovModule::kMembership, 11);
-  int serving = static_cast<int>(serving_meta_nodes_.size());
-  if (serving >= config_.max_meta_nodes) {
+  if (static_cast<int>(serving_meta_nodes_.size()) >= kMaxMetaNodes) {
     result.status = Status::FailedPrecondition("metadata node limit reached");
     return result;
   }
-  NodeId id = next_node_id_++;
-  MetaNode node;
-    node.id = id;
-    meta_nodes_[id] = node;
-  serving_meta_nodes_.push_back(id);  // node ids are monotonic: stays sorted
-  ++membership_epoch_;
+  AddMetaNodeInternal();
   result.cost = Seconds(5);
   NotifyTopologyChanged();
   result.status = Status::Ok();
@@ -1208,7 +1080,7 @@ OpResult DfsCluster::DoAddMetaNode(const Operation& op) {
 OpResult DfsCluster::DoRemoveMetaNode(const Operation& op) {
   OpResult result;
   COV_BRANCH(cov_, CovModule::kMembership, 12);
-  if (static_cast<int>(serving_meta_nodes_.size()) <= config_.min_meta_nodes) {
+  if (static_cast<int>(serving_meta_nodes_.size()) <= kMinMetaNodes) {
     result.status = Status::FailedPrecondition("metadata node minimum reached");
     return result;
   }
@@ -1278,7 +1150,14 @@ OpResult DfsCluster::DoRemoveStorageNode(const Operation& op) {
     }
   }
   OnStorageNodeDecommissioned(op.node);
-  ScheduleRecovery(op.node);
+  // Re-replicate the chunks that lost a replica with the node.
+  COV_BRANCH(cov_, CovModule::kRecovery, 20);
+  BeginRecoveryPass();
+  for (BrickId b : node->bricks) {
+    if (!QueueMovesOff(b, MoveReason::kRecovery, UINT64_MAX)) {
+      COV_BRANCH(cov_, CovModule::kRecovery, 21);
+    }
+  }
   result.cost = Seconds(10);
   NotifyTopologyChanged();
   result.status = Status::Ok();
@@ -1342,7 +1221,9 @@ OpResult DfsCluster::DoRemoveVolume(const Operation& op) {
     return result;
   }
   TakeBrickOffline(*brick);
-  ScheduleEvacuation(op.brick);
+  COV_BRANCH(cov_, CovModule::kMigration, 22);
+  BeginRecoveryPass();
+  QueueMovesOff(op.brick, MoveReason::kEvacuation, UINT64_MAX);
   result.cost = Seconds(10);
   NotifyTopologyChanged();
   result.status = Status::Ok();
@@ -1397,7 +1278,8 @@ OpResult DfsCluster::DoReduceVolume(const Operation& op) {
   }
   SetBrickCapacity(*brick, new_capacity);
   if (overflow > 0) {
-    ScheduleOverflowEvacuation(op.brick, overflow);
+    BeginRecoveryPass();
+    QueueMovesOff(op.brick, MoveReason::kEvacuation, overflow);
   }
   result.cost = Seconds(8);
   NotifyTopologyChanged();
@@ -1480,62 +1362,11 @@ BrickId DfsCluster::PickRecoveryTarget(const ChunkPlacement& chunk,
   return best;
 }
 
-void DfsCluster::ScheduleRecovery(NodeId node) {
-  COV_BRANCH(cov_, CovModule::kRecovery, 20);
-  const StorageNode* sn = FindStorageNode(node);
-  if (sn == nullptr) {
-    return;
-  }
-  BeginRecoveryPass();
-  for (BrickId b : sn->bricks) {
-    for (const auto& [file, chunk_index] : ChunksOnBrickRef(b)) {
-      auto layout_it = layouts_.find(file);
-      if (layout_it == layouts_.end() || chunk_index >= layout_it->second.chunks.size()) {
-        continue;
-      }
-      const ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
-      BrickId target = PickRecoveryTarget(chunk, chunk.bytes);
-      if (target == kInvalidBrick) {
-        COV_BRANCH(cov_, CovModule::kRecovery, 21);
-        continue;  // under-replicated until space appears
-      }
-      move_queue_.push_back(ChunkMove{.file = file,
-                                      .chunk_index = chunk_index,
-                                      .from = b,
-                                      .to = target,
-                                      .bytes = chunk.bytes,
-                                      .reason = MoveReason::kRecovery});
-    }
-  }
-}
-
-void DfsCluster::ScheduleEvacuation(BrickId brick) {
-  COV_BRANCH(cov_, CovModule::kMigration, 22);
-  BeginRecoveryPass();
+bool DfsCluster::QueueMovesOff(BrickId brick, MoveReason reason, uint64_t byte_limit) {
+  bool all_placed = true;
+  uint64_t queued = 0;
   for (const auto& [file, chunk_index] : ChunksOnBrickRef(brick)) {
-    auto layout_it = layouts_.find(file);
-    if (layout_it == layouts_.end() || chunk_index >= layout_it->second.chunks.size()) {
-      continue;
-    }
-    const ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
-    BrickId target = PickRecoveryTarget(chunk, chunk.bytes);
-    if (target == kInvalidBrick) {
-      continue;
-    }
-    move_queue_.push_back(ChunkMove{.file = file,
-                                    .chunk_index = chunk_index,
-                                    .from = brick,
-                                    .to = target,
-                                    .bytes = chunk.bytes,
-                                    .reason = MoveReason::kEvacuation});
-  }
-}
-
-void DfsCluster::ScheduleOverflowEvacuation(BrickId brick, uint64_t bytes) {
-  uint64_t scheduled = 0;
-  BeginRecoveryPass();
-  for (const auto& [file, chunk_index] : ChunksOnBrickRef(brick)) {
-    if (scheduled >= bytes) {
+    if (queued >= byte_limit) {
       break;
     }
     auto layout_it = layouts_.find(file);
@@ -1545,6 +1376,7 @@ void DfsCluster::ScheduleOverflowEvacuation(BrickId brick, uint64_t bytes) {
     const ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
     BrickId target = PickRecoveryTarget(chunk, chunk.bytes);
     if (target == kInvalidBrick) {
+      all_placed = false;
       continue;
     }
     move_queue_.push_back(ChunkMove{.file = file,
@@ -1552,9 +1384,10 @@ void DfsCluster::ScheduleOverflowEvacuation(BrickId brick, uint64_t bytes) {
                                     .from = brick,
                                     .to = target,
                                     .bytes = chunk.bytes,
-                                    .reason = MoveReason::kEvacuation});
-    scheduled += chunk.bytes;
+                                    .reason = reason});
+    queued += chunk.bytes;
   }
+  return all_placed;
 }
 
 Status DfsCluster::TriggerRebalance() {
@@ -1582,8 +1415,8 @@ Status DfsCluster::TriggerRebalance() {
   // PickIndex fires iff the list is non-empty, so the RNG stream is
   // unchanged.
   if (!serving_meta_nodes_.empty()) {
-    ChargeMeta(serving_meta_nodes_[rng_.PickIndex(serving_meta_nodes_.size())],
-               0, kBalancerCpuPerPlan);
+    AddLoad(serving_meta_nodes_[rng_.PickIndex(serving_meta_nodes_.size())],
+            {.cpu_seconds = kBalancerCpuPerPlan});
   }
   if (cov_ != nullptr) {
     uint64_t features = HashCombine(plan.size() / 4, static_cast<uint64_t>(
@@ -1621,9 +1454,7 @@ Status DfsCluster::TriggerRebalance() {
 }
 
 void DfsCluster::MaybeTriggerBalancer() {
-  bool due = config_.continuous_balancing ||
-             clock_.now() - last_balancer_check_ >= config_.balancer_period;
-  if (!due) {
+  if (clock_.now() - last_balancer_check_ < config_.balancer_period) {
     return;
   }
   last_balancer_check_ = clock_.now();
@@ -1660,12 +1491,13 @@ void DfsCluster::ExecuteMove(const ChunkMove& move) {
   *replica_it = move.to;
   if (from != nullptr) {
     ReleaseBrickBytes(from, chunk.bytes);
-    ChargeStorage(from->node, IoCount(chunk.bytes), 0,
-                  kStorageCpuPerGiB * static_cast<double>(chunk.bytes) / kGiB * 0.5);
+    AddLoad(from->node,
+            {.read_ios = IoCount(chunk.bytes),
+             .cpu_seconds = kStorageCpuPerGiB * static_cast<double>(chunk.bytes) / kGiB * 0.5});
   }
   AccreteBrickBytes(to, chunk.bytes);
-  ChargeStorage(to->node, 0, IoCount(chunk.bytes),
-                kStorageCpuPerGiB * static_cast<double>(chunk.bytes) / kGiB);
+  AddLoad(to->node, {.write_ios = IoCount(chunk.bytes),
+                     .cpu_seconds = kStorageCpuPerGiB * static_cast<double>(chunk.bytes) / kGiB});
   RemoveReplicaIndex(move.from, move.file, move.chunk_index);
   AddReplicaIndex(move.to, move.file, move.chunk_index);
   if (cov_ != nullptr) {
@@ -1699,7 +1531,7 @@ void DfsCluster::AdvanceBackground(SimDuration dt) {
     return;
   }
   uint64_t budget = static_cast<uint64_t>(
-      static_cast<double>(dt) / 1e6 * static_cast<double>(config_.migration_bandwidth_per_s));
+      static_cast<double>(dt) / 1e6 * static_cast<double>(kMigrationBandwidthPerS));
   // Each reorder verdict rotates the head message to the back of the queue;
   // budgeting the rotations to the queue length bounds one pass, so a
   // reorder-everything schedule degrades to delivery in arrival order
@@ -1757,7 +1589,7 @@ void DfsCluster::AdvanceBackground(SimDuration dt) {
         uint64_t burned = std::min(budget, move.bytes);
         budget -= burned;
         if (Brick* src = FindBrick(move.from)) {
-          ChargeStorage(src->node, IoCount(move.bytes), 0, 0.0);
+          AddLoad(src->node, {.read_ios = IoCount(move.bytes)});
         }
         move_queue_.pop_front();
         continue;
@@ -2135,6 +1967,8 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
   for (NodeId id : serving_meta_nodes_) writer.U32(id);
 
   SaveFlavorState(writer);
+  // The census closes the record, after the flavor's state.
+  writer.U32(balancer_crashes_);
 }
 
 Status DfsCluster::RestoreState(SnapshotReader& reader) {
@@ -2319,6 +2153,7 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   OnTopologyChangedInternal();
   status = RestoreFlavorState(reader);
   if (!status.ok()) return status;
+  balancer_crashes_ = reader.U32();
   return reader.status();
 }
 

@@ -234,27 +234,24 @@ class DfsInterface {
   virtual std::string DescribeState() const { return {}; }
 };
 
+// Replicas per chunk, in every flavor.
+inline constexpr int kReplication = 2;
+// Stripe unit: every chunk stays within it, so chunks stay migratable.
+inline constexpr uint64_t kChunkSize = 2 * kGiB;
+
 struct ClusterConfig {
   int initial_storage_nodes = 8;
   int initial_meta_nodes = 2;
   uint64_t brick_capacity = 480 * kGiB;
-  int replication = 2;
-  uint64_t chunk_size = 2 * kGiB;      // stripe unit (chunks stay migratable)
   // EFBIG-style admission cap on a single file (0 = unlimited). Production
   // flavors set this: without it, a boundary "write the whole free space"
   // scenario on a petabyte fleet turns one create into hundreds of thousands
   // of chunk placements — per-op cost would scale with fleet capacity.
   uint64_t max_file_size = 0;
   double native_threshold = 0.10;      // balance tolerance (max/mean - 1)
-  bool continuous_balancing = false;   // CephFS balances in real time
-  SimDuration balancer_period = Minutes(5);  // periodic flavors
-  uint64_t migration_bandwidth_per_s = 1536 * kMiB;
-  uint64_t client_bandwidth_per_s = 2 * kGiB;
-  SimDuration base_op_latency = Millis(500);
+  SimDuration balancer_period = Minutes(5);
   int min_storage_nodes = 4;
   int max_storage_nodes = 16;
-  int min_meta_nodes = 1;
-  int max_meta_nodes = 5;
   uint64_t rng_seed = 1;
   // ---- GeoFS geotag topology (0 everywhere else) ----
   int geo_sites = 0;           // sites in the geotag tree
@@ -390,15 +387,15 @@ class DfsCluster : public DfsInterface {
   // stays valid until a replica is added to or removed from `brick`.
   const std::vector<std::pair<FileId, uint32_t>>& ChunksOnBrickRef(BrickId brick) const;
 
-  // ---- fault-effect mutators (used only by src/faults) ----
-  void InjectCpuLoad(NodeId node, double cpu_seconds);
-  void InjectNetLoad(NodeId node, uint64_t reads, uint64_t writes, uint64_t requests);
+  // ---- load accounting and fault-effect mutators ----
+  // Adds `delta` to a storage or meta node's cumulative load counters (the
+  // op path's IO and CPU charges, and the injector's CPU/network skew).
+  // Unknown ids are ignored.
+  void AddLoad(NodeId node, const NodeLoadCounters& delta);
   void CrashNode(NodeId node);
   // Moves `bytes` of stored data from `from` to `to` without a migration
   // round — models mis-placed / mis-migrated data accumulating on a hotspot.
   uint64_t SkewBytes(BrickId from, BrickId to, uint64_t bytes);
-  // Destroys `bytes` of stored data on `brick` (data-loss effects).
-  uint64_t DestroyBytes(BrickId brick, uint64_t bytes);
   // Deletes one replica without copying it anywhere (destructive unlink).
   void DestroyChunkReplica(FileId file, uint32_t chunk_index, BrickId brick);
 
@@ -414,6 +411,8 @@ class DfsCluster : public DfsInterface {
   void RestartNode(NodeId node);
   bool balancer_crashed() const { return balancer_crashed_; }
   bool balancer_resume_pending() const { return balancer_resume_pending_; }
+  // Balancer crashes since construction (a reset keeps counting).
+  uint32_t balancer_crashes() const { return balancer_crashes_; }
 
   // Virtual-time clock (shared with the campaign).
   VirtualClock& clock() { return clock_; }
@@ -421,12 +420,13 @@ class DfsCluster : public DfsInterface {
 
   // ---- checkpointing (DESIGN.md §11) ----
   // Serializes the full mutable simulator state: clock, RNG, namespace,
-  // topology maps, layouts, migration queue, balancer/rebalance counters and
-  // the flavor's own state (via SaveFlavorState). Derived indexes (replica
-  // index, load index, class-window counters) are rebuilt on restore, never
-  // serialized. Restore refuses ids the id counters could not have issued
-  // and runs AuditCluster before the flavor state; it must be called on a
-  // freshly constructed cluster with the same ClusterConfig and flavor.
+  // topology maps, layouts, migration queue, balancer/rebalance counters,
+  // the flavor's own state (via SaveFlavorState) and, last, the balancer
+  // crash census. Derived indexes (replica index, load index, class-window
+  // counters) are rebuilt on restore, never serialized. Restore refuses ids
+  // the id counters could not have issued and runs AuditCluster before the
+  // flavor state; it must be called on a freshly constructed cluster with
+  // the same ClusterConfig and flavor.
   void SaveState(SnapshotWriter& writer) const;
   Status RestoreState(SnapshotReader& reader);
 
@@ -496,13 +496,9 @@ class DfsCluster : public DfsInterface {
   // Flavor hook when a rebalance round drains.
   virtual void OnRebalanceRoundDone() {}
 
-  // The balancer process crashed mid-round (env crash of a metadata node).
-  // Flavors persist whatever the real balancer writes to disk before dying
-  // (upmap tables, layout census, ring weights); the base cluster keeps the
-  // flavor state maps intact, so the default has nothing extra to save.
-  virtual void OnBalancerCrashed() {}
-  // The balancer restarted after a crash; flavors reload / revalidate their
-  // persisted state here, before the interrupted round is re-triggered.
+  // The balancer restarted after a crash (env crash of a metadata node);
+  // flavors reload / revalidate their persisted state here, before the
+  // interrupted round is re-triggered.
   virtual void OnBalancerRestarted() {}
 
   // True when this replica is exactly where the flavor's deterministic
@@ -530,9 +526,7 @@ class DfsCluster : public DfsInterface {
   void BuildInitialTopology();
   BrickId NewBrickOnNode(NodeId node, uint64_t capacity);
   NodeId AddStorageNodeInternal(uint64_t brick_capacity);
-  void ChargeStorage(NodeId node, uint64_t reads, uint64_t writes, double cpu_seconds);
-  void ChargeMeta(NodeId node, uint64_t requests, double cpu_seconds);
-  // Balance check driven after each operation (periodic or continuous).
+  // Periodic balance check, run after each clock advance.
   void MaybeTriggerBalancer();
   // Runs OnTopologyChangedInternal + coverage + fault hooks.
   void NotifyTopologyChanged();
@@ -578,6 +572,10 @@ class DfsCluster : public DfsInterface {
   OpResult DoExpandVolume(const Operation& op);
   OpResult DoReduceVolume(const Operation& op);
 
+  NodeId AddMetaNodeInternal();
+  // EFBIG: Ok, or InvalidArgument when a file would grow past max_file_size.
+  Status AdmitFileSize(uint64_t new_size);
+
   // Places all chunks for `size` bytes of `path`; rolls back on failure.
   Result<FileLayout> PlaceFile(const std::string& path, uint64_t size);
   // Frees brick bytes and replica-index entries held by `layout`.
@@ -589,13 +587,16 @@ class DfsCluster : public DfsInterface {
   // none are alive.
   NodeId RouteToMetaNode(const Operation& op);
 
-  // Re-replicates chunks that lost replicas on `node` (offline/removed).
-  void ScheduleRecovery(NodeId node);
-  // Evacuates all data from a draining brick.
-  void ScheduleEvacuation(BrickId brick);
-  // Evacuates `bytes` worth of chunks off a shrunken brick.
-  void ScheduleOverflowEvacuation(BrickId brick, uint64_t bytes);
+  // Queues a `reason` move off `brick` for each of its chunks, in replica-
+  // index order, until `byte_limit` bytes are queued (recovery off a removed
+  // node, evacuation of a removed brick, overflow off a shrunken one). Runs
+  // inside a BeginRecoveryPass. False when some chunk had no target: it
+  // stays where it is (under-replicated until space appears).
+  bool QueueMovesOff(BrickId brick, MoveReason reason, uint64_t byte_limit);
 
+  // Lets `dt` of virtual time pass: the clock, the env runtime's scheduled
+  // events, background migration and the periodic balancer check.
+  void RunFor(SimDuration dt);
   // Background migration: processes `dt` worth of queued chunk moves.
   void AdvanceBackground(SimDuration dt);
   void ExecuteMove(const ChunkMove& move);
@@ -605,9 +606,9 @@ class DfsCluster : public DfsInterface {
   void RemoveReplicaIndex(BrickId brick, FileId file, uint32_t chunk);
 
   // Candidate snapshot for recovery/evacuation target picking: the serving
-  // bricks sorted by (utilization, serving order), built once per Schedule*
-  // call. Nothing in a scheduling pass changes brick bytes or membership, so
-  // one snapshot serves every chunk of the pass.
+  // bricks sorted by (utilization, serving order), built once per scheduling
+  // pass. Nothing in a pass changes brick bytes or membership, so one
+  // snapshot serves every chunk of the pass.
   struct RecoveryCandidate {
     double used_fraction;
     uint32_t order;  // index in ServingBricks() — the first-wins tie-break
@@ -644,8 +645,8 @@ class DfsCluster : public DfsInterface {
   // Anti-entropy: serving metadata replicas catch up to the namespace epoch
   // (unless a fault stalls them).
   void SyncMetadataReplicas();
-  SimDuration TransferCost(uint64_t bytes) const;
-  SimDuration ParallelTransferCost(const FileLayout& layout) const;
+  static SimDuration TransferCost(uint64_t bytes);
+  static SimDuration ParallelTransferCost(const FileLayout& layout);
 
   Flavor flavor_;
   std::string name_;
@@ -675,7 +676,7 @@ class DfsCluster : public DfsInterface {
   std::map<FileId, FileLayout> layouts_;
   // Reverse index: brick -> chunks with a replica there.
   // Sorted by (file, chunk): flat vectors iterate in std::set order but keep
-  // the hot SkewBytes/Schedule* scans contiguous in memory.
+  // the hot SkewBytes/QueueMovesOff scans contiguous in memory.
   std::map<BrickId, std::vector<std::pair<FileId, uint32_t>>> brick_chunks_;
   // Classes of the last 8 operations (coverage feature).
   std::deque<uint8_t> recent_classes_;
@@ -702,10 +703,12 @@ class DfsCluster : public DfsInterface {
   ModelCoverage* model_cov_ = nullptr;
   EventLog* telemetry_ = nullptr;
 
-  // Balancer crash/resume state (env faults; DESIGN.md §14). Both are false
-  // in every fault-free campaign — only CrashNodeForEnvFault sets them.
+  // Balancer crash/resume state (env faults; DESIGN.md §14). Only
+  // CrashNodeForEnvFault sets it: in every fault-free campaign both flags
+  // stay false and the crash census stays 0. A reset keeps the census.
   bool balancer_crashed_ = false;
   bool balancer_resume_pending_ = false;
+  uint32_t balancer_crashes_ = 0;
 
   // Serving lists, per-node online sums, brick fractions and the load epoch
   // (DESIGN.md §10). It moves on replica-index changes too (Touch()).

@@ -12,9 +12,7 @@ ClusterConfig CephLikeCluster::DefaultConfig() {
   config.native_threshold = 0.12;  // mgr balancer aims tighter than HDFS
   // "Real time" balancing (paper §4.3) = the mgr balancer's short sleep
   // interval (60 s), not a check on every single client operation.
-  config.continuous_balancing = false;
   config.balancer_period = Seconds(60);
-  config.replication = 2;
   return config;
 }
 
@@ -55,7 +53,7 @@ uint32_t CephLikeCluster::PgForObject(const std::string& path,
 std::vector<BrickId> CephLikeCluster::PlaceChunk(const std::string& path,
                                                  uint32_t chunk_index, uint64_t bytes) {
   uint32_t pg = PgForObject(path, chunk_index);
-  std::vector<BrickId> mapped = crush_.Map(pg, config_.replication);
+  std::vector<BrickId> mapped = crush_.Map(pg, kReplication);
   std::vector<BrickId> chosen;
   for (BrickId id : mapped) {
     const Brick* brick = FindBrick(id);
@@ -72,7 +70,7 @@ std::vector<BrickId> CephLikeCluster::PlaceChunk(const std::string& path,
     const Brick* brick = FindBrick(id);
     if (brick->FreeBytes() >= bytes) {
       chosen.push_back(id);
-      if (static_cast<int>(chosen.size()) >= config_.replication) {
+      if (static_cast<int>(chosen.size()) >= kReplication) {
         break;
       }
     }
@@ -125,12 +123,6 @@ MigrationPlan CephLikeCluster::BuildRebalancePlan() {
   return PlanLevelingByUsage(config_.native_threshold * 0.5);
 }
 
-void CephLikeCluster::OnBalancerCrashed() {
-  // Upmap pins are OSDMap state, not mgr state: they survive the crash
-  // untouched. Only the census advances.
-  ++balancer_crashes_;
-}
-
 void CephLikeCluster::OnBalancerRestarted() {
   // mgr startup sanity pass: drop pins whose target device is gone or down,
   // so the resumed balancer never backfills toward a dead OSD.
@@ -152,7 +144,6 @@ void CephLikeCluster::SaveFlavorState(SnapshotWriter& writer) const {
     writer.U32(pg);
     writer.U32(target);
   }
-  writer.U32(balancer_crashes_);
 }
 
 Status CephLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
@@ -170,7 +161,6 @@ Status CephLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
     }
     crush_.Upmap(pg, target);
   }
-  balancer_crashes_ = reader.U32();
   return reader.status();
 }
 

@@ -1,7 +1,6 @@
 // CephFS-like cluster: objects hash to placement groups; PGs map to OSD
-// bricks through CRUSH straw2 selection weighted by capacity; the balancer
-// runs continuously (Ceph's mgr balancer) and corrects skew with upmap-style
-// PG pinning.
+// bricks through CRUSH straw2 selection weighted by capacity; the mgr
+// balancer wakes every 60 s and corrects skew with upmap-style PG pinning.
 
 #ifndef SRC_DFS_FLAVORS_CEPH_LIKE_H_
 #define SRC_DFS_FLAVORS_CEPH_LIKE_H_
@@ -21,7 +20,6 @@ class CephLikeCluster : public DfsCluster {
   static ClusterConfig DefaultConfig();
 
   const CrushMap& crush() const { return crush_; }
-  uint32_t balancer_crashes() const { return balancer_crashes_; }
 
  protected:
   std::vector<BrickId> PlaceChunk(const std::string& path, uint32_t chunk_index,
@@ -31,7 +29,6 @@ class CephLikeCluster : public DfsCluster {
   // Env-fault crash model (DESIGN.md §14): upmap pins live in the OSDMap and
   // survive a mgr death; the restarted mgr's first act is a sanity pass that
   // drops pins whose target device is gone or down.
-  void OnBalancerCrashed() override;
   void OnBalancerRestarted() override;
   // Checkpointing: upmap pins are balancer history; CRUSH weights are derived
   // from capacity and recomputed by the base restore.
@@ -42,7 +39,6 @@ class CephLikeCluster : public DfsCluster {
   uint32_t PgForObject(const std::string& path, uint32_t chunk_index) const;
 
   CrushMap crush_;
-  uint32_t balancer_crashes_ = 0;  // env-fault crash census (persisted)
 };
 
 }  // namespace themis

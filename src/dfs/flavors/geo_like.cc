@@ -36,9 +36,7 @@ uint64_t GeoObjectHash(const std::string& path, uint32_t chunk_index) {
 ClusterConfig GeoLikeCluster::DefaultConfig() {
   ClusterConfig config;
   config.native_threshold = 0.10;
-  config.continuous_balancing = false;
   config.balancer_period = Minutes(5);
-  config.replication = 2;
   // Production-scale defaults: three sites, four racks each, scheduling
   // groups of 16 nodes. Campaigns raise initial_storage_nodes to 1k-10k;
   // the geotag tree and group count scale with it automatically.
@@ -140,7 +138,7 @@ void GeoLikeCluster::PickWithinGroup(uint32_t group, uint64_t hash, uint64_t byt
     return;
   }
   size_t start = static_cast<size_t>(hash % members.size());
-  int want = config_.replication;
+  int want = kReplication;
   // Pass 1: distinct sites only (the cross-site replica spread the
   // scheduling-group layout exists for). Pass 2 fills what is left.
   for (int pass = 0; pass < 2 && static_cast<int>(chosen.size()) < want; ++pass) {
@@ -191,14 +189,14 @@ std::vector<BrickId> GeoLikeCluster::PlaceChunk(const std::string& path,
     group = g2;
   }
   PickWithinGroup(group, h, bytes, chosen);
-  if (static_cast<int>(chosen.size()) >= config_.replication) {
+  if (static_cast<int>(chosen.size()) >= kReplication) {
     return chosen;
   }
   // Preferred group full (or depleted by crashes): geo failover — try every
   // other group, nearest index first, before the flat fleet walk.
   for (uint32_t offset = 1; offset < groups; ++offset) {
     PickWithinGroup((group + offset) % groups, h, bytes, chosen);
-    if (static_cast<int>(chosen.size()) >= config_.replication) {
+    if (static_cast<int>(chosen.size()) >= kReplication) {
       return chosen;
     }
   }
@@ -207,7 +205,7 @@ std::vector<BrickId> GeoLikeCluster::PlaceChunk(const std::string& path,
     if (brick->FreeBytes() >= bytes &&
         std::find(chosen.begin(), chosen.end(), id) == chosen.end()) {
       chosen.push_back(id);
-      if (static_cast<int>(chosen.size()) >= config_.replication) {
+      if (static_cast<int>(chosen.size()) >= kReplication) {
         break;
       }
     }
@@ -349,13 +347,6 @@ MigrationPlan GeoLikeCluster::BuildRebalancePlan() {
   return plan;
 }
 
-void GeoLikeCluster::OnBalancerCrashed() {
-  // The geotag tree and group membership live in the shared namespace store
-  // (EOS keeps them in QuarkDB); a balancer crash loses only the in-flight
-  // rebalance-list, already dropped by the base class.
-  ++balancer_crashes_;
-}
-
 void GeoLikeCluster::OnBalancerRestarted() {
   // Takeover reconciles the persisted tree against whatever membership
   // changed while the balancer was down.
@@ -378,7 +369,6 @@ void GeoLikeCluster::SaveFlavorState(SnapshotWriter& writer) const {
     writer.U32(tag.rack);
     writer.U32(engine_.GroupOf(id));
   }
-  writer.U32(balancer_crashes_);
 }
 
 Status GeoLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
@@ -424,7 +414,6 @@ Status GeoLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
     engine_.RestoreNode(id, GeoTag{static_cast<uint16_t>(site),
                                    static_cast<uint16_t>(rack)}, group);
   }
-  balancer_crashes_ = reader.U32();
   if (reader.ok()) {
     // Placement only sees engine members, so an online node missing here
     // would silently never receive a replica.

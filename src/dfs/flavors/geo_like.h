@@ -27,7 +27,6 @@ class GeoLikeCluster : public DfsCluster {
   static ClusterConfig DefaultConfig();
 
   const GeoTreeEngine& engine() const { return engine_; }
-  uint32_t balancer_crashes() const { return balancer_crashes_; }
   // Utilization (used, capacity) per site over serving nodes — the view the
   // site-failover stage levels. Index = site id.
   std::vector<std::pair<uint64_t, uint64_t>> PerSiteUsedCap() const;
@@ -42,7 +41,9 @@ class GeoLikeCluster : public DfsCluster {
   // fleet reconcile runs only on balancer takeover, not per topology change.
   void OnStorageNodeDecommissioned(NodeId id) override;
   void OnTopologyCleared() override;
-  void OnBalancerCrashed() override;
+  // The geotag tree and group membership live in the shared namespace store
+  // (EOS keeps them in QuarkDB), so a balancer crash loses only the in-flight
+  // rebalance-list.
   void OnBalancerRestarted() override;
   // Heterogeneous fleet: capacity class derived deterministically from the
   // node id (1x / 2x / 4x the configured brick capacity).
@@ -73,7 +74,6 @@ class GeoLikeCluster : public DfsCluster {
                        std::vector<BrickId>& chosen);
 
   GeoTreeEngine engine_;
-  uint32_t balancer_crashes_ = 0;  // env-fault crash census (persisted)
   std::vector<NodeId> serving_members_;  // ServingMembers scratch
 };
 

@@ -10,9 +10,7 @@ namespace themis {
 ClusterConfig GlusterLikeCluster::DefaultConfig() {
   ClusterConfig config;
   config.native_threshold = 0.20;  // GlusterFS balancer default
-  config.continuous_balancing = false;
   config.balancer_period = Minutes(2);  // periodic timing task (paper §4.3)
-  config.replication = 2;
   return config;
 }
 
@@ -55,13 +53,11 @@ std::vector<BrickId> GlusterLikeCluster::PlaceChunk(const std::string& path,
   if (brick != nullptr && brick->online && brick->FreeBytes() >= bytes) {
     chosen.push_back(primary);
   }
-  if (config_.replication > 1) {
-    BrickId partner = ReplicaPartner(primary);
-    const Brick* partner_brick = FindBrick(partner);
-    if (partner_brick != nullptr && partner != primary && partner_brick->online &&
-        partner_brick->FreeBytes() >= bytes) {
-      chosen.push_back(partner);
-    }
+  BrickId partner = ReplicaPartner(primary);
+  const Brick* partner_brick = FindBrick(partner);
+  if (partner_brick != nullptr && partner != primary && partner_brick->online &&
+      partner_brick->FreeBytes() >= bytes) {
+    chosen.push_back(partner);
   }
   if (!chosen.empty()) {
     return chosen;
@@ -78,7 +74,7 @@ std::vector<BrickId> GlusterLikeCluster::PlaceChunk(const std::string& path,
         hashed->linkfiles += 1;
         AccreteBrickBytes(hashed, kLinkfileBytes);
       }
-      if (static_cast<int>(chosen.size()) >= config_.replication) {
+      if (static_cast<int>(chosen.size()) >= kReplication) {
         break;
       }
     }
@@ -209,12 +205,6 @@ void GlusterLikeCluster::OnRebalanceRoundDone() {
   }
 }
 
-void GlusterLikeCluster::OnBalancerCrashed() {
-  // The rebalance daemon died: stale linkfiles stay on their bricks until a
-  // future completed round reconciles them. Only the census advances.
-  ++balancer_crashes_;
-}
-
 void GlusterLikeCluster::OnBalancerRestarted() {
   // Rebalance restart performs fix-layout first: hash ranges are recomputed
   // from the current topology before migrate-data resumes.
@@ -223,12 +213,10 @@ void GlusterLikeCluster::OnBalancerRestarted() {
 
 void GlusterLikeCluster::SaveFlavorState(SnapshotWriter& writer) const {
   writer.U32(live_linkfiles_);
-  writer.U32(balancer_crashes_);
 }
 
 Status GlusterLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
   live_linkfiles_ = reader.U32();
-  balancer_crashes_ = reader.U32();
   return reader.status();
 }
 

@@ -24,7 +24,6 @@ class GlusterLikeCluster : public DfsCluster {
 
   const DhtLayout& layout() const { return layout_; }
   uint32_t live_linkfiles() const { return live_linkfiles_; }
-  uint32_t balancer_crashes() const { return balancer_crashes_; }
 
  protected:
   std::vector<BrickId> PlaceChunk(const std::string& path, uint32_t chunk_index,
@@ -37,7 +36,6 @@ class GlusterLikeCluster : public DfsCluster {
   // stale linkfiles on disk (the reconcile of OnRebalanceRoundDone never
   // ran); the restarted rebalance begins with a fresh fix-layout, exactly
   // like `gluster volume rebalance start` after a daemon death.
-  void OnBalancerCrashed() override;
   void OnBalancerRestarted() override;
   bool ChunkPinnedToBrick(FileId file, uint32_t chunk_index, BrickId brick) const override;
   // Checkpointing: the linkfile census is history (survives fix-layout); the
@@ -51,7 +49,6 @@ class GlusterLikeCluster : public DfsCluster {
 
   DhtLayout layout_;
   uint32_t live_linkfiles_ = 0;
-  uint32_t balancer_crashes_ = 0;  // env-fault crash census (persisted)
 };
 
 }  // namespace themis

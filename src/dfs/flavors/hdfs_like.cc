@@ -7,9 +7,7 @@ namespace themis {
 ClusterConfig HdfsLikeCluster::DefaultConfig() {
   ClusterConfig config;
   config.native_threshold = 0.10;  // HDFS Balancer default
-  config.continuous_balancing = false;
   config.balancer_period = Minutes(2);
-  config.replication = 2;
   return config;
 }
 
@@ -42,10 +40,9 @@ std::vector<BrickId> HdfsLikeCluster::PlaceChunk(const std::string& path,
   std::vector<BrickId> sorted = tree.SortByLoad(rng());
   std::vector<BrickId> chosen;
   std::vector<NodeId> used_nodes;
-  for (int pass = 0; pass < 2 && static_cast<int>(chosen.size()) < config_.replication;
-       ++pass) {
+  for (int pass = 0; pass < 2 && static_cast<int>(chosen.size()) < kReplication; ++pass) {
     for (BrickId id : sorted) {
-      if (static_cast<int>(chosen.size()) >= config_.replication) {
+      if (static_cast<int>(chosen.size()) >= kReplication) {
         break;
       }
       const Brick* brick = FindBrick(id);
@@ -81,25 +78,10 @@ MigrationPlan HdfsLikeCluster::BuildRebalancePlan() {
   return PlanLevelingByUsage(config_.native_threshold * 0.5);
 }
 
-void HdfsLikeCluster::OnBalancerCrashed() {
-  // The Balancer is a stateless client tool; its death loses only the
-  // in-flight iteration (the base class already dropped the queued moves).
-  ++balancer_crashes_;
-}
-
 void HdfsLikeCluster::OnBalancerRestarted() {
   // A restarted Balancer starts from a fresh NameNode DataNode report, so
   // any registrations it missed while down are picked up here.
   cluster_map_ = ServingBricks();
-}
-
-void HdfsLikeCluster::SaveFlavorState(SnapshotWriter& writer) const {
-  writer.U32(balancer_crashes_);
-}
-
-Status HdfsLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
-  balancer_crashes_ = reader.U32();
-  return reader.status();
 }
 
 }  // namespace themis

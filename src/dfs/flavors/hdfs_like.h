@@ -22,7 +22,6 @@ class HdfsLikeCluster : public DfsCluster {
 
   // The NameNode's view of registered DataNode bricks ("clusterMap").
   const std::vector<BrickId>& cluster_map() const { return cluster_map_; }
-  uint32_t balancer_crashes() const { return balancer_crashes_; }
 
  protected:
   std::vector<BrickId> PlaceChunk(const std::string& path, uint32_t chunk_index,
@@ -31,17 +30,12 @@ class HdfsLikeCluster : public DfsCluster {
   void OnTopologyChangedInternal() override;
   // Env-fault crash model (DESIGN.md §14): the Balancer tool is stateless —
   // a crash only interrupts the in-flight iteration; the restarted Balancer
-  // begins by fetching a fresh DataNode report from the NameNode.
-  void OnBalancerCrashed() override;
+  // begins by fetching a fresh DataNode report from the NameNode. The
+  // cluster map is derived, so there is no flavor state to checkpoint.
   void OnBalancerRestarted() override;
-  // Checkpointing: only the env-fault crash census is history; the cluster
-  // map is derived and rebuilt by the base restore's topology callback.
-  void SaveFlavorState(SnapshotWriter& writer) const override;
-  Status RestoreFlavorState(SnapshotReader& reader) override;
 
  private:
   std::vector<BrickId> cluster_map_;
-  uint32_t balancer_crashes_ = 0;  // env-fault crash census (persisted)
 };
 
 }  // namespace themis

@@ -11,9 +11,7 @@ namespace themis {
 ClusterConfig LeoLikeCluster::DefaultConfig() {
   ClusterConfig config;
   config.native_threshold = 0.15;
-  config.continuous_balancing = false;
   config.balancer_period = Minutes(2);
-  config.replication = 2;
   return config;
 }
 
@@ -91,8 +89,7 @@ uint64_t LeoLikeCluster::ObjectHash(const std::string& path, uint32_t chunk_inde
 
 std::vector<BrickId> LeoLikeCluster::PlaceChunk(const std::string& path,
                                                 uint32_t chunk_index, uint64_t bytes) {
-  std::vector<BrickId> located = ring_.Locate(ObjectHash(path, chunk_index),
-                                              config_.replication);
+  std::vector<BrickId> located = ring_.Locate(ObjectHash(path, chunk_index), kReplication);
   std::vector<BrickId> chosen;
   for (BrickId id : located) {
     const Brick* brick = FindBrick(id);
@@ -108,7 +105,7 @@ std::vector<BrickId> LeoLikeCluster::PlaceChunk(const std::string& path,
     const Brick* brick = FindBrick(id);
     if (brick->FreeBytes() >= bytes) {
       chosen.push_back(id);
-      if (static_cast<int>(chosen.size()) >= config_.replication) {
+      if (static_cast<int>(chosen.size()) >= kReplication) {
         break;
       }
     }
@@ -184,12 +181,6 @@ bool LeoLikeCluster::ChunkPinnedToBrick(FileId file, uint32_t chunk_index,
   return PrimaryFor(file, chunk_index) == brick;
 }
 
-void LeoLikeCluster::OnBalancerCrashed() {
-  // The ring and its plantings are persisted state; the crash loses only the
-  // in-flight rebalance-list (already dropped by the base class).
-  ++balancer_crashes_;
-}
-
 void LeoLikeCluster::OnBalancerRestarted() {
   // Takeover: reload the ring from the persisted plantings, dropping targets
   // that disappeared while the manager was down.
@@ -211,7 +202,6 @@ void LeoLikeCluster::SaveFlavorState(SnapshotWriter& writer) const {
     writer.U32(id);
     writer.F64(weight);
   }
-  writer.U32(balancer_crashes_);
 }
 
 Status LeoLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
@@ -231,7 +221,6 @@ Status LeoLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
     ring_.AddTarget(id, weight);
     ring_weights_[id] = weight;
   }
-  balancer_crashes_ = reader.U32();
   return reader.status();
 }
 

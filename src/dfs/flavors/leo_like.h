@@ -23,7 +23,6 @@ class LeoLikeCluster : public DfsCluster {
   static ClusterConfig DefaultConfig();
 
   const HashRing& ring() const { return ring_; }
-  uint32_t balancer_crashes() const { return balancer_crashes_; }
 
  protected:
   std::vector<BrickId> PlaceChunk(const std::string& path, uint32_t chunk_index,
@@ -34,7 +33,6 @@ class LeoLikeCluster : public DfsCluster {
   // Env-fault crash model (DESIGN.md §14): the ring is persisted per node in
   // LeoFS; a restarted manager reloads it from the stored plantings instead
   // of recomputing from capacity (which would lose the hysteresis history).
-  void OnBalancerCrashed() override;
   void OnBalancerRestarted() override;
   bool ChunkPinnedToBrick(FileId file, uint32_t chunk_index, BrickId brick) const override;
   // Checkpointing: planted ring weights are history-dependent (the ±25%/−20%
@@ -58,7 +56,6 @@ class LeoLikeCluster : public DfsCluster {
 
   HashRing ring_;
   std::map<BrickId, double> ring_weights_;  // weight each target was planted with
-  uint32_t balancer_crashes_ = 0;           // env-fault crash census (persisted)
   mutable std::map<std::pair<FileId, uint32_t>, BrickId> primary_cache_;
 };
 

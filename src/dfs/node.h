@@ -21,6 +21,13 @@ struct NodeLoadCounters {
   double cpu_seconds = 0;  // accumulated CPU work
 
   void Reset() { *this = NodeLoadCounters{}; }
+  NodeLoadCounters& operator+=(const NodeLoadCounters& delta) {
+    requests += delta.requests;
+    read_ios += delta.read_ios;
+    write_ios += delta.write_ios;
+    cpu_seconds += delta.cpu_seconds;
+    return *this;
+  }
 };
 
 struct StorageNode {

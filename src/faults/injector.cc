@@ -259,17 +259,8 @@ void FaultInjector::PickVictim(FaultRuntime& fault, DfsCluster& dfs) {
   // metadata/gateway node. Deterministic given the cluster state.
   if (EffectTargetsStorage(fault.spec.effect) ||
       fault.spec.effect == EffectKind::kCrashNode) {
-    BrickId best = kInvalidBrick;
-    double best_fraction = -1.0;
-    for (BrickId id : dfs.ServingBricks()) {
-      const Brick* brick = dfs.FindBrick(id);
-      if (brick->UsedFraction() > best_fraction) {
-        best_fraction = brick->UsedFraction();
-        best = id;
-      }
-    }
-    fault.victim_brick = best;
-    const Brick* brick = dfs.FindBrick(best);
+    fault.victim_brick = dfs.HottestServingBrick();
+    const Brick* brick = dfs.FindBrick(fault.victim_brick);
     fault.victim_node = brick != nullptr ? brick->node : kInvalidNode;
     return;
   }
@@ -307,14 +298,17 @@ void FaultInjector::ApplyContinuousEffects(DfsCluster& dfs) {
     switch (fault.spec.effect) {
       case EffectKind::kCpuSkew:
         if (fault.victim_node != kInvalidNode) {
-          dfs.InjectCpuLoad(fault.victim_node, kCpuSkewPerOp * (1.0 + fault.spec.severity));
+          dfs.AddLoad(fault.victim_node,
+                      {.cpu_seconds = kCpuSkewPerOp * (1.0 + fault.spec.severity)});
         }
         break;
       case EffectKind::kNetworkSkew:
         if (fault.victim_node != kInvalidNode) {
-          dfs.InjectNetLoad(fault.victim_node, kNetSkewIosPerOp, kNetSkewIosPerOp,
-                            kNetSkewRequestsPerOp +
-                                static_cast<uint64_t>(fault.spec.severity * 4.0));
+          dfs.AddLoad(fault.victim_node,
+                      {.requests = kNetSkewRequestsPerOp +
+                                   static_cast<uint64_t>(fault.spec.severity * 4.0),
+                       .read_ios = kNetSkewIosPerOp,
+                       .write_ios = kNetSkewIosPerOp});
         }
         break;
       case EffectKind::kCrashNode:

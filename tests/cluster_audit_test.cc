@@ -237,7 +237,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // A zero-byte chunk changes the index without moving a byte, so only the
 // index's own epoch bumps can report it: swap one such replica, then
-// destroy it.
+// destroy it as a destructive unlink does.
 TEST(ReplicaIndexEpochTest, ZeroByteReplicaChangesMoveTheEpoch) {
   for (Flavor flavor : {Flavor::kGluster, Flavor::kHdfs, Flavor::kCeph, Flavor::kLeo,
                         Flavor::kGeo}) {
@@ -248,6 +248,7 @@ TEST(ReplicaIndexEpochTest, ZeroByteReplicaChangesMoveTheEpoch) {
     create.path = "/empty";
     ASSERT_TRUE(dfs->Execute(create).status.ok());
     ASSERT_EQ(dfs->file_layouts().size(), 1u);
+    const FileId file = dfs->file_layouts().begin()->first;
     const FileLayout& layout = dfs->file_layouts().begin()->second;
     ASSERT_EQ(layout.chunks.size(), 1u);
     ASSERT_EQ(layout.chunks[0].bytes, 0u);
@@ -266,7 +267,7 @@ TEST(ReplicaIndexEpochTest, ZeroByteReplicaChangesMoveTheEpoch) {
     ASSERT_EQ(dfs->ChunksOnBrickRef(to).size(), 1u);  // the swap happened
     CheckStep(*dfs, tracked, 0, "zero-byte skew");
 
-    EXPECT_EQ(dfs->DestroyBytes(to, kGiB), 0u);
+    dfs->DestroyChunkReplica(file, 0, to);
     ASSERT_TRUE(dfs->ChunksOnBrickRef(to).empty());  // the replica is gone
     CheckStep(*dfs, tracked, 1, "zero-byte destroy");
   }

@@ -44,8 +44,8 @@ TEST_P(ClusterOpsTest, CreateStoresReplicatedData) {
   // Chunks respect the stripe unit.
   const FileLayout& layout = dfs_->file_layouts().begin()->second;
   for (const ChunkPlacement& chunk : layout.chunks) {
-    EXPECT_LE(chunk.bytes, dfs_->config().chunk_size);
-    EXPECT_EQ(chunk.replicas.size(), 2u);
+    EXPECT_LE(chunk.bytes, kChunkSize);
+    EXPECT_EQ(chunk.replicas.size(), static_cast<size_t>(kReplication));
   }
 }
 

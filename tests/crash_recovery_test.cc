@@ -158,8 +158,8 @@ TEST(CrashRecovery, InterruptedRoundResumesAfterRestart) {
   EXPECT_FALSE(cluster->balancer_resume_pending());
 }
 
-// Per-flavor restart-from-persisted-state semantics: every flavor counts the
-// crash in its persisted census, and flavor-local recovery state stays sane.
+// Per-flavor restart-from-persisted-state semantics: the persisted census
+// counts every flavor's crash, and flavor-local recovery state stays sane.
 template <typename ClusterT>
 uint32_t CrashOnce(ClusterT& cluster) {
   EnvFaultInjector injector(/*seed=*/3);

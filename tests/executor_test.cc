@@ -200,20 +200,5 @@ TEST(Fuzzer, ClimbsOnGainAndStopsOnFailure) {
   EXPECT_GE(fuzzer.Next().size(), 1u);
 }
 
-TEST(Fuzzer, VarianceGuidanceCanBeDisabled) {
-  Rig rig({});
-  Rng rng(14);
-  FuzzerConfig config;
-  config.variance_guidance = false;
-  config.initial_seeds = 1;
-  ThemisFuzzer fuzzer(rig.model, rng, config);
-  rig.model.SyncFromDfs(*rig.dfs);
-  (void)fuzzer.Next();
-  ExecOutcome gain;
-  gain.variance_gain = 0.5;
-  fuzzer.OnOutcome(CreateSeq(2, kGiB, "y"), gain);
-  EXPECT_EQ(fuzzer.pool().size(), 0u) << "ablated fuzzer must ignore feedback";
-}
-
 }  // namespace
 }  // namespace themis

@@ -4,14 +4,21 @@
 // suite all compare against it. If a change to the simulation legitimately
 // shifts behavior, regenerate with tools/digest_probe and update the
 // constants below IN THE SAME COMMIT, calling the behavior change out in
-// the commit message. A silent digest change is a determinism bug.
+// the commit message. A silent digest change is a determinism bug. The
+// same holds for the mid-snapshot checksums: they pin the checkpoint bytes.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <string_view>
 
+#include "src/common/snapshot_io.h"
 #include "src/harness/campaign.h"
+#include "src/harness/snapshot.h"
+#include "tests/checkpoint_helpers.h"
 
 namespace themis {
 namespace {
@@ -60,6 +67,46 @@ TEST(GoldenDigestTest, PerFlavorDigestsArePinned) {
     EXPECT_EQ(result->Digest(), golden.digest) << flavor;
     EXPECT_EQ(result->testcases, golden.testcases) << flavor;
     EXPECT_EQ(result->total_ops, golden.total_ops) << flavor;
+  }
+}
+
+// The payload checksum (header offset 21) of each flavor's second mid
+// snapshot from a historical + env-fault campaign at seed 1234 with a
+// snapshot every 400 ops; the rows tools/digest_probe prints after the
+// digests. Every flavor's balancer has crashed by then, so the crash census
+// that closes the cluster record is nonzero.
+struct SnapshotPin {
+  Flavor flavor;
+  uint64_t checksum;
+};
+constexpr SnapshotPin kMidSnapshotPins[] = {
+    {Flavor::kGluster, 0xb4d19d8227eb6e01ULL}, {Flavor::kHdfs, 0x174bc903aecd5524ULL},
+    {Flavor::kCeph, 0x590aafde8fdc7f22ULL},    {Flavor::kLeo, 0xe8ad6f7f0eeee62cULL},
+    {Flavor::kGeo, 0x5336ca8f36b534b8ULL},
+};
+
+TEST(GoldenDigestTest, MidSnapshotChecksumsArePinned) {
+  for (const SnapshotPin& pin : kMidSnapshotPins) {
+    const std::string flavor(FlavorName(pin.flavor));
+    SCOPED_TRACE(flavor);
+    CampaignConfig config;
+    config.flavor = pin.flavor;
+    config.seed = 1234;
+    config.fault_set = FaultSet::kHistorical;
+    config.env_faults = true;
+    config.checkpoint_dir = FreshDir(flavor);
+    config.checkpoint_every_ops = 400;
+    auto expect_crashed = [](const CampaignSession& session) {
+      EXPECT_GT(session.cluster().balancer_crashes(), 0u)
+          << "no balancer crash before the pinned snapshot; pin a later one";
+    };
+    ASSERT_TRUE(CrashAfterCheckpoints(config, "Themis", 2, expect_crashed).ok());
+    std::ifstream in(std::filesystem::path(config.checkpoint_dir) / MidSnapshotFileName(0, 2),
+                     std::ios::binary);
+    char header[29] = {};
+    ASSERT_TRUE(in.read(header, sizeof(header)));
+    SnapshotReader reader(std::string_view(header + 21, 8));
+    EXPECT_EQ(reader.U64(), pin.checksum);
   }
 }
 

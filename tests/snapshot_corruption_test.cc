@@ -336,8 +336,9 @@ TEST(SnapshotCorruptionTest, MalformedEnvFaultRecordsAreRejected) {
 }
 
 // The GeoFS flavor record (format v9, DESIGN.md §15) is the payload's
-// tail: U32 group count, U64 node count, per node (U32 id, U32 site,
-// U32 rack, U32 group) in id order, then the U32 balancer-crash census.
+// tail but for the base cluster's U32 balancer-crash census after it: U32
+// group count, U64 node count, per node (U32 id, U32 site, U32 rack,
+// U32 group) in id order.
 // Placement reads group membership from it alone, so every corrupt shape
 // must fail the restore with a message naming the node or the count.
 TEST(SnapshotCorruptionTest, GeoFlavorStateCorruptionIsRejected) {

@@ -250,10 +250,12 @@ TEST(SnapshotRoundTripTest, ClusterSaveRestoreSaveIsByteStable) {
       model.Observe(op, result);
     }
     for (NodeId node : dfs->ServingStorageNodeIds()) {
-      dfs->InjectCpuLoad(node, 0.25 + 0.125 * static_cast<double>(node));
-      restored->InjectCpuLoad(node, 0.25 + 0.125 * static_cast<double>(node));
-      dfs->InjectNetLoad(node, 3, 1, 7);
-      restored->InjectNetLoad(node, 3, 1, 7);
+      const NodeLoadCounters skew{.requests = 7,
+                                  .read_ios = 3,
+                                  .write_ios = 1,
+                                  .cpu_seconds = 0.25 + 0.125 * static_cast<double>(node)};
+      dfs->AddLoad(node, skew);
+      restored->AddLoad(node, skew);
     }
     EXPECT_TRUE(dfs->SampleLoad() == restored->SampleLoad()) << FlavorName(flavor);
     EXPECT_EQ(dfs->StorageImbalance(), restored->StorageImbalance())

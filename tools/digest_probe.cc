@@ -4,11 +4,17 @@
 // status, imbalance sample and detector verdict, so any divergence shows).
 // Besides Themis on every flavor it runs an env-fault campaign that
 // collects telemetry, a Bandit campaign with the transition blend on, and
-// one 24-hour GeoFS campaign on a 1000-node fleet.
+// one 24-hour GeoFS campaign on a 1000-node fleet. Then, per flavor, the
+// payload checksum of the second mid snapshot of a historical + env-fault
+// campaign (a snapshot every 400 ops), with the balancer crash census at
+// that point — the checkpoint-byte pins of the same test.
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
 
 #include "src/harness/campaign.h"
+#include "src/harness/snapshot.h"
 
 int main() {
   using namespace themis;
@@ -51,5 +57,40 @@ int main() {
                 static_cast<unsigned long long>(result->testcases),
                 static_cast<unsigned long long>(result->total_ops));
   }
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "digest_probe_snapshots";
+  for (Flavor flavor :
+       {Flavor::kGluster, Flavor::kHdfs, Flavor::kCeph, Flavor::kLeo, Flavor::kGeo}) {
+    std::filesystem::remove_all(dir);
+    CampaignConfig config;
+    config.flavor = flavor;
+    config.seed = 1234;
+    config.fault_set = FaultSet::kHistorical;
+    config.env_faults = true;
+    config.checkpoint_dir = dir.string();
+    config.checkpoint_every_ops = 400;
+    const std::string label =
+        std::string(FlavorName(flavor)) + " historical+env_faults mid snapshot 2";
+    Result<std::unique_ptr<CampaignSession>> session = CampaignSession::Open(config, "Themis");
+    int written = 0;
+    while (session.ok() && !(*session)->Done() && written < 2) {
+      (*session)->Step();
+      Result<bool> saved = (*session)->Save();
+      if (!saved.ok()) {
+        break;
+      }
+      written += *saved ? 1 : 0;
+    }
+    Result<LoadedSnapshot> loaded = ReadSnapshotFile((dir / MidSnapshotFileName(0, 2)).string());
+    if (written < 2 || !loaded.ok()) {
+      std::printf("%s: FAILED\n", label.c_str());
+      continue;
+    }
+    std::printf("%s: checksum=%llx census=%u\n", label.c_str(),
+                static_cast<unsigned long long>(Fnv1a64(loaded->payload)),
+                (*session)->cluster().balancer_crashes());
+  }
+  std::filesystem::remove_all(dir);
   return 0;
 }
