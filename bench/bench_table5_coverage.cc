@@ -26,20 +26,6 @@ void RunExperiment() {
   }
   table.Print();
 
-  // The second feedback signal (DESIGN.md §16): balancer state-machine
-  // transition pairs covered under the same campaigns.
-  PrintHeader("Balancer transition-pair coverage (same campaigns)");
-  TextTable transitions({"Method", "Fix_req", "Fix_conf", "Alternate",
-                         "Concurrent", "Themis"});
-  for (Flavor flavor : {Flavor::kHdfs, Flavor::kGluster, Flavor::kLeo, Flavor::kCeph}) {
-    std::vector<std::string> row{std::string(FlavorName(flavor))};
-    for (const std::string& strategy : strategies) {
-      row.push_back(std::to_string(results.transition_coverage[strategy][flavor]));
-    }
-    transitions.AddRow(row);
-  }
-  transitions.Print();
-
   // Themis's average improvement over each baseline (the paper reports
   // 18% / 21% / 13% / 10%).
   std::printf("\nThemis's mean coverage improvement: ");

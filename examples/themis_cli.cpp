@@ -11,9 +11,7 @@
 //   --seeds N       repeated campaigns (default 1)
 //   --jobs N        worker threads; results are identical for every N
 //   --strategy X    a registered strategy: themis | themis- | fixreq |
-//                   fixconf | alternate | concurrent | bandit (schedules the
-//                   budget across the registered strategies), or any
-//                   registry name
+//                   fixconf | alternate | concurrent, or any registry name
 //   --threshold T   detector threshold t, e.g. 0.25
 //   --historical    inject the 53-bug historical corpus instead of the 10 new bugs
 //   --healthy       inject nothing (false-positive soak test)
@@ -54,14 +52,13 @@ int Usage() {
                "  themis_cli fuzz <hdfs|ceph|gluster|leo|geo> [--hours H] [--seed S]\n"
                "             [--seeds N] [--jobs N]\n"
                "             [--strategy themis|themis-|fixreq|fixconf|alternate|\n"
-               "              concurrent|bandit] [--threshold T] [--historical]\n"
+               "              concurrent] [--threshold T] [--historical]\n"
                "             [--healthy] [--transition-weight W] [--logs]\n"
                "             [--telemetry-out=PATH] [--checkpoint-dir=DIR]\n"
                "             [--checkpoint-every-ops N] [--resume]\n"
                "             [--summary-json=PATH]\n"
                "          (--transition-weight blends balancer state-machine\n"
-               "           coverage into seed energy; bandit schedules budget\n"
-               "           across the registered strategies)\n"
+               "           coverage into seed energy)\n"
                "  themis_cli replay <hdfs|ceph|gluster|leo|geo> <logfile> [--repeat N] [--bugs]\n"
                "          (--bugs re-injects the Table 2 faults: reproduction against\n"
                "           the buggy system, as in the paper's replay step)\n");
@@ -100,8 +97,6 @@ bool ParseStrategy(const char* text, std::string* out) {
     *out = "Alternate";
   } else if (std::strcmp(text, "concurrent") == 0) {
     *out = "Concurrent";
-  } else if (std::strcmp(text, "bandit") == 0) {
-    *out = "Bandit";
   } else if (StrategyRegistry::Instance().Contains(text)) {
     *out = text;
   } else {

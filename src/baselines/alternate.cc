@@ -4,10 +4,9 @@
 
 namespace themis {
 
-AlternateStrategy::AlternateStrategy(InputModel& model, Rng& rng, int max_len,
-                                     int convergence_patience)
-    : model_(model), rng_(rng), generator_(model, max_len),
-      request_pool_(128), convergence_patience_(convergence_patience) {}
+AlternateStrategy::AlternateStrategy(InputModel& model, Rng& rng, int convergence_patience)
+    : model_(model), rng_(rng), generator_(model), request_pool_(128),
+      convergence_patience_(convergence_patience) {}
 
 OpSeq AlternateStrategy::NewConfigSeq() {
   ++config_epochs_;
@@ -29,7 +28,7 @@ OpSeq AlternateStrategy::RequestSeq() {
       return seq;
     }
   }
-  int len = static_cast<int>(rng_.NextRange(2, generator_.max_len()));
+  int len = static_cast<int>(rng_.NextRange(2, kMaxOpSeqLen));
   OpSeq seq;
   for (int i = 0; i < len; ++i) {
     seq.ops.push_back(generator_.GenerateOpOfClass(OpClass::kFile, rng_));

@@ -18,8 +18,7 @@ class AlternateStrategy : public Strategy {
  public:
   // `convergence_patience`: iterations without new coverage before switching
   // to a new configuration.
-  AlternateStrategy(InputModel& model, Rng& rng, int max_len = 8,
-                    int convergence_patience = 25);
+  AlternateStrategy(InputModel& model, Rng& rng, int convergence_patience = 25);
 
   std::string_view name() const override { return "Alternate"; }
   OpSeq Next() override;

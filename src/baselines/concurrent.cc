@@ -4,8 +4,8 @@
 
 namespace themis {
 
-ConcurrentStrategy::ConcurrentStrategy(InputModel& model, Rng& rng, int max_len)
-    : model_(model), rng_(rng), generator_(model, max_len) {}
+ConcurrentStrategy::ConcurrentStrategy(InputModel& model, Rng& rng)
+    : model_(model), rng_(rng), generator_(model) {}
 
 OpSeq ConcurrentStrategy::Next() {
   // Stress requests and configuration churn generated in parallel, then

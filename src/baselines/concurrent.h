@@ -14,7 +14,7 @@ namespace themis {
 
 class ConcurrentStrategy : public Strategy {
  public:
-  ConcurrentStrategy(InputModel& model, Rng& rng, int max_len = 8);
+  ConcurrentStrategy(InputModel& model, Rng& rng);
 
   std::string_view name() const override { return "Concurrent"; }
   OpSeq Next() override;

@@ -4,11 +4,11 @@
 
 namespace themis {
 
-FixConfStrategy::FixConfStrategy(InputModel& model, Rng& rng, int max_len)
-    : model_(model), rng_(rng), generator_(model, max_len), request_pool_(128) {}
+FixConfStrategy::FixConfStrategy(InputModel& model, Rng& rng)
+    : model_(model), rng_(rng), generator_(model), request_pool_(128) {}
 
 OpSeq FixConfStrategy::RequestSeq() {
-  int len = static_cast<int>(rng_.NextRange(2, generator_.max_len()));
+  int len = static_cast<int>(rng_.NextRange(2, kMaxOpSeqLen));
   OpSeq seq;
   for (int i = 0; i < len; ++i) {
     seq.ops.push_back(generator_.GenerateOpOfClass(OpClass::kFile, rng_));

@@ -14,7 +14,7 @@ namespace themis {
 
 class FixConfStrategy : public Strategy {
  public:
-  FixConfStrategy(InputModel& model, Rng& rng, int max_len = 8);
+  FixConfStrategy(InputModel& model, Rng& rng);
 
   std::string_view name() const override { return "Fix_conf"; }
   OpSeq Next() override;

@@ -6,8 +6,8 @@
 
 namespace themis {
 
-FixReqStrategy::FixReqStrategy(InputModel& model, Rng& rng, int max_len)
-    : model_(model), rng_(rng), generator_(model, max_len), config_pool_(64) {}
+FixReqStrategy::FixReqStrategy(InputModel& model, Rng& rng)
+    : model_(model), rng_(rng), generator_(model), config_pool_(64) {}
 
 OpSeq FixReqStrategy::FixedRequests(Rng& rng) {
   // The canned workload: what distributed benchmarks replay. Operand values

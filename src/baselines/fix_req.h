@@ -17,7 +17,7 @@ namespace themis {
 
 class FixReqStrategy : public Strategy {
  public:
-  FixReqStrategy(InputModel& model, Rng& rng, int max_len = 8);
+  FixReqStrategy(InputModel& model, Rng& rng);
 
   std::string_view name() const override { return "Fix_req"; }
   OpSeq Next() override;

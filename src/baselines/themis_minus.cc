@@ -4,8 +4,11 @@
 
 namespace themis {
 
-ThemisMinusStrategy::ThemisMinusStrategy(InputModel& model, Rng& rng, int max_len)
-    : rng_(rng), generator_(model, max_len) {}
+ThemisMinusStrategy::ThemisMinusStrategy(InputModel& model, Rng& rng,
+                                         double env_fault_share)
+    : rng_(rng), generator_(model) {
+  generator_.set_env_fault_share(env_fault_share);
+}
 
 OpSeq ThemisMinusStrategy::Next() { return generator_.Generate(rng_); }
 
@@ -16,9 +19,9 @@ void ThemisMinusStrategy::OnOutcome(const OpSeq& seq, const ExecOutcome& outcome
 
 
 THEMIS_REGISTER_STRATEGY("Themis-", [](InputModel& model, Rng& rng,
-                                       const StrategyOptions&)
+                                       const StrategyOptions& options)
                                         -> std::unique_ptr<Strategy> {
-  return std::make_unique<ThemisMinusStrategy>(model, rng);
+  return std::make_unique<ThemisMinusStrategy>(model, rng, options.env_fault_share);
 });
 
 }  // namespace themis

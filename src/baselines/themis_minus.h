@@ -1,5 +1,7 @@
 // Themis⁻ (§6.3): Themis with the load variance model disabled — operation
 // sequences are generated randomly with no feedback-driven seed retention.
+// Before any feedback it draws exactly what Themis draws: the same generator
+// over the same grammar, env-fault operators included.
 
 #ifndef SRC_BASELINES_THEMIS_MINUS_H_
 #define SRC_BASELINES_THEMIS_MINUS_H_
@@ -11,7 +13,8 @@ namespace themis {
 
 class ThemisMinusStrategy : public Strategy {
  public:
-  ThemisMinusStrategy(InputModel& model, Rng& rng, int max_len = 8);
+  // `env_fault_share`: as OpSeqGenerator::set_env_fault_share.
+  ThemisMinusStrategy(InputModel& model, Rng& rng, double env_fault_share = 0.0);
 
   std::string_view name() const override { return "Themis-"; }
   OpSeq Next() override;

@@ -7,8 +7,7 @@
 namespace themis {
 
 ThemisFuzzer::ThemisFuzzer(InputModel& model, Rng& rng, FuzzerConfig config)
-    : config_(config), rng_(rng), generator_(model, config.max_len),
-      mutator_(model, generator_, config.max_len), pool_(config.pool_capacity),
+    : config_(config), rng_(rng), generator_(model), mutator_(model, generator_),
       initial_remaining_(config.initial_seeds) {
   mutator_.set_telemetry(config_.telemetry);
   generator_.set_env_fault_share(config_.env_fault_share);

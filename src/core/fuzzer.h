@@ -19,9 +19,7 @@
 namespace themis {
 
 struct FuzzerConfig {
-  int max_len = 8;           // max_n, from Finding 5
-  int initial_seeds = 16;    // initial opSeq population
-  size_t pool_capacity = 256;
+  int initial_seeds = 16;  // initial opSeq population
   // Per-op probability of drawing an environment-fault operator; 0.0 (the
   // default) leaves the fault-free grammar untouched.
   double env_fault_share = 0.0;
@@ -44,7 +42,6 @@ class ThemisFuzzer : public Strategy {
   Status RestoreState(SnapshotReader& reader) override;
 
   const SeedPool& pool() const { return pool_; }
-  OpSeqGenerator& generator() { return generator_; }
 
  private:
   FuzzerConfig config_;

@@ -41,12 +41,11 @@ constexpr int64_t kMaxCrashDelaySeconds = 3600;
 
 }  // namespace
 
-OpSeqGenerator::OpSeqGenerator(InputModel& model, int max_len)
-    : model_(model), max_len_(max_len > 0 ? max_len : 1) {}
+OpSeqGenerator::OpSeqGenerator(InputModel& model) : model_(model) {}
 
 OpSeq OpSeqGenerator::Generate(Rng& rng, int len) {
   if (len <= 0) {
-    len = static_cast<int>(rng.NextRange(1, max_len_));
+    len = static_cast<int>(rng.NextRange(1, kMaxOpSeqLen));
   }
   OpSeq seq;
   seq.ops.reserve(static_cast<size_t>(len));

@@ -13,10 +13,7 @@ namespace themis {
 
 class OpSeqGenerator {
  public:
-  // `max_len` = max_n of the paper, set to 8 by Finding 5.
-  explicit OpSeqGenerator(InputModel& model, int max_len = 8);
-
-  int max_len() const { return max_len_; }
+  explicit OpSeqGenerator(InputModel& model);
 
   // Probability that a generated operation is an environment-fault operator
   // (DESIGN.md §14) instead of one of the 17 load-related operators. Exactly
@@ -25,7 +22,7 @@ class OpSeqGenerator {
   void set_env_fault_share(double share) { env_fault_share_ = share; }
   double env_fault_share() const { return env_fault_share_; }
 
-  // A sequence of `len` operations (len <= 0: random in [1, max_len]).
+  // A sequence of `len` operations (len <= 0: random in [1, kMaxOpSeqLen]).
   OpSeq Generate(Rng& rng, int len = 0);
 
   // One operation with a uniformly random operator.
@@ -39,7 +36,6 @@ class OpSeqGenerator {
 
  private:
   InputModel& model_;
-  int max_len_;
   double env_fault_share_ = 0.0;
 };
 

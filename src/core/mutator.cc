@@ -20,8 +20,8 @@ const char* MutationKindLabel(int kind) {
 
 }  // namespace
 
-OpSeqMutator::OpSeqMutator(InputModel& model, OpSeqGenerator& generator, int max_len)
-    : model_(model), generator_(generator), max_len_(max_len > 0 ? max_len : 1) {}
+OpSeqMutator::OpSeqMutator(InputModel& model, OpSeqGenerator& generator)
+    : model_(model), generator_(generator) {}
 
 OpSeq OpSeqMutator::Mutate(const OpSeq& seed, Rng& rng) {
   // Pick k <= length(opSeq) mutation positions.
@@ -58,7 +58,7 @@ OpSeq OpSeqMutator::MutateK(const OpSeq& seed, int k, Rng& rng) {
         }
         break;
       case MutationKind::kInsert:
-        if (static_cast<int>(out.ops.size()) < max_len_) {
+        if (static_cast<int>(out.ops.size()) < kMaxOpSeqLen) {
           out.ops.insert(out.ops.begin() + static_cast<ptrdiff_t>(pos),
                          generator_.GenerateOp(rng));
         } else {

@@ -15,14 +15,14 @@ namespace themis {
 
 class OpSeqMutator {
  public:
-  OpSeqMutator(InputModel& model, OpSeqGenerator& generator, int max_len = 8);
+  OpSeqMutator(InputModel& model, OpSeqGenerator& generator);
 
   // Campaign event sink: each Mutate/MutateLight call records which mutation
   // kinds it applied. Null disables recording.
   void set_telemetry(EventLog* telemetry) { telemetry_ = telemetry; }
 
   // Produces a mutated copy of `seed` (always at least one mutation; length
-  // stays within [1, max_len]). The result is already repaired.
+  // stays within [1, kMaxOpSeqLen]). The result is already repaired.
   OpSeq Mutate(const OpSeq& seed, Rng& rng);
 
   // Light variant: exactly one mutation position — the "gradual variation"
@@ -40,7 +40,6 @@ class OpSeqMutator {
 
   InputModel& model_;
   OpSeqGenerator& generator_;
-  int max_len_;
   EventLog* telemetry_ = nullptr;
 };
 

@@ -13,6 +13,11 @@
 
 namespace themis {
 
+// max_n of the paper: Finding 5 observes that no studied imbalance failure
+// needs more than 8 operations, so generated and mutated sequences stay
+// within [1, kMaxOpSeqLen].
+inline constexpr int kMaxOpSeqLen = 8;
+
 struct OpSeq {
   std::vector<Operation> ops;
 

@@ -359,7 +359,6 @@ CampaignTick CampaignSession::Tick() const {
   return CampaignTick{.total_ops = executor_->total_ops(),
                       .testcases = progress_.testcases,
                       .coverage = coverage_.TotalHits(),
-                      .transition_coverage = model_coverage_.TransitionsCovered(),
                       .now = cluster_->Now()};
 }
 

@@ -99,9 +99,8 @@ struct CampaignConfig {
 struct CampaignTick {
   uint64_t total_ops = 0;
   int testcases = 0;
-  size_t coverage = 0;             // branch-coverage hits so far
-  size_t transition_coverage = 0;  // distinct balancer transition pairs
-  SimTime now{};                   // virtual clock
+  size_t coverage = 0;  // branch-coverage hits so far
+  SimTime now{};        // virtual clock
 };
 
 // Per-test-case loop hook: called once per completed test case, after the

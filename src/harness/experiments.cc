@@ -98,7 +98,6 @@ CoverageResults RunCoverageExperiment(const std::vector<std::string>& strategies
 
   CoverageResults results;
   std::map<std::string, std::map<Flavor, size_t>> totals;
-  std::map<std::string, std::map<Flavor, size_t>> transition_totals;
   for (const JobResult& job : result.jobs) {
     if (!job.status.ok()) {
       continue;
@@ -106,7 +105,6 @@ CoverageResults RunCoverageExperiment(const std::vector<std::string>& strategies
     const std::string& strategy = job.job.strategy;
     Flavor flavor = job.job.config.flavor;
     totals[strategy][flavor] += job.result.final_coverage;
-    transition_totals[strategy][flavor] += job.result.transition_coverage;
     if (job.job.repetition == 0) {
       results.timelines[strategy][flavor] = job.result.coverage_timeline;
     }
@@ -115,8 +113,6 @@ CoverageResults RunCoverageExperiment(const std::vector<std::string>& strategies
     for (Flavor flavor : kAllFlavors) {
       size_t seeds = static_cast<size_t>(std::max(budget.seeds, 1));
       results.final_coverage[strategy][flavor] = totals[strategy][flavor] / seeds;
-      results.transition_coverage[strategy][flavor] =
-          transition_totals[strategy][flavor] / seeds;
     }
   }
   return results;

@@ -68,9 +68,6 @@ HistoricalFindings RunHistoricalExperiment(const std::vector<std::string>& strat
 struct CoverageResults {
   // strategy -> flavor -> final branch count (averaged over seeds).
   std::map<std::string, std::map<Flavor, size_t>> final_coverage;
-  // strategy -> flavor -> balancer transition pairs covered (DESIGN.md §16,
-  // averaged over seeds).
-  std::map<std::string, std::map<Flavor, size_t>> transition_coverage;
   // strategy -> flavor -> (minute, branches) timeline from the first seed.
   std::map<std::string, std::map<Flavor, std::vector<std::pair<SimTime, size_t>>>>
       timelines;

@@ -10,6 +10,7 @@
 #include "src/baselines/fix_conf.h"
 #include "src/baselines/fix_req.h"
 #include "src/baselines/themis_minus.h"
+#include "src/core/strategy_registry.h"
 #include "src/dfs/flavors/factory.h"
 
 namespace themis {
@@ -75,7 +76,7 @@ TEST(FixConf, ReplaysPreludeAfterClusterReset) {
 
 TEST(Alternate, SwitchesConfigurationOnConvergence) {
   StrategyRig rig;
-  AlternateStrategy strategy(rig.model, rig.rng, 8, /*convergence_patience=*/5);
+  AlternateStrategy strategy(rig.model, rig.rng, /*convergence_patience=*/5);
   OpSeq first = strategy.Next();
   EXPECT_TRUE(first.HasConfigOps()) << "an epoch starts with a configuration";
   strategy.OnOutcome(first, ExecOutcome{});
@@ -94,7 +95,7 @@ TEST(Alternate, SwitchesConfigurationOnConvergence) {
 
 TEST(Alternate, NewCoverageDelaysSwitching) {
   StrategyRig rig;
-  AlternateStrategy strategy(rig.model, rig.rng, 8, /*convergence_patience=*/3);
+  AlternateStrategy strategy(rig.model, rig.rng, /*convergence_patience=*/3);
   strategy.OnOutcome(strategy.Next(), ExecOutcome{});
   for (int i = 0; i < 20; ++i) {
     OpSeq seq = strategy.Next();
@@ -126,9 +127,33 @@ TEST(ThemisMinus, IgnoresFeedback) {
   for (int i = 0; i < 50; ++i) {
     OpSeq seq = strategy.Next();
     EXPECT_GE(seq.size(), 1u);
-    EXPECT_LE(seq.size(), 8u);
+    EXPECT_LE(seq.size(), static_cast<size_t>(kMaxOpSeqLen));
     strategy.OnOutcome(seq, huge_gain);
   }
+}
+
+// Themis⁻ is Themis without feedback (§6.3): before any outcome arrives,
+// Themis only generates, so both strategies built from the registry with the
+// same options on identical rigs must draw identical sequences, env-fault
+// operators included.
+TEST(ThemisMinus, DrawsWhatThemisDrawsBeforeFeedback) {
+  StrategyOptions options;
+  options.env_fault_share = 0.2;
+  StrategyRig themis_rig;
+  StrategyRig minus_rig;
+  auto themis = StrategyRegistry::Instance().Make("Themis", themis_rig.model, themis_rig.rng,
+                                                  options);
+  auto minus = StrategyRegistry::Instance().Make("Themis-", minus_rig.model, minus_rig.rng,
+                                                 options);
+  ASSERT_TRUE(themis.ok() && minus.ok());
+  bool any_env_op = false;
+  for (int i = 0; i < 16; ++i) {  // Themis's initial seed population
+    OpSeq expected = (*themis)->Next();
+    OpSeq seq = (*minus)->Next();
+    EXPECT_EQ(seq.ToString(), expected.ToString()) << "sequence " << i;
+    any_env_op = any_env_op || seq.HasEnvFaultOps();
+  }
+  EXPECT_TRUE(any_env_op) << "Themis- must honor the campaign's env-fault share";
 }
 
 TEST(Strategies, NamesAreDistinct) {

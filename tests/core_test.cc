@@ -229,12 +229,12 @@ TEST(Generator, LengthWithinMax) {
   std::unique_ptr<DfsCluster> dfs = MakeCluster(Flavor::kHdfs, 6);
   InputModel model;
   model.SyncFromDfs(*dfs);
-  OpSeqGenerator generator(model, 8);
+  OpSeqGenerator generator(model);
   Rng rng(5);
   for (int i = 0; i < 300; ++i) {
     OpSeq seq = generator.Generate(rng);
     EXPECT_GE(seq.size(), 1u);
-    EXPECT_LE(seq.size(), 8u);
+    EXPECT_LE(seq.size(), static_cast<size_t>(kMaxOpSeqLen));
   }
   EXPECT_EQ(generator.Generate(rng, 3).size(), 3u);
 }
@@ -292,8 +292,8 @@ class MutatorTest : public ::testing::Test {
   void SetUp() override {
     dfs_ = MakeCluster(Flavor::kGluster, 9);
     model_.SyncFromDfs(*dfs_);
-    generator_ = std::make_unique<OpSeqGenerator>(model_, 8);
-    mutator_ = std::make_unique<OpSeqMutator>(model_, *generator_, 8);
+    generator_ = std::make_unique<OpSeqGenerator>(model_);
+    mutator_ = std::make_unique<OpSeqMutator>(model_, *generator_);
   }
   std::unique_ptr<DfsCluster> dfs_;
   InputModel model_;
@@ -303,11 +303,11 @@ class MutatorTest : public ::testing::Test {
 };
 
 TEST_F(MutatorTest, StaysWithinLengthBounds) {
-  OpSeq seed = generator_->Generate(rng_, 8);
+  OpSeq seed = generator_->Generate(rng_, kMaxOpSeqLen);
   for (int i = 0; i < 500; ++i) {
     OpSeq child = mutator_->Mutate(seed, rng_);
     EXPECT_GE(child.size(), 1u);
-    EXPECT_LE(child.size(), 8u);
+    EXPECT_LE(child.size(), static_cast<size_t>(kMaxOpSeqLen));
     seed = child;
   }
 }
@@ -318,7 +318,7 @@ TEST_F(MutatorTest, EmptySeedRegenerates) {
 }
 
 TEST_F(MutatorTest, LightMutationChangesLittle) {
-  OpSeq seed = generator_->Generate(rng_, 8);
+  OpSeq seed = generator_->Generate(rng_, kMaxOpSeqLen);
   int identical_ops = 0;
   const int kTrials = 200;
   for (int i = 0; i < kTrials; ++i) {

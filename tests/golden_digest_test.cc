@@ -46,7 +46,8 @@ constexpr GoldenEntry kGolden[] = {
     {Flavor::kGeo, 0xa3b034b061cf81a8ULL, 192, 5151},
     // Recorded events enter the digest.
     {Flavor::kGluster, 0x3609d4d5198d9eb5ULL, 17, 781, "Themis", true},
-    {Flavor::kHdfs, 0x57a1e50bb27b427bULL, 192, 5755, "Bandit", false, 0.5},
+    // The transition blend on (DESIGN.md §16).
+    {Flavor::kHdfs, 0xfef63e737a9cc17bULL, 162, 6563, "Themis", false, 0.5},
     {Flavor::kGeo, 0xaafac23ca1d93f57ULL, 2705, 17772, "Themis", false, 0.0, 1000, 24},
 };
 

@@ -1,6 +1,6 @@
 // Property-based invariants over the OpSeq pipeline: generated and mutated
 // sequences always stay inside the Fig. 7 grammar (every operator carries its
-// required operands), mutation respects the [1, max_len] length bounds, and
+// required operands), mutation respects the [1, kMaxOpSeqLen] length bounds, and
 // replay is a pure function of (cluster seed, log).
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 namespace themis {
 namespace {
 
-constexpr int kMaxLen = 8;
 constexpr int kTrials = 50;
 
 // Fig. 7 well-formedness: "the number and contents of operands opd are
@@ -133,32 +132,32 @@ struct Fixture {
 
 TEST(OpSeqProperty, GeneratedSequencesStayInGrammar) {
   Fixture fx;
-  OpSeqGenerator generator(fx.model, kMaxLen);
+  OpSeqGenerator generator(fx.model);
   for (int trial = 0; trial < kTrials; ++trial) {
     OpSeq seq = generator.Generate(fx.rng);
     EXPECT_TRUE(GrammarValid(seq));
     EXPECT_GE(seq.size(), 1u);
-    EXPECT_LE(seq.size(), static_cast<size_t>(kMaxLen));
+    EXPECT_LE(seq.size(), static_cast<size_t>(kMaxOpSeqLen));
   }
 }
 
 TEST(OpSeqProperty, MutationPreservesGrammarAndLengthBounds) {
   Fixture fx;
-  OpSeqGenerator generator(fx.model, kMaxLen);
-  OpSeqMutator mutator(fx.model, generator, kMaxLen);
+  OpSeqGenerator generator(fx.model);
+  OpSeqMutator mutator(fx.model, generator);
   OpSeq seq = generator.Generate(fx.rng);
   for (int trial = 0; trial < kTrials * 4; ++trial) {
     seq = mutator.Mutate(seq, fx.rng);
     ASSERT_TRUE(GrammarValid(seq)) << "after mutation round " << trial;
     ASSERT_GE(seq.size(), 1u);
-    ASSERT_LE(seq.size(), static_cast<size_t>(kMaxLen));
+    ASSERT_LE(seq.size(), static_cast<size_t>(kMaxOpSeqLen));
   }
 }
 
 TEST(OpSeqProperty, LightMutationChangesLengthByAtMostOne) {
   Fixture fx;
-  OpSeqGenerator generator(fx.model, kMaxLen);
-  OpSeqMutator mutator(fx.model, generator, kMaxLen);
+  OpSeqGenerator generator(fx.model);
+  OpSeqMutator mutator(fx.model, generator);
   for (int trial = 0; trial < kTrials; ++trial) {
     OpSeq seed = generator.Generate(fx.rng);
     OpSeq out = mutator.MutateLight(seed, fx.rng);
@@ -171,8 +170,8 @@ TEST(OpSeqProperty, LightMutationChangesLengthByAtMostOne) {
 
 TEST(OpSeqProperty, RepairRebindsDeadNodeAndBrickReferences) {
   Fixture fx;
-  OpSeqGenerator generator(fx.model, kMaxLen);
-  OpSeqMutator mutator(fx.model, generator, kMaxLen);
+  OpSeqGenerator generator(fx.model);
+  OpSeqMutator mutator(fx.model, generator);
   OpSeq seq;
   Operation dead_node;
   dead_node.kind = OpKind::kRemoveStorageNode;
@@ -190,7 +189,7 @@ TEST(OpSeqProperty, RepairRebindsDeadNodeAndBrickReferences) {
 
 TEST(OpSeqProperty, ReproductionLogRoundTrips) {
   Fixture fx;
-  OpSeqGenerator generator(fx.model, kMaxLen);
+  OpSeqGenerator generator(fx.model);
   for (int trial = 0; trial < kTrials; ++trial) {
     OpSeq seq = generator.Generate(fx.rng);
     Result<OpSeq> parsed = ParseReproductionLog(FormatReproductionLog(seq));
@@ -201,7 +200,7 @@ TEST(OpSeqProperty, ReproductionLogRoundTrips) {
 
 TEST(OpSeqProperty, ReplayReproducesClusterLoadVector) {
   Fixture fx;
-  OpSeqGenerator generator(fx.model, kMaxLen);
+  OpSeqGenerator generator(fx.model);
   for (int trial = 0; trial < 10; ++trial) {
     OpSeq seq = generator.Generate(fx.rng);
     std::unique_ptr<DfsCluster> first = MakeCluster(Flavor::kGluster, /*seed=*/42);

@@ -16,9 +16,6 @@
 
 #include "src/common/snapshot_io.h"
 #include "src/common/strings.h"
-#include "src/core/bandit.h"
-#include "src/core/input_model.h"
-#include "src/core/strategy_registry.h"
 #include "src/coverage/model_coverage.h"
 #include "src/dfs/flavors/factory.h"
 #include "src/dfs/flavors/geo_like.h"
@@ -104,9 +101,9 @@ TEST(SnapshotCorruptionTest, WrongMagicAndVersionAreRejected) {
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
 
   // Stale files must be refused outright rather than parsed into misaligned
-  // fields: a pre-v6 file has no model-coverage record or bandit arm
-  // tables, a v7 file still carries the cluster's rate-window record, and
-  // a v8 file the cluster's load-group table and the pool's seen set.
+  // fields: a pre-v6 file has no model-coverage record, a v7 file still
+  // carries the cluster's rate-window record, and a v8 file the cluster's
+  // load-group table and the pool's seen set.
   for (char stale : {5, 7, 8}) {
     std::string stale_version = original;
     stale_version[8] = stale;
@@ -425,64 +422,11 @@ TEST(SnapshotCorruptionTest, GeoFlavorStateCorruptionIsRejected) {
 }
 
 // Format v6 field-level validation (DESIGN.md §16): the model-coverage
-// record and the bandit arm tables restore into indexed counters and live
-// scheduling state, so every malformed shape — a truncated arm table, a
+// record restores into indexed counters, so every malformed shape — a
 // transition count that cannot match the pair list, a state id from another
 // flavor's machine — must fail the restore descriptively. End to end, a
 // campaign whose newest snapshot rots this way falls back to the newest
 // valid one (ResumeFallsBackToNewestValidSnapshot covers the file layer).
-TEST(SnapshotCorruptionTest, TruncatedBanditArmTableIsRejected) {
-  Rng rng(1);
-  InputModel model;
-  auto made = StrategyRegistry::Instance().Make("Bandit", model, rng);
-  ASSERT_TRUE(made.ok());
-  BanditStrategy* bandit = static_cast<BanditStrategy*>(made->get());
-  SnapshotWriter writer;
-  bandit->SaveState(writer);
-
-  // A snapshot advertising fewer arms than the live strategy has.
-  SnapshotWriter truncated;
-  truncated.I64(0);  // active arm
-  truncated.I64(0);  // round position
-  truncated.U64(bandit->arms().size() - 1);
-  SnapshotReader count_reader(truncated.buffer());
-  Status status = bandit->RestoreState(count_reader);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("bandit arm table truncated"),
-            std::string::npos)
-      << status.ToString();
-
-  // A renamed arm: the count matches but the table belongs to a different
-  // arm set, so adopting the statistics would misattribute every reward.
-  std::string renamed = writer.buffer();
-  const std::string& first_name = bandit->arms()[0].name;
-  size_t pos = renamed.find(first_name);
-  ASSERT_NE(pos, std::string::npos);
-  renamed[pos] = 'X';
-  SnapshotReader rename_reader(renamed);
-  status = bandit->RestoreState(rename_reader);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("bandit arm table truncated"),
-            std::string::npos)
-      << status.ToString();
-
-  // An active-arm index beyond the table.
-  SnapshotWriter bad_active;
-  bad_active.I64(static_cast<int64_t>(bandit->arms().size()));
-  bad_active.I64(0);
-  bad_active.U64(bandit->arms().size());
-  SnapshotReader active_reader(bad_active.buffer());
-  status = bandit->RestoreState(active_reader);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("bandit schedule state out of range"),
-            std::string::npos)
-      << status.ToString();
-
-  // The unmodified record restores cleanly.
-  SnapshotReader ok_reader(writer.buffer());
-  EXPECT_TRUE(bandit->RestoreState(ok_reader).ok());
-}
-
 TEST(SnapshotCorruptionTest, ModelCoverageTransitionCountOverflowIsRejected) {
   ModelCoverage original(Flavor::kGluster);
   original.Transition(BalancerState::kGlusterFixLayout);

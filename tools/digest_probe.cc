@@ -3,7 +3,7 @@
 // compare simulation behavior across builds (the digest hashes every op,
 // status, imbalance sample and detector verdict, so any divergence shows).
 // Besides Themis on every flavor it runs an env-fault campaign that
-// collects telemetry, a Bandit campaign with the transition blend on, and
+// collects telemetry, a campaign with the transition blend on, and
 // one 24-hour GeoFS campaign on a 1000-node fleet. Then, per flavor, the
 // payload checksum of the second mid snapshot of a historical + env-fault
 // campaign (a snapshot every 400 ops), with the balancer crash census at
@@ -29,7 +29,7 @@ int main() {
   constexpr ProbeRow kRows[] = {
       {Flavor::kGluster}, {Flavor::kHdfs}, {Flavor::kCeph}, {Flavor::kLeo}, {Flavor::kGeo},
       {Flavor::kGluster, "Themis", true},
-      {Flavor::kHdfs, "Bandit", false, 0.5},
+      {Flavor::kHdfs, "Themis", false, 0.5},
       {Flavor::kGeo, "Themis", false, 0.0, 1000, 24},
   };
   for (const ProbeRow& row : kRows) {
