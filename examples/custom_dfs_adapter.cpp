@@ -34,13 +34,13 @@ class RoundRobinFs : public DfsCluster {
   }
 
  protected:
-  std::vector<BrickId> PlaceChunk(const std::string& path, uint32_t chunk_index,
-                                  uint64_t bytes) override {
+  ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
+                        uint64_t bytes) override {
     (void)path;
     (void)chunk_index;
     // Strictly cyclic placement, blind to load — the simplest possible DFS.
-    std::vector<BrickId> serving = ServingBricks();
-    std::vector<BrickId> chosen;
+    const std::vector<BrickId>& serving = ServingBricks();
+    ReplicaSet chosen;
     for (size_t probe = 0; probe < serving.size() && chosen.size() < kReplication; ++probe) {
       BrickId candidate = serving[(cursor_ + probe) % serving.size()];
       if (FindBrick(candidate)->FreeBytes() >= bytes) {

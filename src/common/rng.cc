@@ -5,23 +5,6 @@
 
 namespace themis {
 
-uint64_t SplitMix64(uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-uint64_t Mix64(uint64_t value) {
-  uint64_t state = value;
-  return SplitMix64(state);
-}
-
-uint64_t HashCombine(uint64_t seed, uint64_t value) {
-  return seed ^ (Mix64(value) + 0x9e3779b97f4a7c15ULL + (seed << 12) + (seed >> 4));
-}
-
 namespace {
 
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

@@ -16,14 +16,29 @@
 
 namespace themis {
 
+// The hashes are inline: the placement hashes (Ceph and Leo object hashes,
+// Gluster's DHT name hash) and the coverage tuples call them per character
+// or per branch.
+
 // splitmix64 step; also useful as a cheap mixing/hash function.
-uint64_t SplitMix64(uint64_t& state);
+inline uint64_t SplitMix64(uint64_t& state) {
+  state += 0x9e3779b97f4a7c15ULL;
+  uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 // Mixes a single value through the splitmix64 finalizer (stateless hash).
-uint64_t Mix64(uint64_t value);
+inline uint64_t Mix64(uint64_t value) {
+  uint64_t state = value;
+  return SplitMix64(state);
+}
 
 // Combines a hash with a new value (boost::hash_combine style, 64-bit).
-uint64_t HashCombine(uint64_t seed, uint64_t value);
+inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
+  return seed ^ (Mix64(value) + 0x9e3779b97f4a7c15ULL + (seed << 12) + (seed >> 4));
+}
 
 class Rng {
  public:

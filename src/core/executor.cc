@@ -1,6 +1,7 @@
 #include "src/core/executor.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/log.h"
 
@@ -158,7 +159,7 @@ void TestCaseExecutor::RunProbeWorkload() {
     OpResult result = dfs_.Execute(op);
     ++total_ops_;
     if (result.status.ok()) {
-      probe_dirs_.push_back(op.path);
+      probe_dirs_.push_back(std::move(op));
     }
   }
 }
@@ -169,10 +170,8 @@ void TestCaseExecutor::CleanupProbeDirs() {
   // only directories and the generator never learns their names, so reverse
   // order always leaves each dir empty by the time its rmdir runs.
   for (auto it = probe_dirs_.rbegin(); it != probe_dirs_.rend(); ++it) {
-    Operation op;
-    op.kind = OpKind::kRmdir;
-    op.path = *it;
-    (void)dfs_.Execute(op);
+    it->kind = OpKind::kRmdir;
+    (void)dfs_.Execute(*it);
     ++total_ops_;
   }
   probe_dirs_.clear();

@@ -136,10 +136,11 @@ class TestCaseExecutor {
   EventLog* telemetry_;          // may be null (no event collection)
 
   double last_score_ = 0.0;
-  // Probe dirs successfully created since the last cleanup, in creation
-  // order (later entries may nest under earlier ones). Always drained before
-  // the next test case executes, so never serialized.
-  std::vector<std::string> probe_dirs_;
+  // The mkdirs that created probe dirs since the last cleanup, in creation
+  // order (later entries may nest under earlier ones). Cleanup re-executes
+  // them as rmdirs, reusing their path caches. Always drained before the
+  // next test case executes, so never serialized.
+  std::vector<Operation> probe_dirs_;
   uint64_t total_ops_ = 0;
   int confirmed_failures_ = 0;
   int candidates_raised_ = 0;

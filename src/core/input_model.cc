@@ -1,6 +1,7 @@
 #include "src/core/input_model.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 #include "src/common/bytes.h"
@@ -108,27 +109,29 @@ std::string InputModel::ExistingFile(Rng& rng) const {
   return files_[rng.PickIndex(files_.size())];
 }
 
-std::string InputModel::NewFileName(Rng& rng) {
+std::string InputModel::NewName(Rng& rng, char prefix) {
   const std::string& dir = dirs_[rng.PickIndex(dirs_.size())];
-  std::string name = Sprintf("f%llu", static_cast<unsigned long long>(name_counter_++));
-  if (dir == "/") {
-    return "/" + name;
+  char digits[20];  // 2^64 has 20 decimal digits
+  const size_t digit_count = static_cast<size_t>(
+      std::to_chars(digits, digits + sizeof(digits), name_counter_++).ptr - digits);
+  std::string path;
+  path.reserve(dir.size() + 2 + digit_count);
+  if (dir != "/") {
+    path = dir;
   }
-  return dir + "/" + name;
+  path.push_back('/');
+  path.push_back(prefix);
+  path.append(digits, digit_count);
+  return path;
 }
+
+std::string InputModel::NewFileName(Rng& rng) { return NewName(rng, 'f'); }
 
 std::string InputModel::ExistingDir(Rng& rng) const {
   return dirs_[rng.PickIndex(dirs_.size())];
 }
 
-std::string InputModel::NewDirName(Rng& rng) {
-  const std::string& dir = dirs_[rng.PickIndex(dirs_.size())];
-  std::string name = Sprintf("d%llu", static_cast<unsigned long long>(name_counter_++));
-  if (dir == "/") {
-    return "/" + name;
-  }
-  return dir + "/" + name;
-}
+std::string InputModel::NewDirName(Rng& rng) { return NewName(rng, 'd'); }
 
 NodeId InputModel::RandomMetaNode(Rng& rng) const {
   if (list_mn_.empty()) {

@@ -73,6 +73,9 @@ class InputModel {
   Status RestoreState(SnapshotReader& reader);
 
  private:
+  // "<dir>/<prefix><counter>" under a random known directory.
+  std::string NewName(Rng& rng, char prefix);
+
   std::vector<std::string> files_;
   std::unordered_set<std::string> file_set_;  // membership only; files_ keeps order
   std::vector<std::string> dirs_{"/"};

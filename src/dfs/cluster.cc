@@ -732,10 +732,11 @@ Result<FileLayout> DfsCluster::PlaceFile(const std::string& path, uint64_t size)
   uint32_t chunk_count =
       size == 0 ? 1 : static_cast<uint32_t>((size + kChunkSize - 1) / kChunkSize);
   uint64_t per_chunk = size / chunk_count;
+  layout.chunks.reserve(chunk_count);
   for (uint32_t i = 0; i < chunk_count; ++i) {
     uint64_t bytes = (i + 1 == chunk_count) ? remaining : per_chunk;
     remaining -= bytes;
-    std::vector<BrickId> replicas = PlaceChunk(path, i, bytes);
+    ReplicaSet replicas = PlaceChunk(path, i, bytes);
     if (replicas.empty()) {
       // Roll back bricks already charged.
       for (ChunkPlacement& chunk : layout.chunks) {
@@ -745,13 +746,10 @@ Result<FileLayout> DfsCluster::PlaceFile(const std::string& path, uint64_t size)
       }
       return Status::OutOfSpace(Sprintf("no placement for chunk %u of %s", i, path.c_str()));
     }
-    ChunkPlacement chunk;
-    chunk.bytes = bytes;
-    chunk.replicas = replicas;
     for (BrickId b : replicas) {
       AccreteBrickBytes(FindBrick(b), bytes);
     }
-    layout.chunks.push_back(std::move(chunk));
+    layout.chunks.push_back(ChunkPlacement{.bytes = bytes, .replicas = replicas});
   }
   return layout;
 }
@@ -935,20 +933,20 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
       return result;
     }
   }
-  // Append as a run of stripe-sized chunks.
+  // Append as a run of stripe-sized chunks. The reservation keeps the
+  // vector's geometric growth across appends.
   uint64_t remaining = bytes;
   uint64_t appended = 0;
+  layout.chunks.reserve(std::max(layout.chunks.size() + (bytes + kChunkSize - 1) / kChunkSize,
+                                 2 * layout.chunks.size()));
   while (remaining > 0) {
     uint64_t piece = std::min(remaining, kChunkSize);
-    std::vector<BrickId> replicas = PlaceChunk(
+    ReplicaSet replicas = PlaceChunk(
         NormalizedOpPath(op), static_cast<uint32_t>(layout.chunks.size()), piece);
     if (replicas.empty()) {
       COV_BRANCH(cov_, CovModule::kPlacement, 4);
       break;  // partial append: the write hit ENOSPC mid-stream
     }
-    ChunkPlacement chunk;
-    chunk.bytes = piece;
-    chunk.replicas = replicas;
     uint32_t index = static_cast<uint32_t>(layout.chunks.size());
     for (BrickId b : replicas) {
       Brick* brick = FindBrick(b);
@@ -958,7 +956,7 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
               {.write_ios = IoCount(piece),
                .cpu_seconds = kStorageCpuPerGiB * static_cast<double>(piece) / kGiB});
     }
-    layout.chunks.push_back(std::move(chunk));
+    layout.chunks.push_back(ChunkPlacement{.bytes = piece, .replicas = replicas});
     layout.size += piece;
     appended += piece;
     remaining -= piece;
@@ -2039,10 +2037,16 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
     layout.size = reader.U64();
     uint64_t chunk_count = reader.Count(8 + 8);
     layout.chunks.resize(static_cast<size_t>(chunk_count));
-    for (ChunkPlacement& chunk : layout.chunks) {
+    for (uint32_t c = 0; c < layout.chunks.size(); ++c) {
+      ChunkPlacement& chunk = layout.chunks[c];
       chunk.bytes = reader.U64();
       uint64_t replica_count = reader.Count(4);
-      chunk.replicas.reserve(static_cast<size_t>(replica_count));
+      if (replica_count > static_cast<uint64_t>(kReplication)) {
+        reader.Fail(Sprintf("file %llu chunk %u holds %llu replicas, more than %d",
+                            static_cast<unsigned long long>(file), c,
+                            static_cast<unsigned long long>(replica_count), kReplication));
+        break;
+      }
       for (uint64_t r = 0; r < replica_count && reader.ok(); ++r) {
         BrickId replica = reader.U32();
         if (reader.ok() && bricks_.count(replica) == 0) {

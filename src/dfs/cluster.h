@@ -234,8 +234,6 @@ class DfsInterface {
   virtual std::string DescribeState() const { return {}; }
 };
 
-// Replicas per chunk, in every flavor.
-inline constexpr int kReplication = 2;
 // Stripe unit: every chunk stays within it, so chunks stay migratable.
 inline constexpr uint64_t kChunkSize = 2 * kGiB;
 
@@ -455,8 +453,8 @@ class DfsCluster : public DfsInterface {
 
   // Chooses replica bricks for one chunk of `path`. Must return serving
   // bricks with space, or empty to signal out-of-space.
-  virtual std::vector<BrickId> PlaceChunk(const std::string& path, uint32_t chunk_index,
-                                          uint64_t bytes) = 0;
+  virtual ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
+                                uint64_t bytes) = 0;
 
   // Builds a migration plan that would bring the cluster back inside the
   // native threshold. Called by TriggerRebalance / the periodic balancer.

@@ -73,7 +73,7 @@ Status CheckReplicasAndBytes(const DfsCluster& dfs) {
   std::map<BrickId, ChunkKeys> index;
   for (const auto& [file, layout] : dfs.file_layouts()) {
     for (uint32_t c = 0; c < layout.chunks.size(); ++c) {
-      const std::vector<BrickId>& replicas = layout.chunks[c].replicas;
+      const ReplicaSet& replicas = layout.chunks[c].replicas;
       for (auto it = replicas.begin(); it != replicas.end(); ++it) {
         if (dfs.FindBrick(*it) == nullptr) {
           return Status::Internal(

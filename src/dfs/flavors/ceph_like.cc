@@ -1,6 +1,7 @@
 #include "src/dfs/flavors/ceph_like.h"
 
 #include <algorithm>
+#include <span>
 
 #include "src/common/rng.h"
 #include "src/common/strings.h"
@@ -50,12 +51,12 @@ uint32_t CephLikeCluster::PgForObject(const std::string& path,
   return crush_.PgOf(h);
 }
 
-std::vector<BrickId> CephLikeCluster::PlaceChunk(const std::string& path,
-                                                 uint32_t chunk_index, uint64_t bytes) {
-  uint32_t pg = PgForObject(path, chunk_index);
-  std::vector<BrickId> mapped = crush_.Map(pg, kReplication);
-  std::vector<BrickId> chosen;
-  for (BrickId id : mapped) {
+ReplicaSet CephLikeCluster::PlaceChunk(const std::string& path, uint32_t chunk_index,
+                                       uint64_t bytes) {
+  BrickId mapped[kReplication];
+  const size_t mapped_count = crush_.Map(PgForObject(path, chunk_index), mapped);
+  ReplicaSet chosen;
+  for (BrickId id : std::span<const BrickId>(mapped, mapped_count)) {
     const Brick* brick = FindBrick(id);
     if (brick != nullptr && brick->online && brick->FreeBytes() >= bytes) {
       chosen.push_back(id);
@@ -113,8 +114,8 @@ MigrationPlan CephLikeCluster::BuildRebalancePlan() {
     // Pin a handful of PGs whose CRUSH primary is the overfull device.
     int pinned = 0;
     for (uint32_t pg = 0; pg < crush_.pg_count() && pinned < 8; ++pg) {
-      std::vector<BrickId> mapped = crush_.Map(pg, 1);
-      if (!mapped.empty() && mapped.front() == most_loaded) {
+      BrickId primary = kInvalidBrick;
+      if (crush_.Map(pg, std::span<BrickId>(&primary, 1)) == 1 && primary == most_loaded) {
         crush_.Upmap(pg, least_loaded);
         ++pinned;
       }

@@ -22,8 +22,8 @@ class CephLikeCluster : public DfsCluster {
   const CrushMap& crush() const { return crush_; }
 
  protected:
-  std::vector<BrickId> PlaceChunk(const std::string& path, uint32_t chunk_index,
-                                  uint64_t bytes) override;
+  ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
+                        uint64_t bytes) override;
   MigrationPlan BuildRebalancePlan() override;
   void OnTopologyChangedInternal() override;
   // Env-fault crash model (DESIGN.md §14): upmap pins live in the OSDMap and

@@ -132,7 +132,7 @@ double GeoLikeCluster::GroupFillFraction(uint32_t group) {
 }
 
 void GeoLikeCluster::PickWithinGroup(uint32_t group, uint64_t hash, uint64_t bytes,
-                                     std::vector<BrickId>& chosen) {
+                                     ReplicaSet& chosen) {
   const std::vector<NodeId>& members = ServingMembers(group);
   if (members.empty()) {
     return;
@@ -171,9 +171,9 @@ void GeoLikeCluster::PickWithinGroup(uint32_t group, uint64_t hash, uint64_t byt
   }
 }
 
-std::vector<BrickId> GeoLikeCluster::PlaceChunk(const std::string& path,
-                                                uint32_t chunk_index, uint64_t bytes) {
-  std::vector<BrickId> chosen;
+ReplicaSet GeoLikeCluster::PlaceChunk(const std::string& path, uint32_t chunk_index,
+                                      uint64_t bytes) {
+  ReplicaSet chosen;
   uint32_t groups = engine_.group_count();
   if (groups == 0) {
     return chosen;

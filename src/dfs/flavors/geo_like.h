@@ -32,8 +32,8 @@ class GeoLikeCluster : public DfsCluster {
   std::vector<std::pair<uint64_t, uint64_t>> PerSiteUsedCap() const;
 
  protected:
-  std::vector<BrickId> PlaceChunk(const std::string& path, uint32_t chunk_index,
-                                  uint64_t bytes) override;
+  ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
+                        uint64_t bytes) override;
   MigrationPlan BuildRebalancePlan() override;
   // Admission places the node in the geotag tree and a scheduling group.
   void OnStorageNodeAdmitted(NodeId id) override;
@@ -70,8 +70,7 @@ class GeoLikeCluster : public DfsCluster {
   double GroupFillFraction(uint32_t group);
   // Replica pick within one scheduling group: distinct-site first pass from
   // a hash-derived start offset, then a fill pass without the constraint.
-  void PickWithinGroup(uint32_t group, uint64_t hash, uint64_t bytes,
-                       std::vector<BrickId>& chosen);
+  void PickWithinGroup(uint32_t group, uint64_t hash, uint64_t bytes, ReplicaSet& chosen);
 
   GeoTreeEngine engine_;
   std::vector<NodeId> serving_members_;  // ServingMembers scratch

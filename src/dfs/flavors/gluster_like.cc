@@ -39,8 +39,8 @@ BrickId GlusterLikeCluster::ReplicaPartner(BrickId primary) const {
   return kInvalidBrick;
 }
 
-std::vector<BrickId> GlusterLikeCluster::PlaceChunk(const std::string& path,
-                                                    uint32_t chunk_index, uint64_t bytes) {
+ReplicaSet GlusterLikeCluster::PlaceChunk(const std::string& path, uint32_t chunk_index,
+                                          uint64_t bytes) {
   if (layout_.empty()) {
     return {};
   }
@@ -48,7 +48,7 @@ std::vector<BrickId> GlusterLikeCluster::PlaceChunk(const std::string& path,
   // across consecutive ranges.
   uint32_t hash = DhtLayout::HashName(path) + chunk_index * 0x9e3779b9u;
   BrickId primary = layout_.Locate(hash);
-  std::vector<BrickId> chosen;
+  ReplicaSet chosen;
   const Brick* brick = FindBrick(primary);
   if (brick != nullptr && brick->online && brick->FreeBytes() >= bytes) {
     chosen.push_back(primary);

@@ -26,8 +26,8 @@ class GlusterLikeCluster : public DfsCluster {
   uint32_t live_linkfiles() const { return live_linkfiles_; }
 
  protected:
-  std::vector<BrickId> PlaceChunk(const std::string& path, uint32_t chunk_index,
-                                  uint64_t bytes) override;
+  ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
+                        uint64_t bytes) override;
   MigrationPlan BuildRebalancePlan() override;
   void OnTopologyChangedInternal() override;
   void OnFileRenamed(FileId file, const std::string& from, const std::string& to) override;

@@ -23,25 +23,25 @@ void HdfsLikeCluster::OnTopologyChangedInternal() {
   cluster_map_ = ServingBricks();
 }
 
-std::vector<BrickId> HdfsLikeCluster::PlaceChunk(const std::string& path,
-                                                 uint32_t chunk_index, uint64_t bytes) {
+ReplicaSet HdfsLikeCluster::PlaceChunk(const std::string& path, uint32_t chunk_index,
+                                       uint64_t bytes) {
   (void)path;
   (void)chunk_index;
   // Build the weight tree from the cluster map and walk light-to-heavy,
   // skipping targets without room and keeping replicas on distinct nodes.
-  WeightedTree tree;
+  tree_.Clear();
   for (BrickId id : cluster_map_) {
     const Brick* brick = FindBrick(id);
     if (brick == nullptr || !brick->online) {
       continue;
     }
-    tree.Insert(WeightedTarget{.brick = id, .used_fraction = brick->UsedFraction()});
+    tree_.Insert(WeightedTarget{.brick = id, .used_fraction = brick->UsedFraction()});
   }
-  std::vector<BrickId> sorted = tree.SortByLoad(rng());
-  std::vector<BrickId> chosen;
-  std::vector<NodeId> used_nodes;
+  tree_.SortByLoad(rng(), sorted_);
+  ReplicaSet chosen;
+  NodeId used_nodes[kReplication];  // used_nodes[i] holds chosen's i-th node
   for (int pass = 0; pass < 2 && static_cast<int>(chosen.size()) < kReplication; ++pass) {
-    for (BrickId id : sorted) {
+    for (BrickId id : sorted_) {
       if (static_cast<int>(chosen.size()) >= kReplication) {
         break;
       }
@@ -52,18 +52,15 @@ std::vector<BrickId> HdfsLikeCluster::PlaceChunk(const std::string& path,
       if (std::find(chosen.begin(), chosen.end(), id) != chosen.end()) {
         continue;
       }
-      bool node_taken = std::find(used_nodes.begin(), used_nodes.end(), brick->node) !=
-                        used_nodes.end();
+      NodeId* used_end = used_nodes + chosen.size();
+      bool node_taken = std::find(used_nodes, used_end, brick->node) != used_end;
       // First pass insists on distinct nodes; second pass relaxes.
       if (pass == 0 && node_taken) {
         continue;
       }
+      used_nodes[chosen.size()] = brick->node;
       chosen.push_back(id);
-      used_nodes.push_back(brick->node);
     }
-  }
-  if (chosen.empty()) {
-    return {};
   }
   return chosen;
 }

@@ -24,8 +24,8 @@ class HdfsLikeCluster : public DfsCluster {
   const std::vector<BrickId>& cluster_map() const { return cluster_map_; }
 
  protected:
-  std::vector<BrickId> PlaceChunk(const std::string& path, uint32_t chunk_index,
-                                  uint64_t bytes) override;
+  ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
+                        uint64_t bytes) override;
   MigrationPlan BuildRebalancePlan() override;
   void OnTopologyChangedInternal() override;
   // Env-fault crash model (DESIGN.md §14): the Balancer tool is stateless —
@@ -36,6 +36,10 @@ class HdfsLikeCluster : public DfsCluster {
 
  private:
   std::vector<BrickId> cluster_map_;
+  // PlaceChunk's weight tree and its sorted output, refilled per chunk and
+  // kept only to reuse their storage (derived state, never serialized).
+  WeightedTree tree_;
+  std::vector<BrickId> sorted_;
 };
 
 }  // namespace themis

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 
 #include "src/common/rng.h"
 #include "src/common/strings.h"
@@ -87,11 +88,12 @@ uint64_t LeoLikeCluster::ObjectHash(const std::string& path, uint32_t chunk_inde
   return h;
 }
 
-std::vector<BrickId> LeoLikeCluster::PlaceChunk(const std::string& path,
-                                                uint32_t chunk_index, uint64_t bytes) {
-  std::vector<BrickId> located = ring_.Locate(ObjectHash(path, chunk_index), kReplication);
-  std::vector<BrickId> chosen;
-  for (BrickId id : located) {
+ReplicaSet LeoLikeCluster::PlaceChunk(const std::string& path, uint32_t chunk_index,
+                                      uint64_t bytes) {
+  BrickId located[kReplication];
+  const size_t located_count = ring_.Locate(ObjectHash(path, chunk_index), located);
+  ReplicaSet chosen;
+  for (BrickId id : std::span<const BrickId>(located, located_count)) {
     const Brick* brick = FindBrick(id);
     if (brick != nullptr && brick->online && brick->FreeBytes() >= bytes) {
       chosen.push_back(id);

@@ -25,8 +25,8 @@ class LeoLikeCluster : public DfsCluster {
   const HashRing& ring() const { return ring_; }
 
  protected:
-  std::vector<BrickId> PlaceChunk(const std::string& path, uint32_t chunk_index,
-                                  uint64_t bytes) override;
+  ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
+                        uint64_t bytes) override;
   MigrationPlan BuildRebalancePlan() override;
   void OnTopologyChangedInternal() override;
   void OnNamespaceRenamed() override;

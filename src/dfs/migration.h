@@ -4,6 +4,9 @@
 #ifndef SRC_DFS_MIGRATION_H_
 #define SRC_DFS_MIGRATION_H_
 
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,11 +15,41 @@
 
 namespace themis {
 
-// One stored chunk: `bytes` of data replicated across `replicas` bricks
-// (front = primary).
+// Replicas per chunk, in every flavor.
+inline constexpr int kReplication = 2;
+
+// The replica bricks of one chunk (front = primary): at most kReplication
+// ids, stored inline, so a chunk owns no heap buffer. It offers the subset
+// of std::vector the simulator uses.
+class ReplicaSet {
+ public:
+  BrickId* begin() { return ids_; }
+  BrickId* end() { return ids_ + size_; }
+  const BrickId* begin() const { return ids_; }
+  const BrickId* end() const { return ids_ + size_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  BrickId front() const { return ids_[0]; }
+
+  // Requires size() < kReplication.
+  void push_back(BrickId id) {
+    assert(size_ < static_cast<uint32_t>(kReplication));
+    ids_[size_++] = id;
+  }
+  void erase(BrickId* it) {
+    std::copy(it + 1, end(), it);
+    --size_;
+  }
+
+ private:
+  BrickId ids_[kReplication] = {};
+  uint32_t size_ = 0;
+};
+
+// One stored chunk: `bytes` of data replicated across `replicas` bricks.
 struct ChunkPlacement {
   uint64_t bytes = 0;
-  std::vector<BrickId> replicas;
+  ReplicaSet replicas;
 
   bool HasReplicaOn(BrickId brick) const;
 };

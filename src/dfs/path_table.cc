@@ -2,6 +2,8 @@
 
 #include <atomic>
 
+#include "src/common/rng.h"
+
 namespace themis {
 
 namespace {
@@ -11,7 +13,7 @@ namespace {
 // new table constructed at a freed table's address.
 std::atomic<uint64_t> g_next_generation{1};
 
-constexpr size_t kInitialEdgeCapacity = 64;
+constexpr size_t kInitialSlotCapacity = 64;
 
 }  // namespace
 
@@ -20,70 +22,61 @@ PathTable::PathTable() { Reset(); }
 void PathTable::Reset() {
   nodes_.clear();
   component_names_.clear();
-  component_ids_.clear();
-  edges_.assign(kInitialEdgeCapacity, EdgeSlot{0, kInvalidPathId});
-  edge_count_ = 0;
+  names_.assign(kInitialSlotCapacity, Slot{0, kEmptySlot});
+  edges_.assign(kInitialSlotCapacity, Slot{0, kEmptySlot});
   nodes_.push_back(Node{kRootPathId, 0xffffffffu});  // the root "/"
   generation_ = g_next_generation.fetch_add(1, std::memory_order_relaxed);
 }
 
-uint64_t PathTable::Mix(uint64_t key) {
-  // splitmix64 finalizer: full avalanche over the packed (parent, component)
-  // pair so sequential ids spread across the table.
-  key += 0x9e3779b97f4a7c15ull;
-  key = (key ^ (key >> 30)) * 0xbf58476d1ce4e5b9ull;
-  key = (key ^ (key >> 27)) * 0x94d049bb133111ebull;
-  return key ^ (key >> 31);
+void PathTable::InsertSlot(std::vector<Slot>& table, size_t count, Slot slot) {
+  if ((count + 1) * 10 >= table.size() * 7) {  // load factor 0.7
+    std::vector<Slot> old = std::move(table);
+    table.assign(old.size() * 2, Slot{0, kEmptySlot});
+    for (const Slot& moved : old) {
+      if (moved.value != kEmptySlot) {
+        InsertSlot(table, 0, moved);  // the doubled table never grows here
+      }
+    }
+  }
+  size_t mask = table.size() - 1;
+  size_t i = Mix64(slot.key) & mask;
+  while (table[i].value != kEmptySlot) {
+    i = (i + 1) & mask;
+  }
+  table[i] = slot;
+}
+
+uint32_t PathTable::FindComponent(std::string_view name, uint64_t key) const {
+  size_t mask = names_.size() - 1;
+  for (size_t i = Mix64(key) & mask;; i = (i + 1) & mask) {
+    const Slot& slot = names_[i];
+    if (slot.value == kEmptySlot ||
+        (slot.key == key && component_names_[slot.value] == name)) {
+      return slot.value;
+    }
+  }
 }
 
 uint32_t PathTable::InternComponent(std::string_view name) {
-  auto it = component_ids_.find(name);
-  if (it != component_ids_.end()) {
-    return it->second;
+  const uint64_t key = NameKey(name);
+  uint32_t id = FindComponent(name, key);
+  if (id != kEmptySlot) {
+    return id;
   }
-  uint32_t id = static_cast<uint32_t>(component_names_.size());
+  id = static_cast<uint32_t>(component_names_.size());
+  InsertSlot(names_, component_names_.size(), Slot{key, id});
   component_names_.emplace_back(name);
-  component_ids_.emplace(component_names_.back(), id);
   return id;
 }
 
 PathId PathTable::FindChild(PathId parent, uint32_t component) const {
   uint64_t key = EdgeKey(parent, component);
   size_t mask = edges_.size() - 1;
-  for (size_t i = Mix(key) & mask;; i = (i + 1) & mask) {
-    const EdgeSlot& slot = edges_[i];
-    if (slot.child == kInvalidPathId) {
-      return kInvalidPathId;
+  for (size_t i = Mix64(key) & mask;; i = (i + 1) & mask) {
+    const Slot& slot = edges_[i];
+    if (slot.value == kEmptySlot || slot.key == key) {
+      return slot.value;
     }
-    if (slot.key == key) {
-      return slot.child;
-    }
-  }
-}
-
-void PathTable::InsertEdge(uint64_t key, PathId child) {
-  size_t mask = edges_.size() - 1;
-  size_t i = Mix(key) & mask;
-  while (edges_[i].child != kInvalidPathId) {
-    i = (i + 1) & mask;
-  }
-  edges_[i] = EdgeSlot{key, child};
-  ++edge_count_;
-}
-
-void PathTable::GrowEdges() {
-  std::vector<EdgeSlot> old = std::move(edges_);
-  edges_.assign(old.size() * 2, EdgeSlot{0, kInvalidPathId});
-  size_t mask = edges_.size() - 1;
-  for (const EdgeSlot& slot : old) {
-    if (slot.child == kInvalidPathId) {
-      continue;
-    }
-    size_t i = Mix(slot.key) & mask;
-    while (edges_[i].child != kInvalidPathId) {
-      i = (i + 1) & mask;
-    }
-    edges_[i] = slot;
   }
 }
 
@@ -92,12 +85,10 @@ PathId PathTable::InternChild(PathId parent, uint32_t component) {
   if (existing != kInvalidPathId) {
     return existing;
   }
-  if ((edge_count_ + 1) * 10 >= edges_.size() * 7) {  // load factor 0.7
-    GrowEdges();
-  }
+  // Every node but the root owns exactly one edge.
   PathId id = static_cast<PathId>(nodes_.size());
+  InsertSlot(edges_, nodes_.size() - 1, Slot{EdgeKey(parent, component), id});
   nodes_.push_back(Node{parent, component});
-  InsertEdge(EdgeKey(parent, component), id);
   return id;
 }
 
@@ -125,11 +116,12 @@ PathId PathTable::Lookup(std::string_view path) const {
     size_t start = i;
     while (i < n && path[i] != '/') ++i;
     if (i > start) {
-      auto it = component_ids_.find(path.substr(start, i - start));
-      if (it == component_ids_.end()) {
+      std::string_view name = path.substr(start, i - start);
+      uint32_t component = FindComponent(name, NameKey(name));
+      if (component == kEmptySlot) {
         return kInvalidPathId;
       }
-      cur = FindChild(cur, it->second);
+      cur = FindChild(cur, component);
       if (cur == kInvalidPathId) {
         return kInvalidPathId;
       }

@@ -1,10 +1,12 @@
 // Interned-path table: the namespace core's name store (DESIGN.md §12).
 //
 // Every normalized path the system ever touches is interned once into a
-// trie of (parent PathId, component id) edges held in an open-addressing
-// flat hash. Resolving "/d3/f17" costs two component-map probes and two
-// edge probes — no allocation, no O(log n) string compares — and yields a
-// small dense integer that all hot-path namespace bookkeeping keys on.
+// trie of (parent PathId, component id) edges. Component names and edges
+// live in two open-addressing flat hashes of the same slot layout.
+// Resolving "/d3/f17" costs two name probes and two edge probes — no
+// allocation, no O(log n) string compares — and yields a small dense
+// integer that all hot-path namespace bookkeeping keys on. Interning a
+// fresh name allocates only when a table or the name list grows.
 // Ids are append-only within a generation: a path maps to the same PathId
 // for the lifetime of the table, so callers may cache resolutions (see
 // Operation::PathCache) and validate them with generation() alone. Reset()
@@ -16,7 +18,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/dfs/types.h"
@@ -66,36 +67,36 @@ class PathTable {
     PathId parent;
     uint32_t component;
   };
-  struct EdgeSlot {
-    uint64_t key;   // (parent << 32) | component
-    PathId child;   // kInvalidPathId marks an empty slot
+  // One slot of either open-addressing table (power-of-two capacity, linear
+  // probing from Mix64(key)).
+  struct Slot {
+    uint64_t key;    // edges: (parent << 32) | component; names: name hash
+    uint32_t value;  // edges: child PathId; names: component id
   };
+  // Marks an empty slot; equal to kInvalidPathId, so a probe that ends on
+  // an empty slot returns "not found" in either table.
+  static constexpr uint32_t kEmptySlot = kInvalidPathId;
 
   static uint64_t EdgeKey(PathId parent, uint32_t component) {
     return (static_cast<uint64_t>(parent) << 32) | component;
   }
-  static uint64_t Mix(uint64_t key);
+  static uint64_t NameKey(std::string_view name) {
+    return std::hash<std::string_view>{}(name);
+  }
 
   uint32_t InternComponent(std::string_view name);
+  // Component id of `name`, or kEmptySlot if it was never interned.
+  uint32_t FindComponent(std::string_view name, uint64_t key) const;
   PathId FindChild(PathId parent, uint32_t component) const;
-  void InsertEdge(uint64_t key, PathId child);
-  void GrowEdges();
-
-  // Heterogeneous-lookup hash so component probes take string_view without
-  // materializing a std::string.
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
+  // Inserts a key known to be absent into `table`, which holds `count`
+  // keys, doubling the table first if the insertion would reach load
+  // factor 0.7.
+  static void InsertSlot(std::vector<Slot>& table, size_t count, Slot slot);
 
   std::vector<Node> nodes_;                    // index == PathId
   std::vector<std::string> component_names_;   // index == component id
-  std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>>
-      component_ids_;
-  std::vector<EdgeSlot> edges_;  // open addressing, power-of-two capacity
-  size_t edge_count_ = 0;
+  std::vector<Slot> names_;  // name hash -> component id
+  std::vector<Slot> edges_;  // (parent, component) -> child PathId
   uint64_t generation_ = 0;
 };
 

@@ -51,29 +51,25 @@ void CrushMap::InvalidateRawMaps() {
   }
 }
 
-std::vector<BrickId> CrushMap::RawMap(uint32_t pg, int replicas) const {
+std::span<const BrickId> CrushMap::RawMap(uint32_t pg, int replicas) const {
   if (weights_.empty() || replicas <= 0) {
     return {};
   }
+  pg %= pg_count_;
   size_t want = std::min(static_cast<size_t>(replicas), weights_.size());
-  if (pg >= raw_maps_.size()) {
-    return ComputeRawMap(pg, want);
-  }
   // Each round either adds one target or ends the mapping, and its pick
   // depends only on the picks before it. So the mapping onto fewer targets
   // is a prefix of the mapping onto more, and one entry serves them all.
   CachedMapping& cached = raw_maps_[pg];
   if (cached.want < want) {
-    cached.targets = ComputeRawMap(pg, want);
+    ComputeRawMap(pg, want, cached.targets);
     cached.want = want;
   }
-  return std::vector<BrickId>(
-      cached.targets.begin(),
-      cached.targets.begin() + std::min(want, cached.targets.size()));
+  return std::span<const BrickId>(cached.targets).first(std::min(want, cached.targets.size()));
 }
 
-std::vector<BrickId> CrushMap::ComputeRawMap(uint32_t pg, size_t want) const {
-  std::vector<BrickId> out;
+void CrushMap::ComputeRawMap(uint32_t pg, size_t want, std::vector<BrickId>& out) const {
+  out.clear();
   for (uint32_t round = 0; out.size() < want && round < 8 * want; ++round) {
     // straw2: draw = ln(u) / weight, u in (0,1]; argmax wins.
     BrickId best = kInvalidBrick;
@@ -106,29 +102,37 @@ std::vector<BrickId> CrushMap::ComputeRawMap(uint32_t pg, size_t want) const {
     }
     out.push_back(best);
   }
-  return out;
 }
 
-std::vector<BrickId> CrushMap::Map(uint32_t pg, int replicas) const {
-  std::vector<BrickId> mapped = RawMap(pg, replicas);
+size_t CrushMap::Map(uint32_t pg, std::span<BrickId> out) const {
+  pg %= pg_count_;
+  std::span<const BrickId> raw = RawMap(pg, static_cast<int>(out.size()));
+  std::ranges::copy(raw, out.begin());
+  std::span<BrickId> mapped = out.first(raw.size());
   auto it = upmaps_.find(pg);
   if (it == upmaps_.end() || mapped.empty()) {
-    return mapped;
+    return mapped.size();
   }
   BrickId pinned = it->second;
   if (weights_.count(pinned) == 0) {
-    return mapped;  // stale pin
+    return mapped.size();  // stale pin
   }
   // Move `pinned` to the primary slot; if it was not in the set, replace the
   // primary with it.
   for (size_t i = 0; i < mapped.size(); ++i) {
     if (mapped[i] == pinned) {
       std::swap(mapped[0], mapped[i]);
-      return mapped;
+      return mapped.size();
     }
   }
   mapped[0] = pinned;
-  return mapped;
+  return mapped.size();
+}
+
+std::vector<BrickId> CrushMap::Map(uint32_t pg, int replicas) const {
+  std::vector<BrickId> out(static_cast<size_t>(std::max(replicas, 0)));
+  out.resize(Map(pg, std::span<BrickId>(out)));
+  return out;
 }
 
 void CrushMap::Upmap(uint32_t pg, BrickId target) { upmaps_[pg % pg_count_] = target; }

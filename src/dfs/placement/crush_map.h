@@ -9,14 +9,17 @@
 // balancer.
 //
 // Raw mappings depend only on the weights, so each PG's is computed once and
-// kept until a weight really changes; upmaps stay an overlay applied in Map.
+// kept until a weight really changes; upmaps stay an overlay applied in Map,
+// which reads the cached mapping in place and writes into the caller's set.
 // Real Ceph likewise recomputes its PG mappings once per OSDMap epoch.
 
 #ifndef SRC_DFS_PLACEMENT_CRUSH_MAP_H_
 #define SRC_DFS_PLACEMENT_CRUSH_MAP_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "src/dfs/types.h"
@@ -36,10 +39,17 @@ class CrushMap {
 
   uint32_t PgOf(uint64_t object_hash) const { return object_hash % pg_count_; }
 
-  // CRUSH mapping of `pg` onto `replicas` distinct targets (before upmap).
-  std::vector<BrickId> RawMap(uint32_t pg, int replicas) const;
+  // PG ids are taken modulo pg_count() everywhere below.
 
-  // Mapping after applying upmap overrides.
+  // CRUSH mapping of `pg` onto up to `replicas` distinct targets (before
+  // upmap): a view of the PG's cached mapping, valid until the next weight
+  // change or lookup.
+  std::span<const BrickId> RawMap(uint32_t pg, int replicas) const;
+
+  // Mapping after applying upmap overrides: writes up to `out.size()`
+  // targets into `out` and returns how many.
+  size_t Map(uint32_t pg, std::span<BrickId> out) const;
+  // The same mapping as a vector of up to `replicas` targets.
   std::vector<BrickId> Map(uint32_t pg, int replicas) const;
 
   // Balancer interface: pin a PG's primary to `target` / clear a pin.
@@ -52,7 +62,7 @@ class CrushMap {
   std::vector<BrickId> Targets() const;
 
  private:
-  std::vector<BrickId> ComputeRawMap(uint32_t pg, size_t want) const;
+  void ComputeRawMap(uint32_t pg, size_t want, std::vector<BrickId>& out) const;
   void InvalidateRawMaps();
 
   uint32_t pg_count_;

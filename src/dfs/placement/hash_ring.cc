@@ -46,46 +46,39 @@ int HashRing::VnodeCount(BrickId target) const {
   return it == positions_.end() ? 0 : static_cast<int>(it->second.size());
 }
 
-std::vector<BrickId> HashRing::Locate(uint64_t key_hash, int replicas) const {
-  std::vector<BrickId> out;
-  if (ring_.empty() || replicas <= 0) {
-    return out;
+size_t HashRing::Locate(uint64_t key_hash, std::span<BrickId> out) const {
+  if (ring_.empty()) {
+    return 0;
   }
-  size_t want = std::min(static_cast<size_t>(replicas), positions_.size());
+  size_t want = std::min(out.size(), positions_.size());
+  size_t found = 0;
   auto it = ring_.lower_bound(key_hash);
   size_t steps = 0;
-  while (out.size() < want && steps < 2 * ring_.size()) {
+  while (found < want && steps < 2 * ring_.size()) {
     if (it == ring_.end()) {
       it = ring_.begin();
     }
     BrickId candidate = it->second;
-    bool seen = false;
-    for (BrickId b : out) {
-      if (b == candidate) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
-      out.push_back(candidate);
+    std::span<const BrickId> taken = out.first(found);
+    if (std::ranges::find(taken, candidate) == taken.end()) {
+      out[found++] = candidate;
     }
     ++it;
     ++steps;
   }
+  return found;
+}
+
+std::vector<BrickId> HashRing::Locate(uint64_t key_hash, int replicas) const {
+  std::vector<BrickId> out(static_cast<size_t>(std::max(replicas, 0)));
+  out.resize(Locate(key_hash, std::span<BrickId>(out)));
   return out;
 }
 
 BrickId HashRing::Primary(uint64_t key_hash) const {
-  // Non-allocating fast path for the placement hot loop: the first clockwise
-  // entry is Locate(key, 1) without materializing a vector.
-  if (ring_.empty()) {
-    return kInvalidBrick;
-  }
-  auto it = ring_.lower_bound(key_hash);
-  if (it == ring_.end()) {
-    it = ring_.begin();
-  }
-  return it->second;
+  BrickId primary = kInvalidBrick;
+  Locate(key_hash, std::span<BrickId>(&primary, 1));
+  return primary;
 }
 
 std::vector<BrickId> HashRing::Targets() const {

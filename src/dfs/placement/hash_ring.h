@@ -9,8 +9,10 @@
 #ifndef SRC_DFS_PLACEMENT_HASH_RING_H_
 #define SRC_DFS_PLACEMENT_HASH_RING_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "src/dfs/types.h"
@@ -30,8 +32,11 @@ class HashRing {
   bool HasTarget(BrickId target) const;
   size_t target_count() const { return positions_.size(); }
 
-  // First `replicas` distinct targets clockwise from hash(key). Returns fewer
-  // if the ring has fewer targets. Empty if the ring is empty.
+  // Writes the first `out.size()` distinct targets clockwise from hash(key)
+  // into `out` and returns how many: fewer if the ring has fewer targets,
+  // none if the ring is empty.
+  size_t Locate(uint64_t key_hash, std::span<BrickId> out) const;
+  // The same walk as a vector of up to `replicas` targets.
   std::vector<BrickId> Locate(uint64_t key_hash, int replicas) const;
 
   // The primary target for a key (first element of Locate), or kInvalidBrick.

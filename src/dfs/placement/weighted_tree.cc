@@ -5,28 +5,29 @@
 
 namespace themis {
 
-WeightedTree::WeightedTree(int buckets) : buckets_(buckets > 0 ? buckets : 1) {}
+WeightedTree::WeightedTree(int buckets) : buckets_(static_cast<size_t>(std::max(buckets, 1))) {}
 
 void WeightedTree::Clear() {
-  tree_.clear();
+  for (std::vector<BrickId>& members : buckets_) {
+    members.clear();
+  }
   count_ = 0;
 }
 
 void WeightedTree::Insert(const WeightedTarget& target) {
+  const int levels = static_cast<int>(buckets_.size());
   double f = std::clamp(target.used_fraction, 0.0, 1.0);
-  int bucket = static_cast<int>(f * buckets_);
-  if (bucket >= buckets_) {
-    bucket = buckets_ - 1;
+  int bucket = static_cast<int>(f * levels);
+  if (bucket >= levels) {
+    bucket = levels - 1;
   }
-  tree_[bucket].push_back(target.brick);
+  buckets_[static_cast<size_t>(bucket)].push_back(target.brick);
   ++count_;
 }
 
-std::vector<BrickId> WeightedTree::SortByLoad(Rng& rng) const {
-  std::vector<BrickId> out;
-  out.reserve(count_);
-  for (const auto& [bucket, members] : tree_) {
-    (void)bucket;
+void WeightedTree::SortByLoad(Rng& rng, std::vector<BrickId>& out) const {
+  out.clear();
+  for (const std::vector<BrickId>& members : buckets_) {
     size_t start = out.size();
     out.insert(out.end(), members.begin(), members.end());
     // Collections.shuffle(l) over nodes with the same weight.
@@ -35,11 +36,11 @@ std::vector<BrickId> WeightedTree::SortByLoad(Rng& rng) const {
       std::swap(out[i - 1], out[j]);
     }
   }
-  return out;
 }
 
 std::vector<BrickId> WeightedTree::ChooseLeastLoaded(int n, Rng& rng) const {
-  std::vector<BrickId> sorted = SortByLoad(rng);
+  std::vector<BrickId> sorted;
+  SortByLoad(rng, sorted);
   if (n >= 0 && static_cast<size_t>(n) < sorted.size()) {
     sorted.resize(static_cast<size_t>(n));
   }

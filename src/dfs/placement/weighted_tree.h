@@ -12,7 +12,6 @@
 #define SRC_DFS_PLACEMENT_WEIGHTED_TREE_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -25,6 +24,8 @@ struct WeightedTarget {
   double used_fraction = 0.0;  // load signal
 };
 
+// A tree is refilled for every placement, so Clear() keeps each bucket's
+// storage: steady-state refills allocate nothing.
 class WeightedTree {
  public:
   // `buckets` controls how coarse the weight quantization is (HDFS uses
@@ -34,8 +35,9 @@ class WeightedTree {
   void Clear();
   void Insert(const WeightedTarget& target);
 
-  // Sorted light-to-heavy target list with in-bucket shuffling.
-  std::vector<BrickId> SortByLoad(Rng& rng) const;
+  // Writes the light-to-heavy target list into `out` (replacing its
+  // contents), insertion order shuffled within each bucket.
+  void SortByLoad(Rng& rng, std::vector<BrickId>& out) const;
 
   // First `n` distinct targets of SortByLoad.
   std::vector<BrickId> ChooseLeastLoaded(int n, Rng& rng) const;
@@ -43,8 +45,7 @@ class WeightedTree {
   size_t size() const { return count_; }
 
  private:
-  int buckets_;
-  std::map<int, std::vector<BrickId>> tree_;  // weight bucket -> targets
+  std::vector<std::vector<BrickId>> buckets_;  // weight bucket -> targets
   size_t count_ = 0;
 };
 

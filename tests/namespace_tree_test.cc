@@ -1,8 +1,15 @@
-// Unit tests for the cluster-side namespace tree.
+// Unit tests for the cluster-side namespace tree and its path table.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/dfs/namespace_tree.h"
+#include "src/dfs/path_table.h"
 
 namespace themis {
 namespace {
@@ -164,6 +171,62 @@ TEST(NamespaceTree, SimilarPrefixIsNotAChild) {
   ASSERT_TRUE(tree.MakeDir("/dir2").ok());
   EXPECT_TRUE(tree.RemoveDir("/dir").ok());
   EXPECT_TRUE(tree.IsDir("/dir2"));
+}
+
+// The open-addressing name and edge tables against std::unordered_map
+// references: a few thousand random paths, repeated and fresh names mixed,
+// grow both tables through several doublings, then a Reset() starts over.
+// Component ids and PathIds must come out in first-intern order, and Lookup
+// must find exactly the interned paths.
+TEST(PathTable, IdsMatchAnUnorderedMapReferenceAcrossGrowthAndReset) {
+  PathTable table;
+  Rng rng(2024);
+  std::vector<std::string> previous;
+  for (int generation = 0; generation < 2; ++generation) {
+    for (const std::string& path : previous) {
+      ASSERT_EQ(table.Lookup(path), kInvalidPathId) << path << " survived Reset()";
+    }
+    std::unordered_map<std::string, uint32_t> components;
+    std::unordered_map<std::string, PathId> paths = {{"/", kRootPathId}};
+    for (int i = 0; i < 3000; ++i) {
+      std::string path;
+      const int depth = 1 + static_cast<int>(rng.NextBelow(3));
+      for (int d = 0; d < depth; ++d) {
+        // Half the names repeat from a small pool, half are fresh.
+        const std::string name =
+            rng.Chance(0.5) ? Sprintf("n%llu", static_cast<unsigned long long>(rng.NextBelow(50)))
+                            : Sprintf("g%d_%d_%d", generation, i, d);
+        path += '/';
+        path += name;
+        components.try_emplace(name, static_cast<uint32_t>(components.size()));
+        paths.try_emplace(path, static_cast<PathId>(paths.size()));
+        const PathId id = table.Intern(path);
+        ASSERT_EQ(id, paths.at(path)) << path;
+        ASSERT_EQ(table.Component(id), components.at(name)) << path;
+        ASSERT_EQ(table.ComponentName(table.Component(id)), name);
+      }
+    }
+    ASSERT_EQ(table.size(), paths.size());
+    for (const auto& [path, id] : paths) {
+      ASSERT_EQ(table.Lookup(path), id) << path;
+      ASSERT_EQ(table.PathString(id), path);
+    }
+    // Known names in combinations never interned, and names never seen.
+    for (int i = 0; i < 3000; ++i) {
+      const unsigned long long parent = rng.NextBelow(50);
+      const unsigned long long child = rng.NextBelow(50);
+      const std::string path = Sprintf("/n%llu/n%llu", parent, child);
+      ASSERT_EQ(table.Lookup(path), paths.count(path) != 0 ? paths.at(path) : kInvalidPathId)
+          << path;
+    }
+    EXPECT_EQ(table.Lookup("/never-interned"), kInvalidPathId);
+    previous.clear();
+    for (const auto& [path, id] : paths) {
+      if (id != kRootPathId) previous.push_back(path);
+    }
+    table.Reset();
+    ASSERT_EQ(table.size(), 1u);
+  }
 }
 
 }  // namespace

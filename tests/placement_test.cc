@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -115,13 +116,19 @@ TEST(HashRing, BalancedDistribution) {
 
 // ---- CrushMap ----
 
+// RawMap's view of the cached mapping, copied so it can be compared.
+std::vector<BrickId> RawTargets(const CrushMap& crush, uint32_t pg, int replicas) {
+  std::span<const BrickId> raw = crush.RawMap(pg, replicas);
+  return {raw.begin(), raw.end()};
+}
+
 TEST(CrushMap, DeterministicMapping) {
   CrushMap crush(128);
   crush.SetTargetWeight(1, 1.0);
   crush.SetTargetWeight(2, 1.0);
   crush.SetTargetWeight(3, 1.0);
   for (uint32_t pg = 0; pg < 128; ++pg) {
-    EXPECT_EQ(crush.RawMap(pg, 2), crush.RawMap(pg, 2));
+    EXPECT_EQ(RawTargets(crush, pg, 2), RawTargets(crush, pg, 2));
   }
 }
 
@@ -131,7 +138,7 @@ TEST(CrushMap, MapsDistinctReplicas) {
     crush.SetTargetWeight(b, 1.0);
   }
   for (uint32_t pg = 0; pg < 64; ++pg) {
-    std::vector<BrickId> mapped = crush.RawMap(pg, 3);
+    std::vector<BrickId> mapped = RawTargets(crush, pg, 3);
     ASSERT_EQ(mapped.size(), 3u);
     std::set<BrickId> unique(mapped.begin(), mapped.end());
     EXPECT_EQ(unique.size(), 3u);
@@ -181,7 +188,7 @@ TEST(CrushMap, UpmapOverridesPrimary) {
   crush.Upmap(10, 3);
   EXPECT_EQ(crush.Map(10, 2).front(), 3u);
   crush.ClearUpmap(10);
-  EXPECT_EQ(crush.Map(10, 2), crush.RawMap(10, 2));
+  EXPECT_EQ(crush.Map(10, 2), RawTargets(crush, 10, 2));
 }
 
 TEST(CrushMap, StaleUpmapIgnoredAfterTargetRemoval) {
@@ -244,7 +251,7 @@ TEST(CrushMap, CachedMappingsMatchAFreshMap) {
         // Alternate the query order, so a mapping cached for fewer replicas
         // is later asked for more, and the other way round.
         int replicas = step % 2 == 0 ? 1 + i : 3 - i;
-        ASSERT_EQ(crush.RawMap(p, replicas), fresh.RawMap(p, replicas))
+        ASSERT_EQ(RawTargets(crush, p, replicas), RawTargets(fresh, p, replicas))
             << "step " << step << " pg " << p << " replicas " << replicas;
         ASSERT_EQ(crush.Map(p, replicas), fresh.Map(p, replicas))
             << "step " << step << " pg " << p << " replicas " << replicas;
@@ -322,7 +329,8 @@ TEST(WeightedTree, SortsLightToHeavy) {
   tree.Insert({2, 0.05});
   tree.Insert({3, 0.55});
   Rng rng(1);
-  std::vector<BrickId> sorted = tree.SortByLoad(rng);
+  std::vector<BrickId> sorted;
+  tree.SortByLoad(rng, sorted);
   ASSERT_EQ(sorted.size(), 3u);
   EXPECT_EQ(sorted[0], 2u);
   EXPECT_EQ(sorted[1], 3u);
@@ -360,7 +368,9 @@ TEST(WeightedTree, ClearEmptiesTree) {
   tree.Clear();
   EXPECT_EQ(tree.size(), 0u);
   Rng rng(4);
-  EXPECT_TRUE(tree.SortByLoad(rng).empty());
+  std::vector<BrickId> sorted = {7};
+  tree.SortByLoad(rng, sorted);
+  EXPECT_TRUE(sorted.empty());
 }
 
 TEST(WeightedTree, ClampsOutOfRangeFractions) {
@@ -368,10 +378,42 @@ TEST(WeightedTree, ClampsOutOfRangeFractions) {
   tree.Insert({1, -0.5});
   tree.Insert({2, 1.5});
   Rng rng(5);
-  std::vector<BrickId> sorted = tree.SortByLoad(rng);
+  std::vector<BrickId> sorted;
+  tree.SortByLoad(rng, sorted);
   ASSERT_EQ(sorted.size(), 2u);
   EXPECT_EQ(sorted[0], 1u);  // clamped to lightest bucket
   EXPECT_EQ(sorted[1], 2u);  // clamped to heaviest bucket
+}
+
+// PlaceChunk refills one tree for every chunk. A cleared and refilled tree
+// must sort exactly like a fresh tree fed the same targets and leave the Rng
+// in the same state, over random fills with empty buckets, ties (few
+// distinct fractions) and fractions outside [0, 1].
+TEST(WeightedTree, RefilledTreeSortsLikeAFreshOne) {
+  Rng fill(11);
+  WeightedTree refilled;
+  std::vector<BrickId> refilled_sorted;
+  for (int round = 0; round < 300; ++round) {
+    std::vector<WeightedTarget> targets(fill.NextBelow(40));
+    for (WeightedTarget& target : targets) {
+      target.brick = static_cast<BrickId>(fill.NextBelow(64));
+      target.used_fraction = static_cast<double>(fill.NextRange(-4, 24)) / 20.0;
+    }
+    WeightedTree fresh;
+    refilled.Clear();
+    for (const WeightedTarget& target : targets) {
+      fresh.Insert(target);
+      refilled.Insert(target);
+    }
+    ASSERT_EQ(refilled.size(), fresh.size());
+    Rng fresh_rng(static_cast<uint64_t>(round));
+    Rng refilled_rng(static_cast<uint64_t>(round));
+    std::vector<BrickId> fresh_sorted;
+    fresh.SortByLoad(fresh_rng, fresh_sorted);
+    refilled.SortByLoad(refilled_rng, refilled_sorted);
+    ASSERT_EQ(refilled_sorted, fresh_sorted) << "round " << round;
+    ASSERT_EQ(refilled_rng.NextU64(), fresh_rng.NextU64()) << "round " << round;
+  }
 }
 
 // ---- GeoTreeEngine ----

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/snapshot_io.h"
 #include "src/common/strings.h"
 #include "src/coverage/model_coverage.h"
@@ -634,6 +635,53 @@ TEST(SnapshotCorruptionTest, ClusterRecordCorruptionIsRejected) {
   std::unique_ptr<DfsCluster> fresh = MakeCluster(Flavor::kHdfs, 1);
   SnapshotReader reader(bytes);
   EXPECT_TRUE(fresh->RestoreState(reader).ok());
+}
+
+// A chunk's replica set holds at most kReplication ids inline, so restore
+// must refuse a record that lists more before it reads them, naming the
+// file and the chunk.
+TEST(SnapshotCorruptionTest, ChunkWithTooManyReplicasIsRejected) {
+  std::unique_ptr<DfsCluster> dfs = MakeCluster(Flavor::kHdfs, 1);
+  Operation create;
+  create.kind = OpKind::kCreate;
+  create.path = "/f";
+  create.size = 3 * kGiB;  // two chunks
+  ASSERT_TRUE(dfs->Execute(create).status.ok());
+  ASSERT_EQ(dfs->file_layouts().size(), 1u);
+  const auto& [file, layout] = *dfs->file_layouts().begin();
+  ASSERT_EQ(layout.chunks.size(), 2u);
+  SnapshotWriter writer;
+  dfs->SaveState(writer);
+  const std::string& bytes = writer.buffer();
+
+  // The file's layout record, up to the second chunk's replica count.
+  SnapshotWriter record;
+  record.U64(file);
+  record.U64(layout.size);
+  record.U64(layout.chunks.size());
+  record.U64(layout.chunks[0].bytes);
+  record.U64(layout.chunks[0].replicas.size());
+  for (BrickId replica : layout.chunks[0].replicas) record.U32(replica);
+  record.U64(layout.chunks[1].bytes);
+  record.U64(layout.chunks[1].replicas.size());
+  const size_t record_at = bytes.find(record.buffer());
+  ASSERT_NE(record_at, std::string::npos);
+  ASSERT_EQ(bytes.rfind(record.buffer()), record_at);
+  std::string payload = bytes;
+  payload[record_at + record.buffer().size() - 8] = static_cast<char>(kReplication + 1);
+
+  std::unique_ptr<DfsCluster> fresh = MakeCluster(Flavor::kHdfs, 1);
+  SnapshotReader reader(payload);
+  Status status = fresh->RestoreState(reader);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(Sprintf("file %llu chunk 1 holds 3 replicas, more than 2",
+                                          static_cast<unsigned long long>(file))),
+            std::string::npos)
+      << status.ToString();
+
+  std::unique_ptr<DfsCluster> intact = MakeCluster(Flavor::kHdfs, 1);
+  SnapshotReader intact_reader(bytes);
+  EXPECT_TRUE(intact->RestoreState(intact_reader).ok());
 }
 
 }  // namespace
