@@ -82,8 +82,8 @@ bool ParseFlavor(const char* text, Flavor* out) {
   return true;
 }
 
-// Maps the CLI spellings to registry names; any name already known to the
-// StrategyRegistry (e.g. one added by a plugin) passes through unchanged.
+// Maps the CLI spellings to registry names; a registry name itself (e.g.
+// "Fix_req") passes through unchanged.
 bool ParseStrategy(const char* text, std::string* out) {
   if (std::strcmp(text, "themis") == 0) {
     *out = "Themis";
@@ -119,9 +119,6 @@ int RunFuzz(int argc, char** argv) {
   int jobs = 1;
   bool print_logs = false;
   std::string telemetry_out;
-  std::string checkpoint_dir;
-  uint64_t checkpoint_every_ops = 0;
-  bool resume = false;
   std::string summary_json;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--hours") == 0 && i + 1 < argc) {
@@ -153,15 +150,15 @@ int RunFuzz(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--telemetry-out") == 0 && i + 1 < argc) {
       telemetry_out = argv[++i];
     } else if (std::strncmp(argv[i], "--checkpoint-dir=", 17) == 0) {
-      checkpoint_dir = argv[i] + 17;
+      matrix.base.checkpoint_dir = argv[i] + 17;
     } else if (std::strcmp(argv[i], "--checkpoint-dir") == 0 && i + 1 < argc) {
-      checkpoint_dir = argv[++i];
+      matrix.base.checkpoint_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--checkpoint-every-ops") == 0 && i + 1 < argc) {
-      checkpoint_every_ops = std::strtoull(argv[++i], nullptr, 10);
+      matrix.base.checkpoint_every_ops = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strncmp(argv[i], "--checkpoint-every-ops=", 23) == 0) {
-      checkpoint_every_ops = std::strtoull(argv[i] + 23, nullptr, 10);
+      matrix.base.checkpoint_every_ops = std::strtoull(argv[i] + 23, nullptr, 10);
     } else if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
+      matrix.base.resume = true;
     } else if (std::strncmp(argv[i], "--summary-json=", 15) == 0) {
       summary_json = argv[i] + 15;
     } else if (std::strcmp(argv[i], "--summary-json") == 0 && i + 1 < argc) {
@@ -170,7 +167,8 @@ int RunFuzz(int argc, char** argv) {
       return Usage();
     }
   }
-  if (checkpoint_dir.empty() && (checkpoint_every_ops > 0 || resume)) {
+  if (matrix.base.checkpoint_dir.empty() &&
+      (matrix.base.checkpoint_every_ops > 0 || matrix.base.resume)) {
     std::fprintf(stderr, "--checkpoint-every-ops/--resume require --checkpoint-dir\n");
     return 2;
   }
@@ -184,9 +182,6 @@ int RunFuzz(int argc, char** argv) {
   RunnerOptions options;
   options.jobs = jobs;
   options.telemetry_out = telemetry_out;
-  options.checkpoint_dir = checkpoint_dir;
-  options.checkpoint_every_ops = checkpoint_every_ops;
-  options.resume = resume;
   options.summary_json = summary_json;
   MatrixResult result = CampaignRunner(options).Run(matrix);
 

@@ -1,7 +1,5 @@
 #include "src/baselines/alternate.h"
 
-#include "src/core/strategy_registry.h"
-
 namespace themis {
 
 AlternateStrategy::AlternateStrategy(InputModel& model, Rng& rng, int convergence_patience)
@@ -64,7 +62,6 @@ void AlternateStrategy::OnOutcome(const OpSeq& seq, const ExecOutcome& outcome) 
   }
 }
 
-
 void AlternateStrategy::SaveState(SnapshotWriter& writer) const {
   request_pool_.SaveState(writer);
   writer.I64(stale_iterations_);
@@ -80,11 +77,5 @@ Status AlternateStrategy::RestoreState(SnapshotReader& reader) {
   config_epochs_ = static_cast<int>(reader.I64());
   return reader.status();
 }
-
-THEMIS_REGISTER_STRATEGY("Alternate", [](InputModel& model, Rng& rng,
-                                         const StrategyOptions&)
-                                          -> std::unique_ptr<Strategy> {
-  return std::make_unique<AlternateStrategy>(model, rng);
-});
 
 }  // namespace themis

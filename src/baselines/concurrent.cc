@@ -1,7 +1,5 @@
 #include "src/baselines/concurrent.h"
 
-#include "src/core/strategy_registry.h"
-
 namespace themis {
 
 ConcurrentStrategy::ConcurrentStrategy(InputModel& model, Rng& rng)
@@ -39,12 +37,5 @@ void ConcurrentStrategy::OnOutcome(const OpSeq& seq, const ExecOutcome& outcome)
   (void)seq;
   (void)outcome;  // feedback unusable by construction
 }
-
-
-THEMIS_REGISTER_STRATEGY("Concurrent", [](InputModel& model, Rng& rng,
-                                          const StrategyOptions&)
-                                           -> std::unique_ptr<Strategy> {
-  return std::make_unique<ConcurrentStrategy>(model, rng);
-});
 
 }  // namespace themis

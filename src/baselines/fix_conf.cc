@@ -1,7 +1,5 @@
 #include "src/baselines/fix_conf.h"
 
-#include "src/core/strategy_registry.h"
-
 namespace themis {
 
 FixConfStrategy::FixConfStrategy(InputModel& model, Rng& rng)
@@ -53,7 +51,6 @@ void FixConfStrategy::OnOutcome(const OpSeq& seq, const ExecOutcome& outcome) {
   }
 }
 
-
 void FixConfStrategy::SaveState(SnapshotWriter& writer) const {
   request_pool_.SaveState(writer);
   writer.Bool(prelude_pending_);
@@ -65,11 +62,5 @@ Status FixConfStrategy::RestoreState(SnapshotReader& reader) {
   prelude_pending_ = reader.Bool();
   return reader.status();
 }
-
-THEMIS_REGISTER_STRATEGY("Fix_conf", [](InputModel& model, Rng& rng,
-                                        const StrategyOptions&)
-                                         -> std::unique_ptr<Strategy> {
-  return std::make_unique<FixConfStrategy>(model, rng);
-});
 
 }  // namespace themis

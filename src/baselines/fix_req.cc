@@ -1,7 +1,5 @@
 #include "src/baselines/fix_req.h"
 
-#include "src/core/strategy_registry.h"
-
 #include "src/common/bytes.h"
 
 namespace themis {
@@ -78,7 +76,6 @@ void FixReqStrategy::OnOutcome(const OpSeq& seq, const ExecOutcome& outcome) {
   }
 }
 
-
 void FixReqStrategy::SaveState(SnapshotWriter& writer) const {
   config_pool_.SaveState(writer);
   SaveOpSeq(writer, last_config_seq_);
@@ -90,11 +87,5 @@ Status FixReqStrategy::RestoreState(SnapshotReader& reader) {
   RestoreOpSeq(reader, &last_config_seq_);
   return reader.status();
 }
-
-THEMIS_REGISTER_STRATEGY("Fix_req", [](InputModel& model, Rng& rng,
-                                       const StrategyOptions&)
-                                        -> std::unique_ptr<Strategy> {
-  return std::make_unique<FixReqStrategy>(model, rng);
-});
 
 }  // namespace themis

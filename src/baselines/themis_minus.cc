@@ -1,7 +1,5 @@
 #include "src/baselines/themis_minus.h"
 
-#include "src/core/strategy_registry.h"
-
 namespace themis {
 
 ThemisMinusStrategy::ThemisMinusStrategy(InputModel& model, Rng& rng,
@@ -16,12 +14,5 @@ void ThemisMinusStrategy::OnOutcome(const OpSeq& seq, const ExecOutcome& outcome
   (void)seq;
   (void)outcome;  // no feedback: that is the ablation
 }
-
-
-THEMIS_REGISTER_STRATEGY("Themis-", [](InputModel& model, Rng& rng,
-                                       const StrategyOptions& options)
-                                        -> std::unique_ptr<Strategy> {
-  return std::make_unique<ThemisMinusStrategy>(model, rng, options.env_fault_share);
-});
 
 }  // namespace themis

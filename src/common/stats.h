@@ -1,22 +1,17 @@
-// Statistics helpers used by the load models and by the imbalance detector.
+// Load-stats aggregates: what one differencing scan of per-node load samples
+// reduces to (LoadVarianceModel::Update). CPU deltas are quantized to fixed
+// point before they are summed; the pinned campaign digests depend on the
+// exact ratios this quantization produces.
 
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/common/clock.h"
 
 namespace themis {
-
-// ---------------------------------------------------------------------------
-// Load-stats aggregates: what one differencing scan of per-node load samples
-// reduces to (LoadVarianceModel::Update). CPU deltas are quantized to fixed
-// point before they are summed; the pinned campaign digests depend on the
-// exact ratios this quantization produces.
 
 // CPU-seconds fixed-point scale: 2^-20 s resolution (~1 µs of virtual CPU).
 inline constexpr double kCpuLoadQuantum = 1048576.0;  // 2^20 ticks / second
@@ -59,44 +54,6 @@ struct LoadStatsSnapshot {
   uint32_t serving_storage_nodes = 0;
   bool any_crashed = false;
 };
-
-// Welford streaming mean/variance with min/max tracking.
-class RunningStat {
- public:
-  void Add(double x);
-  void Reset();
-
-  // Folds another stat into this one (Chan et al. parallel combine), so
-  // per-thread partials can be merged into a campaign-matrix roll-up.
-  void Merge(const RunningStat& other);
-
-  size_t count() const { return count_; }
-  double mean() const { return mean_; }
-  double variance() const;  // population variance
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-// max(values) / mean(values); 0 if the series is empty or the mean is 0.
-// This is the "MAX / (1/n)*SUM" quantity of the paper's LBS definition.
-double MaxOverMean(const std::vector<double>& values);
-
-// Largest pairwise absolute difference, i.e. max - min.
-double MaxSpread(const std::vector<double>& values);
-
-// Arithmetic mean; 0 for an empty series.
-double Mean(const std::vector<double>& values);
-
-// p in [0, 1]; linear-interpolated percentile of a copy of `values`.
-double Percentile(std::vector<double> values, double p);
 
 }  // namespace themis
 

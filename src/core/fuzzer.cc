@@ -1,7 +1,5 @@
 #include "src/core/fuzzer.h"
 
-#include "src/core/strategy_registry.h"
-
 #include <algorithm>
 
 namespace themis {
@@ -117,7 +115,6 @@ void ThemisFuzzer::OnOutcome(const OpSeq& seq, const ExecOutcome& outcome) {
   }
 }
 
-
 void ThemisFuzzer::SaveState(SnapshotWriter& writer) const {
   pool_.SaveState(writer);
   writer.I64(initial_remaining_);
@@ -137,17 +134,5 @@ Status ThemisFuzzer::RestoreState(SnapshotReader& reader) {
   climb_length_ = static_cast<int>(reader.I64());
   return reader.status();
 }
-
-// "Themis" is the full variance-guided fuzzer (its ablation without the
-// feedback is "Themis-", src/baselines/themis_minus.cc).
-THEMIS_REGISTER_STRATEGY("Themis", [](InputModel& model, Rng& rng,
-                                      const StrategyOptions& options)
-                                       -> std::unique_ptr<Strategy> {
-  FuzzerConfig config;
-  config.env_fault_share = options.env_fault_share;
-  config.transition_weight = options.transition_weight;
-  config.telemetry = options.telemetry;
-  return std::make_unique<ThemisFuzzer>(model, rng, config);
-});
 
 }  // namespace themis

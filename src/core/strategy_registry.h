@@ -1,10 +1,8 @@
-// Self-registering strategy factory.
-//
-// Generation strategies register themselves by name at static-initialization
-// time (THEMIS_REGISTER_STRATEGY in their .cc file); the campaign harness
-// constructs them through StrategyRegistry::Make. Adding a new strategy
-// therefore needs no harness edits — define the class, register it, and every
-// front end (campaign, runner, CLI, benches) can name it.
+// The strategy factory: one fixed table of the paper's six generation
+// strategies (Themis, its Themis- ablation and the four baselines of §6),
+// each a name and a plain factory function (src/core/strategy_registry.cc).
+// The campaign harness constructs strategies through StrategyRegistry::Make,
+// so every front end (campaign, runner, CLI, benches) names them the same way.
 //
 // Each campaign job builds its own strategy instance against its own
 // InputModel and Rng, so strategies never share mutable state across the
@@ -13,10 +11,7 @@
 #ifndef SRC_CORE_STRATEGY_REGISTRY_H_
 #define SRC_CORE_STRATEGY_REGISTRY_H_
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,15 +42,7 @@ struct StrategyOptions {
 
 class StrategyRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<Strategy>(
-      InputModel& model, Rng& rng, const StrategyOptions& options)>;
-
-  static StrategyRegistry& Instance();
-
-  // Registers `factory` under `name`. Duplicate names keep the first
-  // registration (and log a warning) so a bad link line cannot silently
-  // change which implementation a table measures.
-  void Register(std::string name, Factory factory);
+  static const StrategyRegistry& Instance();
 
   // Builds a fresh strategy instance, or NotFound listing the known names.
   Result<std::unique_ptr<Strategy>> Make(std::string_view name, InputModel& model,
@@ -64,31 +51,9 @@ class StrategyRegistry {
 
   bool Contains(std::string_view name) const;
 
-  // Registered names in sorted order.
+  // The strategy names in sorted order.
   std::vector<std::string> Names() const;
-
- private:
-  std::vector<std::string> NamesLocked() const;  // requires mu_ held
-
-  mutable std::mutex mu_;
-  std::map<std::string, Factory, std::less<>> factories_;
 };
-
-class StrategyRegistrar {
- public:
-  StrategyRegistrar(const char* name, StrategyRegistry::Factory factory) {
-    StrategyRegistry::Instance().Register(name, std::move(factory));
-  }
-};
-
-#define THEMIS_STRATEGY_CONCAT_INNER(a, b) a##b
-#define THEMIS_STRATEGY_CONCAT(a, b) THEMIS_STRATEGY_CONCAT_INNER(a, b)
-
-// File-scope registration hook: expands to a static registrar whose
-// constructor runs before main(). Use once per strategy, in its .cc file.
-#define THEMIS_REGISTER_STRATEGY(name, factory)             \
-  static const ::themis::StrategyRegistrar THEMIS_STRATEGY_CONCAT( \
-      themis_strategy_registrar_, __COUNTER__)((name), (factory))
 
 }  // namespace themis
 

@@ -409,17 +409,13 @@ uint64_t DfsCluster::SkewBytes(BrickId from, BrickId to, uint64_t bytes) {
     return 0;
   }
   uint64_t moved = 0;
-  auto idx_it = brick_chunks_.find(from);
-  if (idx_it == brick_chunks_.end()) {
-    return 0;
-  }
   // This runs on the continuous-fault path (every op while a storage fault
   // is active), so iterate the live vector instead of snapshotting it: only
   // the current element is ever erased (erase returns the next iterator), and
   // inserts go to `to`'s entry (from != to), so the visit order matches a
   // snapshot walk exactly. Entries are sorted by file, so the layout lookup
   // is cached across consecutive chunks of the same file.
-  std::vector<std::pair<FileId, uint32_t>>& from_set = idx_it->second;
+  std::vector<std::pair<FileId, uint32_t>>& from_set = brick_chunks_[from];
   auto layout_it = layouts_.end();
   FileId layout_file = 0;
   bool layout_cached = false;
@@ -462,9 +458,6 @@ uint64_t DfsCluster::SkewBytes(BrickId from, BrickId to, uint64_t bytes) {
       ++it;
     }
   }
-  if (from_set.empty()) {
-    brick_chunks_.erase(idx_it);
-  }
   return moved;
 }
 
@@ -487,27 +480,22 @@ void DfsCluster::AddReplicaIndex(BrickId brick, FileId file, uint32_t chunk) {
 }
 
 void DfsCluster::RemoveReplicaIndex(BrickId brick, FileId file, uint32_t chunk) {
-  auto it = brick_chunks_.find(brick);
-  if (it == brick_chunks_.end()) {
+  if (brick >= brick_chunks_.size()) {
     return;
   }
-  auto& vec = it->second;
+  auto& vec = brick_chunks_[brick];
   const std::pair<FileId, uint32_t> key{file, chunk};
   auto pos = std::lower_bound(vec.begin(), vec.end(), key);
   if (pos != vec.end() && *pos == key) {
     vec.erase(pos);
     load_.Touch();
   }
-  if (vec.empty()) {
-    brick_chunks_.erase(it);
-  }
 }
 
 const std::vector<std::pair<FileId, uint32_t>>& DfsCluster::ChunksOnBrickRef(
     BrickId brick) const {
   static const std::vector<std::pair<FileId, uint32_t>> kEmpty;
-  auto it = brick_chunks_.find(brick);
-  return it == brick_chunks_.end() ? kEmpty : it->second;
+  return brick < brick_chunks_.size() ? brick_chunks_[brick] : kEmpty;
 }
 
 // ---------------------------------------------------------------------------
@@ -768,11 +756,10 @@ void DfsCluster::ReleaseLayout(FileId file, const FileLayout& layout) {
   // bricks, and they sit contiguously in each brick's sorted vector, so one
   // range erase per brick drops them all.
   for (BrickId b : touched) {
-    auto it = brick_chunks_.find(b);
-    if (it == brick_chunks_.end()) {
+    if (b >= brick_chunks_.size()) {
       continue;
     }
-    auto& vec = it->second;
+    auto& vec = brick_chunks_[b];
     auto [first, last] = std::ranges::equal_range(vec, file, {},
                                                   &std::pair<FileId, uint32_t>::first);
     if (first == last) {
@@ -780,9 +767,6 @@ void DfsCluster::ReleaseLayout(FileId file, const FileLayout& layout) {
     }
     vec.erase(first, last);
     load_.Touch();
-    if (vec.empty()) {
-      brick_chunks_.erase(it);
-    }
   }
 }
 
@@ -1684,7 +1668,7 @@ void DfsCluster::FinishRebalanceIfDrained() {
     if (brick == nullptr || brick->online) {
       continue;  // stale entry
     }
-    if (brick->used_bytes == 0 && brick_chunks_.count(id) == 0) {
+    if (brick->used_bytes == 0 && ChunksOnBrickRef(id).empty()) {
       StorageNode* node = FindStorageNode(brick->node);
       if (node != nullptr) {
         node->bricks.erase(
@@ -1695,6 +1679,7 @@ void DfsCluster::FinishRebalanceIfDrained() {
       // every maintained sum (offline => not in the online/fleet sums,
       // used_bytes == 0 => nothing in the used-all sums).
       brick_index_[id] = nullptr;
+      brick_chunks_[id].shrink_to_fit();  // ids are never reused
       bricks_.erase(id);
       --offline_bricks_;
     } else {
@@ -2011,6 +1996,7 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   }
   bricks_.clear();
   brick_index_.clear();
+  brick_chunks_.clear();
   offline_bricks_ = 0;
   offline_brick_list_.clear();
   uint64_t brick_count = reader.Count(4 + 4 + 8 + 8 + 1 + 4);
@@ -2029,7 +2015,6 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
     bricks_[brick.id] = brick;
   }
   layouts_.clear();
-  brick_chunks_.clear();
   uint64_t layout_count = reader.Count(8 + 8 + 8);
   for (uint64_t i = 0; i < layout_count && reader.ok(); ++i) {
     FileId file = reader.U64();
@@ -2057,12 +2042,6 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
       if (!reader.ok()) break;
     }
     if (!reader.ok()) break;
-    // Rebuild the replica index as we go — it is derived, never serialized.
-    for (uint32_t c = 0; c < layout.chunks.size(); ++c) {
-      for (BrickId replica : layout.chunks[c].replicas) {
-        AddReplicaIndex(replica, file, c);
-      }
-    }
     layouts_[file] = std::move(layout);
   }
   recent_classes_.clear();
@@ -2144,6 +2123,10 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   for (auto& [id, brick] : bricks_) {
     IndexBrickPtr(id, &brick);
     load_.AddBrick(brick);
+  }
+  // The replica index is derived, never serialized.
+  for (const auto& [file, layout] : layouts_) {
+    IndexLayout(file, layout);
   }
   ++membership_epoch_;
   if (Status audit = AuditCluster(*this); !audit.ok()) {

@@ -655,6 +655,7 @@ class DfsCluster : public DfsInterface {
   void IndexBrickPtr(BrickId id, Brick* brick) {
     if (brick_index_.size() <= id) {
       brick_index_.resize(static_cast<size_t>(id) + 1, nullptr);
+      brick_chunks_.resize(brick_index_.size());
     }
     brick_index_[id] = brick;
   }
@@ -672,10 +673,12 @@ class DfsCluster : public DfsInterface {
   std::vector<Brick*> brick_index_;              // shadows bricks_
   std::vector<StorageNode*> storage_node_index_;  // shadows storage_nodes_
   std::map<FileId, FileLayout> layouts_;
-  // Reverse index: brick -> chunks with a replica there.
-  // Sorted by (file, chunk): flat vectors iterate in std::set order but keep
-  // the hot SkewBytes/QueueMovesOff scans contiguous in memory.
-  std::map<BrickId, std::vector<std::pair<FileId, uint32_t>>> brick_chunks_;
+  // Reverse index: brick -> chunks with a replica there, dense by BrickId
+  // and sized with brick_index_, so adding a replica never grows the outer
+  // vector and a reference to one brick's entry survives inserts into
+  // another's. Sorted by (file, chunk): flat vectors iterate in std::set
+  // order but keep the hot SkewBytes/QueueMovesOff scans contiguous in memory.
+  std::vector<std::vector<std::pair<FileId, uint32_t>>> brick_chunks_;
   // Classes of the last 8 operations (coverage feature).
   std::deque<uint8_t> recent_classes_;
 

@@ -94,8 +94,7 @@ bool FaultInjector::TouchesHottestBrick(const DfsCluster& dfs, const Operation& 
   if (!file.ok()) {
     return false;
   }
-  // Maintained per-group maxima — identical to a strict-max scan over
-  // ServingBricks(), without the per-op fleet walk.
+  // A strict-max scan over the serving-brick list (smallest id on ties).
   BrickId hottest = dfs.HottestServingBrick();
   if (hottest == kInvalidBrick) {
     return false;

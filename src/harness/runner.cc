@@ -1,11 +1,13 @@
 #include "src/harness/runner.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <ctime>
+#include <thread>
 
 #include "src/common/log.h"
 #include "src/harness/telemetry_export.h"
-#include "src/harness/thread_pool.h"
 
 namespace themis {
 
@@ -27,10 +29,34 @@ double ThreadCpuSeconds() {
   return 0.0;
 }
 
-void FoldInto(MatrixRollup& rollup, const JobResult& job_result, size_t job_index,
-              size_t& timeline_index) {
+// Runs `job` on the calling thread and fills in `slot`.
+void RunJob(const CampaignJob& job, const RunnerOptions& options, JobResult& slot) {
+  auto job_start = std::chrono::steady_clock::now();
+  double cpu_start = ThreadCpuSeconds();
+  slot.job = job;
+  if (!options.telemetry_out.empty()) {
+    // Event recording never draws from the RNG, so flipping this on
+    // cannot change the campaign result.
+    slot.job.config.collect_telemetry = true;
+  }
+  // Names the job's snapshot files, so concurrent jobs never share one.
+  slot.job.config.job_index = job.index;
+  Campaign campaign(slot.job.config);
+  campaign.set_loop_observer(options.loop_observer);
+  Result<CampaignResult> run = campaign.Run(slot.job.strategy);
+  if (run.ok()) {
+    slot.result = run.take();
+  } else {
+    slot.status = run.status();
+    THEMIS_LOG(kWarn, "matrix job %zu (%s) failed: %s", job.index, job.strategy.c_str(),
+               slot.status.ToString().c_str());
+  }
+  slot.cpu_seconds = ThreadCpuSeconds() - cpu_start;
+  slot.wall_seconds = SecondsSince(job_start);
+}
+
+void FoldInto(MatrixRollup& rollup, const JobResult& job_result) {
   ++rollup.jobs;
-  rollup.job_seconds.Add(job_result.wall_seconds);
   if (!job_result.status.ok()) {
     ++rollup.failed_jobs;
     return;
@@ -44,26 +70,9 @@ void FoldInto(MatrixRollup& rollup, const JobResult& job_result, size_t job_inde
   }
   rollup.false_positives += r.false_positives;
   rollup.total_ops += r.total_ops;
-  rollup.final_coverage.Add(static_cast<double>(r.final_coverage));
-  if (rollup.coverage_timeline.empty() || job_index < timeline_index) {
-    rollup.coverage_timeline = r.coverage_timeline;
-    timeline_index = job_index;
-  }
 }
 
 }  // namespace
-
-double MatrixRollup::MeanTriggerMinutes() const {
-  if (distinct_failures.empty()) {
-    return -1.0;
-  }
-  double total = 0.0;
-  for (const auto& [id, at] : distinct_failures) {
-    (void)id;
-    total += ToMinutes(at);
-  }
-  return total / static_cast<double>(distinct_failures.size());
-}
 
 CampaignRunner::CampaignRunner(RunnerOptions options) : options_(options) {}
 
@@ -114,66 +123,31 @@ MatrixResult CampaignRunner::RunJobs(const std::vector<CampaignJob>& jobs) {
 
   MatrixResult matrix_result;
   matrix_result.jobs.resize(jobs.size());
+  matrix_result.threads = std::max(options_.jobs, 1);
 
-  const bool want_telemetry = !options_.telemetry_out.empty();
+  // Each thread claims the next unclaimed job index and writes only that
+  // job's pre-sized slot, so the results vector needs no lock. The threads
+  // join when `threads` leaves its scope, before anything reads the slots.
+  std::atomic<size_t> next_job{0};
   {
-    ThreadPool pool(options_.jobs);
-    matrix_result.threads = pool.thread_count();
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      // Each worker writes only its own pre-sized slot, so the results
-      // vector needs no lock; the pool join is the synchronization point.
-      JobResult* slot = &matrix_result.jobs[i];
-      const CampaignJob* job = &jobs[i];
-      pool.Submit([this, slot, job, want_telemetry] {
-        auto job_start = std::chrono::steady_clock::now();
-        double cpu_start = ThreadCpuSeconds();
-        slot->job = *job;
-        if (want_telemetry) {
-          // Event recording never draws from the RNG, so flipping this on
-          // cannot change the campaign result.
-          slot->job.config.collect_telemetry = true;
+    std::vector<std::jthread> threads;
+    threads.reserve(static_cast<size_t>(matrix_result.threads));
+    for (int t = 0; t < matrix_result.threads; ++t) {
+      threads.emplace_back([&] {
+        for (size_t i = next_job++; i < jobs.size(); i = next_job++) {
+          RunJob(jobs[i], options_, matrix_result.jobs[i]);
         }
-        slot->job.config.job_index = job->index;
-        if (!options_.checkpoint_dir.empty() &&
-            slot->job.config.checkpoint_dir.empty()) {
-          // Snapshot writing never draws from the RNG either; per-job names
-          // keep concurrent jobs from clobbering each other's files.
-          slot->job.config.checkpoint_dir = options_.checkpoint_dir;
-          slot->job.config.checkpoint_every_ops = options_.checkpoint_every_ops;
-          slot->job.config.resume = options_.resume;
-        }
-        Campaign campaign(slot->job.config);
-        campaign.set_loop_observer(options_.loop_observer);
-        Result<CampaignResult> run = campaign.Run(slot->job.strategy);
-        if (run.ok()) {
-          slot->result = run.take();
-        } else {
-          slot->status = run.status();
-          THEMIS_LOG(kWarn, "matrix job %zu (%s) failed: %s", job->index,
-                     job->strategy.c_str(), slot->status.ToString().c_str());
-        }
-        slot->cpu_seconds = ThreadCpuSeconds() - cpu_start;
-        slot->wall_seconds = SecondsSince(job_start);
       });
     }
-    pool.Shutdown();  // drains every queued job
-    matrix_result.stolen_jobs = pool.tasks_stolen();
   }
 
-  // Single-threaded aggregation pass in canonical job order.
-  size_t overall_timeline_index = jobs.size();
-  std::map<std::string, size_t> strategy_timeline_index;
+  // Single-threaded aggregation pass in job order.
   for (const JobResult& job_result : matrix_result.jobs) {
-    MatrixRollup& per_strategy = matrix_result.by_strategy[job_result.job.strategy];
-    auto [it, inserted] =
-        strategy_timeline_index.emplace(job_result.job.strategy, jobs.size());
-    (void)inserted;
-    FoldInto(per_strategy, job_result, job_result.job.index, it->second);
-    FoldInto(matrix_result.overall, job_result, job_result.job.index,
-             overall_timeline_index);
+    FoldInto(matrix_result.by_strategy[job_result.job.strategy], job_result);
+    FoldInto(matrix_result.overall, job_result);
   }
   matrix_result.wall_seconds = SecondsSince(matrix_start);
-  if (want_telemetry) {
+  if (!options_.telemetry_out.empty()) {
     Status write = WriteTelemetryJsonl(matrix_result, options_.telemetry_out);
     if (!write.ok()) {
       THEMIS_LOG(kWarn, "telemetry export failed: %s", write.ToString().c_str());
@@ -189,11 +163,8 @@ MatrixResult CampaignRunner::RunJobs(const std::vector<CampaignJob>& jobs) {
       THEMIS_LOG(kInfo, "summary: wrote %s", options_.summary_json.c_str());
     }
   }
-  THEMIS_LOG(kInfo,
-             "matrix: %zu jobs on %d threads in %.2fs (%llu stolen, %d failed)",
-             jobs.size(), matrix_result.threads, matrix_result.wall_seconds,
-             static_cast<unsigned long long>(matrix_result.stolen_jobs),
-             matrix_result.FailedJobs());
+  THEMIS_LOG(kInfo, "matrix: %zu jobs on %d threads in %.2fs (%d failed)", jobs.size(),
+             matrix_result.threads, matrix_result.wall_seconds, matrix_result.FailedJobs());
   return matrix_result;
 }
 

@@ -3,8 +3,8 @@
 // A CampaignMatrix declares the evaluation grid — flavors x strategies x
 // repeated seeds x optional threshold / variance-weight sweep axes — exactly
 // the shape of the paper's Tables 3-8. CampaignRunner::Expand turns the
-// matrix into independent CampaignJobs; Run executes them on a work-stealing
-// thread pool.
+// matrix into independent CampaignJobs; RunJobs runs them on `jobs` threads
+// that claim job indices from one shared counter.
 //
 // Determinism guarantee: job `i` of the canonical expansion order draws its
 // campaign seed from Rng::SplitSeed(matrix_seed, i), and every job builds its
@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/stats.h"
 #include "src/harness/campaign.h"
 
 namespace themis {
@@ -72,17 +71,10 @@ struct MatrixRollup {
   std::map<std::string, SimTime> distinct_failures;
   int false_positives = 0;
   uint64_t total_ops = 0;
-  // Coverage timeline of the lowest-index rolled-up job (the "first seed").
-  std::vector<std::pair<SimTime, size_t>> coverage_timeline;
-  RunningStat final_coverage;  // across successful jobs
-  RunningStat job_seconds;     // wall-clock per job
 
   int DistinctTruePositives() const {
     return static_cast<int>(distinct_failures.size());
   }
-  // Mean first-confirmation time over the distinct failures, in virtual
-  // minutes; -1 when none were found.
-  double MeanTriggerMinutes() const;
 };
 
 struct MatrixResult {
@@ -93,34 +85,24 @@ struct MatrixResult {
   MatrixRollup overall;
   double wall_seconds = 0.0;
   int threads = 1;
-  uint64_t stolen_jobs = 0;  // pool-level work-stealing count
 
   int FailedJobs() const { return overall.failed_jobs; }
 };
 
 struct RunnerOptions {
-  int jobs = 1;  // worker threads; campaigns run jobs-wide in parallel
+  int jobs = 1;  // worker threads (at least one); campaigns run jobs-wide in parallel
   // When non-empty, every job runs with collect_telemetry enabled and the
   // full event stream plus per-job job_summary records are written here as
   // JSONL after the matrix completes (see telemetry_export.h). The event
   // lines are byte-identical for any `jobs` value.
   std::string telemetry_out;
-  // Checkpointing (DESIGN.md §11): when non-empty, every job snapshots into
-  // this directory under its own job-<index>-*.ckpt names, writing a
-  // mid-campaign snapshot every checkpoint_every_ops executed operations
-  // (0 = final snapshot only) and resuming from the newest valid snapshot
-  // when `resume` is set. Applied on top of each job's own config; a job
-  // whose config already carries checkpoint settings keeps them.
-  std::string checkpoint_dir;
-  uint64_t checkpoint_every_ops = 0;
-  bool resume = false;
   // When non-empty, the deterministic campaign summary (per-job digests and
   // result counters, no wall-clock fields — see RenderCampaignSummaryJson)
   // is written here after the matrix completes.
   std::string summary_json;
   // Attached to every campaign via Campaign::set_loop_observer. Not owned;
   // must outlive the runner call. With jobs > 1 the same observer is invoked
-  // from several pool threads concurrently, so it must then be thread-safe.
+  // from several runner threads concurrently, so it must then be thread-safe.
   // Observing never changes a job's result or digest.
   CampaignLoopObserver* loop_observer = nullptr;
 };
@@ -139,7 +121,9 @@ class CampaignRunner {
   MatrixResult Run(const CampaignMatrix& matrix);
 
   // Runs an explicit job list (already expanded, possibly filtered or
-  // permuted). Per-job results land at the same position as the job.
+  // permuted). Per-job results land at the same position as the job. Jobs
+  // checkpoint per their own config (DESIGN.md §11) under their own
+  // job-<index>-*.ckpt names.
   MatrixResult RunJobs(const std::vector<CampaignJob>& jobs);
 
  private:

@@ -4,26 +4,8 @@
 //
 //   offset  size  field
 //   0       8     magic "THMSNP01"
-//   8       4     format version (u32 LE, currently 9 — see DESIGN.md §12;
-//                 v3 added the cluster's rate-window bases and the model's
-//                 dense previous-window counters (DESIGN.md §13); v4 added
-//                 the environment-fault dimension: the env_faults identity
-//                 flag, the cluster's balancer crash/resume flags and the
-//                 EnvFaultInjector record, DESIGN.md §14; v5 added the
-//                 GeoFS flavor state; v6 added the balancer state-machine
-//                 coverage record, the transition_weight identity field,
-//                 the result's transition_coverage and bandit arm tables
-//                 inside the strategy record, DESIGN.md §16; v7 added
-//                 seed fingerprints + import flags and the sorted
-//                 seen-fingerprint dedup set to the pool record, and the
-//                 result's covered transition-pair list; v8 dropped the
-//                 cluster's rate-window bases and the monitor's unread
-//                 latest snapshot — the sampling window lives only in the
-//                 model's previous-window counters; v9 dropped the
-//                 cluster's load-group table, moved each node's scheduling
-//                 group plus the group count into the GeoFS record, and
-//                 dropped the pool's fingerprints, import flags and seen
-//                 set)
+//   8       4     format version (u32 LE, kSnapshotFormatVersion; readers
+//                 reject any other)
 //   12      1     kind (0 = mid-campaign, 1 = final)
 //   13      8     payload size in bytes (u64 LE)
 //   21      8     FNV-1a 64 checksum of the payload (u64 LE)

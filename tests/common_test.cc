@@ -1,5 +1,5 @@
-// Unit tests for the common substrate: strings, RNG, stats, status, clock,
-// byte formatting.
+// Unit tests for the common substrate: strings, RNG, status, clock, byte
+// formatting.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "src/common/bytes.h"
 #include "src/common/clock.h"
 #include "src/common/rng.h"
-#include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/common/strings.h"
 
@@ -133,12 +132,17 @@ TEST(Rng, ChanceApproximatesProbability) {
 
 TEST(Rng, GaussianMoments) {
   Rng rng(13);
-  RunningStat stat;
-  for (int i = 0; i < 20000; ++i) {
-    stat.Add(rng.NextGaussian());
+  constexpr int kDraws = 20000;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int i = 0; i < kDraws; ++i) {
+    double x = rng.NextGaussian();
+    sum += x;
+    sum_sq += x * x;
   }
-  EXPECT_NEAR(stat.mean(), 0.0, 0.05);
-  EXPECT_NEAR(stat.stddev(), 1.0, 0.05);
+  double mean = sum / kDraws;
+  EXPECT_NEAR(mean, 0.0, 0.05);
+  EXPECT_NEAR(std::sqrt(sum_sq / kDraws - mean * mean), 1.0, 0.05);
 }
 
 TEST(Rng, PickWeightedFollowsWeights) {
@@ -177,46 +181,6 @@ TEST(Rng, ForkDecorrelates) {
     }
   }
   EXPECT_EQ(same, 0);
-}
-
-// ---- stats ----
-
-TEST(Stats, RunningStatBasics) {
-  RunningStat stat;
-  EXPECT_EQ(stat.count(), 0u);
-  EXPECT_EQ(stat.variance(), 0.0);
-  stat.Add(2.0);
-  stat.Add(4.0);
-  stat.Add(6.0);
-  EXPECT_EQ(stat.count(), 3u);
-  EXPECT_DOUBLE_EQ(stat.mean(), 4.0);
-  EXPECT_NEAR(stat.variance(), 8.0 / 3.0, 1e-9);
-  EXPECT_EQ(stat.min(), 2.0);
-  EXPECT_EQ(stat.max(), 6.0);
-  stat.Reset();
-  EXPECT_EQ(stat.count(), 0u);
-}
-
-TEST(Stats, MaxOverMean) {
-  EXPECT_DOUBLE_EQ(MaxOverMean({1.0, 1.0, 1.0}), 1.0);
-  EXPECT_DOUBLE_EQ(MaxOverMean({2.0, 4.0}), 4.0 / 3.0);
-  EXPECT_DOUBLE_EQ(MaxOverMean({}), 0.0);
-  EXPECT_DOUBLE_EQ(MaxOverMean({0.0, 0.0}), 0.0);
-}
-
-TEST(Stats, MaxSpreadAndMean) {
-  EXPECT_DOUBLE_EQ(MaxSpread({1.0, 5.0, 3.0}), 4.0);
-  EXPECT_DOUBLE_EQ(MaxSpread({}), 0.0);
-  EXPECT_DOUBLE_EQ(Mean({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_DOUBLE_EQ(Mean({}), 0.0);
-}
-
-TEST(Stats, Percentile) {
-  std::vector<double> values = {4.0, 1.0, 3.0, 2.0};
-  EXPECT_DOUBLE_EQ(Percentile(values, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile(values, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(Percentile(values, 0.5), 2.5);
-  EXPECT_DOUBLE_EQ(Percentile({}, 0.5), 0.0);
 }
 
 // ---- status ----

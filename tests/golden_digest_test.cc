@@ -49,6 +49,12 @@ constexpr GoldenEntry kGolden[] = {
     // The transition blend on (DESIGN.md §16).
     {Flavor::kHdfs, 0xfef63e737a9cc17bULL, 162, 6563, "Themis", false, 0.5},
     {Flavor::kGeo, 0xaafac23ca1d93f57ULL, 2705, 17772, "Themis", false, 0.0, 1000, 24},
+    // One row per baseline strategy.
+    {Flavor::kGluster, 0x6222e03c042df6d1ULL, 97, 1768, "Themis-"},
+    {Flavor::kGluster, 0x8d9e431c24b48265ULL, 27, 1693, "Fix_req"},
+    {Flavor::kGluster, 0xa121225e02e54377ULL, 486, 8591, "Fix_conf"},
+    {Flavor::kGluster, 0x9e54a3fb93b0284fULL, 526, 8214, "Alternate"},
+    {Flavor::kGluster, 0x720cee500b209050ULL, 166, 4095, "Concurrent"},
 };
 
 TEST(GoldenDigestTest, PerFlavorDigestsArePinned) {

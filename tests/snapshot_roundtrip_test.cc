@@ -1,9 +1,10 @@
 // Snapshot round-trip property tests (DESIGN.md §11): for randomized
-// component states, save -> restore -> save must reproduce the original
-// bytes, and a restored component must continue producing exactly the same
-// stream of behavior as the original. The campaign-level variant checks the
-// headline guarantee end to end: a campaign halted at a checkpoint and
-// resumed yields the same digest as one that never stopped.
+// component states and every strategy's campaign states, save -> restore ->
+// save must reproduce the original bytes, and a restored component must
+// continue producing exactly the same stream of behavior as the original.
+// The campaign-level variant checks the headline guarantee end to end: a
+// campaign halted at a checkpoint and resumed yields the same digest as one
+// that never stopped.
 
 #include <gtest/gtest.h>
 
@@ -192,6 +193,51 @@ TEST(SnapshotRoundTripTest, FuzzerContinuesTheExactSchedule) {
       outcome.variance_gain = 0.1;
       (*fuzzer)->OnOutcome(a, outcome);
       (*fuzzer2)->OnOutcome(b, outcome);
+    }
+  }
+}
+
+std::string SavedState(const Strategy& strategy) {
+  SnapshotWriter writer;
+  strategy.SaveState(writer);
+  return writer.buffer();
+}
+
+// Every registered strategy, stepped through a real campaign: after each
+// test case, a fresh instance restored from the strategy's saved bytes
+// saves the same bytes again. Checking every boundary reaches the states a
+// synthetic prefix can miss: Alternate's stale counter part-way to its
+// patience, Fix_conf past its prelude, Themis inside a climb episode.
+TEST(SnapshotRoundTripTest, EveryStrategySaveRestoreSaveIsByteStable) {
+  for (const std::string& name : StrategyRegistry::Instance().Names()) {
+    SCOPED_TRACE(name);
+    CampaignConfig config;
+    config.seed = 1234;
+    config.budget = Hours(2);
+    Result<std::unique_ptr<CampaignSession>> session = CampaignSession::Open(config, name);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    InputModel fresh_model;
+    Rng fresh_rng(0);
+    Result<std::unique_ptr<Strategy>> fresh =
+        StrategyRegistry::Instance().Make(name, fresh_model, fresh_rng);
+    ASSERT_TRUE(fresh.ok());
+    const std::string defaults = SavedState(**fresh);
+    std::string saved = defaults;
+    for (int testcase = 1; !(*session)->Done(); ++testcase) {
+      (*session)->Step();
+      saved = SavedState((*session)->strategy());
+      InputModel model;
+      Rng rng(0);
+      Result<std::unique_ptr<Strategy>> restored =
+          StrategyRegistry::Instance().Make(name, model, rng);
+      ASSERT_TRUE(restored.ok());
+      SnapshotReader reader(saved);
+      ASSERT_TRUE((*restored)->RestoreState(reader).ok()) << "test case " << testcase;
+      ASSERT_TRUE(reader.AtEnd()) << "test case " << testcase;
+      ASSERT_EQ(SavedState(**restored), saved) << "test case " << testcase;
+    }
+    if (!defaults.empty()) {
+      EXPECT_NE(saved, defaults) << "the campaign never moved the strategy off its defaults";
     }
   }
 }

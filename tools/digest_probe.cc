@@ -31,6 +31,9 @@ int main() {
       {Flavor::kGluster, "Themis", true},
       {Flavor::kHdfs, "Themis", false, 0.5},
       {Flavor::kGeo, "Themis", false, 0.0, 1000, 24},
+      {Flavor::kGluster, "Themis-"},   {Flavor::kGluster, "Fix_req"},
+      {Flavor::kGluster, "Fix_conf"},  {Flavor::kGluster, "Alternate"},
+      {Flavor::kGluster, "Concurrent"},
   };
   for (const ProbeRow& row : kRows) {
     CampaignConfig config;
