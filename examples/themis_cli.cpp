@@ -167,9 +167,10 @@ int RunFuzz(int argc, char** argv) {
       return Usage();
     }
   }
-  if (matrix.base.checkpoint_dir.empty() &&
-      (matrix.base.checkpoint_every_ops > 0 || matrix.base.resume)) {
-    std::fprintf(stderr, "--checkpoint-every-ops/--resume require --checkpoint-dir\n");
+  // The CLI sets no sweep axis: every job runs matrix.base with its own seed
+  // and flavor, so one check covers them all.
+  if (Status valid = matrix.base.Validate(); !valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
     return 2;
   }
   matrix.strategies = {strategy};

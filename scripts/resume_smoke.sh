@@ -2,7 +2,9 @@
 # CI resume-smoke: run a checkpointing campaign matrix, SIGKILL it the moment
 # the first snapshot file lands on disk, resume from the surviving snapshots,
 # and require the resumed --summary-json (per-job digests and result
-# counters) to be byte-identical to an uninterrupted run's.
+# counters) to be byte-identical to an uninterrupted run's. Two matrices:
+# GlusterFS on the Table 2 faults, and LeoFS on the historical corpus, whose
+# snapshots carry the ring-weights record and a full fault history.
 #
 # Usage: scripts/resume_smoke.sh [path/to/themis_cli]
 set -euo pipefail
@@ -16,39 +18,48 @@ fi
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
-# Two 24-virtual-hour campaigns on two worker threads: enough ops for
+# Usage: kill_and_resume NAME FUZZ-ARGS...
+kill_and_resume() {
+  local name="$1"
+  shift
+  local common=("$@")
+  local dir="$WORK/$name"
+  local ckpt="$dir/ckpt"
+  mkdir -p "$ckpt"
+
+  echo "resume-smoke[$name]: uninterrupted reference run"
+  "$CLI" "${common[@]}" --summary-json="$dir/reference.json" >/dev/null
+
+  echo "resume-smoke[$name]: checkpointing run (SIGKILL at first snapshot)"
+  "$CLI" "${common[@]}" --checkpoint-dir="$ckpt" --checkpoint-every-ops 2000 \
+      >/dev/null 2>&1 &
+  local pid=$!
+  for _ in $(seq 1 6000); do
+    if ls "$ckpt"/job-*.ckpt >/dev/null 2>&1; then break; fi
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 0.01
+  done
+  if kill -0 "$pid" 2>/dev/null; then
+    kill -KILL "$pid"
+    echo "resume-smoke[$name]: SIGKILLed pid $pid after the first checkpoint landed"
+  else
+    # Also a valid path: resume then loads the final snapshots.
+    echo "resume-smoke[$name]: campaign finished before the kill landed"
+  fi
+  wait "$pid" 2>/dev/null || true
+
+  echo "resume-smoke[$name]: surviving snapshots:"
+  ls -l "$ckpt"
+
+  echo "resume-smoke[$name]: resuming"
+  "$CLI" "${common[@]}" --checkpoint-dir="$ckpt" --checkpoint-every-ops 2000 \
+      --resume --summary-json="$dir/resumed.json" >/dev/null
+
+  diff "$dir/reference.json" "$dir/resumed.json"
+  echo "resume-smoke[$name]: PASS — summaries byte-identical after SIGKILL + resume"
+}
+
+# Two 24-virtual-hour campaigns on two worker threads each: enough ops for
 # several checkpoints per job, well under the CI time budget.
-COMMON=(fuzz gluster --hours 24 --seed 20260806 --seeds 2 --jobs 2)
-
-echo "resume-smoke: uninterrupted reference run"
-"$CLI" "${COMMON[@]}" --summary-json="$WORK/reference.json" >/dev/null
-
-CKPT="$WORK/ckpt"
-mkdir -p "$CKPT"
-echo "resume-smoke: checkpointing run (SIGKILL at first snapshot)"
-"$CLI" "${COMMON[@]}" --checkpoint-dir="$CKPT" --checkpoint-every-ops 2000 \
-    >/dev/null 2>&1 &
-PID=$!
-for _ in $(seq 1 6000); do
-  if ls "$CKPT"/job-*.ckpt >/dev/null 2>&1; then break; fi
-  kill -0 "$PID" 2>/dev/null || break
-  sleep 0.01
-done
-if kill -0 "$PID" 2>/dev/null; then
-  kill -KILL "$PID"
-  echo "resume-smoke: SIGKILLed pid $PID after the first checkpoint landed"
-else
-  # Also a valid path: resume then loads the final snapshots.
-  echo "resume-smoke: campaign finished before the kill landed"
-fi
-wait "$PID" 2>/dev/null || true
-
-echo "resume-smoke: surviving snapshots:"
-ls -l "$CKPT"
-
-echo "resume-smoke: resuming"
-"$CLI" "${COMMON[@]}" --checkpoint-dir="$CKPT" --checkpoint-every-ops 2000 \
-    --resume --summary-json="$WORK/resumed.json" >/dev/null
-
-diff "$WORK/reference.json" "$WORK/resumed.json"
-echo "resume-smoke: PASS — summaries byte-identical after SIGKILL + resume"
+kill_and_resume gluster fuzz gluster --hours 24 --seed 20260806 --seeds 2 --jobs 2
+kill_and_resume leo-historical fuzz leo --historical --hours 24 --seed 20260806 --seeds 2 --jobs 2

@@ -50,6 +50,7 @@ void DfsCluster::BuildInitialTopology() {
   storage_nodes_.clear();
   storage_node_index_.clear();
   meta_nodes_.clear();
+  meta_node_index_.clear();
   bricks_.clear();
   brick_index_.clear();
   layouts_.clear();
@@ -101,8 +102,9 @@ void DfsCluster::ResetToInitial() {
 // ---------------------------------------------------------------------------
 // Lookup helpers
 
-// FindBrick / FindStorageNode are inline in cluster.h, backed by the flat
-// brick_index_ / storage_node_index_ pointer vectors maintained below.
+// FindBrick / FindStorageNode / FindMetaNode are inline in cluster.h, backed
+// by the flat brick_index_ / storage_node_index_ / meta_node_index_ pointer
+// vectors maintained below.
 
 // ---------------------------------------------------------------------------
 // Load index (DESIGN.md §10)
@@ -293,9 +295,8 @@ void DfsCluster::AddLoad(NodeId node, const NodeLoadCounters& delta) {
     sn->load += delta;
     return;
   }
-  auto it = meta_nodes_.find(node);
-  if (it != meta_nodes_.end()) {
-    it->second.load += delta;
+  if (MetaNode* meta = FindMetaNode(node)) {
+    meta->load += delta;
   }
 }
 
@@ -309,10 +310,9 @@ void DfsCluster::CrashNode(NodeId node) {
     }
     return;
   }
-  auto it = meta_nodes_.find(node);
-  if (it != meta_nodes_.end()) {
-    bool was_serving = it->second.Serving();
-    it->second.crashed = true;
+  if (MetaNode* meta = FindMetaNode(node)) {
+    bool was_serving = meta->Serving();
+    meta->crashed = true;
     SetSortedMember(crashed_node_ids_, node, true);
     if (was_serving) {
       SetSortedMember(serving_meta_nodes_, node, false);
@@ -322,7 +322,7 @@ void DfsCluster::CrashNode(NodeId node) {
 }
 
 void DfsCluster::CrashNodeForEnvFault(NodeId node) {
-  bool is_meta = meta_nodes_.count(node) != 0;
+  bool is_meta = FindMetaNode(node) != nullptr;
   CrashNode(node);
   if (!is_meta || balancer_crashed_) {
     return;
@@ -367,14 +367,14 @@ void DfsCluster::RestartNode(NodeId node) {
     }
     return;
   }
-  auto it = meta_nodes_.find(node);
-  if (it == meta_nodes_.end() || !it->second.crashed) {
+  MetaNode* meta = FindMetaNode(node);
+  if (meta == nullptr || !meta->crashed) {
     return;
   }
   COV_BRANCH(cov_, CovModule::kRecovery, 33);
-  it->second.crashed = false;
+  meta->crashed = false;
   SetSortedMember(crashed_node_ids_, node, false);
-  if (it->second.Serving()) {
+  if (meta->Serving()) {
     SetSortedMember(serving_meta_nodes_, node, true);
     ++membership_epoch_;
   }
@@ -518,7 +518,9 @@ BrickId DfsCluster::NewBrickOnNode(NodeId node, uint64_t capacity) {
 
 NodeId DfsCluster::AddMetaNodeInternal() {
   NodeId id = next_node_id_++;
-  meta_nodes_[id].id = id;
+  MetaNode& stored = meta_nodes_[id];
+  stored.id = id;
+  IndexMetaNodePtr(id, &stored);
   serving_meta_nodes_.push_back(id);  // node ids are monotonic: stays sorted
   ++membership_epoch_;
   return id;
@@ -650,16 +652,15 @@ OpResult DfsCluster::Execute(const Operation& op) {
   }
   SyncMetadataReplicas();
   uint8_t op_class = static_cast<uint8_t>(ClassOf(op.kind));
-  recent_classes_.push_back(op_class);
-  ++class_counts_[op_class];
-  recent_class_mask_ |= static_cast<uint8_t>(1u << op_class);
-  if (recent_classes_.size() > 8) {
+  if (recent_classes_.full()) {
     uint8_t dropped = recent_classes_.front();
-    recent_classes_.pop_front();
     if (--class_counts_[dropped] == 0) {
       recent_class_mask_ &= static_cast<uint8_t>(~(1u << dropped));
     }
   }
+  recent_classes_.push_back(op_class);
+  ++class_counts_[op_class];
+  recent_class_mask_ |= static_cast<uint8_t>(1u << op_class);
 
   RunFor(result.cost);
   RecordOpCoverage(op, result);
@@ -671,8 +672,8 @@ OpResult DfsCluster::Execute(const Operation& op) {
 
 void DfsCluster::SyncMetadataReplicas() {
   for (NodeId id : serving_meta_nodes_) {
-    auto it = meta_nodes_.find(id);
-    if (it == meta_nodes_.end()) {
+    MetaNode* meta = FindMetaNode(id);
+    if (meta == nullptr) {
       continue;
     }
     if (hooks_ != nullptr && hooks_->SuppressMetadataSync(*this, id)) {
@@ -685,7 +686,7 @@ void DfsCluster::SyncMetadataReplicas() {
       COV_BRANCH(cov_, CovModule::kReplication, 30);
       continue;
     }
-    it->second.synced_epoch = namespace_epoch_;
+    meta->synced_epoch = namespace_epoch_;
   }
 }
 
@@ -1067,12 +1068,12 @@ OpResult DfsCluster::DoRemoveMetaNode(const Operation& op) {
     return result;
   }
   NodeId target = op.node;
-  auto it = meta_nodes_.find(target);
-  if (it == meta_nodes_.end() || !it->second.Serving()) {
+  MetaNode* meta = FindMetaNode(target);
+  if (meta == nullptr || !meta->Serving()) {
     result.status = Status::NotFound(Sprintf("meta node %u", target));
     return result;
   }
-  it->second.online = false;
+  meta->online = false;
   SetSortedMember(serving_meta_nodes_, target, false);
   ++membership_epoch_;
   result.cost = Seconds(3);
@@ -1733,10 +1734,10 @@ LoadSample DfsCluster::NodeLoadSample(NodeId id) const {
     sample.capacity_bytes = load_.NodeCapacity(id);
     load = &node->load;
   } else {
-    const MetaNode& meta = meta_nodes_.at(id);
-    sample.online = meta.online;
-    sample.crashed = meta.crashed;
-    load = &meta.load;
+    const MetaNode* meta = FindMetaNode(id);
+    sample.online = meta->online;
+    sample.crashed = meta->crashed;
+    load = &meta->load;
   }
   sample.requests = load->requests;
   sample.read_ios = load->read_ios;
@@ -1926,7 +1927,7 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
     }
   }
   writer.U64(recent_classes_.size());
-  for (uint8_t cls : recent_classes_) writer.U8(cls);
+  for (size_t i = 0; i < recent_classes_.size(); ++i) writer.U8(recent_classes_[i]);
   writer.U32(next_node_id_);
   writer.U32(next_brick_id_);
 
@@ -1968,6 +1969,7 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   if (!status.ok()) return status;
 
   meta_nodes_.clear();
+  meta_node_index_.clear();
   uint64_t meta_count = reader.Count(4 + 2 + 8 + 28);
   for (uint64_t i = 0; i < meta_count && reader.ok(); ++i) {
     MetaNode node;
@@ -2048,6 +2050,11 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   class_counts_[0] = class_counts_[1] = class_counts_[2] = class_counts_[3] = 0;
   recent_class_mask_ = 0;
   uint64_t class_count = reader.Count(1);
+  if (reader.ok() && class_count > recent_classes_.capacity()) {
+    reader.Fail(Sprintf("operation class window holds %llu entries, more than %zu",
+                        static_cast<unsigned long long>(class_count),
+                        recent_classes_.capacity()));
+  }
   for (uint64_t i = 0; i < class_count && reader.ok(); ++i) {
     uint8_t cls = reader.U8();
     if (reader.ok() && cls > 3) {
@@ -2116,6 +2123,9 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   // The id-indexed side indexes and the load index, through the same calls
   // the live cluster makes: every node, then every brick, in id order.
   load_.Clear();
+  for (auto& [id, node] : meta_nodes_) {
+    IndexMetaNodePtr(id, &node);
+  }
   for (auto& [id, node] : storage_nodes_) {
     IndexStorageNodePtr(id, &node);
     load_.AddNode(id, node.Serving());

@@ -24,6 +24,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/clock.h"
+#include "src/common/fixed_ring.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
@@ -326,6 +327,12 @@ class DfsCluster : public DfsInterface {
   }
   const StorageNode* FindStorageNode(NodeId id) const {
     return id < storage_node_index_.size() ? storage_node_index_[id] : nullptr;
+  }
+  MetaNode* FindMetaNode(NodeId id) {
+    return id < meta_node_index_.size() ? meta_node_index_[id] : nullptr;
+  }
+  const MetaNode* FindMetaNode(NodeId id) const {
+    return id < meta_node_index_.size() ? meta_node_index_[id] : nullptr;
   }
 
   // Serving (online, not crashed, not draining) bricks and storage nodes,
@@ -665,6 +672,12 @@ class DfsCluster : public DfsInterface {
     }
     storage_node_index_[id] = node;
   }
+  void IndexMetaNodePtr(NodeId id, MetaNode* node) {
+    if (meta_node_index_.size() <= id) {
+      meta_node_index_.resize(static_cast<size_t>(id) + 1, nullptr);
+    }
+    meta_node_index_[id] = node;
+  }
 
   NamespaceTree tree_;
   std::map<NodeId, StorageNode> storage_nodes_;
@@ -672,6 +685,7 @@ class DfsCluster : public DfsInterface {
   std::map<BrickId, Brick> bricks_;
   std::vector<Brick*> brick_index_;              // shadows bricks_
   std::vector<StorageNode*> storage_node_index_;  // shadows storage_nodes_
+  std::vector<MetaNode*> meta_node_index_;        // shadows meta_nodes_
   std::map<FileId, FileLayout> layouts_;
   // Reverse index: brick -> chunks with a replica there, dense by BrickId
   // and sized with brick_index_, so adding a replica never grows the outer
@@ -680,7 +694,7 @@ class DfsCluster : public DfsInterface {
   // order but keep the hot SkewBytes/QueueMovesOff scans contiguous in memory.
   std::vector<std::vector<std::pair<FileId, uint32_t>>> brick_chunks_;
   // Classes of the last 8 operations (coverage feature).
-  std::deque<uint8_t> recent_classes_;
+  FixedRing<uint8_t, 8> recent_classes_;
 
   NodeId next_node_id_ = 1;
   BrickId next_brick_id_ = 1;

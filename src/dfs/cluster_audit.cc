@@ -45,6 +45,11 @@ Status CheckMembership(const DfsCluster& dfs) {
       return Status::Internal(Sprintf("brick %u is not listed by its node %u", id, brick.node));
     }
   }
+  for (const auto& [id, node] : dfs.meta_nodes()) {
+    if (dfs.FindMetaNode(id) != &node) {
+      return Status::Internal(Sprintf("meta node %u is missing from the id index", id));
+    }
+  }
   for (const auto& [id, node] : dfs.storage_nodes()) {
     if (dfs.FindStorageNode(id) != &node) {
       return Status::Internal(Sprintf("storage node %u is missing from the id index", id));

@@ -23,31 +23,35 @@ LeoLikeCluster::LeoLikeCluster(ClusterConfig config)
 
 void LeoLikeCluster::OnTopologyChangedInternal() {
   // Ring arcs scale with device capacity; a capacity change re-plants the
-  // target's virtual nodes (a LeoFS ring/weight update).
+  // target's virtual nodes (a LeoFS ring/weight update). The serving list
+  // and ring_weights_ are both sorted by id and neither is copied: ring
+  // edits leave the topology alone.
   bool ring_changed = false;
-  std::vector<BrickId> serving = ServingBricks();
-  for (BrickId id : ring_.Targets()) {
-    if (std::find(serving.begin(), serving.end(), id) == serving.end()) {
-      ring_.RemoveTarget(id);
-      ring_weights_.erase(id);
-      ring_changed = true;
+  const std::vector<BrickId>& serving = ServingBricks();
+  std::erase_if(ring_weights_, [&](const PlantedWeight& planted) {
+    if (std::ranges::binary_search(serving, planted.id)) {
+      return false;
     }
-  }
+    ring_.RemoveTarget(planted.id);
+    ring_changed = true;
+    return true;
+  });
   for (BrickId id : serving) {
     double weight = static_cast<double>(FindBrick(id)->capacity_bytes) /
                     static_cast<double>(config_.brick_capacity);
-    auto it = ring_weights_.find(id);
-    bool stale = it != ring_weights_.end() &&
-                 (weight > it->second * 1.25 || weight < it->second * 0.8);
-    if (stale) {
+    auto it = std::ranges::lower_bound(ring_weights_, id, {}, &PlantedWeight::id);
+    if (it != ring_weights_.end() && it->id == id) {
+      bool stale = weight > it->weight * 1.25 || weight < it->weight * 0.8;
+      if (!stale) {
+        continue;
+      }
       ring_.RemoveTarget(id);
-      ring_weights_.erase(id);
+      it->weight = weight;
+    } else {
+      ring_weights_.insert(it, PlantedWeight{.id = id, .weight = weight});
     }
-    if (!ring_.HasTarget(id)) {
-      ring_.AddTarget(id, weight);
-      ring_weights_[id] = weight;
-      ring_changed = true;
-    }
+    ring_.AddTarget(id, weight);
+    ring_changed = true;
   }
   if (ring_changed) {
     primary_cache_.clear();
@@ -188,21 +192,18 @@ void LeoLikeCluster::OnBalancerRestarted() {
   // that disappeared while the manager was down.
   ring_ = HashRing(64);
   primary_cache_.clear();
-  for (auto it = ring_weights_.begin(); it != ring_weights_.end();) {
-    if (FindBrick(it->first) == nullptr) {
-      it = ring_weights_.erase(it);
-      continue;
-    }
-    ring_.AddTarget(it->first, it->second);
-    ++it;
+  std::erase_if(ring_weights_,
+                [this](const PlantedWeight& planted) { return FindBrick(planted.id) == nullptr; });
+  for (const PlantedWeight& planted : ring_weights_) {
+    ring_.AddTarget(planted.id, planted.weight);
   }
 }
 
 void LeoLikeCluster::SaveFlavorState(SnapshotWriter& writer) const {
   writer.U64(ring_weights_.size());
-  for (const auto& [id, weight] : ring_weights_) {
-    writer.U32(id);
-    writer.F64(weight);
+  for (const PlantedWeight& planted : ring_weights_) {
+    writer.U32(planted.id);
+    writer.F64(planted.weight);
   }
 }
 
@@ -213,15 +214,23 @@ Status LeoLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
   ring_weights_.clear();
   primary_cache_.clear();
   uint64_t count = reader.Count(4 + 8);
+  ring_weights_.reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count && reader.ok(); ++i) {
     BrickId id = reader.U32();
     double weight = reader.F64();
-    if (reader.ok() && FindBrick(id) == nullptr) {
+    if (!reader.ok()) {
+      break;
+    }
+    if (FindBrick(id) == nullptr) {
       reader.Fail(Sprintf("ring weight references unknown brick %u", id));
       break;
     }
+    if (!ring_weights_.empty() && ring_weights_.back().id >= id) {
+      reader.Fail(Sprintf("ring weight for brick %u is out of id order", id));
+      break;
+    }
     ring_.AddTarget(id, weight);
-    ring_weights_[id] = weight;
+    ring_weights_.push_back(PlantedWeight{.id = id, .weight = weight});
   }
   return reader.status();
 }

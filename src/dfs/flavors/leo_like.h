@@ -54,8 +54,15 @@ class LeoLikeCluster : public DfsCluster {
   BrickId PrimaryFor(FileId file, uint32_t chunk_index,
                      const std::string* known_path = nullptr) const;
 
+  // The weight each ring target was planted with, sorted by brick id: the
+  // same targets as ring_, in the order SaveFlavorState writes them.
+  struct PlantedWeight {
+    BrickId id = kInvalidBrick;
+    double weight = 0.0;
+  };
+
   HashRing ring_;
-  std::map<BrickId, double> ring_weights_;  // weight each target was planted with
+  std::vector<PlantedWeight> ring_weights_;
   mutable std::map<std::pair<FileId, uint32_t>, BrickId> primary_cache_;
 };
 

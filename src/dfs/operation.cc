@@ -5,47 +5,6 @@
 
 namespace themis {
 
-OpClass ClassOf(OpKind kind) {
-  switch (kind) {
-    case OpKind::kCreate:
-    case OpKind::kDelete:
-    case OpKind::kAppend:
-    case OpKind::kOverwrite:
-    case OpKind::kOpen:
-    case OpKind::kTruncateOverwrite:
-    case OpKind::kMkdir:
-    case OpKind::kRmdir:
-    case OpKind::kRename:
-      return OpClass::kFile;
-    case OpKind::kAddMetaNode:
-    case OpKind::kRemoveMetaNode:
-    case OpKind::kAddStorageNode:
-    case OpKind::kRemoveStorageNode:
-      return OpClass::kNode;
-    case OpKind::kAddVolume:
-    case OpKind::kRemoveVolume:
-    case OpKind::kExpandVolume:
-    case OpKind::kReduceVolume:
-      return OpClass::kVolume;
-    case OpKind::kEnvMsgLoss:
-    case OpKind::kEnvMsgReorder:
-    case OpKind::kEnvMsgDuplicate:
-    case OpKind::kEnvMsgCorrupt:
-    case OpKind::kEnvSlowDisk:
-    case OpKind::kEnvCrashNode:
-    case OpKind::kEnvClearFaults:
-      return OpClass::kEnvFault;
-  }
-  return OpClass::kFile;
-}
-
-bool IsConfigOp(OpKind kind) {
-  OpClass cls = ClassOf(kind);
-  return cls == OpClass::kNode || cls == OpClass::kVolume;
-}
-
-bool IsEnvFaultOp(OpKind kind) { return ClassOf(kind) == OpClass::kEnvFault; }
-
 std::string_view OpKindName(OpKind kind) {
   switch (kind) {
     case OpKind::kCreate:

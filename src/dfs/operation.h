@@ -95,9 +95,50 @@ enum class OpClass : uint8_t {
   kEnvFault = 3,  // environment-fault input space (faults, crashes)
 };
 
-OpClass ClassOf(OpKind kind);
-bool IsConfigOp(OpKind kind);   // node_op or volume_op
-bool IsEnvFaultOp(OpKind kind); // env_fault
+// Inline: every executed op and every fault-trigger window asks.
+constexpr OpClass ClassOf(OpKind kind) {
+  switch (kind) {
+    case OpKind::kCreate:
+    case OpKind::kDelete:
+    case OpKind::kAppend:
+    case OpKind::kOverwrite:
+    case OpKind::kOpen:
+    case OpKind::kTruncateOverwrite:
+    case OpKind::kMkdir:
+    case OpKind::kRmdir:
+    case OpKind::kRename:
+      return OpClass::kFile;
+    case OpKind::kAddMetaNode:
+    case OpKind::kRemoveMetaNode:
+    case OpKind::kAddStorageNode:
+    case OpKind::kRemoveStorageNode:
+      return OpClass::kNode;
+    case OpKind::kAddVolume:
+    case OpKind::kRemoveVolume:
+    case OpKind::kExpandVolume:
+    case OpKind::kReduceVolume:
+      return OpClass::kVolume;
+    case OpKind::kEnvMsgLoss:
+    case OpKind::kEnvMsgReorder:
+    case OpKind::kEnvMsgDuplicate:
+    case OpKind::kEnvMsgCorrupt:
+    case OpKind::kEnvSlowDisk:
+    case OpKind::kEnvCrashNode:
+    case OpKind::kEnvClearFaults:
+      return OpClass::kEnvFault;
+  }
+  return OpClass::kFile;
+}
+
+// node_op or volume_op
+constexpr bool IsConfigOp(OpKind kind) {
+  OpClass cls = ClassOf(kind);
+  return cls == OpClass::kNode || cls == OpClass::kVolume;
+}
+
+// env_fault
+constexpr bool IsEnvFaultOp(OpKind kind) { return ClassOf(kind) == OpClass::kEnvFault; }
+
 std::string_view OpKindName(OpKind kind);
 OpKind OpKindFromIndex(int index);     // index in [0, kOpKindCount)
 OpKind OpKindFromTotalIndex(int index);  // index in [0, kTotalOpKindCount)

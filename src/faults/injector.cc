@@ -11,7 +11,6 @@ namespace themis {
 
 namespace {
 
-constexpr size_t kHistoryLimit = 16;
 constexpr size_t kSteadinessWindow = 8;
 // Per-operation CPU skew injected by an active kCpuSkew fault (virtual secs).
 constexpr double kCpuSkewPerOp = 0.45;
@@ -53,6 +52,9 @@ bool FaultInjector::EffectTargetsStorage(EffectKind effect) const {
 
 bool FaultInjector::SuppressMetadataSync(const DfsCluster& dfs, NodeId node) {
   (void)dfs;
+  if (!desync_active_) {
+    return false;
+  }
   for (const FaultRuntime& fault : faults_) {
     if (fault.active && fault.spec.effect == EffectKind::kMetadataDesync &&
         fault.victim_node == node) {
@@ -65,16 +67,12 @@ bool FaultInjector::SuppressMetadataSync(const DfsCluster& dfs, NodeId node) {
 void FaultInjector::OnOperationExecuted(DfsCluster& dfs, const Operation& op,
                                         const OpResult& result) {
   (void)result;
-  recent_ops_.push_back(op.kind);
-  rounds_at_op_.push_back(dfs.completed_rebalance_rounds());
-  imbalance_at_op_.push_back(dfs.StorageImbalance());
-  hot_touch_at_op_.push_back(TouchesHottestBrick(dfs, op));
-  while (recent_ops_.size() > kHistoryLimit) {
-    recent_ops_.pop_front();
-    rounds_at_op_.pop_front();
-    imbalance_at_op_.pop_front();
-    hot_touch_at_op_.pop_front();
-  }
+  HistoryEntry entry;
+  entry.kind = op.kind;
+  entry.rounds = dfs.completed_rebalance_rounds();
+  entry.imbalance = dfs.StorageImbalance();
+  entry.hot_touch = TouchesHottestBrick(dfs, op);
+  history_.push_back(entry);
   UpdateVarianceStreaks(dfs);
   EvaluateTriggers(dfs);
   ApplyContinuousEffects(dfs);
@@ -107,18 +105,18 @@ bool FaultInjector::TouchesHottestBrick(const DfsCluster& dfs, const Operation& 
 }
 
 double FaultInjector::Steadiness() const {
-  if (recent_ops_.size() < 2 * kSteadinessWindow) {
+  if (history_.size() < 2 * kSteadinessWindow) {
     return 0.0;
   }
   // Multiset overlap between the two most recent 8-op windows.
   int counts[kTotalOpKindCount] = {0};
-  size_t start = recent_ops_.size() - 2 * kSteadinessWindow;
+  size_t start = history_.size() - 2 * kSteadinessWindow;
   for (size_t i = 0; i < kSteadinessWindow; ++i) {
-    ++counts[static_cast<int>(recent_ops_[start + i])];
+    ++counts[static_cast<int>(history_[start + i].kind)];
   }
   int overlap = 0;
   for (size_t i = 0; i < kSteadinessWindow; ++i) {
-    int kind = static_cast<int>(recent_ops_[start + kSteadinessWindow + i]);
+    int kind = static_cast<int>(history_[start + kSteadinessWindow + i].kind);
     if (counts[kind] > 0) {
       --counts[kind];
       ++overlap;
@@ -145,16 +143,14 @@ void FaultInjector::UpdateVarianceStreaks(const DfsCluster& dfs) {
 }
 
 void FaultInjector::SummarizeWindows() {
-  static_assert(std::tuple_size_v<decltype(windows_)> == kHistoryLimit + 1,
-                "one summary per window length, the empty window included");
   WindowSummary summary;
   windows_[0] = summary;
-  const size_t ops = recent_ops_.size();
+  const size_t ops = history_.size();
   for (size_t w = 1; w <= ops; ++w) {
-    OpKind kind = recent_ops_[ops - w];
-    summary.kinds |= 1u << static_cast<unsigned>(kind);
-    summary.classes |= 1u << static_cast<unsigned>(ClassOf(kind));
-    summary.hot_touches += hot_touch_at_op_[ops - w] ? 1 : 0;
+    const HistoryEntry& entry = history_[ops - w];
+    summary.kinds |= 1u << static_cast<unsigned>(entry.kind);
+    summary.classes |= 1u << static_cast<unsigned>(ClassOf(entry.kind));
+    summary.hot_touches += entry.hot_touch ? 1 : 0;
     windows_[w] = summary;
   }
 }
@@ -162,11 +158,11 @@ void FaultInjector::SummarizeWindows() {
 bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
                                      const DfsCluster& dfs) const {
   const TriggerRequirement& trigger = fault.spec.trigger;
-  size_t window = std::min(static_cast<size_t>(trigger.window), recent_ops_.size());
+  size_t window = std::min(static_cast<size_t>(trigger.window), history_.size());
   if (static_cast<int>(window) < trigger.min_window_ops) {
     return false;
   }
-  size_t start = recent_ops_.size() - window;
+  size_t start = history_.size() - window;
   const WindowSummary& seen = windows_[window];
   auto saw_class = [&](OpClass cls) {
     return (seen.classes & (1u << static_cast<unsigned>(cls))) != 0;
@@ -198,7 +194,7 @@ bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
     return false;
   }
   if (trigger.min_rebalances_in_window > 0) {
-    int rounds_in_window = dfs.completed_rebalance_rounds() - rounds_at_op_[start];
+    int rounds_in_window = dfs.completed_rebalance_rounds() - history_[start].rounds;
     if (rounds_in_window < trigger.min_rebalances_in_window) {
       return false;
     }
@@ -210,11 +206,11 @@ bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
     return false;
   }
   if (trigger.needs_accumulation) {
-    if (imbalance_at_op_.size() < 12) {
+    if (history_.size() < 12) {
       return false;
     }
-    double before = imbalance_at_op_[imbalance_at_op_.size() - 12];
-    if (imbalance_at_op_.back() < before + 0.03) {
+    double before = history_[history_.size() - 12].imbalance;
+    if (history_.back().imbalance < before + 0.03) {
       return false;
     }
   }
@@ -279,6 +275,7 @@ void FaultInjector::PickVictim(FaultRuntime& fault, DfsCluster& dfs) {
 
 void FaultInjector::Activate(FaultRuntime& fault, DfsCluster& dfs) {
   fault.active = true;
+  desync_active_ |= fault.spec.effect == EffectKind::kMetadataDesync;
   fault.triggered_at = dfs.Now();
   ++fault.trigger_count;
   PickVictim(fault, dfs);
@@ -459,10 +456,8 @@ void FaultInjector::OnClusterReset(DfsCluster& dfs) {
     fault.rounds_at_streak_start = 0;
     fault.futile_epoch = FaultRuntime::kNoEpoch;
   }
-  recent_ops_.clear();
-  rounds_at_op_.clear();
-  imbalance_at_op_.clear();
-  hot_touch_at_op_.clear();
+  desync_active_ = false;
+  history_.clear();
 }
 
 std::vector<std::string> FaultInjector::ActiveFaultIds() const {
@@ -507,14 +502,16 @@ void FaultInjector::SaveState(SnapshotWriter& writer) const {
     writer.I64(fault.rounds_at_streak_start);
     writer.U64(fault.satisfied_evals);
   }
-  writer.U64(recent_ops_.size());
-  for (OpKind op : recent_ops_) writer.U8(static_cast<uint8_t>(op));
-  writer.U64(rounds_at_op_.size());
-  for (int rounds : rounds_at_op_) writer.I64(rounds);
-  writer.U64(imbalance_at_op_.size());
-  for (double imbalance : imbalance_at_op_) writer.F64(imbalance);
-  writer.U64(hot_touch_at_op_.size());
-  for (bool hot : hot_touch_at_op_) writer.Bool(hot);
+  // The history as four oldest-first sequences of one field each.
+  const size_t ops = history_.size();
+  writer.U64(ops);
+  for (size_t i = 0; i < ops; ++i) writer.U8(static_cast<uint8_t>(history_[i].kind));
+  writer.U64(ops);
+  for (size_t i = 0; i < ops; ++i) writer.I64(history_[i].rounds);
+  writer.U64(ops);
+  for (size_t i = 0; i < ops; ++i) writer.F64(history_[i].imbalance);
+  writer.U64(ops);
+  for (size_t i = 0; i < ops; ++i) writer.Bool(history_[i].hot_touch);
   rng_.SaveState(writer);
 }
 
@@ -545,37 +542,48 @@ Status FaultInjector::RestoreState(SnapshotReader& reader) {
     fault.satisfied_evals = reader.U64();
     fault.futile_epoch = FaultRuntime::kNoEpoch;
   }
+  desync_active_ = false;
+  for (const FaultRuntime& fault : faults_) {
+    desync_active_ |= fault.active && fault.spec.effect == EffectKind::kMetadataDesync;
+  }
+  // The history: four oldest-first sequences, one per field, which must
+  // share one length of at most kHistoryLimit.
+  history_.clear();
+  std::array<HistoryEntry, kHistoryLimit> entries;
   uint64_t ops = reader.Count(1);
-  recent_ops_.clear();
+  if (reader.ok() && ops > kHistoryLimit) {
+    reader.Fail(Sprintf("fault history holds %llu ops, more than %zu",
+                        static_cast<unsigned long long>(ops), kHistoryLimit));
+  }
   for (uint64_t i = 0; i < ops && reader.ok(); ++i) {
     uint8_t op = reader.U8();
     if (reader.ok() && op >= kTotalOpKindCount) {
       reader.Fail(Sprintf("history op kind %u out of range", op));
       break;
     }
-    recent_ops_.push_back(static_cast<OpKind>(op));
+    entries[i].kind = static_cast<OpKind>(op);
   }
-  uint64_t rounds = reader.Count(8);
-  rounds_at_op_.clear();
+  auto field_count = [&](size_t elem_bytes) -> uint64_t {
+    uint64_t length = reader.Count(elem_bytes);
+    if (reader.ok() && length != ops) {
+      reader.Fail("fault history windows disagree in length");
+    }
+    return reader.ok() ? length : 0;
+  };
+  uint64_t rounds = field_count(8);
   for (uint64_t i = 0; i < rounds && reader.ok(); ++i) {
-    rounds_at_op_.push_back(static_cast<int>(reader.I64()));
+    entries[i].rounds = static_cast<int>(reader.I64());
   }
-  uint64_t imbalances = reader.Count(8);
-  imbalance_at_op_.clear();
+  uint64_t imbalances = field_count(8);
   for (uint64_t i = 0; i < imbalances && reader.ok(); ++i) {
-    imbalance_at_op_.push_back(reader.F64());
+    entries[i].imbalance = reader.F64();
   }
-  uint64_t hots = reader.Count(1);
-  hot_touch_at_op_.clear();
+  uint64_t hots = field_count(1);
   for (uint64_t i = 0; i < hots && reader.ok(); ++i) {
-    hot_touch_at_op_.push_back(reader.Bool());
+    entries[i].hot_touch = reader.Bool();
   }
-  // The window summaries index all four histories by one position.
-  if (reader.ok() && (recent_ops_.size() > kHistoryLimit ||
-                      rounds_at_op_.size() != recent_ops_.size() ||
-                      imbalance_at_op_.size() != recent_ops_.size() ||
-                      hot_touch_at_op_.size() != recent_ops_.size())) {
-    reader.Fail("fault history windows disagree in length");
+  for (uint64_t i = 0; i < ops && reader.ok(); ++i) {
+    history_.push_back(entries[i]);
   }
   Status status = rng_.RestoreState(reader);
   if (!status.ok()) return status;

@@ -18,10 +18,10 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
+#include "src/common/fixed_ring.h"
 #include "src/common/rng.h"
 #include "src/dfs/cluster.h"
 #include "src/faults/fault_spec.h"
@@ -97,11 +97,16 @@ class FaultInjector : public FaultHooks {
   bool EffectTargetsStorage(EffectKind effect) const;
 
   std::vector<FaultRuntime> faults_;
-  // Rolling execution history (most recent at the back).
-  std::deque<OpKind> recent_ops_;
-  std::deque<int> rounds_at_op_;      // completed rounds when each op ran
-  std::deque<double> imbalance_at_op_;  // storage imbalance after each op
-  std::deque<bool> hot_touch_at_op_;  // op touched data on the hottest brick
+  // One executed op of the rolling execution history.
+  struct HistoryEntry {
+    OpKind kind = OpKind::kOpen;
+    bool hot_touch = false;  // the op touched data on the hottest brick
+    int rounds = 0;          // completed rebalance rounds when it ran
+    double imbalance = 0.0;  // storage imbalance after it
+  };
+  static constexpr size_t kHistoryLimit = 16;
+  // The last kHistoryLimit ops, oldest first.
+  FixedRing<HistoryEntry, kHistoryLimit> history_;
   // What the last w history ops hold, for every window length w (the
   // history limit + 1 entries; [0] is the empty window). Built once per op,
   // so each inactive fault's trigger check reads its window instead of
@@ -111,7 +116,10 @@ class FaultInjector : public FaultHooks {
     uint32_t classes = 0;  // one bit per OpClass
     int hot_touches = 0;   // ops that touched the hottest brick
   };
-  std::array<WindowSummary, 17> windows_;
+  std::array<WindowSummary, kHistoryLimit + 1> windows_;
+  // Whether some active fault has the kMetadataDesync effect, so the
+  // per-meta-node sync hook can answer without scanning faults_.
+  bool desync_active_ = false;
   Rng rng_;
 };
 

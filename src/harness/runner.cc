@@ -123,7 +123,9 @@ MatrixResult CampaignRunner::RunJobs(const std::vector<CampaignJob>& jobs) {
 
   MatrixResult matrix_result;
   matrix_result.jobs.resize(jobs.size());
-  matrix_result.threads = std::max(options_.jobs, 1);
+  // A thread beyond the job count could never claim a job.
+  matrix_result.threads = static_cast<int>(
+      std::min(static_cast<size_t>(std::max(options_.jobs, 1)), std::max<size_t>(jobs.size(), 1)));
 
   // Each thread claims the next unclaimed job index and writes only that
   // job's pre-sized slot, so the results vector needs no lock. The threads

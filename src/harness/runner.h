@@ -84,7 +84,7 @@ struct MatrixResult {
   std::map<std::string, MatrixRollup> by_strategy;
   MatrixRollup overall;
   double wall_seconds = 0.0;
-  int threads = 1;
+  int threads = 1;  // threads started: at most one per job
 
   int FailedJobs() const { return overall.failed_jobs; }
 };

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "src/common/bytes.h"
+#include "src/common/snapshot_io.h"
 #include "src/core/executor.h"
 #include "src/core/generator.h"
 #include "src/dfs/flavors/factory.h"
@@ -334,6 +338,89 @@ TEST(Injector, NetworkSkewTargetsMetaNode) {
     }
   }
   EXPECT_GT(max_requests, 2 * min_requests);
+}
+
+// The injector's history is a 16-entry ring. Over 48 mixed ops it wraps
+// three times, and a mid-run save and restore hands a wrapped ring to a
+// fresh injector. Neither fault ever activates (probability 0), so each
+// one's satisfied_evals counts the ops at which its whole predicate held:
+// a required rename inside the last 12 ops, and an operator overlap of at
+// least 6 of 8 between the two most recent 8-op windows.
+TEST(Injector, TriggerWindowsFollowTheHistoryRingAcrossWraps) {
+  std::unique_ptr<DfsCluster> dfs = MakeCluster(Flavor::kGluster, 33);
+  FaultSpec rename = InstantSpec(Flavor::kGluster, EffectKind::kCpuSkew);
+  rename.id = "rename-in-window";
+  rename.trigger.window = 12;
+  rename.trigger.required_kinds = {OpKind::kRename};
+  rename.trigger.probability = 0.0;
+  FaultSpec steady = InstantSpec(Flavor::kGluster, EffectKind::kCpuSkew);
+  steady.id = "steady";
+  steady.trigger.min_steadiness = 0.75;
+  steady.trigger.probability = 0.0;
+  auto injector = std::make_unique<FaultInjector>(std::vector<FaultSpec>{rename, steady}, 1);
+  dfs->set_fault_hooks(injector.get());
+
+  const OpKind kKinds[] = {OpKind::kCreate, OpKind::kMkdir, OpKind::kOpen, OpKind::kAppend,
+                           OpKind::kRename};
+  Rng rng(8);
+  std::vector<OpKind> executed;
+  uint64_t rename_evals = 0;
+  uint64_t steady_evals = 0;
+  for (int i = 0; i < 48; ++i) {
+    Operation op;
+    // Renames come in bursts with long gaps, so the window both holds one
+    // and goes without one.
+    op.kind = (i / 8) % 2 == 1 && rng.NextBelow(3) == 0
+                  ? OpKind::kRename
+                  : kKinds[rng.NextBelow(std::size(kKinds) - 1)];
+    op.path = "/f" + std::to_string(rng.NextBelow(6));
+    op.path2 = "/f" + std::to_string(rng.NextBelow(6));
+    op.size = kMiB;
+    if (op.kind == OpKind::kMkdir) {
+      op.path = "/d" + std::to_string(i);
+    }
+    (void)dfs->Execute(op);
+    executed.push_back(op.kind);
+
+    const size_t n = executed.size();
+    const size_t window = std::min<size_t>(n, 12);
+    if (std::find(executed.end() - static_cast<std::ptrdiff_t>(window), executed.end(),
+                  OpKind::kRename) != executed.end()) {
+      ++rename_evals;
+    }
+    if (n >= 16) {
+      std::multiset<OpKind> older(executed.end() - 16, executed.end() - 8);
+      int overlap = 0;
+      for (auto it = executed.end() - 8; it != executed.end(); ++it) {
+        auto match = older.find(*it);
+        if (match != older.end()) {
+          older.erase(match);
+          ++overlap;
+        }
+      }
+      steady_evals += overlap >= 6 ? 1 : 0;
+    }
+    ASSERT_FALSE(injector->AnyActive());
+    ASSERT_EQ(injector->faults()[0].satisfied_evals, rename_evals) << "op " << i;
+    ASSERT_EQ(injector->faults()[1].satisfied_evals, steady_evals) << "op " << i;
+
+    if (i == 36) {
+      SnapshotWriter saved;
+      injector->SaveState(saved);
+      auto restored = std::make_unique<FaultInjector>(std::vector<FaultSpec>{rename, steady}, 1);
+      SnapshotReader reader(saved.buffer());
+      ASSERT_TRUE(restored->RestoreState(reader).ok());
+      SnapshotWriter resaved;
+      restored->SaveState(resaved);
+      ASSERT_EQ(resaved.buffer(), saved.buffer());
+      injector = std::move(restored);
+      dfs->set_fault_hooks(injector.get());
+    }
+  }
+  EXPECT_GT(rename_evals, 0u);
+  EXPECT_LT(rename_evals, 48u);
+  EXPECT_GT(steady_evals, 0u);
+  EXPECT_LT(steady_evals, 33u);
 }
 
 }  // namespace

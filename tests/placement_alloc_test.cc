@@ -1,6 +1,7 @@
 // Allocation guard (DESIGN.md §10, "Per-op memos"): once a cluster is warm,
 // placing a chunk and running the double-check's 64-mkdir/64-rmdir probe
-// burst allocate next to nothing, in every flavor. The binary replaces the
+// burst allocate next to nothing, in every flavor, and re-planting a
+// consistent-hash ring target allocates nothing. The binary replaces the
 // global operator new to count calls, so it is a test executable of its
 // own. Sanitizer runtimes bring their own allocator; the cases skip there.
 
@@ -16,6 +17,7 @@
 
 #include "src/common/bytes.h"
 #include "src/dfs/flavors/factory.h"
+#include "src/dfs/placement/hash_ring.h"
 
 namespace {
 
@@ -123,6 +125,32 @@ TEST_P(PlacementAllocTest, ProbeBurstAllocatesAlmostNothing) {
       EXPECT_LT(allocations, 8u) << "allocations in a 128-op probe burst";
     }
   }
+}
+
+// LeoFS re-plants a ring target on every capacity change. The flat ring
+// keeps its vectors' capacity, so once one remove-and-add cycle has grown
+// them, re-planting a target of a 16-target ring allocates nothing.
+TEST(HashRingAllocTest, ReplantingATargetAllocatesNothing) {
+#ifdef THEMIS_SANITIZED
+  GTEST_SKIP() << "the sanitizer runtime replaces the allocator";
+#endif
+  HashRing ring(64);
+  for (BrickId target = 1; target <= 16; ++target) {
+    ring.AddTarget(target);
+  }
+  ring.RemoveTarget(7);
+  ring.AddTarget(7, 1.2);
+
+  const uint64_t before = Allocations();
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    ring.RemoveTarget(7);
+    ring.AddTarget(7, cycle % 2 == 0 ? 1.0 : 1.2);
+  }
+  const uint64_t allocations = Allocations() - before;
+
+  EXPECT_EQ(ring.target_count(), 16u);
+  EXPECT_EQ(ring.VnodeCount(7), 76);
+  EXPECT_EQ(allocations, 0u) << "allocations in 8 re-plants";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFlavors, PlacementAllocTest,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <span>
@@ -111,6 +113,140 @@ TEST(HashRing, BalancedDistribution) {
   for (const auto& [brick, count] : counts) {
     EXPECT_GT(count, kKeys / 8) << "target " << brick << " starved";
     EXPECT_LT(count, kKeys / 2) << "target " << brick << " dominates";
+  }
+}
+
+// The std::map ring HashRing used to be, kept as the reference for the flat
+// one: the same vnode positions, the same collision probing, the same walk.
+class MapRing {
+ public:
+  explicit MapRing(int vnodes_per_target) : vnodes_(vnodes_per_target) {}
+
+  void AddTarget(BrickId target, double weight) {
+    if (positions_.count(target) != 0) {
+      return;
+    }
+    int vnodes = static_cast<int>(static_cast<double>(vnodes_) * weight);
+    vnodes = std::clamp(vnodes, 4, 4 * vnodes_);
+    std::vector<uint64_t>& planted = positions_[target];
+    for (int v = 0; v < vnodes; ++v) {
+      uint64_t pos = HashCombine(Mix64(target + 0x9e37ULL), static_cast<uint64_t>(v));
+      while (ring_.count(pos) != 0) {
+        pos = Mix64(pos);
+      }
+      ring_[pos] = target;
+      planted.push_back(pos);
+    }
+  }
+  void RemoveTarget(BrickId target) {
+    auto it = positions_.find(target);
+    if (it == positions_.end()) {
+      return;
+    }
+    for (uint64_t pos : it->second) {
+      ring_.erase(pos);
+    }
+    positions_.erase(it);
+  }
+  int VnodeCount(BrickId target) const {
+    auto it = positions_.find(target);
+    return it == positions_.end() ? 0 : static_cast<int>(it->second.size());
+  }
+  std::vector<BrickId> Locate(uint64_t key_hash, int replicas) const {
+    std::vector<BrickId> out;
+    if (ring_.empty()) {
+      return out;
+    }
+    size_t want = std::min(static_cast<size_t>(replicas), positions_.size());
+    auto it = ring_.lower_bound(key_hash);
+    for (size_t steps = 0; out.size() < want && steps < 2 * ring_.size(); ++steps, ++it) {
+      if (it == ring_.end()) {
+        it = ring_.begin();
+      }
+      if (std::find(out.begin(), out.end(), it->second) == out.end()) {
+        out.push_back(it->second);
+      }
+    }
+    return out;
+  }
+  std::vector<BrickId> Targets() const {
+    std::vector<BrickId> out;
+    for (const auto& [target, planted] : positions_) {
+      out.push_back(target);
+    }
+    return out;
+  }
+  // Every vnode position: keys on, just before and just after them probe
+  // the walk's boundaries.
+  std::vector<uint64_t> Positions() const {
+    std::vector<uint64_t> out;
+    for (const auto& [pos, target] : ring_) {
+      out.push_back(pos);
+    }
+    return out;
+  }
+
+ private:
+  int vnodes_;
+  std::map<uint64_t, BrickId> ring_;
+  std::map<BrickId, std::vector<uint64_t>> positions_;
+};
+
+// Random adds (new and already planted), removes (planted and absent),
+// re-weights (remove, then add at the new weight, as LeoFS re-plants) and
+// locates, over weights below, inside and above the vnode clamp. After every
+// step the flat ring must answer every query as the map ring does.
+TEST(HashRing, FlatRingMatchesTheMapRing) {
+  constexpr int kVnodes = 16;
+  const double kWeights[] = {0.0, 0.1, 0.5, 1.0, 1.3, 2.5, 4.0, 9.0};
+  Rng rng(2026);
+  HashRing flat(kVnodes);
+  MapRing reference(kVnodes);
+  for (int step = 0; step < 400; ++step) {
+    const BrickId target = static_cast<BrickId>(1 + rng.NextBelow(24));
+    const double weight = kWeights[rng.NextBelow(std::size(kWeights))];
+    switch (rng.NextBelow(4)) {
+      case 0:
+        flat.AddTarget(target, weight);
+        reference.AddTarget(target, weight);
+        break;
+      case 1:
+        flat.RemoveTarget(target);
+        reference.RemoveTarget(target);
+        break;
+      case 2:
+        flat.RemoveTarget(target);
+        reference.RemoveTarget(target);
+        flat.AddTarget(target, weight);
+        reference.AddTarget(target, weight);
+        break;
+      default:
+        break;  // locate only
+    }
+    ASSERT_EQ(flat.Targets(), reference.Targets()) << "step " << step;
+    ASSERT_EQ(flat.target_count(), reference.Targets().size()) << "step " << step;
+    for (BrickId id = 0; id <= 25; ++id) {
+      ASSERT_EQ(flat.VnodeCount(id), reference.VnodeCount(id)) << "step " << step;
+      ASSERT_EQ(flat.HasTarget(id), reference.VnodeCount(id) != 0) << "step " << step;
+    }
+    std::vector<uint64_t> keys = {0, 1, UINT64_MAX};
+    for (int k = 0; k < 48; ++k) {
+      keys.push_back(rng.NextU64());
+    }
+    const std::vector<uint64_t> positions = reference.Positions();
+    for (int k = 0; k < 8 && !positions.empty(); ++k) {
+      const uint64_t pos = positions[rng.NextBelow(positions.size())];
+      keys.insert(keys.end(), {pos - 1, pos, pos + 1});
+    }
+    for (uint64_t key : keys) {
+      for (int replicas = 1; replicas <= 4; ++replicas) {
+        ASSERT_EQ(flat.Locate(key, replicas), reference.Locate(key, replicas))
+            << "step " << step << ", key " << key << ", replicas " << replicas;
+      }
+      std::vector<BrickId> primary = reference.Locate(key, 1);
+      ASSERT_EQ(flat.Primary(key), primary.empty() ? kInvalidBrick : primary.front())
+          << "step " << step << ", key " << key;
+    }
   }
 }
 

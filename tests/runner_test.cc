@@ -104,6 +104,26 @@ TEST(Runner, ResultsIdenticalUnderJobPermutation) {
   EXPECT_EQ(straight.overall.distinct_failures, shuffled.overall.distinct_failures);
 }
 
+// A thread beyond the job count could never claim a job, so the runner
+// starts at most one thread per job (and one for an empty job list).
+TEST(Runner, ThreadCountIsClampedToTheJobCount) {
+  CampaignMatrix matrix;
+  matrix.flavors = {Flavor::kGluster, Flavor::kHdfs};
+  matrix.strategies = {"Themis"};
+  matrix.seeds = 2;
+  matrix.matrix_seed = 91;
+  matrix.base.budget = Minutes(30);
+  MatrixResult serial = CampaignRunner(WithJobs(1)).Run(matrix);
+  MatrixResult wide = CampaignRunner(WithJobs(8)).Run(matrix);
+  ASSERT_EQ(wide.jobs.size(), 4u);
+  EXPECT_EQ(wide.threads, 4);
+  for (size_t i = 0; i < serial.jobs.size(); ++i) {
+    ASSERT_TRUE(wide.jobs[i].status.ok()) << wide.jobs[i].status.ToString();
+    EXPECT_EQ(wide.jobs[i].result.Digest(), serial.jobs[i].result.Digest()) << "job " << i;
+  }
+  EXPECT_EQ(CampaignRunner(WithJobs(8)).RunJobs({}).threads, 1);
+}
+
 // Shared by every runner thread, so it records under a lock.
 class CountingObserver : public CampaignLoopObserver {
  public:

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -21,6 +22,7 @@
 #include "src/dfs/flavors/factory.h"
 #include "src/dfs/flavors/geo_like.h"
 #include "src/faults/env_fault.h"
+#include "src/faults/injector.h"
 #include "src/harness/campaign.h"
 #include "src/harness/snapshot.h"
 #include "src/monitor/load_model.h"
@@ -682,6 +684,107 @@ TEST(SnapshotCorruptionTest, ChunkWithTooManyReplicasIsRejected) {
   std::unique_ptr<DfsCluster> intact = MakeCluster(Flavor::kHdfs, 1);
   SnapshotReader intact_reader(bytes);
   EXPECT_TRUE(intact->RestoreState(intact_reader).ok());
+}
+
+// The fault history and the cluster's op-class window live in fixed rings of
+// 16 and 8 entries, and the LeoFS ring weights in an id-sorted vector, so
+// restore must refuse a record that lists more entries than the ring holds,
+// four history sequences of unequal length, or weights out of id order,
+// before it stores them.
+TEST(SnapshotCorruptionTest, HistoryRecordsLongerThanTheirRingsAreRejected) {
+  // An injector record with no faults: the four history sequences, then the
+  // injector's RNG.
+  auto injector_record = [](uint64_t kinds, uint64_t rounds, uint64_t imbalances,
+                            uint64_t hots) {
+    SnapshotWriter writer;
+    writer.U64(0);
+    writer.U64(kinds);
+    for (uint64_t i = 0; i < kinds; ++i) writer.U8(static_cast<uint8_t>(OpKind::kCreate));
+    writer.U64(rounds);
+    for (uint64_t i = 0; i < rounds; ++i) writer.I64(0);
+    writer.U64(imbalances);
+    for (uint64_t i = 0; i < imbalances; ++i) writer.F64(0.0);
+    writer.U64(hots);
+    for (uint64_t i = 0; i < hots; ++i) writer.Bool(false);
+    Rng(1).SaveState(writer);
+    return writer;
+  };
+  auto restore_injector = [](const SnapshotWriter& writer) {
+    FaultInjector injector({}, 1);
+    SnapshotReader reader(writer.buffer());
+    return injector.RestoreState(reader);
+  };
+  EXPECT_TRUE(restore_injector(injector_record(16, 16, 16, 16)).ok());
+  Status status = restore_injector(injector_record(17, 17, 17, 17));
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("fault history holds 17 ops, more than 16"),
+            std::string::npos)
+      << status.ToString();
+  for (const auto& [rounds, imbalances, hots] :
+       {std::tuple<uint64_t, uint64_t, uint64_t>{4, 5, 5}, {5, 6, 5}, {5, 5, 0}}) {
+    status = restore_injector(injector_record(5, rounds, imbalances, hots));
+    ASSERT_FALSE(status.ok()) << rounds << " " << imbalances << " " << hots;
+    EXPECT_NE(status.message().find("fault history windows disagree in length"),
+              std::string::npos)
+        << status.ToString();
+  }
+
+  // A fresh HDFS cluster's record: its class window (empty) sits between
+  // the empty layout table and the id counters (next node id 11, next brick
+  // id 9). Splice in a window of `classes` entries.
+  std::unique_ptr<DfsCluster> hdfs = MakeCluster(Flavor::kHdfs, 1);
+  SnapshotWriter cluster;
+  hdfs->SaveState(cluster);
+  const std::string& bytes = cluster.buffer();
+  SnapshotWriter tail;
+  tail.U64(0);  // layouts
+  tail.U64(0);  // op classes
+  tail.U32(11);
+  tail.U32(9);
+  const size_t tail_at = bytes.find(tail.buffer());
+  ASSERT_NE(tail_at, std::string::npos);
+  ASSERT_EQ(bytes.rfind(tail.buffer()), tail_at);
+  const size_t classes_at = tail_at + 8;
+  auto restore_with_classes = [&](uint64_t classes) {
+    SnapshotWriter window;
+    window.U64(classes);
+    for (uint64_t i = 0; i < classes; ++i) window.U8(static_cast<uint8_t>(i % 4));
+    std::string payload = bytes.substr(0, classes_at) + window.buffer() +
+                          bytes.substr(classes_at + 8);
+    std::unique_ptr<DfsCluster> fresh = MakeCluster(Flavor::kHdfs, 1);
+    SnapshotReader reader(payload);
+    return fresh->RestoreState(reader);
+  };
+  EXPECT_TRUE(restore_with_classes(8).ok());
+  status = restore_with_classes(9);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("operation class window holds 9 entries, more than 8"),
+            std::string::npos)
+      << status.ToString();
+
+  // A fresh LeoFS cluster's record ends with its ring weights (a count, then
+  // id and weight per brick in id order) and the U32 crash census.
+  std::unique_ptr<DfsCluster> leo = MakeCluster(Flavor::kLeo, 1);
+  SnapshotWriter leo_writer;
+  leo->SaveState(leo_writer);
+  const std::string& leo_bytes = leo_writer.buffer();
+  const size_t bricks = leo->bricks().size();
+  const size_t weights_at = leo_bytes.size() - 4 - (8 + 12 * bricks);
+  ASSERT_EQ(static_cast<uint8_t>(leo_bytes[weights_at]), bricks);
+  ASSERT_EQ(static_cast<uint8_t>(leo_bytes[weights_at + 8]), 1u);   // first id
+  ASSERT_EQ(static_cast<uint8_t>(leo_bytes[weights_at + 20]), 2u);  // second id
+  std::string duplicate = leo_bytes;
+  duplicate[weights_at + 20] = 1;
+  std::unique_ptr<DfsCluster> fresh_leo = MakeCluster(Flavor::kLeo, 1);
+  SnapshotReader leo_reader(duplicate);
+  status = fresh_leo->RestoreState(leo_reader);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("ring weight for brick 1 is out of id order"),
+            std::string::npos)
+      << status.ToString();
+  std::unique_ptr<DfsCluster> intact_leo = MakeCluster(Flavor::kLeo, 1);
+  SnapshotReader intact_reader(leo_bytes);
+  EXPECT_TRUE(intact_leo->RestoreState(intact_reader).ok());
 }
 
 }  // namespace
