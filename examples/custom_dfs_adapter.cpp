@@ -3,13 +3,16 @@
 //
 // The paper's claim: only the Interaction Adaptor needs work — an
 // `operation.send()` path and a `LoadMonitor()` path. In this code base that
-// means implementing the flavor extension points of DfsCluster (placement +
-// rebalance plan); everything else (request handling, load accounting,
-// rebalance APIs, sampling) is inherited. This example builds a deliberately
-// naive "RoundRobinFS" — placement ignores load entirely — and lets Themis
-// loose on it. Round-robin placement plus file deletions skews storage
-// quickly, so Themis's detector should flag imbalances that the (correct)
-// leveling rebalancer then fixes: candidates, but no confirmed failures.
+// means implementing the flavor extension points of DfsCluster: `PlaceChunk`,
+// an optional `HomeBrick` (where hash placement says a chunk belongs) and the
+// flavor's own planning step. Everything else is inherited: request handling,
+// load accounting, the rebalance APIs, sampling, and the rebalance plan's
+// homing and leveling passes. This example builds a deliberately naive
+// "RoundRobinFS" — placement ignores load entirely, and nothing pins a chunk
+// to a home — and lets Themis loose on it. Round-robin placement plus file
+// deletions skews storage quickly, so Themis's detector should flag
+// imbalances that the (correct) leveling rebalancer then fixes: candidates,
+// but no confirmed failures.
 //
 //   ./build/examples/custom_dfs_adapter [virtual_minutes] [seed]
 
@@ -51,10 +54,8 @@ class RoundRobinFs : public DfsCluster {
     return chosen;
   }
 
-  MigrationPlan BuildRebalancePlan() override {
-    // Reuse the generic capacity-proportional leveler.
-    return PlanLevelingByUsage(config_.native_threshold * 0.5);
-  }
+  // No planning step of its own: the base's leveler does the whole plan.
+  bool BuildRebalancePlan(MigrationPlan& /*plan*/) override { return true; }
 
  private:
   static ClusterConfig Config(uint64_t seed) {

@@ -10,15 +10,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "src/common/snapshot_io.h"
 
 namespace themis {
 
-// The hashes are inline: the placement hashes (Ceph and Leo object hashes,
-// Gluster's DHT name hash) and the coverage tuples call them per character
-// or per branch.
+// The hashes are inline: the placement hashes (the object hashes, Gluster's
+// DHT name hash) and the coverage tuples call them per character or per
+// branch.
 
 // splitmix64 step; also useful as a cheap mixing/hash function.
 inline uint64_t SplitMix64(uint64_t& state) {
@@ -38,6 +39,15 @@ inline uint64_t Mix64(uint64_t value) {
 // Combines a hash with a new value (boost::hash_combine style, 64-bit).
 inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
   return seed ^ (Mix64(value) + 0x9e3779b97f4a7c15ULL + (seed << 12) + (seed >> 4));
+}
+
+// Folds every byte of `bytes` into `seed`, one HashCombine per byte (the
+// path, name and id hashes).
+inline uint64_t HashBytes(uint64_t seed, std::string_view bytes) {
+  for (char c : bytes) {
+    seed = HashCombine(seed, static_cast<uint64_t>(static_cast<unsigned char>(c)));
+  }
+  return seed;
 }
 
 class Rng {

@@ -125,11 +125,10 @@ ExecOutcome TestCaseExecutor::Run(const OpSeq& seq) {
 }
 
 bool TestCaseExecutor::WaitForRebalanceDone() {
-  const DetectorConfig& config = detector_.config();
-  SimTime deadline = dfs_.Now() + config.rebalance_timeout;
+  SimTime deadline = dfs_.Now() + kRebalanceTimeout;
   uint64_t polls = 0;
   while (!dfs_.RebalanceDone() && dfs_.Now() < deadline) {
-    dfs_.AdvanceTime(config.poll_interval);
+    dfs_.AdvanceTime(kPollInterval);
     ++polls;
   }
   bool done = dfs_.RebalanceDone();
@@ -181,11 +180,10 @@ bool TestCaseExecutor::WaitForEnvRecovery() {
   if (!dfs_.EnvRecoveryPending()) {
     return false;
   }
-  const DetectorConfig& config = detector_.config();
-  SimTime deadline = dfs_.Now() + config.rebalance_timeout;
+  SimTime deadline = dfs_.Now() + kRebalanceTimeout;
   uint64_t polls = 0;
   while (dfs_.EnvRecoveryPending() && dfs_.Now() < deadline) {
-    dfs_.AdvanceTime(config.poll_interval);
+    dfs_.AdvanceTime(kPollInterval);
     ++polls;
   }
   if (telemetry_ != nullptr && polls > 0) {

@@ -103,6 +103,12 @@ class TestCaseExecutor {
  private:
   // Metadata-only probe burst used by the post-rebalance re-check.
   static constexpr int kProbeOps = 64;
+  // How long the double-check waits for 'rebalance done' (and for a pending
+  // env-fault restart). Generous: a healthy cluster can owe terabytes of
+  // queued recovery traffic, and a slow drain is not a hang.
+  static constexpr SimDuration kRebalanceTimeout = Hours(2);
+  // Polling step while waiting.
+  static constexpr SimDuration kPollInterval = Seconds(10);
 
   // Runs the rebalance-and-recheck protocol. Returns the confirmed report if
   // the candidate survives.

@@ -161,19 +161,89 @@ uint64_t DfsCluster::FreeSpaceBytesExcept(BrickId skip) const {
   return free;
 }
 
-MigrationPlan DfsCluster::PlanLevelingByUsage(
-    double tolerance, const std::map<BrickId, uint64_t>* extra_inflow) const {
+MigrationPlan DfsCluster::PlanRebalance() {
   MigrationPlan plan;
+  if (BuildRebalancePlan(plan)) {
+    PlanLevelingByUsage(plan);
+  }
+  return plan;
+}
+
+void DfsCluster::FillFromServingBricks(uint64_t bytes, ReplicaSet& chosen) const {
+  for (BrickId id : ServingBricks()) {
+    if (static_cast<int>(chosen.size()) >= kReplication) {
+      return;
+    }
+    if (FindBrick(id)->FreeBytes() >= bytes &&
+        std::find(chosen.begin(), chosen.end(), id) == chosen.end()) {
+      chosen.push_back(id);
+    }
+  }
+}
+
+void DfsCluster::PlanHoming(MigrationPlan& plan) const {
+  uint64_t total_capacity = TotalCapacityBytes();
+  double fleet = total_capacity == 0 ? 0.0
+                                     : static_cast<double>(TotalServingUsedBytes()) /
+                                           static_cast<double>(total_capacity);
+  double receive_limit = fleet + BalanceTolerance();
+  std::map<BrickId, uint64_t> planned_inflow;  // cumulative per-home bytes
+  for (const auto& [file, layout] : layouts_) {
+    std::string path = tree_.PathOf(file);
+    if (path.empty()) {
+      continue;
+    }
+    for (uint32_t i = 0; i < layout.chunks.size(); ++i) {
+      const ChunkPlacement& chunk = layout.chunks[i];
+      if (chunk.replicas.empty()) {
+        continue;
+      }
+      BrickId home = HomeBrick(file, i, &path);
+      if (home == kInvalidBrick || chunk.HasReplicaOn(home)) {
+        continue;
+      }
+      const Brick* target = FindBrick(home);
+      if (target == nullptr || !target->online || target->FreeBytes() < chunk.bytes) {
+        continue;
+      }
+      uint64_t& inflow = planned_inflow[home];
+      double target_after = static_cast<double>(target->used_bytes + inflow + chunk.bytes) /
+                            static_cast<double>(target->capacity_bytes);
+      if (target_after > receive_limit) {
+        continue;  // min-free-disk: leave the chunk where it is
+      }
+      inflow += chunk.bytes;
+      plan.push_back(ChunkMove{.file = file,
+                               .chunk_index = i,
+                               .from = chunk.replicas.front(),
+                               .to = home,
+                               .bytes = chunk.bytes,
+                               .reason = MoveReason::kRebalance,
+                               .hash_driven = true});
+    }
+  }
+}
+
+void DfsCluster::PlanLevelingByUsage(MigrationPlan& plan) const {
   const std::vector<BrickId>& serving = ServingBricks();
   if (serving.size() < 2) {
-    return plan;
+    return;
   }
   uint64_t total_used = TotalServingUsedBytes();
   uint64_t total_capacity = TotalCapacityBytes();
   if (total_capacity == 0 || total_used == 0) {
-    return plan;
+    return;
   }
   double fleet = static_cast<double>(total_used) / static_cast<double>(total_capacity);
+  double tolerance = BalanceTolerance();
+  // Bytes the plan's data moves already direct at each brick (a linkfile
+  // unlink moves no data).
+  std::map<BrickId, uint64_t> planned_inflow;
+  for (const ChunkMove& move : plan) {
+    if (!move.is_linkfile) {
+      planned_inflow[move.to] += move.bytes;
+    }
+  }
   // Donors: above fleet*(1+tolerance); receivers: below fleet.
   struct Receiver {
     BrickId brick;
@@ -190,11 +260,8 @@ MigrationPlan DfsCluster::PlanLevelingByUsage(
     double limit = (fleet + tolerance) * static_cast<double>(brick->capacity_bytes);
     if (brick->UsedFraction() < fleet + tolerance * 0.5) {
       uint64_t committed = brick->used_bytes;
-      if (extra_inflow != nullptr) {
-        auto inflow_it = extra_inflow->find(id);
-        if (inflow_it != extra_inflow->end()) {
-          committed += inflow_it->second;
-        }
+      if (auto inflow_it = planned_inflow.find(id); inflow_it != planned_inflow.end()) {
+        committed += inflow_it->second;
       }
       if (static_cast<double>(committed) >= limit) {
         continue;
@@ -237,7 +304,7 @@ MigrationPlan DfsCluster::PlanLevelingByUsage(
         continue;
       }
       const ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
-      if (ChunkPinnedToBrick(file, chunk_index, donor)) {
+      if (HomeBrick(file, chunk_index, nullptr) == donor) {
         THEMIS_LOG(kDebug, "leveling: file%llu#%u pinned to brick%u",
                    static_cast<unsigned long long>(file), chunk_index, donor);
         continue;  // hash-placed: the flavor plan owns this replica
@@ -278,7 +345,6 @@ MigrationPlan DfsCluster::PlanLevelingByUsage(
       }
     }
   }
-  return plan;
 }
 
 std::vector<NodeId> DfsCluster::ListMetaNodes() const { return serving_meta_nodes_; }
@@ -1032,13 +1098,10 @@ OpResult DfsCluster::DoRename(const Operation& op) {
   COV_BRANCH(cov_, CovModule::kNamespace, 10);
   PathId src = tree_.ResolveOpPath(op);
   PathId dst = tree_.ResolveOpPath2(op);
-  Result<FileId> id = tree_.FileIdOf(src);
+  bool is_file = tree_.FileIdOf(src).ok();
   result.status = tree_.Rename(src, dst);
   if (result.status.ok()) {
-    OnNamespaceRenamed();
-    if (id.ok()) {
-      OnFileRenamed(*id, NormalizePath(op.path), NormalizePath(op.path2));
-    }
+    OnRenamed(op, is_file);
   }
   return result;
 }
@@ -1179,9 +1242,8 @@ OpResult DfsCluster::DoAddVolume(const Operation& op) {
     result.status = Status::Unavailable("no serving storage node for new volume");
     return result;
   }
-  uint64_t capacity = op.size == 0 ? config_.brick_capacity
-                                   : std::clamp(op.size, kMinBrickCapacity,
-                                                2 * config_.brick_capacity);
+  uint64_t capacity = op.size == 0 ? kBrickCapacity
+                                   : std::clamp(op.size, kMinBrickCapacity, 2 * kBrickCapacity);
   NewBrickOnNode(target, capacity);
   result.cost = Seconds(15);
   NotifyTopologyChanged();
@@ -1221,10 +1283,10 @@ OpResult DfsCluster::DoExpandVolume(const Operation& op) {
     result.status = Status::NotFound(Sprintf("brick %u", op.brick));
     return result;
   }
-  uint64_t delta = op.size == 0 ? config_.brick_capacity / 4 : op.size;
+  uint64_t delta = op.size == 0 ? kBrickCapacity / 4 : op.size;
   // A device grows to at most 2x the standard brick: balance targets must
   // stay reachable at chunk granularity across the capacity spread.
-  uint64_t cap_limit = 2 * config_.brick_capacity;
+  uint64_t cap_limit = 2 * kBrickCapacity;
   if (brick->capacity_bytes >= cap_limit) {
     result.status = Status::FailedPrecondition("volume already at maximum size");
     return result;
@@ -1389,7 +1451,7 @@ Status DfsCluster::TriggerRebalance() {
   if (rebalance_active_) {
     return Status::Ok();  // already running
   }
-  MigrationPlan plan = BuildRebalancePlan();
+  MigrationPlan plan = PlanRebalance();
   if (hooks_ != nullptr) {
     hooks_->OnRebalancePlanned(*this, plan);
   }

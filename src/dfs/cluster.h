@@ -4,9 +4,9 @@
 // against: execute an operation, sample per-node load, trigger / query
 // rebalance — exactly the two integration points (`operation.send()` and
 // `LoadMonitor()`) plus the rebalance APIs that the paper's Interaction
-// Adaptor uses (§5). `DfsCluster` is the shared simulator engine; the four
-// flavors in src/dfs/flavors/ plug in their placement policy, balancer
-// discipline and native balance threshold.
+// Adaptor uses (§5). `DfsCluster` is the shared simulator engine, rebalance
+// planning included; the five flavors in src/dfs/flavors/ plug in their
+// placement policy, their own planning step and native balance threshold.
 
 #ifndef SRC_DFS_CLUSTER_H_
 #define SRC_DFS_CLUSTER_H_
@@ -237,11 +237,13 @@ class DfsInterface {
 
 // Stripe unit: every chunk stays within it, so chunks stay migratable.
 inline constexpr uint64_t kChunkSize = 2 * kGiB;
+// A standard brick: what a new storage node or volume gets (GeoFS scales it
+// per node), and the unit volume expansion and reduction are bounded by.
+inline constexpr uint64_t kBrickCapacity = 480 * kGiB;
 
 struct ClusterConfig {
   int initial_storage_nodes = 8;
   int initial_meta_nodes = 2;
-  uint64_t brick_capacity = 480 * kGiB;
   // EFBIG-style admission cap on a single file (0 = unlimited). Production
   // flavors set this: without it, a boundary "write the whole free space"
   // scenario on a petabyte fleet turns one create into hundreds of thousands
@@ -365,17 +367,6 @@ class DfsCluster : public DfsInterface {
   // The state behind the reads above (DESIGN.md §10), for AuditCluster.
   const LoadIndex& load_index() const { return load_; }
 
-  // Generic capacity-proportional leveling plan: moves chunks from bricks
-  // above the fleet utilization (by more than `tolerance`) to bricks below
-  // it. Flavors build their plans on top of / instead of this.
-  // `extra_inflow` carries bytes the flavor's own plan section already
-  // directed at each brick, so the combined plan respects one budget.
-  // Chunks for which ChunkPinnedToBrick() holds are never moved — they sit
-  // where the flavor's placement function says they belong, and moving them
-  // would only make the next rebalance move them back.
-  MigrationPlan PlanLevelingByUsage(
-      double tolerance, const std::map<BrickId, uint64_t>* extra_inflow = nullptr) const;
-
   int completed_rebalance_rounds() const { return completed_rebalance_rounds_; }
   uint64_t rebalance_triggers() const { return rebalance_triggers_; }
   // Authoritative namespace mutation count; metadata replicas (MetaNode::
@@ -463,9 +454,23 @@ class DfsCluster : public DfsInterface {
   virtual ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
                                 uint64_t bytes) = 0;
 
-  // Builds a migration plan that would bring the cluster back inside the
-  // native threshold. Called by TriggerRebalance / the periodic balancer.
-  virtual MigrationPlan BuildRebalancePlan() = 0;
+  // The flavor's own step of a rebalance plan, run first in every round: it
+  // emits the flavor's planning phase, updates its placement state (CephFS
+  // upmaps) and appends its own moves (PlanHoming, the GeoFS site drain).
+  // PlanRebalance then levels what is left. False ends the plan there: the
+  // placement has no targets yet (an empty DHT layout or ring).
+  virtual bool BuildRebalancePlan(MigrationPlan& plan) = 0;
+
+  // Where one chunk's first replica belongs under the flavor's deterministic
+  // placement (DHT range, hash ring), or kInvalidBrick when nothing pins it.
+  // `path` is the file's path when the caller has it, else null. The leveler
+  // never moves a replica off its home: the next rebalance would move it back.
+  virtual BrickId HomeBrick(FileId file, uint32_t chunk_index, const std::string* path) const {
+    (void)file;
+    (void)chunk_index;
+    (void)path;
+    return kInvalidBrick;
+  }
 
   // Topology (nodes or bricks) changed: recompute layouts / rings / weights.
   virtual void OnTopologyChangedInternal() {}
@@ -486,17 +491,13 @@ class DfsCluster : public DfsInterface {
   // initial nodes are re-added (GeoFS clears its geotag tree).
   virtual void OnTopologyCleared() {}
 
-  // Flavor hook after a file rename (GlusterFS spawns linkfiles here).
-  virtual void OnFileRenamed(FileId file, const std::string& from, const std::string& to) {
-    (void)file;
-    (void)from;
-    (void)to;
+  // A rename `op` succeeded; `is_file` is false for a directory move, which
+  // re-paths every descendant file. GlusterFS spawns linkfiles here, and
+  // flavors caching anything keyed by path invalidate it.
+  virtual void OnRenamed(const Operation& op, bool is_file) {
+    (void)op;
+    (void)is_file;
   }
-
-  // Flavor hook after ANY successful rename, including directory moves —
-  // those re-path every descendant file without an OnFileRenamed call, so
-  // flavors caching anything keyed by path must invalidate here.
-  virtual void OnNamespaceRenamed() {}
 
   // Flavor hook when a rebalance round drains.
   virtual void OnRebalanceRoundDone() {}
@@ -506,23 +507,30 @@ class DfsCluster : public DfsInterface {
   // interrupted round is re-triggered.
   virtual void OnBalancerRestarted() {}
 
-  // True when this replica is exactly where the flavor's deterministic
-  // placement (DHT range, hash ring) says it belongs; the generic leveler
-  // then leaves it alone.
-  virtual bool ChunkPinnedToBrick(FileId file, uint32_t chunk_index, BrickId brick) const {
-    (void)file;
-    (void)chunk_index;
-    (void)brick;
-    return false;
-  }
-
   // Brick capacity for a storage node being added. The default is the
-  // homogeneous configured capacity; GeoFS overrides it to model a
+  // homogeneous kBrickCapacity; GeoFS overrides it to model a
   // heterogeneous-capacity fleet. Deterministic in the node id.
   virtual uint64_t BrickCapacityFor(NodeId id) const {
     (void)id;
-    return config_.brick_capacity;
+    return kBrickCapacity;
   }
+
+  // ---- rebalance planning (services for BuildRebalancePlan) ----
+  // The whole plan of one rebalance round: BuildRebalancePlan, then the
+  // capacity-proportional leveler. TriggerRebalance enqueues it.
+  MigrationPlan PlanRebalance();
+  // The balance tolerance every planning step works to: half the native
+  // threshold, so a settled round leaves headroom below it.
+  double BalanceTolerance() const { return config_.native_threshold * 0.5; }
+  // The homing pass: plans a move of each chunk's first replica to its
+  // HomeBrick wherever they differ (a DHT fix-layout or ring change moved
+  // the home). cluster.min-free-disk semantics: a home never receives data
+  // beyond the fleet utilization plus the tolerance; otherwise hashing keeps
+  // re-homing data onto hot bricks and a healthy cluster never settles.
+  void PlanHoming(MigrationPlan& plan) const;
+  // The fallback when a chunk's placement targets are full: appends serving
+  // bricks with room for `bytes`, in id order, until `chosen` is full.
+  void FillFromServingBricks(uint64_t bytes, ReplicaSet& chosen) const;
 
   // ---- services available to flavors ----
   // Builds the initial topology; flavors call this at the end of their
@@ -598,6 +606,13 @@ class DfsCluster : public DfsInterface {
   // inside a BeginRecoveryPass. False when some chunk had no target: it
   // stays where it is (under-replicated until space appears).
   bool QueueMovesOff(BrickId brick, MoveReason reason, uint64_t byte_limit);
+
+  // Generic capacity-proportional leveling, appended to `plan`: moves chunks
+  // from bricks above the fleet utilization (by more than BalanceTolerance)
+  // to bricks below it. Bytes the plan's data moves already direct at a
+  // brick count against its headroom, so the combined plan respects one
+  // budget. A replica on its HomeBrick is never moved.
+  void PlanLevelingByUsage(MigrationPlan& plan) const;
 
   // Lets `dt` of virtual time pass: the clock, the env runtime's scheduled
   // events, background migration and the periodic balancer check.

@@ -23,15 +23,11 @@ CephLikeCluster::CephLikeCluster(ClusterConfig config)
 }
 
 void CephLikeCluster::OnTopologyChangedInternal() {
-  // CRUSH weights follow device capacity.
+  // CRUSH weights follow device capacity; gone and non-serving devices leave
+  // the map (the serving list is sorted by id).
+  const std::vector<BrickId>& serving = ServingBricks();
   for (BrickId id : crush_.Targets()) {
-    if (FindBrick(id) == nullptr) {
-      crush_.RemoveTarget(id);
-    }
-  }
-  std::vector<BrickId> serving = ServingBricks();
-  for (BrickId id : crush_.Targets()) {
-    if (std::find(serving.begin(), serving.end(), id) == serving.end()) {
+    if (!std::ranges::binary_search(serving, id)) {
       crush_.RemoveTarget(id);
     }
   }
@@ -42,19 +38,11 @@ void CephLikeCluster::OnTopologyChangedInternal() {
   }
 }
 
-uint32_t CephLikeCluster::PgForObject(const std::string& path,
-                                      uint32_t chunk_index) const {
-  uint64_t h = Mix64(chunk_index + 0x12345ULL);
-  for (char c : path) {
-    h = HashCombine(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
-  }
-  return crush_.PgOf(h);
-}
-
 ReplicaSet CephLikeCluster::PlaceChunk(const std::string& path, uint32_t chunk_index,
                                        uint64_t bytes) {
   BrickId mapped[kReplication];
-  const size_t mapped_count = crush_.Map(PgForObject(path, chunk_index), mapped);
+  const uint32_t pg = crush_.PgOf(HashBytes(Mix64(chunk_index + 0x12345ULL), path));
+  const size_t mapped_count = crush_.Map(pg, mapped);
   ReplicaSet chosen;
   for (BrickId id : std::span<const BrickId>(mapped, mapped_count)) {
     const Brick* brick = FindBrick(id);
@@ -62,38 +50,27 @@ ReplicaSet CephLikeCluster::PlaceChunk(const std::string& path, uint32_t chunk_i
       chosen.push_back(id);
     }
   }
-  if (!chosen.empty()) {
-    return chosen;
-  }
-  // CRUSH targets are full: fall back to any device with room (Ceph would
-  // return ENOSPC per device and retry remapped).
-  for (BrickId id : ServingBricks()) {
-    const Brick* brick = FindBrick(id);
-    if (brick->FreeBytes() >= bytes) {
-      chosen.push_back(id);
-      if (static_cast<int>(chosen.size()) >= kReplication) {
-        break;
-      }
-    }
+  if (chosen.empty()) {
+    // CRUSH targets are full: fall back to any device with room (Ceph would
+    // return ENOSPC per device and retry remapped).
+    FillFromServingBricks(bytes, chosen);
   }
   return chosen;
 }
 
-MigrationPlan CephLikeCluster::BuildRebalancePlan() {
+bool CephLikeCluster::BuildRebalancePlan(MigrationPlan& plan) {
   // The upmap balancer pins PGs mapped to overfull devices onto underfull
-  // ones, then backfills the data. We pin first, then emit the chunk moves
-  // that the backfill would perform.
+  // ones, then backfills the data. We pin here; the base leveler then plans
+  // the chunk moves that the backfill would perform.
+  (void)plan;
   EmitBalancerState(BalancerState::kCephUpmapCompute);
-  std::vector<BrickId> serving = ServingBricks();
-  if (serving.size() < 2) {
-    return {};
-  }
-  uint64_t total_used = TotalServingUsedBytes();
+  const std::vector<BrickId>& serving = ServingBricks();
   uint64_t total_capacity = TotalCapacityBytes();
-  if (total_capacity == 0) {
-    return {};
+  if (serving.size() < 2 || total_capacity == 0) {
+    return false;
   }
-  double fleet = static_cast<double>(total_used) / static_cast<double>(total_capacity);
+  double fleet = static_cast<double>(TotalServingUsedBytes()) /
+                 static_cast<double>(total_capacity);
   BrickId most_loaded = kInvalidBrick;
   BrickId least_loaded = kInvalidBrick;
   double max_frac = -1.0;
@@ -110,7 +87,7 @@ MigrationPlan CephLikeCluster::BuildRebalancePlan() {
     }
   }
   if (most_loaded != kInvalidBrick && least_loaded != kInvalidBrick &&
-      max_frac > fleet + config_.native_threshold * 0.5) {
+      max_frac > fleet + BalanceTolerance()) {
     // Pin a handful of PGs whose CRUSH primary is the overfull device.
     int pinned = 0;
     for (uint32_t pg = 0; pg < crush_.pg_count() && pinned < 8; ++pg) {
@@ -121,7 +98,7 @@ MigrationPlan CephLikeCluster::BuildRebalancePlan() {
       }
     }
   }
-  return PlanLevelingByUsage(config_.native_threshold * 0.5);
+  return true;
 }
 
 void CephLikeCluster::OnBalancerRestarted() {

@@ -24,7 +24,7 @@ class CephLikeCluster : public DfsCluster {
  protected:
   ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
                         uint64_t bytes) override;
-  MigrationPlan BuildRebalancePlan() override;
+  bool BuildRebalancePlan(MigrationPlan& plan) override;
   void OnTopologyChangedInternal() override;
   // Env-fault crash model (DESIGN.md §14): upmap pins live in the OSDMap and
   // survive a mgr death; the restarted mgr's first act is a sanity pass that
@@ -36,8 +36,6 @@ class CephLikeCluster : public DfsCluster {
   Status RestoreFlavorState(SnapshotReader& reader) override;
 
  private:
-  uint32_t PgForObject(const std::string& path, uint32_t chunk_index) const;
-
   CrushMap crush_;
 };
 

@@ -10,7 +10,7 @@ namespace themis {
 
 namespace {
 
-// Capacity classes for the heterogeneous fleet: 1x / 2x / 4x the configured
+// Capacity classes for the heterogeneous fleet: 1x / 2x / 4x the standard
 // brick capacity, spread deterministically over node ids. Roughly half the
 // fleet stays at 1x so small bricks remain the common case.
 constexpr uint64_t kCapacityMultipliers[4] = {1, 1, 2, 4};
@@ -22,14 +22,6 @@ constexpr size_t kMaxSiteMovesPerRound = 256;
 // Bound on persisted scheduling-group indices and counts: a corrupt count
 // must not size the engine's group table.
 constexpr uint32_t kMaxSchedulingGroups = 1u << 20;
-
-uint64_t GeoObjectHash(const std::string& path, uint32_t chunk_index) {
-  uint64_t h = Mix64(chunk_index * 0x9e3779b97f4a7c15ULL + 0x6e05ULL);
-  for (char c : path) {
-    h = HashCombine(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -65,7 +57,7 @@ GeoLikeCluster::GeoLikeCluster(ClusterConfig config)
 void GeoLikeCluster::OnStorageNodeAdmitted(NodeId id) { engine_.AssignNode(id); }
 
 uint64_t GeoLikeCluster::BrickCapacityFor(NodeId id) const {
-  return config_.brick_capacity * kCapacityMultipliers[Mix64(id) & 3];
+  return kBrickCapacity * kCapacityMultipliers[Mix64(id) & 3];
 }
 
 void GeoLikeCluster::OnTopologyCleared() { engine_.Clear(); }
@@ -178,7 +170,7 @@ ReplicaSet GeoLikeCluster::PlaceChunk(const std::string& path, uint32_t chunk_in
   if (groups == 0) {
     return chosen;
   }
-  uint64_t h = GeoObjectHash(path, chunk_index);
+  uint64_t h = HashBytes(Mix64(chunk_index * 0x9e3779b97f4a7c15ULL + 0x6e05ULL), path);
   // Two-level placement: power-of-two-choices between two hash-derived
   // scheduling groups on fill fraction (one scan of each group's members),
   // then replica spread within the winner.
@@ -200,16 +192,7 @@ ReplicaSet GeoLikeCluster::PlaceChunk(const std::string& path, uint32_t chunk_in
       return chosen;
     }
   }
-  for (BrickId id : ServingBricks()) {
-    const Brick* brick = FindBrick(id);
-    if (brick->FreeBytes() >= bytes &&
-        std::find(chosen.begin(), chosen.end(), id) == chosen.end()) {
-      chosen.push_back(id);
-      if (static_cast<int>(chosen.size()) >= kReplication) {
-        break;
-      }
-    }
-  }
+  FillFromServingBricks(bytes, chosen);
   return chosen;
 }
 
@@ -233,10 +216,9 @@ std::vector<std::pair<uint64_t, uint64_t>> GeoLikeCluster::PerSiteUsedCap() cons
   return sites;
 }
 
-MigrationPlan GeoLikeCluster::BuildRebalancePlan() {
+bool GeoLikeCluster::BuildRebalancePlan(MigrationPlan& plan) {
   EmitBalancerState(BalancerState::kGeoSiteDrain);
-  MigrationPlan plan;
-  std::map<BrickId, uint64_t> planned_inflow;
+  std::map<BrickId, uint64_t> planned_inflow;  // the receivers' room check
   // Stage 1: site failover. If the hottest site's utilization runs away from
   // the coldest's, drain the hottest site's fullest bricks toward the
   // coldest site's emptiest — group-mean leveling alone cannot see this
@@ -260,7 +242,7 @@ MigrationPlan GeoLikeCluster::BuildRebalancePlan() {
     }
   }
   if (hot >= 0 && cold >= 0 && hot != cold &&
-      hot_frac - cold_frac > config_.native_threshold * 0.5) {
+      hot_frac - cold_frac > BalanceTolerance()) {
     struct SiteBrick {
       double fraction;
       BrickId id;
@@ -339,12 +321,9 @@ MigrationPlan GeoLikeCluster::BuildRebalancePlan() {
       }
     }
   }
-  // Stage 2: generic capacity-proportional leveling with whatever budget the
-  // site stage already committed per receiver.
-  MigrationPlan leveling =
-      PlanLevelingByUsage(config_.native_threshold * 0.5, &planned_inflow);
-  plan.insert(plan.end(), leveling.begin(), leveling.end());
-  return plan;
+  // Stage 2, the base leveler, counts the site stage's moves against each
+  // receiver's budget.
+  return true;
 }
 
 void GeoLikeCluster::OnBalancerRestarted() {

@@ -34,7 +34,7 @@ class GeoLikeCluster : public DfsCluster {
  protected:
   ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
                         uint64_t bytes) override;
-  MigrationPlan BuildRebalancePlan() override;
+  bool BuildRebalancePlan(MigrationPlan& plan) override;
   // Admission places the node in the geotag tree and a scheduling group.
   void OnStorageNodeAdmitted(NodeId id) override;
   // Decommission releases the node's geotag/group slot in O(1); the full
@@ -46,7 +46,7 @@ class GeoLikeCluster : public DfsCluster {
   // rebalance-list.
   void OnBalancerRestarted() override;
   // Heterogeneous fleet: capacity class derived deterministically from the
-  // node id (1x / 2x / 4x the configured brick capacity).
+  // node id (1x / 2x / 4x kBrickCapacity).
   uint64_t BrickCapacityFor(NodeId id) const override;
   // Checkpointing: geotags, group membership and the group count are
   // admission-history state (fewest-first placement), so the record

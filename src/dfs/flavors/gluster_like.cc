@@ -1,9 +1,9 @@
 #include "src/dfs/flavors/gluster_like.h"
 
 #include <algorithm>
-#include <map>
 
 #include "src/common/bytes.h"
+#include "src/common/strings.h"
 
 namespace themis {
 
@@ -46,8 +46,7 @@ ReplicaSet GlusterLikeCluster::PlaceChunk(const std::string& path, uint32_t chun
   }
   // DHT places the whole file on its hashed brick; multi-chunk files stripe
   // across consecutive ranges.
-  uint32_t hash = DhtLayout::HashName(path) + chunk_index * 0x9e3779b9u;
-  BrickId primary = layout_.Locate(hash);
+  BrickId primary = layout_.Locate(DhtLayout::HashName(path) + chunk_index * 0x9e3779b9u);
   ReplicaSet chosen;
   const Brick* brick = FindBrick(primary);
   if (brick != nullptr && brick->online && brick->FreeBytes() >= bytes) {
@@ -82,16 +81,14 @@ ReplicaSet GlusterLikeCluster::PlaceChunk(const std::string& path, uint32_t chun
   return chosen;
 }
 
-void GlusterLikeCluster::OnFileRenamed(FileId file, const std::string& from,
-                                       const std::string& to) {
-  (void)file;
+void GlusterLikeCluster::OnRenamed(const Operation& op, bool is_file) {
   // If the new name hashes to a different brick, DHT leaves a linkfile on the
   // new hashed brick pointing at the data until a rebalance migrates it.
-  if (layout_.empty()) {
+  if (!is_file || layout_.empty()) {
     return;
   }
-  BrickId old_brick = layout_.Locate(DhtLayout::HashName(from));
-  BrickId new_brick = layout_.Locate(DhtLayout::HashName(to));
+  BrickId old_brick = layout_.Locate(DhtLayout::HashName(NormalizePath(op.path)));
+  BrickId new_brick = layout_.Locate(DhtLayout::HashName(NormalizePath(op.path2)));
   if (old_brick != new_brick) {
     Brick* brick = FindBrick(new_brick);
     if (brick != nullptr) {
@@ -102,94 +99,41 @@ void GlusterLikeCluster::OnFileRenamed(FileId file, const std::string& from,
   }
 }
 
-MigrationPlan GlusterLikeCluster::BuildRebalancePlan() {
+bool GlusterLikeCluster::BuildRebalancePlan(MigrationPlan& plan) {
   // migrate-data: move each file's primary replica to its hashed brick when
-  // the layout says it now belongs elsewhere, then level the remainder.
-  // cluster.min-free-disk semantics: never migrate data *into* a brick that
-  // is already beyond the fleet utilization plus the balance tolerance —
-  // without this check the DHT keeps re-hashing data onto hot bricks and a
-  // healthy cluster never reaches a balanced fixpoint.
+  // the layout says it now belongs elsewhere; the base levels the remainder.
   EmitBalancerState(BalancerState::kGlusterFixLayout);
-  MigrationPlan plan;
   if (layout_.empty()) {
-    return plan;
+    return false;
   }
-  uint64_t total_used = TotalServingUsedBytes();
-  uint64_t total_capacity = TotalCapacityBytes();
-  double fleet = total_capacity == 0 ? 0.0
-                                     : static_cast<double>(total_used) /
-                                           static_cast<double>(total_capacity);
-  double receive_limit = fleet + config_.native_threshold * 0.5;
-  std::map<BrickId, uint64_t> planned_inflow;  // cumulative per-target bytes
-  for (const auto& [file, layout] : file_layouts()) {
-    std::string path = tree().PathOf(file);
-    if (path.empty()) {
-      continue;
-    }
-    for (uint32_t i = 0; i < layout.chunks.size(); ++i) {
-      const ChunkPlacement& chunk = layout.chunks[i];
-      if (chunk.replicas.empty()) {
-        continue;
-      }
-      uint32_t hash = DhtLayout::HashName(path) + i * 0x9e3779b9u;
-      BrickId expected = layout_.Locate(hash);
-      BrickId actual = chunk.replicas.front();
-      if (expected == actual || expected == kInvalidBrick) {
-        continue;
-      }
-      const Brick* target = FindBrick(expected);
-      if (target == nullptr || !target->online || target->FreeBytes() < chunk.bytes ||
-          chunk.HasReplicaOn(expected)) {
-        continue;
-      }
-      double target_after =
-          static_cast<double>(target->used_bytes + planned_inflow[expected] +
-                              chunk.bytes) /
-          static_cast<double>(target->capacity_bytes);
-      if (target_after > receive_limit) {
-        continue;  // min-free-disk: leave the file where it is
-      }
-      planned_inflow[expected] += chunk.bytes;
-      plan.push_back(ChunkMove{.file = file,
-                               .chunk_index = i,
-                               .from = actual,
-                               .to = expected,
-                               .bytes = chunk.bytes,
-                               .reason = MoveReason::kRebalance,
-                               .hash_driven = true});
-      // The data move is paired with the unlink of the stale linkfile — the
-      // exact code path of failure #1 (Fig. 11). When healthy this is a
-      // metadata-only cleanup; the injected bug turns it into a destructive
-      // unlink of the freshly migrated data.
-      plan.push_back(ChunkMove{.file = file,
-                               .chunk_index = i,
-                               .from = actual,
-                               .to = expected,
-                               .bytes = kLinkfileBytes,
-                               .reason = MoveReason::kRebalance,
-                               .is_linkfile = true,
-                               .hash_driven = true});
-    }
+  PlanHoming(plan);
+  // Each data move is paired with the unlink of the stale linkfile — the
+  // exact code path of failure #1 (Fig. 11). When healthy this is a
+  // metadata-only cleanup; the injected bug turns it into a destructive
+  // unlink of the freshly migrated data.
+  MigrationPlan paired;
+  paired.reserve(2 * plan.size());
+  for (const ChunkMove& move : plan) {
+    paired.push_back(move);
+    ChunkMove& unlink = paired.emplace_back(move);
+    unlink.bytes = kLinkfileBytes;
+    unlink.is_linkfile = true;
   }
-  MigrationPlan leveling =
-      PlanLevelingByUsage(config_.native_threshold * 0.5, &planned_inflow);
-  plan.insert(plan.end(), leveling.begin(), leveling.end());
-  return plan;
+  plan.swap(paired);
+  return true;
 }
 
-bool GlusterLikeCluster::ChunkPinnedToBrick(FileId file, uint32_t chunk_index,
-                                            BrickId brick) const {
-  // A replica sitting on its DHT-hashed brick is where migrate-data wants
-  // it; the leveler must not move it or the next rebalance moves it back.
-  if (layout_.empty()) {
-    return false;
+BrickId GlusterLikeCluster::HomeBrick(FileId file, uint32_t chunk_index,
+                                      const std::string* path) const {
+  std::string resolved;
+  if (path == nullptr) {
+    resolved = tree().PathOf(file);
+    path = &resolved;
   }
-  std::string path = tree().PathOf(file);
-  if (path.empty()) {
-    return false;
+  if (path->empty()) {
+    return kInvalidBrick;
   }
-  uint32_t hash = DhtLayout::HashName(path) + chunk_index * 0x9e3779b9u;
-  return layout_.Locate(hash) == brick;
+  return layout_.Locate(DhtLayout::HashName(*path) + chunk_index * 0x9e3779b9u);
 }
 
 void GlusterLikeCluster::OnRebalanceRoundDone() {

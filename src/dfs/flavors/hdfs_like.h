@@ -26,7 +26,7 @@ class HdfsLikeCluster : public DfsCluster {
  protected:
   ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
                         uint64_t bytes) override;
-  MigrationPlan BuildRebalancePlan() override;
+  bool BuildRebalancePlan(MigrationPlan& plan) override;
   void OnTopologyChangedInternal() override;
   // Env-fault crash model (DESIGN.md §14): the Balancer tool is stateless —
   // a crash only interrupts the in-flight iteration; the restarted Balancer

@@ -1,7 +1,6 @@
 #include "src/dfs/flavors/leo_like.h"
 
 #include <algorithm>
-#include <map>
 #include <span>
 
 #include "src/common/rng.h"
@@ -38,7 +37,7 @@ void LeoLikeCluster::OnTopologyChangedInternal() {
   });
   for (BrickId id : serving) {
     double weight = static_cast<double>(FindBrick(id)->capacity_bytes) /
-                    static_cast<double>(config_.brick_capacity);
+                    static_cast<double>(kBrickCapacity);
     auto it = std::ranges::lower_bound(ring_weights_, id, {}, &PlantedWeight::id);
     if (it != ring_weights_.end() && it->id == id) {
       bool stale = weight > it->weight * 1.25 || weight < it->weight * 0.8;
@@ -58,21 +57,26 @@ void LeoLikeCluster::OnTopologyChangedInternal() {
   }
 }
 
-void LeoLikeCluster::OnNamespaceRenamed() {
-  // A directory move re-paths every descendant file, so every cached hash is
-  // suspect; renames are rare next to pin checks, a full drop is fine.
+void LeoLikeCluster::OnRenamed(const Operation& op, bool is_file) {
+  // A rename re-paths the file, and a directory move every descendant, so
+  // every cached primary is suspect; renames are rare next to pin checks, a
+  // full drop is fine.
+  (void)op;
+  (void)is_file;
   primary_cache_.clear();
 }
 
-BrickId LeoLikeCluster::PrimaryFor(FileId file, uint32_t chunk_index,
-                                   const std::string* known_path) const {
+BrickId LeoLikeCluster::HomeBrick(FileId file, uint32_t chunk_index,
+                                  const std::string* path) const {
+  if (ring_.target_count() == 0) {
+    return kInvalidBrick;
+  }
   auto key = std::make_pair(file, chunk_index);
   auto it = primary_cache_.find(key);
   if (it != primary_cache_.end()) {
     return it->second;
   }
   std::string resolved;
-  const std::string* path = known_path;
   if (path == nullptr) {
     resolved = tree().PathOf(file);
     path = &resolved;
@@ -85,11 +89,7 @@ BrickId LeoLikeCluster::PrimaryFor(FileId file, uint32_t chunk_index,
 }
 
 uint64_t LeoLikeCluster::ObjectHash(const std::string& path, uint32_t chunk_index) {
-  uint64_t h = Mix64(chunk_index * 2654435761ULL + 0xabcdULL);
-  for (char c : path) {
-    h = HashCombine(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
-  }
-  return h;
+  return HashBytes(Mix64(chunk_index * 2654435761ULL + 0xabcdULL), path);
 }
 
 ReplicaSet LeoLikeCluster::PlaceChunk(const std::string& path, uint32_t chunk_index,
@@ -103,88 +103,22 @@ ReplicaSet LeoLikeCluster::PlaceChunk(const std::string& path, uint32_t chunk_in
       chosen.push_back(id);
     }
   }
-  if (!chosen.empty()) {
-    return chosen;
-  }
-  // Ring targets full: walk the rest of the cluster for room.
-  for (BrickId id : ServingBricks()) {
-    const Brick* brick = FindBrick(id);
-    if (brick->FreeBytes() >= bytes) {
-      chosen.push_back(id);
-      if (static_cast<int>(chosen.size()) >= kReplication) {
-        break;
-      }
-    }
+  if (chosen.empty()) {
+    // Ring targets full: walk the rest of the cluster for room.
+    FillFromServingBricks(bytes, chosen);
   }
   return chosen;
 }
 
-MigrationPlan LeoLikeCluster::BuildRebalancePlan() {
+bool LeoLikeCluster::BuildRebalancePlan(MigrationPlan& plan) {
   // rebalance-list: move every object whose ring position no longer matches
   // where it is stored (the arcs affected by ring changes).
   EmitBalancerState(BalancerState::kLeoRingPlan);
-  MigrationPlan plan;
-  if (ring_.target_count() == 0) {
-    return plan;
-  }
-  uint64_t total_used = TotalServingUsedBytes();
-  uint64_t total_capacity = TotalCapacityBytes();
-  double fleet = total_capacity == 0 ? 0.0
-                                     : static_cast<double>(total_used) /
-                                           static_cast<double>(total_capacity);
-  // Like gluster's min-free-disk: never rebalance data onto an already-hot
-  // target, or the ring fixpoint can stay imbalanced forever.
-  double receive_limit = fleet + config_.native_threshold * 0.5;
-  std::map<BrickId, uint64_t> planned_inflow;  // cumulative per-target bytes
-  for (const auto& [file, layout] : file_layouts()) {
-    std::string path = tree().PathOf(file);
-    if (path.empty()) {
-      continue;
-    }
-    for (uint32_t i = 0; i < layout.chunks.size(); ++i) {
-      const ChunkPlacement& chunk = layout.chunks[i];
-      if (chunk.replicas.empty()) {
-        continue;
-      }
-      BrickId expected = PrimaryFor(file, i, &path);
-      BrickId actual = chunk.replicas.front();
-      if (expected == kInvalidBrick || expected == actual ||
-          chunk.HasReplicaOn(expected)) {
-        continue;
-      }
-      const Brick* target = FindBrick(expected);
-      if (target == nullptr || !target->online || target->FreeBytes() < chunk.bytes) {
-        continue;
-      }
-      double target_after =
-          static_cast<double>(target->used_bytes + planned_inflow[expected] +
-                              chunk.bytes) /
-          static_cast<double>(target->capacity_bytes);
-      if (target_after > receive_limit) {
-        continue;
-      }
-      planned_inflow[expected] += chunk.bytes;
-      plan.push_back(ChunkMove{.file = file,
-                               .chunk_index = i,
-                               .from = actual,
-                               .to = expected,
-                               .bytes = chunk.bytes,
-                               .reason = MoveReason::kRebalance,
-                               .hash_driven = true});
-    }
-  }
-  MigrationPlan leveling =
-      PlanLevelingByUsage(config_.native_threshold * 0.5, &planned_inflow);
-  plan.insert(plan.end(), leveling.begin(), leveling.end());
-  return plan;
-}
-
-bool LeoLikeCluster::ChunkPinnedToBrick(FileId file, uint32_t chunk_index,
-                                        BrickId brick) const {
   if (ring_.target_count() == 0) {
     return false;
   }
-  return PrimaryFor(file, chunk_index) == brick;
+  PlanHoming(plan);
+  return true;
 }
 
 void LeoLikeCluster::OnBalancerRestarted() {

@@ -27,14 +27,21 @@ class LeoLikeCluster : public DfsCluster {
  protected:
   ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
                         uint64_t bytes) override;
-  MigrationPlan BuildRebalancePlan() override;
+  bool BuildRebalancePlan(MigrationPlan& plan) override;
+  // The chunk's ring primary, memoized. PathOf (a tree walk plus a string
+  // build) and the per-character object hash dominate rebalance planning
+  // and the leveler's pin checks on large namespaces; the primary only
+  // changes when the ring is re-planted or a rename re-paths the file, so
+  // the cache lives until one of those events clears it. FileIds are
+  // allocated monotonically and never reused, so entries for deleted files
+  // are merely dead weight, not wrong answers.
+  BrickId HomeBrick(FileId file, uint32_t chunk_index, const std::string* path) const override;
   void OnTopologyChangedInternal() override;
-  void OnNamespaceRenamed() override;
+  void OnRenamed(const Operation& op, bool is_file) override;
   // Env-fault crash model (DESIGN.md §14): the ring is persisted per node in
   // LeoFS; a restarted manager reloads it from the stored plantings instead
   // of recomputing from capacity (which would lose the hysteresis history).
   void OnBalancerRestarted() override;
-  bool ChunkPinnedToBrick(FileId file, uint32_t chunk_index, BrickId brick) const override;
   // Checkpointing: planted ring weights are history-dependent (the ±25%/−20%
   // hysteresis in OnTopologyChangedInternal), so the ring is rebuilt from the
   // saved weights, not recomputed from capacity.
@@ -43,16 +50,6 @@ class LeoLikeCluster : public DfsCluster {
 
  private:
   static uint64_t ObjectHash(const std::string& path, uint32_t chunk_index);
-  // Memoized ring primary for a stored chunk. PathOf (a tree walk plus a
-  // string build) and the per-character object hash dominate rebalance
-  // planning and the leveler's pin checks on large namespaces; the primary
-  // only changes when the ring is re-planted or a rename re-paths the file,
-  // so the cache lives until one of those events clears it. FileIds are
-  // allocated monotonically and never reused, so entries for deleted files
-  // are merely dead weight, not wrong answers. `known_path` skips the PathOf
-  // on a miss when the caller already resolved it.
-  BrickId PrimaryFor(FileId file, uint32_t chunk_index,
-                     const std::string* known_path = nullptr) const;
 
   // The weight each ring target was planted with, sorted by brick id: the
   // same targets as ring_, in the order SaveFlavorState writes them.

@@ -64,10 +64,7 @@ BrickId DhtLayout::Locate(uint32_t name_hash) const {
 }
 
 uint32_t DhtLayout::HashName(std::string_view name) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : name) {
-    h = HashCombine(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
-  }
+  uint64_t h = HashBytes(0xcbf29ce484222325ULL, name);
   return static_cast<uint32_t>(h ^ (h >> 32));
 }
 

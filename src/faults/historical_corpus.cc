@@ -6,14 +6,6 @@ namespace themis {
 
 namespace {
 
-uint64_t IdHash(const std::string& id) {
-  uint64_t h = 0x811c9dc5ULL;
-  for (char c : id) {
-    h = HashCombine(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
-  }
-  return h;
-}
-
 // The file operators a fixed benchmark-style workload exercises (what our
 // FixReq baseline replays); biased sampling below makes ~60% of request-side
 // requirements satisfiable by such generic workloads, which is what lets
@@ -89,7 +81,7 @@ FailureType TypeFor(const StudyRecord& record) {
 }  // namespace
 
 FaultSpec FaultFromStudyRecord(const StudyRecord& record) {
-  Rng rng(IdHash(record.id));
+  Rng rng(HashBytes(0x811c9dc5ULL, record.id));
   FaultSpec spec;
   spec.id = record.id;
   spec.platform = record.platform;

@@ -14,11 +14,7 @@ namespace themis {
 namespace {
 
 uint64_t HashString(uint64_t h, const std::string& text) {
-  h = HashCombine(h, text.size());
-  for (char c : text) {
-    h = HashCombine(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
-  }
-  return h;
+  return HashBytes(HashCombine(h, text.size()), text);
 }
 
 uint64_t HashDouble(uint64_t h, double value) {

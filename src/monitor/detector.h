@@ -42,12 +42,6 @@ struct DetectorConfig {
   // Consecutive imbalanced checks before raising a candidate; rides out
   // transient variance the balancer has not had a chance to absorb yet.
   int consecutive_needed = 3;
-  // How long the double-check waits for 'rebalance done'. Generous: a
-  // healthy cluster can owe terabytes of queued recovery traffic, and a slow
-  // drain is not a hang.
-  SimDuration rebalance_timeout = Hours(2);
-  // Polling step while waiting.
-  SimDuration poll_interval = Seconds(10);
 };
 
 struct ImbalanceCandidate {

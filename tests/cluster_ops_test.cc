@@ -224,10 +224,10 @@ TEST_P(ClusterOpsTest, ExpandVolumeIsCapped) {
   for (int i = 0; i < 10; ++i) {
     Operation expand = MakeOp(OpKind::kExpandVolume);
     expand.brick = brick;
-    expand.size = dfs_->config().brick_capacity;
+    expand.size = kBrickCapacity;
     (void)dfs_->Execute(expand);
   }
-  EXPECT_LE(dfs_->FindBrick(brick)->capacity_bytes, 2 * dfs_->config().brick_capacity);
+  EXPECT_LE(dfs_->FindBrick(brick)->capacity_bytes, 2 * kBrickCapacity);
 }
 
 TEST_P(ClusterOpsTest, ReduceVolumeRefusesToStrandData) {
@@ -238,7 +238,7 @@ TEST_P(ClusterOpsTest, ReduceVolumeRefusesToStrandData) {
   for (int i = 0; i < 40; ++i) {
     Operation reduce = MakeOp(OpKind::kReduceVolume);
     reduce.brick = target;
-    reduce.size = dfs_->config().brick_capacity;
+    reduce.size = kBrickCapacity;
     OpResult result = dfs_->Execute(reduce);
     if (!result.status.ok()) {
       break;
@@ -300,7 +300,7 @@ INSTANTIATE_TEST_SUITE_P(AllFlavors, ClusterOpsTest,
 TEST(GlusterFlavor, LinkfilesAppearWhenHashedBrickIsFull) {
   GlusterLikeCluster dfs;
   // Fill until placements start missing the hashed brick.
-  uint64_t chunk = dfs.config().brick_capacity / 2;
+  uint64_t chunk = kBrickCapacity / 2;
   int created = 0;
   for (int i = 0; i < 64; ++i) {
     Operation op;
@@ -381,7 +381,7 @@ TEST(CephFlavor, CrushWeightsFollowCapacity) {
   CephLikeCluster dfs;
   Operation add;
   add.kind = OpKind::kAddVolume;
-  add.size = 2 * dfs.config().brick_capacity;
+  add.size = 2 * kBrickCapacity;
   ASSERT_TRUE(dfs.Execute(add).status.ok());
   BrickId big = dfs.ListBricks().back();
   EXPECT_GT(dfs.crush().TargetWeight(big),

@@ -1,10 +1,11 @@
 // Flavor-specific balancer behaviors: DHT migrate-data, ring takeover,
 // CRUSH/upmap response, weighted-tree leveling — plus the shared rebalance
-// API semantics.
+// API semantics and the shared rebalance planner's contract.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -229,16 +230,16 @@ TEST(GeoBalancer, ReplicasSpreadAcrossSites) {
 
 TEST(GeoBalancer, SiteFailoverDrainsTheHotSite) {
   // A compact tree so a hand-made skew dominates total capacity: 12 nodes
-  // over 3 sites, 64 GiB base bricks (heterogeneous 1x/2x/4x on top).
+  // over 3 sites, standard bricks (heterogeneous 1x/2x/4x on top), with
+  // files and skews sized to them.
   ClusterConfig config = GeoLikeCluster::DefaultConfig();
   config.initial_storage_nodes = 12;
   config.geo_racks_per_site = 2;
   config.geo_group_size = 4;
-  config.brick_capacity = 64 * kGiB;
   config.rng_seed = 7;
   GeoLikeCluster dfs(config);
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(dfs.Execute(Create("/f" + std::to_string(i), 8 * kGiB)).status.ok());
+    ASSERT_TRUE(dfs.Execute(Create("/f" + std::to_string(i), 60 * kGiB)).status.ok());
   }
   // Pile bytes from the other sites onto site 0's bricks.
   std::vector<BrickId> hot, cold;
@@ -253,7 +254,7 @@ TEST(GeoBalancer, SiteFailoverDrainsTheHotSite) {
   ASSERT_FALSE(hot.empty());
   ASSERT_FALSE(cold.empty());
   for (size_t i = 0; i < cold.size(); ++i) {
-    dfs.SkewBytes(cold[i], hot[i % hot.size()], 32 * kGiB);
+    dfs.SkewBytes(cold[i], hot[i % hot.size()], 240 * kGiB);
   }
 
   auto site_gap = [&]() {
@@ -278,6 +279,96 @@ TEST(GeoBalancer, SiteFailoverDrainsTheHotSite) {
   EXPECT_LT(site_gap(), before) << "site failover must narrow the gap";
   EXPECT_LE(site_gap(), dfs.config().native_threshold)
       << "sites must settle inside the flavor threshold";
+}
+
+// Exposes a flavor's protected rebalance planner and home function.
+template <typename Cluster>
+class PlannerProbe : public Cluster {
+ public:
+  MigrationPlan Plan() { return this->PlanRebalance(); }
+  BrickId Home(FileId file, uint32_t chunk_index) const {
+    return this->HomeBrick(file, chunk_index, nullptr);
+  }
+  double Tolerance() const { return this->BalanceTolerance(); }
+};
+
+// The planner's contract on a hash-placed flavor. Data skewed onto one brick
+// gives the leveler a donor that also holds chunks at home, and a new
+// storage node moves homes, so one plan carries homing and leveling moves.
+template <typename Cluster>
+void CheckPlannerContract(bool pairs_unlinks) {
+  PlannerProbe<Cluster> dfs;
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(dfs.Execute(Create("/f" + std::to_string(i), 8 * kGiB)).status.ok());
+  }
+  BrickId victim = dfs.ListBricks().front();
+  for (BrickId donor : dfs.ListBricks()) {
+    if (donor != victim) {
+      dfs.SkewBytes(donor, victim, 40 * kGiB);
+    }
+  }
+  Operation add;
+  add.kind = OpKind::kAddStorageNode;
+  ASSERT_TRUE(dfs.Execute(add).status.ok());
+  size_t at_home_on_victim = 0;
+  for (const auto& [file, chunk_index] : dfs.ChunksOnBrickRef(victim)) {
+    at_home_on_victim += dfs.Home(file, chunk_index) == victim ? 1 : 0;
+  }
+  ASSERT_GT(at_home_on_victim, 0u) << "the donor must hold chunks the leveler may not take";
+
+  const double fleet = static_cast<double>(dfs.TotalServingUsedBytes()) /
+                       static_cast<double>(dfs.TotalCapacityBytes());
+  const MigrationPlan plan = dfs.Plan();
+  size_t homing = 0;
+  size_t leveling = 0;
+  size_t unlinks = 0;
+  std::map<BrickId, uint64_t> received;
+  for (size_t k = 0; k < plan.size(); ++k) {
+    const ChunkMove& move = plan[k];
+    if (move.is_linkfile) {
+      ++unlinks;
+      continue;
+    }
+    received[move.to] += move.bytes;
+    const ChunkPlacement& chunk = dfs.file_layouts().at(move.file).chunks[move.chunk_index];
+    BrickId home = dfs.Home(move.file, move.chunk_index);
+    if (!move.hash_driven) {
+      ++leveling;
+      EXPECT_NE(move.from, home) << "move " << k << " takes a replica off its home brick";
+      continue;
+    }
+    ++homing;
+    EXPECT_EQ(move.from, chunk.replicas.front()) << "homing move " << k;
+    EXPECT_EQ(move.to, home) << "homing move " << k;
+    if (pairs_unlinks) {
+      ASSERT_LT(k + 1, plan.size()) << "homing move " << k << " has no unlink";
+      const ChunkMove& unlink = plan[k + 1];
+      EXPECT_TRUE(unlink.is_linkfile) << "homing move " << k << " has no unlink";
+      EXPECT_EQ(unlink.file, move.file);
+      EXPECT_EQ(unlink.chunk_index, move.chunk_index);
+      EXPECT_EQ(unlink.from, move.from);
+      EXPECT_EQ(unlink.to, move.to);
+      EXPECT_EQ(unlink.bytes, kLinkfileBytes);
+    }
+  }
+  EXPECT_GT(homing, 0u);
+  EXPECT_GT(leveling, 0u);
+  EXPECT_EQ(unlinks, pairs_unlinks ? homing : 0u);
+  for (const auto& [id, bytes] : received) {
+    const Brick* brick = dfs.FindBrick(id);
+    ASSERT_NE(brick, nullptr);
+    EXPECT_LE(static_cast<double>(brick->used_bytes + bytes),
+              (fleet + dfs.Tolerance()) * static_cast<double>(brick->capacity_bytes))
+        << "brick " << id << " receives more than its budget";
+  }
+}
+
+TEST(PlannerContract, GlusterHomesWithUnlinksAndLevelsWithinBudget) {
+  CheckPlannerContract<GlusterLikeCluster>(/*pairs_unlinks=*/true);
+}
+
+TEST(PlannerContract, LeoHomesAndLevelsWithinBudget) {
+  CheckPlannerContract<LeoLikeCluster>(/*pairs_unlinks=*/false);
 }
 
 TEST(FlavorFactory, BuildsEveryFlavor) {
