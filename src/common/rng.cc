@@ -1,7 +1,6 @@
 #include "src/common/rng.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace themis {
 
@@ -58,22 +57,6 @@ bool Rng::Chance(double p) {
   return NextDouble() < p;
 }
 
-double Rng::NextGaussian() {
-  if (have_gaussian_) {
-    have_gaussian_ = false;
-    return spare_gaussian_;
-  }
-  double u1 = 0.0;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 1e-300);
-  double u2 = NextDouble();
-  double mag = std::sqrt(-2.0 * std::log(u1));
-  spare_gaussian_ = mag * std::sin(2.0 * M_PI * u2);
-  have_gaussian_ = true;
-  return mag * std::cos(2.0 * M_PI * u2);
-}
-
 size_t Rng::PickWeighted(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) {
@@ -93,18 +76,12 @@ size_t Rng::PickWeighted(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-Rng Rng::Fork() { return Rng(NextU64() ^ 0xa02bdbf7bb3c0a7ULL); }
-
 void Rng::SaveState(SnapshotWriter& writer) const {
   for (uint64_t word : s_) writer.U64(word);
-  writer.Bool(have_gaussian_);
-  writer.F64(spare_gaussian_);
 }
 
 Status Rng::RestoreState(SnapshotReader& reader) {
   for (uint64_t& word : s_) word = reader.U64();
-  have_gaussian_ = reader.Bool();
-  spare_gaussian_ = reader.F64();
   return reader.status();
 }
 

@@ -69,17 +69,11 @@ class Rng {
   // True with probability p (clamped to [0, 1]).
   bool Chance(double p);
 
-  // Standard normal via Box-Muller.
-  double NextGaussian();
-
   // Picks an index according to `weights` (non-negative; at least one > 0).
   size_t PickWeighted(const std::vector<double>& weights);
 
   // Picks a uniformly random element index from a container size.
   size_t PickIndex(size_t size) { return static_cast<size_t>(NextBelow(size)); }
-
-  // Forks a child generator whose stream is decorrelated from this one.
-  Rng Fork();
 
   // Derives the seed of stream `stream` in the generator family rooted at
   // `root_seed`. Streams are decorrelated from each other and from the root:
@@ -94,16 +88,14 @@ class Rng {
     return Rng(SplitSeed(root_seed, stream));
   }
 
-  // Checkpointing (DESIGN.md §11): the full generator state — the xoshiro
-  // word vector plus the Box-Muller spare — so a restored stream continues
-  // exactly where the saved one stopped.
+  // Checkpointing (DESIGN.md §11): the full generator state, the xoshiro
+  // word vector, so a restored stream continues exactly where the saved one
+  // stopped.
   void SaveState(SnapshotWriter& writer) const;
   Status RestoreState(SnapshotReader& reader);
 
  private:
   uint64_t s_[4];
-  bool have_gaussian_ = false;
-  double spare_gaussian_ = 0.0;
 };
 
 }  // namespace themis

@@ -289,7 +289,6 @@ bool TestCaseExecutor::DoubleCheck(const OpSeq& seq, const ImbalanceCandidate& c
 }
 
 void TestCaseExecutor::HandleConfirmed(FailureReport& report, ExecOutcome& outcome) {
-  ++confirmed_failures_;
   if (ground_truth_ != nullptr) {
     report.active_faults = ground_truth_->ActiveFaultIds();
   }

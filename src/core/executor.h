@@ -80,7 +80,6 @@ class TestCaseExecutor {
   void SeedInitialData(OpSeqGenerator& generator, int files);
 
   uint64_t total_ops() const { return total_ops_; }
-  int confirmed_failures() const { return confirmed_failures_; }
   int candidates_raised() const { return candidates_raised_; }
 
   // Checkpointing (DESIGN.md §11): the running counters and the previous
@@ -89,13 +88,11 @@ class TestCaseExecutor {
   void SaveState(SnapshotWriter& writer) const {
     writer.F64(last_score_);
     writer.U64(total_ops_);
-    writer.I64(confirmed_failures_);
     writer.I64(candidates_raised_);
   }
   Status RestoreState(SnapshotReader& reader) {
     last_score_ = reader.F64();
     total_ops_ = reader.U64();
-    confirmed_failures_ = static_cast<int>(reader.I64());
     candidates_raised_ = static_cast<int>(reader.I64());
     return reader.status();
   }
@@ -148,7 +145,6 @@ class TestCaseExecutor {
   // next test case executes, so never serialized.
   std::vector<Operation> probe_dirs_;
   uint64_t total_ops_ = 0;
-  int confirmed_failures_ = 0;
   int candidates_raised_ = 0;
 };
 

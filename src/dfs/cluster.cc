@@ -65,7 +65,6 @@ void DfsCluster::BuildInitialTopology() {
   balancer_crashed_ = false;
   balancer_resume_pending_ = false;
   recent_class_mask_ = 0;
-  offline_bricks_ = 0;
   offline_brick_list_.clear();
   serving_meta_nodes_.clear();
   crashed_node_ids_.clear();
@@ -87,7 +86,6 @@ void DfsCluster::ResetToInitial() {
   if (model_cov_ != nullptr) {
     model_cov_->ForceIdle();  // a topology rebuild is not a balancer action
   }
-  namespace_epoch_ = 0;
   completed_rebalance_rounds_ = 0;
   rebalance_triggers_ = 0;
   lost_bytes_ = 0;
@@ -131,7 +129,6 @@ void DfsCluster::SetStorageNodeServing(const StorageNode& node, bool serving) {
 
 void DfsCluster::TakeBrickOffline(Brick& brick) {
   brick.online = false;
-  ++offline_bricks_;
   offline_brick_list_.push_back(brick.id);
   load_.OnBrickOffline(brick);
   ++membership_epoch_;
@@ -299,11 +296,10 @@ void DfsCluster::PlanLevelingByUsage(MigrationPlan& plan) const {
       if (excess == 0 || receiver_cursor >= receivers.size()) {
         break;
       }
-      auto layout_it = layouts_.find(file);
-      if (layout_it == layouts_.end() || chunk_index >= layout_it->second.chunks.size()) {
+      const ChunkPlacement* chunk = FindChunk(file, chunk_index);
+      if (chunk == nullptr) {
         continue;
       }
-      const ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
       if (HomeBrick(file, chunk_index, nullptr) == donor) {
         THEMIS_LOG(kDebug, "leveling: file%llu#%u pinned to brick%u",
                    static_cast<unsigned long long>(file), chunk_index, donor);
@@ -315,22 +311,22 @@ void DfsCluster::PlanLevelingByUsage(MigrationPlan& plan) const {
       std::vector<BrickId>& targets = planned_targets[{file, chunk_index}];
       while (probe < receivers.size()) {
         Receiver& recv = receivers[probe];
-        bool collides = chunk.HasReplicaOn(recv.brick) ||
+        bool collides = chunk->HasReplicaOn(recv.brick) ||
                         std::find(targets.begin(), targets.end(), recv.brick) !=
                             targets.end();
-        if (recv.headroom >= chunk.bytes && !collides) {
+        if (recv.headroom >= chunk->bytes && !collides) {
           THEMIS_LOG(kDebug, "leveling: plan move file%llu#%u brick%u->brick%u %lluM",
                      static_cast<unsigned long long>(file), chunk_index, donor,
-                     recv.brick, static_cast<unsigned long long>(chunk.bytes >> 20));
+                     recv.brick, static_cast<unsigned long long>(chunk->bytes >> 20));
           targets.push_back(recv.brick);
           plan.push_back(ChunkMove{.file = file,
                                    .chunk_index = chunk_index,
                                    .from = donor,
                                    .to = recv.brick,
-                                   .bytes = chunk.bytes,
+                                   .bytes = chunk->bytes,
                                    .reason = MoveReason::kRebalance});
-          recv.headroom -= chunk.bytes;
-          excess -= std::min(excess, chunk.bytes);
+          recv.headroom -= chunk->bytes;
+          excess -= std::min(excess, chunk->bytes);
           placed = true;
           break;
         }
@@ -712,11 +708,7 @@ OpResult DfsCluster::Execute(const Operation& op) {
   result.cost += kBaseOpLatency;
 
   ++total_ops_executed_;
-  if (ClassOf(op.kind) == OpClass::kFile && op.kind != OpKind::kOpen &&
-      result.status.ok()) {
-    ++namespace_epoch_;
-  }
-  SyncMetadataReplicas();
+  SendMetadataHeartbeats();
   uint8_t op_class = static_cast<uint8_t>(ClassOf(op.kind));
   if (recent_classes_.full()) {
     uint8_t dropped = recent_classes_.front();
@@ -736,23 +728,17 @@ OpResult DfsCluster::Execute(const Operation& op) {
   return result;
 }
 
-void DfsCluster::SyncMetadataReplicas() {
+void DfsCluster::SendMetadataHeartbeats() {
+  if (env_ == nullptr) {
+    return;
+  }
+  // The cluster keeps no replica lag, so a lost heartbeat costs only the
+  // runtime's loss draw and coverage site 30. Both are inside the pinned
+  // env-fault digests, so the heartbeats stay.
   for (NodeId id : serving_meta_nodes_) {
-    MetaNode* meta = FindMetaNode(id);
-    if (meta == nullptr) {
-      continue;
-    }
-    if (hooks_ != nullptr && hooks_->SuppressMetadataSync(*this, id)) {
-      continue;
-    }
-    if (env_ != nullptr && env_->DropHeartbeat(*this, id)) {
-      // The replication heartbeat for this epoch was lost in transit; the
-      // replica catches up at the next sync (same recovery path the fault
-      // hook's kMetadataDesync exercises, but transient).
+    if (env_->DropHeartbeat(*this, id)) {
       COV_BRANCH(cov_, CovModule::kReplication, 30);
-      continue;
     }
-    meta->synced_epoch = namespace_epoch_;
   }
 }
 
@@ -1414,12 +1400,11 @@ bool DfsCluster::QueueMovesOff(BrickId brick, MoveReason reason, uint64_t byte_l
     if (queued >= byte_limit) {
       break;
     }
-    auto layout_it = layouts_.find(file);
-    if (layout_it == layouts_.end() || chunk_index >= layout_it->second.chunks.size()) {
+    const ChunkPlacement* chunk = FindChunk(file, chunk_index);
+    if (chunk == nullptr) {
       continue;
     }
-    const ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
-    BrickId target = PickRecoveryTarget(chunk, chunk.bytes);
+    BrickId target = PickRecoveryTarget(*chunk, chunk->bytes);
     if (target == kInvalidBrick) {
       all_placed = false;
       continue;
@@ -1428,9 +1413,9 @@ bool DfsCluster::QueueMovesOff(BrickId brick, MoveReason reason, uint64_t byte_l
                                     .chunk_index = chunk_index,
                                     .from = brick,
                                     .to = target,
-                                    .bytes = chunk.bytes,
+                                    .bytes = chunk->bytes,
                                     .reason = reason});
-    queued += chunk.bytes;
+    queued += chunk->bytes;
   }
   return all_placed;
 }
@@ -1516,33 +1501,32 @@ void DfsCluster::MaybeTriggerBalancer() {
 }
 
 void DfsCluster::ExecuteMove(const ChunkMove& move) {
-  auto layout_it = layouts_.find(move.file);
-  if (layout_it == layouts_.end() || move.chunk_index >= layout_it->second.chunks.size()) {
+  ChunkPlacement* chunk = FindChunk(move.file, move.chunk_index);
+  if (chunk == nullptr) {
     return;  // the file vanished while queued
   }
-  ChunkPlacement& chunk = layout_it->second.chunks[move.chunk_index];
-  auto replica_it = std::find(chunk.replicas.begin(), chunk.replicas.end(), move.from);
-  if (replica_it == chunk.replicas.end()) {
+  auto replica_it = std::find(chunk->replicas.begin(), chunk->replicas.end(), move.from);
+  if (replica_it == chunk->replicas.end()) {
     return;  // already moved elsewhere
   }
   Brick* from = FindBrick(move.from);
   Brick* to = FindBrick(move.to);
-  if (to == nullptr || !to->online || chunk.HasReplicaOn(move.to) ||
-      to->FreeBytes() < chunk.bytes) {
+  if (to == nullptr || !to->online || chunk->HasReplicaOn(move.to) ||
+      to->FreeBytes() < chunk->bytes) {
     COV_BRANCH(cov_, CovModule::kMigration, 26);
     THEMIS_LOG(kDebug, "migration: skip %s", move.ToString().c_str());
     return;
   }
   *replica_it = move.to;
   if (from != nullptr) {
-    ReleaseBrickBytes(from, chunk.bytes);
+    ReleaseBrickBytes(from, chunk->bytes);
     AddLoad(from->node,
-            {.read_ios = IoCount(chunk.bytes),
-             .cpu_seconds = kStorageCpuPerGiB * static_cast<double>(chunk.bytes) / kGiB * 0.5});
+            {.read_ios = IoCount(chunk->bytes),
+             .cpu_seconds = kStorageCpuPerGiB * static_cast<double>(chunk->bytes) / kGiB * 0.5});
   }
-  AccreteBrickBytes(to, chunk.bytes);
-  AddLoad(to->node, {.write_ios = IoCount(chunk.bytes),
-                     .cpu_seconds = kStorageCpuPerGiB * static_cast<double>(chunk.bytes) / kGiB});
+  AccreteBrickBytes(to, chunk->bytes);
+  AddLoad(to->node, {.write_ios = IoCount(chunk->bytes),
+                     .cpu_seconds = kStorageCpuPerGiB * static_cast<double>(chunk->bytes) / kGiB});
   RemoveReplicaIndex(move.from, move.file, move.chunk_index);
   AddReplicaIndex(move.to, move.file, move.chunk_index);
   if (cov_ != nullptr) {
@@ -1676,20 +1660,19 @@ void DfsCluster::AdvanceBackground(SimDuration dt) {
 }
 
 void DfsCluster::DestroyChunkReplica(FileId file, uint32_t chunk_index, BrickId brick) {
-  auto layout_it = layouts_.find(file);
-  if (layout_it == layouts_.end() || chunk_index >= layout_it->second.chunks.size()) {
+  ChunkPlacement* chunk = FindChunk(file, chunk_index);
+  if (chunk == nullptr) {
     return;
   }
-  ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
-  auto replica_it = std::find(chunk.replicas.begin(), chunk.replicas.end(), brick);
-  if (replica_it == chunk.replicas.end()) {
+  auto replica_it = std::find(chunk->replicas.begin(), chunk->replicas.end(), brick);
+  if (replica_it == chunk->replicas.end()) {
     return;
   }
-  chunk.replicas.erase(replica_it);
-  ReleaseBrickBytes(FindBrick(brick), chunk.bytes);
+  chunk->replicas.erase(replica_it);
+  ReleaseBrickBytes(FindBrick(brick), chunk->bytes);
   RemoveReplicaIndex(brick, file, chunk_index);
-  if (chunk.replicas.empty()) {
-    lost_bytes_ += chunk.bytes;
+  if (chunk->replicas.empty()) {
+    lost_bytes_ += chunk->bytes;
   }
 }
 
@@ -1713,24 +1696,16 @@ void DfsCluster::FinishRebalanceIfDrained() {
       hooks_->OnRebalanceDone(*this);
     }
   }
-  // Garbage-collect fully drained offline bricks and empty offline nodes.
-  // Gated on the offline-brick count so healthy steady state (no draining
-  // bricks anywhere) skips the O(bricks) sweep entirely.
-  if (offline_bricks_ == 0) {
-    return;
-  }
-  // Sweep only the tracked offline bricks: a long-lived drain (stuck
-  // evacuation on an under-provisioned fleet) would otherwise walk the whole
-  // ever-growing brick map on every op. Collection decisions are mutually
-  // independent, so sweeping in tracking order removes exactly the bricks
-  // the historical map walk removed.
+  // Garbage-collect fully drained offline bricks, sweeping only the tracked
+  // offline bricks: a long-lived drain (stuck evacuation on an
+  // under-provisioned fleet) would otherwise walk the whole ever-growing
+  // brick map on every op. Collection decisions are mutually independent,
+  // so sweeping in tracking order removes exactly the bricks the historical
+  // map walk removed.
   size_t kept = 0;
   for (size_t i = 0; i < offline_brick_list_.size(); ++i) {
     BrickId id = offline_brick_list_[i];
     const Brick* brick = FindBrick(id);
-    if (brick == nullptr || brick->online) {
-      continue;  // stale entry
-    }
     if (brick->used_bytes == 0 && ChunksOnBrickRef(id).empty()) {
       StorageNode* node = FindStorageNode(brick->node);
       if (node != nullptr) {
@@ -1744,7 +1719,6 @@ void DfsCluster::FinishRebalanceIfDrained() {
       brick_index_[id] = nullptr;
       brick_chunks_[id].shrink_to_fit();  // ids are never reused
       bricks_.erase(id);
-      --offline_bricks_;
     } else {
       offline_brick_list_[kept++] = id;
     }
@@ -1956,7 +1930,6 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
     writer.U32(id);
     writer.Bool(node.online);
     writer.Bool(node.crashed);
-    writer.U64(node.synced_epoch);
     SaveLoadCounters(writer, node.load);
   }
   writer.U64(storage_nodes_.size());
@@ -2008,9 +1981,6 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
 
   writer.U64(total_ops_executed_);
   writer.U64(lost_bytes_);
-  writer.U64(namespace_epoch_);
-  writer.U64(serving_meta_nodes_.size());
-  for (NodeId id : serving_meta_nodes_) writer.U32(id);
 
   SaveFlavorState(writer);
   // The census closes the record, after the flavor's state.
@@ -2032,19 +2002,20 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
 
   meta_nodes_.clear();
   meta_node_index_.clear();
-  uint64_t meta_count = reader.Count(4 + 2 + 8 + 28);
+  // Record floors: a meta node is its id, two flags and 32 bytes of load
+  // counters; a storage node adds its brick count.
+  uint64_t meta_count = reader.Count(4 + 2 + 32);
   for (uint64_t i = 0; i < meta_count && reader.ok(); ++i) {
     MetaNode node;
     node.id = reader.U32();
     node.online = reader.Bool();
     node.crashed = reader.Bool();
-    node.synced_epoch = reader.U64();
     RestoreLoadCounters(reader, &node.load);
     meta_nodes_[node.id] = node;
   }
   storage_nodes_.clear();
   storage_node_index_.clear();
-  uint64_t storage_count = reader.Count(4 + 2 + 8 + 28);
+  uint64_t storage_count = reader.Count(4 + 2 + 8 + 32);
   for (uint64_t i = 0; i < storage_count && reader.ok(); ++i) {
     StorageNode node;
     node.id = reader.U32();
@@ -2061,7 +2032,6 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   bricks_.clear();
   brick_index_.clear();
   brick_chunks_.clear();
-  offline_bricks_ = 0;
   offline_brick_list_.clear();
   uint64_t brick_count = reader.Count(4 + 4 + 8 + 8 + 1 + 4);
   for (uint64_t i = 0; i < brick_count && reader.ok(); ++i) {
@@ -2073,7 +2043,6 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
     brick.online = reader.Bool();
     brick.linkfiles = reader.U32();
     if (!brick.online) {
-      ++offline_bricks_;
       offline_brick_list_.push_back(brick.id);
     }
     bricks_[brick.id] = brick;
@@ -2158,24 +2127,15 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
 
   total_ops_executed_ = reader.U64();
   lost_bytes_ = reader.U64();
-  namespace_epoch_ = reader.U64();
-  serving_meta_nodes_.clear();
-  uint64_t serving_meta_count = reader.Count(4);
-  for (uint64_t i = 0; i < serving_meta_count && reader.ok(); ++i) {
-    NodeId id = reader.U32();
-    if (reader.ok() && meta_nodes_.count(id) == 0) {
-      reader.Fail(Sprintf("serving meta node %u is not in the node map", id));
-      break;
-    }
-    serving_meta_nodes_.push_back(id);
-  }
   if (!reader.ok()) return reader.status();
 
+  serving_meta_nodes_.clear();
   crashed_node_ids_.clear();
   for (const auto& [id, node] : storage_nodes_) {
     if (node.crashed) crashed_node_ids_.push_back(id);
   }
   for (const auto& [id, node] : meta_nodes_) {
+    if (node.Serving()) serving_meta_nodes_.push_back(id);
     if (node.crashed) crashed_node_ids_.push_back(id);
   }
   std::sort(crashed_node_ids_.begin(), crashed_node_ids_.end());

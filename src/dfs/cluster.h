@@ -90,8 +90,9 @@ class FaultHooks {
   // Membership / volume topology changed.
   virtual void OnTopologyChanged(DfsCluster& dfs) { (void)dfs; }
 
-  // Should this node's metadata anti-entropy be stalled? (metadata-desync
-  // faults, the §7 extension)
+  // Never called: the cluster keeps no metadata replica state to stall. The
+  // declaration stays only because the benchmark decorator in
+  // campaign_bench/traced_campaign.cc overrides it.
   virtual bool SuppressMetadataSync(const DfsCluster& dfs, NodeId node) {
     (void)dfs;
     (void)node;
@@ -133,7 +134,7 @@ class EnvFaultRuntime {
     return MessageVerdict::kDeliver;
   }
 
-  // Should this round's anti-entropy heartbeat toward `node` be lost?
+  // Should this op's metadata heartbeat toward `node` be lost?
   virtual bool DropHeartbeat(DfsCluster& dfs, NodeId node) {
     (void)dfs;
     (void)node;
@@ -313,6 +314,17 @@ class DfsCluster : public DfsInterface {
   const std::map<NodeId, StorageNode>& storage_nodes() const { return storage_nodes_; }
   const std::map<NodeId, MetaNode>& meta_nodes() const { return meta_nodes_; }
   const std::map<FileId, FileLayout>& file_layouts() const { return layouts_; }
+  // Chunk `chunk_index` of `file`, or null when the file or the chunk is gone
+  // (a queued move or an index entry can outlive either).
+  const ChunkPlacement* FindChunk(FileId file, uint32_t chunk_index) const {
+    auto it = layouts_.find(file);
+    return it == layouts_.end() || chunk_index >= it->second.chunks.size()
+               ? nullptr
+               : &it->second.chunks[chunk_index];
+  }
+  ChunkPlacement* FindChunk(FileId file, uint32_t chunk_index) {
+    return const_cast<ChunkPlacement*>(std::as_const(*this).FindChunk(file, chunk_index));
+  }
 
   // O(1): ids are small and monotonic, so a flat pointer vector shadows the
   // owning maps (map nodes have stable addresses; erased slots hold null).
@@ -369,9 +381,6 @@ class DfsCluster : public DfsInterface {
 
   int completed_rebalance_rounds() const { return completed_rebalance_rounds_; }
   uint64_t rebalance_triggers() const { return rebalance_triggers_; }
-  // Authoritative namespace mutation count; metadata replicas (MetaNode::
-  // synced_epoch) trail it by at most the anti-entropy lag when healthy.
-  uint64_t namespace_epoch() const { return namespace_epoch_; }
   // Moves on every change to a brick's bytes, capacity or online state, to
   // node serving membership, and to the replica index. Anything computed
   // from those alone is still valid while it reads the same value.
@@ -418,8 +427,9 @@ class DfsCluster : public DfsInterface {
   // Serializes the full mutable simulator state: clock, RNG, namespace,
   // topology maps, layouts, migration queue, balancer/rebalance counters,
   // the flavor's own state (via SaveFlavorState) and, last, the balancer
-  // crash census. Derived indexes (replica index, load index, class-window
-  // counters) are rebuilt on restore, never serialized. Restore refuses ids
+  // crash census. Derived state (replica index, load index, class-window
+  // counters, the serving meta and crashed node lists) is rebuilt on
+  // restore, never serialized. Restore refuses ids
   // the id counters could not have issued and runs AuditCluster before the
   // flavor state; it must be called on a freshly constructed cluster with
   // the same ClusterConfig and flavor.
@@ -428,10 +438,9 @@ class DfsCluster : public DfsInterface {
 
  protected:
   // Flavor extension of SaveState/RestoreState: persistent flavor state that
-  // cannot be recomputed from topology (Ceph upmaps, Leo ring weights,
-  // Gluster linkfile census). Purely derived flavor state (HDFS cluster map,
-  // Gluster DHT layout, CRUSH weights) is recomputed in RestoreFlavorState
-  // instead.
+  // cannot be recomputed from topology (Ceph upmaps, Leo ring weights, GeoFS
+  // geotags). Purely derived flavor state (HDFS cluster map, Gluster DHT
+  // layout and linkfile census, CRUSH weights) is recomputed instead.
   virtual void SaveFlavorState(SnapshotWriter& writer) const { (void)writer; }
   virtual Status RestoreFlavorState(SnapshotReader& reader) {
     (void)reader;
@@ -662,9 +671,9 @@ class DfsCluster : public DfsInterface {
   // it for the drained-brick GC.
   void TakeBrickOffline(Brick& brick);
   void SetBrickCapacity(Brick& brick, uint64_t capacity);
-  // Anti-entropy: serving metadata replicas catch up to the namespace epoch
-  // (unless a fault stalls them).
-  void SyncMetadataReplicas();
+  // One metadata heartbeat per serving meta node, each offered to the env
+  // runtime's lossy transport.
+  void SendMetadataHeartbeats();
   static SimDuration TransferCost(uint64_t bytes);
   static SimDuration ParallelTransferCost(const FileLayout& layout);
 
@@ -725,7 +734,6 @@ class DfsCluster : public DfsInterface {
 
   uint64_t total_ops_executed_ = 0;
   uint64_t lost_bytes_ = 0;
-  uint64_t namespace_epoch_ = 0;
 
   FaultHooks* hooks_ = nullptr;
   EnvFaultRuntime* env_ = nullptr;
@@ -744,23 +752,23 @@ class DfsCluster : public DfsInterface {
   // (DESIGN.md §10). It moves on replica-index changes too (Touch()).
   LoadIndex load_;
 
-  // Serving metadata nodes, maintained at the (rare) membership changes so
-  // per-op request routing / anti-entropy need not scan the ever-growing
-  // meta_nodes_ map (removed nodes stay in it as tombstones).
+  // Serving metadata nodes, sorted, maintained at the (rare) membership
+  // changes so per-op request routing and heartbeats need not scan the
+  // ever-growing meta_nodes_ map (removed nodes stay in it as tombstones).
   std::vector<NodeId> serving_meta_nodes_;
   // Crashed nodes, storage and meta, sorted by id. With the serving lists
   // they are the nodes SampleLoadInto reports, so the monitor's scan never
-  // walks the tombstones of decommissioned nodes.
+  // walks the tombstones of decommissioned nodes. Restore rebuilds both
+  // lists from the node maps.
   std::vector<NodeId> crashed_node_ids_;
   // One node's LoadSample (storage or meta).
   LoadSample NodeLoadSample(NodeId id) const;
-  // Online-flag bookkeeping so the per-op drained-brick GC can skip its
-  // whole-map scan when nothing is offline (the common case).
-  int offline_bricks_ = 0;
-  // The offline bricks themselves, so a long-lived drain (stuck evacuation,
-  // under-replicated fleet) sweeps only its own bricks each op instead of
-  // the whole ever-growing brick map. Entries leave when the GC collects or
-  // skips-as-stale them.
+  // The offline (draining) bricks, so the per-op drained-brick GC returns at
+  // once when nothing drains (the common case), and a long-lived drain
+  // (stuck evacuation, under-replicated fleet) sweeps only its own bricks
+  // instead of the whole ever-growing brick map. No brick comes back online
+  // and only the GC erases bricks, so an entry leaves exactly when the GC
+  // collects its brick.
   std::vector<BrickId> offline_brick_list_;
   // Bumped whenever the admin list views (serving meta/storage/brick lists)
   // may change membership; see DfsInterface::MembershipEpoch().

@@ -71,18 +71,6 @@ void GeoLikeCluster::OnStorageNodeDecommissioned(NodeId id) {
   }
 }
 
-void GeoLikeCluster::ReconcileEngine() {
-  // Full sweep of the fleet for offline tombstones. Per-op decommissions are
-  // handled incrementally by OnStorageNodeDecommissioned; this O(fleet) pass
-  // only covers takeover after a balancer crash, where membership may have
-  // moved while the balancer was down.
-  for (const auto& [id, node] : storage_nodes()) {
-    if (!node.online && engine_.Contains(id)) {
-      engine_.RemoveNode(id);
-    }
-  }
-}
-
 BrickId GeoLikeCluster::BrickWithRoom(NodeId node, uint64_t bytes) const {
   const StorageNode* sn = FindStorageNode(node);
   if (sn == nullptr) {
@@ -285,12 +273,10 @@ bool GeoLikeCluster::BuildRebalancePlan(MigrationPlan& plan) {
             plan.size() >= kMaxSiteMovesPerRound) {
           break;
         }
-        auto layout_it = file_layouts().find(file);
-        if (layout_it == file_layouts().end() ||
-            chunk_index >= layout_it->second.chunks.size()) {
+        const ChunkPlacement* chunk = FindChunk(file, chunk_index);
+        if (chunk == nullptr) {
           continue;
         }
-        const ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
         // Advance past receivers without room for this chunk.
         BrickId to = kInvalidBrick;
         while (recv_idx < receivers.size()) {
@@ -298,24 +284,24 @@ bool GeoLikeCluster::BuildRebalancePlan(MigrationPlan& plan) {
           const Brick* rb = FindBrick(candidate);
           uint64_t inflow = planned_inflow[candidate];
           if (rb == nullptr || !rb->online ||
-              rb->FreeBytes() < inflow + chunk.bytes) {
+              rb->FreeBytes() < inflow + chunk->bytes) {
             ++recv_idx;
             continue;
           }
           to = candidate;
           break;
         }
-        if (to == kInvalidBrick || chunk.HasReplicaOn(to)) {
+        if (to == kInvalidBrick || chunk->HasReplicaOn(to)) {
           continue;
         }
-        uint64_t moved = std::min(budget, chunk.bytes);
+        uint64_t moved = std::min(budget, chunk->bytes);
         budget -= moved;
-        planned_inflow[to] += chunk.bytes;
+        planned_inflow[to] += chunk->bytes;
         plan.push_back(ChunkMove{.file = file,
                                  .chunk_index = chunk_index,
                                  .from = donor.id,
                                  .to = to,
-                                 .bytes = chunk.bytes,
+                                 .bytes = chunk->bytes,
                                  .reason = MoveReason::kRebalance,
                                  .hash_driven = false});
       }
@@ -324,12 +310,6 @@ bool GeoLikeCluster::BuildRebalancePlan(MigrationPlan& plan) {
   // Stage 2, the base leveler, counts the site stage's moves against each
   // receiver's budget.
   return true;
-}
-
-void GeoLikeCluster::OnBalancerRestarted() {
-  // Takeover reconciles the persisted tree against whatever membership
-  // changed while the balancer was down.
-  ReconcileEngine();
 }
 
 void GeoLikeCluster::SaveFlavorState(SnapshotWriter& writer) const {
@@ -367,8 +347,13 @@ Status GeoLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
     if (!reader.ok()) {
       break;
     }
-    if (FindStorageNode(id) == nullptr) {
+    const StorageNode* node = FindStorageNode(id);
+    if (node == nullptr) {
       reader.Fail(Sprintf("geotag references unknown storage node %u", id));
+      break;
+    }
+    if (!node->online) {
+      reader.Fail(Sprintf("geotag for offline storage node %u", id));
       break;
     }
     if (engine_.Contains(id)) {

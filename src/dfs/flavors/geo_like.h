@@ -37,28 +37,24 @@ class GeoLikeCluster : public DfsCluster {
   bool BuildRebalancePlan(MigrationPlan& plan) override;
   // Admission places the node in the geotag tree and a scheduling group.
   void OnStorageNodeAdmitted(NodeId id) override;
-  // Decommission releases the node's geotag/group slot in O(1); the full
-  // fleet reconcile runs only on balancer takeover, not per topology change.
+  // Decommission releases the node's geotag/group slot in O(1). It is the
+  // only way a storage node goes offline, so the engine holds exactly the
+  // online nodes. The tree lives in the shared namespace store (EOS keeps it
+  // in QuarkDB), so a balancer crash leaves it as it was.
   void OnStorageNodeDecommissioned(NodeId id) override;
   void OnTopologyCleared() override;
-  // The geotag tree and group membership live in the shared namespace store
-  // (EOS keeps them in QuarkDB), so a balancer crash loses only the in-flight
-  // rebalance-list.
-  void OnBalancerRestarted() override;
   // Heterogeneous fleet: capacity class derived deterministically from the
   // node id (1x / 2x / 4x kBrickCapacity).
   uint64_t BrickCapacityFor(NodeId id) const override;
   // Checkpointing: geotags, group membership and the group count are
   // admission-history state (fewest-first placement), so the record
   // persists them (snapshot v9) and restore validates them against the
-  // restored topology.
+  // restored topology: a geotag must name an online storage node, and every
+  // online node must have one.
   void SaveFlavorState(SnapshotWriter& writer) const override;
   Status RestoreFlavorState(SnapshotReader& reader) override;
 
  private:
-  // Reconcile the geotag tree with the full topology: decommissioned
-  // tombstones free their slots. O(fleet) — balancer takeover/restore only.
-  void ReconcileEngine();
   // First online brick of `node` with room for `bytes`, else kInvalidBrick.
   BrickId BrickWithRoom(NodeId node, uint64_t bytes) const;
   // One scheduling group's serving members, in node-id order (the engine

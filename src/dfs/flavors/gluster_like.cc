@@ -1,7 +1,5 @@
 #include "src/dfs/flavors/gluster_like.h"
 
-#include <algorithm>
-
 #include "src/common/bytes.h"
 #include "src/common/strings.h"
 
@@ -68,7 +66,6 @@ ReplicaSet GlusterLikeCluster::PlaceChunk(const std::string& path, uint32_t chun
     if (id != primary && candidate->FreeBytes() >= bytes) {
       chosen.push_back(id);
       if (brick != nullptr && brick->online) {
-        ++live_linkfiles_;
         Brick* hashed = FindBrick(primary);
         hashed->linkfiles += 1;
         AccreteBrickBytes(hashed, kLinkfileBytes);
@@ -92,7 +89,6 @@ void GlusterLikeCluster::OnRenamed(const Operation& op, bool is_file) {
   if (old_brick != new_brick) {
     Brick* brick = FindBrick(new_brick);
     if (brick != nullptr) {
-      ++live_linkfiles_;
       brick->linkfiles += 1;
       AccreteBrickBytes(brick, kLinkfileBytes);
     }
@@ -143,7 +139,6 @@ void GlusterLikeCluster::OnRebalanceRoundDone() {
       Brick* mutable_brick = FindBrick(id);
       uint64_t reclaimed = static_cast<uint64_t>(mutable_brick->linkfiles) * kLinkfileBytes;
       ReleaseBrickBytes(mutable_brick, reclaimed);
-      live_linkfiles_ -= std::min(live_linkfiles_, mutable_brick->linkfiles);
       mutable_brick->linkfiles = 0;
     }
   }
@@ -155,13 +150,12 @@ void GlusterLikeCluster::OnBalancerRestarted() {
   OnTopologyChangedInternal();
 }
 
-void GlusterLikeCluster::SaveFlavorState(SnapshotWriter& writer) const {
-  writer.U32(live_linkfiles_);
-}
-
-Status GlusterLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
-  live_linkfiles_ = reader.U32();
-  return reader.status();
+uint32_t GlusterLikeCluster::live_linkfiles() const {
+  uint32_t total = 0;
+  for (const auto& [id, brick] : bricks()) {
+    total += brick.linkfiles;
+  }
+  return total;
 }
 
 }  // namespace themis

@@ -23,7 +23,8 @@ class GlusterLikeCluster : public DfsCluster {
   static ClusterConfig DefaultConfig();
 
   const DhtLayout& layout() const { return layout_; }
-  uint32_t live_linkfiles() const { return live_linkfiles_; }
+  // Linkfiles on disk: the sum of every brick's count (one brick scan).
+  uint32_t live_linkfiles() const;
 
  protected:
   ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
@@ -39,17 +40,12 @@ class GlusterLikeCluster : public DfsCluster {
   // ran); the restarted rebalance begins with a fresh fix-layout, exactly
   // like `gluster volume rebalance start` after a daemon death.
   void OnBalancerRestarted() override;
-  // Checkpointing: the linkfile census is history (survives fix-layout); the
-  // DHT layout itself is derived and recomputed by the base restore.
-  void SaveFlavorState(SnapshotWriter& writer) const override;
-  Status RestoreFlavorState(SnapshotReader& reader) override;
 
  private:
   // The brick after `primary` in layout order hosts the replica pair.
   BrickId ReplicaPartner(BrickId primary) const;
 
   DhtLayout layout_;
-  uint32_t live_linkfiles_ = 0;
 };
 
 }  // namespace themis

@@ -44,9 +44,6 @@ struct MetaNode {
   NodeId id = kInvalidNode;
   bool online = true;
   bool crashed = false;
-  // Metadata replication state: how far this node's namespace view has
-  // caught up with the authoritative epoch (see DfsCluster::namespace_epoch).
-  uint64_t synced_epoch = 0;
   NodeLoadCounters load;
 
   bool Serving() const { return online && !crashed; }

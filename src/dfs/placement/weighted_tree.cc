@@ -38,13 +38,4 @@ void WeightedTree::SortByLoad(Rng& rng, std::vector<BrickId>& out) const {
   }
 }
 
-std::vector<BrickId> WeightedTree::ChooseLeastLoaded(int n, Rng& rng) const {
-  std::vector<BrickId> sorted;
-  SortByLoad(rng, sorted);
-  if (n >= 0 && static_cast<size_t>(n) < sorted.size()) {
-    sorted.resize(static_cast<size_t>(n));
-  }
-  return sorted;
-}
-
 }  // namespace themis

@@ -39,9 +39,6 @@ class WeightedTree {
   // contents), insertion order shuffled within each bucket.
   void SortByLoad(Rng& rng, std::vector<BrickId>& out) const;
 
-  // First `n` distinct targets of SortByLoad.
-  std::vector<BrickId> ChooseLeastLoaded(int n, Rng& rng) const;
-
   size_t size() const { return count_; }
 
  private:

@@ -45,8 +45,6 @@ enum class EffectKind : uint8_t {
   // Control effects.
   kRebalanceHang,            // rebalance command silently does nothing
   kCrashNode,                // a storage node dies
-  // Metadata effects (the §7 "more bug types" extension).
-  kMetadataDesync,           // one management node stops replicating metadata
 };
 
 // When a fault becomes active (§3.2, Findings 4-6). All listed conditions
@@ -65,10 +63,9 @@ struct TriggerRequirement {
   double min_variance = 0.0;           // storage imbalance precondition
   // Deep-bug discriminator (Finding 6): the imbalance must not merely spike —
   // it must *persist*: `min_variance` held over `min_variance_streak`
-  // consecutive operations spanning at least one completed rebalance round
-  // (i.e. the balancer ran and the skew survived it). A random volume
-  // reduction spikes the spread for a moment; only workloads that keep
-  // re-skewing faster than migration drains sustain it.
+  // consecutive operations. A random volume reduction spikes the spread for
+  // a moment; only workloads that keep re-skewing faster than migration
+  // drains sustain it.
   int min_variance_streak = 0;
   // Finding 5's second half: deep failures are triggered by "repeatedly
   // executing short sequences of up to 8 operations, with gradual variation

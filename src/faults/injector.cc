@@ -44,22 +44,7 @@ bool FaultInjector::EffectTargetsStorage(EffectKind effect) const {
     case EffectKind::kCpuSkew:
     case EffectKind::kNetworkSkew:
     case EffectKind::kCrashNode:
-    case EffectKind::kMetadataDesync:
       return false;
-  }
-  return false;
-}
-
-bool FaultInjector::SuppressMetadataSync(const DfsCluster& dfs, NodeId node) {
-  (void)dfs;
-  if (!desync_active_) {
-    return false;
-  }
-  for (const FaultRuntime& fault : faults_) {
-    if (fault.active && fault.spec.effect == EffectKind::kMetadataDesync &&
-        fault.victim_node == node) {
-      return true;
-    }
   }
   return false;
 }
@@ -132,9 +117,6 @@ void FaultInjector::UpdateVarianceStreaks(const DfsCluster& dfs) {
       continue;
     }
     if (imbalance >= fault.spec.trigger.min_variance) {
-      if (fault.variance_streak == 0) {
-        fault.rounds_at_streak_start = dfs.completed_rebalance_rounds();
-      }
       ++fault.variance_streak;
     } else {
       fault.variance_streak = 0;
@@ -266,7 +248,7 @@ void FaultInjector::PickVictim(FaultRuntime& fault, DfsCluster& dfs) {
                       : nodes[Mix64(HashCombine(0x1234, fault.trigger_count)) % nodes.size()];
     return;
   }
-  // kNetworkSkew / kMetadataDesync: a metadata node.
+  // kNetworkSkew: a metadata node.
   std::vector<NodeId> mns = dfs.ListMetaNodes();
   fault.victim_node =
       mns.empty() ? kInvalidNode
@@ -275,12 +257,10 @@ void FaultInjector::PickVictim(FaultRuntime& fault, DfsCluster& dfs) {
 
 void FaultInjector::Activate(FaultRuntime& fault, DfsCluster& dfs) {
   fault.active = true;
-  desync_active_ |= fault.spec.effect == EffectKind::kMetadataDesync;
-  fault.triggered_at = dfs.Now();
   ++fault.trigger_count;
   PickVictim(fault, dfs);
   THEMIS_LOG(kInfo, "fault %s triggered at t=%.1fmin (victim node %u)",
-             fault.spec.id.c_str(), ToMinutes(fault.triggered_at), fault.victim_node);
+             fault.spec.id.c_str(), ToMinutes(dfs.Now()), fault.victim_node);
   if (fault.spec.effect == EffectKind::kCrashNode && fault.victim_node != kInvalidNode) {
     dfs.CrashNode(fault.victim_node);
   }
@@ -308,8 +288,7 @@ void FaultInjector::ApplyContinuousEffects(DfsCluster& dfs) {
         }
         break;
       case EffectKind::kCrashNode:
-      case EffectKind::kMetadataDesync:
-        // One-shot / hook-driven; nothing continuous.
+        // One-shot; nothing continuous.
         break;
       default: {
         // Storage effects. A pass reads only the victim and cluster state
@@ -417,13 +396,9 @@ FaultHooks::MigrateVerdict FaultInjector::OnMigrateChunk(DfsCluster& dfs,
     if (fault.spec.effect == EffectKind::kLinkfileUnlink && move.is_linkfile) {
       // Fig. 11: the linkfile shares the datafile's hashed id, so the unlink
       // destroys the *data* that was just migrated.
-      auto layout_it = dfs.file_layouts().find(move.file);
-      if (layout_it != dfs.file_layouts().end() &&
-          move.chunk_index < layout_it->second.chunks.size()) {
-        const ChunkPlacement& chunk = layout_it->second.chunks[move.chunk_index];
-        if (!chunk.replicas.empty()) {
-          dfs.DestroyChunkReplica(move.file, move.chunk_index, chunk.replicas.front());
-        }
+      const ChunkPlacement* chunk = dfs.FindChunk(move.file, move.chunk_index);
+      if (chunk != nullptr && !chunk->replicas.empty()) {
+        dfs.DestroyChunkReplica(move.file, move.chunk_index, chunk->replicas.front());
       }
       return MigrateVerdict::kSkip;
     }
@@ -453,10 +428,8 @@ void FaultInjector::OnClusterReset(DfsCluster& dfs) {
     fault.victim_brick = kInvalidBrick;
     fault.victim_node = kInvalidNode;
     fault.variance_streak = 0;
-    fault.rounds_at_streak_start = 0;
     fault.futile_epoch = FaultRuntime::kNoEpoch;
   }
-  desync_active_ = false;
   history_.clear();
 }
 
@@ -494,12 +467,10 @@ void FaultInjector::SaveState(SnapshotWriter& writer) const {
   for (const FaultRuntime& fault : faults_) {
     writer.Str(fault.spec.id);
     writer.Bool(fault.active);
-    writer.I64(fault.triggered_at);
     writer.I64(fault.trigger_count);
     writer.U32(fault.victim_brick);
     writer.U32(fault.victim_node);
     writer.I64(fault.variance_streak);
-    writer.I64(fault.rounds_at_streak_start);
     writer.U64(fault.satisfied_evals);
   }
   // The history as four oldest-first sequences of one field each.
@@ -533,18 +504,12 @@ Status FaultInjector::RestoreState(SnapshotReader& reader) {
       break;
     }
     fault.active = reader.Bool();
-    fault.triggered_at = reader.I64();
     fault.trigger_count = static_cast<int>(reader.I64());
     fault.victim_brick = reader.U32();
     fault.victim_node = reader.U32();
     fault.variance_streak = static_cast<int>(reader.I64());
-    fault.rounds_at_streak_start = static_cast<int>(reader.I64());
     fault.satisfied_evals = reader.U64();
     fault.futile_epoch = FaultRuntime::kNoEpoch;
-  }
-  desync_active_ = false;
-  for (const FaultRuntime& fault : faults_) {
-    desync_active_ |= fault.active && fault.spec.effect == EffectKind::kMetadataDesync;
   }
   // The history: four oldest-first sequences, one per field, which must
   // share one length of at most kHistoryLimit.

@@ -31,15 +31,12 @@ namespace themis {
 struct FaultRuntime {
   FaultSpec spec;
   bool active = false;
-  SimTime triggered_at = -1;
   int trigger_count = 0;  // across cluster resets
   BrickId victim_brick = kInvalidBrick;
   NodeId victim_node = kInvalidNode;
   // Sustained-variance tracking (min_variance_streak): consecutive ops with
-  // storage imbalance >= spec.trigger.min_variance, and the completed round
-  // count when the streak began.
+  // storage imbalance >= spec.trigger.min_variance.
   int variance_streak = 0;
-  int rounds_at_streak_start = 0;
   // Number of operations at which the full predicate (minus the probability
   // gate) held — calibration telemetry.
   uint64_t satisfied_evals = 0;
@@ -62,7 +59,6 @@ class FaultInjector : public FaultHooks {
   void OnRebalancePlanned(DfsCluster& dfs, MigrationPlan& plan) override;
   MigrateVerdict OnMigrateChunk(DfsCluster& dfs, const ChunkMove& move) override;
   bool SuppressRebalance(const DfsCluster& dfs) override;
-  bool SuppressMetadataSync(const DfsCluster& dfs, NodeId node) override;
   void OnClusterReset(DfsCluster& dfs) override;
 
   // ---- ground truth for the campaign harness ----
@@ -117,9 +113,6 @@ class FaultInjector : public FaultHooks {
     int hot_touches = 0;   // ops that touched the hottest brick
   };
   std::array<WindowSummary, kHistoryLimit + 1> windows_;
-  // Whether some active fault has the kMetadataDesync effect, so the
-  // per-meta-node sync hook can answer without scanning faults_.
-  bool desync_active_ = false;
   Rng rng_;
 };
 

@@ -8,7 +8,6 @@ void TallyReports(const std::vector<FailureReport>& reports, GroundTruthTally& t
       ++tally.false_positive_reports;
       continue;
     }
-    ++tally.true_positive_reports;
     // De-duplicate by root cause; keep the earliest confirmation.
     for (const std::string& fault_id : report.active_faults) {
       auto [it, inserted] = tally.distinct_failures.emplace(fault_id, report.confirmed_at);

@@ -17,7 +17,6 @@ namespace themis {
 struct GroundTruthTally {
   // Root-cause id -> first confirmation time.
   std::map<std::string, SimTime> distinct_failures;
-  int true_positive_reports = 0;
   int false_positive_reports = 0;
 };
 

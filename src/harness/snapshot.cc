@@ -392,7 +392,6 @@ void SaveGroundTruthTally(SnapshotWriter& writer, const GroundTruthTally& tally)
     writer.Str(id);
     writer.I64(at);
   }
-  writer.I64(tally.true_positive_reports);
   writer.I64(tally.false_positive_reports);
 }
 
@@ -404,7 +403,6 @@ void RestoreGroundTruthTally(SnapshotReader& reader, GroundTruthTally* tally) {
     SimTime at = reader.I64();
     tally->distinct_failures[std::move(id)] = at;
   }
-  tally->true_positive_reports = static_cast<int>(reader.I64());
   tally->false_positive_reports = static_cast<int>(reader.I64());
 }
 

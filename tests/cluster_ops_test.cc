@@ -297,22 +297,36 @@ INSTANTIATE_TEST_SUITE_P(AllFlavors, ClusterOpsTest,
 
 // ---- flavor-specific behavior ----
 
-TEST(GlusterFlavor, LinkfilesAppearWhenHashedBrickIsFull) {
-  GlusterLikeCluster dfs;
-  // Fill until placements start missing the hashed brick.
-  uint64_t chunk = kBrickCapacity / 2;
+// Creates 64 half-brick files, so placements start missing their full
+// hashed bricks; returns how many creates succeeded.
+int FillPastTheHashedBricks(GlusterLikeCluster& dfs) {
   int created = 0;
   for (int i = 0; i < 64; ++i) {
-    Operation op;
-    op.kind = OpKind::kCreate;
-    op.path = "/f" + std::to_string(i);
-    op.size = chunk;
-    if (dfs.Execute(op).status.ok()) {
+    if (dfs.Execute(MakeCreate("/f" + std::to_string(i), kBrickCapacity / 2)).status.ok()) {
       ++created;
     }
   }
-  EXPECT_GT(created, 4);
+  return created;
+}
+
+TEST(GlusterFlavor, LinkfilesAppearWhenHashedBrickIsFull) {
+  GlusterLikeCluster dfs;
+  EXPECT_GT(FillPastTheHashedBricks(dfs), 4);
   EXPECT_GT(dfs.live_linkfiles(), 0u) << "full hashed bricks must leave linkfiles";
+}
+
+// The census counts the linkfiles on the bricks, so a reset, which rebuilds
+// the bricks empty, leaves none, and a later round finds none to reclaim.
+TEST(GlusterFlavor, LinkfileCensusIsEmptyAfterReset) {
+  GlusterLikeCluster dfs;
+  FillPastTheHashedBricks(dfs);
+  ASSERT_GT(dfs.live_linkfiles(), 0u);
+  dfs.ResetToInitial();
+  EXPECT_EQ(dfs.live_linkfiles(), 0u);
+  ASSERT_TRUE(dfs.TriggerRebalance().ok());
+  ASSERT_TRUE(dfs.RebalanceDone());
+  ASSERT_EQ(dfs.completed_rebalance_rounds(), 1);
+  EXPECT_EQ(dfs.live_linkfiles(), 0u);
 }
 
 TEST(GlusterFlavor, RenameAcrossRangesLeavesLinkfile) {

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
 #include <set>
 
@@ -130,21 +129,6 @@ TEST(Rng, ChanceApproximatesProbability) {
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.03);
 }
 
-TEST(Rng, GaussianMoments) {
-  Rng rng(13);
-  constexpr int kDraws = 20000;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (int i = 0; i < kDraws; ++i) {
-    double x = rng.NextGaussian();
-    sum += x;
-    sum_sq += x * x;
-  }
-  double mean = sum / kDraws;
-  EXPECT_NEAR(mean, 0.0, 0.05);
-  EXPECT_NEAR(std::sqrt(sum_sq / kDraws - mean * mean), 1.0, 0.05);
-}
-
 TEST(Rng, PickWeightedFollowsWeights) {
   Rng rng(17);
   std::map<size_t, int> counts;
@@ -169,18 +153,6 @@ TEST(Rng, HashCombineAndMixAreStable) {
   EXPECT_NE(Mix64(42), Mix64(43));
   EXPECT_EQ(HashCombine(1, 2), HashCombine(1, 2));
   EXPECT_NE(HashCombine(1, 2), HashCombine(2, 1));
-}
-
-TEST(Rng, ForkDecorrelates) {
-  Rng parent(5);
-  Rng child = parent.Fork();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent.NextU64() == child.NextU64()) {
-      ++same;
-    }
-  }
-  EXPECT_EQ(same, 0);
 }
 
 // ---- status ----

@@ -87,9 +87,9 @@ struct SnapshotPin {
   uint64_t checksum;
 };
 constexpr SnapshotPin kMidSnapshotPins[] = {
-    {Flavor::kGluster, 0xb4d19d8227eb6e01ULL}, {Flavor::kHdfs, 0x174bc903aecd5524ULL},
-    {Flavor::kCeph, 0x590aafde8fdc7f22ULL},    {Flavor::kLeo, 0xe8ad6f7f0eeee62cULL},
-    {Flavor::kGeo, 0x5336ca8f36b534b8ULL},
+    {Flavor::kGluster, 0x9cd54e8b6180edebULL}, {Flavor::kHdfs, 0xa89b87075d628342ULL},
+    {Flavor::kCeph, 0xc2bf6eea011b6544ULL},    {Flavor::kLeo, 0xcbb4d0874bc276a3ULL},
+    {Flavor::kGeo, 0xfcb225126d3e8ff9ULL},
 };
 
 TEST(GoldenDigestTest, MidSnapshotChecksumsArePinned) {

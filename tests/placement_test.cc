@@ -481,21 +481,26 @@ TEST(WeightedTree, ShufflesWithinEqualBuckets) {
   }
   Rng rng(2);
   std::map<BrickId, int> first_counts;
+  std::vector<BrickId> sorted;
   for (int i = 0; i < 600; ++i) {
-    ++first_counts[tree.ChooseLeastLoaded(1, rng).front()];
+    tree.SortByLoad(rng, sorted);
+    ++first_counts[sorted.front()];
   }
   for (BrickId b = 1; b <= 6; ++b) {
     EXPECT_GT(first_counts[b], 30) << "target " << b << " never chosen first";
   }
 }
 
-TEST(WeightedTree, ChooseLeastLoadedTruncates) {
+TEST(WeightedTree, SortByLoadReplacesItsOutput) {
   WeightedTree tree;
   tree.Insert({1, 0.2});
   tree.Insert({2, 0.8});
   Rng rng(3);
-  EXPECT_EQ(tree.ChooseLeastLoaded(1, rng).size(), 1u);
-  EXPECT_EQ(tree.ChooseLeastLoaded(5, rng).size(), 2u);
+  std::vector<BrickId> sorted = {7, 8, 9};
+  tree.SortByLoad(rng, sorted);
+  EXPECT_EQ(sorted, (std::vector<BrickId>{1, 2}));
+  tree.SortByLoad(rng, sorted);
+  EXPECT_EQ(sorted, (std::vector<BrickId>{1, 2}));
 }
 
 TEST(WeightedTree, ClearEmptiesTree) {

@@ -176,7 +176,6 @@ bool StorageFaultActive(const CampaignSession& session) {
       case EffectKind::kCpuSkew:
       case EffectKind::kNetworkSkew:
       case EffectKind::kCrashNode:
-      case EffectKind::kMetadataDesync:
         break;
       default:
         return true;  // ApplyContinuousEffects' storage branch

@@ -105,9 +105,11 @@ TEST(SnapshotCorruptionTest, WrongMagicAndVersionAreRejected) {
 
   // Stale files must be refused outright rather than parsed into misaligned
   // fields: a pre-v6 file has no model-coverage record, a v7 file still
-  // carries the cluster's rate-window record, and a v8 file the cluster's
-  // load-group table and the pool's seen set.
-  for (char stale : {5, 7, 8}) {
+  // carries the cluster's rate-window record, a v8 file the cluster's
+  // load-group table and the pool's seen set, and a v9 file the metadata
+  // epochs, the serving meta list, the GlusterFS linkfile census and every
+  // RNG's Box-Muller spare.
+  for (char stale : {5, 7, 8, 9}) {
     std::string stale_version = original;
     stale_version[8] = stale;
     WriteFileBytes(path, stale_version);
@@ -343,6 +345,12 @@ TEST(SnapshotCorruptionTest, MalformedEnvFaultRecordsAreRejected) {
 // must fail the restore with a message naming the node or the count.
 TEST(SnapshotCorruptionTest, GeoFlavorStateCorruptionIsRejected) {
   GeoLikeCluster dfs;
+  // A decommissioned node stays in the node map, offline and untagged.
+  Operation decommission;
+  decommission.kind = OpKind::kRemoveStorageNode;
+  decommission.node = dfs.ListStorageNodes().front();
+  ASSERT_TRUE(dfs.Execute(decommission).status.ok());
+  ASSERT_FALSE(dfs.FindStorageNode(decommission.node)->online);
   SnapshotWriter writer;
   dfs.SaveState(writer);
   const std::string& bytes = writer.buffer();
@@ -390,6 +398,11 @@ TEST(SnapshotCorruptionTest, GeoFlavorStateCorruptionIsRejected) {
   std::string duplicate = bytes;
   patch_u32(duplicate, entry(1), ids[0]);  // the first node listed twice
   expect_rejected(duplicate, Sprintf("duplicate geotag for storage node %u", ids[0]));
+
+  std::string offline = bytes;
+  patch_u32(offline, entry(0), decommission.node);
+  expect_rejected(offline,
+                  Sprintf("geotag for offline storage node %u", decommission.node));
 
   std::string bad_site = bytes;
   patch_u32(bad_site, entry(0) + 4, 99);  // site beyond the 3-site tree
@@ -633,6 +646,21 @@ TEST(SnapshotCorruptionTest, ClusterRecordCorruptionIsRejected) {
   expect_rejected(patched(brick1_used, 1, 8),
                   "brick 1 holds 1 bytes, but its replicas and linkfiles sum to 0");
   expect_rejected(patched(node4_brick, 1, 4), "brick 2 is not listed by its node 4");
+
+  // A storage record is at least 46 bytes (id, two flags, brick count, 32
+  // bytes of load counters), so a count that leaves one byte short of that
+  // per record is refused at the count.
+  SnapshotWriter storage_head;
+  storage_head.U64(8);
+  storage_head.U32(3);
+  const size_t storage_count_at = bytes.find(storage_head.buffer());
+  ASSERT_NE(storage_count_at, std::string::npos);
+  ASSERT_EQ(bytes.rfind(storage_head.buffer()), storage_count_at);
+  SnapshotWriter short_table;
+  short_table.U64(8);
+  expect_rejected(bytes.substr(0, storage_count_at) + short_table.buffer() +
+                      std::string(8 * 46 - 1, '\0'),
+                  "element count 8 cannot fit in remaining 367 bytes");
 
   std::unique_ptr<DfsCluster> fresh = MakeCluster(Flavor::kHdfs, 1);
   SnapshotReader reader(bytes);
