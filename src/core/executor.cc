@@ -150,11 +150,12 @@ void TestCaseExecutor::RunProbeWorkload() {
   // dirs are scaffolding that CleanupProbeDirs removes, so letting the
   // generator learn (and nest later files under) them would both leak names
   // into test cases and make the re-check protocol perturb the campaign's
-  // operand distribution.
+  // operand distribution. Each dir takes the next free slot name, so bursts
+  // under the same parents intern no new paths.
   for (int i = 0; i < kProbeOps; ++i) {
     Operation op;
     op.kind = OpKind::kMkdir;
-    op.path = model_.NewDirName(rng_);
+    op.path = model_.ProbeDirName(rng_, probe_dirs_.size());
     OpResult result = dfs_.Execute(op);
     ++total_ops_;
     if (result.status.ok()) {

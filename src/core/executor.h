@@ -140,9 +140,11 @@ class TestCaseExecutor {
 
   double last_score_ = 0.0;
   // The mkdirs that created probe dirs since the last cleanup, in creation
-  // order (later entries may nest under earlier ones). Cleanup re-executes
-  // them as rmdirs, reusing their path caches. Always drained before the
-  // next test case executes, so never serialized.
+  // order. Entry k made slot k (InputModel::ProbeDirName): the live probe
+  // dirs hold exactly the slots below size(), so the next slot's name is
+  // free under every parent. Cleanup re-executes them as rmdirs, reusing
+  // their path caches. Always drained before the next test case executes,
+  // so never serialized.
   std::vector<Operation> probe_dirs_;
   uint64_t total_ops_ = 0;
   int candidates_raised_ = 0;

@@ -109,11 +109,11 @@ std::string InputModel::ExistingFile(Rng& rng) const {
   return files_[rng.PickIndex(files_.size())];
 }
 
-std::string InputModel::NewName(Rng& rng, char prefix) {
+std::string InputModel::NameUnderRandomDir(Rng& rng, char prefix, uint64_t number) const {
   const std::string& dir = dirs_[rng.PickIndex(dirs_.size())];
   char digits[20];  // 2^64 has 20 decimal digits
   const size_t digit_count = static_cast<size_t>(
-      std::to_chars(digits, digits + sizeof(digits), name_counter_++).ptr - digits);
+      std::to_chars(digits, digits + sizeof(digits), number).ptr - digits);
   std::string path;
   path.reserve(dir.size() + 2 + digit_count);
   if (dir != "/") {
@@ -125,13 +125,22 @@ std::string InputModel::NewName(Rng& rng, char prefix) {
   return path;
 }
 
-std::string InputModel::NewFileName(Rng& rng) { return NewName(rng, 'f'); }
+std::string InputModel::NewFileName(Rng& rng) {
+  return NameUnderRandomDir(rng, 'f', name_counter_++);
+}
 
 std::string InputModel::ExistingDir(Rng& rng) const {
   return dirs_[rng.PickIndex(dirs_.size())];
 }
 
-std::string InputModel::NewDirName(Rng& rng) { return NewName(rng, 'd'); }
+std::string InputModel::NewDirName(Rng& rng) {
+  return NameUnderRandomDir(rng, 'd', name_counter_++);
+}
+
+std::string InputModel::ProbeDirName(Rng& rng, uint64_t slot) {
+  ++name_counter_;
+  return NameUnderRandomDir(rng, 'p', slot);
+}
 
 NodeId InputModel::RandomMetaNode(Rng& rng) const {
   if (list_mn_.empty()) {

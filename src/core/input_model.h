@@ -43,6 +43,11 @@ class InputModel {
   // Picks an existing directory (possibly the root).
   std::string ExistingDir(Rng& rng) const;
   std::string NewDirName(Rng& rng);
+  // A double-check probe dir, "<dir>/p<slot>" under a random known directory.
+  // It makes NewDirName's directory draw and name-counter step, so the names
+  // that follow are the same, but reuses the slot's name: the generator
+  // never emits the 'p' prefix, so a slot not in use cannot collide.
+  std::string ProbeDirName(Rng& rng, uint64_t slot);
 
   // ---- operand instantiation (category NodeId) ----
   NodeId RandomMetaNode(Rng& rng) const;
@@ -73,8 +78,8 @@ class InputModel {
   Status RestoreState(SnapshotReader& reader);
 
  private:
-  // "<dir>/<prefix><counter>" under a random known directory.
-  std::string NewName(Rng& rng, char prefix);
+  // "<dir>/<prefix><number>" under a random known directory.
+  std::string NameUnderRandomDir(Rng& rng, char prefix, uint64_t number) const;
 
   std::vector<std::string> files_;
   std::unordered_set<std::string> file_set_;  // membership only; files_ keeps order

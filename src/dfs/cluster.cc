@@ -70,6 +70,7 @@ void DfsCluster::BuildInitialTopology() {
   crashed_node_ids_.clear();
   load_.Clear();
   ++membership_epoch_;
+  InvalidateHomes();
   OnTopologyCleared();
 
   for (int i = 0; i < config_.initial_meta_nodes; ++i) {
@@ -184,18 +185,23 @@ void DfsCluster::PlanHoming(MigrationPlan& plan) const {
                                      : static_cast<double>(TotalServingUsedBytes()) /
                                            static_cast<double>(total_capacity);
   double receive_limit = fleet + BalanceTolerance();
-  std::map<BrickId, uint64_t> planned_inflow;  // cumulative per-home bytes
+  // Cumulative per-home bytes, by brick id.
+  std::vector<uint64_t> planned_inflow(brick_index_.size(), 0);
   for (const auto& [file, layout] : layouts_) {
-    std::string path = tree_.PathOf(file);
-    if (path.empty()) {
-      continue;
-    }
+    // The path is built only for a file with a stale home memo (an empty
+    // path, a file the tree no longer names, has no home).
+    std::string path;
+    bool path_resolved = false;
     for (uint32_t i = 0; i < layout.chunks.size(); ++i) {
       const ChunkPlacement& chunk = layout.chunks[i];
       if (chunk.replicas.empty()) {
         continue;
       }
-      BrickId home = HomeBrick(file, i, &path);
+      if (!path_resolved && chunk.home_epoch != home_epoch_) {
+        path = tree_.PathOf(file);
+        path_resolved = true;
+      }
+      BrickId home = MemoizedHome(file, i, chunk, &path);
       if (home == kInvalidBrick || chunk.HasReplicaOn(home)) {
         continue;
       }
@@ -233,11 +239,11 @@ void DfsCluster::PlanLevelingByUsage(MigrationPlan& plan) const {
   }
   double fleet = static_cast<double>(total_used) / static_cast<double>(total_capacity);
   double tolerance = BalanceTolerance();
-  // Bytes the plan's data moves already direct at each brick (a linkfile
-  // unlink moves no data).
-  std::map<BrickId, uint64_t> planned_inflow;
+  // Bytes the plan's data moves already direct at each brick, by brick id
+  // (a linkfile unlink moves no data).
+  std::vector<uint64_t> planned_inflow(brick_index_.size(), 0);
   for (const ChunkMove& move : plan) {
-    if (!move.is_linkfile) {
+    if (!move.is_linkfile && move.to < planned_inflow.size()) {
       planned_inflow[move.to] += move.bytes;
     }
   }
@@ -256,10 +262,7 @@ void DfsCluster::PlanLevelingByUsage(MigrationPlan& plan) const {
     // third brick.
     double limit = (fleet + tolerance) * static_cast<double>(brick->capacity_bytes);
     if (brick->UsedFraction() < fleet + tolerance * 0.5) {
-      uint64_t committed = brick->used_bytes;
-      if (auto inflow_it = planned_inflow.find(id); inflow_it != planned_inflow.end()) {
-        committed += inflow_it->second;
-      }
+      uint64_t committed = brick->used_bytes + planned_inflow[id];
       if (static_cast<double>(committed) >= limit) {
         continue;
       }
@@ -275,8 +278,9 @@ void DfsCluster::PlanLevelingByUsage(MigrationPlan& plan) const {
   // Replica sets planned so far: both replicas of a chunk can be donated (by
   // different donors), and they must not land on the same receiver — the
   // second move would find its destination already holding the chunk and
-  // silently skip, leaving its donor hot.
-  std::map<std::pair<FileId, uint32_t>, std::vector<BrickId>> planned_targets;
+  // silently skip, leaving its donor hot. A chunk has a donor per replica at
+  // most, so its targets fit a ReplicaSet; only planned moves add entries.
+  std::map<std::pair<FileId, uint32_t>, ReplicaSet> planned_targets;
   size_t receiver_cursor = 0;
   for (BrickId donor : serving) {
     const Brick* brick = FindBrick(donor);
@@ -300,7 +304,7 @@ void DfsCluster::PlanLevelingByUsage(MigrationPlan& plan) const {
       if (chunk == nullptr) {
         continue;
       }
-      if (HomeBrick(file, chunk_index, nullptr) == donor) {
+      if (MemoizedHome(file, chunk_index, *chunk, nullptr) == donor) {
         THEMIS_LOG(kDebug, "leveling: file%llu#%u pinned to brick%u",
                    static_cast<unsigned long long>(file), chunk_index, donor);
         continue;  // hash-placed: the flavor plan owns this replica
@@ -308,17 +312,19 @@ void DfsCluster::PlanLevelingByUsage(MigrationPlan& plan) const {
       // Find a receiver that can take this chunk (no duplicate replica).
       size_t probe = receiver_cursor;
       bool placed = false;
-      std::vector<BrickId>& targets = planned_targets[{file, chunk_index}];
+      const std::pair<FileId, uint32_t> key{file, chunk_index};
+      auto targets = planned_targets.find(key);
       while (probe < receivers.size()) {
         Receiver& recv = receivers[probe];
         bool collides = chunk->HasReplicaOn(recv.brick) ||
-                        std::find(targets.begin(), targets.end(), recv.brick) !=
-                            targets.end();
+                        (targets != planned_targets.end() &&
+                         std::ranges::find(targets->second, recv.brick) !=
+                             targets->second.end());
         if (recv.headroom >= chunk->bytes && !collides) {
           THEMIS_LOG(kDebug, "leveling: plan move file%llu#%u brick%u->brick%u %lluM",
                      static_cast<unsigned long long>(file), chunk_index, donor,
                      recv.brick, static_cast<unsigned long long>(chunk->bytes >> 20));
-          targets.push_back(recv.brick);
+          planned_targets[key].push_back(recv.brick);
           plan.push_back(ChunkMove{.file = file,
                                    .chunk_index = chunk_index,
                                    .from = donor,
@@ -497,7 +503,7 @@ uint64_t DfsCluster::SkewBytes(BrickId from, BrickId to, uint64_t bytes) {
       continue;
     }
     ChunkPlacement& chunk = layout_it->second.chunks[chunk_index];
-    if (chunk.HasReplicaOn(to) || chunk.bytes > dst->FreeBytes()) {
+    if (chunk.bytes > dst->FreeBytes() || chunk.HasReplicaOn(to)) {
       ++it;
       continue;
     }
@@ -1087,6 +1093,7 @@ OpResult DfsCluster::DoRename(const Operation& op) {
   bool is_file = tree_.FileIdOf(src).ok();
   result.status = tree_.Rename(src, dst);
   if (result.status.ok()) {
+    InvalidateHomes();  // the file, or every file under the dir, has a new path
     OnRenamed(op, is_file);
   }
   return result;
@@ -2161,6 +2168,7 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
     IndexLayout(file, layout);
   }
   ++membership_epoch_;
+  InvalidateHomes();
   if (Status audit = AuditCluster(*this); !audit.ok()) {
     return Status::DataLoss("restored cluster fails the audit: " + audit.message());
   }

@@ -480,6 +480,20 @@ class DfsCluster : public DfsInterface {
     (void)path;
     return kInvalidBrick;
   }
+  // HomeBrick through `chunk`'s memo, recomputed only when the memo is
+  // stale. Whatever moves a home moves the home epoch: here a reset, a
+  // restore and every successful rename; in a flavor, every change to the
+  // placement state its HomeBrick reads (InvalidateHomes).
+  BrickId MemoizedHome(FileId file, uint32_t chunk_index, const ChunkPlacement& chunk,
+                       const std::string* path) const {
+    if (chunk.home_epoch != home_epoch_) {
+      chunk.home = HomeBrick(file, chunk_index, path);
+      chunk.home_epoch = home_epoch_;
+    }
+    return chunk.home;
+  }
+  // Makes every chunk's memoized home stale.
+  void InvalidateHomes() { ++home_epoch_; }
 
   // Topology (nodes or bricks) changed: recompute layouts / rings / weights.
   virtual void OnTopologyChangedInternal() {}
@@ -773,6 +787,9 @@ class DfsCluster : public DfsInterface {
   // Bumped whenever the admin list views (serving meta/storage/brick lists)
   // may change membership; see DfsInterface::MembershipEpoch().
   uint64_t membership_epoch_ = 1;
+  // The epoch a chunk's memoized home is valid under (MemoizedHome); starts
+  // above a fresh chunk's 0.
+  uint64_t home_epoch_ = 1;
   // Scratch for NormalizedOpPath (valid until the next call).
   std::string norm_scratch_;
   // The current recovery pass's candidates, ascending (BeginRecoveryPass).

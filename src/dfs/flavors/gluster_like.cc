@@ -25,6 +25,7 @@ void GlusterLikeCluster::OnTopologyChangedInternal() {
     weights.emplace_back(id, static_cast<double>(brick->capacity_bytes));
   }
   layout_.Recompute(weights);
+  InvalidateHomes();
 }
 
 BrickId GlusterLikeCluster::ReplicaPartner(BrickId primary) const {

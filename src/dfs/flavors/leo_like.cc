@@ -53,17 +53,8 @@ void LeoLikeCluster::OnTopologyChangedInternal() {
     ring_changed = true;
   }
   if (ring_changed) {
-    primary_cache_.clear();
+    InvalidateHomes();
   }
-}
-
-void LeoLikeCluster::OnRenamed(const Operation& op, bool is_file) {
-  // A rename re-paths the file, and a directory move every descendant, so
-  // every cached primary is suspect; renames are rare next to pin checks, a
-  // full drop is fine.
-  (void)op;
-  (void)is_file;
-  primary_cache_.clear();
 }
 
 BrickId LeoLikeCluster::HomeBrick(FileId file, uint32_t chunk_index,
@@ -71,21 +62,12 @@ BrickId LeoLikeCluster::HomeBrick(FileId file, uint32_t chunk_index,
   if (ring_.target_count() == 0) {
     return kInvalidBrick;
   }
-  auto key = std::make_pair(file, chunk_index);
-  auto it = primary_cache_.find(key);
-  if (it != primary_cache_.end()) {
-    return it->second;
-  }
   std::string resolved;
   if (path == nullptr) {
     resolved = tree().PathOf(file);
     path = &resolved;
   }
-  BrickId primary = path->empty()
-                        ? kInvalidBrick
-                        : ring_.Primary(ObjectHash(*path, chunk_index));
-  primary_cache_.emplace(key, primary);
-  return primary;
+  return path->empty() ? kInvalidBrick : ring_.Primary(ObjectHash(*path, chunk_index));
 }
 
 uint64_t LeoLikeCluster::ObjectHash(const std::string& path, uint32_t chunk_index) {
@@ -125,7 +107,7 @@ void LeoLikeCluster::OnBalancerRestarted() {
   // Takeover: reload the ring from the persisted plantings, dropping targets
   // that disappeared while the manager was down.
   ring_ = HashRing(64);
-  primary_cache_.clear();
+  InvalidateHomes();
   std::erase_if(ring_weights_,
                 [this](const PlantedWeight& planted) { return FindBrick(planted.id) == nullptr; });
   for (const PlantedWeight& planted : ring_weights_) {
@@ -146,7 +128,7 @@ Status LeoLikeCluster::RestoreFlavorState(SnapshotReader& reader) {
   // the base restore is discarded and rebuilt from the saved plantings.
   ring_ = HashRing(64);
   ring_weights_.clear();
-  primary_cache_.clear();
+  InvalidateHomes();
   uint64_t count = reader.Count(4 + 8);
   ring_weights_.reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count && reader.ok(); ++i) {

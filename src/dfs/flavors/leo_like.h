@@ -6,9 +6,7 @@
 #ifndef SRC_DFS_FLAVORS_LEO_LIKE_H_
 #define SRC_DFS_FLAVORS_LEO_LIKE_H_
 
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/dfs/cluster.h"
@@ -28,16 +26,10 @@ class LeoLikeCluster : public DfsCluster {
   ReplicaSet PlaceChunk(const std::string& path, uint32_t chunk_index,
                         uint64_t bytes) override;
   bool BuildRebalancePlan(MigrationPlan& plan) override;
-  // The chunk's ring primary, memoized. PathOf (a tree walk plus a string
-  // build) and the per-character object hash dominate rebalance planning
-  // and the leveler's pin checks on large namespaces; the primary only
-  // changes when the ring is re-planted or a rename re-paths the file, so
-  // the cache lives until one of those events clears it. FileIds are
-  // allocated monotonically and never reused, so entries for deleted files
-  // are merely dead weight, not wrong answers.
+  // The chunk's ring primary. Every ring change invalidates the base's
+  // home memo.
   BrickId HomeBrick(FileId file, uint32_t chunk_index, const std::string* path) const override;
   void OnTopologyChangedInternal() override;
-  void OnRenamed(const Operation& op, bool is_file) override;
   // Env-fault crash model (DESIGN.md §14): the ring is persisted per node in
   // LeoFS; a restarted manager reloads it from the stored plantings instead
   // of recomputing from capacity (which would lose the hysteresis history).
@@ -60,7 +52,6 @@ class LeoLikeCluster : public DfsCluster {
 
   HashRing ring_;
   std::vector<PlantedWeight> ring_weights_;
-  mutable std::map<std::pair<FileId, uint32_t>, BrickId> primary_cache_;
 };
 
 }  // namespace themis

@@ -5,15 +5,6 @@
 
 namespace themis {
 
-bool ChunkPlacement::HasReplicaOn(BrickId brick) const {
-  for (BrickId b : replicas) {
-    if (b == brick) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string ChunkMove::ToString() const {
   return Sprintf("move file%llu#%u brick%u->brick%u (%s%s)",
                  static_cast<unsigned long long>(file), chunk_index, from, to,

@@ -50,8 +50,15 @@ class ReplicaSet {
 struct ChunkPlacement {
   uint64_t bytes = 0;
   ReplicaSet replicas;
+  // DfsCluster's memo of the chunk's HomeBrick, valid while `home_epoch`
+  // equals the cluster's home epoch (a fresh chunk's 0 never does). Derived
+  // state: never serialized.
+  mutable BrickId home = kInvalidBrick;
+  mutable uint64_t home_epoch = 0;
 
-  bool HasReplicaOn(BrickId brick) const;
+  bool HasReplicaOn(BrickId brick) const {
+    return std::find(replicas.begin(), replicas.end(), brick) != replicas.end();
+  }
 };
 
 struct FileLayout {

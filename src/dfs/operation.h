@@ -72,10 +72,8 @@ enum class OpKind : uint8_t {
 constexpr int kOpKindCount = 17;
 // Environment-fault operators appended behind the paper grammar.
 constexpr int kEnvFaultKindCount = 7;
-// Every operator, env faults included. Must stay < 32: the fault injector's
-// trigger windows track seen operators in a uint32_t bit mask.
+// Every operator, env faults included.
 constexpr int kTotalOpKindCount = kOpKindCount + kEnvFaultKindCount;
-static_assert(kTotalOpKindCount < 32, "injector seen_mask is a uint32_t");
 
 // Environment-fault operand grammar bounds (DESIGN.md §14). The generator
 // draws inside them, the mutator's repair pass clamps stale operands back to

@@ -56,8 +56,8 @@ void FaultInjector::OnOperationExecuted(DfsCluster& dfs, const Operation& op,
   entry.kind = op.kind;
   entry.rounds = dfs.completed_rebalance_rounds();
   entry.imbalance = dfs.StorageImbalance();
-  entry.hot_touch = TouchesHottestBrick(dfs, op);
   history_.push_back(entry);
+  StampOp(op.kind, TouchesHottestBrick(dfs, op));
   UpdateVarianceStreaks(dfs);
   EvaluateTriggers(dfs);
   ApplyContinuousEffects(dfs);
@@ -124,30 +124,41 @@ void FaultInjector::UpdateVarianceStreaks(const DfsCluster& dfs) {
   }
 }
 
-void FaultInjector::SummarizeWindows() {
-  WindowSummary summary;
-  windows_[0] = summary;
-  const size_t ops = history_.size();
-  for (size_t w = 1; w <= ops; ++w) {
-    const HistoryEntry& entry = history_[ops - w];
-    summary.kinds |= 1u << static_cast<unsigned>(entry.kind);
-    summary.classes |= 1u << static_cast<unsigned>(ClassOf(entry.kind));
-    summary.hot_touches += entry.hot_touch ? 1 : 0;
-    windows_[w] = summary;
-  }
+void FaultInjector::StampOp(OpKind kind, bool hot_touch) {
+  ++ops_seen_;
+  kind_stamps_[static_cast<size_t>(kind)] = ops_seen_;
+  class_stamps_[static_cast<size_t>(ClassOf(kind))] = ops_seen_;
+  hot_touches_ = (hot_touches_ << 1) | (hot_touch ? 1u : 0u);
 }
 
 bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
                                      const DfsCluster& dfs) const {
+  // Every check is pure, so their order only decides the cost: the gates
+  // that read no op window come first.
   const TriggerRequirement& trigger = fault.spec.trigger;
   size_t window = std::min(static_cast<size_t>(trigger.window), history_.size());
   if (static_cast<int>(window) < trigger.min_window_ops) {
     return false;
   }
-  size_t start = history_.size() - window;
-  const WindowSummary& seen = windows_[window];
+  if (dfs.completed_rebalance_rounds() < trigger.min_rebalance_rounds) {
+    return false;
+  }
+  if (trigger.min_rebalances_in_window > 0) {
+    int rounds_in_window =
+        dfs.completed_rebalance_rounds() - history_[history_.size() - window].rounds;
+    if (rounds_in_window < trigger.min_rebalances_in_window) {
+      return false;
+    }
+  }
+  if (dfs.StorageImbalance() < trigger.min_variance) {
+    return false;
+  }
+  if (trigger.min_variance_streak > 0 &&
+      fault.variance_streak < trigger.min_variance_streak) {
+    return false;
+  }
   auto saw_class = [&](OpClass cls) {
-    return (seen.classes & (1u << static_cast<unsigned>(cls))) != 0;
+    return InWindow(class_stamps_[static_cast<size_t>(cls)], window);
   };
   if (trigger.needs_requests && !saw_class(OpClass::kFile)) {
     return false;
@@ -164,24 +175,22 @@ bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
   if (trigger.needs_env_faults && !saw_class(OpClass::kEnvFault)) {
     return false;
   }
-  if (std::popcount(seen.kinds) < trigger.min_distinct_kinds) {
-    return false;
+  if (trigger.min_distinct_kinds > 0) {
+    int distinct = 0;
+    for (uint64_t stamp : kind_stamps_) {
+      distinct += InWindow(stamp, window) ? 1 : 0;
+    }
+    if (distinct < trigger.min_distinct_kinds) {
+      return false;
+    }
   }
   for (OpKind required : trigger.required_kinds) {
-    if ((seen.kinds & (1u << static_cast<unsigned>(required))) == 0) {
+    if (!InWindow(kind_stamps_[static_cast<size_t>(required)], window)) {
       return false;
     }
   }
-  if (dfs.completed_rebalance_rounds() < trigger.min_rebalance_rounds) {
-    return false;
-  }
-  if (trigger.min_rebalances_in_window > 0) {
-    int rounds_in_window = dfs.completed_rebalance_rounds() - history_[start].rounds;
-    if (rounds_in_window < trigger.min_rebalances_in_window) {
-      return false;
-    }
-  }
-  if (dfs.StorageImbalance() < trigger.min_variance) {
+  if (trigger.min_hotspot_touches > 0 &&
+      std::popcount(hot_touches_ & ((1u << window) - 1)) < trigger.min_hotspot_touches) {
     return false;
   }
   if (trigger.min_steadiness > 0.0 && Steadiness() < trigger.min_steadiness) {
@@ -196,28 +205,16 @@ bool FaultInjector::TriggerSatisfied(const FaultRuntime& fault,
       return false;
     }
   }
-  if (trigger.min_hotspot_touches > 0 && seen.hot_touches < trigger.min_hotspot_touches) {
-    return false;
-  }
-  if (trigger.min_variance_streak > 0 &&
-      fault.variance_streak < trigger.min_variance_streak) {
-    return false;
-  }
   return true;
 }
 
 void FaultInjector::EvaluateTriggers(DfsCluster& dfs) {
-  bool summarized = false;
   for (FaultRuntime& fault : faults_) {
     if (fault.active || fault.spec.environment_gated) {
       continue;
     }
     if (fault.spec.platform != dfs.flavor()) {
       continue;
-    }
-    if (!summarized) {
-      SummarizeWindows();
-      summarized = true;
     }
     if (!TriggerSatisfied(fault, dfs)) {
       continue;
@@ -327,17 +324,17 @@ void FaultInjector::SkewTowardVictim(FaultRuntime& fault, DfsCluster& dfs) {
   // Move a slice toward the victim, draining the lightest bricks first.
   // A single donor can run out of movable chunks (its data may already
   // have replicas on the victim), so spread the step across several.
-  std::vector<std::pair<double, BrickId>> donors;
+  donors_.clear();
   for (BrickId id : dfs.ServingBricks()) {
     const Brick* brick = dfs.FindBrick(id);
     if (brick->node == victim->node || brick->used_bytes == 0) {
       continue;
     }
-    donors.emplace_back(brick->UsedFraction(), id);
+    donors_.emplace_back(brick->UsedFraction(), id);
   }
-  std::sort(donors.begin(), donors.end());
+  std::sort(donors_.begin(), donors_.end());
   uint64_t remaining = std::max<uint64_t>(victim->capacity_bytes / 64, kGiB);
-  for (const auto& [fraction, donor] : donors) {
+  for (const auto& [fraction, donor] : donors_) {
     (void)fraction;
     if (remaining == 0) {
       break;
@@ -482,7 +479,7 @@ void FaultInjector::SaveState(SnapshotWriter& writer) const {
   writer.U64(ops);
   for (size_t i = 0; i < ops; ++i) writer.F64(history_[i].imbalance);
   writer.U64(ops);
-  for (size_t i = 0; i < ops; ++i) writer.Bool(history_[i].hot_touch);
+  for (size_t i = 0; i < ops; ++i) writer.Bool(((hot_touches_ >> (ops - 1 - i)) & 1u) != 0);
   rng_.SaveState(writer);
 }
 
@@ -515,6 +512,7 @@ Status FaultInjector::RestoreState(SnapshotReader& reader) {
   // share one length of at most kHistoryLimit.
   history_.clear();
   std::array<HistoryEntry, kHistoryLimit> entries;
+  std::array<bool, kHistoryLimit> hot_touches{};
   uint64_t ops = reader.Count(1);
   if (reader.ok() && ops > kHistoryLimit) {
     reader.Fail(Sprintf("fault history holds %llu ops, more than %zu",
@@ -545,10 +543,12 @@ Status FaultInjector::RestoreState(SnapshotReader& reader) {
   }
   uint64_t hots = field_count(1);
   for (uint64_t i = 0; i < hots && reader.ok(); ++i) {
-    entries[i].hot_touch = reader.Bool();
+    hot_touches[i] = reader.Bool();
   }
+  // Replaying the history re-stamps it.
   for (uint64_t i = 0; i < ops && reader.ok(); ++i) {
     history_.push_back(entries[i]);
+    StampOp(entries[i].kind, hot_touches[i]);
   }
   Status status = rng_.RestoreState(reader);
   if (!status.ok()) return status;

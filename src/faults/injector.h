@@ -19,6 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/fixed_ring.h"
@@ -82,8 +83,10 @@ class FaultInjector : public FaultHooks {
   double Steadiness() const;
   // Whether a file operation touched data resident on the hottest brick.
   bool TouchesHottestBrick(const DfsCluster& dfs, const Operation& op) const;
-  // Fills windows_ from the current history.
-  void SummarizeWindows();
+  // Records the op just pushed onto the history in the op stamps.
+  void StampOp(OpKind kind, bool hot_touch);
+  // Whether the last `window` ops include the one stamped `stamp`.
+  bool InWindow(uint64_t stamp, size_t window) const { return stamp + window > ops_seen_; }
   bool TriggerSatisfied(const FaultRuntime& fault, const DfsCluster& dfs) const;
   void Activate(FaultRuntime& fault, DfsCluster& dfs);
   void PickVictim(FaultRuntime& fault, DfsCluster& dfs);
@@ -96,23 +99,27 @@ class FaultInjector : public FaultHooks {
   // One executed op of the rolling execution history.
   struct HistoryEntry {
     OpKind kind = OpKind::kOpen;
-    bool hot_touch = false;  // the op touched data on the hottest brick
     int rounds = 0;          // completed rebalance rounds when it ran
     double imbalance = 0.0;  // storage imbalance after it
   };
   static constexpr size_t kHistoryLimit = 16;
   // The last kHistoryLimit ops, oldest first.
   FixedRing<HistoryEntry, kHistoryLimit> history_;
-  // What the last w history ops hold, for every window length w (the
-  // history limit + 1 entries; [0] is the empty window). Built once per op,
-  // so each inactive fault's trigger check reads its window instead of
-  // rescanning it.
-  struct WindowSummary {
-    uint32_t kinds = 0;    // one bit per OpKind
-    uint32_t classes = 0;  // one bit per OpClass
-    int hot_touches = 0;   // ops that touched the hottest brick
-  };
-  std::array<WindowSummary, kHistoryLimit + 1> windows_;
+  // Op stamps, so a trigger reads its window without scanning it: ops_seen_
+  // counts the ops this injector recorded, and a kind's (a class's) stamp is
+  // the count at its last op, 0 for none. A window never reaches past the
+  // history, so a reset need only clear the history: older stamps and hot
+  // bits fall outside every window. Derived state: restore replays the
+  // restored history.
+  uint64_t ops_seen_ = 0;
+  std::array<uint64_t, kTotalOpKindCount> kind_stamps_{};
+  std::array<uint64_t, 4> class_stamps_{};  // one per OpClass
+  // Whether each recorded op touched data on the hottest brick, newest in
+  // bit 0; the snapshot stores the history's bits.
+  uint32_t hot_touches_ = 0;
+  static_assert(kHistoryLimit < 32, "hot_touches_ must hold a whole history");
+  // SkewTowardVictim's donor list, reused across passes.
+  std::vector<std::pair<double, BrickId>> donors_;
   Rng rng_;
 };
 

@@ -134,6 +134,80 @@ TEST(Executor, CrashFaultConfirmsViaNodeHealth) {
   EXPECT_EQ(outcome.failures.front().dimension, ImbalanceDimension::kNodeHealth);
 }
 
+// Watches the double-check's probe bursts through the fault hooks: a burst
+// is the run of mkdirs up to the cleanup's first rmdir (the test cases below
+// create only files, and the model knows no directory but the root). Until
+// one double-check has probed twice before its cleanup, the end of each
+// first burst skews one brick onto another and starts a rebalance round, so
+// a DoubleCheck finds migration running under its burst and probes again.
+class ProbeWatch : public FaultHooks {
+ public:
+  static constexpr int kBurstOps = 64;  // TestCaseExecutor::kProbeOps
+
+  void OnOperationExecuted(DfsCluster& dfs, const Operation& op,
+                           const OpResult& result) override {
+    const size_t table_size = dfs.tree().table().size();
+    if (op.kind == OpKind::kMkdir) {
+      if (outstanding == 0) {
+        table_at_burst = table_before;
+      }
+      ++outstanding;
+      failed_mkdirs += result.status.ok() ? 0 : 1;
+      max_outstanding = std::max(max_outstanding, outstanding);
+      if (outstanding == kBurstOps && max_outstanding <= kBurstOps) {
+        const std::vector<BrickId>& bricks = dfs.ServingBricks();
+        (void)dfs.SkewBytes(bricks[1], bricks[0], 240 * kGiB);
+        (void)dfs.TriggerRebalance();
+      }
+    } else if (op.kind == OpKind::kRmdir && outstanding > 0) {
+      interned.push_back(table_before - table_at_burst);
+      outstanding = 0;
+    }
+    table_before = table_size;
+  }
+  void OnClusterReset(DfsCluster& dfs) override {
+    (void)dfs;
+    ++resets;
+  }
+
+  int outstanding = 0;      // probe mkdirs since the last cleanup
+  int max_outstanding = 0;
+  int failed_mkdirs = 0;
+  int resets = 0;
+  // Path-table nodes each burst (or pair of bursts) interned.
+  std::vector<size_t> interned;
+
+ private:
+  size_t table_before = 0;  // the table's size before the current op
+  size_t table_at_burst = 0;
+};
+
+// Probe dirs take slot names, so a burst under known parents reuses the
+// names earlier bursts interned, and the second burst of a double-check
+// takes the slots after the first's instead of colliding with them.
+TEST(Executor, ProbeBurstsReuseSlotNames) {
+  Rig rig({});
+  ProbeWatch watch;
+  rig.dfs->set_fault_hooks(&watch);
+  OpSeqGenerator generator(rig.model);
+  rig.executor.SeedInitialData(generator, 40);
+  for (int i = 0; i < 80; ++i) {
+    (void)rig.executor.Run(CreateSeq(4, 2 * kGiB, Sprintf("s%d_", i)));
+  }
+  ASSERT_EQ(watch.resets, 0) << "a reset would restart the path table";
+  ASSERT_GE(watch.interned.size(), 10u) << "too few double-checks ran";
+  EXPECT_GT(watch.max_outstanding, ProbeWatch::kBurstOps)
+      << "no double-check probed twice before its cleanup";
+  EXPECT_EQ(watch.failed_mkdirs, 0);
+  size_t total = 0;
+  for (size_t nodes : watch.interned) {
+    total += nodes;
+  }
+  // Two bursts under the root intern at most 2 x 64 slot names, once.
+  EXPECT_LE(total, 2u * ProbeWatch::kBurstOps);
+  EXPECT_EQ(watch.interned.back(), 0u);
+}
+
 // ---- fuzzer ----
 
 TEST(Fuzzer, GeneratesWithinBounds) {

@@ -423,5 +423,166 @@ TEST(Injector, TriggerWindowsFollowTheHistoryRingAcrossWraps) {
   EXPECT_LT(steady_evals, 33u);
 }
 
+// The injector's hotspot-touch predicate, evaluated after the op ran: a
+// resize whose file's last chunk has a replica on the hottest brick.
+bool TouchesHottest(const DfsCluster& dfs, const Operation& op) {
+  if (op.kind != OpKind::kAppend && op.kind != OpKind::kOverwrite &&
+      op.kind != OpKind::kTruncateOverwrite) {
+    return false;
+  }
+  Result<FileId> file = dfs.tree().FileIdOf(op.path);
+  BrickId hottest = dfs.HottestServingBrick();
+  if (!file.ok() || hottest == kInvalidBrick) {
+    return false;
+  }
+  const ChunkPlacement* last =
+      dfs.file_layouts().count(*file) == 0 || dfs.file_layouts().at(*file).chunks.empty()
+          ? nullptr
+          : &dfs.file_layouts().at(*file).chunks.back();
+  return last != nullptr && last->HasReplicaOn(hottest);
+}
+
+// Every op since the last reset, scanned window by window: the reference
+// for the injector's op stamps and hotspot register.
+struct WindowReference {
+  std::vector<OpKind> kinds;
+  std::vector<bool> hot;
+
+  bool Satisfied(const TriggerRequirement& trigger) const {
+    const size_t window = std::min({static_cast<size_t>(trigger.window), kinds.size(),
+                                    size_t{16}});
+    if (static_cast<int>(window) < trigger.min_window_ops) {
+      return false;
+    }
+    const size_t start = kinds.size() - window;
+    std::set<OpKind> seen(kinds.begin() + static_cast<std::ptrdiff_t>(start), kinds.end());
+    auto saw_class = [&](OpClass cls) {
+      return std::any_of(seen.begin(), seen.end(),
+                         [&](OpKind kind) { return ClassOf(kind) == cls; });
+    };
+    if ((trigger.needs_requests && !saw_class(OpClass::kFile)) ||
+        (trigger.needs_node_ops && !saw_class(OpClass::kNode))) {
+      return false;
+    }
+    if (static_cast<int>(seen.size()) < trigger.min_distinct_kinds) {
+      return false;
+    }
+    for (OpKind required : trigger.required_kinds) {
+      if (seen.count(required) == 0) {
+        return false;
+      }
+    }
+    return std::count(hot.begin() + static_cast<std::ptrdiff_t>(start), hot.end(), true) >=
+           trigger.min_hotspot_touches;
+  }
+};
+
+// Windows shorter than the ops seen so far, longer than the 16-op history
+// ring, and hotspot touches that sit exactly at a window's oldest edge; a
+// cluster reset mid-run, and a save and restore of a wrapped ring before
+// and after it. No fault ever activates (probability 0), so after every op
+// each fault's satisfied_evals must match the reference's count.
+TEST(Injector, TriggerStampsMatchAScanOfTheWindow) {
+  std::unique_ptr<DfsCluster> dfs = MakeCluster(Flavor::kGluster, 34);
+  auto spec = [](const char* id, int window) {
+    FaultSpec fault = InstantSpec(Flavor::kGluster, EffectKind::kCpuSkew);
+    fault.id = id;
+    fault.trigger.window = window;
+    fault.trigger.probability = 0.0;
+    return fault;
+  };
+  FaultSpec short_window = spec("short-window", 6);
+  short_window.trigger.min_window_ops = 4;
+  short_window.trigger.required_kinds = {OpKind::kMkdir};
+  FaultSpec long_window = spec("long-window", 40);
+  long_window.trigger.needs_node_ops = true;
+  long_window.trigger.min_distinct_kinds = 4;
+  FaultSpec hot_edge = spec("hot-edge", 4);
+  hot_edge.trigger.min_hotspot_touches = 1;
+  FaultSpec hot_pair = spec("hot-pair", 24);
+  hot_pair.trigger.needs_requests = true;
+  hot_pair.trigger.min_hotspot_touches = 2;
+  const std::vector<FaultSpec> specs = {short_window, long_window, hot_edge, hot_pair};
+  auto injector = std::make_unique<FaultInjector>(specs, 1);
+  dfs->set_fault_hooks(injector.get());
+
+  WindowReference reference;
+  std::vector<uint64_t> expected(specs.size(), 0);
+  std::vector<std::string> files;
+  int edge_touches = 0;
+  Rng rng(34);
+  for (int i = 0; i < 150; ++i) {
+    if (i == 70) {
+      dfs->ResetToInitial();
+      reference = {};
+      files.clear();
+    }
+    Operation op;
+    op.size = kMiB;
+    const uint64_t pick = files.empty() ? 0 : rng.NextBelow(10);
+    if (pick == 0) {
+      op.kind = OpKind::kCreate;
+      op.path = "/f" + std::to_string(i);
+      op.size = (1 + rng.NextBelow(8)) * kGiB;
+      files.push_back(op.path);
+    } else if (pick <= 4) {
+      // Appends, half of them to a file whose tail is on the hottest brick.
+      op.kind = OpKind::kAppend;
+      op.path = files[rng.PickIndex(files.size())];
+      if (rng.NextBelow(2) == 0) {
+        for (const std::string& path : files) {
+          Operation probe = op;
+          probe.path = path;
+          if (TouchesHottest(*dfs, probe)) {
+            op.path = path;
+            break;
+          }
+        }
+      }
+    } else if (pick <= 6) {
+      op.kind = OpKind::kMkdir;
+      op.path = "/d" + std::to_string(i);
+    } else if (pick <= 8) {
+      op.kind = OpKind::kOpen;
+      op.path = files[rng.PickIndex(files.size())];
+    } else {
+      op.kind = rng.NextBelow(2) == 0 ? OpKind::kAddMetaNode : OpKind::kRemoveMetaNode;
+      op.node = rng.NextBelow(2) == 0 ? 1 : 2;
+    }
+    (void)dfs->Execute(op);
+    reference.kinds.push_back(op.kind);
+    reference.hot.push_back(TouchesHottest(*dfs, op));
+    const size_t n = reference.hot.size();
+    if (n >= 4 && reference.hot[n - 4] &&
+        std::count(reference.hot.end() - 3, reference.hot.end(), true) == 0) {
+      ++edge_touches;
+    }
+    for (size_t f = 0; f < specs.size(); ++f) {
+      expected[f] += reference.Satisfied(specs[f].trigger) ? 1 : 0;
+      ASSERT_EQ(injector->faults()[f].satisfied_evals, expected[f])
+          << specs[f].id << " at op " << i;
+    }
+    ASSERT_FALSE(injector->AnyActive());
+
+    if (i == 40 || i == 110) {
+      SnapshotWriter saved;
+      injector->SaveState(saved);
+      auto restored = std::make_unique<FaultInjector>(specs, 1);
+      SnapshotReader reader(saved.buffer());
+      ASSERT_TRUE(restored->RestoreState(reader).ok());
+      SnapshotWriter resaved;
+      restored->SaveState(resaved);
+      ASSERT_EQ(resaved.buffer(), saved.buffer());
+      injector = std::move(restored);
+      dfs->set_fault_hooks(injector.get());
+    }
+  }
+  EXPECT_GT(edge_touches, 0) << "no hotspot touch sat at the edge of a 4-op window";
+  for (size_t f = 0; f < specs.size(); ++f) {
+    EXPECT_GT(expected[f], 0u) << specs[f].id;
+    EXPECT_LT(expected[f], 150u) << specs[f].id;
+  }
+}
+
 }  // namespace
 }  // namespace themis

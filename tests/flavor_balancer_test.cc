@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/snapshot_io.h"
 #include "src/dfs/flavors/ceph_like.h"
 #include "src/dfs/flavors/factory.h"
 #include "src/dfs/flavors/geo_like.h"
@@ -289,6 +290,10 @@ class PlannerProbe : public Cluster {
   BrickId Home(FileId file, uint32_t chunk_index) const {
     return this->HomeBrick(file, chunk_index, nullptr);
   }
+  // The chunk's home through its memo (filled when stale).
+  BrickId MemoHome(FileId file, uint32_t chunk_index) const {
+    return this->MemoizedHome(file, chunk_index, *this->FindChunk(file, chunk_index), nullptr);
+  }
   double Tolerance() const { return this->BalanceTolerance(); }
 };
 
@@ -369,6 +374,98 @@ TEST(PlannerContract, GlusterHomesWithUnlinksAndLevelsWithinBudget) {
 
 TEST(PlannerContract, LeoHomesAndLevelsWithinBudget) {
   CheckPlannerContract<LeoLikeCluster>(/*pairs_unlinks=*/false);
+}
+
+// The home memo against a fresh HomeBrick. After every step each live
+// chunk's memoized home must equal a fresh one; the check fills every stale
+// memo, so a step that moves a home without moving the home epoch leaves a
+// filled memo behind and fails the next check.
+template <typename Cluster>
+void CheckHomeMemo() {
+  auto dfs = std::make_unique<PlannerProbe<Cluster>>();
+  auto check = [&](const std::string& step) {
+    size_t chunks = 0;
+    size_t stale = 0;
+    for (const auto& [file, layout] : dfs->file_layouts()) {
+      for (uint32_t i = 0; i < layout.chunks.size(); ++i) {
+        ++chunks;
+        stale += dfs->MemoHome(file, i) != dfs->Home(file, i) ? 1 : 0;
+      }
+    }
+    EXPECT_GT(chunks, 0u) << step;
+    EXPECT_EQ(stale, 0u) << step << ": memoized homes differ from fresh ones";
+  };
+  auto run = [&](OpKind kind, const std::string& path, const std::string& path2 = {},
+                 uint64_t size = 0) {
+    Operation op;
+    op.kind = kind;
+    op.path = path;
+    op.path2 = path2;
+    op.size = size;
+    op.brick = dfs->ListBricks().front();
+    op.node = dfs->ListStorageNodes().back();
+    EXPECT_TRUE(dfs->Execute(op).status.ok()) << op.ToString();
+  };
+  auto populate = [&](const std::string& tag) {
+    run(OpKind::kMkdir, "/d" + tag);
+    run(OpKind::kMkdir, "/d" + tag + "/sub");
+    for (int i = 0; i < 12; ++i) {
+      run(OpKind::kCreate, "/f" + tag + std::to_string(i), {}, (1 + i % 3) * 3 * kGiB);
+      run(OpKind::kCreate, "/d" + tag + "/sub/g" + std::to_string(i), {}, 2 * kGiB);
+    }
+    check("creates " + tag);
+  };
+  populate("a");
+  run(OpKind::kAppend, "/fa1", {}, 3 * kGiB);
+  run(OpKind::kAppend, "/da/sub/g2", {}, 5 * kGiB);
+  check("appends");
+  run(OpKind::kOverwrite, "/fa3", {}, 7 * kGiB);
+  run(OpKind::kTruncateOverwrite, "/fa4", {}, kGiB);
+  check("overwrites");
+  for (int i = 5; i < 9; ++i) {
+    run(OpKind::kRename, "/fa" + std::to_string(i), "/renamed" + std::to_string(i));
+  }
+  check("file renames");
+  run(OpKind::kRename, "/da", "/moved");
+  check("directory rename");
+  run(OpKind::kAddStorageNode, "");
+  check("node added");
+  run(OpKind::kExpandVolume, "", {}, 400 * kGiB);
+  check("volume expanded");
+  run(OpKind::kReduceVolume, "", {}, 200 * kGiB);
+  check("volume reduced");
+  run(OpKind::kAddVolume, "", {}, 0);
+  check("volume added");
+  run(OpKind::kRemoveStorageNode, "");
+  check("node removed");
+  ASSERT_TRUE(dfs->TriggerRebalance().ok());
+  Drain(*dfs);
+  check("rebalanced");
+
+  SnapshotWriter saved;
+  dfs->SaveState(saved);
+  auto restored = std::make_unique<PlannerProbe<Cluster>>();
+  SnapshotReader reader(saved.buffer());
+  ASSERT_TRUE(restored->RestoreState(reader).ok());
+  dfs = std::move(restored);
+  check("restored");
+  run(OpKind::kRename, "/fa9", "/moved/fa9");
+  check("file rename after the restore");
+  run(OpKind::kAddStorageNode, "");
+  check("node added after the restore");
+
+  dfs->ResetToInitial();
+  populate("b");
+  run(OpKind::kRename, "/db/sub", "/db2");
+  check("directory rename after the reset");
+}
+
+TEST(HomeMemo, GlusterMatchesAFreshHomeAfterEveryStep) {
+  CheckHomeMemo<GlusterLikeCluster>();
+}
+
+TEST(HomeMemo, LeoMatchesAFreshHomeAfterEveryStep) {
+  CheckHomeMemo<LeoLikeCluster>();
 }
 
 TEST(FlavorFactory, BuildsEveryFlavor) {
