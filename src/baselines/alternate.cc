@@ -2,12 +2,10 @@
 
 namespace themis {
 
-AlternateStrategy::AlternateStrategy(InputModel& model, Rng& rng, int convergence_patience)
-    : model_(model), rng_(rng), generator_(model), request_pool_(128),
-      convergence_patience_(convergence_patience) {}
+AlternateStrategy::AlternateStrategy(InputModel& model, Rng& rng)
+    : model_(model), rng_(rng), generator_(model), request_pool_(128) {}
 
 OpSeq AlternateStrategy::NewConfigSeq() {
-  ++config_epochs_;
   int len = static_cast<int>(rng_.NextRange(1, 4));
   OpSeq seq;
   for (int i = 0; i < len; ++i) {
@@ -52,7 +50,7 @@ void AlternateStrategy::OnOutcome(const OpSeq& seq, const ExecOutcome& outcome) 
     request_pool_.Add(seq, 0.1 * static_cast<double>(outcome.new_coverage));
   } else {
     ++stale_iterations_;
-    if (stale_iterations_ >= convergence_patience_) {
+    if (stale_iterations_ >= kConvergencePatience) {
       // Request-space exploration converged: move to the next configuration.
       emit_config_next_ = true;
     }
@@ -66,7 +64,6 @@ void AlternateStrategy::SaveState(SnapshotWriter& writer) const {
   request_pool_.SaveState(writer);
   writer.I64(stale_iterations_);
   writer.Bool(emit_config_next_);
-  writer.I64(config_epochs_);
 }
 
 Status AlternateStrategy::RestoreState(SnapshotReader& reader) {
@@ -74,7 +71,6 @@ Status AlternateStrategy::RestoreState(SnapshotReader& reader) {
   if (!status.ok()) return status;
   stale_iterations_ = static_cast<int>(reader.I64());
   emit_config_next_ = reader.Bool();
-  config_epochs_ = static_cast<int>(reader.I64());
   return reader.status();
 }
 

@@ -16,17 +16,16 @@ namespace themis {
 
 class AlternateStrategy : public Strategy {
  public:
-  // `convergence_patience`: iterations without new coverage before switching
-  // to a new configuration.
-  AlternateStrategy(InputModel& model, Rng& rng, int convergence_patience = 25);
+  // Iterations without new coverage before switching to a new configuration.
+  static constexpr int kConvergencePatience = 25;
+
+  AlternateStrategy(InputModel& model, Rng& rng);
 
   std::string_view name() const override { return "Alternate"; }
   OpSeq Next() override;
   void OnOutcome(const OpSeq& seq, const ExecOutcome& outcome) override;
   void SaveState(SnapshotWriter& writer) const override;
   Status RestoreState(SnapshotReader& reader) override;
-
-  int config_epochs() const { return config_epochs_; }
 
  private:
   OpSeq NewConfigSeq();
@@ -36,10 +35,8 @@ class AlternateStrategy : public Strategy {
   Rng& rng_;
   OpSeqGenerator generator_;
   SeedPool request_pool_;
-  int convergence_patience_;
   int stale_iterations_ = 0;
   bool emit_config_next_ = true;
-  int config_epochs_ = 0;
 };
 
 }  // namespace themis

@@ -9,8 +9,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "src/common/clock.h"
-
 namespace themis {
 
 // CPU-seconds fixed-point scale: 2^-20 s resolution (~1 µs of virtual CPU).
@@ -36,8 +34,6 @@ struct LoadDimAggregate {
 // One window's aggregate reading — everything the load variance model needs
 // to produce a LoadVarianceSnapshot.
 struct LoadStatsSnapshot {
-  SimTime taken_at = 0;
-
   // Windowed-rate dimensions, split by node group (management vs storage).
   LoadDimAggregate cpu_storage;
   LoadDimAggregate cpu_meta;
@@ -51,7 +47,6 @@ struct LoadStatsSnapshot {
   uint64_t storage_used = 0;  // Σ used_bytes over fraction_nodes
   uint64_t storage_cap = 0;   // Σ capacity_bytes over fraction_nodes
 
-  uint32_t serving_storage_nodes = 0;
   bool any_crashed = false;
 };
 

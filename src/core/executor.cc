@@ -217,26 +217,26 @@ bool TestCaseExecutor::DoubleCheck(const OpSeq& seq, const ImbalanceCandidate& c
   // the system came back up, re-ran its interrupted round, and still could
   // not settle into LBS.
   bool recovered_from_crash = WaitForEnvRecovery();
-
-  // Step 1: explicitly call the rebalance API, then poll the 'rebalance
-  // state' API until 'rebalance done'.
-  if (!RebalanceAndWait()) {
-    // The rebalance mechanism itself is stuck: that is a failure in its own
-    // right (hang-type imbalance failures).
+  // A wait that times out means the rebalance mechanism itself is stuck:
+  // that is a failure in its own right (hang-type imbalance failures).
+  auto hung = [&]() {
     report.rebalance_hung = true;
     report.ratio = candidate.ratio;
     report.confirmed_at = dfs_.Now();
     return true;
+  };
+
+  // Step 1: explicitly call the rebalance API, then poll the 'rebalance
+  // state' API until 'rebalance done'.
+  if (!RebalanceAndWait()) {
+    return hung();
   }
 
   // Step 2: re-execute the test case, then let the balancer respond to it
   // once more — a healthy system must be able to return to LBS (§2.2).
   ExecuteOps(seq, nullptr);
   if (!RebalanceAndWait()) {
-    report.rebalance_hung = true;
-    report.ratio = candidate.ratio;
-    report.confirmed_at = dfs_.Now();
-    return true;
+    return hung();
   }
 
   // Step 3: re-baseline the sampling window (absorbs the re-execution's own
@@ -249,10 +249,7 @@ bool TestCaseExecutor::DoubleCheck(const OpSeq& seq, const ImbalanceCandidate& c
   RunProbeWorkload();
   if (!dfs_.RebalanceDone()) {
     if (!WaitForRebalanceDone()) {
-      report.rebalance_hung = true;
-      report.ratio = candidate.ratio;
-      report.confirmed_at = dfs_.Now();
-      return true;
+      return hung();
     }
     (void)monitor_.Sample(dfs_);
     RunProbeWorkload();

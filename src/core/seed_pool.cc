@@ -21,7 +21,6 @@ void SeedPool::Add(OpSeq seq, double score) {
   Seed seed;
   seed.seq = std::move(seq);
   seed.score = score;
-  seed.id = next_id_++;
   seeds_.push_back(std::move(seed));
 }
 
@@ -46,24 +45,20 @@ void SeedPool::SaveState(SnapshotWriter& writer) const {
   for (const Seed& seed : seeds_) {
     SaveOpSeq(writer, seed.seq);
     writer.F64(seed.score);
-    writer.U64(seed.id);
     writer.I64(seed.selections);
   }
-  writer.U64(next_id_);
 }
 
 Status SeedPool::RestoreState(SnapshotReader& reader) {
-  uint64_t count = reader.Count(8 + 8 + 8 + 8);
+  uint64_t count = reader.Count(8 + 8 + 8);
   seeds_.clear();
   seeds_.resize(static_cast<size_t>(count));
   for (Seed& seed : seeds_) {
     RestoreOpSeq(reader, &seed.seq);
     seed.score = reader.F64();
-    seed.id = reader.U64();
     seed.selections = static_cast<int>(reader.I64());
     if (!reader.ok()) break;
   }
-  next_id_ = reader.U64();
   return reader.status();
 }
 

@@ -16,7 +16,6 @@ namespace themis {
 struct Seed {
   OpSeq seq;
   double score = 0.0;  // priority (variance gain + bonuses)
-  uint64_t id = 0;
   int selections = 0;
 };
 
@@ -36,18 +35,14 @@ class SeedPool {
   size_t size() const { return seeds_.size(); }
   double best_score() const;
 
-  // Read-only view of the pool, for checkpoint round-trip verification.
-  const std::vector<Seed>& seeds() const { return seeds_; }
-
   // Checkpointing (DESIGN.md §11): the seeds (sequences, scores, selection
-  // counters) and the id allocator. Capacity comes from the constructor.
+  // counters). Capacity comes from the constructor.
   void SaveState(SnapshotWriter& writer) const;
   Status RestoreState(SnapshotReader& reader);
 
  private:
   std::vector<Seed> seeds_;
   size_t capacity_;
-  uint64_t next_id_ = 1;
 };
 
 }  // namespace themis

@@ -62,20 +62,24 @@ void SaveBitmap(SnapshotWriter& writer, const std::vector<bool>& bits) {
   if (bits.size() % 8 != 0) writer.U8(byte);
 }
 
-void RestoreBitmap(SnapshotReader& reader, std::vector<bool>* bits,
-                   const char* what) {
+// Returns the number of set bits restored.
+size_t RestoreBitmap(SnapshotReader& reader, std::vector<bool>* bits,
+                     const char* what) {
   uint64_t size = reader.U64();
   if (reader.ok() && size != bits->size()) {
     reader.Fail(Sprintf("%s bitmap size %llu does not match recorder size %zu",
                         what, static_cast<unsigned long long>(size),
                         bits->size()));
-    return;
+    return 0;
   }
+  size_t set = 0;
   uint8_t byte = 0;
   for (size_t i = 0; i < bits->size() && reader.ok(); ++i) {
     if (i % 8 == 0) byte = reader.U8();
     (*bits)[i] = (byte >> (i % 8)) & 1;
+    set += (*bits)[i] ? 1 : 0;
   }
+  return set;
 }
 
 }  // namespace
@@ -83,17 +87,11 @@ void RestoreBitmap(SnapshotReader& reader, std::vector<bool>* bits,
 void CoverageRecorder::SaveState(SnapshotWriter& writer) const {
   SaveBitmap(writer, bits_);
   SaveBitmap(writer, static_bits_);
-  writer.U64(static_hits_);
-  writer.U64(virtual_hits_);
-  writer.U64(seed_);
 }
 
 Status CoverageRecorder::RestoreState(SnapshotReader& reader) {
-  RestoreBitmap(reader, &bits_, "virtual");
-  RestoreBitmap(reader, &static_bits_, "static");
-  static_hits_ = static_cast<size_t>(reader.U64());
-  virtual_hits_ = static_cast<size_t>(reader.U64());
-  seed_ = reader.U64();
+  virtual_hits_ = RestoreBitmap(reader, &bits_, "virtual");
+  static_hits_ = RestoreBitmap(reader, &static_bits_, "static");
   return reader.status();
 }
 

@@ -64,9 +64,10 @@ class CoverageRecorder {
 
   void Reset();
 
-  // Checkpointing (DESIGN.md §11): both bitmaps (packed 8 bits/byte), the
-  // hit counters, and the hash seed. Restore fails unless the saved bitmap
-  // sizes match this recorder's (i.e. same flavor branch space).
+  // Checkpointing (DESIGN.md §11): both bitmaps (packed 8 bits/byte). Restore
+  // fails unless the saved bitmap sizes match this recorder's (i.e. same
+  // flavor branch space), recounts the hits from the bitmaps, and keeps the
+  // hash seed this recorder was built with.
   void SaveState(SnapshotWriter& writer) const;
   Status RestoreState(SnapshotReader& reader);
 

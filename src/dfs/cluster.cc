@@ -60,11 +60,9 @@ void DfsCluster::BuildInitialTopology() {
   rebalance_active_ = false;
   current_round_moves_ = 0;
   last_balancer_check_ = clock_.now();
-  recent_classes_.clear();
-  class_counts_[0] = class_counts_[1] = class_counts_[2] = class_counts_[3] = 0;
+  std::fill(std::begin(class_stamps_), std::end(class_stamps_), 0);
   balancer_crashed_ = false;
   balancer_resume_pending_ = false;
-  recent_class_mask_ = 0;
   offline_brick_list_.clear();
   serving_meta_nodes_.clear();
   crashed_node_ids_.clear();
@@ -88,8 +86,6 @@ void DfsCluster::ResetToInitial() {
     model_cov_->ForceIdle();  // a topology rebuild is not a balancer action
   }
   completed_rebalance_rounds_ = 0;
-  rebalance_triggers_ = 0;
-  lost_bytes_ = 0;
   if (hooks_ != nullptr) {
     hooks_->OnClusterReset(*this);
   }
@@ -715,16 +711,7 @@ OpResult DfsCluster::Execute(const Operation& op) {
 
   ++total_ops_executed_;
   SendMetadataHeartbeats();
-  uint8_t op_class = static_cast<uint8_t>(ClassOf(op.kind));
-  if (recent_classes_.full()) {
-    uint8_t dropped = recent_classes_.front();
-    if (--class_counts_[dropped] == 0) {
-      recent_class_mask_ &= static_cast<uint8_t>(~(1u << dropped));
-    }
-  }
-  recent_classes_.push_back(op_class);
-  ++class_counts_[op_class];
-  recent_class_mask_ |= static_cast<uint8_t>(1u << op_class);
+  class_stamps_[static_cast<size_t>(ClassOf(op.kind))] = total_ops_executed_;
 
   RunFor(result.cost);
   RecordOpCoverage(op, result);
@@ -909,7 +896,6 @@ OpResult DfsCluster::DoCreate(const Operation& op) {
   layouts_[*created] = placed.take();
   IndexLayout(*created, layouts_[*created]);
   ChargeLayoutIo(layouts_[*created], /*is_write=*/true);
-  result.bytes_moved = op.size * static_cast<uint64_t>(kReplication);
   result.cost = ParallelTransferCost(layouts_[*created]);
   result.status = Status::Ok();
   return result;
@@ -971,8 +957,7 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
       }
       layout.size += bytes;
       result.status = tree_.SetFileSize(rid, layout.size);
-      result.bytes_moved = bytes * kReplication;
-      result.cost = TransferCost(result.bytes_moved);
+      result.cost = TransferCost(bytes * kReplication);
       return result;
     }
   }
@@ -1010,7 +995,6 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
   if (appended > 0 && !result.status.ok()) {
     (void)tree_.SetFileSize(rid, layout.size);
   }
-  result.bytes_moved = appended * kReplication;
   result.cost = TransferCost(std::min<uint64_t>(appended, kChunkSize) * kReplication);
   return result;
 }
@@ -1048,7 +1032,6 @@ OpResult DfsCluster::DoOverwrite(const Operation& op, bool truncate_first) {
   IndexLayout(*id, layouts_[*id]);
   ChargeLayoutIo(layouts_[*id], /*is_write=*/true);
   result.status = tree_.SetFileSize(rid, new_size);
-  result.bytes_moved = new_size * kReplication;
   result.cost = ParallelTransferCost(layouts_[*id]);
   return result;
 }
@@ -1064,7 +1047,6 @@ OpResult DfsCluster::DoOpen(const Operation& op) {
   auto layout_it = layouts_.find(*id);
   if (layout_it != layouts_.end()) {
     ChargeLayoutIo(layout_it->second, /*is_write=*/false);
-    result.bytes_moved = layout_it->second.size;
     result.cost = TransferCost(layout_it->second.size) / 2;  // read path is lighter
   }
   result.status = Status::Ok();
@@ -1435,7 +1417,6 @@ Status DfsCluster::TriggerRebalance() {
     return Status::Unavailable("balancer process is down");
   }
   COV_BRANCH(cov_, CovModule::kAdmin, 23);
-  ++rebalance_triggers_;
   if (hooks_ != nullptr && hooks_->SuppressRebalance(*this)) {
     COV_BRANCH(cov_, CovModule::kAdmin, 24);
     return Status::Ok();  // the hang fault swallows the command silently
@@ -1678,9 +1659,6 @@ void DfsCluster::DestroyChunkReplica(FileId file, uint32_t chunk_index, BrickId 
   chunk->replicas.erase(replica_it);
   ReleaseBrickBytes(FindBrick(brick), chunk->bytes);
   RemoveReplicaIndex(brick, file, chunk_index);
-  if (chunk->replicas.empty()) {
-    lost_bytes_ += chunk->bytes;
-  }
 }
 
 void DfsCluster::FinishRebalanceIfDrained() {
@@ -1764,7 +1742,6 @@ void DfsCluster::SampleLoadInto(std::vector<LoadSample>& out) const {
 LoadSample DfsCluster::NodeLoadSample(NodeId id) const {
   LoadSample sample;
   sample.node = id;
-  sample.taken_at = clock_.now();
   const NodeLoadCounters* load = nullptr;
   if (const StorageNode* node = FindStorageNode(id)) {
     sample.is_storage = true;
@@ -1820,10 +1797,14 @@ void DfsCluster::RecordOpCoverage(const Operation& op, const OpResult& result) {
                       static_cast<uint32_t>(result.status.code()));
   // State-feature tuple: what the system looked like when this operator ran.
   // Distinct tuples correspond to distinct exercised branches in a real code
-  // base (see DESIGN.md). The class mask and file bucket are maintained
-  // incrementally (Execute's window push/pop, bit_width) — same values as the
-  // loops they replaced, without the per-op rescans.
-  uint8_t class_mask = recent_class_mask_;
+  // base (see DESIGN.md). Neither the class mask (from the class stamps) nor
+  // the file bucket (a bit_width) rescans anything per op.
+  uint8_t class_mask = 0;
+  for (size_t c = 0; c < std::size(class_stamps_); ++c) {
+    if (class_stamps_[c] != 0 && class_stamps_[c] + kClassWindow > total_ops_executed_) {
+      class_mask |= static_cast<uint8_t>(1u << c);
+    }
+  }
   int imbalance_decile = static_cast<int>(std::min(StorageImbalance(), 2.0) * 12.0);
   uint64_t file_bucket =
       std::bit_width(static_cast<uint64_t>(tree_.file_count()));
@@ -1968,8 +1949,6 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
       for (BrickId replica : chunk.replicas) writer.U32(replica);
     }
   }
-  writer.U64(recent_classes_.size());
-  for (size_t i = 0; i < recent_classes_.size(); ++i) writer.U8(recent_classes_[i]);
   writer.U32(next_node_id_);
   writer.U32(next_brick_id_);
 
@@ -1983,11 +1962,10 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
   writer.Bool(balancer_resume_pending_);
   writer.U64(current_round_moves_);
   writer.I64(completed_rebalance_rounds_);
-  writer.U64(rebalance_triggers_);
   writer.I64(last_balancer_check_);
 
   writer.U64(total_ops_executed_);
-  writer.U64(lost_bytes_);
+  for (uint64_t stamp : class_stamps_) writer.U64(stamp);
 
   SaveFlavorState(writer);
   // The census closes the record, after the flavor's state.
@@ -2084,25 +2062,6 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
     if (!reader.ok()) break;
     layouts_[file] = std::move(layout);
   }
-  recent_classes_.clear();
-  class_counts_[0] = class_counts_[1] = class_counts_[2] = class_counts_[3] = 0;
-  recent_class_mask_ = 0;
-  uint64_t class_count = reader.Count(1);
-  if (reader.ok() && class_count > recent_classes_.capacity()) {
-    reader.Fail(Sprintf("operation class window holds %llu entries, more than %zu",
-                        static_cast<unsigned long long>(class_count),
-                        recent_classes_.capacity()));
-  }
-  for (uint64_t i = 0; i < class_count && reader.ok(); ++i) {
-    uint8_t cls = reader.U8();
-    if (reader.ok() && cls > 3) {
-      reader.Fail(Sprintf("operation class %u out of range", cls));
-      break;
-    }
-    recent_classes_.push_back(cls);
-    ++class_counts_[cls];
-    recent_class_mask_ |= static_cast<uint8_t>(1u << cls);
-  }
   next_node_id_ = reader.U32();
   next_brick_id_ = reader.U32();
   if (reader.ok()) {
@@ -2129,11 +2088,17 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   }
   current_round_moves_ = reader.U64();
   completed_rebalance_rounds_ = static_cast<int>(reader.I64());
-  rebalance_triggers_ = reader.U64();
   last_balancer_check_ = reader.I64();
 
   total_ops_executed_ = reader.U64();
-  lost_bytes_ = reader.U64();
+  for (size_t c = 0; c < std::size(class_stamps_) && reader.ok(); ++c) {
+    class_stamps_[c] = reader.U64();
+    if (reader.ok() && class_stamps_[c] > total_ops_executed_) {
+      reader.Fail(Sprintf("operation class %zu stamped at op %llu, after the %llu ops executed", c,
+                          static_cast<unsigned long long>(class_stamps_[c]),
+                          static_cast<unsigned long long>(total_ops_executed_)));
+    }
+  }
   if (!reader.ok()) return reader.status();
 
   serving_meta_nodes_.clear();

@@ -24,7 +24,6 @@
 
 #include "src/common/bytes.h"
 #include "src/common/clock.h"
-#include "src/common/fixed_ring.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
@@ -380,13 +379,11 @@ class DfsCluster : public DfsInterface {
   const LoadIndex& load_index() const { return load_; }
 
   int completed_rebalance_rounds() const { return completed_rebalance_rounds_; }
-  uint64_t rebalance_triggers() const { return rebalance_triggers_; }
   // Moves on every change to a brick's bytes, capacity or online state, to
   // node serving membership, and to the replica index. Anything computed
   // from those alone is still valid while it reads the same value.
   uint64_t load_epoch() const { return load_.epoch(); }
   uint64_t total_ops_executed() const { return total_ops_executed_; }
-  uint64_t lost_bytes() const { return lost_bytes_; }
 
   // Replica index: chunks with a replica on `brick`, sorted. The reference
   // stays valid until a replica is added to or removed from `brick`.
@@ -731,8 +728,6 @@ class DfsCluster : public DfsInterface {
   // another's. Sorted by (file, chunk): flat vectors iterate in std::set
   // order but keep the hot SkewBytes/QueueMovesOff scans contiguous in memory.
   std::vector<std::vector<std::pair<FileId, uint32_t>>> brick_chunks_;
-  // Classes of the last 8 operations (coverage feature).
-  FixedRing<uint8_t, 8> recent_classes_;
 
   NodeId next_node_id_ = 1;
   BrickId next_brick_id_ = 1;
@@ -743,11 +738,9 @@ class DfsCluster : public DfsInterface {
   bool rebalance_active_ = false;
   uint64_t current_round_moves_ = 0;  // moves enqueued for the active round
   int completed_rebalance_rounds_ = 0;
-  uint64_t rebalance_triggers_ = 0;
   SimTime last_balancer_check_ = 0;
 
   uint64_t total_ops_executed_ = 0;
-  uint64_t lost_bytes_ = 0;
 
   FaultHooks* hooks_ = nullptr;
   EnvFaultRuntime* env_ = nullptr;
@@ -796,10 +789,12 @@ class DfsCluster : public DfsInterface {
   std::vector<RecoveryCandidate> recovery_sorted_;
   // Scratch for PickRecoveryTarget's per-chunk replica-node set.
   mutable std::vector<NodeId> replica_nodes_scratch_;
-  // Running view of the last-8-op class window (coverage feature); one slot
-  // per OpClass (file, node, volume, env_fault).
-  uint32_t class_counts_[4] = {0, 0, 0, 0};
-  uint8_t recent_class_mask_ = 0;
+  // The classes of the last kClassWindow ops since the topology was built
+  // (a coverage feature): per OpClass (file, node, volume, env_fault), the
+  // total_ops_executed_ count at its last op, 0 for none. A class is in the
+  // window while its stamp + kClassWindow exceeds the count.
+  static constexpr uint64_t kClassWindow = 8;
+  uint64_t class_stamps_[4] = {0, 0, 0, 0};
 };
 
 }  // namespace themis

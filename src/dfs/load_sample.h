@@ -8,7 +8,6 @@
 
 #include <cstdint>
 
-#include "src/common/clock.h"
 #include "src/dfs/types.h"
 
 namespace themis {
@@ -30,8 +29,6 @@ struct LoadSample {
 
   // Cumulative computation load.
   double cpu_seconds = 0.0;
-
-  SimTime taken_at = 0;
 
   bool operator==(const LoadSample&) const = default;
 };

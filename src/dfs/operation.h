@@ -172,8 +172,7 @@ struct Operation {
 // Outcome of executing one operation against a cluster.
 struct OpResult {
   Status status;
-  SimDuration cost = 0;       // virtual time consumed
-  uint64_t bytes_moved = 0;   // client data written/read
+  SimDuration cost = 0;  // virtual time consumed
 };
 
 }  // namespace themis

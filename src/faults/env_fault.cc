@@ -39,7 +39,6 @@ OpResult EnvFaultInjector::ExecuteEnvOp(DfsCluster& dfs, const Operation& op) {
       slot.percent = std::clamp(op.size, kEnvMinSlowFactorPercent,
                                 kEnvMaxSlowFactorPercent);
       slot.until = dfs.Now() + kEnvSlowDiskWindow;
-      ++stats_.slow_disk_windows;
       break;
     }
     case OpKind::kEnvCrashNode: {
@@ -63,14 +62,11 @@ OpResult EnvFaultInjector::ExecuteEnvOp(DfsCluster& dfs, const Operation& op) {
                                   kEnvMaxCrashDelaySeconds);
       dfs.CrashNodeForEnvFault(op.node);
       ScheduledRestart restart{dfs.Now() + Seconds(static_cast<int64_t>(delay)),
-                               op.node, next_restart_seq_++};
+                               op.node};
       auto pos = std::upper_bound(
           restarts_.begin(), restarts_.end(), restart,
-          [](const ScheduledRestart& a, const ScheduledRestart& b) {
-            return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-          });
+          [](const ScheduledRestart& a, const ScheduledRestart& b) { return a.at < b.at; });
       restarts_.insert(pos, restart);
-      ++stats_.node_crashes;
       break;
     }
     case OpKind::kEnvClearFaults:
@@ -104,22 +100,18 @@ EnvFaultRuntime::MessageVerdict EnvFaultInjector::OnMigrationMessage(
   // One independent draw per armed fault class, in fixed severity order
   // (loss trumps reorder trumps duplicate trumps corrupt).
   if (msg_loss_permille_ != 0 && rng_.NextBelow(1000) < msg_loss_permille_) {
-    ++stats_.messages_dropped;
     return MessageVerdict::kDrop;
   }
   if (msg_reorder_permille_ != 0 &&
       rng_.NextBelow(1000) < msg_reorder_permille_) {
-    ++stats_.messages_reordered;
     return MessageVerdict::kReorder;
   }
   if (msg_duplicate_permille_ != 0 &&
       rng_.NextBelow(1000) < msg_duplicate_permille_) {
-    ++stats_.messages_duplicated;
     return MessageVerdict::kDuplicate;
   }
   if (msg_corrupt_permille_ != 0 &&
       rng_.NextBelow(1000) < msg_corrupt_permille_) {
-    ++stats_.messages_corrupted;
     return MessageVerdict::kCorrupt;
   }
   return MessageVerdict::kDeliver;
@@ -132,14 +124,7 @@ bool EnvFaultInjector::DropHeartbeat(DfsCluster& dfs, NodeId node) {
   // migration messages; the other fault classes leave them intact (a
   // reordered or duplicated heartbeat is harmless, and heartbeats carry
   // their epoch so corruption is detected and resent within the op).
-  if (msg_loss_permille_ == 0) {
-    return false;
-  }
-  if (rng_.NextBelow(1000) < msg_loss_permille_) {
-    ++stats_.heartbeats_dropped;
-    return true;
-  }
-  return false;
+  return msg_loss_permille_ != 0 && rng_.NextBelow(1000) < msg_loss_permille_;
 }
 
 double EnvFaultInjector::DiskSlowdown(const DfsCluster& dfs,
@@ -156,7 +141,6 @@ void EnvFaultInjector::OnClockAdvanced(DfsCluster& dfs, SimTime now) {
     NodeId node = restarts_.front().node;
     restarts_.erase(restarts_.begin());
     dfs.RestartNode(node);
-    ++stats_.node_restarts;
   }
   if (!slow_disks_.empty()) {
     std::erase_if(slow_disks_,
@@ -172,8 +156,7 @@ bool EnvFaultInjector::RecoveryPending(const DfsCluster& dfs) const {
 void EnvFaultInjector::OnClusterReset(DfsCluster& dfs) {
   (void)dfs;
   // The reset rebuilt the topology from scratch — every node is alive again,
-  // so pending restarts refer to nodes that are no longer down. Stats stay:
-  // they count campaign-lifetime fault events.
+  // so pending restarts refer to nodes that are no longer down.
   msg_loss_permille_ = 0;
   msg_reorder_permille_ = 0;
   msg_duplicate_permille_ = 0;
@@ -197,17 +180,7 @@ void EnvFaultInjector::SaveState(SnapshotWriter& writer) const {
   for (const ScheduledRestart& restart : restarts_) {
     writer.I64(restart.at);
     writer.U32(restart.node);
-    writer.U64(restart.seq);
   }
-  writer.U64(next_restart_seq_);
-  writer.U64(stats_.messages_dropped);
-  writer.U64(stats_.messages_reordered);
-  writer.U64(stats_.messages_duplicated);
-  writer.U64(stats_.messages_corrupted);
-  writer.U64(stats_.heartbeats_dropped);
-  writer.U64(stats_.slow_disk_windows);
-  writer.U64(stats_.node_crashes);
-  writer.U64(stats_.node_restarts);
   rng_.SaveState(writer);
 }
 
@@ -259,44 +232,23 @@ Status EnvFaultInjector::RestoreState(SnapshotReader& reader) {
   if (!reader.ok()) return reader.status();
 
   restarts_.clear();
-  uint64_t restart_count = reader.Count(8 + 4 + 8);
+  // Record order is firing order, so simultaneous restarts keep theirs.
+  uint64_t restart_count = reader.Count(8 + 4);
   for (uint64_t i = 0; i < restart_count && reader.ok(); ++i) {
     ScheduledRestart restart;
     restart.at = reader.I64();
     restart.node = reader.U32();
-    restart.seq = reader.U64();
     if (!reader.ok()) break;
     if (restart.at < 0) {
       reader.Fail("malformed env fault record: negative restart time");
       break;
     }
-    if (!restarts_.empty()) {
-      const ScheduledRestart& prev = restarts_.back();
-      if (restart.at < prev.at ||
-          (restart.at == prev.at && restart.seq <= prev.seq)) {
-        reader.Fail("malformed env fault record: restart schedule not sorted");
-        break;
-      }
+    if (!restarts_.empty() && restart.at < restarts_.back().at) {
+      reader.Fail("malformed env fault record: restart schedule not sorted");
+      break;
     }
     restarts_.push_back(restart);
   }
-  next_restart_seq_ = reader.U64();
-  if (reader.ok()) {
-    for (const ScheduledRestart& restart : restarts_) {
-      if (restart.seq >= next_restart_seq_) {
-        reader.Fail("malformed env fault record: restart sequence from the future");
-        break;
-      }
-    }
-  }
-  stats_.messages_dropped = reader.U64();
-  stats_.messages_reordered = reader.U64();
-  stats_.messages_duplicated = reader.U64();
-  stats_.messages_corrupted = reader.U64();
-  stats_.heartbeats_dropped = reader.U64();
-  stats_.slow_disk_windows = reader.U64();
-  stats_.node_crashes = reader.U64();
-  stats_.node_restarts = reader.U64();
   if (!reader.ok()) return reader.status();
   return rng_.RestoreState(reader);
 }

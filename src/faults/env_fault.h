@@ -34,23 +34,6 @@ namespace themis {
 // How long one kEnvSlowDisk operator degrades its node.
 inline constexpr SimDuration kEnvSlowDiskWindow = Hours(1);
 
-// Counters of fault effects, incremented at verdict time (when the injector
-// rules on a concrete message/heartbeat/window), not at arming time. A
-// message may draw a reorder verdict more than once — each rotation through
-// the transport queue is its own adverse event.
-struct EnvFaultStats {
-  uint64_t messages_dropped = 0;
-  uint64_t messages_reordered = 0;
-  uint64_t messages_duplicated = 0;
-  uint64_t messages_corrupted = 0;
-  uint64_t heartbeats_dropped = 0;
-  uint64_t slow_disk_windows = 0;
-  uint64_t node_crashes = 0;
-  uint64_t node_restarts = 0;
-
-  bool operator==(const EnvFaultStats&) const = default;
-};
-
 class EnvFaultInjector : public EnvFaultRuntime {
  public:
   explicit EnvFaultInjector(uint64_t seed) : rng_(seed) {}
@@ -65,8 +48,7 @@ class EnvFaultInjector : public EnvFaultRuntime {
   bool RecoveryPending(const DfsCluster& dfs) const override;
   void OnClusterReset(DfsCluster& dfs) override;
 
-  // ---- introspection (tests, campaign reporting) ----
-  const EnvFaultStats& stats() const { return stats_; }
+  // ---- introspection (tests) ----
   uint64_t msg_loss_permille() const { return msg_loss_permille_; }
   uint64_t msg_reorder_permille() const { return msg_reorder_permille_; }
   uint64_t msg_duplicate_permille() const { return msg_duplicate_permille_; }
@@ -90,11 +72,9 @@ class EnvFaultInjector : public EnvFaultRuntime {
     SimTime until = 0;
   };
   // One scheduled crash-recovery: node `node` restarts at instant `at`.
-  // `seq` breaks ties so simultaneous restarts fire in scheduling order.
   struct ScheduledRestart {
     SimTime at = 0;
     NodeId node = kInvalidNode;
-    uint64_t seq = 0;
   };
 
   bool AnyMessageFaultArmed() const {
@@ -108,10 +88,10 @@ class EnvFaultInjector : public EnvFaultRuntime {
   uint64_t msg_duplicate_permille_ = 0;
   uint64_t msg_corrupt_permille_ = 0;
   std::map<NodeId, SlowDisk> slow_disks_;
-  // Sorted by (at, seq); OnClockAdvanced pops the due prefix.
+  // Sorted by time; a crash inserts its restart after every one due no later,
+  // so simultaneous restarts fire in scheduling order. OnClockAdvanced pops
+  // the due prefix.
   std::vector<ScheduledRestart> restarts_;
-  uint64_t next_restart_seq_ = 0;
-  EnvFaultStats stats_;
   Rng rng_;
 };
 

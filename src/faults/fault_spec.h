@@ -108,7 +108,6 @@ struct FaultSpec {
   // Windows-only / hardware-gated failures never trigger in our environment
   // (§6.1.2's five undetectable failures).
   bool environment_gated = false;
-  bool historical = false;
 };
 
 }  // namespace themis

@@ -90,7 +90,6 @@ FaultSpec FaultFromStudyRecord(const StudyRecord& record) {
   spec.effect = EffectFor(record, rng);
   spec.description = std::string(SymptomName(record.symptom)) + " via " +
                      StudyRootCauseName(record.cause);
-  spec.historical = true;
   spec.environment_gated = record.gate != EnvGate::kNone;
   // Finding 3: internal load disparity is at least 30%, sometimes over 100%.
   spec.severity = 0.30 + rng.NextDouble() * 0.80;

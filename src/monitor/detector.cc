@@ -23,8 +23,7 @@ ImbalanceDetector::ImbalanceDetector(DetectorConfig config) : config_(config) {}
 std::optional<ImbalanceCandidate> ImbalanceDetector::Evaluate(
     const LoadVarianceSnapshot& snapshot, bool use_instant) const {
   if (snapshot.any_crashed) {
-    return ImbalanceCandidate{ImbalanceDimension::kNodeHealth, snapshot.MaxRatio(),
-                              snapshot.taken_at};
+    return ImbalanceCandidate{ImbalanceDimension::kNodeHealth, snapshot.MaxRatio()};
   }
   double limit = 1.0 + config_.threshold;
   double computation =
@@ -41,7 +40,7 @@ std::optional<ImbalanceCandidate> ImbalanceDetector::Evaluate(
     dimension = ImbalanceDimension::kNetwork;
   }
   if (worst > limit) {
-    return ImbalanceCandidate{dimension, worst, snapshot.taken_at};
+    return ImbalanceCandidate{dimension, worst};
   }
   return std::nullopt;
 }
@@ -68,8 +67,7 @@ std::optional<ImbalanceCandidate> ImbalanceDetector::Check(
                          ImbalanceDimensionName(ImbalanceDimension::kNodeHealth),
                          snapshot.MaxRatio());
     }
-    return ImbalanceCandidate{ImbalanceDimension::kNodeHealth, snapshot.MaxRatio(),
-                              snapshot.taken_at};
+    return ImbalanceCandidate{ImbalanceDimension::kNodeHealth, snapshot.MaxRatio()};
   }
   std::optional<ImbalanceCandidate> candidate = Evaluate(snapshot, /*use_instant=*/false);
   if (!candidate.has_value()) {
@@ -77,7 +75,7 @@ std::optional<ImbalanceCandidate> ImbalanceDetector::Check(
     return std::nullopt;
   }
   ++streak_;
-  if (streak_ < config_.consecutive_needed) {
+  if (streak_ < kConsecutiveNeeded) {
     return std::nullopt;
   }
   // The imbalance persisted long enough: a candidate goes to double-check.

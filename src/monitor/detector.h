@@ -14,7 +14,6 @@
 #include <optional>
 #include <string>
 
-#include "src/common/clock.h"
 #include "src/monitor/load_model.h"
 #include "src/telemetry/event_log.h"
 
@@ -39,25 +38,25 @@ const char* ImbalanceDimensionName(ImbalanceDimension dimension);
 struct DetectorConfig {
   // The variance threshold t. 25% is the optimum found in §6.4 (Table 7).
   double threshold = 0.25;
-  // Consecutive imbalanced checks before raising a candidate; rides out
-  // transient variance the balancer has not had a chance to absorb yet.
-  int consecutive_needed = 3;
 };
 
 struct ImbalanceCandidate {
   ImbalanceDimension dimension = ImbalanceDimension::kStorage;
   double ratio = 1.0;
-  SimTime at = 0;
 };
 
 class ImbalanceDetector {
  public:
+  // Consecutive imbalanced checks before raising a candidate; rides out
+  // transient variance the balancer has not had a chance to absorb yet.
+  static constexpr int kConsecutiveNeeded = 3;
+
   explicit ImbalanceDetector(DetectorConfig config);
 
   const DetectorConfig& config() const { return config_; }
 
   // Evaluates one snapshot; returns a candidate once the imbalance has
-  // persisted for `consecutive_needed` checks (crashes immediately).
+  // persisted for kConsecutiveNeeded checks (crashes immediately).
   std::optional<ImbalanceCandidate> Check(const LoadVarianceSnapshot& snapshot);
 
   // Single-shot evaluation (used for the post-rebalance re-check).

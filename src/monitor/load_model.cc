@@ -18,9 +18,7 @@ constexpr double kMinNetMean = 16.0;  // requests+ios per window
 // EMA fields are left at their defaults; Update folds those in.
 LoadVarianceSnapshot FinalizeLoadStats(const LoadStatsSnapshot& stats) {
   LoadVarianceSnapshot snapshot;
-  snapshot.taken_at = stats.taken_at;
   snapshot.any_crashed = stats.any_crashed;
-  snapshot.serving_storage_nodes = static_cast<int>(stats.serving_storage_nodes);
 
   // Storage: utilization spread in fraction points between the hottest node
   // and the capacity-weighted fleet utilization, expressed as 1 + spread so
@@ -76,25 +74,21 @@ LoadStatsSnapshot LoadVarianceModel::ScanWindow(const std::vector<LoadSample>& s
     }
     prev = PrevCounters{sample.cpu_seconds, net_total, true};
 
-    stats.taken_at = sample.taken_at;
     if (sample.crashed) {
       stats.any_crashed = true;
     }
     if (!sample.online || sample.crashed) {
       continue;
     }
-    if (sample.is_storage) {
-      ++stats.serving_storage_nodes;
-      if (sample.capacity_bytes > 0) {
-        double fraction = static_cast<double>(sample.used_bytes) /
-                          static_cast<double>(sample.capacity_bytes);
-        ++stats.fraction_nodes;
-        if (stats.fraction_nodes == 1 || fraction > stats.max_fraction) {
-          stats.max_fraction = fraction;
-        }
-        stats.storage_used += sample.used_bytes;
-        stats.storage_cap += sample.capacity_bytes;
+    if (sample.is_storage && sample.capacity_bytes > 0) {
+      double fraction = static_cast<double>(sample.used_bytes) /
+                        static_cast<double>(sample.capacity_bytes);
+      ++stats.fraction_nodes;
+      if (stats.fraction_nodes == 1 || fraction > stats.max_fraction) {
+        stats.max_fraction = fraction;
       }
+      stats.storage_used += sample.used_bytes;
+      stats.storage_cap += sample.capacity_bytes;
     }
     uint64_t cpu_ticks = QuantizeLoadDelta(cpu_delta, kCpuLoadQuantum);
     LoadDimAggregate& cpu_agg = sample.is_storage ? stats.cpu_storage : stats.cpu_meta;

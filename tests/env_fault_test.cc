@@ -1,8 +1,8 @@
 // Environment-fault input dimension (DESIGN.md §14): the fault-schedule
 // grammar stays inside its operand bounds through generation, mutation and
 // repair; schedules replay bit-identically for a fixed seed; the injector's
-// effect counters match the armed schedule; and the env-gated registry bugs
-// are reachable only when a campaign actually runs with env faults.
+// verdicts match the armed schedule; and the env-gated registry bugs are
+// reachable only when a campaign actually runs with env faults.
 
 #include <gtest/gtest.h>
 
@@ -219,8 +219,75 @@ TEST(EnvFaultGrammar, ReproductionLogRoundTripsEveryEnvOperator) {
 }
 
 // ---------------------------------------------------------------------------
-// Injector semantics: the armed schedule drives the effect counters.
+// Injector semantics: the armed schedule drives the verdicts.
 // ---------------------------------------------------------------------------
+
+// Counts the injector's verdicts as they are ruled (not at arming time). A
+// message may draw a reorder verdict more than once — each rotation through
+// the transport queue is its own adverse event.
+struct VerdictCounts {
+  uint64_t messages_dropped = 0;
+  uint64_t messages_reordered = 0;
+  uint64_t messages_duplicated = 0;
+  uint64_t messages_corrupted = 0;
+  uint64_t slow_disk_windows = 0;
+  uint64_t node_crashes = 0;
+  uint64_t node_restarts = 0;
+
+  bool operator==(const VerdictCounts&) const = default;
+};
+
+class CountingInjector : public EnvFaultInjector {
+ public:
+  using EnvFaultInjector::EnvFaultInjector;
+
+  OpResult ExecuteEnvOp(DfsCluster& dfs, const Operation& op) override {
+    OpResult result = EnvFaultInjector::ExecuteEnvOp(dfs, op);
+    if (result.status.ok() && op.kind == OpKind::kEnvSlowDisk) {
+      ++counts_.slow_disk_windows;
+    }
+    if (result.status.ok() && op.kind == OpKind::kEnvCrashNode) {
+      ++counts_.node_crashes;
+    }
+    return result;
+  }
+  MessageVerdict OnMigrationMessage(DfsCluster& dfs, const ChunkMove& move) override {
+    MessageVerdict verdict = EnvFaultInjector::OnMigrationMessage(dfs, move);
+    switch (verdict) {
+      case MessageVerdict::kDrop:
+        ++counts_.messages_dropped;
+        break;
+      case MessageVerdict::kReorder:
+        ++counts_.messages_reordered;
+        break;
+      case MessageVerdict::kDuplicate:
+        ++counts_.messages_duplicated;
+        break;
+      case MessageVerdict::kCorrupt:
+        ++counts_.messages_corrupted;
+        break;
+      case MessageVerdict::kDeliver:
+        break;
+    }
+    return verdict;
+  }
+  void OnClockAdvanced(DfsCluster& dfs, SimTime now) override {
+    size_t pending = pending_restarts();
+    EnvFaultInjector::OnClockAdvanced(dfs, now);
+    counts_.node_restarts += pending - pending_restarts();
+  }
+
+  const VerdictCounts& counts() const { return counts_; }
+  // The schedule and the RNG stream: everything the next verdict reads.
+  std::string StateBytes() const {
+    SnapshotWriter writer;
+    SaveState(writer);
+    return writer.buffer();
+  }
+
+ private:
+  VerdictCounts counts_;
+};
 
 // Deterministic heavy load followed by a capacity squeeze on one brick:
 // the squeezed brick ends up far above fleet utilization, so the next
@@ -258,7 +325,8 @@ TEST(EnvFaultInjector, EnvOpsAreUnavailableWithoutAnInjector) {
 }
 
 struct FaultedRunOutcome {
-  EnvFaultStats stats;
+  VerdictCounts counts;
+  std::string injector_state;
   double imbalance = 0.0;
   uint64_t ops = 0;
 
@@ -270,7 +338,7 @@ struct FaultedRunOutcome {
 FaultedRunOutcome RunMessageLossScenario(uint64_t cluster_seed,
                                          uint64_t injector_seed) {
   std::unique_ptr<DfsCluster> cluster = MakeCluster(Flavor::kGluster, cluster_seed);
-  EnvFaultInjector injector(injector_seed);
+  CountingInjector injector(injector_seed);
   cluster->set_env_faults(&injector);
   PopulateAndSkew(*cluster);
   EXPECT_TRUE(cluster
@@ -283,19 +351,19 @@ FaultedRunOutcome RunMessageLossScenario(uint64_t cluster_seed,
     cluster->AdvanceTime(Seconds(10));
   }
   EXPECT_TRUE(cluster->RebalanceDone());
-  return FaultedRunOutcome{injector.stats(), cluster->StorageImbalance(),
-                           cluster->total_ops_executed()};
+  return FaultedRunOutcome{injector.counts(), injector.StateBytes(),
+                           cluster->StorageImbalance(), cluster->total_ops_executed()};
 }
 
 TEST(EnvFaultInjector, MessageLossStatsMatchTheArmedSchedule) {
   FaultedRunOutcome outcome = RunMessageLossScenario(42, 7);
   // A 50% loss rate over a real migration queue must drop messages, and the
   // less severe verdicts never fire because loss wins the severity order.
-  EXPECT_GT(outcome.stats.messages_dropped, 0u);
-  EXPECT_EQ(outcome.stats.messages_reordered, 0u);
-  EXPECT_EQ(outcome.stats.messages_duplicated, 0u);
-  EXPECT_EQ(outcome.stats.messages_corrupted, 0u);
-  EXPECT_EQ(outcome.stats.node_crashes, 0u);
+  EXPECT_GT(outcome.counts.messages_dropped, 0u);
+  EXPECT_EQ(outcome.counts.messages_reordered, 0u);
+  EXPECT_EQ(outcome.counts.messages_duplicated, 0u);
+  EXPECT_EQ(outcome.counts.messages_corrupted, 0u);
+  EXPECT_EQ(outcome.counts.node_crashes, 0u);
 }
 
 TEST(EnvFaultInjector, FaultedRunsReplayBitIdentically) {
@@ -303,11 +371,11 @@ TEST(EnvFaultInjector, FaultedRunsReplayBitIdentically) {
   FaultedRunOutcome second = RunMessageLossScenario(42, 7);
   EXPECT_EQ(first, second);
   // A different injector seed draws a different verdict sequence; the drop
-  // *count* may coincide, but the run as a whole should not (the dropped
-  // messages land elsewhere in the queue).
+  // *count* may coincide, but the injector's RNG stream must not.
   FaultedRunOutcome other = RunMessageLossScenario(42, 8);
-  EXPECT_NE(first.stats.messages_dropped, 0u);
-  EXPECT_NE(other.stats.messages_dropped, 0u);
+  EXPECT_NE(first.counts.messages_dropped, 0u);
+  EXPECT_NE(other.counts.messages_dropped, 0u);
+  EXPECT_NE(first.injector_state, other.injector_state);
 }
 
 TEST(EnvFaultInjector, GeneratedScheduleReplaysIdenticallyAcrossClusters) {
@@ -320,7 +388,7 @@ TEST(EnvFaultInjector, GeneratedScheduleReplaysIdenticallyAcrossClusters) {
   }
   auto run = [&seqs]() {
     std::unique_ptr<DfsCluster> cluster = MakeCluster(Flavor::kLeo, /*seed=*/99);
-    EnvFaultInjector injector(/*seed=*/31337);
+    CountingInjector injector(/*seed=*/31337);
     cluster->set_env_faults(&injector);
     uint64_t ok = 0;
     for (const OpSeq& seq : seqs) {
@@ -332,21 +400,21 @@ TEST(EnvFaultInjector, GeneratedScheduleReplaysIdenticallyAcrossClusters) {
          ++i) {
       cluster->AdvanceTime(Seconds(30));
     }
-    return std::tuple(ok, cluster->StorageImbalance(),
-                      cluster->total_ops_executed(), injector.stats());
+    return std::tuple(ok, cluster->StorageImbalance(), cluster->total_ops_executed(),
+                      injector.counts(), injector.StateBytes());
   };
   EXPECT_EQ(run(), run());
 }
 
 TEST(EnvFaultInjector, SlowDiskWindowExpiresAfterItsHour) {
   Fixture fx;
-  EnvFaultInjector injector(/*seed=*/5);
+  CountingInjector injector(/*seed=*/5);
   fx.cluster->set_env_faults(&injector);
   NodeId node = fx.cluster->ListStorageNodes().front();
   ASSERT_TRUE(fx.cluster->Execute(EnvOp(OpKind::kEnvSlowDisk, node, 400))
                   .status.ok());
   EXPECT_EQ(injector.active_slow_disks(), 1u);
-  EXPECT_EQ(injector.stats().slow_disk_windows, 1u);
+  EXPECT_EQ(injector.counts().slow_disk_windows, 1u);
   EXPECT_DOUBLE_EQ(injector.DiskSlowdown(*fx.cluster, node), 4.0);
   // Other nodes run at full speed.
   EXPECT_DOUBLE_EQ(injector.DiskSlowdown(*fx.cluster,
@@ -359,7 +427,7 @@ TEST(EnvFaultInjector, SlowDiskWindowExpiresAfterItsHour) {
 
 TEST(EnvFaultInjector, CrashSchedulesARestartAndTheBalancerRecovers) {
   Fixture fx;
-  EnvFaultInjector injector(/*seed=*/5);
+  CountingInjector injector(/*seed=*/5);
   fx.cluster->set_env_faults(&injector);
   NodeId meta = fx.cluster->ListMetaNodes().front();
   ASSERT_TRUE(fx.cluster->Execute(EnvOp(OpKind::kEnvCrashNode, meta, 120))
@@ -367,24 +435,24 @@ TEST(EnvFaultInjector, CrashSchedulesARestartAndTheBalancerRecovers) {
   EXPECT_TRUE(fx.cluster->balancer_crashed());
   EXPECT_TRUE(fx.cluster->EnvRecoveryPending());
   EXPECT_EQ(injector.pending_restarts(), 1u);
-  EXPECT_EQ(injector.stats().node_crashes, 1u);
+  EXPECT_EQ(injector.counts().node_crashes, 1u);
   // The balancer is down: a crash mid-rebalance halts, it does not limp on.
   EXPECT_FALSE(fx.cluster->TriggerRebalance().ok());
   // A second crash of the same node is rejected, not double-counted.
   EXPECT_FALSE(fx.cluster->Execute(EnvOp(OpKind::kEnvCrashNode, meta, 120))
                    .status.ok());
-  EXPECT_EQ(injector.stats().node_crashes, 1u);
+  EXPECT_EQ(injector.counts().node_crashes, 1u);
   fx.cluster->AdvanceTime(Seconds(130));
   EXPECT_FALSE(fx.cluster->balancer_crashed());
   EXPECT_FALSE(fx.cluster->EnvRecoveryPending());
   EXPECT_EQ(injector.pending_restarts(), 0u);
-  EXPECT_EQ(injector.stats().node_restarts, 1u);
+  EXPECT_EQ(injector.counts().node_restarts, 1u);
   EXPECT_TRUE(fx.cluster->TriggerRebalance().ok());
 }
 
 TEST(EnvFaultInjector, ClearFaultsDropsRatesButKeepsTheRestartSchedule) {
   Fixture fx;
-  EnvFaultInjector injector(/*seed=*/5);
+  CountingInjector injector(/*seed=*/5);
   fx.cluster->set_env_faults(&injector);
   NodeId storage = fx.cluster->ListStorageNodes().front();
   ASSERT_TRUE(fx.cluster->Execute(EnvOp(OpKind::kEnvMsgLoss, kInvalidNode, 200))
@@ -401,10 +469,46 @@ TEST(EnvFaultInjector, ClearFaultsDropsRatesButKeepsTheRestartSchedule) {
   // clear_faults heals the environment going forward; it cannot un-crash a
   // node, so the scheduled recovery still happens.
   EXPECT_EQ(injector.pending_restarts(), 1u);
-  EXPECT_EQ(injector.stats().node_crashes, 1u);
+  EXPECT_EQ(injector.counts().node_crashes, 1u);
   fx.cluster->AdvanceTime(Seconds(700));
-  EXPECT_EQ(injector.stats().node_restarts, 1u);
+  EXPECT_EQ(injector.counts().node_restarts, 1u);
   EXPECT_FALSE(fx.cluster->EnvRecoveryPending());
+}
+
+// Restarts due at the same instant fire in the order their crashes were
+// scheduled: the later crash's restart goes after every restart due no later.
+// Each op takes half a virtual second, so a crash one op later with a
+// one-second shorter delay (after a filler op) restarts at the same instant.
+TEST(EnvFaultInjector, SimultaneousRestartsKeepSchedulingOrder) {
+  Fixture fx;
+  EnvFaultInjector injector(/*seed=*/5);
+  fx.cluster->set_env_faults(&injector);
+  std::vector<NodeId> storage = fx.cluster->ListStorageNodes();
+  ASSERT_GE(storage.size(), 2u);
+  // The later-scheduled node has the smaller id, so id order would disagree.
+  const NodeId first = storage[1];
+  const NodeId second = storage[0];
+  ASSERT_TRUE(fx.cluster->Execute(EnvOp(OpKind::kEnvCrashNode, first, 121)).status.ok());
+  ASSERT_TRUE(fx.cluster->Execute(EnvOp(OpKind::kEnvClearFaults, kInvalidNode, 0)).status.ok());
+  ASSERT_TRUE(fx.cluster->Execute(EnvOp(OpKind::kEnvCrashNode, second, 120)).status.ok());
+
+  // The record: four rates, an empty slow-disk table, then the schedule.
+  SnapshotWriter writer;
+  injector.SaveState(writer);
+  SnapshotReader reader(writer.buffer());
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(reader.U64(), 0u);
+  EXPECT_EQ(reader.U64(), 0u);
+  ASSERT_EQ(reader.U64(), 2u);
+  const SimTime first_at = reader.I64();
+  EXPECT_EQ(reader.U32(), first);
+  EXPECT_EQ(reader.I64(), first_at) << "the two restarts are not simultaneous";
+  EXPECT_EQ(reader.U32(), second);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+
+  fx.cluster->AdvanceTime(Seconds(130));
+  EXPECT_EQ(injector.pending_restarts(), 0u);
+  EXPECT_FALSE(fx.cluster->FindStorageNode(first)->crashed);
+  EXPECT_FALSE(fx.cluster->FindStorageNode(second)->crashed);
 }
 
 TEST(EnvFaultInjector, StateRoundTripsThroughASnapshot) {
@@ -432,7 +536,6 @@ TEST(EnvFaultInjector, StateRoundTripsThroughASnapshot) {
   EXPECT_EQ(restored.msg_reorder_permille(), 0u);
   EXPECT_EQ(restored.active_slow_disks(), injector.active_slow_disks());
   EXPECT_EQ(restored.pending_restarts(), injector.pending_restarts());
-  EXPECT_EQ(restored.stats(), injector.stats());
 }
 
 // ---------------------------------------------------------------------------

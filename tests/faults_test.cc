@@ -33,7 +33,6 @@ TEST(FaultRegistry, PaperBugsPlusGeoExtensions) {
   for (const FaultSpec& spec : bugs) {
     ++per_platform[spec.platform];
     EXPECT_FALSE(spec.environment_gated);
-    EXPECT_FALSE(spec.historical);
     EXPECT_FALSE(spec.id.empty());
     EXPECT_FALSE(spec.description.empty());
   }
@@ -82,7 +81,6 @@ TEST(HistoricalCorpus, FiftyThreeFaults) {
   int gated = 0;
   std::map<Flavor, int> per_platform;
   for (const FaultSpec& spec : corpus) {
-    EXPECT_TRUE(spec.historical);
     gated += spec.environment_gated ? 1 : 0;
     ++per_platform[spec.platform];
     // Finding 3: disparity of at least 30%.

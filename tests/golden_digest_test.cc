@@ -87,9 +87,9 @@ struct SnapshotPin {
   uint64_t checksum;
 };
 constexpr SnapshotPin kMidSnapshotPins[] = {
-    {Flavor::kGluster, 0x9cd54e8b6180edebULL}, {Flavor::kHdfs, 0xa89b87075d628342ULL},
-    {Flavor::kCeph, 0xc2bf6eea011b6544ULL},    {Flavor::kLeo, 0xcbb4d0874bc276a3ULL},
-    {Flavor::kGeo, 0xfcb225126d3e8ff9ULL},
+    {Flavor::kGluster, 0xea0a9cd3bf160656ULL}, {Flavor::kHdfs, 0xfc1df884400ca355ULL},
+    {Flavor::kCeph, 0xcd122a5f1c7c54c3ULL},    {Flavor::kLeo, 0xc14c55b477ea9192ULL},
+    {Flavor::kGeo, 0xc081adb613bb368fULL},
 };
 
 TEST(GoldenDigestTest, MidSnapshotChecksumsArePinned) {

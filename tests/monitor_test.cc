@@ -69,7 +69,6 @@ TEST(LoadModel, OfflineAndCrashedNodesExcluded) {
                     StorageSample(2, 10 * kGiB, 480 * kGiB), crashed, offline});
   EXPECT_NEAR(snapshot.storage_ratio, 1.0, 1e-9);
   EXPECT_TRUE(snapshot.any_crashed);
-  EXPECT_EQ(snapshot.serving_storage_nodes, 2);
 }
 
 TEST(LoadModel, CpuRatiosUseWindowedDeltas) {
@@ -157,10 +156,17 @@ LoadVarianceSnapshot Snapshot(double storage, double cpu = 1.0, double net = 1.0
   return snapshot;
 }
 
+// Feeds `snapshot` one check short of a candidate: each check must stay quiet.
+void FeedAllButLast(ImbalanceDetector& detector, const LoadVarianceSnapshot& snapshot) {
+  for (int i = 1; i < ImbalanceDetector::kConsecutiveNeeded; ++i) {
+    EXPECT_FALSE(detector.Check(snapshot).has_value()) << "check " << i;
+  }
+}
+
 TEST(Detector, RequiresPersistentImbalance) {
+  static_assert(ImbalanceDetector::kConsecutiveNeeded == 3);
   DetectorConfig config;
   config.threshold = 0.25;
-  config.consecutive_needed = 3;
   ImbalanceDetector detector(config);
   EXPECT_FALSE(detector.Check(Snapshot(1.30)).has_value());
   EXPECT_FALSE(detector.Check(Snapshot(1.30)).has_value());
@@ -171,12 +177,10 @@ TEST(Detector, RequiresPersistentImbalance) {
 }
 
 TEST(Detector, TransientSpikeResetsStreak) {
-  DetectorConfig config;
-  config.consecutive_needed = 2;
-  ImbalanceDetector detector(config);
-  EXPECT_FALSE(detector.Check(Snapshot(1.30)).has_value());
+  ImbalanceDetector detector(DetectorConfig{});
+  FeedAllButLast(detector, Snapshot(1.30));
   EXPECT_FALSE(detector.Check(Snapshot(1.05)).has_value());  // back in balance
-  EXPECT_FALSE(detector.Check(Snapshot(1.30)).has_value());  // streak restarted
+  FeedAllButLast(detector, Snapshot(1.30));                   // streak restarted
   EXPECT_TRUE(detector.Check(Snapshot(1.30)).has_value());
 }
 
@@ -216,14 +220,15 @@ TEST(Detector, CheckOnceUsesInstantRatios) {
 TEST(Detector, ThresholdIsConfigurable) {
   DetectorConfig config;
   config.threshold = 0.05;
-  config.consecutive_needed = 1;
   ImbalanceDetector detector(config);
+  FeedAllButLast(detector, Snapshot(1.08));
   EXPECT_TRUE(detector.Check(Snapshot(1.08)).has_value());
   DetectorConfig strict;
   strict.threshold = 0.35;
-  strict.consecutive_needed = 1;
   ImbalanceDetector tight(strict);
-  EXPECT_FALSE(tight.Check(Snapshot(1.30)).has_value());
+  for (int i = 0; i < ImbalanceDetector::kConsecutiveNeeded; ++i) {
+    EXPECT_FALSE(tight.Check(Snapshot(1.30)).has_value());
+  }
 }
 
 // ---- edge cases: degenerate clusters and exact thresholds ----
@@ -235,7 +240,6 @@ TEST(LoadModel, EmptyClusterIsBalanced) {
   EXPECT_DOUBLE_EQ(snapshot.instant_computation_ratio, 1.0);
   EXPECT_DOUBLE_EQ(snapshot.instant_network_ratio, 1.0);
   EXPECT_FALSE(snapshot.any_crashed);
-  EXPECT_EQ(snapshot.serving_storage_nodes, 0);
   ImbalanceDetector detector(DetectorConfig{});
   EXPECT_FALSE(detector.Check(snapshot).has_value());
 }
@@ -272,7 +276,6 @@ TEST(Detector, ExactThresholdBoundaryDoesNotFlag) {
   // semantics, where "within threshold" is acceptable).
   DetectorConfig config;
   config.threshold = 0.25;
-  config.consecutive_needed = 1;
   ImbalanceDetector detector(config);
   for (int i = 0; i < 5; ++i) {
     EXPECT_FALSE(detector.Check(Snapshot(1.25)).has_value());
@@ -281,16 +284,15 @@ TEST(Detector, ExactThresholdBoundaryDoesNotFlag) {
   // The next representable value above the boundary flags.
   double above = std::nextafter(1.25, 2.0);
   EXPECT_TRUE(detector.CheckOnce(Snapshot(above)).has_value());
+  FeedAllButLast(detector, Snapshot(above));
   EXPECT_TRUE(detector.Check(Snapshot(above)).has_value());
 }
 
 TEST(Detector, ResetStreakClearsProgress) {
-  DetectorConfig config;
-  config.consecutive_needed = 2;
-  ImbalanceDetector detector(config);
-  EXPECT_FALSE(detector.Check(Snapshot(1.30)).has_value());
+  ImbalanceDetector detector(DetectorConfig{});
+  FeedAllButLast(detector, Snapshot(1.30));
   detector.ResetStreak();
-  EXPECT_FALSE(detector.Check(Snapshot(1.30)).has_value());
+  FeedAllButLast(detector, Snapshot(1.30));
   EXPECT_TRUE(detector.Check(Snapshot(1.30)).has_value());
 }
 

@@ -262,11 +262,13 @@ TEST(SnapshotCorruptionTest, CampaignRefusesForeignSnapshotAndRunsFresh) {
   ExpectResumeMatchesUninterrupted(mine, "Themis");
 }
 
-// Format v4 field-level validation: the EnvFaultInjector record arms live
-// fault machinery on restore, so every malformed record — a rate beyond the
-// grammar bound, an impossible slow-disk factor, a duplicate or unsorted
-// entry, a restart sequence number the injector never issued — must fail
-// the snapshot instead of arming an out-of-grammar schedule.
+// Field-level validation of the EnvFaultInjector record: it arms live fault
+// machinery on restore, so every malformed record — a rate beyond the
+// grammar bound, an impossible slow-disk factor, a duplicate entry, a
+// restart schedule whose times go backwards — must fail the snapshot
+// instead of arming an out-of-grammar schedule. Restarts due at the same
+// instant are legal and keep their record order, which is their firing
+// order.
 TEST(SnapshotCorruptionTest, MalformedEnvFaultRecordsAreRejected) {
   auto rates = [](SnapshotWriter& writer, uint64_t loss) {
     writer.U64(loss);
@@ -311,29 +313,35 @@ TEST(SnapshotCorruptionTest, MalformedEnvFaultRecordsAreRejected) {
     }
     expect_rejected(writer, "duplicate slow-disk entry for node 3");
   }
-  {  // A restart schedule that is not sorted by (time, sequence).
+  {  // A restart schedule whose times go backwards.
     SnapshotWriter writer;
     rates(writer, 0);
     writer.U64(0);  // no slow disks
     writer.U64(2);  // two scheduled restarts
     writer.I64(100);
     writer.U32(1);
-    writer.U64(1);
     writer.I64(50);  // earlier than its predecessor
     writer.U32(2);
-    writer.U64(2);
     expect_rejected(writer, "restart schedule not sorted");
   }
-  {  // A restart carrying a sequence number the injector never issued.
+  {  // Two restarts at the same instant, the later-scheduled node first.
     SnapshotWriter writer;
     rates(writer, 0);
     writer.U64(0);
-    writer.U64(1);
+    writer.U64(2);
+    writer.I64(100);
+    writer.U32(2);
     writer.I64(100);
     writer.U32(1);
-    writer.U64(5);  // seq 5 ...
-    writer.U64(2);  // ... but next_restart_seq claims only 2 were issued
-    expect_rejected(writer, "restart sequence from the future");
+    Rng(1).SaveState(writer);
+    EnvFaultInjector injector(/*seed=*/7);
+    SnapshotReader reader(writer.buffer());
+    Status status = injector.RestoreState(reader);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(injector.pending_restarts(), 2u);
+    SnapshotWriter saved;
+    injector.SaveState(saved);
+    EXPECT_EQ(saved.buffer(), writer.buffer()) << "simultaneous restarts reordered";
   }
 }
 
@@ -584,8 +592,8 @@ TEST(SnapshotCorruptionTest, ClusterRecordCorruptionIsRejected) {
   dfs->SaveState(writer);
   const std::string& bytes = writer.buffer();
 
-  // The brick table, the empty layout and op-class lists, and the id
-  // counters (next node id 11, next brick id 9).
+  // The brick table, the empty layout list, and the id counters (next node
+  // id 11, next brick id 9).
   SnapshotWriter brick_table;
   brick_table.U64(dfs->bricks().size());
   for (const auto& [id, brick] : dfs->bricks()) {
@@ -596,7 +604,6 @@ TEST(SnapshotCorruptionTest, ClusterRecordCorruptionIsRejected) {
     brick_table.Bool(brick.online);
     brick_table.U32(brick.linkfiles);
   }
-  brick_table.U64(0);
   brick_table.U64(0);
   brick_table.U32(11);
   brick_table.U32(9);
@@ -714,11 +721,10 @@ TEST(SnapshotCorruptionTest, ChunkWithTooManyReplicasIsRejected) {
   EXPECT_TRUE(intact->RestoreState(intact_reader).ok());
 }
 
-// The fault history and the cluster's op-class window live in fixed rings of
-// 16 and 8 entries, and the LeoFS ring weights in an id-sorted vector, so
-// restore must refuse a record that lists more entries than the ring holds,
-// four history sequences of unequal length, or weights out of id order,
-// before it stores them.
+// The fault history lives in a fixed ring of 16 entries, and the LeoFS ring
+// weights in an id-sorted vector, so restore must refuse a record that lists
+// more entries than the ring holds, four history sequences of unequal
+// length, or weights out of id order, before it stores them.
 TEST(SnapshotCorruptionTest, HistoryRecordsLongerThanTheirRingsAreRejected) {
   // An injector record with no faults: the four history sequences, then the
   // injector's RNG.
@@ -757,39 +763,6 @@ TEST(SnapshotCorruptionTest, HistoryRecordsLongerThanTheirRingsAreRejected) {
         << status.ToString();
   }
 
-  // A fresh HDFS cluster's record: its class window (empty) sits between
-  // the empty layout table and the id counters (next node id 11, next brick
-  // id 9). Splice in a window of `classes` entries.
-  std::unique_ptr<DfsCluster> hdfs = MakeCluster(Flavor::kHdfs, 1);
-  SnapshotWriter cluster;
-  hdfs->SaveState(cluster);
-  const std::string& bytes = cluster.buffer();
-  SnapshotWriter tail;
-  tail.U64(0);  // layouts
-  tail.U64(0);  // op classes
-  tail.U32(11);
-  tail.U32(9);
-  const size_t tail_at = bytes.find(tail.buffer());
-  ASSERT_NE(tail_at, std::string::npos);
-  ASSERT_EQ(bytes.rfind(tail.buffer()), tail_at);
-  const size_t classes_at = tail_at + 8;
-  auto restore_with_classes = [&](uint64_t classes) {
-    SnapshotWriter window;
-    window.U64(classes);
-    for (uint64_t i = 0; i < classes; ++i) window.U8(static_cast<uint8_t>(i % 4));
-    std::string payload = bytes.substr(0, classes_at) + window.buffer() +
-                          bytes.substr(classes_at + 8);
-    std::unique_ptr<DfsCluster> fresh = MakeCluster(Flavor::kHdfs, 1);
-    SnapshotReader reader(payload);
-    return fresh->RestoreState(reader);
-  };
-  EXPECT_TRUE(restore_with_classes(8).ok());
-  status = restore_with_classes(9);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("operation class window holds 9 entries, more than 8"),
-            std::string::npos)
-      << status.ToString();
-
   // A fresh LeoFS cluster's record ends with its ring weights (a count, then
   // id and weight per brick in id order) and the U32 crash census.
   std::unique_ptr<DfsCluster> leo = MakeCluster(Flavor::kLeo, 1);
@@ -813,6 +786,49 @@ TEST(SnapshotCorruptionTest, HistoryRecordsLongerThanTheirRingsAreRejected) {
   std::unique_ptr<DfsCluster> intact_leo = MakeCluster(Flavor::kLeo, 1);
   SnapshotReader intact_reader(leo_bytes);
   EXPECT_TRUE(intact_leo->RestoreState(intact_reader).ok());
+}
+
+// The cluster stamps each op class with its op count (total_ops_executed) at
+// the class's last op, so restore must refuse a stamp above the count: no op
+// could have issued it.
+TEST(SnapshotCorruptionTest, ClassStampsAboveTheOpCounterAreRejected) {
+  // Five file-class ops: the op counter reads 5, the file class's stamp 5
+  // and the other three classes' 0.
+  std::unique_ptr<DfsCluster> hdfs = MakeCluster(Flavor::kHdfs, 1);
+  for (int i = 0; i < 5; ++i) {
+    Operation mkdir;
+    mkdir.kind = OpKind::kMkdir;
+    mkdir.path = "/d" + std::to_string(i);
+    ASSERT_TRUE(hdfs->Execute(mkdir).status.ok());
+  }
+  SnapshotWriter cluster;
+  hdfs->SaveState(cluster);
+  const std::string& bytes = cluster.buffer();
+  // HDFS writes no flavor record: the op counter and the four stamps sit just
+  // before the U32 crash census that closes the record.
+  SnapshotWriter counters;
+  counters.U64(5);
+  for (uint64_t stamp : {5, 0, 0, 0}) counters.U64(stamp);
+  const size_t counters_at = bytes.size() - 4 - counters.buffer().size();
+  ASSERT_EQ(bytes.substr(counters_at, counters.buffer().size()), counters.buffer());
+  auto restore_with_stamp = [&](size_t op_class, uint64_t stamp) {
+    std::string payload = bytes;
+    SnapshotWriter patch;
+    patch.U64(stamp);
+    payload.replace(counters_at + 8 + 8 * op_class, 8, patch.buffer());
+    std::unique_ptr<DfsCluster> fresh = MakeCluster(Flavor::kHdfs, 1);
+    SnapshotReader reader(payload);
+    return fresh->RestoreState(reader);
+  };
+  EXPECT_TRUE(restore_with_stamp(0, 5).ok()) << "the intact record: a stamp at the counter";
+  for (size_t op_class : {0, 1, 3}) {
+    Status status = restore_with_stamp(op_class, 6);
+    ASSERT_FALSE(status.ok()) << op_class;
+    EXPECT_NE(status.message().find(Sprintf(
+                  "operation class %zu stamped at op 6, after the 5 ops executed", op_class)),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "src/core/strategy_registry.h"
 #include "src/coverage/coverage.h"
 #include "src/dfs/operation.h"
+#include "src/faults/env_fault.h"
 #include "src/faults/fault_registry.h"
 #include "src/faults/injector.h"
 #include "src/harness/campaign.h"
@@ -105,7 +106,8 @@ TEST(SnapshotRoundTripTest, SeedPoolSaveRestoreSaveIsByteStable) {
 TEST(SnapshotRoundTripTest, CoverageBitmapsSurviveExactly) {
   Rng meta(11);
   for (int trial = 0; trial < 10; ++trial) {
-    CoverageRecorder original(4096, meta.NextU64());
+    const uint64_t seed = meta.NextU64();
+    CoverageRecorder original(4096, seed);
     int hits = static_cast<int>(meta.NextRange(0, 500));
     for (int i = 0; i < hits; ++i) {
       CovModule module = static_cast<CovModule>(meta.NextBelow(10));
@@ -118,7 +120,7 @@ TEST(SnapshotRoundTripTest, CoverageBitmapsSurviveExactly) {
     }
     SnapshotWriter first;
     original.SaveState(first);
-    CoverageRecorder restored(4096, 0);
+    CoverageRecorder restored(4096, seed);
     SnapshotReader reader(first.buffer());
     ASSERT_TRUE(restored.RestoreState(reader).ok());
     EXPECT_EQ(original.TotalHits(), restored.TotalHits());
@@ -138,6 +140,94 @@ TEST(SnapshotRoundTripTest, CoverageRejectsWrongBranchSpace) {
   SnapshotReader reader(writer.buffer());
   Status status = smaller.RestoreState(reader);
   ASSERT_FALSE(status.ok());
+}
+
+// A campaign builds its recorder from the flavor's branch space and the
+// campaign seed, and the record holds only the two bitmaps: a recorder built
+// the same way recounts the hits from them, saves the same bytes, and goes on
+// to hash states onto the same branches.
+TEST(SnapshotRoundTripTest, CoverageRestoredUnderTheCampaignSeedIsByteStable) {
+  constexpr uint64_t kCampaignSeed = 1234;
+  CoverageRecorder original(FlavorBranchSpace(Flavor::kGluster), kCampaignSeed);
+  std::unique_ptr<DfsCluster> cluster = MakeCluster(Flavor::kGluster, kCampaignSeed);
+  cluster->set_coverage(&original);
+  Rng rng(kCampaignSeed);
+  InputModel model;
+  model.SyncFromDfs(*cluster);
+  OpSeqGenerator generator(model);
+  for (int i = 0; i < 300; ++i) {
+    Operation op = generator.GenerateOp(rng);
+    model.Observe(op, cluster->Execute(op));
+  }
+  ASSERT_GT(original.StaticHits(), 0u);
+  ASSERT_GT(original.VirtualHits(), 0u);
+  SnapshotWriter first;
+  original.SaveState(first);
+  CoverageRecorder restored(FlavorBranchSpace(Flavor::kGluster), kCampaignSeed);
+  SnapshotReader reader(first.buffer());
+  ASSERT_TRUE(restored.RestoreState(reader).ok());
+  EXPECT_EQ(restored.StaticHits(), original.StaticHits());
+  EXPECT_EQ(restored.VirtualHits(), original.VirtualHits());
+  SnapshotWriter second;
+  restored.SaveState(second);
+  ASSERT_EQ(first.buffer(), second.buffer());
+
+  for (int i = 0; i < 200; ++i) {
+    CovModule module = static_cast<CovModule>(rng.NextBelow(10));
+    uint64_t feature = rng.NextU64();
+    int multiplicity = static_cast<int>(rng.NextRange(1, 16));
+    ASSERT_EQ(original.HitState(module, feature, multiplicity),
+              restored.HitState(module, feature, multiplicity))
+        << "hit " << i;
+  }
+  EXPECT_EQ(restored.TotalHits(), original.TotalHits());
+}
+
+// An injector with every part of its schedule armed (four message-fault
+// rates, a degraded disk, pending restarts) and a used RNG restores to the
+// same bytes, and both go on to rule the same verdicts.
+TEST(SnapshotRoundTripTest, ArmedEnvFaultInjectorSaveRestoreSaveIsByteStable) {
+  std::unique_ptr<DfsCluster> cluster = MakeCluster(Flavor::kHdfs, 5);
+  EnvFaultInjector original(/*seed=*/5);
+  cluster->set_env_faults(&original);
+  std::vector<NodeId> storage = cluster->ListStorageNodes();
+  ASSERT_GE(storage.size(), 3u);
+  auto env_op = [&](OpKind kind, NodeId node, uint64_t size) {
+    Operation op;
+    op.kind = kind;
+    op.node = node;
+    op.size = size;
+    ASSERT_TRUE(cluster->Execute(op).status.ok()) << op.ToString();
+  };
+  env_op(OpKind::kEnvMsgLoss, kInvalidNode, 150);
+  env_op(OpKind::kEnvMsgReorder, kInvalidNode, 80);
+  env_op(OpKind::kEnvMsgDuplicate, kInvalidNode, 60);
+  env_op(OpKind::kEnvMsgCorrupt, kInvalidNode, 42);
+  env_op(OpKind::kEnvSlowDisk, storage[0], 250);
+  env_op(OpKind::kEnvCrashNode, storage[1], 900);
+  env_op(OpKind::kEnvCrashNode, storage[2], 300);
+  env_op(OpKind::kEnvCrashNode, cluster->ListMetaNodes().front(), 600);
+  ASSERT_EQ(original.pending_restarts(), 3u);
+  ASSERT_EQ(original.active_slow_disks(), 1u);
+
+  SnapshotWriter first;
+  original.SaveState(first);
+  EnvFaultInjector restored(/*seed=*/999);  // the record carries the RNG
+  SnapshotReader reader(first.buffer());
+  Status status = restored.RestoreState(reader);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  SnapshotWriter second;
+  restored.SaveState(second);
+  ASSERT_EQ(first.buffer(), second.buffer());
+
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(original.OnMigrationMessage(*cluster, ChunkMove{}),
+              restored.OnMigrationMessage(*cluster, ChunkMove{}))
+        << "message " << i;
+    ASSERT_EQ(original.DropHeartbeat(*cluster, storage[0]),
+              restored.DropHeartbeat(*cluster, storage[0]))
+        << "heartbeat " << i;
+  }
 }
 
 // The fuzzer (schedule state + seed pool), its input model and its RNG,
