@@ -83,11 +83,6 @@ class Rng {
   // and of the order jobs are executed in.
   static uint64_t SplitSeed(uint64_t root_seed, uint64_t stream);
 
-  // Convenience: a generator seeded with SplitSeed(root_seed, stream).
-  static Rng Split(uint64_t root_seed, uint64_t stream) {
-    return Rng(SplitSeed(root_seed, stream));
-  }
-
   // Checkpointing (DESIGN.md §11): the full generator state, the xoshiro
   // word vector, so a restored stream continues exactly where the saved one
   // stopped.

@@ -1,9 +1,9 @@
 #include "src/core/replay.h"
 
-#include <algorithm>
 #include <charconv>
 
 #include "src/common/strings.h"
+#include "src/monitor/load_model.h"
 
 namespace themis {
 
@@ -322,26 +322,11 @@ ReplayOutcome ReplayLog(DfsInterface& dfs, const OpSeq& seq, int repetitions) {
   for (int i = 0; i < 5000 && !dfs.RebalanceDone(); ++i) {
     dfs.AdvanceTime(Seconds(10));
   }
-  for (const LoadSample& sample : dfs.SampleLoad()) {
-    outcome.any_node_crashed |= sample.crashed;
-  }
-  // Storage spread from the samples (hottest node vs weighted fleet).
-  uint64_t used = 0;
-  uint64_t capacity = 0;
-  double max_fraction = 0.0;
-  for (const LoadSample& sample : dfs.SampleLoad()) {
-    if (sample.is_storage && sample.online && !sample.crashed &&
-        sample.capacity_bytes > 0) {
-      used += sample.used_bytes;
-      capacity += sample.capacity_bytes;
-      max_fraction = std::max(max_fraction, static_cast<double>(sample.used_bytes) /
-                                                static_cast<double>(sample.capacity_bytes));
-    }
-  }
-  if (capacity > 0) {
-    double fleet = static_cast<double>(used) / static_cast<double>(capacity);
-    outcome.residual_imbalance = std::max(0.0, max_fraction - fleet);
-  }
+  // The monitor's storage spread (hottest node vs weighted fleet) over one
+  // scan of the samples.
+  LoadVarianceSnapshot load = LoadVarianceModel().Update(dfs.SampleLoad());
+  outcome.residual_imbalance = load.storage_ratio - 1.0;
+  outcome.any_node_crashed = load.any_crashed;
   return outcome;
 }
 

@@ -1,7 +1,5 @@
 #include "src/coverage/model_coverage.h"
 
-#include <algorithm>
-
 namespace themis {
 
 namespace {
@@ -130,9 +128,7 @@ BalancerState BalancerSettleState(Flavor flavor) {
   return MachineFor(flavor).settle;
 }
 
-ModelCoverage::ModelCoverage(Flavor flavor)
-    : flavor_(flavor),
-      pair_counts_(kBalancerStateCount * kBalancerStateCount, 0) {}
+ModelCoverage::ModelCoverage(Flavor flavor) : flavor_(flavor) {}
 
 bool ModelCoverage::Transition(BalancerState to) {
   BalancerState from = current_;
@@ -140,64 +136,50 @@ bool ModelCoverage::Transition(BalancerState to) {
   if (!IsLegalBalancerTransition(flavor_, from, to)) {
     ++illegal_;
   }
-  uint64_t& count = pair_counts_[PairIndex(from, to)];
-  ++count;
-  ++total_;
-  if (count == 1) {
-    ++covered_;
-    return true;
+  size_t index = PairIndex(from, to);
+  if (covered_.test(index)) {
+    return false;
   }
-  return false;
-}
-
-uint64_t ModelCoverage::PairCount(BalancerState from, BalancerState to) const {
-  return pair_counts_[PairIndex(from, to)];
+  covered_.set(index);
+  return true;
 }
 
 std::vector<std::pair<BalancerState, BalancerState>>
 ModelCoverage::CoveredPairs() const {
   std::vector<std::pair<BalancerState, BalancerState>> pairs;
-  pairs.reserve(covered_);
-  for (size_t i = 0; i < pair_counts_.size(); ++i) {
-    if (pair_counts_[i] == 0) {
-      continue;
+  pairs.reserve(covered_.count());
+  for (size_t i = 0; i < covered_.size(); ++i) {
+    if (covered_.test(i)) {
+      pairs.emplace_back(static_cast<BalancerState>(i / kBalancerStateCount),
+                         static_cast<BalancerState>(i % kBalancerStateCount));
     }
-    pairs.emplace_back(static_cast<BalancerState>(i / kBalancerStateCount),
-                       static_cast<BalancerState>(i % kBalancerStateCount));
   }
   return pairs;
 }
 
 void ModelCoverage::Reset() {
   current_ = BalancerState::kIdle;
-  std::fill(pair_counts_.begin(), pair_counts_.end(), 0);
-  covered_ = 0;
-  total_ = 0;
+  covered_.reset();
   illegal_ = 0;
 }
 
 void ModelCoverage::SaveState(SnapshotWriter& writer) const {
   writer.U8(static_cast<uint8_t>(flavor_));
   writer.U8(static_cast<uint8_t>(current_));
-  writer.U64(total_);
   writer.U64(illegal_);
-  writer.U64(covered_);
-  for (size_t i = 0; i < pair_counts_.size(); ++i) {
-    if (pair_counts_[i] == 0) {
-      continue;
-    }
-    writer.U8(static_cast<uint8_t>(i / kBalancerStateCount));
-    writer.U8(static_cast<uint8_t>(i % kBalancerStateCount));
-    writer.U64(pair_counts_[i]);
+  std::vector<std::pair<BalancerState, BalancerState>> pairs = CoveredPairs();
+  writer.U64(pairs.size());
+  for (const auto& [from, to] : pairs) {
+    writer.U8(static_cast<uint8_t>(from));
+    writer.U8(static_cast<uint8_t>(to));
   }
 }
 
 Status ModelCoverage::RestoreState(SnapshotReader& reader) {
   uint8_t flavor = reader.U8();
   uint8_t current = reader.U8();
-  uint64_t total = reader.U64();
   uint64_t illegal = reader.U64();
-  uint64_t covered = reader.U64();
+  uint64_t pair_count = reader.Count(2);
   if (!reader.ok()) {
     return reader.status();
   }
@@ -205,57 +187,35 @@ Status ModelCoverage::RestoreState(SnapshotReader& reader) {
     reader.Fail("model coverage flavor mismatch");
     return reader.status();
   }
-  if (current >= kBalancerStateCount ||
-      !BalancerStateBelongsTo(flavor_, static_cast<BalancerState>(current))) {
+  auto in_machine = [&](uint8_t state) {
+    return state < kBalancerStateCount &&
+           BalancerStateBelongsTo(flavor_, static_cast<BalancerState>(state));
+  };
+  if (!in_machine(current)) {
     reader.Fail("model coverage: unknown balancer state id");
     return reader.status();
   }
-  std::vector<uint64_t> counts(kBalancerStateCount * kBalancerStateCount, 0);
-  if (covered > counts.size()) {
-    reader.Fail("model coverage: transition count overflow");
-    return reader.status();
-  }
-  uint64_t sum = 0;
-  uint64_t distinct = 0;
-  for (uint64_t i = 0; i < covered; ++i) {
+  decltype(covered_) covered;
+  for (uint64_t i = 0; i < pair_count; ++i) {
     uint8_t from = reader.U8();
     uint8_t to = reader.U8();
-    uint64_t count = reader.U64();
     if (!reader.ok()) {
       return reader.status();
     }
-    if (from >= kBalancerStateCount || to >= kBalancerStateCount ||
-        !BalancerStateBelongsTo(flavor_, static_cast<BalancerState>(from)) ||
-        !BalancerStateBelongsTo(flavor_, static_cast<BalancerState>(to))) {
+    if (!in_machine(from) || !in_machine(to)) {
       reader.Fail("model coverage: unknown balancer state id");
       return reader.status();
     }
-    if (count == 0) {
-      reader.Fail("model coverage: empty transition pair");
-      return reader.status();
-    }
-    size_t index = static_cast<size_t>(from) * kBalancerStateCount + to;
-    if (counts[index] != 0) {
+    size_t index = PairIndex(static_cast<BalancerState>(from), static_cast<BalancerState>(to));
+    if (covered.test(index)) {
       reader.Fail("model coverage: duplicate transition pair");
       return reader.status();
     }
-    counts[index] = count;
-    ++distinct;
-    if (sum + count < sum) {
-      reader.Fail("model coverage: transition count overflow");
-      return reader.status();
-    }
-    sum += count;
-  }
-  if (sum != total || distinct != covered) {
-    reader.Fail("model coverage: transition count overflow");
-    return reader.status();
+    covered.set(index);
   }
   current_ = static_cast<BalancerState>(current);
-  total_ = total;
   illegal_ = illegal;
-  covered_ = static_cast<size_t>(covered);
-  pair_counts_ = std::move(counts);
+  covered_ = covered;
   return Status::Ok();
 }
 

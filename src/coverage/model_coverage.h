@@ -19,12 +19,13 @@
 // settle. The existing rebalance paths emit transition events; this class
 // records distinct (from, to) pairs as coverage, checks each event against
 // the declared machine (the differential oracle in model_coverage_test
-// asserts zero illegal transitions), and serializes into the v6 snapshot
-// record so checkpoint/resume stays bit-exact.
+// asserts zero illegal transitions), and serializes the covered pairs into
+// its snapshot record so checkpoint/resume stays bit-exact.
 
 #ifndef SRC_COVERAGE_MODEL_COVERAGE_H_
 #define SRC_COVERAGE_MODEL_COVERAGE_H_
 
+#include <bitset>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -88,7 +89,7 @@ BalancerState BalancerSettleState(Flavor flavor);
 // instance per campaign job, like CoverageRecorder). Recording draws no
 // RNG and never feeds CampaignResult::Digest(), so attaching a recorder
 // leaves campaign behavior bit-identical; only the (opt-in) fitness blend
-// in ThemisFuzzer reads the counters.
+// in ThemisFuzzer reads the coverage.
 class ModelCoverage {
  public:
   explicit ModelCoverage(Flavor flavor);
@@ -107,12 +108,8 @@ class ModelCoverage {
   void ForceIdle() { current_ = BalancerState::kIdle; }
 
   // Distinct (from, to) pairs seen. Monotone within a campaign.
-  size_t TransitionsCovered() const { return covered_; }
-  // Total transition events (>= TransitionsCovered()).
-  uint64_t TotalTransitions() const { return total_; }
+  size_t TransitionsCovered() const { return covered_.count(); }
   uint64_t illegal_transitions() const { return illegal_; }
-
-  uint64_t PairCount(BalancerState from, BalancerState to) const;
 
   // The covered (from, to) pairs in ascending (from, to) order (the form
   // CampaignResult::transition_pairs carries).
@@ -120,10 +117,10 @@ class ModelCoverage {
 
   void Reset();
 
-  // Checkpointing (DESIGN.md §16): flavor, current state, event totals and
-  // the sparse (from, to, count) table. Restore fails on a flavor
-  // mismatch, a state id outside the flavor's machine, or pair counts
-  // that overflow / disagree with the stored total.
+  // Checkpointing (DESIGN.md §16): flavor, current state, the illegal count
+  // and the covered (from, to) pairs in ascending order. Restore fails on a
+  // flavor mismatch, a state id outside the flavor's machine, or a pair
+  // listed twice.
   void SaveState(SnapshotWriter& writer) const;
   Status RestoreState(SnapshotReader& reader);
 
@@ -135,9 +132,7 @@ class ModelCoverage {
 
   Flavor flavor_;
   BalancerState current_ = BalancerState::kIdle;
-  std::vector<uint64_t> pair_counts_;  // kCount x kCount, row = from
-  size_t covered_ = 0;
-  uint64_t total_ = 0;
+  std::bitset<kBalancerStateCount * kBalancerStateCount> covered_;  // row = from
   uint64_t illegal_ = 0;
 };
 

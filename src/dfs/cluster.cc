@@ -37,6 +37,16 @@ constexpr uint64_t kMigrationBandwidthPerS = 1536 * kMiB;
 
 uint64_t IoCount(uint64_t bytes) { return 1 + bytes / kBytesPerIo; }
 
+// Stripe-sized chunks that hold `bytes`, counted without overflow.
+uint64_t ChunksFor(uint64_t bytes) { return bytes / kChunkSize + (bytes % kChunkSize != 0); }
+
+// How many of `chunks` chunks of `chunk_bytes` to reserve room for: no more
+// than `fleet_cap` bytes of serving bricks could hold, so a request far
+// beyond capacity fails in placement (OutOfSpace), not in the allocator.
+size_t ChunkReservation(uint64_t chunks, uint64_t chunk_bytes, uint64_t fleet_cap) {
+  return static_cast<size_t>(std::min(chunks, fleet_cap / std::max<uint64_t>(chunk_bytes, 1) + 1));
+}
+
 }  // namespace
 
 DfsCluster::DfsCluster(ClusterConfig config, Flavor flavor, std::string cluster_name)
@@ -759,14 +769,14 @@ void DfsCluster::AdvanceTime(SimDuration delta) {
 
 Result<FileLayout> DfsCluster::PlaceFile(const std::string& path, uint64_t size) {
   FileLayout layout;
-  layout.size = size;
   uint64_t remaining = size;
   // Every chunk stays within the stripe unit so the balancer can migrate at
-  // chunk granularity.
-  uint32_t chunk_count =
-      size == 0 ? 1 : static_cast<uint32_t>((size + kChunkSize - 1) / kChunkSize);
+  // chunk granularity. Each placed chunk fills a serving brick by at least
+  // half a stripe, so placement runs out of space long before the index
+  // outgrows 32 bits.
+  uint64_t chunk_count = size == 0 ? 1 : ChunksFor(size);
   uint64_t per_chunk = size / chunk_count;
-  layout.chunks.reserve(chunk_count);
+  layout.chunks.reserve(ChunkReservation(chunk_count, per_chunk, TotalCapacityBytes()));
   for (uint32_t i = 0; i < chunk_count; ++i) {
     uint64_t bytes = (i + 1 == chunk_count) ? remaining : per_chunk;
     remaining -= bytes;
@@ -887,7 +897,7 @@ OpResult DfsCluster::DoCreate(const Operation& op) {
     result.status = placed.status();
     return result;
   }
-  Result<FileId> created = tree_.CreateFile(rid, op.size);
+  Result<FileId> created = tree_.CreateFile(rid);
   if (!created.ok()) {
     ReleaseLayout(0, *placed);  // not yet indexed; brick bytes roll back only
     result.status = created.status();
@@ -930,7 +940,8 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
   }
   FileLayout& layout = layouts_[*id];
   uint64_t bytes = op.size;
-  result.status = AdmitFileSize(layout.size + bytes);
+  // A sum past 2^64 saturates, so it cannot wrap under the EFBIG cap.
+  result.status = AdmitFileSize(std::min(layout.Size(), UINT64_MAX - bytes) + bytes);
   if (!result.status.ok()) {
     return result;
   }
@@ -955,8 +966,6 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
                 {.write_ios = IoCount(bytes),
                  .cpu_seconds = kStorageCpuPerGiB * static_cast<double>(bytes) / kGiB});
       }
-      layout.size += bytes;
-      result.status = tree_.SetFileSize(rid, layout.size);
       result.cost = TransferCost(bytes * kReplication);
       return result;
     }
@@ -965,8 +974,10 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
   // vector's geometric growth across appends.
   uint64_t remaining = bytes;
   uint64_t appended = 0;
-  layout.chunks.reserve(std::max(layout.chunks.size() + (bytes + kChunkSize - 1) / kChunkSize,
-                                 2 * layout.chunks.size()));
+  layout.chunks.reserve(
+      std::max(layout.chunks.size() +
+                   ChunkReservation(ChunksFor(bytes), kChunkSize, TotalCapacityBytes()),
+               2 * layout.chunks.size()));
   while (remaining > 0) {
     uint64_t piece = std::min(remaining, kChunkSize);
     ReplicaSet replicas = PlaceChunk(
@@ -985,15 +996,11 @@ OpResult DfsCluster::DoAppend(const Operation& op) {
                .cpu_seconds = kStorageCpuPerGiB * static_cast<double>(piece) / kGiB});
     }
     layout.chunks.push_back(ChunkPlacement{.bytes = piece, .replicas = replicas});
-    layout.size += piece;
     appended += piece;
     remaining -= piece;
   }
-  result.status = appended == bytes
-                      ? tree_.SetFileSize(rid, layout.size)
-                      : Status::OutOfSpace("append: no placement");
-  if (appended > 0 && !result.status.ok()) {
-    (void)tree_.SetFileSize(rid, layout.size);
+  if (appended != bytes) {
+    result.status = Status::OutOfSpace("append: no placement");
   }
   result.cost = TransferCost(std::min<uint64_t>(appended, kChunkSize) * kReplication);
   return result;
@@ -1018,12 +1025,10 @@ OpResult DfsCluster::DoOverwrite(const Operation& op, bool truncate_first) {
     ReleaseLayout(*id, layout_it->second);
     layouts_.erase(layout_it);
   }
-  uint64_t new_size = op.size;
-  Result<FileLayout> placed = PlaceFile(NormalizedOpPath(op), new_size);
+  Result<FileLayout> placed = PlaceFile(NormalizedOpPath(op), op.size);
   if (!placed.ok()) {
     // The file now exists with no data (the truncate landed, the write
     // failed) — exactly what happens on a full real system.
-    (void)tree_.SetFileSize(rid, 0);
     layouts_[*id] = FileLayout{};
     result.status = placed.status();
     return result;
@@ -1031,7 +1036,6 @@ OpResult DfsCluster::DoOverwrite(const Operation& op, bool truncate_first) {
   layouts_[*id] = placed.take();
   IndexLayout(*id, layouts_[*id]);
   ChargeLayoutIo(layouts_[*id], /*is_write=*/true);
-  result.status = tree_.SetFileSize(rid, new_size);
   result.cost = ParallelTransferCost(layouts_[*id]);
   return result;
 }
@@ -1047,7 +1051,7 @@ OpResult DfsCluster::DoOpen(const Operation& op) {
   auto layout_it = layouts_.find(*id);
   if (layout_it != layouts_.end()) {
     ChargeLayoutIo(layout_it->second, /*is_write=*/false);
-    result.cost = TransferCost(layout_it->second.size) / 2;  // read path is lighter
+    result.cost = TransferCost(layout_it->second.Size()) / 2;  // read path is lighter
   }
   result.status = Status::Ok();
   return result;
@@ -1925,8 +1929,6 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
     writer.U32(id);
     writer.Bool(node.online);
     writer.Bool(node.crashed);
-    writer.U64(node.bricks.size());
-    for (BrickId brick : node.bricks) writer.U32(brick);
     SaveLoadCounters(writer, node.load);
   }
   writer.U64(bricks_.size());
@@ -1941,7 +1943,6 @@ void DfsCluster::SaveState(SnapshotWriter& writer) const {
   writer.U64(layouts_.size());
   for (const auto& [file, layout] : layouts_) {
     writer.U64(file);
-    writer.U64(layout.size);
     writer.U64(layout.chunks.size());
     for (const ChunkPlacement& chunk : layout.chunks) {
       writer.U64(chunk.bytes);
@@ -1987,8 +1988,7 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
 
   meta_nodes_.clear();
   meta_node_index_.clear();
-  // Record floors: a meta node is its id, two flags and 32 bytes of load
-  // counters; a storage node adds its brick count.
+  // Record floor: a node is its id, two flags and 32 bytes of load counters.
   uint64_t meta_count = reader.Count(4 + 2 + 32);
   for (uint64_t i = 0; i < meta_count && reader.ok(); ++i) {
     MetaNode node;
@@ -2000,17 +2000,12 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
   }
   storage_nodes_.clear();
   storage_node_index_.clear();
-  uint64_t storage_count = reader.Count(4 + 2 + 8 + 32);
+  uint64_t storage_count = reader.Count(4 + 2 + 32);
   for (uint64_t i = 0; i < storage_count && reader.ok(); ++i) {
     StorageNode node;
     node.id = reader.U32();
     node.online = reader.Bool();
     node.crashed = reader.Bool();
-    uint64_t brick_count = reader.Count(4);
-    node.bricks.reserve(static_cast<size_t>(brick_count));
-    for (uint64_t b = 0; b < brick_count && reader.ok(); ++b) {
-      node.bricks.push_back(reader.U32());
-    }
     RestoreLoadCounters(reader, &node.load);
     storage_nodes_[node.id] = std::move(node);
   }
@@ -2033,11 +2028,10 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
     bricks_[brick.id] = brick;
   }
   layouts_.clear();
-  uint64_t layout_count = reader.Count(8 + 8 + 8);
+  uint64_t layout_count = reader.Count(8 + 8);
   for (uint64_t i = 0; i < layout_count && reader.ok(); ++i) {
     FileId file = reader.U64();
     FileLayout layout;
-    layout.size = reader.U64();
     uint64_t chunk_count = reader.Count(8 + 8);
     layout.chunks.resize(static_cast<size_t>(chunk_count));
     for (uint32_t c = 0; c < layout.chunks.size(); ++c) {
@@ -2068,6 +2062,16 @@ Status DfsCluster::RestoreState(SnapshotReader& reader) {
     if (Status ids = CheckRestoredIds(); !ids.ok()) {
       reader.Fail(ids.message());
       return reader.status();
+    }
+    // A node's brick list is derived: its bricks, in id order.
+    for (const auto& [id, brick] : bricks_) {
+      auto owner = storage_nodes_.find(brick.node);
+      if (owner == storage_nodes_.end()) {
+        reader.Fail(
+            Sprintf("brick %u names node %u, which is not a storage node", id, brick.node));
+        return reader.status();
+      }
+      owner->second.bricks.push_back(id);
     }
   }
 

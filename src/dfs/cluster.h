@@ -254,10 +254,6 @@ struct ClusterConfig {
   int min_storage_nodes = 4;
   int max_storage_nodes = 16;
   uint64_t rng_seed = 1;
-  // ---- GeoFS geotag topology (0 everywhere else) ----
-  int geo_sites = 0;           // sites in the geotag tree
-  int geo_racks_per_site = 0;  // racks under each site
-  int geo_group_size = 0;      // scheduling-group capacity, in nodes
 };
 
 class DfsCluster : public DfsInterface {
@@ -424,12 +420,12 @@ class DfsCluster : public DfsInterface {
   // Serializes the full mutable simulator state: clock, RNG, namespace,
   // topology maps, layouts, migration queue, balancer/rebalance counters,
   // the flavor's own state (via SaveFlavorState) and, last, the balancer
-  // crash census. Derived state (replica index, load index, class-window
-  // counters, the serving meta and crashed node lists) is rebuilt on
-  // restore, never serialized. Restore refuses ids
-  // the id counters could not have issued and runs AuditCluster before the
-  // flavor state; it must be called on a freshly constructed cluster with
-  // the same ClusterConfig and flavor.
+  // crash census. Derived state (replica index, load index, each storage
+  // node's brick list, the serving meta and crashed node lists) is rebuilt
+  // on restore, never serialized. Restore refuses ids the id counters could
+  // not have issued and a brick whose node is not a storage node, and runs
+  // AuditCluster before the flavor state; it must be called on a freshly
+  // constructed cluster with the same ClusterConfig and flavor.
   void SaveState(SnapshotWriter& writer) const;
   Status RestoreState(SnapshotReader& reader);
 

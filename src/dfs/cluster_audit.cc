@@ -71,6 +71,23 @@ Status CheckMembership(const DfsCluster& dfs) {
   return Status::Ok();
 }
 
+// File existence lives in both the namespace and the layout table: each
+// layout's file must be a namespace file with its id, and the counts match.
+Status CheckFiles(const DfsCluster& dfs) {
+  const NamespaceTree& tree = dfs.tree();
+  for (const auto& [file, layout] : dfs.file_layouts()) {
+    const NamespaceEntry* entry = tree.Find(tree.PathOf(file));
+    if (entry == nullptr || entry->is_dir || entry->file_id != file) {
+      return Status::Internal(Sprintf("file %llu has a layout but no namespace entry", U(file)));
+    }
+  }
+  if (tree.file_count() != dfs.file_layouts().size()) {
+    return Status::Internal(Sprintf("the namespace holds %zu files, the layout table %zu",
+                                    tree.file_count(), dfs.file_layouts().size()));
+  }
+  return Status::Ok();
+}
+
 // Replica validity, byte conservation and the replica index, in one pass
 // over the layouts.
 Status CheckReplicasAndBytes(const DfsCluster& dfs) {
@@ -245,6 +262,9 @@ Status CheckLoadIndex(const DfsCluster& dfs) {
 
 Status AuditCluster(const DfsCluster& dfs) {
   Status status = CheckMembership(dfs);
+  if (status.ok()) {
+    status = CheckFiles(dfs);
+  }
   if (status.ok()) {
     status = CheckReplicasAndBytes(dfs);
   }

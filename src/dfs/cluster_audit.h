@@ -6,6 +6,7 @@
 //   - membership: every brick's owner is a storage node that lists it, every
 //     listed brick exists and names that node, and no id is both a meta node
 //     and a storage node;
+//   - files: the namespace and the layout table name the same files;
 //   - replicas: every chunk replica is a known brick, listed once per chunk;
 //   - bytes: each brick's used_bytes equals the bytes of the chunk replicas
 //     on it plus its linkfiles;

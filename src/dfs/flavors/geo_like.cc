@@ -29,12 +29,6 @@ ClusterConfig GeoLikeCluster::DefaultConfig() {
   ClusterConfig config;
   config.native_threshold = 0.10;
   config.balancer_period = Minutes(5);
-  // Production-scale defaults: three sites, four racks each, scheduling
-  // groups of 16 nodes. Campaigns raise initial_storage_nodes to 1k-10k;
-  // the geotag tree and group count scale with it automatically.
-  config.geo_sites = 3;
-  config.geo_racks_per_site = 4;
-  config.geo_group_size = 16;
   // EFBIG admission cap (32 chunks at the 2 GiB stripe unit). EOS-style
   // production deployments enforce one; without it a boundary
   // "write-the-free-space" op on a petabyte fleet costs O(fleet capacity)
@@ -48,9 +42,7 @@ ClusterConfig GeoLikeCluster::DefaultConfig() {
 
 GeoLikeCluster::GeoLikeCluster(ClusterConfig config)
     : DfsCluster(config, Flavor::kGeo, "geo-like"),
-      engine_(config.geo_sites > 0 ? config.geo_sites : 3,
-              config.geo_racks_per_site > 0 ? config.geo_racks_per_site : 4,
-              config.geo_group_size > 0 ? config.geo_group_size : 16) {
+      engine_(kSites, kRacksPerSite, kGroupSize) {
   BuildInitialTopology();
 }
 

@@ -26,6 +26,13 @@ class GeoLikeCluster : public DfsCluster {
 
   static ClusterConfig DefaultConfig();
 
+  // The geotag tree's shape: three sites of four racks each, and scheduling
+  // groups of 16 nodes. Campaigns raise initial_storage_nodes to 1k-10k;
+  // the tree and the group count scale with it.
+  static constexpr int kSites = 3;
+  static constexpr int kRacksPerSite = 4;
+  static constexpr int kGroupSize = 16;
+
   const GeoTreeEngine& engine() const { return engine_; }
   // Utilization (used, capacity) per site over serving nodes — the view the
   // site-failover stage levels. Index = site id.

@@ -62,8 +62,14 @@ struct ChunkPlacement {
 };
 
 struct FileLayout {
-  uint64_t size = 0;
   std::vector<ChunkPlacement> chunks;
+
+  // The file's size: its chunks hold all of its bytes.
+  uint64_t Size() const {
+    uint64_t size = 0;
+    for (const ChunkPlacement& chunk : chunks) size += chunk.bytes;
+    return size;
+  }
 };
 
 // Why a chunk move was scheduled — faults discriminate on this.

@@ -17,9 +17,6 @@ void NamespaceTree::Clear() {
   states_.clear();
   id_to_path_.clear();
   next_file_id_ = 1;
-  file_count_ = 0;
-  dir_count_ = 0;
-  total_bytes_ = 0;
   EnsureStates();
   states_[kRootPathId].present = true;
   states_[kRootPathId].entry = NamespaceEntry{.is_dir = true};
@@ -98,7 +95,6 @@ Status NamespaceTree::MakeDir(PathId id) {
   s.present = true;
   s.entry = NamespaceEntry{.is_dir = true};
   LinkChild(id);
-  ++dir_count_;
   return Status::Ok();
 }
 
@@ -116,11 +112,10 @@ Status NamespaceTree::RemoveDir(PathId id) {
   }
   UnlinkChild(id);
   s.present = false;
-  --dir_count_;
   return Status::Ok();
 }
 
-Result<FileId> NamespaceTree::CreateFile(PathId id, uint64_t size) {
+Result<FileId> NamespaceTree::CreateFile(PathId id) {
   if (id == kRootPathId) {
     return Status::InvalidArgument("cannot create file at root path");
   }
@@ -135,11 +130,9 @@ Result<FileId> NamespaceTree::CreateFile(PathId id, uint64_t size) {
   }
   FileId file_id = next_file_id_++;
   s.present = true;
-  s.entry = NamespaceEntry{.is_dir = false, .file_id = file_id, .size = size};
+  s.entry = NamespaceEntry{.is_dir = false, .file_id = file_id};
   LinkChild(id);
   id_to_path_[file_id] = id;
-  ++file_count_;
-  total_bytes_ += size;
   return file_id;
 }
 
@@ -148,22 +141,9 @@ Status NamespaceTree::RemoveFile(PathId id) {
   if (!s.present || s.entry.is_dir) {
     return Status::NotFound(table_.PathString(id));
   }
-  total_bytes_ -= s.entry.size;
   id_to_path_.erase(s.entry.file_id);
   UnlinkChild(id);
   s.present = false;
-  --file_count_;
-  return Status::Ok();
-}
-
-Status NamespaceTree::SetFileSize(PathId id, uint64_t size) {
-  NodeState& s = states_[id];
-  if (!s.present || s.entry.is_dir) {
-    return Status::NotFound(table_.PathString(id));
-  }
-  total_bytes_ -= s.entry.size;
-  s.entry.size = size;
-  total_bytes_ += size;
   return Status::Ok();
 }
 
@@ -253,22 +233,16 @@ Status NamespaceTree::RemoveDir(std::string_view path) {
   return RemoveDir(id);
 }
 
-Result<FileId> NamespaceTree::CreateFile(std::string_view path, uint64_t size) {
+Result<FileId> NamespaceTree::CreateFile(std::string_view path) {
   PathId id = table_.Intern(path);
   EnsureStates();
-  return CreateFile(id, size);
+  return CreateFile(id);
 }
 
 Status NamespaceTree::RemoveFile(std::string_view path) {
   PathId id = table_.Intern(path);
   EnsureStates();
   return RemoveFile(id);
-}
-
-Status NamespaceTree::SetFileSize(std::string_view path, uint64_t size) {
-  PathId id = table_.Intern(path);
-  EnsureStates();
-  return SetFileSize(id, size);
 }
 
 Status NamespaceTree::Rename(std::string_view from, std::string_view to) {
@@ -303,7 +277,7 @@ Result<FileId> NamespaceTree::FileIdOf(std::string_view path) const {
 
 std::vector<std::string> NamespaceTree::ListFiles() const {
   std::vector<std::string> out;
-  out.reserve(file_count_);
+  out.reserve(file_count());
   for (PathId id = 0; id < states_.size(); ++id) {
     if (states_[id].present && !states_[id].entry.is_dir) {
       out.push_back(table_.PathString(id));
@@ -320,7 +294,6 @@ std::string NamespaceTree::PathOf(FileId id) const {
 
 void NamespaceTree::SaveState(SnapshotWriter& writer) const {
   std::vector<std::pair<std::string, const NamespaceEntry*>> rows;
-  rows.reserve(file_count_ + dir_count_ + 1);
   for (PathId id = 0; id < states_.size(); ++id) {
     if (states_[id].present) {
       rows.emplace_back(table_.PathString(id), &states_[id].entry);
@@ -333,35 +306,29 @@ void NamespaceTree::SaveState(SnapshotWriter& writer) const {
     writer.Str(path);
     writer.Bool(entry->is_dir);
     writer.U64(entry->file_id);
-    writer.U64(entry->size);
   }
   writer.U64(next_file_id_);
 }
 
 Status NamespaceTree::RestoreState(SnapshotReader& reader) {
-  uint64_t count = reader.Count(8 + 1 + 8 + 8);
+  uint64_t count = reader.Count(8 + 1 + 8);
   table_.Reset();
   states_.clear();
   id_to_path_.clear();
-  file_count_ = 0;
-  dir_count_ = 0;
-  total_bytes_ = 0;
   EnsureStates();
   for (uint64_t i = 0; i < count && reader.ok(); ++i) {
     std::string path = reader.Str();
     NamespaceEntry entry;
     entry.is_dir = reader.Bool();
     entry.file_id = reader.U64();
-    entry.size = reader.U64();
     if (!reader.ok()) break;
     PathId id = table_.Intern(path);
     EnsureStates();
-    if (entry.is_dir) {
-      if (id != kRootPathId) ++dir_count_;
-    } else {
-      ++file_count_;
-      total_bytes_ += entry.size;
-      id_to_path_[entry.file_id] = id;
+    // The id map is the file count, so a repeated id would shrink it.
+    if (!entry.is_dir && !id_to_path_.emplace(entry.file_id, id).second) {
+      reader.Fail(Sprintf("namespace lists file id %llu twice",
+                          static_cast<unsigned long long>(entry.file_id)));
+      break;
     }
     NodeState& s = states_[id];
     bool was_present = s.present;
@@ -375,6 +342,13 @@ Status NamespaceTree::RestoreState(SnapshotReader& reader) {
   if (reader.ok() &&
       (states_.empty() || !states_[kRootPathId].present)) {
     reader.Fail("namespace snapshot has no root directory entry");
+  }
+  for (const auto& [file, id] : id_to_path_) {
+    if (reader.ok() && file >= next_file_id_) {
+      reader.Fail(Sprintf("file id %llu at or above the file id counter %llu",
+                          static_cast<unsigned long long>(file),
+                          static_cast<unsigned long long>(next_file_id_)));
+    }
   }
   return reader.status();
 }

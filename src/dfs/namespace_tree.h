@@ -1,5 +1,6 @@
 // The cluster-side file namespace: a directory tree mapping normalized paths
-// to files (with ids and sizes) and directories. This is the authoritative
+// to files (by id) and directories. A file's size is its layout's
+// (DfsCluster::file_layouts()), never stored here. This is the authoritative
 // namespace; Themis keeps its own black-box model (core/input_model.h) that
 // may drift, as it would against a real deployment.
 //
@@ -30,8 +31,7 @@ namespace themis {
 
 struct NamespaceEntry {
   bool is_dir = false;
-  FileId file_id = 0;   // valid when !is_dir
-  uint64_t size = 0;    // file logical size
+  FileId file_id = 0;  // valid when !is_dir
 };
 
 class NamespaceTree {
@@ -44,9 +44,8 @@ class NamespaceTree {
   Status RemoveDir(std::string_view path);
 
   // File operations.
-  Result<FileId> CreateFile(std::string_view path, uint64_t size);
+  Result<FileId> CreateFile(std::string_view path);
   Status RemoveFile(std::string_view path);
-  Status SetFileSize(std::string_view path, uint64_t size);
   // Renames a file or an entire directory subtree. Destination parent must
   // exist and destination must not exist.
   Status Rename(std::string_view from, std::string_view to);
@@ -60,9 +59,8 @@ class NamespaceTree {
   // ---- id-keyed API (the per-op hot path: resolve once, then integer ops)
   Status MakeDir(PathId id);
   Status RemoveDir(PathId id);
-  Result<FileId> CreateFile(PathId id, uint64_t size);
+  Result<FileId> CreateFile(PathId id);
   Status RemoveFile(PathId id);
-  Status SetFileSize(PathId id, uint64_t size);
   Status Rename(PathId src, PathId dst);
   const NamespaceEntry* Find(PathId id) const;
   Result<FileId> FileIdOf(PathId id) const;
@@ -83,9 +81,7 @@ class NamespaceTree {
   PathId ResolveOpPath(const Operation& op);
   PathId ResolveOpPath2(const Operation& op);
 
-  size_t file_count() const { return file_count_; }
-  size_t dir_count() const { return dir_count_; }
-  uint64_t total_bytes() const { return total_bytes_; }
+  size_t file_count() const { return id_to_path_.size(); }
 
   // Enumerates all file paths in lexicographic order (test / detector
   // helpers; O(n log n)).
@@ -98,8 +94,9 @@ class NamespaceTree {
 
   // Checkpointing (DESIGN.md §11): live entries in lexicographic path order
   // (the same wire image the std::map representation produced) plus the id
-  // allocator; the interner, children lists and counters are rebuilt on
-  // restore.
+  // allocator; the interner, children lists and id map are rebuilt on
+  // restore, which refuses a file id listed twice or one the allocator could
+  // not have issued.
   void SaveState(SnapshotWriter& writer) const;
   Status RestoreState(SnapshotReader& reader);
 
@@ -130,11 +127,8 @@ class NamespaceTree {
 
   PathTable table_;
   std::vector<NodeState> states_;  // index == PathId; grows with the table
-  std::unordered_map<FileId, PathId> id_to_path_;
+  std::unordered_map<FileId, PathId> id_to_path_;  // one entry per live file
   FileId next_file_id_ = 1;
-  size_t file_count_ = 0;
-  size_t dir_count_ = 0;       // excludes root
-  uint64_t total_bytes_ = 0;
 };
 
 }  // namespace themis

@@ -10,7 +10,6 @@ namespace themis {
 
 using NodeId = uint32_t;
 using BrickId = uint32_t;
-using VolumeId = uint32_t;
 using FileId = uint64_t;
 // Interned normalized path (see dfs/path_table.h). Ids are dense indexes
 // into one PathTable instance; id 0 is always the root directory "/".
@@ -18,7 +17,6 @@ using PathId = uint32_t;
 
 constexpr NodeId kInvalidNode = 0xffffffffu;
 constexpr BrickId kInvalidBrick = 0xffffffffu;
-constexpr VolumeId kInvalidVolume = 0xffffffffu;
 constexpr PathId kRootPathId = 0;
 constexpr PathId kInvalidPathId = 0xffffffffu;
 

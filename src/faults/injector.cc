@@ -470,16 +470,16 @@ void FaultInjector::SaveState(SnapshotWriter& writer) const {
     writer.I64(fault.variance_streak);
     writer.U64(fault.satisfied_evals);
   }
-  // The history as four oldest-first sequences of one field each.
+  // The history, oldest first: each op's kind, rounds, imbalance and
+  // whether it touched the hottest brick.
   const size_t ops = history_.size();
   writer.U64(ops);
-  for (size_t i = 0; i < ops; ++i) writer.U8(static_cast<uint8_t>(history_[i].kind));
-  writer.U64(ops);
-  for (size_t i = 0; i < ops; ++i) writer.I64(history_[i].rounds);
-  writer.U64(ops);
-  for (size_t i = 0; i < ops; ++i) writer.F64(history_[i].imbalance);
-  writer.U64(ops);
-  for (size_t i = 0; i < ops; ++i) writer.Bool(((hot_touches_ >> (ops - 1 - i)) & 1u) != 0);
+  for (size_t i = 0; i < ops; ++i) {
+    writer.U8(static_cast<uint8_t>(history_[i].kind));
+    writer.I64(history_[i].rounds);
+    writer.F64(history_[i].imbalance);
+    writer.Bool(((hot_touches_ >> (ops - 1 - i)) & 1u) != 0);
+  }
   rng_.SaveState(writer);
 }
 
@@ -508,47 +508,26 @@ Status FaultInjector::RestoreState(SnapshotReader& reader) {
     fault.satisfied_evals = reader.U64();
     fault.futile_epoch = FaultRuntime::kNoEpoch;
   }
-  // The history: four oldest-first sequences, one per field, which must
-  // share one length of at most kHistoryLimit.
+  // The history, at most kHistoryLimit entries; replaying it re-stamps it.
   history_.clear();
-  std::array<HistoryEntry, kHistoryLimit> entries;
-  std::array<bool, kHistoryLimit> hot_touches{};
-  uint64_t ops = reader.Count(1);
+  uint64_t ops = reader.Count(1 + 8 + 8 + 1);
   if (reader.ok() && ops > kHistoryLimit) {
     reader.Fail(Sprintf("fault history holds %llu ops, more than %zu",
                         static_cast<unsigned long long>(ops), kHistoryLimit));
   }
   for (uint64_t i = 0; i < ops && reader.ok(); ++i) {
     uint8_t op = reader.U8();
+    HistoryEntry entry;
+    entry.rounds = static_cast<int>(reader.I64());
+    entry.imbalance = reader.F64();
+    bool hot_touch = reader.Bool();
     if (reader.ok() && op >= kTotalOpKindCount) {
       reader.Fail(Sprintf("history op kind %u out of range", op));
-      break;
     }
-    entries[i].kind = static_cast<OpKind>(op);
-  }
-  auto field_count = [&](size_t elem_bytes) -> uint64_t {
-    uint64_t length = reader.Count(elem_bytes);
-    if (reader.ok() && length != ops) {
-      reader.Fail("fault history windows disagree in length");
-    }
-    return reader.ok() ? length : 0;
-  };
-  uint64_t rounds = field_count(8);
-  for (uint64_t i = 0; i < rounds && reader.ok(); ++i) {
-    entries[i].rounds = static_cast<int>(reader.I64());
-  }
-  uint64_t imbalances = field_count(8);
-  for (uint64_t i = 0; i < imbalances && reader.ok(); ++i) {
-    entries[i].imbalance = reader.F64();
-  }
-  uint64_t hots = field_count(1);
-  for (uint64_t i = 0; i < hots && reader.ok(); ++i) {
-    hot_touches[i] = reader.Bool();
-  }
-  // Replaying the history re-stamps it.
-  for (uint64_t i = 0; i < ops && reader.ok(); ++i) {
-    history_.push_back(entries[i]);
-    StampOp(entries[i].kind, hot_touches[i]);
+    if (!reader.ok()) break;
+    entry.kind = static_cast<OpKind>(op);
+    history_.push_back(entry);
+    StampOp(entry.kind, hot_touch);
   }
   Status status = rng_.RestoreState(reader);
   if (!status.ok()) return status;

@@ -417,7 +417,6 @@ void SaveCampaignResult(SnapshotWriter& writer, const CampaignResult& result) {
   }
   writer.I64(result.false_positives);
   writer.U64(result.final_coverage);
-  writer.U64(result.transition_coverage);
   writer.U64(result.transition_pairs.size());
   for (const auto& [from, to] : result.transition_pairs) {
     writer.U8(from);
@@ -457,12 +456,9 @@ Status RestoreCampaignResult(SnapshotReader& reader, CampaignResult* result) {
   }
   result->false_positives = static_cast<int>(reader.I64());
   result->final_coverage = reader.U64();
-  result->transition_coverage = reader.U64();
+  // The coverage is the pair list's length.
   uint64_t pair_count = reader.Count(2);
-  if (reader.ok() && pair_count != result->transition_coverage) {
-    reader.Fail("campaign result transition pair list disagrees with count");
-    return reader.status();
-  }
+  result->transition_coverage = static_cast<size_t>(pair_count);
   result->transition_pairs.clear();
   result->transition_pairs.reserve(pair_count);
   for (uint64_t i = 0; i < pair_count && reader.ok(); ++i) {

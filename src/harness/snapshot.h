@@ -35,7 +35,7 @@
 
 namespace themis {
 
-inline constexpr uint32_t kSnapshotFormatVersion = 11;
+inline constexpr uint32_t kSnapshotFormatVersion = 12;
 
 enum class SnapshotKind : uint8_t {
   kMidCampaign = 0,  // loop state; resuming continues the campaign

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/bytes.h"
+#include "src/dfs/cluster_audit.h"
 #include "src/dfs/flavors/ceph_like.h"
 #include "src/dfs/flavors/factory.h"
 #include "src/dfs/flavors/gluster_like.h"
@@ -27,6 +28,11 @@ Operation MakeOp(OpKind kind, const std::string& path = "", uint64_t size = 0) {
   op.path = path;
   op.size = size;
   return op;
+}
+
+// The size of the file at `path`: the sum of its layout's chunks.
+uint64_t FileSize(const DfsCluster& dfs, const std::string& path) {
+  return dfs.file_layouts().at(*dfs.tree().FileIdOf(path)).Size();
 }
 
 class ClusterOpsTest : public ::testing::TestWithParam<Flavor> {
@@ -65,6 +71,40 @@ TEST_P(ClusterOpsTest, CreateBeyondCapacityFails) {
   EXPECT_EQ(dfs_->tree().file_count(), 0u);
 }
 
+// Requests far beyond the fleet, up to 2^64 - 1 bytes, fail in placement:
+// the chunk count is 64-bit, and the chunk reservation stops at what the
+// serving bricks could hold. A create leaves no file, an append keeps what
+// fit, and the accounting stays exact.
+TEST_P(ClusterOpsTest, HugeCreatesAndAppendsRunOutOfSpace) {
+  for (uint64_t size : {uint64_t{1} << 60, uint64_t{1} << 63, UINT64_MAX}) {
+    OpResult result = dfs_->Execute(MakeCreate("/f", size));
+    EXPECT_EQ(result.status.code(), StatusCode::kOutOfSpace) << size;
+    EXPECT_FALSE(dfs_->tree().IsFile("/f")) << size;
+    Status audit = AuditCluster(*dfs_);
+    EXPECT_TRUE(audit.ok()) << size << ": " << audit.ToString();
+  }
+  ASSERT_TRUE(dfs_->Execute(MakeCreate("/f", kGiB)).status.ok());
+  OpResult append = dfs_->Execute(MakeOp(OpKind::kAppend, "/f", uint64_t{1} << 60));
+  EXPECT_EQ(append.status.code(), StatusCode::kOutOfSpace);
+  EXPECT_GT(FileSize(*dfs_, "/f"), kGiB);
+  Status audit = AuditCluster(*dfs_);
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+}
+
+// GeoFS caps a file at max_file_size (EFBIG). The cap compares the grown
+// size, so an append whose sum would pass 2^64 is refused too, not wrapped
+// to a small size and admitted.
+TEST(GeoFlavor, AppendsPastTheFileSizeCapAreRefused) {
+  std::unique_ptr<DfsCluster> dfs = MakeCluster(Flavor::kGeo, 99);
+  ASSERT_GT(dfs->config().max_file_size, kGiB);
+  ASSERT_TRUE(dfs->Execute(MakeCreate("/f", kGiB)).status.ok());
+  for (uint64_t size : {dfs->config().max_file_size, UINT64_MAX}) {
+    OpResult result = dfs->Execute(MakeOp(OpKind::kAppend, "/f", size));
+    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument) << size;
+    EXPECT_EQ(FileSize(*dfs, "/f"), kGiB) << size;
+  }
+}
+
 TEST_P(ClusterOpsTest, DeleteFreesBytes) {
   ASSERT_TRUE(dfs_->Execute(MakeCreate("/f", kGiB)).status.ok());
   ASSERT_TRUE(dfs_->Execute(MakeOp(OpKind::kDelete, "/f")).status.ok());
@@ -77,7 +117,7 @@ TEST_P(ClusterOpsTest, AppendGrowsFile) {
   ASSERT_TRUE(dfs_->Execute(MakeCreate("/f", kGiB)).status.ok());
   OpResult result = dfs_->Execute(MakeOp(OpKind::kAppend, "/f", 3 * kGiB));
   ASSERT_TRUE(result.status.ok());
-  EXPECT_EQ(dfs_->tree().Find("/f")->size, 4 * kGiB);
+  EXPECT_EQ(FileSize(*dfs_, "/f"), 4 * kGiB);
   EXPECT_EQ(dfs_->TotalUsedBytes(), 2 * 4 * kGiB);
 }
 
@@ -85,7 +125,7 @@ TEST_P(ClusterOpsTest, OverwriteReplacesContents) {
   ASSERT_TRUE(dfs_->Execute(MakeCreate("/f", 4 * kGiB)).status.ok());
   OpResult result = dfs_->Execute(MakeOp(OpKind::kOverwrite, "/f", kGiB));
   ASSERT_TRUE(result.status.ok());
-  EXPECT_EQ(dfs_->tree().Find("/f")->size, kGiB);
+  EXPECT_EQ(FileSize(*dfs_, "/f"), kGiB);
   EXPECT_EQ(dfs_->TotalUsedBytes(), 2 * kGiB);
 }
 
@@ -93,7 +133,7 @@ TEST_P(ClusterOpsTest, TruncateOverwriteBehavesLikeOverwrite) {
   ASSERT_TRUE(dfs_->Execute(MakeCreate("/f", 2 * kGiB)).status.ok());
   ASSERT_TRUE(dfs_->Execute(MakeOp(OpKind::kTruncateOverwrite, "/f", 512 * kMiB))
                   .status.ok());
-  EXPECT_EQ(dfs_->tree().Find("/f")->size, 512 * kMiB);
+  EXPECT_EQ(FileSize(*dfs_, "/f"), 512 * kMiB);
 }
 
 TEST_P(ClusterOpsTest, OpenReadsAndCountsIo) {

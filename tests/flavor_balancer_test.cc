@@ -229,13 +229,11 @@ TEST(GeoBalancer, ReplicasSpreadAcrossSites) {
 }
 
 TEST(GeoBalancer, SiteFailoverDrainsTheHotSite) {
-  // A compact tree so a hand-made skew dominates total capacity: 12 nodes
-  // over 3 sites, standard bricks (heterogeneous 1x/2x/4x on top), with
-  // files and skews sized to them.
+  // A compact fleet so a hand-made skew dominates total capacity: 12 nodes
+  // over 3 sites in one scheduling group, standard bricks (heterogeneous
+  // 1x/2x/4x on top), with files and skews sized to them.
   ClusterConfig config = GeoLikeCluster::DefaultConfig();
   config.initial_storage_nodes = 12;
-  config.geo_racks_per_site = 2;
-  config.geo_group_size = 4;
   config.rng_seed = 7;
   GeoLikeCluster dfs(config);
   for (int i = 0; i < 30; ++i) {

@@ -87,9 +87,9 @@ struct SnapshotPin {
   uint64_t checksum;
 };
 constexpr SnapshotPin kMidSnapshotPins[] = {
-    {Flavor::kGluster, 0xea0a9cd3bf160656ULL}, {Flavor::kHdfs, 0xfc1df884400ca355ULL},
-    {Flavor::kCeph, 0xcd122a5f1c7c54c3ULL},    {Flavor::kLeo, 0xc14c55b477ea9192ULL},
-    {Flavor::kGeo, 0xc081adb613bb368fULL},
+    {Flavor::kGluster, 0x0c07483fe3c86f8dULL}, {Flavor::kHdfs, 0xdea5e161d29c00f5ULL},
+    {Flavor::kCeph, 0xa518ff5f84812b77ULL},    {Flavor::kLeo, 0x6ae288d2ab110da2ULL},
+    {Flavor::kGeo, 0x218351b9554a0090ULL},
 };
 
 TEST(GoldenDigestTest, MidSnapshotChecksumsArePinned) {

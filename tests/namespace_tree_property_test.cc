@@ -59,7 +59,7 @@ class RefTree {
     return Status::Ok();
   }
 
-  Result<FileId> CreateFile(const std::string& path, uint64_t size) {
+  Result<FileId> CreateFile(const std::string& path) {
     if (path == "/") {
       return Status::InvalidArgument("cannot create file at root path");
     }
@@ -70,7 +70,7 @@ class RefTree {
       return Status::NotFound("parent");
     }
     FileId id = next_file_id_++;
-    entries_[path] = NamespaceEntry{.is_dir = false, .file_id = id, .size = size};
+    entries_[path] = NamespaceEntry{.is_dir = false, .file_id = id};
     return id;
   }
 
@@ -80,15 +80,6 @@ class RefTree {
       return Status::NotFound(path);
     }
     entries_.erase(it);
-    return Status::Ok();
-  }
-
-  Status SetFileSize(const std::string& path, uint64_t size) {
-    auto it = entries_.find(path);
-    if (it == entries_.end() || it->second.is_dir) {
-      return Status::NotFound(path);
-    }
-    it->second.size = size;
     return Status::Ok();
   }
 
@@ -150,26 +141,6 @@ class RefTree {
 
   size_t file_count() const { return ListFiles().size(); }
 
-  size_t dir_count() const {
-    size_t n = 0;
-    for (const auto& [path, entry] : entries_) {
-      if (entry.is_dir && path != "/") {
-        ++n;
-      }
-    }
-    return n;
-  }
-
-  uint64_t total_bytes() const {
-    uint64_t sum = 0;
-    for (const auto& [path, entry] : entries_) {
-      if (!entry.is_dir) {
-        sum += entry.size;
-      }
-    }
-    return sum;
-  }
-
   std::string PathOf(FileId id) const {
     for (const auto& [path, entry] : entries_) {
       if (!entry.is_dir && entry.file_id == id) {
@@ -206,8 +177,6 @@ void ExpectStateEqual(const NamespaceTree& tree, const RefTree& ref,
                       const std::vector<std::string>& universe) {
   EXPECT_EQ(tree.ListFiles(), ref.ListFiles());
   EXPECT_EQ(tree.file_count(), ref.file_count());
-  EXPECT_EQ(tree.dir_count(), ref.dir_count());
-  EXPECT_EQ(tree.total_bytes(), ref.total_bytes());
   for (const std::string& path : universe) {
     const NamespaceEntry* a = tree.Find(path);
     const NamespaceEntry* b = ref.Find(path);
@@ -216,7 +185,6 @@ void ExpectStateEqual(const NamespaceTree& tree, const RefTree& ref,
       EXPECT_EQ(a->is_dir, b->is_dir) << path;
       if (!a->is_dir) {
         EXPECT_EQ(a->file_id, b->file_id) << path;
-        EXPECT_EQ(a->size, b->size) << path;
         EXPECT_EQ(tree.PathOf(a->file_id), ref.PathOf(b->file_id)) << path;
       }
     }
@@ -266,9 +234,8 @@ TEST(NamespaceTreeProperty, RandomOpsMatchReferenceModel) {
         }
         case 2: {
           const std::string& p = pick();
-          uint64_t size = rng() % 4096;
-          Result<FileId> a = tree.CreateFile(p, size);
-          Result<FileId> b = ref.CreateFile(p, size);
+          Result<FileId> a = tree.CreateFile(p);
+          Result<FileId> b = ref.CreateFile(p);
           EXPECT_EQ(a.status().code(), b.status().code()) << p;
           if (a.ok() && b.ok()) {
             EXPECT_EQ(*a, *b) << p;  // same id allocation order
@@ -281,11 +248,10 @@ TEST(NamespaceTreeProperty, RandomOpsMatchReferenceModel) {
           break;
         }
         case 4: {
+          // A lookup: only a file resolves to an id.
           const std::string& p = pick();
-          uint64_t size = rng() % 4096;
-          EXPECT_EQ(tree.SetFileSize(p, size).code(),
-                    ref.SetFileSize(p, size).code())
-              << p;
+          const NamespaceEntry* entry = ref.Find(p);
+          EXPECT_EQ(tree.FileIdOf(p).ok(), entry != nullptr && !entry->is_dir) << p;
           break;
         }
         default: {
@@ -323,9 +289,8 @@ TEST(NamespaceTreeProperty, DeepSubtreeRenameMatchesReference) {
     both_ok(tree.MakeDir(dir), ref.MakeDir(dir));
     for (int f = 0; f < 2; ++f) {
       std::string file = dir + "/f" + std::to_string(f);
-      uint64_t size = static_cast<uint64_t>(i) * 100 + static_cast<uint64_t>(f);
-      Result<FileId> a = tree.CreateFile(file, size);
-      Result<FileId> b = ref.CreateFile(file, size);
+      Result<FileId> a = tree.CreateFile(file);
+      Result<FileId> b = ref.CreateFile(file);
       ASSERT_TRUE(a.ok() && b.ok());
       ASSERT_EQ(*a, *b);
     }
@@ -343,8 +308,6 @@ TEST(NamespaceTreeProperty, DeepSubtreeRenameMatchesReference) {
             ref.Rename("/r", "/r/d1/x").code());
   EXPECT_EQ(tree.ListFiles(), ref.ListFiles());
   EXPECT_EQ(tree.file_count(), ref.file_count());
-  EXPECT_EQ(tree.dir_count(), ref.dir_count());
-  EXPECT_EQ(tree.total_bytes(), ref.total_bytes());
   for (const std::string& path : tree.ListFiles()) {
     Result<FileId> id = tree.FileIdOf(path);
     ASSERT_TRUE(id.ok());
@@ -353,7 +316,7 @@ TEST(NamespaceTreeProperty, DeepSubtreeRenameMatchesReference) {
 }
 
 // Re-created paths: deleting and re-creating the same names must not leak
-// state from the previous incarnation (sizes, ids, directory-ness), even
+// state from the previous incarnation (ids, directory-ness), even
 // when a name flips between file and directory.
 TEST(NamespaceTreeProperty, RecreatedPathsMatchReference) {
   NamespaceTree tree;
@@ -362,23 +325,21 @@ TEST(NamespaceTreeProperty, RecreatedPathsMatchReference) {
     bool as_dir = (round % 2) == 0;
     if (as_dir) {
       EXPECT_EQ(tree.MakeDir("/x").code(), ref.MakeDir("/x").code());
-      Result<FileId> a = tree.CreateFile("/x/f", static_cast<uint64_t>(round));
-      Result<FileId> b = ref.CreateFile("/x/f", static_cast<uint64_t>(round));
+      Result<FileId> a = tree.CreateFile("/x/f");
+      Result<FileId> b = ref.CreateFile("/x/f");
       ASSERT_TRUE(a.ok() && b.ok());
       EXPECT_EQ(*a, *b);
       EXPECT_EQ(tree.RemoveDir("/x").code(), ref.RemoveDir("/x").code());
       EXPECT_EQ(tree.RemoveFile("/x/f").code(), ref.RemoveFile("/x/f").code());
       EXPECT_EQ(tree.RemoveDir("/x").code(), ref.RemoveDir("/x").code());
     } else {
-      Result<FileId> a = tree.CreateFile("/x", static_cast<uint64_t>(round));
-      Result<FileId> b = ref.CreateFile("/x", static_cast<uint64_t>(round));
+      Result<FileId> a = tree.CreateFile("/x");
+      Result<FileId> b = ref.CreateFile("/x");
       ASSERT_TRUE(a.ok() && b.ok());
       EXPECT_EQ(*a, *b);
       EXPECT_EQ(tree.RemoveFile("/x").code(), ref.RemoveFile("/x").code());
     }
     EXPECT_EQ(tree.file_count(), ref.file_count());
-    EXPECT_EQ(tree.dir_count(), ref.dir_count());
-    EXPECT_EQ(tree.total_bytes(), ref.total_bytes());
   }
   EXPECT_EQ(tree.ListFiles(), ref.ListFiles());
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/snapshot_io.h"
 #include "src/common/strings.h"
 #include "src/dfs/namespace_tree.h"
 #include "src/dfs/path_table.h"
@@ -18,72 +19,61 @@ TEST(NamespaceTree, RootExists) {
   NamespaceTree tree;
   EXPECT_TRUE(tree.IsDir("/"));
   EXPECT_EQ(tree.file_count(), 0u);
-  EXPECT_EQ(tree.dir_count(), 0u);
 }
 
 TEST(NamespaceTree, CreateAndFindFile) {
   NamespaceTree tree;
-  Result<FileId> id = tree.CreateFile("/a", 100);
+  Result<FileId> id = tree.CreateFile("/a");
   ASSERT_TRUE(id.ok());
   EXPECT_TRUE(tree.IsFile("/a"));
   EXPECT_FALSE(tree.IsDir("/a"));
-  EXPECT_EQ(tree.total_bytes(), 100u);
   EXPECT_EQ(tree.PathOf(*id), "/a");
 }
 
 TEST(NamespaceTree, CreateRequiresParent) {
   NamespaceTree tree;
-  EXPECT_EQ(tree.CreateFile("/no/such/dir/f", 1).status().code(),
+  EXPECT_EQ(tree.CreateFile("/no/such/dir/f").status().code(),
             StatusCode::kNotFound);
   ASSERT_TRUE(tree.MakeDir("/d").ok());
-  EXPECT_TRUE(tree.CreateFile("/d/f", 1).ok());
+  EXPECT_TRUE(tree.CreateFile("/d/f").ok());
 }
 
 TEST(NamespaceTree, CreateDuplicateFails) {
   NamespaceTree tree;
-  ASSERT_TRUE(tree.CreateFile("/a", 1).ok());
-  EXPECT_EQ(tree.CreateFile("/a", 2).status().code(), StatusCode::kAlreadyExists);
+  ASSERT_TRUE(tree.CreateFile("/a").ok());
+  EXPECT_EQ(tree.CreateFile("/a").status().code(), StatusCode::kAlreadyExists);
 }
 
 TEST(NamespaceTree, FileIdsAreUnique) {
   NamespaceTree tree;
-  FileId a = *tree.CreateFile("/a", 1);
-  FileId b = *tree.CreateFile("/b", 1);
+  FileId a = *tree.CreateFile("/a");
+  FileId b = *tree.CreateFile("/b");
   EXPECT_NE(a, b);
 }
 
 TEST(NamespaceTree, RemoveFileUpdatesAccounting) {
   NamespaceTree tree;
-  FileId id = *tree.CreateFile("/a", 100);
+  FileId id = *tree.CreateFile("/a");
   ASSERT_TRUE(tree.RemoveFile("/a").ok());
-  EXPECT_EQ(tree.total_bytes(), 0u);
   EXPECT_EQ(tree.file_count(), 0u);
   EXPECT_EQ(tree.PathOf(id), "");
   EXPECT_EQ(tree.RemoveFile("/a").code(), StatusCode::kNotFound);
 }
 
-TEST(NamespaceTree, SetFileSize) {
-  NamespaceTree tree;
-  ASSERT_TRUE(tree.CreateFile("/a", 100).ok());
-  ASSERT_TRUE(tree.SetFileSize("/a", 250).ok());
-  EXPECT_EQ(tree.total_bytes(), 250u);
-  EXPECT_EQ(tree.SetFileSize("/missing", 1).code(), StatusCode::kNotFound);
-}
-
 TEST(NamespaceTree, MkdirAndRmdir) {
   NamespaceTree tree;
   ASSERT_TRUE(tree.MakeDir("/d").ok());
-  EXPECT_EQ(tree.dir_count(), 1u);
+  EXPECT_TRUE(tree.IsDir("/d"));
   EXPECT_EQ(tree.MakeDir("/d").code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(tree.MakeDir("/x/y").code(), StatusCode::kNotFound);
   ASSERT_TRUE(tree.RemoveDir("/d").ok());
-  EXPECT_EQ(tree.dir_count(), 0u);
+  EXPECT_FALSE(tree.IsDir("/d"));
 }
 
 TEST(NamespaceTree, RmdirRefusesNonEmpty) {
   NamespaceTree tree;
   ASSERT_TRUE(tree.MakeDir("/d").ok());
-  ASSERT_TRUE(tree.CreateFile("/d/f", 1).ok());
+  ASSERT_TRUE(tree.CreateFile("/d/f").ok());
   EXPECT_EQ(tree.RemoveDir("/d").code(), StatusCode::kFailedPrecondition);
   ASSERT_TRUE(tree.RemoveFile("/d/f").ok());
   EXPECT_TRUE(tree.RemoveDir("/d").ok());
@@ -92,13 +82,13 @@ TEST(NamespaceTree, RmdirRefusesNonEmpty) {
 TEST(NamespaceTree, RootIsProtected) {
   NamespaceTree tree;
   EXPECT_FALSE(tree.RemoveDir("/").ok());
-  EXPECT_FALSE(tree.CreateFile("/", 1).ok());
+  EXPECT_FALSE(tree.CreateFile("/").ok());
   EXPECT_FALSE(tree.Rename("/", "/x").ok());
 }
 
 TEST(NamespaceTree, RenameFile) {
   NamespaceTree tree;
-  FileId id = *tree.CreateFile("/a", 10);
+  FileId id = *tree.CreateFile("/a");
   ASSERT_TRUE(tree.Rename("/a", "/b").ok());
   EXPECT_FALSE(tree.IsFile("/a"));
   EXPECT_TRUE(tree.IsFile("/b"));
@@ -108,8 +98,8 @@ TEST(NamespaceTree, RenameFile) {
 
 TEST(NamespaceTree, RenameRejectsCollisionsAndMissing) {
   NamespaceTree tree;
-  ASSERT_TRUE(tree.CreateFile("/a", 1).ok());
-  ASSERT_TRUE(tree.CreateFile("/b", 1).ok());
+  ASSERT_TRUE(tree.CreateFile("/a").ok());
+  ASSERT_TRUE(tree.CreateFile("/b").ok());
   EXPECT_EQ(tree.Rename("/a", "/b").code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(tree.Rename("/missing", "/c").code(), StatusCode::kNotFound);
   EXPECT_EQ(tree.Rename("/a", "/a").code(), StatusCode::kInvalidArgument);
@@ -120,15 +110,14 @@ TEST(NamespaceTree, RenameDirectoryMovesSubtree) {
   NamespaceTree tree;
   ASSERT_TRUE(tree.MakeDir("/d").ok());
   ASSERT_TRUE(tree.MakeDir("/d/sub").ok());
-  FileId f1 = *tree.CreateFile("/d/f1", 5);
-  FileId f2 = *tree.CreateFile("/d/sub/f2", 7);
+  FileId f1 = *tree.CreateFile("/d/f1");
+  FileId f2 = *tree.CreateFile("/d/sub/f2");
   ASSERT_TRUE(tree.Rename("/d", "/e").ok());
   EXPECT_TRUE(tree.IsDir("/e"));
   EXPECT_TRUE(tree.IsDir("/e/sub"));
   EXPECT_EQ(tree.PathOf(f1), "/e/f1");
   EXPECT_EQ(tree.PathOf(f2), "/e/sub/f2");
   EXPECT_FALSE(tree.IsDir("/d"));
-  EXPECT_EQ(tree.total_bytes(), 12u);
 }
 
 TEST(NamespaceTree, RenameDirectoryUnderItselfRejected) {
@@ -139,8 +128,8 @@ TEST(NamespaceTree, RenameDirectoryUnderItselfRejected) {
 
 TEST(NamespaceTree, ListFiles) {
   NamespaceTree tree;
-  ASSERT_TRUE(tree.CreateFile("/b", 1).ok());
-  ASSERT_TRUE(tree.CreateFile("/a", 1).ok());
+  ASSERT_TRUE(tree.CreateFile("/b").ok());
+  ASSERT_TRUE(tree.CreateFile("/a").ok());
   ASSERT_TRUE(tree.MakeDir("/d").ok());
   std::vector<std::string> files = tree.ListFiles();
   ASSERT_EQ(files.size(), 2u);
@@ -150,16 +139,42 @@ TEST(NamespaceTree, ListFiles) {
 
 TEST(NamespaceTree, ClearResets) {
   NamespaceTree tree;
-  ASSERT_TRUE(tree.CreateFile("/a", 1).ok());
+  ASSERT_TRUE(tree.CreateFile("/a").ok());
   tree.Clear();
   EXPECT_EQ(tree.file_count(), 0u);
-  EXPECT_EQ(tree.total_bytes(), 0u);
   EXPECT_TRUE(tree.IsDir("/"));
+}
+
+// The record holds names and file ids only: a restored tree saves the same
+// bytes, and keeps issuing ids where the saved one left off.
+TEST(NamespaceTree, SaveRestoreSaveIsByteStable) {
+  NamespaceTree tree;
+  ASSERT_TRUE(tree.MakeDir("/d").ok());
+  ASSERT_TRUE(tree.MakeDir("/d/sub").ok());
+  ASSERT_TRUE(tree.CreateFile("/d/f1").ok());
+  ASSERT_TRUE(tree.CreateFile("/d/sub/f2").ok());
+  ASSERT_TRUE(tree.CreateFile("/g").ok());
+  ASSERT_TRUE(tree.RemoveFile("/g").ok());
+  ASSERT_TRUE(tree.Rename("/d", "/e").ok());
+  SnapshotWriter first;
+  tree.SaveState(first);
+
+  NamespaceTree restored;
+  SnapshotReader reader(first.buffer());
+  ASSERT_TRUE(restored.RestoreState(reader).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(restored.file_count(), 2u);
+  EXPECT_EQ(restored.ListFiles(), tree.ListFiles());
+  EXPECT_EQ(restored.PathOf(*tree.FileIdOf("/e/sub/f2")), "/e/sub/f2");
+  SnapshotWriter second;
+  restored.SaveState(second);
+  EXPECT_EQ(first.buffer(), second.buffer());
+  EXPECT_EQ(*restored.CreateFile("/h"), *tree.CreateFile("/h"));
 }
 
 TEST(NamespaceTree, PathsAreNormalized) {
   NamespaceTree tree;
-  ASSERT_TRUE(tree.CreateFile("//a//", 1).ok());
+  ASSERT_TRUE(tree.CreateFile("//a//").ok());
   EXPECT_TRUE(tree.IsFile("/a"));
   EXPECT_TRUE(tree.IsFile("a"));
 }

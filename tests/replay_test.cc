@@ -85,6 +85,24 @@ TEST(Replay, DeterministicReplayReproducesState) {
   EXPECT_TRUE(one->tree().IsFile("/d/c"));
 }
 
+// A replayed create far beyond the fleet fails in placement at every size
+// up to 2^64 - 1, and leaves no file for the open and the append after it.
+TEST(Replay, HugeCreatesLeaveNoFile) {
+  for (Flavor flavor : {Flavor::kGluster, Flavor::kHdfs}) {
+    for (const char* size :
+         {"1152921504606846976", "9223372036854775808", "18446744073709551615"}) {
+      Result<OpSeq> seq = ParseReproductionLog(std::string("create /f size=") + size +
+                                               "\nopen /f\nappend /f size=1048576\n");
+      ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+      std::unique_ptr<DfsCluster> dfs = MakeCluster(flavor, 66);
+      ReplayOutcome outcome = ReplayLog(*dfs, *seq);
+      EXPECT_EQ(outcome.ops_executed, 3);
+      EXPECT_EQ(outcome.ops_ok, 0) << FlavorName(flavor) << " size=" << size;
+      EXPECT_FALSE(dfs->tree().IsFile("/f")) << FlavorName(flavor) << " size=" << size;
+    }
+  }
+}
+
 TEST(Replay, HealthyReplayLeavesBalancedSystem) {
   Result<OpSeq> seq = ParseReproductionLog(
       "create /a size=10737418240\n"

@@ -445,121 +445,82 @@ TEST(SnapshotCorruptionTest, GeoFlavorStateCorruptionIsRejected) {
   EXPECT_TRUE(fresh.RestoreState(ok_reader).ok());
 }
 
-// Format v6 field-level validation (DESIGN.md §16): the model-coverage
-// record restores into indexed counters, so every malformed shape — a
-// transition count that cannot match the pair list, a state id from another
-// flavor's machine — must fail the restore descriptively. End to end, a
-// campaign whose newest snapshot rots this way falls back to the newest
-// valid one (ResumeFallsBackToNewestValidSnapshot covers the file layer).
-TEST(SnapshotCorruptionTest, ModelCoverageTransitionCountOverflowIsRejected) {
+// The model-coverage record is the covered pair list (DESIGN.md §16), so
+// every malformed shape — a pair count the bytes cannot hold, a pair listed
+// twice, a state id from another flavor's machine — must fail the restore
+// descriptively. End to end, a campaign whose newest snapshot rots this way
+// falls back to the newest valid one (ResumeFallsBackToNewestValidSnapshot
+// covers the file layer).
+SnapshotWriter ModelCoverageRecord(BalancerState current,
+                                   std::vector<std::pair<BalancerState, BalancerState>> pairs,
+                                   uint64_t pair_count) {
+  SnapshotWriter writer;
+  writer.U8(static_cast<uint8_t>(Flavor::kGluster));
+  writer.U8(static_cast<uint8_t>(current));
+  writer.U64(0);  // illegal transitions
+  writer.U64(pair_count);
+  for (const auto& [from, to] : pairs) {
+    writer.U8(static_cast<uint8_t>(from));
+    writer.U8(static_cast<uint8_t>(to));
+  }
+  return writer;
+}
+
+Status RestoreGlusterModelCoverage(const SnapshotWriter& writer) {
+  ModelCoverage fresh(Flavor::kGluster);
+  SnapshotReader reader(writer.buffer());
+  return fresh.RestoreState(reader);
+}
+
+TEST(SnapshotCorruptionTest, ModelCoveragePairListCorruptionIsRejected) {
+  const std::pair<BalancerState, BalancerState> fix_layout{BalancerState::kIdle,
+                                                           BalancerState::kGlusterFixLayout};
+  auto expect_rejected = [](const SnapshotWriter& writer, const char* message) {
+    Status status = RestoreGlusterModelCoverage(writer);
+    ASSERT_FALSE(status.ok()) << message;
+    EXPECT_NE(status.message().find(message), std::string::npos) << status.ToString();
+  };
+  // A pair count far beyond the bytes left: must fail fast, not loop.
+  expect_rejected(ModelCoverageRecord(BalancerState::kIdle, {}, ~uint64_t{0}),
+                  "cannot fit in remaining 0 bytes");
+  // The same pair listed twice.
+  expect_rejected(ModelCoverageRecord(BalancerState::kIdle, {fix_layout, fix_layout}, 2),
+                  "model coverage: duplicate transition pair");
+
+  // A recorder's own record restores cleanly.
   ModelCoverage original(Flavor::kGluster);
   original.Transition(BalancerState::kGlusterFixLayout);
   original.Transition(BalancerState::kGlusterMigrateData);
   SnapshotWriter writer;
   original.SaveState(writer);
-
-  auto expect_rejected = [](const std::string& payload, const char* message) {
-    ModelCoverage fresh(Flavor::kGluster);
-    SnapshotReader reader(payload);
-    Status status = fresh.RestoreState(reader);
-    ASSERT_FALSE(status.ok()) << message;
-    EXPECT_NE(status.message().find(message), std::string::npos)
-        << status.ToString();
-  };
-
-  // A covered count far beyond the pair table: must fail fast, not allocate.
-  {
-    SnapshotWriter corrupt;
-    corrupt.U8(static_cast<uint8_t>(Flavor::kGluster));
-    corrupt.U8(static_cast<uint8_t>(BalancerState::kIdle));
-    corrupt.U64(2);              // total
-    corrupt.U64(0);              // illegal
-    corrupt.U64(~uint64_t{0});   // covered: overflow
-    expect_rejected(corrupt.buffer(),
-                    "model coverage: transition count overflow");
-  }
-  // Pair counts that cannot sum to the recorded total.
-  {
-    SnapshotWriter corrupt;
-    corrupt.U8(static_cast<uint8_t>(Flavor::kGluster));
-    corrupt.U8(static_cast<uint8_t>(BalancerState::kIdle));
-    corrupt.U64(2);  // total claims two transitions...
-    corrupt.U64(0);
-    corrupt.U64(1);  // ...but the single pair carries five
-    corrupt.U8(static_cast<uint8_t>(BalancerState::kIdle));
-    corrupt.U8(static_cast<uint8_t>(BalancerState::kGlusterFixLayout));
-    corrupt.U64(5);
-    expect_rejected(corrupt.buffer(),
-                    "model coverage: transition count overflow");
-  }
-  // The same pair listed twice.
-  {
-    SnapshotWriter corrupt;
-    corrupt.U8(static_cast<uint8_t>(Flavor::kGluster));
-    corrupt.U8(static_cast<uint8_t>(BalancerState::kIdle));
-    corrupt.U64(2);
-    corrupt.U64(0);
-    corrupt.U64(2);
-    for (int i = 0; i < 2; ++i) {
-      corrupt.U8(static_cast<uint8_t>(BalancerState::kIdle));
-      corrupt.U8(static_cast<uint8_t>(BalancerState::kGlusterFixLayout));
-      corrupt.U64(1);
-    }
-    expect_rejected(corrupt.buffer(),
-                    "model coverage: duplicate transition pair");
-  }
-
-  // The unmodified record restores cleanly.
-  ModelCoverage fresh(Flavor::kGluster);
-  SnapshotReader ok_reader(writer.buffer());
-  EXPECT_TRUE(fresh.RestoreState(ok_reader).ok());
+  EXPECT_EQ(writer.buffer(),
+            ModelCoverageRecord(BalancerState::kGlusterMigrateData,
+                                {fix_layout,
+                                 {BalancerState::kGlusterFixLayout,
+                                  BalancerState::kGlusterMigrateData}},
+                                2)
+                .buffer());
+  EXPECT_TRUE(RestoreGlusterModelCoverage(writer).ok());
 }
 
 TEST(SnapshotCorruptionTest, ModelCoverageUnknownStateIdIsRejected) {
-  auto expect_rejected = [](const std::string& payload) {
-    ModelCoverage fresh(Flavor::kGluster);
-    SnapshotReader reader(payload);
-    Status status = fresh.RestoreState(reader);
+  auto expect_rejected = [](const SnapshotWriter& writer) {
+    Status status = RestoreGlusterModelCoverage(writer);
     ASSERT_FALSE(status.ok());
     EXPECT_NE(status.message().find("model coverage: unknown balancer state"),
               std::string::npos)
         << status.ToString();
   };
-
   // A current state id beyond the enum.
-  {
-    SnapshotWriter corrupt;
-    corrupt.U8(static_cast<uint8_t>(Flavor::kGluster));
-    corrupt.U8(200);  // no such BalancerState
-    corrupt.U64(0);
-    corrupt.U64(0);
-    corrupt.U64(0);
-    expect_rejected(corrupt.buffer());
-  }
+  expect_rejected(ModelCoverageRecord(static_cast<BalancerState>(200), {}, 0));
   // A current state from another flavor's machine (HDFS pairing inside a
   // Gluster record): structurally a valid id, semantically foreign.
-  {
-    SnapshotWriter corrupt;
-    corrupt.U8(static_cast<uint8_t>(Flavor::kGluster));
-    corrupt.U8(static_cast<uint8_t>(BalancerState::kHdfsPairing));
-    corrupt.U64(0);
-    corrupt.U64(0);
-    corrupt.U64(0);
-    expect_rejected(corrupt.buffer());
-  }
-  // A foreign state id inside a transition pair.
-  {
-    SnapshotWriter corrupt;
-    corrupt.U8(static_cast<uint8_t>(Flavor::kGluster));
-    corrupt.U8(static_cast<uint8_t>(BalancerState::kIdle));
-    corrupt.U64(1);
-    corrupt.U64(0);
-    corrupt.U64(1);
-    corrupt.U8(static_cast<uint8_t>(BalancerState::kIdle));
-    corrupt.U8(static_cast<uint8_t>(BalancerState::kCephApply));
-    corrupt.U64(1);
-    expect_rejected(corrupt.buffer());
-  }
+  expect_rejected(ModelCoverageRecord(BalancerState::kHdfsPairing, {}, 0));
+  // A pair state outside the flavor, and one beyond the enum.
+  expect_rejected(ModelCoverageRecord(
+      BalancerState::kIdle, {{BalancerState::kIdle, BalancerState::kCephApply}}, 1));
+  expect_rejected(ModelCoverageRecord(
+      BalancerState::kIdle, {{static_cast<BalancerState>(18), BalancerState::kIdle}}, 1));
 }
 
 TEST(SnapshotCorruptionTest, ModelRejectsOutOfRangePreviousWindowNode) {
@@ -613,16 +574,6 @@ TEST(SnapshotCorruptionTest, ClusterRecordCorruptionIsRejected) {
   const size_t brick1_id = bricks_at + 8;
   const size_t brick1_used = brick1_id + 4 + 4 + 8;
   const size_t next_node_id = bricks_at + brick_table.buffer().size() - 8;
-  // Storage node 4's entry, up to its one listed brick.
-  SnapshotWriter node4;
-  node4.U32(4);
-  node4.Bool(true);
-  node4.Bool(false);
-  node4.U64(1);
-  node4.U32(2);
-  const size_t node4_at = bytes.find(node4.buffer());
-  ASSERT_NE(node4_at, std::string::npos);
-  const size_t node4_brick = node4_at + node4.buffer().size() - 4;
 
   auto patched = [&](size_t at, uint64_t value, int width) {
     std::string payload = bytes;
@@ -652,11 +603,14 @@ TEST(SnapshotCorruptionTest, ClusterRecordCorruptionIsRejected) {
   expect_rejected(patched(next_node_id, 2, 4), "meta node id 2 at or above the node id counter 2");
   expect_rejected(patched(brick1_used, 1, 8),
                   "brick 1 holds 1 bytes, but its replicas and linkfiles sum to 0");
-  expect_rejected(patched(node4_brick, 1, 4), "brick 2 is not listed by its node 4");
+  // Restore derives each node's brick list from the bricks, so a brick must
+  // name a storage node; meta node 1 is not one.
+  expect_rejected(patched(brick1_id + 4, 1, 4),
+                  "brick 1 names node 1, which is not a storage node");
 
-  // A storage record is at least 46 bytes (id, two flags, brick count, 32
-  // bytes of load counters), so a count that leaves one byte short of that
-  // per record is refused at the count.
+  // A storage record is at least 38 bytes (id, two flags, 32 bytes of load
+  // counters), so a count that leaves one byte short of that per record is
+  // refused at the count.
   SnapshotWriter storage_head;
   storage_head.U64(8);
   storage_head.U32(3);
@@ -666,8 +620,8 @@ TEST(SnapshotCorruptionTest, ClusterRecordCorruptionIsRejected) {
   SnapshotWriter short_table;
   short_table.U64(8);
   expect_rejected(bytes.substr(0, storage_count_at) + short_table.buffer() +
-                      std::string(8 * 46 - 1, '\0'),
-                  "element count 8 cannot fit in remaining 367 bytes");
+                      std::string(8 * 38 - 1, '\0'),
+                  "element count 8 cannot fit in remaining 303 bytes");
 
   std::unique_ptr<DfsCluster> fresh = MakeCluster(Flavor::kHdfs, 1);
   SnapshotReader reader(bytes);
@@ -694,7 +648,6 @@ TEST(SnapshotCorruptionTest, ChunkWithTooManyReplicasIsRejected) {
   // The file's layout record, up to the second chunk's replica count.
   SnapshotWriter record;
   record.U64(file);
-  record.U64(layout.size);
   record.U64(layout.chunks.size());
   record.U64(layout.chunks[0].bytes);
   record.U64(layout.chunks[0].replicas.size());
@@ -721,25 +674,94 @@ TEST(SnapshotCorruptionTest, ChunkWithTooManyReplicasIsRejected) {
   EXPECT_TRUE(intact->RestoreState(intact_reader).ok());
 }
 
+// The namespace's file count is its id map's size, so restore must refuse a
+// file id listed twice (which would shrink the count) and one the id
+// allocator could not have issued.
+TEST(SnapshotCorruptionTest, NamespaceFileIdsAreChecked) {
+  // The root, files /a and /b with the given ids, and the id allocator.
+  auto restore_namespace = [](FileId a, FileId b, FileId next_file_id) {
+    SnapshotWriter writer;
+    writer.U64(3);
+    for (const auto& [path, is_dir, file] :
+         {std::tuple<const char*, bool, FileId>{"/", true, 0}, {"/a", false, a},
+          {"/b", false, b}}) {
+      writer.Str(path);
+      writer.Bool(is_dir);
+      writer.U64(file);
+    }
+    writer.U64(next_file_id);
+    NamespaceTree tree;
+    SnapshotReader reader(writer.buffer());
+    Status status = tree.RestoreState(reader);
+    EXPECT_TRUE(!status.ok() || tree.file_count() == 2);
+    return status;
+  };
+  EXPECT_TRUE(restore_namespace(1, 2, 3).ok());
+  Status status = restore_namespace(2, 2, 3);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("namespace lists file id 2 twice"), std::string::npos)
+      << status.ToString();
+  status = restore_namespace(1, 3, 3);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("file id 3 at or above the file id counter 3"),
+            std::string::npos)
+      << status.ToString();
+}
+
+// File existence lives in both the namespace and the layout table, so the
+// restore audit refuses a layout for a file the namespace lacks.
+TEST(SnapshotCorruptionTest, LayoutForAFileTheNamespaceLacksIsRejected) {
+  std::unique_ptr<DfsCluster> dfs = MakeCluster(Flavor::kHdfs, 1);
+  Operation create;
+  create.kind = OpKind::kCreate;
+  create.path = "/f";
+  create.size = kGiB;
+  ASSERT_TRUE(dfs->Execute(create).status.ok());
+  ASSERT_EQ(dfs->file_layouts().size(), 1u);
+  const auto& [file, layout] = *dfs->file_layouts().begin();
+  SnapshotWriter writer;
+  dfs->SaveState(writer);
+  const std::string& bytes = writer.buffer();
+
+  // The layout table: one file, then its chunk list.
+  SnapshotWriter record;
+  record.U64(1);
+  record.U64(file);
+  record.U64(layout.chunks.size());
+  record.U64(layout.chunks[0].bytes);
+  const size_t record_at = bytes.find(record.buffer());
+  ASSERT_NE(record_at, std::string::npos);
+  ASSERT_EQ(bytes.rfind(record.buffer()), record_at);
+  std::string payload = bytes;
+  payload[record_at + 8] = static_cast<char>(file + 1);
+
+  std::unique_ptr<DfsCluster> fresh = MakeCluster(Flavor::kHdfs, 1);
+  SnapshotReader reader(payload);
+  Status status = fresh->RestoreState(reader);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(Sprintf("file %llu has a layout but no namespace entry",
+                                          static_cast<unsigned long long>(file + 1))),
+            std::string::npos)
+      << status.ToString();
+}
+
 // The fault history lives in a fixed ring of 16 entries, and the LeoFS ring
 // weights in an id-sorted vector, so restore must refuse a record that lists
-// more entries than the ring holds, four history sequences of unequal
-// length, or weights out of id order, before it stores them.
+// more entries than the ring holds, an op kind out of range, or weights out
+// of id order, before it stores them.
 TEST(SnapshotCorruptionTest, HistoryRecordsLongerThanTheirRingsAreRejected) {
-  // An injector record with no faults: the four history sequences, then the
-  // injector's RNG.
-  auto injector_record = [](uint64_t kinds, uint64_t rounds, uint64_t imbalances,
-                            uint64_t hots) {
+  // An injector record with no faults: the history as one sequence of
+  // (kind, rounds, imbalance, hot) entries, then the injector's RNG.
+  auto injector_record = [](uint64_t ops, uint8_t last_kind) {
     SnapshotWriter writer;
     writer.U64(0);
-    writer.U64(kinds);
-    for (uint64_t i = 0; i < kinds; ++i) writer.U8(static_cast<uint8_t>(OpKind::kCreate));
-    writer.U64(rounds);
-    for (uint64_t i = 0; i < rounds; ++i) writer.I64(0);
-    writer.U64(imbalances);
-    for (uint64_t i = 0; i < imbalances; ++i) writer.F64(0.0);
-    writer.U64(hots);
-    for (uint64_t i = 0; i < hots; ++i) writer.Bool(false);
+    writer.U64(ops);
+    for (uint64_t i = 0; i < ops; ++i) {
+      writer.U8(i + 1 == ops ? last_kind : static_cast<uint8_t>(OpKind::kCreate));
+      writer.I64(0);
+      writer.F64(0.0);
+      writer.Bool(false);
+    }
     Rng(1).SaveState(writer);
     return writer;
   };
@@ -748,20 +770,18 @@ TEST(SnapshotCorruptionTest, HistoryRecordsLongerThanTheirRingsAreRejected) {
     SnapshotReader reader(writer.buffer());
     return injector.RestoreState(reader);
   };
-  EXPECT_TRUE(restore_injector(injector_record(16, 16, 16, 16)).ok());
-  Status status = restore_injector(injector_record(17, 17, 17, 17));
+  const uint8_t create = static_cast<uint8_t>(OpKind::kCreate);
+  EXPECT_TRUE(restore_injector(injector_record(16, create)).ok());
+  Status status = restore_injector(injector_record(17, create));
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("fault history holds 17 ops, more than 16"),
             std::string::npos)
       << status.ToString();
-  for (const auto& [rounds, imbalances, hots] :
-       {std::tuple<uint64_t, uint64_t, uint64_t>{4, 5, 5}, {5, 6, 5}, {5, 5, 0}}) {
-    status = restore_injector(injector_record(5, rounds, imbalances, hots));
-    ASSERT_FALSE(status.ok()) << rounds << " " << imbalances << " " << hots;
-    EXPECT_NE(status.message().find("fault history windows disagree in length"),
-              std::string::npos)
-        << status.ToString();
-  }
+  status = restore_injector(injector_record(5, static_cast<uint8_t>(kTotalOpKindCount)));
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(Sprintf("history op kind %d out of range", kTotalOpKindCount)),
+            std::string::npos)
+      << status.ToString();
 
   // A fresh LeoFS cluster's record ends with its ring weights (a count, then
   // id and weight per brick in id order) and the U32 crash census.

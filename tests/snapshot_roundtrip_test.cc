@@ -402,8 +402,7 @@ TEST(SnapshotRoundTripTest, ClusterSaveRestoreSaveIsByteStable) {
 // otherwise the restored cluster admits and places differently.
 TEST(SnapshotRoundTripTest, GeoRestoreKeepsAnEmptiedLastGroup) {
   ClusterConfig config = GeoLikeCluster::DefaultConfig();
-  config.geo_group_size = 4;
-  config.initial_storage_nodes = 8;
+  config.initial_storage_nodes = 2 * GeoLikeCluster::kGroupSize;  // two full groups
   config.min_storage_nodes = 4;
   GeoLikeCluster original(config);
   ASSERT_EQ(original.engine().group_count(), 2u);
